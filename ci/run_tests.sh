@@ -29,14 +29,17 @@ TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$ROOT/build-tsan" \
   -L '^(federation_concurrency_test|robustness_test|federation_test|net_transport_test|engine_parallel_test|encoding_test|serving_test|result_cache_test|storage_test|join_test|smpc_test|smpc_property_test)$'
 
 echo "== ASan+UBSan: net framing / deserialization / codec hardening =="
+# pushdown_test and federation_test drive the engine's RemoteSite calls
+# master -> bus -> worker, so every request kind runs under ASan too.
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DMIP_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target net_transport_test net_process_test robustness_test \
            encoding_test plan_test serving_test result_cache_test \
-           storage_test join_test smpc_test smpc_property_test mip_worker
+           storage_test join_test smpc_test smpc_property_test \
+           pushdown_test federation_test mip_worker
 ASAN_OPTIONS="halt_on_error=1" ctest --test-dir "$ROOT/build-asan" \
   --output-on-failure -j "$JOBS" --no-tests=error \
-  -L '^(net_transport_test|net_process_test|robustness_test|encoding_test|plan_test|serving_test|result_cache_test|storage_test|join_test|smpc_test|smpc_property_test)$'
+  -L '^(net_transport_test|net_process_test|robustness_test|encoding_test|plan_test|serving_test|result_cache_test|storage_test|join_test|smpc_test|smpc_property_test|pushdown_test|federation_test)$'
 
 echo "== determinism: MIP_THREADS=1 vs MIP_THREADS=8 output diff =="
 # Morsel-driven execution must be byte-identical at any thread count (see

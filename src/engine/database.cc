@@ -147,13 +147,12 @@ Result<Table> Database::GetTable(const std::string& table_name) const {
   switch (e.kind) {
     case Entry::Kind::kBase:
       return e.table;
-    case Entry::Kind::kRemote:
-      if (!fetcher_) {
-        return Status::ExecutionError(
-            "remote table '" + table_name +
-            "' has no remote fetcher installed on database " + name_);
-      }
-      return fetcher_(e.location, e.remote_name);
+    case Entry::Kind::kRemote: {
+      RemoteRequest request;
+      request.sql = "SELECT * FROM " + e.remote_name;
+      return CallRemoteSite(remote_site_, e.location, request, table_name,
+                            name_);
+    }
     case Entry::Kind::kMerge: {
       std::vector<Table> parts;
       for (const std::string& part : e.parts) {
@@ -194,20 +193,16 @@ Result<Schema> Database::GetSchema(const std::string& table_name) const {
     const std::string key = ToLower(table_name);
     auto cached = remote_schema_cache_.find(key);
     if (cached != remote_schema_cache_.end()) return cached->second;
-    if (schema_fetcher_) {
-      Result<Schema> remote = schema_fetcher_(e.location, e.remote_name);
-      if (remote.ok()) {
-        remote_schema_cache_.emplace(key, *remote);
-        return remote;
-      }
-      // Old peers may not answer schema requests; fall through to a full
-      // fetch, which also yields the schema.
-    }
+    RemoteRequest request;
+    request.kind = RemoteKind::kGetSchema;
+    request.table_name = e.remote_name;
+    MIP_ASSIGN_OR_RETURN(Table probe,
+                         CallRemoteSite(remote_site_, e.location, request,
+                                        table_name, name_));
+    remote_schema_cache_.emplace(key, probe.schema());
+    return probe.schema();
   }
   MIP_ASSIGN_OR_RETURN(Table t, GetTable(table_name));
-  if (e.kind == Entry::Kind::kRemote) {
-    remote_schema_cache_.emplace(ToLower(table_name), t.schema());
-  }
   return t.schema();
 }
 
@@ -293,16 +288,18 @@ Result<TableStats> Database::GetTableStats(
         }
         return MergeTableStats(parts);
       }
-      case Entry::Kind::kRemote:
+      case Entry::Kind::kRemote: {
         // No full-fetch fallback here, deliberately: statistics are a
         // planning hint, and planning must never cost more wire traffic
         // than the plan it is costing.
-        if (!stats_fetcher_) {
-          return Status::NotImplemented(
-              "remote table '" + table_name +
-              "' has no remote stats fetcher installed on " + name_);
-        }
-        return stats_fetcher_(e.location, e.remote_name);
+        RemoteRequest request;
+        request.kind = RemoteKind::kGetStats;
+        request.table_name = e.remote_name;
+        MIP_ASSIGN_OR_RETURN(Table probe,
+                             CallRemoteSite(remote_site_, e.location, request,
+                                            table_name, name_));
+        return StatsFromTable(probe);
+      }
     }
     return Status::Internal("bad table entry kind");
   }();
@@ -331,8 +328,6 @@ Result<PlanPtr> Database::BuildOptimizedPlan(const SelectStmt& stmt) {
     options.index_scan = index_scan_;
     options.cost_model = cost_model_;
     options.force_join_strategy = force_join_strategy_;
-    options.has_remote_query_runner = static_cast<bool>(query_runner_);
-    options.has_remote_bound_runner = static_cast<bool>(bound_runner_);
     options.join_counters = join_counters_.get();
     MIP_ASSIGN_OR_RETURN(plan, OptimizePlan(std::move(plan), *this, options));
   }
@@ -359,20 +354,9 @@ Result<Table> Database::ExecutePlannedSelect(const PlanNode& plan) const {
   options.get_table = [this](const std::string& name) {
     return GetTable(name);
   };
-  if (fetcher_) options.fetch_remote = fetcher_;
-  if (query_runner_) options.run_remote_sql = query_runner_;
-  if (bound_runner_) options.run_remote_bound_sql = bound_runner_;
+  options.storage = storage_;
+  options.remote = remote_site_;
   options.join_counters = join_counters_.get();
-  if (storage_ != nullptr) {
-    options.scan_disk = [this](const std::string& name,
-                               const Expr* prune_filter) {
-      return storage_->ScanTable(name, prune_filter, nullptr);
-    };
-    options.index_scan_disk = [this](const std::string& name,
-                                     const Expr* prune_filter) {
-      return storage_->IndexScanTable(name, prune_filter, nullptr);
-    };
-  }
   return ExecutePlan(plan, options);
 }
 

@@ -2,7 +2,6 @@
 #define MIP_ENGINE_DATABASE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,7 +24,7 @@ namespace mip::engine {
 ///
 /// Every federation Worker hosts one Database (the MonetDB stand-in). It
 /// supports base tables, MonetDB-style REMOTE tables (scans served by
-/// another node through a pluggable fetcher) and MERGE tables
+/// another node through a RemoteSite) and MERGE tables
 /// (non-materialized UNION ALL views over parts) — the two features MIP's
 /// non-secure aggregation path is built on.
 ///
@@ -47,58 +46,14 @@ class Database : public PlanCatalog {
 
   const std::string& name() const { return name_; }
 
-  /// Resolves REMOTE table scans: (location, remote_table_name) -> Table.
-  /// The federation layer installs a fetcher that routes through the message
-  /// bus (and its cost model).
-  using RemoteFetcher = std::function<Result<Table>(
-      const std::string& location, const std::string& remote_name)>;
-  void SetRemoteFetcher(RemoteFetcher fetcher) {
-    fetcher_ = std::move(fetcher);
-  }
-
-  /// Runs a SQL statement ON the remote node and returns its result — the
-  /// transport for every pushdown (filters, pruned projections, LIMITs and
-  /// partial aggregates all ship as SQL text instead of whole tables).
-  using RemoteQueryRunner = std::function<Result<Table>(
-      const std::string& location, const std::string& sql)>;
-  void SetRemoteQueryRunner(RemoteQueryRunner runner) {
-    query_runner_ = std::move(runner);
-  }
-
-  /// Fetches just the schema of a remote table (location, remote_name) ->
-  /// Schema. Lets the planner prune remote projections without ever
-  /// materializing the relation; results are cached per remote table. When
-  /// unset (or when the peer fails the request) GetSchema falls back to a
-  /// full fetch, like the pre-plan-layer interpreter.
-  using RemoteSchemaFetcher = std::function<Result<Schema>(
-      const std::string& location, const std::string& remote_name)>;
-  void SetRemoteSchemaFetcher(RemoteSchemaFetcher fetcher) {
-    schema_fetcher_ = std::move(fetcher);
-  }
-
-  /// Fetches table statistics (row count, per-column NDV sketches and
-  /// ranges) for a remote table without materializing it — the stats layer
-  /// the join cost model runs on. Results are cached next to the remote
-  /// schema cache and invalidated by catalog version. When unset (or when
-  /// the peer fails the request) GetTableStats answers NotImplemented and
-  /// the cost model degrades to the pre-cost-model plan (collect) — never
-  /// to a wrong result.
-  using RemoteStatsFetcher = std::function<Result<TableStats>(
-      const std::string& location, const std::string& remote_name)>;
-  void SetRemoteStatsFetcher(RemoteStatsFetcher fetcher) {
-    stats_fetcher_ = std::move(fetcher);
-  }
-
-  /// Runs SQL on a remote node with a bound temp table shipped alongside —
-  /// the broadcast-join transport. The peer registers `bound` under
-  /// `temp_name`, runs `sql`, drops the temp, and returns the result.
-  /// Without one the optimizer never picks broadcast.
-  using RemoteBoundRunner = std::function<Result<Table>(
-      const std::string& location, const std::string& temp_name,
-      const std::string& sql, const Table& bound)>;
-  void SetRemoteBoundRunner(RemoteBoundRunner runner) {
-    bound_runner_ = std::move(runner);
-  }
+  /// The site serving REMOTE tables: whole-table scans, pushed SQL
+  /// (filters, pruned projections, LIMITs, partial aggregates), broadcast
+  /// joins and the planner's schema/stats probes all go through one
+  /// RemoteSite::Call. The federation layer installs its MasterNode, which
+  /// routes over the transport. Non-owning; the site must outlive the
+  /// database. Without one, remote tables fail with an execution error and
+  /// the cost model sees no remote statistics.
+  void set_remote_site(RemoteSite* site) { remote_site_ = site; }
 
   /// Execution context for query operators (morsel parallelism). nullptr
   /// (the default) resolves to ExecContext::Default(), i.e. the process-wide
@@ -178,9 +133,9 @@ class Database : public PlanCatalog {
   /// actually scans).
   Result<Table> GetTable(const std::string& table_name) const;
 
-  /// Schema without materializing. Remote schemas come from the schema
-  /// fetcher when installed (cached thereafter), else from a one-off full
-  /// fetch; merge uses its first part.
+  /// Schema without materializing. Remote schemas come from a get_schema
+  /// probe (cached thereafter; a failed probe returns its error); merge uses
+  /// its first part.
   Result<Schema> GetSchema(const std::string& table_name) const;
 
   /// Executes one SQL statement. DDL/DML return an empty table; EXPLAIN
@@ -209,7 +164,7 @@ class Database : public PlanCatalog {
 
   /// Executes a plan built by TryPlanSelectSql / BuildOptimizedPlan.
   /// Read-only on the catalog (remote round trips happen through the
-  /// installed fetcher/runner), so concurrent executions may share it.
+  /// installed RemoteSite), so concurrent executions may share it.
   Result<Table> ExecutePlannedSelect(const PlanNode& plan) const;
 
   /// Renders the optimized logical plan for a SELECT as a text tree.
@@ -226,8 +181,8 @@ class Database : public PlanCatalog {
   }
   /// Table statistics for the cost model: base tables are profiled in
   /// process (and cached), disk tables fold their segment footers, merge
-  /// tables merge their parts' stats, remote tables go through the stats
-  /// fetcher. Cached per table, keyed by catalog version — any mutation
+  /// tables merge their parts' stats, remote tables ask their site
+  /// (get_stats). Cached per table, keyed by catalog version — any mutation
   /// simply stops matching, like the gateway's result cache.
   Result<TableStats> GetTableStats(
       const std::string& table_name) const override;
@@ -254,11 +209,7 @@ class Database : public PlanCatalog {
   std::string name_;
   std::map<std::string, Entry> tables_;
   FunctionRegistry functions_;
-  RemoteFetcher fetcher_;
-  RemoteQueryRunner query_runner_;
-  RemoteSchemaFetcher schema_fetcher_;
-  RemoteStatsFetcher stats_fetcher_;
-  RemoteBoundRunner bound_runner_;
+  RemoteSite* remote_site_ = nullptr;  // non-owning; see set_remote_site
   TableStorage* storage_ = nullptr;  // non-owning; see AttachStorage
   bool aggregate_pushdown_ = true;
   bool optimizer_enabled_ = true;
@@ -269,8 +220,8 @@ class Database : public PlanCatalog {
   const ExecContext* exec_context_ = nullptr;
   /// Behind a pointer (atomics are immovable) so Database stays movable.
   std::unique_ptr<JoinCounters> join_counters_;
-  /// Remote-table schemas learned via the schema fetcher (or a full fetch),
-  /// keyed by lower-cased local name. Invalidated on PutTable/DropTable.
+  /// Remote-table schemas learned via get_schema probes, keyed by
+  /// lower-cased local name. Invalidated on PutTable/DropTable.
   mutable std::map<std::string, Schema> remote_schema_cache_;
   /// Table statistics keyed by lower-cased name, tagged with the catalog
   /// version they were computed under; a stale tag is a miss. Unlike the

@@ -101,8 +101,7 @@ Result<PlanPtr> RewriteMergeAggregate(const PlanNode& agg,
   auto new_merge = MakePlanNode(PlanKind::kMergeUnion);
   new_merge->table_name = merge.table_name;
   for (const PlanPtr& part : merge.children) {
-    if (part->kind == PlanKind::kRemoteScan &&
-        options.has_remote_query_runner) {
+    if (part->kind == PlanKind::kRemoteScan) {
       // True pushdown: the partial aggregate runs on the remote node.
       auto scan = MakePlanNode(PlanKind::kRemoteScan);
       scan->table_name = part->table_name;
@@ -111,8 +110,8 @@ Result<PlanPtr> RewriteMergeAggregate(const PlanNode& agg,
       scan->sql_override = select + " FROM " + part->remote_name + tail;
       new_merge->children.push_back(std::move(scan));
     } else {
-      // Local (or fetch-and-compute) partial: plan and optimize the partial
-      // query against this catalog.
+      // Local partial: plan and optimize the partial query against this
+      // catalog.
       const std::string sql = select + " FROM " + part->table_name + tail;
       MIP_ASSIGN_OR_RETURN(SqlStatement stmt, ParseSql(sql));
       auto* partial_select = std::get_if<SelectStmt>(&stmt);
@@ -255,9 +254,7 @@ void CollectColumnRefs(const Expr& e, std::vector<std::string>* out) {
 /// would have raised still surfaces (hence the schema check: unknown-column
 /// predicates stay local).
 bool EligibleRemoteFilter(const Expr& predicate, const PlanNode& scan,
-                          const PlanCatalog& catalog,
-                          const OptimizerOptions& options) {
-  if (!options.has_remote_query_runner) return false;
+                          const PlanCatalog& catalog) {
   if (!scan.sql_override.empty() || scan.remote_filter != nullptr) {
     return false;
   }
@@ -403,8 +400,7 @@ void PushJoinPredicates(const PlanNode& filter, PlanNode* join,
   wrap(1, to_right);
 }
 
-PlanPtr PushPredicates(PlanPtr node, const PlanCatalog& catalog,
-                       const OptimizerOptions& options) {
+PlanPtr PushPredicates(PlanPtr node, const PlanCatalog& catalog) {
   if (node->kind == PlanKind::kFilter) {
     PlanPtr child = node->children[0];
     if (child->kind == PlanKind::kMergeUnion) {
@@ -413,12 +409,12 @@ PlanPtr PushPredicates(PlanPtr node, const PlanCatalog& catalog,
         auto filter = MakePlanNode(PlanKind::kFilter);
         filter->predicate = CloneExpr(*node->predicate);
         filter->children = {std::move(part)};
-        part = PushPredicates(std::move(filter), catalog, options);
+        part = PushPredicates(std::move(filter), catalog);
       }
       return child;
     }
     if (child->kind == PlanKind::kRemoteScan &&
-        EligibleRemoteFilter(*node->predicate, *child, catalog, options)) {
+        EligibleRemoteFilter(*node->predicate, *child, catalog)) {
       child->remote_filter = node->predicate;
       return child;
     }
@@ -441,7 +437,7 @@ PlanPtr PushPredicates(PlanPtr node, const PlanCatalog& catalog,
     }
   }
   for (PlanPtr& child : node->children) {
-    child = PushPredicates(std::move(child), catalog, options);
+    child = PushPredicates(std::move(child), catalog);
   }
   return node;
 }
@@ -453,8 +449,7 @@ PlanPtr PushPredicates(PlanPtr node, const PlanCatalog& catalog,
 /// mismatched schemas.
 bool CanPruneScan(const PlanNode& node,
                   const std::vector<std::string>& required,
-                  const PlanCatalog& catalog,
-                  const OptimizerOptions& options) {
+                  const PlanCatalog& catalog) {
   if (required.empty()) return false;
   switch (node.kind) {
     case PlanKind::kScan: {
@@ -469,7 +464,6 @@ bool CanPruneScan(const PlanNode& node,
       return required.size() < schema->num_fields();
     }
     case PlanKind::kRemoteScan: {
-      if (!options.has_remote_query_runner) return false;
       if (!node.sql_override.empty()) return false;
       for (const std::string& name : required) {
         if (!IsSqlIdentifier(name)) return false;
@@ -483,7 +477,7 @@ bool CanPruneScan(const PlanNode& node,
     }
     case PlanKind::kMergeUnion: {
       for (const PlanPtr& child : node.children) {
-        if (!CanPruneScan(*child, required, catalog, options)) return false;
+        if (!CanPruneScan(*child, required, catalog)) return false;
       }
       return !node.children.empty();
     }
@@ -502,25 +496,22 @@ void AddRequired(std::vector<std::string>* required, const std::string& name) {
 /// `required` lists the only columns the parent needs, in first-mention
 /// order; nullptr means "all columns".
 void PruneColumns(PlanNode* node, const std::vector<std::string>* required,
-                  const PlanCatalog& catalog,
-                  const OptimizerOptions& options) {
+                  const PlanCatalog& catalog) {
   switch (node->kind) {
     case PlanKind::kScan:
     case PlanKind::kIndexScan:
     case PlanKind::kRemoteScan:
-      if (required != nullptr &&
-          CanPruneScan(*node, *required, catalog, options)) {
+      if (required != nullptr && CanPruneScan(*node, *required, catalog)) {
         node->columns = *required;
       }
       return;
     case PlanKind::kMergeUnion: {
       const std::vector<std::string>* pass = required;
-      if (required != nullptr &&
-          !CanPruneScan(*node, *required, catalog, options)) {
+      if (required != nullptr && !CanPruneScan(*node, *required, catalog)) {
         pass = nullptr;
       }
       for (PlanPtr& child : node->children) {
-        PruneColumns(child.get(), pass, catalog, options);
+        PruneColumns(child.get(), pass, catalog);
       }
       return;
     }
@@ -528,29 +519,29 @@ void PruneColumns(PlanNode* node, const std::vector<std::string>* required,
       // The "_r" collision renaming makes column provenance ambiguous; no
       // pruning through joins.
       for (PlanPtr& child : node->children) {
-        PruneColumns(child.get(), nullptr, catalog, options);
+        PruneColumns(child.get(), nullptr, catalog);
       }
       return;
     case PlanKind::kFilter: {
       if (required == nullptr) {
-        PruneColumns(node->children[0].get(), nullptr, catalog, options);
+        PruneColumns(node->children[0].get(), nullptr, catalog);
         return;
       }
       std::vector<std::string> merged = *required;
       CollectColumnRefs(*node->predicate, &merged);
-      PruneColumns(node->children[0].get(), &merged, catalog, options);
+      PruneColumns(node->children[0].get(), &merged, catalog);
       return;
     }
     case PlanKind::kSort: {
       if (required == nullptr) {
-        PruneColumns(node->children[0].get(), nullptr, catalog, options);
+        PruneColumns(node->children[0].get(), nullptr, catalog);
         return;
       }
       std::vector<std::string> merged = *required;
       for (const std::string& key : node->sort_keys) {
         AddRequired(&merged, key);
       }
-      PruneColumns(node->children[0].get(), &merged, catalog, options);
+      PruneColumns(node->children[0].get(), &merged, catalog);
       return;
     }
     case PlanKind::kProject: {
@@ -567,8 +558,7 @@ void PruneColumns(PlanNode* node, const std::vector<std::string>* required,
           }
         }
       }
-      PruneColumns(node->children[0].get(), star ? nullptr : &refs, catalog,
-                   options);
+      PruneColumns(node->children[0].get(), star ? nullptr : &refs, catalog);
       return;
     }
     case PlanKind::kAggregate: {
@@ -577,12 +567,12 @@ void PruneColumns(PlanNode* node, const std::vector<std::string>* required,
       for (const AggregateSpec& spec : node->aggs) {
         if (spec.arg != nullptr) CollectColumnRefs(*spec.arg, &refs);
       }
-      PruneColumns(node->children[0].get(), &refs, catalog, options);
+      PruneColumns(node->children[0].get(), &refs, catalog);
       return;
     }
     case PlanKind::kDistinct:
     case PlanKind::kLimit:
-      PruneColumns(node->children[0].get(), required, catalog, options);
+      PruneColumns(node->children[0].get(), required, catalog);
       return;
   }
 }
@@ -593,46 +583,39 @@ void PruneColumns(PlanNode* node, const std::vector<std::string>* required,
 /// filters, reorders, or regroups rows — limiting their *input* would change
 /// the result. The originating Limit node is kept (a pushed scan produces at
 /// most, not exactly, the budget).
-void AnnotateLimit(PlanNode* node, int64_t limit,
-                   const OptimizerOptions& options) {
+void AnnotateLimit(PlanNode* node, int64_t limit) {
   switch (node->kind) {
+    case PlanKind::kRemoteScan:
+      if (!node->sql_override.empty()) return;
+      [[fallthrough]];
     case PlanKind::kScan:
       node->scan_limit =
           node->scan_limit < 0 ? limit : std::min(node->scan_limit, limit);
       return;
-    case PlanKind::kRemoteScan:
-      if (!node->sql_override.empty()) return;
-      // A scan limit forces the run_sql path, so only lower it when a
-      // runner exists.
-      if (!options.has_remote_query_runner) return;
-      node->scan_limit =
-          node->scan_limit < 0 ? limit : std::min(node->scan_limit, limit);
-      return;
     case PlanKind::kProject:
-      AnnotateLimit(node->children[0].get(), limit, options);
+      AnnotateLimit(node->children[0].get(), limit);
       return;
     case PlanKind::kMergeUnion:
       // Each part needs at most `limit` rows; the outer Limit still trims
       // the concatenation.
       for (PlanPtr& child : node->children) {
-        AnnotateLimit(child.get(), limit, options);
+        AnnotateLimit(child.get(), limit);
       }
       return;
     case PlanKind::kLimit:
-      AnnotateLimit(node->children[0].get(), std::min(limit, node->limit),
-                    options);
+      AnnotateLimit(node->children[0].get(), std::min(limit, node->limit));
       return;
     default:
       return;
   }
 }
 
-void PushLimits(PlanNode* node, const OptimizerOptions& options) {
+void PushLimits(PlanNode* node) {
   if (node->kind == PlanKind::kLimit) {
-    AnnotateLimit(node->children[0].get(), node->limit, options);
+    AnnotateLimit(node->children[0].get(), node->limit);
   }
   for (PlanPtr& child : node->children) {
-    PushLimits(child.get(), options);
+    PushLimits(child.get());
   }
 }
 
@@ -936,7 +919,8 @@ void ChooseJoinStrategy(PlanNode* node, const PlanCatalog& catalog,
     }
 
     // Broadcast is on the table only when at least one left part can take
-    // the pushed join and a bound-table runner exists to ship it.
+    // the pushed join and its size is known (from the remote site's
+    // get_stats, the same site that would serve the run_sql_bound).
     int pushable = 0;
     double pushable_rows = 0.0;
     bool parts_known = true;
@@ -950,12 +934,10 @@ void ChooseJoinStrategy(PlanNode* node, const PlanCatalog& catalog,
       ++pushable;
       pushable_rows += rows;
     };
-    if (options.has_remote_bound_runner) {
-      if (left.kind == PlanKind::kMergeUnion) {
-        for (const PlanPtr& part : left.children) add_part(*part);
-      } else {
-        add_part(left);
-      }
+    if (left.kind == PlanKind::kMergeUnion) {
+      for (const PlanPtr& part : left.children) add_part(*part);
+    } else {
+      add_part(left);
     }
 
     if (pushable > 0 && parts_known && l >= 0 && r >= 0 &&
@@ -1003,15 +985,9 @@ Result<PlanPtr> OptimizePlan(PlanPtr plan, const PlanCatalog& catalog,
     MIP_ASSIGN_OR_RETURN(
         plan, ApplyMergeAggregateRule(std::move(plan), catalog, options));
   }
-  if (options.predicate_pushdown) {
-    plan = PushPredicates(std::move(plan), catalog, options);
-  }
-  if (options.projection_pruning) {
-    PruneColumns(plan.get(), nullptr, catalog, options);
-  }
-  if (options.limit_pushdown) {
-    PushLimits(plan.get(), options);
-  }
+  plan = PushPredicates(std::move(plan), catalog);
+  PruneColumns(plan.get(), nullptr, catalog);
+  PushLimits(plan.get());
   AnnotateSegmentPruning(plan.get(), catalog);
   if (options.index_scan) {
     ChooseAccessPath(plan.get(), catalog);

@@ -5,24 +5,13 @@
 
 namespace mip::engine {
 
-/// \brief Per-rule switches for the plan optimizer. All rules default on;
-/// Database turns them off wholesale via set_optimizer_enabled(false) (or
+/// \brief Ablation switches for the plan optimizer. Predicate pushdown,
+/// projection pruning and limit pushdown are exact and always run; the
+/// switches below cover the rules that are either not bit-exact or worth
+/// benchmarking against their ablation. All default on; Database turns the
+/// optimizer off wholesale via set_optimizer_enabled(false) (or
 /// MIP_OPTIMIZER=0) for the on-vs-off parity tests and CI diff job.
 struct OptimizerOptions {
-  /// Replicates a Filter over a MergeUnion into per-part filters, and lowers
-  /// remotely-evaluable predicates into the SQL a RemoteScan ships. Exact:
-  /// filtering is row-local and order-preserving on both sides.
-  bool predicate_pushdown = true;
-
-  /// Trims Scan/RemoteScan output to the columns the plan references; a
-  /// pruned remote scan only *fetches* those columns. Exact: no expression
-  /// sees a value it would not have seen.
-  bool projection_pruning = true;
-
-  /// Pushes LIMIT below Sort-free 1:1 pipelines into scans (lowered as a SQL
-  /// LIMIT on remote scans). Exact: row order is preserved end to end.
-  bool limit_pushdown = true;
-
   /// Decomposes Aggregate-over-MergeUnion into per-part partial aggregates
   /// (shipped as SQL to remote parts) plus a combine stage. This is the one
   /// rule that reassociates float sums — results match the direct path up to
@@ -54,16 +43,6 @@ struct OptimizerOptions {
   /// measure both sides of the crossover on identical data; the executor
   /// falls back per part when a forced broadcast cannot be pushed.
   int force_join_strategy = -1;
-
-  /// Whether the executor will have a run_sql runner available. Without one
-  /// nothing may be lowered into remote SQL text; remote scans fall back to
-  /// whole-table fetches exactly like the pre-plan-layer interpreter.
-  bool has_remote_query_runner = false;
-
-  /// Whether the executor will have a run_sql_bound runner available (the
-  /// broadcast transport). Without one the cost model never picks
-  /// broadcast: it would only fall back to collect at execution time.
-  bool has_remote_bound_runner = false;
 
   /// Lifetime join counters (may be null): the strategy chooser tallies
   /// joins planned and broadcast/collect decisions here.

@@ -819,8 +819,8 @@ std::string BuildRemoteScanSql(const PlanNode& node) {
 }
 
 /// Process-wide counter naming broadcast temp tables; uniqueness matters
-/// because concurrent joins may broadcast to the same worker, whose bound
-/// runner creates/drops the temp table by name.
+/// because concurrent joins may broadcast to the same worker, which
+/// creates/drops the temp table by name while serving run_sql_bound.
 std::atomic<uint64_t> g_broadcast_temp_counter{0};
 
 struct PlanExecutor {
@@ -855,9 +855,9 @@ struct PlanExecutor {
   /// table, workers resolve the ambiguous ON exactly like LocalJoin, and
   /// per-part probe order concatenated in part order IS the probe order of
   /// the concatenated left side. Any part that cannot be pushed — local
-  /// scan, sql-override, no bound runner, or a peer that fails the
-  /// round trip (e.g. predates run_sql_bound) — falls back to fetching
-  /// that part and joining at the master, preserving the result bytes.
+  /// scan, sql-override, no remote site, or a peer that fails the
+  /// round trip — falls back to fetching that part and joining at the
+  /// master, preserving the result bytes.
   Result<Table> ExecBroadcastJoin(const PlanNode& node, const Table& small) {
     const PlanNode& left = *node.children[0];
     std::vector<const PlanNode*> parts;
@@ -881,7 +881,7 @@ struct PlanExecutor {
     const bool pushable =
         part.kind == PlanKind::kRemoteScan && part.sql_override.empty() &&
         part.columns.empty() && part.scan_limit < 0 &&
-        static_cast<bool>(opts.run_remote_bound_sql) &&
+        opts.remote != nullptr &&
         IsSqlIdentifier(part.remote_name) && IsSqlIdentifier(node.left_key) &&
         IsSqlIdentifier(node.right_key);
     if (pushable) {
@@ -899,8 +899,12 @@ struct PlanExecutor {
       if (part.remote_filter != nullptr) {
         sql += " WHERE " + LowerExprToSql(*part.remote_filter);
       }
-      Result<Table> pushed =
-          opts.run_remote_bound_sql(part.location, temp_name, sql, small);
+      RemoteRequest request;
+      request.kind = RemoteKind::kRunSqlBound;
+      request.sql = std::move(sql);
+      request.temp_name = temp_name;
+      request.bound = &small;
+      Result<Table> pushed = opts.remote->Call(part.location, request);
       if (pushed.ok()) return pushed;
       // Fall through: fetch the part and join here instead.
     }
@@ -916,20 +920,17 @@ struct PlanExecutor {
         if (node.prebound != nullptr) {
           t = *node.prebound;
         } else if (node.disk) {
-          // kIndexScan prefers the index-probing scan; falling back to the
-          // plain disk scan is always byte-identical (the index only skips
-          // segments it proves empty).
-          const auto& scan =
-              node.kind == PlanKind::kIndexScan && opts.index_scan_disk
-                  ? opts.index_scan_disk
-                  : opts.scan_disk;
-          if (!scan) {
+          if (opts.storage == nullptr) {
             return Status::ExecutionError(
                 "disk table '" + node.table_name +
                 "' has no storage attached on database " + opts.db_name);
           }
           MIP_ASSIGN_OR_RETURN(
-              t, scan(node.table_name, node.prune_filter.get()));
+              t, node.kind == PlanKind::kIndexScan
+                     ? opts.storage->IndexScanTable(
+                           node.table_name, node.prune_filter.get(), nullptr)
+                     : opts.storage->ScanTable(
+                           node.table_name, node.prune_filter.get(), nullptr));
         } else {
           MIP_ASSIGN_OR_RETURN(t, opts.get_table(node.table_name));
         }
@@ -942,28 +943,11 @@ struct PlanExecutor {
         return t;
       }
       case PlanKind::kRemoteScan: {
-        const bool lowered = !node.sql_override.empty() ||
-                             node.remote_filter != nullptr ||
-                             !node.columns.empty() || node.scan_limit >= 0;
-        if (lowered) {
-          if (!opts.run_remote_sql) {
-            return Status::ExecutionError(
-                "remote table '" + node.table_name +
-                "' has no remote query runner installed on database " +
-                opts.db_name);
-          }
-          const std::string sql = node.sql_override.empty()
-                                      ? BuildRemoteScanSql(node)
-                                      : node.sql_override;
-          return opts.run_remote_sql(node.location, sql);
-        }
-        if (!opts.fetch_remote) {
-          return Status::ExecutionError(
-              "remote table '" + node.table_name +
-              "' has no remote fetcher installed on database " +
-              opts.db_name);
-        }
-        return opts.fetch_remote(node.location, node.remote_name);
+        RemoteRequest request;
+        request.sql = node.sql_override.empty() ? BuildRemoteScanSql(node)
+                                                : node.sql_override;
+        return CallRemoteSite(opts.remote, node.location, request,
+                              node.table_name, opts.db_name);
       }
       case PlanKind::kMergeUnion: {
         std::vector<Table> parts;

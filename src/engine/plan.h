@@ -12,6 +12,7 @@
 #include "engine/exec_context.h"
 #include "engine/expr.h"
 #include "engine/operators.h"
+#include "engine/remote_site.h"
 #include "engine/sql_ast.h"
 #include "engine/storage_iface.h"
 #include "engine/table.h"
@@ -99,7 +100,7 @@ struct PlanNode {
   /// LIMIT pushed below a sort-free pipeline; -1 = none.
   int64_t scan_limit = -1;
   /// kScan only: the table is disk-resident (TableKind::kDisk) and executes
-  /// through PlanExecutorOptions::scan_disk.
+  /// through PlanExecutorOptions::storage.
   bool disk = false;
   /// kScan over a disk table: predicate copied down by the optimizer as a
   /// zone-map pruning *hint*. Purely advisory — the originating Filter node
@@ -308,42 +309,15 @@ struct PlanExecutorOptions {
   std::string db_name;
   /// Materializes a base table by catalog name.
   std::function<Result<Table>(const std::string& name)> get_table;
-  /// Scans a disk-resident table (TableKind::kDisk), consulting zone maps
-  /// against the advisory prune filter (may be null) to skip segments.
-  /// Unset = the catalog has no attached storage; executing a disk scan
-  /// then fails with an execution error.
-  std::function<Result<Table>(const std::string& name,
-                              const Expr* prune_filter)>
-      scan_disk;
-  /// Scans a disk-resident table through its ordered secondary indexes
-  /// (kIndexScan): same contract and byte-identical results as scan_disk,
-  /// but segments whose index probe proves zero candidates are skipped
-  /// without being decoded. Unset = kIndexScan falls back to scan_disk
-  /// (always correct; the index path is purely an accelerator).
-  std::function<Result<Table>(const std::string& name,
-                              const Expr* prune_filter)>
-      index_scan_disk;
-  /// Fetches a whole remote table (fetch_table); used by bare RemoteScans.
-  std::function<Result<Table>(const std::string& location,
-                              const std::string& remote_name)>
-      fetch_remote;
-  /// Runs SQL on the remote node (run_sql); used by RemoteScans that carry
-  /// a pushed filter, pruned columns, a limit, or a partial-aggregate
-  /// override. May be null — the optimizer only lowers work into remote
-  /// SQL when a runner is available.
-  std::function<Result<Table>(const std::string& location,
-                              const std::string& sql)>
-      run_remote_sql;
-  /// Runs SQL on the remote node with a shipped bound table
-  /// (run_sql_bound): the worker registers `bound` under `temp_name`, runs
-  /// `sql`, drops the temp table, and replies with the result — the
-  /// transport of a BroadcastJoin's build side. May be null (no broadcast-
-  /// capable transport); broadcast joins then fall back per part to
-  /// fetching the part and joining at the master, byte-identically.
-  std::function<Result<Table>(const std::string& location,
-                              const std::string& temp_name,
-                              const std::string& sql, const Table& bound)>
-      run_remote_bound_sql;
+  /// Disk-resident tables (TableKind::kDisk): kScan calls ScanTable and
+  /// kIndexScan calls IndexScanTable, each with the node's advisory prune
+  /// filter. Null = no attached storage; a disk scan then fails with an
+  /// execution error.
+  const TableStorage* storage = nullptr;
+  /// Serves RemoteScans (run_sql) and pushed broadcast joins
+  /// (run_sql_bound). Null = remote scans fail with an execution error and
+  /// broadcast joins fetch-and-join every part at the master.
+  RemoteSite* remote = nullptr;
   /// Lifetime join counters (may be null): executor-side build/probe rows.
   JoinCounters* join_counters = nullptr;
 };

@@ -56,7 +56,7 @@ struct StorageCounters {
 
 /// \brief Abstract view of a disk-resident table store, implemented by
 /// storage::StorageEngine and injected into Database (the same
-/// dependency-inverting shape as RemoteFetcher: the engine plans and
+/// dependency-inverting shape as RemoteSite: the engine plans and
 /// executes against the interface, the storage library depends on the
 /// engine — never the reverse).
 class TableStorage {

@@ -300,110 +300,33 @@ MasterNode::MasterNode(MasterConfig config)
       local_db_("master_db"),
       functions_(std::make_shared<LocalFunctionRegistry>()),
       rng_(config.seed) {
-  // The Master's local engine resolves REMOTE tables over the bus.
-  local_db_.SetRemoteFetcher(
-      [this](const std::string& location,
-             const std::string& remote_name) -> Result<engine::Table> {
-        BufferWriter writer;
-        writer.WriteString(remote_name);
-        Envelope envelope{"master", location, "fetch_table", "",
-                          writer.TakeBytes()};
-        MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                             transport_->Send(std::move(envelope)));
-        BufferReader reader(reply);
-        MIP_ASSIGN_OR_RETURN(engine::Table table,
-                             engine::DeserializeTable(&reader));
-        transport_->MeterCodec(location, "master",
-                               engine::RawTableWireBytes(table), reply.size());
-        return table;
-      });
-  // ... and pushes partial aggregates to the data when it can.
-  local_db_.SetRemoteQueryRunner(
-      [this](const std::string& location,
-             const std::string& sql) -> Result<engine::Table> {
-        BufferWriter writer;
-        writer.WriteString(sql);
-        Envelope envelope{"master", location, "run_sql", "",
-                          writer.TakeBytes()};
-        MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                             transport_->Send(std::move(envelope)));
-        BufferReader reader(reply);
-        MIP_ASSIGN_OR_RETURN(engine::Table table,
-                             engine::DeserializeTable(&reader));
-        transport_->MeterCodec(location, "master",
-                               engine::RawTableWireBytes(table), reply.size());
-        return table;
-      });
-  // ... and learns remote schemas from a zero-row probe so the planner can
-  // prune projections without a full fetch. (Database falls back to a full
-  // fetch if a peer does not answer.)
-  local_db_.SetRemoteSchemaFetcher(
-      [this](const std::string& location,
-             const std::string& remote_name) -> Result<engine::Schema> {
-        BufferWriter writer;
-        writer.WriteString(remote_name);
-        Envelope envelope{"master", location, "get_schema", "",
-                          writer.TakeBytes()};
-        MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                             transport_->Send(std::move(envelope)));
-        BufferReader reader(reply);
-        MIP_ASSIGN_OR_RETURN(engine::Table table,
-                             engine::DeserializeTable(&reader));
-        transport_->MeterCodec(location, "master",
-                               engine::RawTableWireBytes(table), reply.size());
-        return table.schema();
-      });
-  // ... and learns remote table statistics the same way — a tiny stats
-  // table crosses the wire, never the relation — feeding the join cost
-  // model. (Database answers NotImplemented when a peer cannot; the model
-  // degrades to collect.)
-  local_db_.SetRemoteStatsFetcher(
-      [this](const std::string& location,
-             const std::string& remote_name) -> Result<engine::TableStats> {
-        BufferWriter writer;
-        writer.WriteString(remote_name);
-        Envelope envelope{"master", location, "get_stats", "",
-                          writer.TakeBytes()};
-        MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                             transport_->Send(std::move(envelope)));
-        BufferReader reader(reply);
-        MIP_ASSIGN_OR_RETURN(engine::Table table,
-                             engine::DeserializeTable(&reader));
-        transport_->MeterCodec(location, "master",
-                               engine::RawTableWireBytes(table), reply.size());
-        return engine::StatsFromTable(table);
-      });
-  // ... and ships small build sides next to the data for broadcast joins:
-  // the worker registers the bound table under a temp name, runs the join
-  // SQL, drops the temp, and only joined rows come back.
-  local_db_.SetRemoteBoundRunner(
-      [this](const std::string& location, const std::string& temp_name,
-             const std::string& sql,
-             const engine::Table& bound) -> Result<engine::Table> {
-        BufferWriter writer;
-        writer.WriteString(temp_name);
-        writer.WriteString(sql);
-        // Compressed build side only for peers whose handshake vouches they
-        // decode it, mirroring the fan-out path's per-peer codec choice.
-        engine::SerializeTable(
-            bound, &writer,
-            engine::TableWireOptions{transport_->SupportsCodecs(location)});
-        std::vector<uint8_t> payload = writer.TakeBytes();
-        const uint64_t request_bytes = payload.size();
-        Envelope envelope{"master", location, "run_sql_bound", "",
-                          std::move(payload)};
-        MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                             transport_->Send(std::move(envelope)));
-        transport_->MeterCodec("master", location,
-                               engine::RawTableWireBytes(bound),
-                               request_bytes);
-        BufferReader reader(reply);
-        MIP_ASSIGN_OR_RETURN(engine::Table table,
-                             engine::DeserializeTable(&reader));
-        transport_->MeterCodec(location, "master",
-                               engine::RawTableWireBytes(table), reply.size());
-        return table;
-      });
+  local_db_.set_remote_site(this);
+}
+
+Result<engine::Table> MasterNode::Call(const std::string& location,
+                                       const engine::RemoteRequest& request) {
+  const bool bound = request.kind == engine::RemoteKind::kRunSqlBound;
+  BufferWriter writer;
+  // Compressed build side only for peers whose handshake vouches they
+  // decode it, mirroring the fan-out path's per-peer codec choice.
+  engine::EncodeRemoteRequest(
+      request, bound && transport_->SupportsCodecs(location), &writer);
+  std::vector<uint8_t> payload = writer.TakeBytes();
+  const uint64_t request_bytes = payload.size();
+  Envelope envelope{"master", location, engine::RemoteKindName(request.kind),
+                    "", std::move(payload)};
+  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
+                       transport_->Send(std::move(envelope)));
+  if (bound) {
+    transport_->MeterCodec("master", location,
+                           engine::RawTableWireBytes(*request.bound),
+                           request_bytes);
+  }
+  BufferReader reader(reply);
+  MIP_ASSIGN_OR_RETURN(engine::Table table, engine::DeserializeTable(&reader));
+  transport_->MeterCodec(location, "master", engine::RawTableWireBytes(table),
+                         reply.size());
+  return table;
 }
 
 ThreadPool& MasterNode::pool() {

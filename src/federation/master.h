@@ -187,10 +187,18 @@ class FederationSession {
 /// \brief The Master node: governs worker communication, tracks dataset
 /// availability for algorithm shipping, orchestrates algorithm flows, and
 /// merges aggregates. Also hosts a local engine instance (the paper:
-/// "it is also possible to perform computations locally as well").
-class MasterNode {
+/// "it is also possible to perform computations locally as well"), whose
+/// REMOTE tables it serves as the engine's RemoteSite.
+class MasterNode : public engine::RemoteSite {
  public:
   explicit MasterNode(MasterConfig config = MasterConfig());
+
+  /// The local engine's one remote call path: encodes `request` as the
+  /// envelope RemoteKindName(kind) names, sends it to `location` over the
+  /// transport, decodes the reply table, and records both directions in
+  /// the codec ledger.
+  Result<engine::Table> Call(const std::string& location,
+                             const engine::RemoteRequest& request) override;
 
   MessageBus& bus() { return bus_; }
   /// Transport carrying session fan-outs and remote-table traffic. Defaults

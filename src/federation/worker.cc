@@ -145,83 +145,69 @@ Result<std::vector<uint8_t>> WorkerNode::HandleEnvelope(
     result.Serialize(&writer, codecs);
     return writer.TakeBytes();
   }
-  if (envelope.type == "fetch_table") {
-    MIP_ASSIGN_OR_RETURN(std::string table_name, reader.ReadString());
-    std::shared_lock<std::shared_mutex> lock(db_mu_);
-    MIP_ASSIGN_OR_RETURN(engine::Table table, db_.GetTable(table_name));
-    BufferWriter writer;
-    engine::SerializeTable(table, &writer, engine::TableWireOptions{codecs});
-    return writer.TakeBytes();
-  }
-  if (envelope.type == "get_schema") {
-    // Schema-only probe: ships a zero-row table so the Master's planner can
-    // prune remote projections without ever materializing the relation.
-    MIP_ASSIGN_OR_RETURN(std::string table_name, reader.ReadString());
-    std::shared_lock<std::shared_mutex> lock(db_mu_);
-    MIP_ASSIGN_OR_RETURN(engine::Schema schema, db_.GetSchema(table_name));
-    BufferWriter writer;
-    engine::SerializeTable(engine::Table::Empty(std::move(schema)), &writer,
-                           engine::TableWireOptions{codecs});
-    return writer.TakeBytes();
-  }
-  if (envelope.type == "get_stats") {
-    // Statistics-only probe, the get_schema of the cost model: row count
-    // plus per-column NDV/null/range stats cross the wire as a tiny table,
-    // never the relation itself.
-    MIP_ASSIGN_OR_RETURN(std::string table_name, reader.ReadString());
-    std::shared_lock<std::shared_mutex> lock(db_mu_);
-    MIP_ASSIGN_OR_RETURN(engine::TableStats stats,
-                         db_.GetTableStats(table_name));
-    BufferWriter writer;
-    engine::SerializeTable(engine::StatsToTable(stats), &writer,
-                           engine::TableWireOptions{codecs});
-    return writer.TakeBytes();
-  }
-  if (envelope.type == "run_sql") {
-    // Remote query execution: lets the Master push partial aggregates to
-    // the data instead of pulling relations (merge-table pushdown).
-    MIP_ASSIGN_OR_RETURN(std::string sql, reader.ReadString());
-    std::shared_lock<std::shared_mutex> shared(db_mu_, std::defer_lock);
-    std::unique_lock<std::shared_mutex> exclusive(db_mu_, std::defer_lock);
-    if (IsReadOnlySql(sql)) {
-      shared.lock();
-    } else {
-      exclusive.lock();
+  engine::Table bound;
+  MIP_ASSIGN_OR_RETURN(
+      engine::RemoteRequest request,
+      engine::DecodeRemoteRequest(envelope.type, &reader, &bound));
+  MIP_ASSIGN_OR_RETURN(engine::Table table,
+                       ServeRemote(request, std::move(bound)));
+  BufferWriter writer;
+  engine::SerializeTable(table, &writer, engine::TableWireOptions{codecs});
+  return writer.TakeBytes();
+}
+
+Result<engine::Table> WorkerNode::ServeRemote(
+    const engine::RemoteRequest& request, engine::Table bound) {
+  switch (request.kind) {
+    case engine::RemoteKind::kGetSchema: {
+      // Schema-only probe: a zero-row table lets the Master's planner prune
+      // remote projections without ever materializing the relation.
+      std::shared_lock<std::shared_mutex> lock(db_mu_);
+      MIP_ASSIGN_OR_RETURN(engine::Schema schema,
+                           db_.GetSchema(request.table_name));
+      return engine::Table::Empty(std::move(schema));
     }
-    MIP_ASSIGN_OR_RETURN(engine::Table table, db_.ExecuteSql(sql));
-    BufferWriter writer;
-    engine::SerializeTable(table, &writer, engine::TableWireOptions{codecs});
-    return writer.TakeBytes();
-  }
-  if (envelope.type == "run_sql_bound") {
-    // Broadcast-join transport: the Master ships a small build side, the
-    // join runs here next to the data, only joined rows go back. The temp
-    // table never outlives the request — dropped on success and failure
-    // alike — and the exclusive lock keeps the register/run/drop atomic
-    // against every other envelope.
-    MIP_ASSIGN_OR_RETURN(std::string temp_name, reader.ReadString());
-    MIP_ASSIGN_OR_RETURN(std::string sql, reader.ReadString());
-    MIP_ASSIGN_OR_RETURN(engine::Table bound,
-                         engine::DeserializeTable(&reader));
-    std::unique_lock<std::shared_mutex> lock(db_mu_);
-    if (db_.HasTable(temp_name)) {
-      return Status::InvalidArgument("bound temp table '" + temp_name +
-                                     "' collides with an existing table on " +
-                                     id_);
+    case engine::RemoteKind::kGetStats: {
+      // Statistics-only probe, the get_schema of the cost model: row count
+      // plus per-column NDV/null/range stats, never the relation itself.
+      std::shared_lock<std::shared_mutex> lock(db_mu_);
+      MIP_ASSIGN_OR_RETURN(engine::TableStats stats,
+                           db_.GetTableStats(request.table_name));
+      return engine::StatsToTable(stats);
     }
-    MIP_RETURN_NOT_OK(db_.PutTable(temp_name, std::move(bound)));
-    Result<engine::Table> result = db_.ExecuteSql(sql);
-    const Status dropped = db_.DropTable(temp_name);
-    MIP_RETURN_NOT_OK(result.status());
-    MIP_RETURN_NOT_OK(dropped);
-    BufferWriter writer;
-    engine::SerializeTable(*result, &writer,
-                           engine::TableWireOptions{codecs});
-    return writer.TakeBytes();
+    case engine::RemoteKind::kRunSql: {
+      // Remote query execution: REMOTE-table scans and every pushdown
+      // (filters, projections, limits, partial aggregates) ship as SQL.
+      std::shared_lock<std::shared_mutex> shared(db_mu_, std::defer_lock);
+      std::unique_lock<std::shared_mutex> exclusive(db_mu_, std::defer_lock);
+      if (IsReadOnlySql(request.sql)) {
+        shared.lock();
+      } else {
+        exclusive.lock();
+      }
+      return db_.ExecuteSql(request.sql);
+    }
+    case engine::RemoteKind::kRunSqlBound: {
+      // Broadcast-join transport: the Master ships a small build side, the
+      // join runs here next to the data, only joined rows go back. The temp
+      // table never outlives the request — dropped on success and failure
+      // alike — and the exclusive lock keeps the register/run/drop atomic
+      // against every other request.
+      std::unique_lock<std::shared_mutex> lock(db_mu_);
+      if (db_.HasTable(request.temp_name)) {
+        return Status::InvalidArgument(
+            "bound temp table '" + request.temp_name +
+            "' collides with an existing table on " + id_);
+      }
+      MIP_RETURN_NOT_OK(db_.PutTable(request.temp_name, std::move(bound)));
+      Result<engine::Table> result = db_.ExecuteSql(request.sql);
+      const Status dropped = db_.DropTable(request.temp_name);
+      MIP_RETURN_NOT_OK(result.status());
+      MIP_RETURN_NOT_OK(dropped);
+      return result;
+    }
   }
-  return Status::InvalidArgument("worker " + id_ +
-                                 ": unknown message type '" + envelope.type +
-                                 "'");
+  return Status::Internal("bad remote request kind");
 }
 
 }  // namespace mip::federation

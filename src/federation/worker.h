@@ -96,11 +96,9 @@ class WorkerNode {
   /// bus, or a listening TcpTransport when the worker runs as its own
   /// process). Message types: "local_run" (returns the transfer),
   /// "local_run_secure" (imports the transfer into the SMPC cluster; only
-  /// the shape goes back over the wire), "fetch_table" (serves REMOTE-table
-  /// scans), "get_schema" / "get_stats" (planner probes: schema and table
-  /// statistics without materializing), "run_sql" (merge-table pushdown),
-  /// "run_sql_bound" (broadcast joins: registers a shipped temp table, runs
-  /// the SQL, drops the temp).
+  /// the shape goes back over the wire), and the four engine::RemoteKind
+  /// requests a Master's engine sends (see ServeRemote). Any other type is
+  /// InvalidArgument.
   Status AttachToBus(net::Transport* transport);
 
   /// Wires the worker to the SMPC cluster for secure imports.
@@ -120,12 +118,20 @@ class WorkerNode {
  private:
   Result<std::vector<uint8_t>> HandleEnvelope(const Envelope& envelope);
 
+  /// Serves one decoded engine request against this worker's database:
+  /// "run_sql" (REMOTE-table scans and every pushdown), "run_sql_bound"
+  /// (broadcast joins: registers `bound` under the temp name, runs the SQL,
+  /// drops the temp), "get_schema" / "get_stats" (planner probes without
+  /// materializing). Probes and read-only SQL share db_mu_; other SQL and
+  /// run_sql_bound take it exclusively.
+  Result<engine::Table> ServeRemote(const engine::RemoteRequest& request,
+                                    engine::Table bound);
+
   std::string id_;
   /// Transports run handlers concurrently (the Master fans out from a
-  /// thread pool), so envelope types that mutate the catalog —
-  /// run_sql_bound's temp-table register/drop, run_sql DDL — take this
-  /// exclusively; read-only serving (fetch_table, get_schema, get_stats,
-  /// run_sql SELECTs) shares it.
+  /// thread pool), so requests that mutate the catalog — run_sql_bound's
+  /// temp-table register/drop, run_sql DDL — take this exclusively;
+  /// read-only serving (get_schema, get_stats, run_sql SELECTs) shares it.
   std::shared_mutex db_mu_;
   engine::Database db_;
   std::shared_ptr<LocalFunctionRegistry> functions_;

@@ -18,7 +18,7 @@ namespace mip::net {
 struct Envelope {
   std::string from;
   std::string to;
-  std::string type;  ///< message kind (e.g. "local_run", "fetch_table")
+  std::string type;  ///< message kind (e.g. "local_run", "run_sql")
   std::string job_id;
   std::vector<uint8_t> payload;
   /// Round-trip deadline for this request in milliseconds; 0 uses the

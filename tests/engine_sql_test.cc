@@ -5,6 +5,7 @@
 #include "engine/database.h"
 #include "engine/sql_lexer.h"
 #include "engine/sql_parser.h"
+#include "database_site.h"
 
 namespace mip::engine {
 namespace {
@@ -211,19 +212,18 @@ TEST_F(DatabaseSqlTest, MergeTablesConcatenateParts) {
 TEST_F(DatabaseSqlTest, RemoteTableNeedsFetcher) {
   ASSERT_TRUE(
       db_.ExecuteSql("CREATE REMOTE TABLE rem ON 'other' AS p").ok());
-  EXPECT_FALSE(db_.ExecuteSql("SELECT * FROM rem").ok());  // no fetcher
-  // Install a fetcher that serves from a second database.
+  EXPECT_FALSE(db_.ExecuteSql("SELECT * FROM rem").ok());  // no site
+  // Install a remote site that serves from a second database.
   Database other("other");
   ASSERT_TRUE(other.ExecuteSql("CREATE TABLE p (a bigint)").ok());
   ASSERT_TRUE(other.ExecuteSql("INSERT INTO p VALUES (1), (2)").ok());
-  db_.SetRemoteFetcher(
-      [&other](const std::string& loc,
-               const std::string& name) -> Result<Table> {
-        EXPECT_EQ(loc, "other");
-        return other.GetTable(name);
-      });
+  DatabaseSite site(&other);
+  db_.set_remote_site(&site);
   Table out = *db_.ExecuteSql("SELECT count(*) AS n FROM rem");
   EXPECT_EQ(out.At(0, 0).int_value(), 2);
+  ASSERT_FALSE(site.locations.empty());
+  for (const std::string& loc : site.locations) EXPECT_EQ(loc, "other");
+  db_.set_remote_site(nullptr);
 }
 
 

@@ -15,6 +15,7 @@
 #include "engine/exec_context.h"
 #include "engine/table.h"
 #include "federation/master.h"
+#include "database_site.h"
 
 namespace mip::engine {
 namespace {
@@ -290,14 +291,7 @@ class PlanRemoteTest : public ::testing::Test {
     ASSERT_TRUE(remote_.ExecuteSql("INSERT INTO d VALUES ('a', 1.0, 1), "
                                    "('b', 2.0, 2), ('c', 3.0, 1)")
                     .ok());
-    master_.SetRemoteFetcher(
-        [this](const std::string&, const std::string& name) {
-          return remote_.GetTable(name);
-        });
-    master_.SetRemoteQueryRunner(
-        [this](const std::string&, const std::string& sql) {
-          return remote_.ExecuteSql(sql);
-        });
+    master_.set_remote_site(&site_);
     ASSERT_TRUE(master_.ExecuteSql("CREATE REMOTE TABLE rd ON 'w1' AS d")
                     .ok());
     ASSERT_TRUE(master_.ExecuteSql("CREATE TABLE lp (g varchar, x double, "
@@ -309,6 +303,7 @@ class PlanRemoteTest : public ::testing::Test {
   }
 
   Database remote_{"workerdb"};
+  DatabaseSite site_{&remote_};
   Database master_{"masterdb"};
 };
 

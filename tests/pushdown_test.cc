@@ -127,24 +127,6 @@ TEST_F(PushdownTest, NestedMergeTables) {
   EXPECT_NEAR(nested.At(0, 1).AsDouble(), direct.At(0, 1).AsDouble(), 1e-9);
 }
 
-TEST(PushdownFederationTest, FallsBackWithoutQueryRunner) {
-  // Remote parts but no remote query runner: pushdown computes partials by
-  // fetching (correct, just not traffic-optimal).
-  engine::Database local("master_like");
-  engine::Database remote("worker_like");
-  ASSERT_TRUE(remote.ExecuteSql("CREATE TABLE d (x double)").ok());
-  ASSERT_TRUE(remote.ExecuteSql("INSERT INTO d VALUES (1), (2), (3)").ok());
-  local.SetRemoteFetcher(
-      [&remote](const std::string&, const std::string& name) {
-        return remote.GetTable(name);
-      });
-  ASSERT_TRUE(
-      local.ExecuteSql("CREATE REMOTE TABLE rd ON 'w' AS d").ok());
-  ASSERT_TRUE(local.ExecuteSql("CREATE MERGE TABLE mv (rd)").ok());
-  Table out = *local.ExecuteSql("SELECT sum(x) AS s FROM mv");
-  EXPECT_NEAR(out.At(0, 0).AsDouble(), 6.0, 1e-12);
-}
-
 TEST(PushdownFederationTest, PushdownShrinksBusTraffic) {
   federation::MasterNode master;
   mip::Rng rng(99);

@@ -12,6 +12,7 @@
 #include "algorithms/linear_regression.h"
 #include "common/rng.h"
 #include "engine/database.h"
+#include "engine/remote_site.h"
 #include "engine/sql_parser.h"
 #include "federation/fault.h"
 #include "federation/master.h"
@@ -408,6 +409,91 @@ TEST(ServingRobustnessTest, SlowLorisClientEvictedWithoutCollateral) {
   EXPECT_GE(server.server_stats().evicted_deadline, 1u);
   client.Shutdown();
   server.Shutdown();
+}
+
+// --- Hostile engine requests ----------------------------------------------
+
+/// Sends one engine request to the worker and checks the reply contract: a
+/// non-OK status carrying a typed code, or a reply that decodes as a table.
+void ExpectTypedErrorOrTable(federation::MessageBus* bus,
+                             const std::string& type,
+                             std::vector<uint8_t> payload) {
+  Result<std::vector<uint8_t>> reply = bus->Send(
+      federation::Envelope{"master", "w", type, "", std::move(payload)});
+  if (!reply.ok()) {
+    EXPECT_NE(reply.status().code(), StatusCode::kOk);
+    EXPECT_NE(reply.status().code(), StatusCode::kInternal)
+        << type << ": " << reply.status().ToString();
+    return;
+  }
+  BufferReader reader(reply.ValueOrDie());
+  EXPECT_TRUE(engine::DeserializeTable(&reader).ok()) << type;
+}
+
+TEST(RemoteRequestFuzzTest, TruncatedAndFlippedPayloadsNeverCrashTheWorker) {
+  federation::MessageBus bus;
+  federation::WorkerNode worker(
+      "w", std::make_shared<federation::LocalFunctionRegistry>(), 7);
+  ASSERT_TRUE(worker.AttachToBus(&bus).ok());
+  engine::Database scratch("scratch");
+  ASSERT_TRUE(scratch.ExecuteSql("CREATE TABLE d (k bigint, g varchar, "
+                                 "x double)").ok());
+  ASSERT_TRUE(scratch.ExecuteSql("INSERT INTO d VALUES (1, 'a', 0.5), "
+                                 "(2, 'b', 1.5), (3, 'a', NULL), "
+                                 "(2, 'c', -4.0)").ok());
+  ASSERT_TRUE(scratch.ExecuteSql("CREATE TABLE cohort (pid bigint, "
+                                 "label varchar)").ok());
+  ASSERT_TRUE(scratch.ExecuteSql("INSERT INTO cohort VALUES (2, 'case'), "
+                                 "(3, 'control')").ok());
+  ASSERT_TRUE(worker.LoadDataset("d", *scratch.GetTable("d")).ok());
+  const Table bound = *scratch.GetTable("cohort");
+
+  std::vector<engine::RemoteRequest> requests(5);
+  requests[0].sql = "SELECT g, sum(x) AS s FROM d WHERE k > 1 GROUP BY g";
+  for (int i : {1, 2}) {
+    requests[i].kind = engine::RemoteKind::kRunSqlBound;
+    requests[i].temp_name = "__bcast1";
+    requests[i].sql = "SELECT * FROM d JOIN __bcast1 ON k = pid";
+    requests[i].bound = &bound;
+  }
+  requests[3].kind = engine::RemoteKind::kGetSchema;
+  requests[3].table_name = "d";
+  requests[4].kind = engine::RemoteKind::kGetStats;
+  requests[4].table_name = "d";
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const std::string type = engine::RemoteKindName(requests[i].kind);
+    BufferWriter writer;
+    // Request 1 ships the build side in the plain layout, 2 compressed.
+    engine::EncodeRemoteRequest(requests[i], /*codecs=*/i == 2, &writer);
+    const std::vector<uint8_t> valid = writer.TakeBytes();
+    Result<std::vector<uint8_t>> ok =
+        bus.Send(federation::Envelope{"master", "w", type, "", valid});
+    ASSERT_TRUE(ok.ok()) << type << ": " << ok.status().ToString();
+
+    for (size_t len = 0; len < valid.size(); ++len) {
+      ExpectTypedErrorOrTable(
+          &bus, type, std::vector<uint8_t>(valid.begin(), valid.begin() + len));
+    }
+    for (size_t pos = 0; pos < valid.size(); ++pos) {
+      std::vector<uint8_t> flipped = valid;
+      flipped[pos] ^= 0xFF;
+      ExpectTypedErrorOrTable(&bus, type, std::move(flipped));
+    }
+  }
+  // No hostile request may leave a temp table behind or touch the data.
+  EXPECT_EQ(worker.db().TableNames(), std::vector<std::string>{"d"});
+  EXPECT_EQ(worker.db().GetTable("d")->num_rows(), 4u);
+
+  // The retired whole-table fetch and unknown types are rejected outright.
+  BufferWriter name;
+  name.WriteString("d");
+  for (const char* type : {"fetch_table", "no_such_type"}) {
+    Result<std::vector<uint8_t>> reply =
+        bus.Send(federation::Envelope{"master", "w", type, "", name.bytes()});
+    ASSERT_FALSE(reply.ok()) << type;
+    EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument) << type;
+  }
 }
 
 // --- SMPC robustness -------------------------------------------------------

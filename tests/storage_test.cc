@@ -827,8 +827,8 @@ TEST(StorageErrorTest, IOErrorCodeSurvivesReplyFrame) {
   ASSERT_EQ(read.status().code(), StatusCode::kIOError);
 
   // Round-trip the failure through the reply frame, as a worker would when
-  // a fetch_table hits a bad disk: the typed code must survive so callers
-  // can tell storage faults from planner errors.
+  // a remote scan's run_sql hits a bad disk: the typed code must survive so
+  // callers can tell storage faults from planner errors.
   const std::vector<uint8_t> payload =
       net::EncodeReplyPayload(read.status(), {});
   auto decoded = net::DecodeReplyPayload(payload);

@@ -1,9 +1,10 @@
 // mip_worker: a MIP federation Worker running as its own OS process.
 //
 // Binds a TCP transport, registers the portable local computation steps and
-// serves "local_run" / "fetch_table" / "run_sql" requests from a remote
-// Master. The paper's deployment runs Master, Workers and the SMPC front end
-// as separate services; this daemon is that Worker service.
+// serves "local_run" plus the engine's "run_sql" / "run_sql_bound" /
+// "get_schema" / "get_stats" requests from a remote Master. The paper's
+// deployment runs Master, Workers and the SMPC front end as separate
+// services; this daemon is that Worker service.
 //
 //   ./build/tools/mip_worker --id=hospital_0 --port=0 --dataset=linreg
 //       --rows=200 --seed=11 --weights=1.5,-2.0,0.8 [--wire-version=1]
