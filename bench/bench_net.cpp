@@ -87,7 +87,7 @@ WireMeasurement MeasureTransfer(const TransferData& t) {
   m.raw_bytes = t.RawSerializedBytes();
   BufferWriter w;
   mip::Stopwatch enc;
-  t.Serialize(&w, /*codecs=*/true);
+  t.SerializeForWire(&w);
   m.encode_ms = enc.ElapsedMillis();
   m.wire_bytes = w.size();
   BufferReader r(w.bytes().data(), w.size());

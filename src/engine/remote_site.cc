@@ -41,8 +41,7 @@ Result<Table> CallRemoteSite(RemoteSite* site, const std::string& location,
   return site->Call(location, request);
 }
 
-void EncodeRemoteRequest(const RemoteRequest& request, bool codecs,
-                         BufferWriter* w) {
+void EncodeRemoteRequest(const RemoteRequest& request, BufferWriter* w) {
   switch (request.kind) {
     case RemoteKind::kRunSql:
       w->WriteString(request.sql);
@@ -50,7 +49,7 @@ void EncodeRemoteRequest(const RemoteRequest& request, bool codecs,
     case RemoteKind::kRunSqlBound:
       w->WriteString(request.temp_name);
       w->WriteString(request.sql);
-      SerializeTable(*request.bound, w, TableWireOptions{codecs});
+      SerializeTableForWire(*request.bound, w);
       return;
     case RemoteKind::kGetSchema:
     case RemoteKind::kGetStats:

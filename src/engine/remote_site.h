@@ -51,10 +51,9 @@ Result<Table> CallRemoteSite(RemoteSite* site, const std::string& location,
                              const std::string& table_name,
                              const std::string& db_name);
 
-/// Writes the envelope payload for `request`. `codecs` picks the compressed
-/// layout for a kRunSqlBound build side; the other fields are plain strings.
-void EncodeRemoteRequest(const RemoteRequest& request, bool codecs,
-                         BufferWriter* w);
+/// Writes the envelope payload for `request`. A kRunSqlBound build side goes
+/// through SerializeTableForWire; the other fields are plain strings.
+void EncodeRemoteRequest(const RemoteRequest& request, BufferWriter* w);
 
 /// Parses the payload of an envelope of type `type`. A kRunSqlBound build
 /// side is decoded into `*bound` and the request points at it. Any other

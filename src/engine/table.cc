@@ -331,12 +331,7 @@ Result<Table> DeserializeTableV2(BufferReader* r) {
 
 }  // namespace
 
-void SerializeTable(const Table& table, BufferWriter* w,
-                    const TableWireOptions& options) {
-  if (!options.codecs) {
-    SerializeTable(table, w);
-    return;
-  }
+void SerializeTableForWire(const Table& table, BufferWriter* w) {
   // Measured, not guessed: commit the compressed layout only when it beats
   // the fixed-width one, so bytes_wire <= bytes_raw holds unconditionally.
   const size_t raw_bytes = RawTableWireBytes(table);

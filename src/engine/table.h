@@ -91,7 +91,8 @@ class Table {
 };
 
 /// Serializes a table into `w` (schema + column data + validity) in the
-/// legacy fixed-width (v1) layout.
+/// fixed-width (v1) layout: the per-input fallback of SerializeTableForWire,
+/// and the layout the WAL records.
 void SerializeTable(const Table& table, BufferWriter* w);
 
 /// Magic prefix of the compressed (v2) table layout. v1 starts with a u32
@@ -100,20 +101,14 @@ void SerializeTable(const Table& table, BufferWriter* w);
 inline constexpr uint32_t kTableWireMagic = 0x32425443u;  // "CTB2"
 inline constexpr uint8_t kTableWireVersion = 2;
 
-struct TableWireOptions {
-  /// When true, columns are written through the engine::Codec blocks
-  /// (encoding.h) inside a magic-tagged v2 container — but only if the v2
-  /// bytes actually come out smaller than v1; otherwise the v1 layout is
-  /// written. When false, always the v1 layout (for peers that predate the
-  /// codec negotiation).
-  bool codecs = true;
-};
+/// The serializer for every table that crosses the wire: columns go through
+/// the engine::Codec blocks (encoding.h) inside a magic-tagged v2 container
+/// — but only if the v2 bytes actually come out smaller than v1; otherwise
+/// the v1 layout is written.
+void SerializeTableForWire(const Table& table, BufferWriter* w);
 
-/// Codec-aware serializer; see TableWireOptions.
-void SerializeTable(const Table& table, BufferWriter* w,
-                    const TableWireOptions& options);
-
-/// Inverse of SerializeTable; accepts both the v1 and the v2 layout.
+/// Inverse of SerializeTable and SerializeTableForWire: accepts both the v1
+/// and the v2 layout.
 Result<Table> DeserializeTable(BufferReader* r);
 
 /// Exact byte size the v1 (uncompressed) layout would produce for `table`,

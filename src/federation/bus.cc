@@ -20,12 +20,6 @@ Status MessageBus::RegisterEndpoint(const std::string& node_id,
   return Status::OK();
 }
 
-bool MessageBus::SupportsCodecs(const std::string& peer_id) {
-  (void)peer_id;
-  std::lock_guard<std::mutex> lock(mu_);
-  return codecs_enabled_;
-}
-
 void MessageBus::MeterCodec(const std::string& from, const std::string& to,
                             uint64_t raw_bytes, uint64_t wire_bytes) {
   const std::string link = from + "->" + to;
@@ -34,11 +28,6 @@ void MessageBus::MeterCodec(const std::string& from, const std::string& to,
   stats_.bytes_wire += wire_bytes;
   link_stats_[link].bytes_raw += raw_bytes;
   link_stats_[link].bytes_wire += wire_bytes;
-}
-
-void MessageBus::set_codecs_enabled(bool enabled) {
-  std::lock_guard<std::mutex> lock(mu_);
-  codecs_enabled_ = enabled;
 }
 
 Result<std::vector<uint8_t>> MessageBus::Send(Envelope envelope) {
@@ -52,10 +41,6 @@ Result<std::vector<uint8_t>> MessageBus::Send(Envelope envelope) {
     // Map nodes are stable and registration happens before traffic, so the
     // handler pointer stays valid outside the lock.
     handler = &it->second;
-    // Same-build delivery: the handler may answer compressed whenever the
-    // bus has codecs on (the TCP transport derives this from the frame
-    // version handshake instead).
-    envelope.codec_ok = codecs_enabled_;
   }
 
   const uint64_t request_bytes = envelope.payload.size();

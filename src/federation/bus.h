@@ -63,13 +63,8 @@ class MessageBus : public net::Transport {
   /// Legacy spelling kept for the fault-injection suites.
   void set_fault_injector(FaultInjector* injector);
 
-  /// Everything on the in-process bus is the same build, so codecs are
-  /// supported by default; set_codecs_enabled(false) emulates a pre-codec
-  /// cohort (Send then delivers with codec_ok unset).
-  bool SupportsCodecs(const std::string& peer_id) override;
   void MeterCodec(const std::string& from, const std::string& to,
                   uint64_t raw_bytes, uint64_t wire_bytes) override;
-  void set_codecs_enabled(bool enabled);
 
   /// Log of (from, to, type, sizes) for traffic-audit tests. Only metadata
   /// and byte counts are retained — never payload bytes — so the log stays
@@ -95,7 +90,6 @@ class MessageBus : public net::Transport {
   std::map<std::string, NetworkStats> link_stats_;
   std::vector<LogEntry> log_;
   bool keep_log_ = false;
-  bool codecs_enabled_ = true;
   net::FaultHook* injector_ = nullptr;
 };
 

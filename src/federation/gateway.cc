@@ -155,8 +155,7 @@ Result<std::vector<uint8_t>> Gateway::RunSql(const net::Envelope& envelope) {
     if (plan == nullptr) {
       MIP_ASSIGN_OR_RETURN(engine::Table table, db_->ExecuteSql(sql));
       BufferWriter writer;
-      engine::SerializeTable(table, &writer,
-                             engine::TableWireOptions{envelope.codec_ok});
+      engine::SerializeTableForWire(table, &writer);
       return writer.TakeBytes();
     }
     key = {engine::PlanFingerprint(*plan), db_->catalog_version()};
@@ -180,8 +179,7 @@ Result<std::vector<uint8_t>> Gateway::RunSql(const net::Envelope& envelope) {
     MIP_ASSIGN_OR_RETURN(table, db_->ExecutePlannedSelect(*plan));
   }
   BufferWriter writer;
-  engine::SerializeTable(table, &writer,
-                         engine::TableWireOptions{envelope.codec_ok});
+  engine::SerializeTableForWire(table, &writer);
   return writer.TakeBytes();
 }
 

@@ -101,7 +101,7 @@ inline constexpr char kGatewayMetrics[] = "metrics";
 /// result cache, and a /metrics-style observability surface.
 ///
 /// Protocol ("run_sql" mirrors the worker endpoint, so any existing client
-/// works): payload = WriteString(sql); reply = SerializeTable(result).
+/// works): payload = WriteString(sql); reply = SerializeTableForWire(result).
 /// Shed requests answer Status kResourceExhausted ("BUSY") — retryable by
 /// client backoff but deliberately NOT auto-retried by the federation
 /// fan-out, because hammering an overloaded node makes it worse. "metrics"

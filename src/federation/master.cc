@@ -33,32 +33,12 @@ Result<std::vector<TransferData>> FederationSession::FanOutLocalRun(
   const FanoutPolicy policy = fanout_;
   net::Transport* transport = master_->transport_;
 
-  // Ask the transport, per worker, whether codec-compressed payloads are
-  // acceptable (on TCP the first ask runs the one-time version handshake;
-  // later asks answer from the cache). Serialize each accepted variant once
-  // and share it across the fan-out.
-  std::vector<char> codec_ok(n, 0);
-  bool any_codec = false;
-  bool any_plain = false;
-  for (size_t i = 0; i < n; ++i) {
-    codec_ok[i] = transport->SupportsCodecs(ids[i]) ? 1 : 0;
-    if (codec_ok[i]) {
-      any_codec = true;
-    } else {
-      any_plain = true;
-    }
-  }
-  auto build_payload = [&](bool codecs) {
-    BufferWriter writer;
-    writer.WriteString(func);
-    writer.WriteString(smpc_job);
-    args.Serialize(&writer, codecs);
-    return writer.TakeBytes();
-  };
-  std::vector<uint8_t> payload_plain;
-  std::vector<uint8_t> payload_codec;
-  if (any_plain) payload_plain = build_payload(false);
-  if (any_codec) payload_codec = build_payload(true);
+  // Serialize the request once and share it across the fan-out.
+  BufferWriter writer;
+  writer.WriteString(func);
+  writer.WriteString(smpc_job);
+  args.SerializeForWire(&writer);
+  const std::vector<uint8_t> payload = writer.TakeBytes();
   // Fixed-width request size, for the per-link compression ledger.
   const size_t raw_request_bytes = sizeof(uint32_t) + func.size() +
                                    sizeof(uint32_t) + smpc_job.size() +
@@ -76,8 +56,6 @@ Result<std::vector<TransferData>> FederationSession::FanOutLocalRun(
   // Writes only its own slot; all sharing goes through the locked bus.
   auto run_one = [&](size_t i) {
     Slot& slot = slots[i];
-    const std::vector<uint8_t>& payload =
-        codec_ok[i] ? payload_codec : payload_plain;
     Stopwatch total;
     const int max_attempts = std::max(1, policy.max_attempts);
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -307,10 +285,7 @@ Result<engine::Table> MasterNode::Call(const std::string& location,
                                        const engine::RemoteRequest& request) {
   const bool bound = request.kind == engine::RemoteKind::kRunSqlBound;
   BufferWriter writer;
-  // Compressed build side only for peers whose handshake vouches they
-  // decode it, mirroring the fan-out path's per-peer codec choice.
-  engine::EncodeRemoteRequest(
-      request, bound && transport_->SupportsCodecs(location), &writer);
+  engine::EncodeRemoteRequest(request, &writer);
   std::vector<uint8_t> payload = writer.TakeBytes();
   const uint64_t request_bytes = payload.size();
   Envelope envelope{"master", location, engine::RemoteKindName(request.kind),

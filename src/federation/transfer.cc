@@ -96,11 +96,7 @@ void TransferData::Serialize(BufferWriter* w) const {
   }
 }
 
-void TransferData::Serialize(BufferWriter* w, bool codecs) const {
-  if (!codecs) {
-    Serialize(w);
-    return;
-  }
+void TransferData::SerializeForWire(BufferWriter* w) const {
   // Compressed (v2) container: strings / string lists / scalars keep the v1
   // encoding (they are small and key-dominated); vectors, matrices and
   // tables go through the columnar codec blocks. Committed only when the
@@ -139,7 +135,7 @@ void TransferData::Serialize(BufferWriter* w, bool codecs) const {
   scratch.WriteU32(static_cast<uint32_t>(tables_.size()));
   for (const auto& [k, t] : tables_) {
     scratch.WriteString(k);
-    engine::SerializeTable(t, &scratch, engine::TableWireOptions{true});
+    engine::SerializeTableForWire(t, &scratch);
   }
   if (scratch.size() < RawSerializedBytes()) {
     w->AppendRaw(scratch.bytes().data(), scratch.size());

@@ -83,13 +83,14 @@ class TransferData {
   bool HasTables() const { return !tables_.empty(); }
 
   /// Serializes the full payload (the byte count is what the federation
-  /// cost model charges the link) in the legacy fixed-width (v1) layout.
+  /// cost model charges the link) in the fixed-width (v1) layout: the
+  /// fallback of SerializeForWire.
   void Serialize(BufferWriter* w) const;
-  /// Codec-aware serializer: with `codecs` true, vectors/matrices/tables go
-  /// through the engine::Codec blocks inside a magic-tagged v2 container —
-  /// committed only when measurably smaller than v1, so the wire size never
-  /// exceeds the raw size. With false, identical to Serialize(w).
-  void Serialize(BufferWriter* w, bool codecs) const;
+  /// The serializer for every transfer that crosses the wire: vectors,
+  /// matrices and tables go through the engine::Codec blocks inside a
+  /// magic-tagged v2 container — committed only when measurably smaller
+  /// than v1, so the wire size never exceeds the raw size.
+  void SerializeForWire(BufferWriter* w) const;
   /// Accepts both the v1 and the v2 layout (sniffed from the first bytes).
   static Result<TransferData> Deserialize(BufferReader* r);
   size_t SerializedBytes() const;

@@ -111,9 +111,6 @@ Status WorkerNode::AttachToBus(net::Transport* transport) {
 Result<std::vector<uint8_t>> WorkerNode::HandleEnvelope(
     const Envelope& envelope) {
   BufferReader reader(envelope.payload);
-  // The transport vouches that the requester decodes the compressed wire
-  // format; replies to old peers stay in the v1 layout.
-  const bool codecs = envelope.codec_ok;
   if (envelope.type == "local_run" || envelope.type == "local_run_secure") {
     std::shared_lock<std::shared_mutex> lock(db_mu_);
     MIP_ASSIGN_OR_RETURN(std::string func, reader.ReadString());
@@ -139,10 +136,10 @@ Result<std::vector<uint8_t>> WorkerNode::HandleEnvelope(
       const std::vector<double> zeros(result.FlattenNumeric().size(), 0.0);
       MIP_ASSIGN_OR_RETURN(TransferData shape,
                            result.UnflattenNumeric(zeros));
-      shape.Serialize(&writer, codecs);
+      shape.SerializeForWire(&writer);
       return writer.TakeBytes();
     }
-    result.Serialize(&writer, codecs);
+    result.SerializeForWire(&writer);
     return writer.TakeBytes();
   }
   engine::Table bound;
@@ -152,7 +149,7 @@ Result<std::vector<uint8_t>> WorkerNode::HandleEnvelope(
   MIP_ASSIGN_OR_RETURN(engine::Table table,
                        ServeRemote(request, std::move(bound)));
   BufferWriter writer;
-  engine::SerializeTable(table, &writer, engine::TableWireOptions{codecs});
+  engine::SerializeTableForWire(table, &writer);
   return writer.TakeBytes();
 }
 

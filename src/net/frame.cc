@@ -16,10 +16,9 @@ constexpr uint8_t kMaxStatusCode =
 
 }  // namespace
 
-void EncodeFrame(const uint8_t* payload, size_t n, BufferWriter* out,
-                 uint8_t version) {
+void EncodeFrame(const uint8_t* payload, size_t n, BufferWriter* out) {
   out->WriteU32(kFrameMagic);
-  out->WriteU8(version);
+  out->WriteU8(kFrameVersion);
   out->WriteU32(static_cast<uint32_t>(n));
   out->WriteU32(Crc32(payload, n));
   out->AppendRaw(payload, n);
@@ -42,7 +41,7 @@ Result<bool> FrameDecoder::Next(std::vector<uint8_t>* payload) {
   std::memcpy(&magic, h, sizeof(magic));
   if (magic != kFrameMagic) return CorruptStream("bad magic");
   const uint8_t version = h[4];
-  if (version < kFrameVersionMin || version > kFrameVersion) {
+  if (version != kFrameVersion) {
     return CorruptStream("unsupported version " + std::to_string(version));
   }
   uint32_t length = 0;
@@ -59,7 +58,6 @@ Result<bool> FrameDecoder::Next(std::vector<uint8_t>* payload) {
   if (Crc32(body, length) != crc) return CorruptStream("CRC mismatch");
   payload->assign(body, body + length);
   pos_ += kFrameHeaderBytes + length;
-  last_version_ = version;
   return true;
 }
 

@@ -20,34 +20,23 @@ namespace mip::net {
 ///   u32 crc32      CRC-32 (IEEE 802.3) of the payload bytes
 ///   u8[length]     payload
 ///
-/// A decoder that sees a bad magic, an unknown version, an oversized length
-/// or a CRC mismatch reports a clean ParseError — the stream is unusable and
-/// the connection must be dropped. A short read is not an error: the decoder
-/// simply waits for more bytes.
+/// A decoder that sees a bad magic, a version other than kFrameVersion, an
+/// oversized length or a CRC mismatch reports a clean ParseError — the
+/// stream is unusable and the connection must be dropped. A short read is
+/// not an error: the decoder simply waits for more bytes.
 ///
-/// Version history (layout is identical across versions; the version byte is
-/// a capability advertisement):
-///   1  original framing
-///   2  sender understands the columnar wire codecs (engine/encoding.h) —
-///      a v2 request invites a codec-compressed reply; v1 peers keep
-///      exchanging v1 frames with fixed-width payloads.
+/// Version history (the header layout never changed):
+///   1  original framing, before the columnar wire codecs. No longer
+///      accepted: every node is built from one tree.
+///   2  the only version spoken. Table and transfer payloads may carry the
+///      codec-compressed containers (engine/encoding.h), which every
+///      receiver decodes.
 inline constexpr uint32_t kFrameMagic = 0x4650494Du;  // "MIPF" on the wire
 inline constexpr uint8_t kFrameVersion = 2;
-/// Lowest version still accepted off the wire.
-inline constexpr uint8_t kFrameVersionMin = 1;
-/// First version that advertises codec support.
-inline constexpr uint8_t kFrameVersionCodec = 2;
 inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4 + 4;
 /// Hard ceiling on a frame payload (defends against hostile/corrupt length
 /// fields driving allocations).
 inline constexpr size_t kDefaultMaxFramePayload = 256u << 20;  // 256 MiB
-
-/// Internal handshake message type: a client asks a peer which protocol
-/// version it speaks before first using codecs with it. The round trip is
-/// v1-framed (old servers must parse it), bypasses the FaultHook and is not
-/// metered, so seeded fault sequences and message counts stay identical to
-/// the in-process bus. Servers answer with a single byte: their version.
-inline constexpr char kHelloMsgType[] = "__mip_hello";
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF).
 /// Crc32("123456789") == 0xCBF43926. The implementation lives in
@@ -55,14 +44,11 @@ inline constexpr char kHelloMsgType[] = "__mip_hello";
 /// keeps the historical net-layer spelling working.
 using ::mip::Crc32;
 
-/// Appends one framed payload to `out`. `version` is what goes on the wire:
-/// a transport talking to a v1 peer frames with 1 so the peer's decoder
-/// accepts the stream.
-void EncodeFrame(const uint8_t* payload, size_t n, BufferWriter* out,
-                 uint8_t version = kFrameVersion);
-inline void EncodeFrame(const std::vector<uint8_t>& payload, BufferWriter* out,
-                        uint8_t version = kFrameVersion) {
-  EncodeFrame(payload.data(), payload.size(), out, version);
+/// Appends one framed payload (version kFrameVersion) to `out`.
+void EncodeFrame(const uint8_t* payload, size_t n, BufferWriter* out);
+inline void EncodeFrame(const std::vector<uint8_t>& payload,
+                        BufferWriter* out) {
+  EncodeFrame(payload.data(), payload.size(), out);
 }
 
 /// \brief Incremental frame decoder for a TCP byte stream: Feed() arbitrary
@@ -84,15 +70,10 @@ class FrameDecoder {
   /// Bytes buffered but not yet consumed by Next().
   size_t buffered() const { return buf_.size() - pos_; }
 
-  /// Version byte of the last frame Next() returned — how a server learns
-  /// whether the requester speaks the codec-capable protocol.
-  uint8_t last_version() const { return last_version_; }
-
  private:
   size_t max_payload_;
   std::vector<uint8_t> buf_;
   size_t pos_ = 0;  // consumed prefix, compacted lazily
-  uint8_t last_version_ = kFrameVersionMin;
 };
 
 /// Serializes an envelope into a frame payload (deadline_ms is local

@@ -139,7 +139,7 @@ void EpollServer::Pump(const std::shared_ptr<Conn>& conn) {
       return;
     }
     if (!next.ValueOrDie()) break;
-    conn->inbox.emplace_back(std::move(payload), conn->decoder.last_version());
+    conn->inbox.push_back(std::move(payload));
   }
   if (conn->inbox.size() > options_.max_pipeline) {
     MIP_LOG(Warning) << "dropping connection: pipeline depth "
@@ -164,16 +164,15 @@ void EpollServer::Pump(const std::shared_ptr<Conn>& conn) {
 
 void EpollServer::DispatchNext(const std::shared_ptr<Conn>& conn) {
   if (conn->busy || conn->dead || conn->inbox.empty()) return;
-  std::vector<uint8_t> payload = std::move(conn->inbox.front().first);
-  const uint8_t version = conn->inbox.front().second;
+  std::vector<uint8_t> payload = std::move(conn->inbox.front());
   conn->inbox.pop_front();
   conn->busy = true;
   // Only a weak reference crosses the handler boundary: when the client
   // disconnects mid-request the connection is torn down immediately and the
   // late reply is dropped here instead of being written to a reused fd.
   std::weak_ptr<Conn> weak = conn;
-  auto work = [this, weak, payload = std::move(payload), version]() {
-    std::vector<uint8_t> frame = HandleFrame(payload, version);
+  auto work = [this, weak, payload = std::move(payload)]() {
+    std::vector<uint8_t> frame = HandleFrame(payload);
     loop_.RunInLoop([this, weak, frame = std::move(frame)]() mutable {
       std::shared_ptr<Conn> live = weak.lock();
       if (!live || live->dead) return;
@@ -189,22 +188,14 @@ void EpollServer::DispatchNext(const std::shared_ptr<Conn>& conn) {
 }
 
 std::vector<uint8_t> EpollServer::HandleFrame(
-    const std::vector<uint8_t>& payload, uint8_t request_version) {
+    const std::vector<uint8_t>& payload) {
   Status status;
   std::vector<uint8_t> reply;
   Result<Envelope> envelope = DecodeEnvelopePayload(payload);
   if (!envelope.ok()) {
     status = envelope.status();
-  } else if (envelope.ValueOrDie().type == kHelloMsgType) {
-    // Version handshake: answer with the version this node speaks, without
-    // touching any endpoint handler.
-    reply = {options_.wire_version};
   } else {
-    Envelope& env = envelope.ValueOrDie();
-    // The handler may compress its reply only when both sides speak a
-    // codec-capable protocol version.
-    env.codec_ok = request_version >= kFrameVersionCodec &&
-                   options_.wire_version >= kFrameVersionCodec;
+    const Envelope& env = envelope.ValueOrDie();
     Handler handler;
     {
       std::lock_guard<std::mutex> lock(handlers_mu_);
@@ -224,9 +215,7 @@ std::vector<uint8_t> EpollServer::HandleFrame(
     }
   }
   BufferWriter w;
-  // Mirror the requester's version so a v1 peer's decoder accepts the reply.
-  EncodeFrame(EncodeReplyPayload(status, reply), &w,
-              std::min(request_version, options_.wire_version));
+  EncodeFrame(EncodeReplyPayload(status, reply), &w);
   return w.TakeBytes();
 }
 

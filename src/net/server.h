@@ -21,9 +21,6 @@ namespace mip::net {
 
 struct EpollServerOptions {
   std::string bind_host = "127.0.0.1";
-  /// Protocol version this server speaks (the hello handshake answer; also
-  /// caps the version replies are framed with).
-  uint8_t wire_version = kFrameVersion;
   size_t max_frame_payload = kDefaultMaxFramePayload;
   /// Handler threads. Frames decoded on the loop thread are dispatched to
   /// this pool so a slow handler (remote SQL, big aggregation) never stalls
@@ -49,14 +46,13 @@ struct EpollServerOptions {
 /// FrameDecoder state, replacing the thread-per-connection serve path.
 ///
 /// Responsibilities: accept (with transient-error retry/backoff), framed
-/// request decode, the __mip_hello version handshake, handler dispatch on a
-/// bounded pool with in-order replies per connection, buffered non-blocking
-/// writes, and deadline eviction of stalled readers. Corrupt streams (bad
-/// magic/version/CRC, oversized length) drop only the offending connection.
+/// request decode, handler dispatch on a bounded pool with in-order replies
+/// per connection, buffered non-blocking writes, and deadline eviction of
+/// stalled readers. Corrupt streams (bad magic/version/CRC, oversized
+/// length) drop only the offending connection.
 ///
 /// Endpoint semantics match the transports: a handler consumes an Envelope
-/// and returns reply bytes; Envelope::codec_ok is set from the negotiated
-/// versions before the handler runs.
+/// and returns reply bytes.
 class EpollServer {
  public:
   using Handler = Transport::Handler;
@@ -94,8 +90,8 @@ class EpollServer {
   struct Conn {
     Socket sock;
     FrameDecoder decoder;
-    /// Complete frames (payload, frame version) awaiting dispatch.
-    std::deque<std::pair<std::vector<uint8_t>, uint8_t>> inbox;
+    /// Complete frame payloads awaiting dispatch.
+    std::deque<std::vector<uint8_t>> inbox;
     bool busy = false;      ///< a handler for this connection is in flight
     bool dead = false;      ///< closed; late handler completions drop out
     bool want_write = false;
@@ -119,11 +115,10 @@ class EpollServer {
   void FlushConn(const std::shared_ptr<Conn>& conn);
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void EvictStalled();
-  /// Full request processing for one frame: envelope decode, hello
-  /// handshake, handler dispatch, reply framing. Runs on a pool thread (or
-  /// inline) — touches no connection state.
-  std::vector<uint8_t> HandleFrame(const std::vector<uint8_t>& payload,
-                                   uint8_t request_version);
+  /// Full request processing for one frame: envelope decode, handler
+  /// dispatch, reply framing. Runs on a pool thread (or inline) — touches
+  /// no connection state.
+  std::vector<uint8_t> HandleFrame(const std::vector<uint8_t>& payload);
 
   EpollServerOptions options_;
   EventLoop loop_;

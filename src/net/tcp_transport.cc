@@ -11,7 +11,6 @@ namespace {
 EpollServerOptions ServerOptions(const TcpTransportOptions& options) {
   EpollServerOptions server;
   server.bind_host = options.bind_host;
-  server.wire_version = options.wire_version;
   server.max_frame_payload = options.max_frame_payload;
   server.serve_threads = options.serve_threads;
   server.read_deadline_ms = options.read_deadline_ms;
@@ -43,8 +42,8 @@ bool TcpTransport::HasPeer(const std::string& node_id) const {
 
 Status TcpTransport::RegisterEndpoint(const std::string& node_id,
                                       Handler handler) {
-  // Endpoint serving lives entirely in the epoll server: frame decode, the
-  // hello handshake, codec_ok negotiation, handler dispatch, reply framing.
+  // Endpoint serving lives entirely in the epoll server: frame decode,
+  // handler dispatch, reply framing.
   return server_.RegisterEndpoint(node_id, std::move(handler));
 }
 
@@ -91,79 +90,6 @@ void TcpTransport::MeterRequestOnly(const Envelope& envelope,
   link_stats_[link].bytes += wire_bytes;
 }
 
-uint8_t TcpTransport::NegotiatedVersion(const std::string& peer_id) {
-  if (options_.wire_version < kFrameVersionCodec) return kFrameVersionMin;
-  std::string host;
-  int peer_port = 0;
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    auto it = peers_.find(peer_id);
-    if (it == peers_.end()) return kFrameVersionMin;
-    if (it->second.version != 0) {
-      return std::min(options_.wire_version, it->second.version);
-    }
-    host = it->second.host;
-    peer_port = it->second.port;
-  }
-
-  // First contact: one v1-framed hello round trip asking the peer which
-  // version it speaks. An old peer cannot answer the question directly, but
-  // fails it with a clean handler error — which is the answer (version 1).
-  Envelope hello;
-  hello.to = peer_id;
-  hello.type = kHelloMsgType;
-  hello.payload = {options_.wire_version};
-  BufferWriter w;
-  EncodeFrame(EncodeEnvelopePayload(hello), &w, kFrameVersionMin);
-  const std::vector<uint8_t> frame = w.TakeBytes();
-
-  Socket conn;
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    auto it = peers_.find(peer_id);
-    if (it != peers_.end() && !it->second.idle.empty()) {
-      conn = std::move(it->second.idle.back());
-      it->second.idle.pop_back();
-    }
-  }
-  if (!conn.valid()) {
-    Result<Socket> dialed =
-        Socket::ConnectTcp(host, peer_port, options_.connect_timeout_ms);
-    if (!dialed.ok()) return kFrameVersionMin;  // transient: retry next send
-    conn = std::move(dialed).MoveValueUnsafe();
-  }
-  std::vector<uint8_t> reply_payload;
-  uint64_t reply_wire_bytes = 0;
-  Status rt = RoundTrip(&conn, frame, options_.io_timeout_ms, &reply_payload,
-                        &reply_wire_bytes);
-  if (!rt.ok()) {
-    conn.Close();
-    return kFrameVersionMin;  // transport-level failure: not cached either
-  }
-  uint8_t peer_version = kFrameVersionMin;
-  Result<std::vector<uint8_t>> reply = DecodeReplyPayload(reply_payload);
-  if (reply.ok() && reply.ValueOrDie().size() == 1 &&
-      reply.ValueOrDie()[0] >= kFrameVersionMin) {
-    peer_version = reply.ValueOrDie()[0];
-  }
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    auto it = peers_.find(peer_id);
-    if (it != peers_.end()) {
-      it->second.version = peer_version;
-      if (it->second.idle.size() < options_.max_idle_per_peer &&
-          !stopping_.load()) {
-        it->second.idle.push_back(std::move(conn));
-      }
-    }
-  }
-  return std::min(options_.wire_version, peer_version);
-}
-
-bool TcpTransport::SupportsCodecs(const std::string& peer_id) {
-  return NegotiatedVersion(peer_id) >= kFrameVersionCodec;
-}
-
 void TcpTransport::MeterCodec(const std::string& from, const std::string& to,
                               uint64_t raw_bytes, uint64_t wire_bytes) {
   const std::string link = from + "->" + to;
@@ -175,13 +101,8 @@ void TcpTransport::MeterCodec(const std::string& from, const std::string& to,
 }
 
 Result<std::vector<uint8_t>> TcpTransport::Send(Envelope envelope) {
-  // Negotiation runs before framing: the request's frame version tells the
-  // peer whether a codec-compressed reply is acceptable. The hello round
-  // trip (first contact only) is unmetered and skips the FaultHook, so
-  // stats and seeded fault sequences stay identical to the bus.
-  const uint8_t wire_version = NegotiatedVersion(envelope.to);
   BufferWriter w;
-  EncodeFrame(EncodeEnvelopePayload(envelope), &w, wire_version);
+  EncodeFrame(EncodeEnvelopePayload(envelope), &w);
   const std::vector<uint8_t> frame = w.TakeBytes();
 
   // Fault injection simulates the wire on the sender, before any bytes

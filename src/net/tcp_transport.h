@@ -30,11 +30,6 @@ struct TcpTransportOptions {
   size_t max_idle_per_peer = 4;
   /// Frame payload ceiling for both directions.
   size_t max_frame_payload = kDefaultMaxFramePayload;
-  /// Protocol version this node speaks (kFrameVersion by default). Set to 1
-  /// to emulate a pre-codec build: no handshake is attempted, requests are
-  /// framed v1 and replies are never codec-compressed — the interop knob
-  /// the mixed old/new negotiation test exercises.
-  uint8_t wire_version = kFrameVersion;
   /// Handler threads of the server side (see EpollServerOptions); requests
   /// from different connections execute concurrently up to this bound.
   int serve_threads = 4;
@@ -98,9 +93,6 @@ class TcpTransport : public Transport {
   std::map<std::string, LatencyHistogram> link_histograms() const override;
   void ResetStats() override;
   void set_fault_hook(FaultHook* hook) override { hook_ = hook; }
-  /// True once the peer has answered the version handshake with a
-  /// codec-capable version (triggers the handshake on first call).
-  bool SupportsCodecs(const std::string& peer_id) override;
   void MeterCodec(const std::string& from, const std::string& to,
                   uint64_t raw_bytes, uint64_t wire_bytes) override;
 
@@ -109,9 +101,6 @@ class TcpTransport : public Transport {
     std::string host;
     int port = 0;
     std::vector<Socket> idle;
-    /// Protocol version the peer answered in the hello handshake;
-    /// 0 = not negotiated yet.
-    uint8_t version = 0;
   };
 
   /// One request/reply over one connection. Fills *reply_wire_bytes with
@@ -120,11 +109,6 @@ class TcpTransport : public Transport {
                    double timeout_ms, std::vector<uint8_t>* reply_payload,
                    uint64_t* reply_wire_bytes);
   void MeterRequestOnly(const Envelope& envelope, uint64_t wire_bytes);
-  /// min(our version, the peer's). Runs the (unmetered, fault-hook-free)
-  /// hello round trip on first use and caches the answer per peer; a
-  /// transport-level failure is not cached, so the next send retries the
-  /// handshake. Unknown peers and transient failures answer 1.
-  uint8_t NegotiatedVersion(const std::string& peer_id);
 
   TcpTransportOptions options_;
   std::atomic<bool> stopping_{false};

@@ -24,10 +24,6 @@ struct Envelope {
   /// Round-trip deadline for this request in milliseconds; 0 uses the
   /// transport's default. Local delivery metadata — never serialized.
   double deadline_ms = 0.0;
-  /// Set by the receiving transport before the handler runs: true when the
-  /// requester negotiated codec support, so the handler may answer with a
-  /// compressed payload. Delivery metadata — never serialized.
-  bool codec_ok = false;
 };
 
 /// \brief Shared link cost model: per-message latency plus bytes over
@@ -50,7 +46,7 @@ struct NetworkStats {
   /// in-process bus: handler round trip).
   double wall_ms = 0.0;
   /// Codec ledger, fed by Transport::MeterCodec for payloads that went
-  /// through the columnar wire codecs: what the legacy fixed-width layout
+  /// through the columnar wire codecs: what the fixed-width layout
   /// would have cost vs what actually crossed the link. bytes_wire <=
   /// bytes_raw always (the encoder falls back to raw when compression
   /// would not pay).
@@ -130,13 +126,13 @@ class Transport {
   /// owned; pass nullptr to detach. Set while no traffic is in flight.
   virtual void set_fault_hook(FaultHook* hook) = 0;
 
-  /// True when payloads sent to `peer_id` may use the columnar wire codecs.
-  /// The TCP transport answers via a one-time version handshake with the
-  /// peer (so old and new builds interoperate); the in-process bus answers
-  /// from its own configuration. Default: no codec support.
+  /// Always true: every node speaks frame version 2 and decodes the
+  /// columnar wire codecs. Nothing in the library asks any more; the
+  /// virtual is kept only so existing transport decorators that forward it
+  /// still compile.
   virtual bool SupportsCodecs(const std::string& peer_id) {
     (void)peer_id;
-    return false;
+    return true;
   }
 
   /// Records one codec-encoded payload on the from->to link: `raw_bytes` is

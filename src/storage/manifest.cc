@@ -69,18 +69,14 @@ Result<Manifest> LoadManifest(const std::string& path) {
     return Status::IOError("manifest '" + path + "' bad magic");
   }
   MIP_ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
-  // Version 1 is the PR-7 layout: no next_index_id, no per-segment group or
-  // index list. Those fields default to zero/empty on load.
-  if (version != 1 && version != kManifestVersion) {
+  if (version != kManifestVersion) {
     return Status::IOError("manifest '" + path + "' unsupported version " +
                            std::to_string(version));
   }
   Manifest m;
   MIP_ASSIGN_OR_RETURN(m.wal_id, r.ReadU64());
   MIP_ASSIGN_OR_RETURN(m.next_segment_id, r.ReadU64());
-  if (version >= 2) {
-    MIP_ASSIGN_OR_RETURN(m.next_index_id, r.ReadU64());
-  }
+  MIP_ASSIGN_OR_RETURN(m.next_index_id, r.ReadU64());
   MIP_ASSIGN_OR_RETURN(uint64_t num_tables, GetVarint(&r));
   if (num_tables > kMaxManifestTables) {
     return Status::IOError("manifest '" + path + "' hostile table count");
@@ -118,23 +114,20 @@ Result<Manifest> LoadManifest(const std::string& path) {
         return Status::IOError("manifest '" + path +
                                "' segment id beyond next_segment_id");
       }
-      if (version >= 2) {
-        MIP_ASSIGN_OR_RETURN(seg.group, GetVarint(&r));
-        MIP_ASSIGN_OR_RETURN(uint64_t num_indexes, GetVarint(&r));
-        if (num_indexes > kMaxManifestIndexes) {
+      MIP_ASSIGN_OR_RETURN(seg.group, GetVarint(&r));
+      MIP_ASSIGN_OR_RETURN(uint64_t num_indexes, GetVarint(&r));
+      if (num_indexes > kMaxManifestIndexes) {
+        return Status::IOError("manifest '" + path + "' hostile index count");
+      }
+      for (uint64_t x = 0; x < num_indexes; ++x) {
+        ManifestIndex idx;
+        MIP_ASSIGN_OR_RETURN(idx.id, GetVarint(&r));
+        MIP_ASSIGN_OR_RETURN(idx.column, r.ReadString());
+        if (idx.id >= m.next_index_id) {
           return Status::IOError("manifest '" + path +
-                                 "' hostile index count");
+                                 "' index id beyond next_index_id");
         }
-        for (uint64_t x = 0; x < num_indexes; ++x) {
-          ManifestIndex idx;
-          MIP_ASSIGN_OR_RETURN(idx.id, GetVarint(&r));
-          MIP_ASSIGN_OR_RETURN(idx.column, r.ReadString());
-          if (idx.id >= m.next_index_id) {
-            return Status::IOError("manifest '" + path +
-                                   "' index id beyond next_index_id");
-          }
-          seg.indexes.push_back(std::move(idx));
-        }
+        seg.indexes.push_back(std::move(idx));
       }
       t.segments.push_back(std::move(seg));
     }

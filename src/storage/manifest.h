@@ -35,8 +35,8 @@ namespace mip::storage {
 ///       varint num_indexes, per index: varint id, string column
 ///   u32 crc32        of everything before it
 ///
-/// Version 1 (no index/group fields) is still accepted on load — PR-7 data
-/// directories open cleanly and gain indexes on their next flush/boot.
+/// Only version 2 loads; any other version byte is an IOError. A segment
+/// whose index list is empty gets its indexes rebuilt on the next boot.
 ///
 /// Segment/index files not referenced by the manifest and WAL files other
 /// than wal-<wal_id>.log are orphans from an interrupted flush or

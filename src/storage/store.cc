@@ -229,8 +229,8 @@ Status StorageEngine::RecoverLocked() {
     MIP_RETURN_NOT_OK(ApplyToMemtableLocked(record.table_name, record.rows));
   }
 
-  // 5. Index any segment the manifest predates indexes for — a --data-dir
-  // boot of a version-1 directory comes up fully indexed.
+  // 5. Index any segment the manifest lists without its indexes, so a
+  // --data-dir boot comes up fully indexed.
   if (options_.build_missing_indexes) {
     MIP_RETURN_NOT_OK(EnsureIndexesLocked());
   }

@@ -35,11 +35,11 @@ struct StorageOptions {
   bool auto_index = true;
   /// Explicit index columns (case-insensitive), used when !auto_index.
   std::vector<std::string> index_columns;
-  /// At Open, build any index the manifest is missing (e.g. a version-1
-  /// data directory from before indexes existed). Indexes the manifest
-  /// references but whose files fail validation are NOT rebuilt — they stay
-  /// invalid so the scan fallback remains observable until the next
-  /// flush/compaction rewrites them.
+  /// At Open, build any index the manifest is missing (e.g. segments
+  /// flushed under a narrower auto_index/index_columns setting). Indexes
+  /// the manifest references but whose files fail validation are NOT
+  /// rebuilt — they stay invalid so the scan fallback remains observable
+  /// until the next flush/compaction rewrites them.
   bool build_missing_indexes = true;
 
   /// Compaction clustering key: the column compacted segments are re-sorted

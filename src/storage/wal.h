@@ -21,7 +21,7 @@ namespace mip::storage {
 ///   payload:
 ///     u8     record type (1 = append)
 ///     string table name
-///     bytes  SerializeTable(batch) — the compressed v2 table container
+///     bytes  SerializeTable(batch) — the fixed-width (v1) table layout
 ///
 /// Replay walks records until EOF or the first record that fails any check
 /// (short header, hostile length, CRC mismatch, undecodable payload). That

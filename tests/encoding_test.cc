@@ -363,9 +363,13 @@ void ExpectTablesEqual(const Table& a, const Table& b) {
 TEST(TableWireV2Test, RoundTripsAndShrinks) {
   Table t = MakeMixedTable(5000, /*with_nulls=*/true);
   BufferWriter v2;
-  engine::SerializeTable(t, &v2, engine::TableWireOptions{true});
+  engine::SerializeTableForWire(t, &v2);
   const size_t raw = engine::RawTableWireBytes(t);
   EXPECT_LT(v2.size(), raw / 2) << "expected >=2x reduction on this shape";
+  // The raw side of the ledger is exactly the fixed-width layout's size.
+  BufferWriter fixed;
+  engine::SerializeTable(t, &fixed);
+  EXPECT_EQ(fixed.size(), raw);
 
   BufferReader r(v2.bytes().data(), v2.size());
   auto back = engine::DeserializeTable(&r);
@@ -373,18 +377,9 @@ TEST(TableWireV2Test, RoundTripsAndShrinks) {
   ExpectTablesEqual(t, back.ValueOrDie());
 }
 
-TEST(TableWireV2Test, CodecsOffMatchesLegacyBytes) {
-  Table t = MakeMixedTable(64, /*with_nulls=*/true);
-  BufferWriter legacy;
-  engine::SerializeTable(t, &legacy);
-  BufferWriter off;
-  engine::SerializeTable(t, &off, engine::TableWireOptions{false});
-  EXPECT_EQ(legacy.bytes(), off.bytes());
-  EXPECT_EQ(legacy.size(), engine::RawTableWireBytes(t));
-}
-
 TEST(TableWireV2Test, NeverLargerThanRawEvenWhenIncompressible) {
-  // Random doubles do not compress; the measured fallback must emit v1.
+  // Random doubles do not compress; the measured fallback keeps the column
+  // block raw, so the wire size never exceeds the fixed-width size.
   Rng rng(0xD0B1E);
   Schema schema;
   ASSERT_TRUE(schema.AddField({"x", DataType::kFloat64}).ok());
@@ -394,7 +389,7 @@ TEST(TableWireV2Test, NeverLargerThanRawEvenWhenIncompressible) {
         t.AppendRow({Value::Double(rng.NextDouble() * 1e9)}).ok());
   }
   BufferWriter w;
-  engine::SerializeTable(t, &w, engine::TableWireOptions{true});
+  engine::SerializeTableForWire(t, &w);
   EXPECT_LE(w.size(), engine::RawTableWireBytes(t));
   BufferReader r(w.bytes().data(), w.size());
   auto back = engine::DeserializeTable(&r);
@@ -408,7 +403,7 @@ TEST(TableWireV2Test, EmptyAndAllNullTables) {
   ASSERT_TRUE(schema.AddField({"b", DataType::kString}).ok());
   Table empty = Table::Empty(schema);
   BufferWriter w;
-  engine::SerializeTable(empty, &w, engine::TableWireOptions{true});
+  engine::SerializeTableForWire(empty, &w);
   BufferReader r(w.bytes().data(), w.size());
   auto back = engine::DeserializeTable(&r);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -420,7 +415,7 @@ TEST(TableWireV2Test, EmptyAndAllNullTables) {
     ASSERT_TRUE(nulls.AppendRow({Value::Null(), Value::Null()}).ok());
   }
   BufferWriter w2;
-  engine::SerializeTable(nulls, &w2, engine::TableWireOptions{true});
+  engine::SerializeTableForWire(nulls, &w2);
   BufferReader r2(w2.bytes().data(), w2.size());
   auto back2 = engine::DeserializeTable(&r2);
   ASSERT_TRUE(back2.ok()) << back2.status().ToString();
@@ -452,7 +447,7 @@ TEST(TransferWireV2Test, RoundTripsAndNeverExceedsRaw) {
   EXPECT_EQ(v1.size(), t.SerializedBytes());
 
   BufferWriter v2;
-  t.Serialize(&v2, /*codecs=*/true);
+  t.SerializeForWire(&v2);
   EXPECT_LE(v2.size(), v1.size());
   EXPECT_LT(v2.size(), v1.size());  // this payload is compressible
 
@@ -481,7 +476,7 @@ TEST(TransferWireV2Test, TinyTransferFallsBackToV1) {
   BufferWriter v1;
   t.Serialize(&v1);
   BufferWriter v2;
-  t.Serialize(&v2, /*codecs=*/true);
+  t.SerializeForWire(&v2);
   EXPECT_EQ(v1.bytes(), v2.bytes());
 }
 
@@ -564,7 +559,7 @@ TEST(CodecFuzzTest, ValidityBlocksNeverCrash) {
 TEST(CodecFuzzTest, TableV2ContainerNeverCrashes) {
   Table t = MakeMixedTable(64, /*with_nulls=*/true);
   BufferWriter w;
-  engine::SerializeTable(t, &w, engine::TableWireOptions{true});
+  engine::SerializeTableForWire(t, &w);
   // This shape compresses, so the container really is v2 on the wire.
   ASSERT_LT(w.size(), engine::RawTableWireBytes(t));
   FuzzBlock(w.bytes(), 0x7AB2,
@@ -574,7 +569,7 @@ TEST(CodecFuzzTest, TableV2ContainerNeverCrashes) {
 TEST(CodecFuzzTest, TransferV2ContainerNeverCrashes) {
   TransferData t = MakeRichTransfer();
   BufferWriter w;
-  t.Serialize(&w, /*codecs=*/true);
+  t.SerializeForWire(&w);
   ASSERT_LT(w.size(), t.RawSerializedBytes());
   FuzzBlock(w.bytes(), 0x7F43,
             [](BufferReader* r) { (void)TransferData::Deserialize(r); });

@@ -70,9 +70,7 @@ struct WorkerProcess {
   }
 };
 
-/// `wire_version` 0 omits the flag (daemon default = current protocol);
-/// 1 spawns the daemon as a pre-codec build for mixed-cohort interop tests.
-bool SpawnWorker(int index, WorkerProcess* out, int wire_version = 0) {
+bool SpawnWorker(int index, WorkerProcess* out) {
   // CLOEXEC so later-spawned siblings don't inherit these pipe ends — a
   // stray write-end copy would keep a daemon's stdin open forever and
   // Terminate() would deadlock in waitpid.
@@ -92,8 +90,6 @@ bool SpawnWorker(int index, WorkerProcess* out, int wire_version = 0) {
   const std::string rows_flag = "--rows=" + std::to_string(kRows);
   const std::string weights_flag = "--weights=" + weights_csv;
   const std::string noise_flag = "--noise=" + std::to_string(kNoise);
-  const std::string version_flag =
-      "--wire-version=" + std::to_string(wire_version);
 
   const pid_t pid = fork();
   if (pid < 0) return false;
@@ -108,7 +104,6 @@ bool SpawnWorker(int index, WorkerProcess* out, int wire_version = 0) {
     execl(MIP_WORKER_BIN, MIP_WORKER_BIN, id_flag.c_str(), "--port=0",
           "--dataset=linreg", rows_flag.c_str(), seed_flag.c_str(),
           weights_flag.c_str(), noise_flag.c_str(),
-          wire_version > 0 ? version_flag.c_str() : static_cast<char*>(nullptr),
           static_cast<char*>(nullptr));
     _exit(127);  // exec failed
   }
@@ -159,6 +154,42 @@ Result<TrainingResult> TrainInProcess() {
   FederatedTrainer trainer(&master, FixedTrainingConfig());
   return trainer.Train(&session, "linreg.grad",
                        static_cast<int>(kTrueWeights.size()));
+}
+
+/// stats.moments of column y: the aggregate the plain fan-out tests run.
+TransferData MomentsArgs() {
+  TransferData args;
+  args.PutString("dataset", "linreg");
+  args.PutString("column", "y");
+  return args;
+}
+
+/// In-process reference for stats.moments over the same synthetic cohort.
+Result<TransferData> MomentsInProcess() {
+  MasterNode local;
+  MIP_RETURN_NOT_OK(
+      federation::RegisterPortableSteps(local.functions().get()));
+  for (int i = 0; i < kWorkers; ++i) {
+    MIP_RETURN_NOT_OK(local.AddWorker(WorkerId(i)).status());
+    MIP_RETURN_NOT_OK(local.LoadDataset(
+        WorkerId(i), "linreg",
+        federation::MakeSyntheticLinregTable(WorkerSeed(i), kRows,
+                                             kTrueWeights, kNoise)));
+  }
+  MIP_ASSIGN_OR_RETURN(auto session, local.StartSession({"linreg"}));
+  return session.LocalRunAndAggregate("stats.moments", MomentsArgs(),
+                                      federation::AggregationMode::kPlain);
+}
+
+/// Byte equality of the moments scalars, the plain fan-out tests' check.
+void ExpectSameMoments(const TransferData& a, const TransferData& b) {
+  for (const char* key : {"sum", "sum_sq", "n"}) {
+    auto av = a.GetScalar(key);
+    auto bv = b.GetScalar(key);
+    ASSERT_TRUE(av.ok() && bv.ok()) << key;
+    const double x = av.ValueOrDie(), y = bv.ValueOrDie();
+    EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0) << key;
+  }
 }
 
 class NetProcessTest : public ::testing::Test {
@@ -222,26 +253,7 @@ TEST_F(NetProcessTest, TcpTrainingByteIdenticalToInProcess) {
 }
 
 TEST_F(NetProcessTest, PlainAggregateMatchesInProcess) {
-  // In-process reference for stats.moments over the same synthetic cohort.
-  MasterNode local;
-  ASSERT_TRUE(
-      federation::RegisterPortableSteps(local.functions().get()).ok());
-  for (int i = 0; i < kWorkers; ++i) {
-    ASSERT_TRUE(local.AddWorker(WorkerId(i)).ok());
-    ASSERT_TRUE(local
-                    .LoadDataset(WorkerId(i), "linreg",
-                                 federation::MakeSyntheticLinregTable(
-                                     WorkerSeed(i), kRows, kTrueWeights,
-                                     kNoise))
-                    .ok());
-  }
-  auto local_session = local.StartSession({"linreg"});
-  ASSERT_TRUE(local_session.ok());
-  TransferData args;
-  args.PutString("dataset", "linreg");
-  args.PutString("column", "y");
-  auto local_agg = local_session.ValueOrDie().LocalRunAndAggregate(
-      "stats.moments", args, federation::AggregationMode::kPlain);
+  auto local_agg = MomentsInProcess();
   ASSERT_TRUE(local_agg.ok()) << local_agg.status().ToString();
 
   // The same aggregate computed by the three daemons.
@@ -255,114 +267,41 @@ TEST_F(NetProcessTest, PlainAggregateMatchesInProcess) {
   auto session = master.StartSession({"linreg"});
   ASSERT_TRUE(session.ok());
   auto remote_agg = session.ValueOrDie().LocalRunAndAggregate(
-      "stats.moments", args, federation::AggregationMode::kPlain);
+      "stats.moments", MomentsArgs(), federation::AggregationMode::kPlain);
   ASSERT_TRUE(remote_agg.ok()) << remote_agg.status().ToString();
-
-  for (const char* key : {"sum", "sum_sq", "n"}) {
-    auto a = local_agg.ValueOrDie().GetScalar(key);
-    auto b = remote_agg.ValueOrDie().GetScalar(key);
-    ASSERT_TRUE(a.ok() && b.ok());
-    const double av = a.ValueOrDie(), bv = b.ValueOrDie();
-    EXPECT_EQ(std::memcmp(&av, &bv, sizeof(double)), 0) << key;
-  }
+  ExpectSameMoments(local_agg.ValueOrDie(), remote_agg.ValueOrDie());
   transport.Shutdown();
 }
 
-TEST_F(NetProcessTest, MixedVersionNegotiationIsByteIdentical) {
-  // The daemons are a current (codec-capable) build. Talk to them twice:
-  // once as an "old" pre-codec client (wire_version = 1: no handshake, v1
-  // frames, replies must stay fixed-width) and once as a current client
-  // (negotiates v2, replies may be codec-compressed). Both must produce
-  // byte-identical numerics — compression is a transport concern only.
-  TransferData args;
-  args.PutString("dataset", "linreg");
-  args.PutString("column", "y");
+TEST_F(NetProcessTest, CodecTrafficMatchesInProcessAndIsMetered) {
+  // Every request and reply goes through the wire serializers. Compression
+  // is a transport concern only: the numerics stay byte-identical to the
+  // in-process run, and the per-link ledger records what the codecs saved.
+  auto local_agg = MomentsInProcess();
+  ASSERT_TRUE(local_agg.ok()) << local_agg.status().ToString();
 
-  auto run_with = [&](net::TcpTransport& transport) {
-    MasterNode master;
-    for (int i = 0; i < kWorkers; ++i) {
-      transport.AddPeer(WorkerId(i), "127.0.0.1", workers_[i].port);
-      EXPECT_TRUE(master.AddRemoteWorker(WorkerId(i), {"linreg"}).ok());
-    }
-    master.set_transport(&transport);
-    auto session = master.StartSession({"linreg"});
-    EXPECT_TRUE(session.ok());
-    return session.ValueOrDie().LocalRunAndAggregate(
-        "stats.moments", args, federation::AggregationMode::kPlain);
-  };
-
-  net::TcpTransportOptions old_options;
-  old_options.wire_version = 1;
-  net::TcpTransport old_client(old_options);
-  auto old_agg = run_with(old_client);
-  ASSERT_TRUE(old_agg.ok()) << old_agg.status().ToString();
-
-  net::TcpTransport new_client;
-  auto new_agg = run_with(new_client);
-  ASSERT_TRUE(new_agg.ok()) << new_agg.status().ToString();
-
-  for (const char* key : {"sum", "sum_sq", "n"}) {
-    auto a = old_agg.ValueOrDie().GetScalar(key);
-    auto b = new_agg.ValueOrDie().GetScalar(key);
-    ASSERT_TRUE(a.ok() && b.ok());
-    const double av = a.ValueOrDie(), bv = b.ValueOrDie();
-    EXPECT_EQ(std::memcmp(&av, &bv, sizeof(double)), 0) << key;
+  net::TcpTransport client;
+  MasterNode master;
+  for (int i = 0; i < kWorkers; ++i) {
+    client.AddPeer(WorkerId(i), "127.0.0.1", workers_[i].port);
+    ASSERT_TRUE(master.AddRemoteWorker(WorkerId(i), {"linreg"}).ok());
   }
+  master.set_transport(&client);
+  auto session = master.StartSession({"linreg"});
+  ASSERT_TRUE(session.ok());
+  auto agg = session.ValueOrDie().LocalRunAndAggregate(
+      "stats.moments", MomentsArgs(), federation::AggregationMode::kPlain);
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  ExpectSameMoments(local_agg.ValueOrDie(), agg.ValueOrDie());
 
-  // The old client never negotiated codecs: whatever it metered must show
-  // no compression at all (wire == raw).
-  const net::NetworkStats old_stats = old_client.stats();
-  EXPECT_EQ(old_stats.bytes_raw, old_stats.bytes_wire);
-
-  // The new client did negotiate: the ledger is populated and the wire side
-  // never exceeds the raw side (measured fallback guarantees <=).
-  const net::NetworkStats new_stats = new_client.stats();
-  EXPECT_GT(new_stats.bytes_raw, 0u);
-  EXPECT_GT(new_stats.bytes_wire, 0u);
-  EXPECT_LE(new_stats.bytes_wire, new_stats.bytes_raw);
-  EXPECT_GE(new_stats.CompressionRatio(), 1.0);
-
-  // Mixed cohort: hospital_0 is replaced by a *daemon* running the pre-codec
-  // protocol (--wire-version=1) while hospitals 1..n stay current. A current
-  // client must negotiate per peer — v1 with the old site, v2 with the rest —
-  // and still produce the same bytes.
-  WorkerProcess old_daemon;
-  ASSERT_TRUE(SpawnWorker(0, &old_daemon, /*wire_version=*/1));
-  {
-    net::TcpTransport mixed_client;
-    MasterNode master;
-    mixed_client.AddPeer(WorkerId(0), "127.0.0.1", old_daemon.port);
-    ASSERT_TRUE(master.AddRemoteWorker(WorkerId(0), {"linreg"}).ok());
-    for (int i = 1; i < kWorkers; ++i) {
-      mixed_client.AddPeer(WorkerId(i), "127.0.0.1", workers_[i].port);
-      ASSERT_TRUE(master.AddRemoteWorker(WorkerId(i), {"linreg"}).ok());
-    }
-    master.set_transport(&mixed_client);
-    auto session = master.StartSession({"linreg"});
-    ASSERT_TRUE(session.ok());
-    auto mixed_agg = session.ValueOrDie().LocalRunAndAggregate(
-        "stats.moments", args, federation::AggregationMode::kPlain);
-    ASSERT_TRUE(mixed_agg.ok()) << mixed_agg.status().ToString();
-    for (const char* key : {"sum", "sum_sq", "n"}) {
-      const double av = new_agg.ValueOrDie().GetScalar(key).ValueOrDie();
-      const double bv = mixed_agg.ValueOrDie().GetScalar(key).ValueOrDie();
-      EXPECT_EQ(std::memcmp(&av, &bv, sizeof(double)), 0) << key;
-    }
-    // The old site's link must show zero compression; at least one of the
-    // current sites' links must carry codec traffic.
-    const auto links = mixed_client.link_stats();
-    const auto old_link = links.find("master->" + WorkerId(0));
-    ASSERT_NE(old_link, links.end());
-    EXPECT_EQ(old_link->second.bytes_raw, old_link->second.bytes_wire);
-    const auto new_link = links.find(WorkerId(1) + "->master");
-    ASSERT_NE(new_link, links.end());
-    EXPECT_GT(new_link->second.bytes_raw, 0u);
-    mixed_client.Shutdown();
-  }
-  old_daemon.Terminate();
-
-  old_client.Shutdown();
-  new_client.Shutdown();
+  // The ledger is populated and the wire side never exceeds the raw side
+  // (the measured fallback guarantees <=).
+  const net::NetworkStats stats = client.stats();
+  EXPECT_GT(stats.bytes_raw, 0u);
+  EXPECT_GT(stats.bytes_wire, 0u);
+  EXPECT_LE(stats.bytes_wire, stats.bytes_raw);
+  EXPECT_GE(stats.CompressionRatio(), 1.0);
+  client.Shutdown();
 }
 
 TEST_F(NetProcessTest, WorkerSurvivesBenignSignalsAndExitsCleanOnEof) {

@@ -129,6 +129,13 @@ TEST(FrameTest, CorruptStreamsReportParseError) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kParseError);
   }
+  {  // retired version 1 (pre-codec framing)
+    std::vector<uint8_t> bad = good;
+    bad[4] = 1;
+    auto r = decode(bad);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  }
   {  // corrupt payload byte -> CRC mismatch
     std::vector<uint8_t> bad = good;
     bad[net::kFrameHeaderBytes] ^= 0x01;

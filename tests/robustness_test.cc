@@ -461,12 +461,28 @@ TEST(RemoteRequestFuzzTest, TruncatedAndFlippedPayloadsNeverCrashTheWorker) {
   requests[4].kind = engine::RemoteKind::kGetStats;
   requests[4].table_name = "d";
 
+  // Request 1 ships the build side as the wire serializer writes it (the v2
+  // container: its header alone is smaller than the fixed-width one, so no
+  // table falls back by itself). Request 2 hand-builds the fixed-width
+  // layout, the serializer's per-input fallback, which the worker decodes
+  // too. The sweeps below therefore cover both layouts.
+  const size_t fixed_width_bound = 2 * sizeof(uint32_t) +
+                                   requests[1].temp_name.size() +
+                                   requests[1].sql.size() +
+                                   engine::RawTableWireBytes(bound);
   for (size_t i = 0; i < requests.size(); ++i) {
     const std::string type = engine::RemoteKindName(requests[i].kind);
     BufferWriter writer;
-    // Request 1 ships the build side in the plain layout, 2 compressed.
-    engine::EncodeRemoteRequest(requests[i], /*codecs=*/i == 2, &writer);
+    if (i == 2) {
+      writer.WriteString(requests[i].temp_name);
+      writer.WriteString(requests[i].sql);
+      engine::SerializeTable(bound, &writer);
+    } else {
+      engine::EncodeRemoteRequest(requests[i], &writer);
+    }
     const std::vector<uint8_t> valid = writer.TakeBytes();
+    if (i == 1) EXPECT_LT(valid.size(), fixed_width_bound);
+    if (i == 2) EXPECT_EQ(valid.size(), fixed_width_bound);
     Result<std::vector<uint8_t>> ok =
         bus.Send(federation::Envelope{"master", "w", type, "", valid});
     ASSERT_TRUE(ok.ok()) << type << ": " << ok.status().ToString();

@@ -49,11 +49,10 @@ std::vector<uint8_t> Payload(int i, size_t pad = 0) {
 /// A framed request as raw wire bytes, for byte-level client control.
 std::vector<uint8_t> RequestFrame(const std::vector<uint8_t>& payload,
                                   const std::string& to = "svc",
-                                  const std::string& type = "echo",
-                                  uint8_t version = net::kFrameVersion) {
+                                  const std::string& type = "echo") {
   Envelope envelope{"raw_client", to, type, "", payload};
   BufferWriter writer;
-  net::EncodeFrame(net::EncodeEnvelopePayload(envelope), &writer, version);
+  net::EncodeFrame(net::EncodeEnvelopePayload(envelope), &writer);
   return writer.TakeBytes();
 }
 

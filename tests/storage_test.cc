@@ -1585,10 +1585,11 @@ TEST(StorageCountersTest, CountersTrackFlushScanProbeCompactReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifest back-compat: version-1 directories load and gain indexes
+// Manifest versions: v1 is rejected; a v2 manifest without indexes gains
+// them on boot
 // ---------------------------------------------------------------------------
 
-TEST(ManifestCompatTest, V1ManifestLoadsAndGainsIndexesOnBoot) {
+TEST(ManifestCompatTest, V1RejectedAndIndexlessManifestGainsIndexesOnBoot) {
   const std::string dir = TestDir("manifest_v1");
   StorageOptions options;
   options.target_segment_rows = 40;
@@ -1602,38 +1603,66 @@ TEST(ManifestCompatTest, V1ManifestLoadsAndGainsIndexesOnBoot) {
     bytes0 = TableBytes((*store)->ScanTable("t", nullptr, nullptr)
                             .ValueOrDie());
   }
-  // Rewrite the MANIFEST in the PR-7 version-1 layout: no next_index_id,
-  // no per-segment group or index list — exactly what a pre-index
-  // deployment left behind.
   auto loaded = storage::LoadManifest(dir + "/MANIFEST");
   ASSERT_TRUE(loaded.ok());
-  const storage::Manifest& m = loaded.ValueOrDie();
-  BufferWriter w;
-  w.WriteU32(storage::kManifestMagic);
-  w.WriteU8(1);
-  w.WriteU64(m.wal_id);
-  w.WriteU64(m.next_segment_id);
-  engine::PutVarint(&w, m.tables.size());
-  for (const storage::ManifestTable& t : m.tables) {
-    w.WriteString(t.name);
-    engine::PutVarint(&w, t.schema.num_fields());
-    for (const engine::Field& f : t.schema.fields()) {
-      w.WriteString(f.name);
-      w.WriteU8(static_cast<uint8_t>(f.type));
+  storage::Manifest m = loaded.ValueOrDie();
+
+  // A hand-built version-1 MANIFEST (no next_index_id, no per-segment group
+  // or index list) is an unsupported version: Open fails with IOError.
+  {
+    BufferWriter w;
+    w.WriteU32(storage::kManifestMagic);
+    w.WriteU8(1);
+    w.WriteU64(m.wal_id);
+    w.WriteU64(m.next_segment_id);
+    engine::PutVarint(&w, m.tables.size());
+    for (const storage::ManifestTable& t : m.tables) {
+      w.WriteString(t.name);
+      engine::PutVarint(&w, t.schema.num_fields());
+      for (const engine::Field& f : t.schema.fields()) {
+        w.WriteString(f.name);
+        w.WriteU8(static_cast<uint8_t>(f.type));
+      }
+      engine::PutVarint(&w, t.segments.size());
+      for (const storage::ManifestSegment& s : t.segments) {
+        engine::PutVarint(&w, s.id);
+        engine::PutVarint(&w, s.rows);
+      }
     }
-    engine::PutVarint(&w, t.segments.size());
-    for (const storage::ManifestSegment& s : t.segments) {
-      engine::PutVarint(&w, s.id);
-      engine::PutVarint(&w, s.rows);
+    w.WriteU32(Crc32(w.bytes()));
+    ASSERT_TRUE(storage::WriteFileAtomic(dir + "/MANIFEST", w.bytes()).ok());
+    auto v1 = StorageEngine::Open(dir, options);
+    ASSERT_FALSE(v1.ok());
+    EXPECT_EQ(v1.status().code(), StatusCode::kIOError);
+    EXPECT_NE(v1.status().message().find("unsupported version 1"),
+              std::string::npos)
+        << v1.status().ToString();
+  }
+
+  // Commit a v2 MANIFEST whose segments list no indexes.
+  std::vector<std::string> old_index_files;
+  for (storage::ManifestTable& t : m.tables) {
+    for (storage::ManifestSegment& s : t.segments) {
+      for (const storage::ManifestIndex& idx : s.indexes) {
+        old_index_files.push_back(dir + "/idx-" + std::to_string(idx.id) +
+                                  ".mix");
+      }
+      s.indexes.clear();
     }
   }
-  w.WriteU32(Crc32(w.bytes()));
-  ASSERT_TRUE(storage::WriteFileAtomic(dir + "/MANIFEST", w.bytes()).ok());
+  ASSERT_EQ(old_index_files.size(), 9u);
+  for (const std::string& f : old_index_files) {
+    ASSERT_TRUE(storage::FileExists(f)) << f;
+  }
+  ASSERT_TRUE(storage::SaveManifest(dir + "/MANIFEST", m).ok());
 
-  // Open: v1 parses, the now-unreferenced idx files are swept as orphans,
-  // and the boot backfill immediately rebuilds every index.
+  // Open: the now-unreferenced idx files are swept as orphans, and the boot
+  // backfill immediately rebuilds every index.
   auto store = StorageEngine::Open(dir, options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (const std::string& f : old_index_files) {
+    EXPECT_FALSE(storage::FileExists(f)) << f;
+  }
   EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 9u);
   EXPECT_TRUE((*store)->VerifyIndexes().ok());
   EXPECT_EQ(TableBytes((*store)->ScanTable("t", nullptr, nullptr)

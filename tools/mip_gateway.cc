@@ -52,7 +52,6 @@ struct GatewayFlags {
   bool cache_enabled = true;
   int serve_threads = 4;
   double read_deadline_ms = 0.0;
-  int wire_version = mip::net::kFrameVersion;
   /// When set, attaches a disk-backed segment store under this directory
   /// to the Master's local engine: its tables become queryable (and
   /// INSERT-able) alongside the federated view, and survive restarts.
@@ -111,20 +110,11 @@ Status ParseFlags(int argc, char** argv, GatewayFlags* flags) {
       flags->serve_threads = std::atoi(v.c_str());
     } else if (ParseFlag(arg, "read-deadline-ms", &v)) {
       flags->read_deadline_ms = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "wire-version", &v)) {
-      flags->wire_version = std::atoi(v.c_str());
     } else if (ParseFlag(arg, "data-dir", &v)) {
       flags->data_dir = v;
     } else {
       return Status::InvalidArgument("unknown flag: " + arg);
     }
-  }
-  if (flags->wire_version < mip::net::kFrameVersionMin ||
-      flags->wire_version > mip::net::kFrameVersion) {
-    return Status::InvalidArgument("--wire-version must be between " +
-                                   std::to_string(mip::net::kFrameVersionMin) +
-                                   " and " +
-                                   std::to_string(mip::net::kFrameVersion));
   }
   return Status::OK();
 }
@@ -134,7 +124,6 @@ Status Run(const GatewayFlags& flags) {
   // client for the Master's remote-table traffic toward the workers.
   mip::net::TcpTransportOptions options;
   options.bind_host = flags.host;
-  options.wire_version = static_cast<uint8_t>(flags.wire_version);
   options.serve_threads = flags.serve_threads;
   options.read_deadline_ms = flags.read_deadline_ms;
   mip::net::TcpTransport transport(options);

@@ -43,7 +43,6 @@ struct QueryFlags {
   int concurrency = 1;  ///< worker threads issuing requests
   int busy_retries = 8;
   double timeout_ms = 30000.0;
-  int wire_version = mip::net::kFrameVersion;
   bool metrics = false;
 };
 
@@ -76,8 +75,6 @@ Status ParseFlags(int argc, char** argv, QueryFlags* flags) {
       flags->busy_retries = std::atoi(v.c_str());
     } else if (ParseFlag(arg, "timeout-ms", &v)) {
       flags->timeout_ms = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "wire-version", &v)) {
-      flags->wire_version = std::atoi(v.c_str());
     } else if (arg == "--metrics") {
       flags->metrics = true;
     } else {
@@ -122,7 +119,6 @@ Result<std::string> RunOne(mip::net::TcpTransport* transport,
 
 Status Run(const QueryFlags& flags) {
   mip::net::TcpTransportOptions options;
-  options.wire_version = static_cast<uint8_t>(flags.wire_version);
   options.io_timeout_ms = flags.timeout_ms;
   // Client only: no Listen(). Concurrent sends open distinct connections.
   options.max_idle_per_peer = static_cast<size_t>(flags.concurrency);

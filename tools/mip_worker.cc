@@ -7,7 +7,7 @@
 // services; this daemon is that Worker service.
 //
 //   ./build/tools/mip_worker --id=hospital_0 --port=0 --dataset=linreg
-//       --rows=200 --seed=11 --weights=1.5,-2.0,0.8 [--wire-version=1]
+//       --rows=200 --seed=11 --weights=1.5,-2.0,0.8
 //
 // On success it prints one line to stdout:
 //
@@ -44,10 +44,6 @@ struct WorkerFlags {
   uint64_t seed = 1;
   std::vector<double> weights = {1.5, -2.0, 0.8};
   double noise = 0.1;
-  /// Protocol version to advertise (net/frame.h). Setting 1 emulates a
-  /// pre-codec build: replies stay fixed-width even to codec-capable
-  /// Masters — the knob for mixed-cohort interop testing.
-  int wire_version = mip::net::kFrameVersion;
   /// Evict connections stuck mid-frame after this budget (0 = never).
   double read_deadline_ms = 0.0;
   /// When set, the dataset lives in a disk-backed segment store under this
@@ -96,8 +92,6 @@ Status ParseFlags(int argc, char** argv, WorkerFlags* flags) {
       flags->weights = ParseDoubleList(v);
     } else if (ParseFlag(arg, "noise", &v)) {
       flags->noise = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "wire-version", &v)) {
-      flags->wire_version = std::atoi(v.c_str());
     } else if (ParseFlag(arg, "read-deadline-ms", &v)) {
       flags->read_deadline_ms = std::atof(v.c_str());
     } else if (ParseFlag(arg, "data-dir", &v)) {
@@ -108,13 +102,6 @@ Status ParseFlags(int argc, char** argv, WorkerFlags* flags) {
   }
   if (flags->weights.empty()) {
     return Status::InvalidArgument("--weights must name at least one feature");
-  }
-  if (flags->wire_version < mip::net::kFrameVersionMin ||
-      flags->wire_version > mip::net::kFrameVersion) {
-    return Status::InvalidArgument("--wire-version must be between " +
-                                   std::to_string(mip::net::kFrameVersionMin) +
-                                   " and " +
-                                   std::to_string(mip::net::kFrameVersion));
   }
   return Status::OK();
 }
@@ -156,7 +143,6 @@ Status Run(const WorkerFlags& flags) {
 
   mip::net::TcpTransportOptions options;
   options.bind_host = flags.host;
-  options.wire_version = static_cast<uint8_t>(flags.wire_version);
   options.read_deadline_ms = flags.read_deadline_ms;
   mip::net::TcpTransport transport(options);
   MIP_RETURN_NOT_OK(transport.Listen(flags.port));
