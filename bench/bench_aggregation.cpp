@@ -92,7 +92,7 @@ int main() {
 
     // Path 1a: merge-table with pushdown DISABLED — whole relations are
     // pulled over the bus (the naive remote-table plan).
-    master.local_db().set_aggregate_pushdown(false);
+    master.local_db().optimizer_options().merge_aggregate_pushdown = false;
     master.bus().ResetStats();
     mip::Stopwatch sw;
     auto pulled = master.local_db().ExecuteSql(select);
@@ -105,7 +105,7 @@ int main() {
 
     // Path 1b: merge-table WITH aggregate pushdown — partial aggregates
     // computed next to the data (ablation of the same plan).
-    master.local_db().set_aggregate_pushdown(true);
+    master.local_db().optimizer_options().merge_aggregate_pushdown = true;
     master.bus().ResetStats();
     sw.Reset();
     auto pushed = master.local_db().ExecuteSql(select);

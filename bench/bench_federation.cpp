@@ -137,7 +137,7 @@ int main() {
   for (int w = 0; w < kWorkers; ++w) {
     injector.SetEndpointFault("h" + std::to_string(w), link);
   }
-  master.bus().set_fault_injector(&injector);
+  master.bus().set_fault_hook(&injector);
 
   mip::federation::FanoutPolicy sequential;
   sequential.max_concurrency = 1;

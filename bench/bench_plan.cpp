@@ -102,12 +102,12 @@ struct E19Result {
 uint64_t MeasureBytes(mip::federation::MasterNode* master,
                       const std::string& sql, int force, double* wall_ms,
                       std::vector<uint8_t>* result, size_t* rows) {
-  master->local_db().set_force_join_strategy(force);
+  master->local_db().optimizer_options().force_join_strategy = force;
   master->bus().ResetStats();
   mip::Stopwatch timer;
   auto out = master->local_db().ExecuteSql(sql);
   *wall_ms = timer.ElapsedMillis();
-  master->local_db().set_force_join_strategy(-1);
+  master->local_db().optimizer_options().force_join_strategy = -1;
   if (!out.ok()) {
     std::printf("E19 QUERY FAILED: %s\n", out.status().ToString().c_str());
     result->clear();
@@ -167,7 +167,7 @@ E19Result RunE19() {
 
     SweepPoint p;
     p.cohort_rows = cohort_rows;
-    master.local_db().set_force_join_strategy(-1);
+    master.local_db().optimizer_options().force_join_strategy = -1;
     auto plan = master.local_db().ExecuteSql("EXPLAIN " + sql);
     if (plan.ok()) {
       std::string text;

@@ -18,7 +18,8 @@
 // flush are the only way to skip work. Measured, at ~15x the 4 MiB memtable
 // budget (well beyond RAM buffers):
 //   * point and narrow-range queries with the IndexScan access path vs the
-//     zone-map-only path (set_index_scan(false) ablation), p50 over reps;
+//     zone-map-only path (optimizer_options().index_scan = false ablation),
+//     p50 over reps;
 //   * byte-parity of both paths at 1 and 8 threads;
 //   * EXPLAIN surfacing the chosen path with probe counts;
 //   * the same queries after background-style compaction re-sorts the
@@ -240,7 +241,7 @@ int main() {
   // =========================================================================
   std::printf("\n=== E18: ordered indexes on an unsorted high-card key ===\n");
   db.set_optimizer_enabled(true);
-  db.set_index_scan(true);
+  db.optimizer_options().index_scan = true;
 
   const int64_t point_key = KeyOf(1'234'567);
   const int64_t range_lo = 123'456'789;
@@ -269,7 +270,7 @@ int main() {
        {&mip::engine::ExecContext::Serial(), &parallel}) {
     db.set_exec_context(ctx);
     for (bool use_index : {false, true}) {
-      db.set_index_scan(use_index);
+      db.optimizer_options().index_scan = use_index;
       auto p = db.ExecuteSql(point_sql);
       auto r = db.ExecuteSql(range_sql);
       if (!p.ok() || !r.ok()) {
@@ -291,7 +292,7 @@ int main() {
   // p50 latencies: index path vs zone-map-only ablation.
   auto measure = [&db](const std::string& sql, bool use_index,
                        LatencyHistogram* lat) {
-    db.set_index_scan(use_index);
+    db.optimizer_options().index_scan = use_index;
     for (int rep = 0; rep < kIndexReps; ++rep) {
       Stopwatch sw;
       auto r = db.ExecuteSql(sql);
@@ -334,7 +335,7 @@ int main() {
   LatencyHistogram point_post, range_post;
   db.set_exec_context(&mip::engine::ExecContext::Serial());
   for (bool use_index : {false, true}) {
-    db.set_index_scan(use_index);
+    db.optimizer_options().index_scan = use_index;
     auto p = db.ExecuteSql(point_sql);
     auto r = db.ExecuteSql(range_sql);
     if (!p.ok() || !r.ok()) {
@@ -347,7 +348,7 @@ int main() {
     }
   }
   db.set_exec_context(nullptr);
-  db.set_index_scan(true);
+  db.optimizer_options().index_scan = true;
   if (!measure(point_sql, true, &point_post) ||
       !measure(range_sql, true, &range_post)) {
     std::fprintf(stderr, "post-compaction sweep failed\n");

@@ -41,6 +41,14 @@ ASAN_OPTIONS="halt_on_error=1" ctest --test-dir "$ROOT/build-asan" \
   --output-on-failure -j "$JOBS" --no-tests=error \
   -L '^(net_transport_test|net_process_test|robustness_test|encoding_test|plan_test|serving_test|result_cache_test|storage_test|join_test|smpc_test|smpc_property_test|pushdown_test|federation_test)$'
 
+echo "== perfbench self-test: tracing decorators are pass-through =="
+# perfbench builds its own Release tree (.bench_build/) against ../src. Its
+# self-test checks that TracingStorage and TracingTransport, which forward
+# every TableStorage / Transport virtual, pass scans, ScanStats and replies
+# through byte for byte — so an interface change that breaks the decorators
+# fails here, not first in the benchmark.
+(cd "$ROOT" && python3 perfbench/run.py --selftest)
+
 echo "== determinism: MIP_THREADS=1 vs MIP_THREADS=8 output diff =="
 # Morsel-driven execution must be byte-identical at any thread count (see
 # DESIGN.md "Intra-worker parallelism"). Diff the full stdout of the

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "engine/optimizer.h"
 #include "engine/sql_parser.h"
 
 namespace mip::engine {
@@ -15,18 +14,9 @@ Database::Database(std::string name)
       stats_mu_(std::make_unique<std::mutex>()) {
   const char* env = std::getenv("MIP_OPTIMIZER");
   if (env != nullptr && std::string(env) == "0") optimizer_enabled_ = false;
-  const char* idx_env = std::getenv("MIP_INDEX_SCAN");
-  if (idx_env != nullptr && std::string(idx_env) == "0") index_scan_ = false;
   const char* cost_env = std::getenv("MIP_COST_MODEL");
-  if (cost_env != nullptr && std::string(cost_env) == "0") cost_model_ = false;
-  const char* strat_env = std::getenv("MIP_JOIN_STRATEGY");
-  if (strat_env != nullptr) {
-    const std::string strat(strat_env);
-    if (strat == "broadcast") {
-      force_join_strategy_ = static_cast<int>(JoinStrategy::kBroadcast);
-    } else if (strat == "collect") {
-      force_join_strategy_ = static_cast<int>(JoinStrategy::kCollect);
-    }
+  if (cost_env != nullptr && std::string(cost_env) == "0") {
+    optimizer_options_.cost_model = false;
   }
 }
 
@@ -235,24 +225,6 @@ Result<PlanCatalog::TableInfo> Database::Describe(
   return info;
 }
 
-Result<ScanStats> Database::DiskPrunePreview(const std::string& table_name,
-                                             const Expr* prune_filter) const {
-  if (storage_ == nullptr) {
-    return Status::NotImplemented("database " + name_ +
-                                  " has no storage attached");
-  }
-  return storage_->PrunePreview(table_name, prune_filter);
-}
-
-Result<IndexPreview> Database::DiskIndexPreview(const std::string& table_name,
-                                                const Expr* prune_filter) const {
-  if (storage_ == nullptr) {
-    return Status::NotImplemented("database " + name_ +
-                                  " has no storage attached");
-  }
-  return storage_->PreviewIndexScan(table_name, prune_filter);
-}
-
 Result<TableStats> Database::GetTableStats(
     const std::string& table_name) const {
   const std::string key = ToLower(table_name);
@@ -323,12 +295,9 @@ Result<Table> Database::RunTableFunction(
 Result<PlanPtr> Database::BuildOptimizedPlan(const SelectStmt& stmt) {
   MIP_ASSIGN_OR_RETURN(PlanPtr plan, PlanSelect(stmt, *this));
   if (optimizer_enabled_) {
-    OptimizerOptions options;
-    options.merge_aggregate_pushdown = aggregate_pushdown_;
-    options.index_scan = index_scan_;
-    options.cost_model = cost_model_;
-    options.force_join_strategy = force_join_strategy_;
+    OptimizerOptions options = optimizer_options_;
     options.join_counters = join_counters_.get();
+    options.storage = storage_;
     MIP_ASSIGN_OR_RETURN(plan, OptimizePlan(std::move(plan), *this, options));
   }
   return plan;

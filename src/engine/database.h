@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "engine/exec_context.h"
 #include "engine/function_registry.h"
+#include "engine/optimizer.h"
 #include "engine/plan.h"
 #include "engine/sql_ast.h"
 #include "engine/storage_iface.h"
@@ -62,14 +63,6 @@ class Database : public PlanCatalog {
   void set_exec_context(const ExecContext* exec) { exec_context_ = exec; }
   const ExecContext* exec_context() const { return exec_context_; }
 
-  /// Disables merge-table aggregate pushdown (ablation switch for the E5
-  /// benchmark; on by default). This is the only optimizer rule that is not
-  /// bit-exact (it reassociates float sums), hence its own switch.
-  void set_aggregate_pushdown(bool enabled) {
-    aggregate_pushdown_ = enabled;
-  }
-  bool aggregate_pushdown() const { return aggregate_pushdown_; }
-
   /// Master switch for the plan optimizer (default on; the environment
   /// variable MIP_OPTIMIZER=0 flips the default off). With the optimizer off,
   /// SELECTs execute the naive plan: whole-table fetches, local filtering —
@@ -77,27 +70,14 @@ class Database : public PlanCatalog {
   void set_optimizer_enabled(bool enabled) { optimizer_enabled_ = enabled; }
   bool optimizer_enabled() const { return optimizer_enabled_; }
 
-  /// Ablation switch for the Scan-vs-IndexScan access-path rule (default
-  /// on; MIP_INDEX_SCAN=0 flips the default off). Off = disk scans always
-  /// take the zone-map path — byte-identical results, more segments
-  /// decoded; the E18 benchmark measures the two paths against each other.
-  void set_index_scan(bool enabled) { index_scan_ = enabled; }
-  bool index_scan() const { return index_scan_; }
-
-  /// Ablation switch for the join cost model (default on; MIP_COST_MODEL=0
-  /// flips the default off). Off = no stats are fetched at plan time and
-  /// every join collects — byte-identical results, the pre-cost-model wire
-  /// profile; the E19 benchmark measures the model against the ablation.
-  void set_cost_model(bool enabled) { cost_model_ = enabled; }
-  bool cost_model() const { return cost_model_; }
-
-  /// Forces every join's physical strategy (a JoinStrategy value; -1 = let
-  /// the cost model choose). MIP_JOIN_STRATEGY=broadcast|collect sets the
-  /// default; benchmarks use it to measure both sides of the crossover.
-  void set_force_join_strategy(int strategy) {
-    force_join_strategy_ = strategy;
+  /// The planner ablations every SELECT is optimized under (see
+  /// OptimizerOptions; all on by default, MIP_COST_MODEL=0 turns the cost
+  /// model off). Its join_counters and storage fields are ignored: every
+  /// plan gets this database's own.
+  OptimizerOptions& optimizer_options() { return optimizer_options_; }
+  const OptimizerOptions& optimizer_options() const {
+    return optimizer_options_;
   }
-  int force_join_strategy() const { return force_join_strategy_; }
 
   /// Lifetime join counters (planned / broadcast / collect / build rows /
   /// probe rows), surfaced by the gateway's /metrics. Never null.
@@ -172,10 +152,6 @@ class Database : public PlanCatalog {
 
   // PlanCatalog implementation (the planner's view of this catalog).
   Result<TableInfo> Describe(const std::string& table_name) const override;
-  Result<ScanStats> DiskPrunePreview(const std::string& table_name,
-                                     const Expr* prune_filter) const override;
-  Result<IndexPreview> DiskIndexPreview(const std::string& table_name,
-                                        const Expr* prune_filter) const override;
   Result<Schema> TableSchema(const std::string& table_name) const override {
     return GetSchema(table_name);
   }
@@ -203,7 +179,8 @@ class Database : public PlanCatalog {
     std::vector<std::string> parts;  // kMerge
   };
 
-  /// Plan -> optimized plan, honoring the optimizer/pushdown switches.
+  /// Plan -> optimized plan, honoring optimizer_enabled_ and
+  /// optimizer_options_.
   Result<PlanPtr> BuildOptimizedPlan(const SelectStmt& stmt);
 
   std::string name_;
@@ -211,11 +188,8 @@ class Database : public PlanCatalog {
   FunctionRegistry functions_;
   RemoteSite* remote_site_ = nullptr;  // non-owning; see set_remote_site
   TableStorage* storage_ = nullptr;  // non-owning; see AttachStorage
-  bool aggregate_pushdown_ = true;
   bool optimizer_enabled_ = true;
-  bool index_scan_ = true;
-  bool cost_model_ = true;
-  int force_join_strategy_ = -1;
+  OptimizerOptions optimizer_options_;
   uint64_t catalog_version_ = 1;
   const ExecContext* exec_context_ = nullptr;
   /// Behind a pointer (atomics are immovable) so Database stays movable.

@@ -619,56 +619,47 @@ void PushLimits(PlanNode* node) {
   }
 }
 
-// --- Rule 5: segment-prune annotation --------------------------------------
+// --- Rule 5: disk access path (segment annotation + Scan vs IndexScan) ----
 
-/// Fills seg_total/seg_pruned on disk scans from the catalog's zone-map
-/// preview so EXPLAIN shows the skip decisions the executor will make.
-/// Annotation only — never changes what executes. A catalog without
-/// attached storage answers NotImplemented and the scan stays unannotated.
-void AnnotateSegmentPruning(PlanNode* node, const PlanCatalog& catalog) {
+/// For each disk scan, fills seg_total/seg_pruned from the storage's
+/// zone-map preview so EXPLAIN shows the skip decisions the executor will
+/// make. Then, with `index_scan` on and a pruning hint present, asks the
+/// storage whether probing the ordered secondary indexes would decode
+/// strictly fewer segments than zone maps alone; if so, retags the node
+/// kIndexScan and records the index path's stats for EXPLAIN (`index:
+/// probes=N rows=M`). The preview does real (cheap, footer-guided) probes,
+/// so the match-fraction estimate is exact at plan time. Results are
+/// unaffected either way — an index probe only skips segments it proves
+/// empty, and the Filter above re-applies the predicate; only the decode
+/// count changes. Scans without a pruning hint stay scans: with nothing to
+/// probe for, the index path degenerates to the zone path.
+void ChooseDiskAccessPath(PlanNode* node, const TableStorage& storage,
+                          bool index_scan) {
   if (node->kind == PlanKind::kScan && node->disk) {
-    Result<ScanStats> preview =
-        catalog.DiskPrunePreview(node->table_name, node->prune_filter.get());
-    if (preview.ok()) {
-      node->seg_total = preview->total;
-      node->seg_pruned = preview->pruned;
+    const Expr* hint = node->prune_filter.get();
+    Result<ScanStats> zone = storage.PrunePreview(node->table_name, hint);
+    if (zone.ok()) {
+      node->seg_total = zone->total;
+      node->seg_pruned = zone->pruned;
+    }
+    if (index_scan && hint != nullptr) {
+      Result<IndexPreview> preview =
+          storage.PreviewIndexScan(node->table_name, hint);
+      if (preview.ok() && preview->use_index) {
+        node->kind = PlanKind::kIndexScan;
+        node->idx_probes = preview->stats.index_probes;
+        node->idx_rows = preview->stats.index_rows;
+        node->seg_total = preview->stats.total;
+        node->seg_pruned = preview->stats.pruned;
+      }
     }
   }
   for (PlanPtr& child : node->children) {
-    AnnotateSegmentPruning(child.get(), catalog);
+    ChooseDiskAccessPath(child.get(), storage, index_scan);
   }
 }
 
-// --- Rule 6: access-path choice (Scan vs IndexScan) ------------------------
-
-/// Asks the catalog whether probing the ordered secondary indexes under the
-/// scan's pruning hint would decode strictly fewer segments than zone maps
-/// alone; if so, retags the node kIndexScan and records the probe stats for
-/// EXPLAIN (`index: probes=N rows=M`). The preview does real (cheap,
-/// footer-guided) probes, so the match-fraction estimate is exact at plan
-/// time. Results are unaffected either way — an index probe only skips
-/// segments it proves empty, and the Filter above re-applies the predicate;
-/// only the decode count changes. Scans without a pruning hint stay scans:
-/// with nothing to probe for, the index path degenerates to the zone path.
-void ChooseAccessPath(PlanNode* node, const PlanCatalog& catalog) {
-  if (node->kind == PlanKind::kScan && node->disk &&
-      node->prune_filter != nullptr) {
-    Result<IndexPreview> preview =
-        catalog.DiskIndexPreview(node->table_name, node->prune_filter.get());
-    if (preview.ok() && preview->use_index) {
-      node->kind = PlanKind::kIndexScan;
-      node->idx_probes = preview->probes;
-      node->idx_rows = preview->rows;
-      node->seg_total = preview->stats.total;
-      node->seg_pruned = preview->stats.pruned;
-    }
-  }
-  for (PlanPtr& child : node->children) {
-    ChooseAccessPath(child.get(), catalog);
-  }
-}
-
-// --- Rule 7: join-strategy choice (broadcast vs collect) -------------------
+// --- Rule 6: join-strategy choice (broadcast vs collect) -------------------
 
 /// Textbook selectivity guesses, refined by column statistics when the stats
 /// layer can see the column (equality -> 1/NDV, IS NULL -> null fraction).
@@ -988,9 +979,8 @@ Result<PlanPtr> OptimizePlan(PlanPtr plan, const PlanCatalog& catalog,
   plan = PushPredicates(std::move(plan), catalog);
   PruneColumns(plan.get(), nullptr, catalog);
   PushLimits(plan.get());
-  AnnotateSegmentPruning(plan.get(), catalog);
-  if (options.index_scan) {
-    ChooseAccessPath(plan.get(), catalog);
+  if (options.storage != nullptr) {
+    ChooseDiskAccessPath(plan.get(), *options.storage, options.index_scan);
   }
   // Last: strategy choice reads columns/scan_limit annotations left by the
   // rewrite passes, so it must see the final tree.

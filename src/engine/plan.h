@@ -107,9 +107,10 @@ struct PlanNode {
   /// stays above the scan, so pruning can never change results (the same
   /// "at most, not exactly" contract as scan_limit).
   ExprPtr prune_filter;
-  /// Optimizer annotation for EXPLAIN: segment counts the zone maps decide
-  /// to scan/prune for this disk scan, filled by the prune-annotation pass
-  /// from PlanCatalog::DiskPrunePreview. -1 = not annotated.
+  /// Optimizer annotation for EXPLAIN: segment counts the storage decides
+  /// to scan/prune for this disk scan, filled by the access-path pass from
+  /// TableStorage::PrunePreview (or PreviewIndexScan once the scan becomes
+  /// an IndexScan). -1 = not annotated.
   int64_t seg_total = -1;
   int64_t seg_pruned = -1;
   /// kIndexScan annotation for EXPLAIN: ordered-index probes the access-path
@@ -194,36 +195,12 @@ class PlanCatalog {
   virtual Result<Table> RunTableFunction(
       const std::string& name, const std::vector<Value>& args) const = 0;
 
-  /// Zone-map prune counts for a disk table (TableKind::kDisk) under a
-  /// pruning hint — how the optimizer annotates `segments:` on EXPLAIN
-  /// output. Defaulted so catalogs without attached storage (and test
-  /// doubles) need not implement it; the annotation pass skips scans whose
-  /// catalog answers NotImplemented.
-  virtual Result<ScanStats> DiskPrunePreview(const std::string& name,
-                                             const Expr* prune_filter) const {
-    (void)name;
-    (void)prune_filter;
-    return Status::NotImplemented("catalog has no attached disk storage");
-  }
-
-  /// Access-path preview for a disk table: would probing its ordered
-  /// secondary indexes under this pruning hint skip more segments than zone
-  /// maps alone? Drives the optimizer's Scan-vs-IndexScan choice; defaulted
-  /// like DiskPrunePreview so storage-less catalogs answer NotImplemented
-  /// and the choice pass leaves scans untouched.
-  virtual Result<IndexPreview> DiskIndexPreview(const std::string& name,
-                                                const Expr* prune_filter) const {
-    (void)name;
-    (void)prune_filter;
-    return Status::NotImplemented("catalog has no attached disk storage");
-  }
-
   /// Table statistics feeding the cost model: row counts, per-column NDV
   /// and ranges (engine/stats.h). Local tables compute (and cache) them,
   /// remote tables answer through the `get_stats` envelope, merge tables
-  /// combine their parts. Defaulted like the previews above — a catalog
-  /// without statistics simply leaves the cost model blind, which degrades
-  /// to the pre-cost-model plan (collect), never to a wrong result.
+  /// combine their parts. Defaulted: a catalog without statistics simply
+  /// leaves the cost model blind, which degrades to the pre-cost-model plan
+  /// (collect), never to a wrong result.
   virtual Result<TableStats> GetTableStats(const std::string& name) const {
     (void)name;
     return Status::NotImplemented("catalog has no table statistics");

@@ -30,15 +30,14 @@ struct ScanStats {
 
 /// \brief The storage layer's answer to "would an IndexScan beat the
 /// zone-map scan here?" — computed from real (cheap, footer-guided) index
-/// probes, so `rows` is the exact candidate count at preview time, not a
-/// guess. The optimizer turns `use_index` into a plan-node choice and
-/// copies the numbers into EXPLAIN.
+/// probes, so `stats.index_rows` is the exact candidate count at preview
+/// time, not a guess. The optimizer turns `use_index` into a plan-node
+/// choice and copies the numbers into EXPLAIN.
 struct IndexPreview {
   bool use_index = false;
-  int64_t probes = 0;  ///< segments probed via an index
-  int64_t rows = 0;    ///< candidate rows across surviving segments
   /// Segment accounting the index path would produce (pruned counts both
-  /// zone-map skips and index-proved-empty skips).
+  /// zone-map skips and index-proved-empty skips; index_probes/index_rows
+  /// are the probes it would run and the candidate rows they match).
   ScanStats stats;
 };
 
@@ -93,36 +92,27 @@ class TableStorage {
   /// secondary indexes: a segment whose probe proves zero candidate rows is
   /// skipped without being decoded. Same superset contract as zone maps —
   /// the Filter above re-applies the predicate, so results are byte-
-  /// identical to ScanTable for any filter. Defaults to the plain scan so
-  /// implementations without indexes stay correct.
+  /// identical to ScanTable for any filter.
   virtual Result<Table> IndexScanTable(const std::string& name,
                                        const Expr* prune_filter,
-                                       ScanStats* stats) const {
-    return ScanTable(name, prune_filter, stats);
-  }
+                                       ScanStats* stats) const = 0;
 
   /// Access-path preview for the optimizer: probes the ordered indexes
   /// under `prune_filter` (cheap, footer-guided) and reports whether the
   /// index path would decode strictly fewer segments than the zone-map
-  /// path. Defaulted so stores without indexes need not implement it.
-  virtual Result<IndexPreview> PreviewIndexScan(const std::string& name,
-                                                const Expr* prune_filter) const {
-    (void)name;
-    (void)prune_filter;
-    return Status::NotImplemented("storage has no ordered indexes");
-  }
+  /// path, with exactly the ScanStats IndexScanTable would fill right now.
+  virtual Result<IndexPreview> PreviewIndexScan(
+      const std::string& name, const Expr* prune_filter) const = 0;
 
   /// Table statistics for the cost model, assembled from footer metadata
   /// (row counts, zone-map min/max/null counts) without decoding any data
   /// blocks; NDV stays -1 (unknown) since footers carry no sketches.
-  /// Defaulted so stores without statistics need not implement it.
-  virtual Result<TableStats> StorageTableStats(const std::string& name) const {
-    (void)name;
-    return Status::NotImplemented("storage has no table statistics");
-  }
+  virtual Result<TableStats> StorageTableStats(
+      const std::string& name) const = 0;
 
-  /// Lifetime counters for the serving layer's /metrics page.
-  virtual StorageCounters Counters() const { return StorageCounters(); }
+  /// Lifetime counters for the serving layer's /metrics page. Previews do
+  /// not move them; only executing scans do.
+  virtual StorageCounters Counters() const = 0;
 };
 
 }  // namespace mip::engine

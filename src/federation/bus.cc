@@ -1,13 +1,8 @@
 #include "federation/bus.h"
 
 #include "common/stopwatch.h"
-#include "federation/fault.h"
 
 namespace mip::federation {
-
-void MessageBus::set_fault_injector(FaultInjector* injector) {
-  set_fault_hook(injector);
-}
 
 Status MessageBus::RegisterEndpoint(const std::string& node_id,
                                     Handler handler) {

@@ -13,8 +13,6 @@
 
 namespace mip::federation {
 
-class FaultInjector;
-
 /// The federation layer's message and accounting types are the transport
 /// layer's: the same Envelope rides the in-process bus and the TCP
 /// transport (src/net).
@@ -60,8 +58,6 @@ class MessageBus : public net::Transport {
   /// Optional fault-injection hook consulted before every delivery. Not
   /// owned; pass nullptr to detach. Set while no traffic is in flight.
   void set_fault_hook(net::FaultHook* hook) override { injector_ = hook; }
-  /// Legacy spelling kept for the fault-injection suites.
-  void set_fault_injector(FaultInjector* injector);
 
   void MeterCodec(const std::string& from, const std::string& to,
                   uint64_t raw_bytes, uint64_t wire_bytes) override;

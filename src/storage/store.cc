@@ -231,10 +231,7 @@ Status StorageEngine::RecoverLocked() {
 
   // 5. Index any segment the manifest lists without its indexes, so a
   // --data-dir boot comes up fully indexed.
-  if (options_.build_missing_indexes) {
-    MIP_RETURN_NOT_OK(EnsureIndexesLocked());
-  }
-  return Status::OK();
+  return EnsureIndexesLocked();
 }
 
 std::vector<std::string> StorageEngine::IndexedColumns(
@@ -495,49 +492,45 @@ Result<engine::Schema> StorageEngine::StorageTableSchema(
   return it->second.schema;
 }
 
-namespace {
-
-/// Shared per-scan index-probe state: intervals are built once per column
-/// (they depend on the conjuncts and the column type, not the segment).
-struct ProbeContext {
-  std::vector<std::string> columns;  // distinct conjunct columns (lowered)
-  std::map<std::string, KeyInterval> intervals;
-};
-
-ProbeContext MakeProbeContext(const std::vector<PruneConjunct>& conjuncts) {
-  ProbeContext ctx;
-  for (const PruneConjunct& c : conjuncts) {
-    const std::string col = ToLower(c.column);
-    if (std::find(ctx.columns.begin(), ctx.columns.end(), col) ==
-        ctx.columns.end()) {
-      ctx.columns.push_back(col);
-    }
-  }
-  return ctx;
-}
-
-}  // namespace
-
-Result<engine::Table> StorageEngine::ScanLocked(
+StorageEngine::SegmentSelection StorageEngine::SelectSegmentsLocked(
     const TableState& state, const engine::Expr* prune_filter,
-    engine::ScanStats* stats, bool use_index) const {
+    bool use_index) const {
   std::vector<PruneConjunct> conjuncts;
   if (prune_filter != nullptr) {
     conjuncts = ExtractPruneConjuncts(*prune_filter);
   }
-  ProbeContext ctx = MakeProbeContext(conjuncts);
+  // Index path only: the distinct conjunct columns (lowered) to probe, in
+  // first-mention order. A column's key interval depends on the conjuncts
+  // and its type, not the segment, so it is built once on first probe.
+  std::vector<std::string> probe_columns;
+  if (use_index) {
+    for (const PruneConjunct& c : conjuncts) {
+      const std::string col = ToLower(c.column);
+      if (std::find(probe_columns.begin(), probe_columns.end(), col) ==
+          probe_columns.end()) {
+        probe_columns.push_back(col);
+      }
+    }
+  }
+  std::map<std::string, KeyInterval> intervals;
 
-  engine::ScanStats local;
-  local.total = static_cast<int64_t>(state.segments.size());
-
-  // Probes one segment's indexes; returns true when a probe proves the
-  // segment holds zero candidate rows. A probe that fails (corrupt sidecar
-  // discovered at read time) is treated as "no index" — fall back to
-  // decoding the segment, never to wrong results.
-  auto index_proves_empty = [&](const SegmentState& seg) -> bool {
+  SegmentSelection sel;
+  sel.decode.assign(state.segments.size(), false);
+  sel.stats.total = static_cast<int64_t>(state.segments.size());
+  for (size_t s = 0; s < state.segments.size(); ++s) {
+    const SegmentState& seg = state.segments[s];
+    if (!SegmentCanMatch(seg.footer, conjuncts)) {
+      ++sel.stats.pruned;
+      continue;
+    }
+    ++sel.zone_survivors;
+    // Probe the segment's indexes; the smallest candidate count across the
+    // restricted columns bounds the rows the segment can contribute. A probe
+    // that fails (corrupt sidecar discovered at read time) is treated as "no
+    // index" — fall back to decoding the segment, never to wrong results.
     uint64_t min_candidates = 0;
     bool probed = false;
-    for (const std::string& col : ctx.columns) {
+    for (const std::string& col : probe_columns) {
       const IndexState* index = nullptr;
       for (const IndexState& idx : seg.indexes) {
         if (idx.valid && EqualsIgnoreCase(idx.column, col)) {
@@ -546,9 +539,9 @@ Result<engine::Table> StorageEngine::ScanLocked(
         }
       }
       if (index == nullptr) continue;
-      auto iit = ctx.intervals.find(col);
-      if (iit == ctx.intervals.end()) {
-        iit = ctx.intervals
+      auto iit = intervals.find(col);
+      if (iit == intervals.end()) {
+        iit = intervals
                   .emplace(col, BuildKeyInterval(index->footer.type, col,
                                                  conjuncts))
                   .first;
@@ -557,22 +550,33 @@ Result<engine::Table> StorageEngine::ScanLocked(
       if (!interval.restricts && !interval.empty) continue;
       Result<IndexProbe> probe =
           ProbeIndex(IndexPath(index->id), index->footer, interval);
-      ++local.index_probes;
-      ctr_index_probes_.fetch_add(1, std::memory_order_relaxed);
+      ++sel.stats.index_probes;
       if (!probe.ok()) continue;
-      if (probe->candidates > 0) {
-        ctr_index_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (probe->candidates > 0) ++sel.index_hits;
       if (!probed || probe->candidates < min_candidates) {
         min_candidates = probe->candidates;
       }
       probed = true;
       if (min_candidates == 0) break;
     }
-    if (!probed) return false;
-    local.index_rows += static_cast<int64_t>(min_candidates);
-    return min_candidates == 0;
-  };
+    if (probed) {
+      sel.stats.index_rows += static_cast<int64_t>(min_candidates);
+      if (min_candidates == 0) {
+        ++sel.stats.pruned;
+        continue;
+      }
+    }
+    ++sel.stats.scanned;
+    sel.decode[s] = true;
+  }
+  return sel;
+}
+
+Result<engine::Table> StorageEngine::ScanLocked(
+    const TableState& state, const engine::Expr* prune_filter,
+    engine::ScanStats* stats, bool use_index) const {
+  const SegmentSelection sel =
+      SelectSegmentsLocked(state, prune_filter, use_index);
 
   std::vector<engine::Table> parts;
   const std::vector<SegmentState>& segs = state.segments;
@@ -585,18 +589,10 @@ Result<engine::Table> StorageEngine::ScanLocked(
     }
     std::vector<engine::Table> group_parts;
     for (size_t k = i; k < j; ++k) {
-      const SegmentState& seg = segs[k];
-      if (!SegmentCanMatch(seg.footer, conjuncts)) {
-        ++local.pruned;
-        continue;
-      }
-      if (use_index && index_proves_empty(seg)) {
-        ++local.pruned;
-        continue;
-      }
-      ++local.scanned;
+      if (!sel.decode[k]) continue;
       MIP_ASSIGN_OR_RETURN(engine::Table part,
-                           ReadSegmentData(SegmentPath(seg.id), seg.footer));
+                           ReadSegmentData(SegmentPath(segs[k].id),
+                                           segs[k].footer));
       group_parts.push_back(std::move(part));
     }
     if (group != 0 && !group_parts.empty()) {
@@ -615,11 +611,16 @@ Result<engine::Table> StorageEngine::ScanLocked(
   // Filter above the scan re-applies the predicate anyway.
   for (const engine::Table& batch : state.memtable) parts.push_back(batch);
 
-  ctr_segments_scanned_.fetch_add(static_cast<uint64_t>(local.scanned),
+  // Only an executing scan counts toward the lifetime counters; previews
+  // run the same selection without touching them.
+  ctr_segments_scanned_.fetch_add(static_cast<uint64_t>(sel.stats.scanned),
                                   std::memory_order_relaxed);
-  ctr_segments_pruned_.fetch_add(static_cast<uint64_t>(local.pruned),
+  ctr_segments_pruned_.fetch_add(static_cast<uint64_t>(sel.stats.pruned),
                                  std::memory_order_relaxed);
-  if (stats != nullptr) *stats = local;
+  ctr_index_probes_.fetch_add(static_cast<uint64_t>(sel.stats.index_probes),
+                              std::memory_order_relaxed);
+  ctr_index_hits_.fetch_add(sel.index_hits, std::memory_order_relaxed);
+  if (stats != nullptr) *stats = sel.stats;
   if (parts.empty()) return engine::Table::Empty(state.schema);
   return engine::Table::Concat(parts);
 }
@@ -713,20 +714,8 @@ Result<engine::ScanStats> StorageEngine::PrunePreview(
   if (it == tables_.end()) {
     return Status::NotFound("no disk table named '" + name + "'");
   }
-  std::vector<PruneConjunct> conjuncts;
-  if (prune_filter != nullptr) {
-    conjuncts = ExtractPruneConjuncts(*prune_filter);
-  }
-  engine::ScanStats stats;
-  stats.total = static_cast<int64_t>(it->second.segments.size());
-  for (const SegmentState& seg : it->second.segments) {
-    if (SegmentCanMatch(seg.footer, conjuncts)) {
-      ++stats.scanned;
-    } else {
-      ++stats.pruned;
-    }
-  }
-  return stats;
+  return SelectSegmentsLocked(it->second, prune_filter, /*use_index=*/false)
+      .stats;
 }
 
 Result<engine::IndexPreview> StorageEngine::PreviewIndexScan(
@@ -736,67 +725,15 @@ Result<engine::IndexPreview> StorageEngine::PreviewIndexScan(
   if (it == tables_.end()) {
     return Status::NotFound("no disk table named '" + name + "'");
   }
-  std::vector<PruneConjunct> conjuncts;
-  if (prune_filter != nullptr) {
-    conjuncts = ExtractPruneConjuncts(*prune_filter);
-  }
-  ProbeContext ctx = MakeProbeContext(conjuncts);
-
+  const SegmentSelection sel =
+      SelectSegmentsLocked(it->second, prune_filter, /*use_index=*/true);
   engine::IndexPreview preview;
-  preview.stats.total = static_cast<int64_t>(it->second.segments.size());
-  int64_t zone_scanned = 0;  // segments the zone-map-only path would decode
-  for (const SegmentState& seg : it->second.segments) {
-    if (!SegmentCanMatch(seg.footer, conjuncts)) {
-      ++preview.stats.pruned;
-      continue;
-    }
-    ++zone_scanned;
-    uint64_t min_candidates = 0;
-    bool probed = false;
-    for (const std::string& col : ctx.columns) {
-      const IndexState* index = nullptr;
-      for (const IndexState& idx : seg.indexes) {
-        if (idx.valid && EqualsIgnoreCase(idx.column, col)) {
-          index = &idx;
-          break;
-        }
-      }
-      if (index == nullptr) continue;
-      auto iit = ctx.intervals.find(col);
-      if (iit == ctx.intervals.end()) {
-        iit = ctx.intervals
-                  .emplace(col, BuildKeyInterval(index->footer.type, col,
-                                                 conjuncts))
-                  .first;
-      }
-      const KeyInterval& interval = iit->second;
-      if (!interval.restricts && !interval.empty) continue;
-      Result<IndexProbe> probe =
-          ProbeIndex(IndexPath(index->id), index->footer, interval);
-      ++preview.probes;
-      if (!probe.ok()) continue;
-      if (!probed || probe->candidates < min_candidates) {
-        min_candidates = probe->candidates;
-      }
-      probed = true;
-      if (min_candidates == 0) break;
-    }
-    if (probed) {
-      preview.rows += static_cast<int64_t>(min_candidates);
-      if (min_candidates == 0) {
-        ++preview.stats.pruned;
-        continue;
-      }
-    }
-    ++preview.stats.scanned;
-  }
-  preview.stats.index_probes = preview.probes;
-  preview.stats.index_rows = preview.rows;
+  preview.stats = sel.stats;
   // The index path wins when its probes prove segments empty that zone maps
   // alone would decode — fewer segments touched is the whole game here
   // (stream codecs forbid row-level gathers, so decode count IS the cost).
   preview.use_index =
-      preview.probes > 0 && preview.stats.scanned < zone_scanned;
+      sel.stats.index_probes > 0 && sel.stats.scanned < sel.zone_survivors;
   return preview;
 }
 

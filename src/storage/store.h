@@ -34,13 +34,12 @@ struct StorageOptions {
   /// time. When false, only `index_columns` (if any) are indexed.
   bool auto_index = true;
   /// Explicit index columns (case-insensitive), used when !auto_index.
+  /// Open builds any configured index the manifest is missing (e.g.
+  /// segments flushed under a narrower setting); indexes the manifest
+  /// references but whose files fail validation are NOT rebuilt — they stay
+  /// invalid so the scan fallback remains observable until the next
+  /// flush/compaction rewrites them.
   std::vector<std::string> index_columns;
-  /// At Open, build any index the manifest is missing (e.g. segments
-  /// flushed under a narrower auto_index/index_columns setting). Indexes
-  /// the manifest references but whose files fail validation are NOT
-  /// rebuilt — they stay invalid so the scan fallback remains observable
-  /// until the next flush/compaction rewrites them.
-  bool build_missing_indexes = true;
 
   /// Compaction clustering key: the column compacted segments are re-sorted
   /// by (sharpens zone maps / index block ranges). Empty = each table's
@@ -79,11 +78,16 @@ struct StorageOptions {
 /// live WAL (truncating a torn tail), then build any indexes the manifest
 /// never had (old-format directories gain indexes on boot).
 ///
-/// Read path: ScanTable prunes with zone maps only; IndexScanTable
-/// additionally probes each surviving segment's ordered indexes and skips
-/// segments a probe proves empty. Both restore the original row order of
-/// compacted groups (see compaction.h), so results are byte-identical to
-/// each other and to the never-compacted store.
+/// Read path: one private routine, SelectSegmentsLocked, decides which
+/// segments a read under a pruning hint decodes — zone maps first, then
+/// (index path only) a probe of each surviving segment's ordered indexes,
+/// skipping segments a probe proves empty — and returns that choice with
+/// its ScanStats. ScanTable and IndexScanTable execute it (the zone and
+/// index paths); PrunePreview and PreviewIndexScan return its stats for
+/// the optimizer, so a preview always equals the scan it predicts. Only an
+/// executing scan bumps the lifetime counters. Both scans restore the
+/// original row order of compacted groups (see compaction.h), so results
+/// are byte-identical to each other and to the never-compacted store.
 ///
 /// Thread-safe: scans take a shared lock for their entire read (segment
 /// and index files are immutable; visibility flows through the in-memory
@@ -199,8 +203,22 @@ class StorageEngine : public engine::TableStorage {
   /// Builds indexes missing from the manifest (boot path for pre-index
   /// data directories); commits one manifest if anything was built.
   Status EnsureIndexesLocked();
-  /// Shared scan body: zone-map pruning, optionally index probes, group
-  /// order restoration. Caller holds the shared lock.
+  /// Which of a table's segments a read under `prune_filter` decodes, and
+  /// the ScanStats that choice produces.
+  struct SegmentSelection {
+    std::vector<bool> decode;  ///< parallel to TableState::segments
+    engine::ScanStats stats;
+    int64_t zone_survivors = 0;  ///< segments zone maps alone keep
+    uint64_t index_hits = 0;     ///< probes that found candidate rows
+  };
+  /// The one access-path decision (see "Read path" above): zone maps, then
+  /// with `use_index` the ordered-index probes. Touches no counter. Caller
+  /// holds the shared lock.
+  SegmentSelection SelectSegmentsLocked(const TableState& state,
+                                        const engine::Expr* prune_filter,
+                                        bool use_index) const;
+  /// Shared scan body: decodes the selected segments, restores group
+  /// order, bumps the counters. Caller holds the shared lock.
   Result<engine::Table> ScanLocked(const TableState& state,
                                    const engine::Expr* prune_filter,
                                    engine::ScanStats* stats,

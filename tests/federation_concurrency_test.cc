@@ -96,7 +96,7 @@ class ConcurrencyFixture : public ::testing::Test {
 TEST_F(ConcurrencyFixture, ConcurrentAggregateIsByteIdenticalToSequential) {
   FaultInjector injector(/*seed=*/42);
   InjectRandomDelays(&injector);
-  master_.bus().set_fault_injector(&injector);
+  master_.bus().set_fault_hook(&injector);
 
   FederationSession seq = *master_.StartSession({"numbers"});
   seq.set_fanout_policy(Sequential());
@@ -113,13 +113,13 @@ TEST_F(ConcurrencyFixture, ConcurrentAggregateIsByteIdenticalToSequential) {
   for (int w = 0; w < kWorkers; ++w) expected += 3 * (w * 10) + 6;
   EXPECT_EQ(*conc_agg.GetScalar("sum"), expected);
   EXPECT_EQ(*conc_agg.GetScalar("n"), 3.0 * kWorkers);
-  master_.bus().set_fault_injector(nullptr);
+  master_.bus().set_fault_hook(nullptr);
 }
 
 TEST_F(ConcurrencyFixture, ConcurrentPerWorkerResultsPreserveWorkerOrder) {
   FaultInjector injector(/*seed=*/7);
   InjectRandomDelays(&injector);
-  master_.bus().set_fault_injector(&injector);
+  master_.bus().set_fault_hook(&injector);
 
   FederationSession seq = *master_.StartSession({"numbers"});
   seq.set_fanout_policy(Sequential());
@@ -136,13 +136,13 @@ TEST_F(ConcurrencyFixture, ConcurrentPerWorkerResultsPreserveWorkerOrder) {
               SerializeTransfer(conc_parts[i]))
         << "worker slot " << i;
   }
-  master_.bus().set_fault_injector(nullptr);
+  master_.bus().set_fault_hook(nullptr);
 }
 
 TEST_F(ConcurrencyFixture, SecureAggregateMatchesSequentialUnderDelays) {
   FaultInjector injector(/*seed=*/11);
   InjectRandomDelays(&injector);
-  master_.bus().set_fault_injector(&injector);
+  master_.bus().set_fault_hook(&injector);
 
   FederationSession seq = *master_.StartSession({"numbers"});
   seq.set_fanout_policy(Sequential());
@@ -156,13 +156,13 @@ TEST_F(ConcurrencyFixture, SecureAggregateMatchesSequentialUnderDelays) {
   // Fixed-point modular sums are order-independent, so even the secure
   // path is byte-identical between dispatch modes.
   EXPECT_EQ(SerializeTransfer(seq_agg), SerializeTransfer(conc_agg));
-  master_.bus().set_fault_injector(nullptr);
+  master_.bus().set_fault_hook(nullptr);
 }
 
 TEST_F(ConcurrencyFixture, TrafficLogContainsEveryEnvelopeExactlyOnce) {
   FaultInjector injector(/*seed=*/3);
   InjectRandomDelays(&injector);
-  master_.bus().set_fault_injector(&injector);
+  master_.bus().set_fault_hook(&injector);
   master_.bus().set_keep_log(true);
   master_.bus().ClearLog();
 
@@ -182,7 +182,7 @@ TEST_F(ConcurrencyFixture, TrafficLogContainsEveryEnvelopeExactlyOnce) {
     EXPECT_EQ(count, 1) << "worker " << wid;
   }
   master_.bus().set_keep_log(false);
-  master_.bus().set_fault_injector(nullptr);
+  master_.bus().set_fault_hook(nullptr);
 }
 
 // Property: total NetworkStats under concurrent dispatch equal the sum of
@@ -230,7 +230,7 @@ TEST_F(ConcurrencyFixture, FaultInjectionIsDeterministicAcrossRuns) {
     for (int w = 0; w < kWorkers; ++w) {
       injector.SetLinkFault("master", "h" + std::to_string(w), spec);
     }
-    master_.bus().set_fault_injector(&injector);
+    master_.bus().set_fault_hook(&injector);
     FederationSession session = *master_.StartSession({"numbers"});
     FanoutPolicy policy;
     policy.max_attempts = 4;
@@ -238,7 +238,7 @@ TEST_F(ConcurrencyFixture, FaultInjectionIsDeterministicAcrossRuns) {
     policy.min_workers = 1;
     session.set_fanout_policy(policy);
     (void)session.LocalRun("sum_x", TransferData());
-    master_.bus().set_fault_injector(nullptr);
+    master_.bus().set_fault_hook(nullptr);
     std::vector<int> attempts;
     for (const WorkerRunReport& r : session.last_reports()) {
       attempts.push_back(r.attempts);

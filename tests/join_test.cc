@@ -272,7 +272,7 @@ class DistributedJoinTest : public ::testing::Test {
 
 TEST_F(DistributedJoinTest, StrategiesAreByteIdenticalAtAnyThreadCount) {
   Database& db = master_.local_db();
-  db.set_force_join_strategy(-1);
+  db.optimizer_options().force_join_strategy = -1;
   db.set_optimizer_enabled(false);
   Result<Table> reference = db.ExecuteSql(join_sql_);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
@@ -289,7 +289,7 @@ TEST_F(DistributedJoinTest, StrategiesAreByteIdenticalAtAnyThreadCount) {
     db.set_exec_context(ctx);
     // kCollect=0, kBroadcast=1, -1 = let the cost model pick.
     for (const int force : {-1, 0, 1}) {
-      db.set_force_join_strategy(force);
+      db.optimizer_options().force_join_strategy = force;
       Result<Table> got = db.ExecuteSql(join_sql_);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(Bytes(*got), Bytes(*reference))
@@ -298,7 +298,7 @@ TEST_F(DistributedJoinTest, StrategiesAreByteIdenticalAtAnyThreadCount) {
     }
   }
   db.set_exec_context(nullptr);
-  db.set_force_join_strategy(-1);
+  db.optimizer_options().force_join_strategy = -1;
 }
 
 TEST_F(DistributedJoinTest, BroadcastShipsFewerBytesThanCollect) {
@@ -306,16 +306,18 @@ TEST_F(DistributedJoinTest, BroadcastShipsFewerBytesThanCollect) {
   // Warm the schema/stats caches so the measured runs carry only data.
   ASSERT_TRUE(db.ExecuteSql(join_sql_).ok());
 
-  db.set_force_join_strategy(0);  // collect: fetch all 900 visit rows
+  // collect: fetch all 900 visit rows
+  db.optimizer_options().force_join_strategy = 0;
   master_.bus().ResetStats();
   ASSERT_TRUE(db.ExecuteSql(join_sql_).ok());
   const uint64_t collect_bytes = master_.bus().stats().bytes;
 
-  db.set_force_join_strategy(1);  // broadcast: ship 7 cohort rows out
+  // broadcast: ship 7 cohort rows out
+  db.optimizer_options().force_join_strategy = 1;
   master_.bus().ResetStats();
   ASSERT_TRUE(db.ExecuteSql(join_sql_).ok());
   const uint64_t broadcast_bytes = master_.bus().stats().bytes;
-  db.set_force_join_strategy(-1);
+  db.optimizer_options().force_join_strategy = -1;
 
   // ~35 joined rows come back instead of 900 shard rows; the win must be
   // large, not marginal.
@@ -325,8 +327,8 @@ TEST_F(DistributedJoinTest, BroadcastShipsFewerBytesThanCollect) {
 
 TEST_F(DistributedJoinTest, CostModelPicksBroadcastForSmallBuildSide) {
   Database& db = master_.local_db();
-  db.set_force_join_strategy(-1);
-  db.set_cost_model(true);
+  db.optimizer_options().force_join_strategy = -1;
+  db.optimizer_options().cost_model = true;
   Result<Table> explain = db.ExecuteSql("EXPLAIN " + join_sql_);
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   std::string text;
@@ -342,7 +344,7 @@ TEST_F(DistributedJoinTest, CostModelPicksBroadcastForSmallBuildSide) {
   // The ablation: with the model off the plan keeps the collect default and
   // renders no costs, yet the fingerprint (canonical rendering) is shared —
   // covered by plan_test's fingerprint stability test.
-  db.set_cost_model(false);
+  db.optimizer_options().cost_model = false;
   Result<Table> off = db.ExecuteSql("EXPLAIN " + join_sql_);
   ASSERT_TRUE(off.ok());
   std::string off_text;
@@ -353,7 +355,7 @@ TEST_F(DistributedJoinTest, CostModelPicksBroadcastForSmallBuildSide) {
   EXPECT_EQ(off_text.find("strategy=broadcast"), std::string::npos)
       << off_text;
   EXPECT_EQ(off_text.find("cost:"), std::string::npos) << off_text;
-  db.set_cost_model(true);
+  db.optimizer_options().cost_model = true;
 }
 
 TEST_F(DistributedJoinTest, RemoteStatsRoundTripAndCaching) {
@@ -385,7 +387,7 @@ TEST_F(DistributedJoinTest, RemoteStatsRoundTripAndCaching) {
 
 TEST_F(DistributedJoinTest, JoinCountersSurfaceInGatewayMetrics) {
   Database& db = master_.local_db();
-  db.set_force_join_strategy(-1);
+  db.optimizer_options().force_join_strategy = -1;
   ASSERT_TRUE(db.ExecuteSql(join_sql_).ok());
   federation::Gateway gateway(&db, federation::GatewayOptions{});
   const std::string metrics = gateway.MetricsText();
@@ -438,7 +440,7 @@ TEST(DistributedJoinTcpTest, StrategiesMatchBusResultsOverTcp) {
   setup_master(&bus_master);
   std::vector<std::vector<uint8_t>> bus_bytes;
   for (const int force : {0, 1}) {
-    bus_master.local_db().set_force_join_strategy(force);
+    bus_master.local_db().optimizer_options().force_join_strategy = force;
     Result<Table> got = bus_master.local_db().ExecuteSql(sql);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_GT(got->num_rows(), 0u);
@@ -461,7 +463,8 @@ TEST(DistributedJoinTcpTest, StrategiesMatchBusResultsOverTcp) {
   ASSERT_TRUE(tcp_master.CreateFederatedView("visits").ok());
   setup_master(&tcp_master);
   for (size_t i = 0; i < 2; ++i) {
-    tcp_master.local_db().set_force_join_strategy(static_cast<int>(i));
+    tcp_master.local_db().optimizer_options().force_join_strategy =
+        static_cast<int>(i);
     Result<Table> got = tcp_master.local_db().ExecuteSql(sql);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(Bytes(*got), bus_bytes[i]) << "force=" << i;

@@ -131,8 +131,8 @@ TEST_F(PlanTest, JoinFingerprintStableAcrossCostModelAndStrategy) {
   const std::string sql =
       "SELECT g, x, label FROM p1 JOIN dim ON p1.k = dim.k WHERE x > 0";
   auto fingerprint = [&](int force, bool cost_model) {
-    db_.set_cost_model(cost_model);
-    db_.set_force_join_strategy(force);
+    db_.optimizer_options().cost_model = cost_model;
+    db_.optimizer_options().force_join_strategy = force;
     Result<PlanPtr> plan = db_.TryPlanSelectSql(sql);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     return plan.ok() ? PlanFingerprint(**plan) : 0;
@@ -143,8 +143,8 @@ TEST_F(PlanTest, JoinFingerprintStableAcrossCostModelAndStrategy) {
             fingerprint(static_cast<int>(JoinStrategy::kBroadcast), true));
   EXPECT_EQ(base,
             fingerprint(static_cast<int>(JoinStrategy::kCollect), true));
-  db_.set_force_join_strategy(-1);
-  db_.set_cost_model(true);
+  db_.optimizer_options().force_join_strategy = -1;
+  db_.optimizer_options().cost_model = true;
 }
 
 TEST_F(PlanTest, GoldenProjectionPruningAndEarlySort) {
@@ -192,7 +192,7 @@ TEST_F(PlanTest, CountDistinctOverMergeBypassesDecomposition) {
   // Regression for the latent null-expression bug in the legacy pushdown's
   // final projection: COUNT(DISTINCT) must bypass the merge-aggregate rule
   // entirely (it does not decompose), with pushdown left enabled.
-  ASSERT_TRUE(db_.aggregate_pushdown());
+  ASSERT_TRUE(db_.optimizer_options().merge_aggregate_pushdown);
   EXPECT_EQ(ExplainText(&db_, "SELECT count(distinct g) AS kinds FROM m"),
             "Project __agg0 AS kinds\n"
             "  Aggregate aggs=[count(distinct g) AS __agg0]\n"
@@ -224,7 +224,7 @@ TEST_F(PlanTest, OptimizerParityOverGeneratedCorpus) {
   // optimized plan must produce byte-identical tables. The merge-aggregate
   // rule is excluded here (it reassociates float sums; pushdown_test pins
   // its near-equality) by disabling aggregate pushdown for the corpus.
-  db_.set_aggregate_pushdown(false);
+  db_.optimizer_options().merge_aggregate_pushdown = false;
 
   std::vector<std::string> corpus;
   const std::vector<std::string> sources = {"m", "p1"};

@@ -35,13 +35,13 @@ class PushdownTest : public ::testing::Test {
 
   // Runs the query with pushdown on and off and asserts identical results.
   void ExpectSame(const std::string& sql) {
-    db_.set_aggregate_pushdown(true);
+    db_.optimizer_options().merge_aggregate_pushdown = true;
     Result<Table> pushed = db_.ExecuteSql(sql);
     ASSERT_TRUE(pushed.ok()) << sql << ": " << pushed.status().ToString();
-    db_.set_aggregate_pushdown(false);
+    db_.optimizer_options().merge_aggregate_pushdown = false;
     Result<Table> pulled = db_.ExecuteSql(sql);
     ASSERT_TRUE(pulled.ok()) << sql;
-    db_.set_aggregate_pushdown(true);
+    db_.optimizer_options().merge_aggregate_pushdown = true;
 
     const Table& a = pushed.ValueOrDie();
     const Table& b = pulled.ValueOrDie();
@@ -119,7 +119,7 @@ TEST_F(PushdownTest, NestedMergeTables) {
   // A merge of merges: pushdown recurses through the inner view.
   ASSERT_TRUE(db_.ExecuteSql("CREATE MERGE TABLE m12 (p1, p2)").ok());
   ASSERT_TRUE(db_.ExecuteSql("CREATE MERGE TABLE outer_m (m12, p3)").ok());
-  db_.set_aggregate_pushdown(true);
+  db_.optimizer_options().merge_aggregate_pushdown = true;
   Table nested = *db_.ExecuteSql("SELECT count(*) AS n, sum(x) AS s "
                                  "FROM outer_m");
   Table direct = *db_.ExecuteSql("SELECT count(*) AS n, sum(x) AS s FROM m");
@@ -144,12 +144,12 @@ TEST(PushdownFederationTest, PushdownShrinksBusTraffic) {
   const std::string sql =
       "SELECT count(*) AS n, sum(x) AS s FROM " + view;
 
-  master.local_db().set_aggregate_pushdown(false);
+  master.local_db().optimizer_options().merge_aggregate_pushdown = false;
   master.bus().ResetStats();
   Table pulled = *master.local_db().ExecuteSql(sql);
   const uint64_t pull_bytes = master.bus().stats().bytes;
 
-  master.local_db().set_aggregate_pushdown(true);
+  master.local_db().optimizer_options().merge_aggregate_pushdown = true;
   master.bus().ResetStats();
   Table pushed = *master.local_db().ExecuteSql(sql);
   const uint64_t push_bytes = master.bus().stats().bytes;

@@ -211,7 +211,7 @@ TEST(FaultInjectionTest, WorkerFailingTwiceIsRetriedAndIncluded) {
   federation::FaultSpec flaky;
   flaky.fail_first_n = 2;  // down twice, then recovers
   injector.SetEndpointFault("w1", flaky);
-  master.bus().set_fault_injector(&injector);
+  master.bus().set_fault_hook(&injector);
 
   federation::FederationSession session = *master.StartSession({"d"});
   federation::FanoutPolicy policy;
@@ -229,7 +229,7 @@ TEST(FaultInjectionTest, WorkerFailingTwiceIsRetriedAndIncluded) {
     EXPECT_TRUE(r.status.ok());
     EXPECT_EQ(r.attempts, r.worker_id == "w1" ? 3 : 1);
   }
-  master.bus().set_fault_injector(nullptr);
+  master.bus().set_fault_hook(nullptr);
 }
 
 TEST(FaultInjectionTest, PersistentlyFailingWorkerIsExcludedOnceQuorumMet) {
@@ -239,7 +239,7 @@ TEST(FaultInjectionTest, PersistentlyFailingWorkerIsExcludedOnceQuorumMet) {
   federation::FaultSpec dead;
   dead.fail_first_n = 1 << 20;  // never recovers
   injector.SetEndpointFault("w2", dead);
-  master.bus().set_fault_injector(&injector);
+  master.bus().set_fault_hook(&injector);
 
   federation::FederationSession session = *master.StartSession({"d"});
   federation::FanoutPolicy policy;
@@ -266,7 +266,7 @@ TEST(FaultInjectionTest, PersistentlyFailingWorkerIsExcludedOnceQuorumMet) {
       federation::AggregationMode::kPlain);
   EXPECT_EQ(*again.GetScalar("sum"), 3.0);
   EXPECT_EQ(injector.DeliveriesOn("*->w2"), deliveries_before);
-  master.bus().set_fault_injector(nullptr);
+  master.bus().set_fault_hook(nullptr);
 }
 
 TEST(FaultInjectionTest, BelowQuorumSessionReturnsCleanErrorNotPartial) {
@@ -277,7 +277,7 @@ TEST(FaultInjectionTest, BelowQuorumSessionReturnsCleanErrorNotPartial) {
   dead.fail_first_n = 1 << 20;
   injector.SetEndpointFault("w1", dead);
   injector.SetEndpointFault("w2", dead);
-  master.bus().set_fault_injector(&injector);
+  master.bus().set_fault_hook(&injector);
 
   federation::FederationSession session = *master.StartSession({"d"});
   federation::FanoutPolicy policy;
@@ -296,7 +296,7 @@ TEST(FaultInjectionTest, BelowQuorumSessionReturnsCleanErrorNotPartial) {
   // once the sites recover.
   EXPECT_TRUE(session.excluded_workers().empty());
   EXPECT_EQ(session.active_workers().size(), 3u);
-  master.bus().set_fault_injector(nullptr);
+  master.bus().set_fault_hook(nullptr);
 }
 
 TEST(FaultInjectionTest, StrictModeStillFailsFastWithoutQuorum) {
@@ -306,7 +306,7 @@ TEST(FaultInjectionTest, StrictModeStillFailsFastWithoutQuorum) {
   federation::FaultSpec dead;
   dead.fail_first_n = 1 << 20;
   injector.SetEndpointFault("w1", dead);
-  master.bus().set_fault_injector(&injector);
+  master.bus().set_fault_hook(&injector);
 
   // Default policy: min_workers = 0 -> every worker required.
   federation::FederationSession session = *master.StartSession({"d"});
@@ -314,7 +314,7 @@ TEST(FaultInjectionTest, StrictModeStillFailsFastWithoutQuorum) {
       session.LocalRun("sum_x", federation::TransferData());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-  master.bus().set_fault_injector(nullptr);
+  master.bus().set_fault_hook(nullptr);
 }
 
 TEST(FaultInjectionTest, SlowWorkerTimesOutAndIsExcludedUnderQuorum) {
@@ -327,7 +327,7 @@ TEST(FaultInjectionTest, SlowWorkerTimesOutAndIsExcludedUnderQuorum) {
   // have the full 50ms before a spurious timeout would break quorum.
   slow.delay_ms = 250.0;
   injector.SetEndpointFault("w0", slow);
-  master.bus().set_fault_injector(&injector);
+  master.bus().set_fault_hook(&injector);
 
   federation::FederationSession session = *master.StartSession({"d"});
   federation::FanoutPolicy policy;
@@ -343,7 +343,7 @@ TEST(FaultInjectionTest, SlowWorkerTimesOutAndIsExcludedUnderQuorum) {
   EXPECT_EQ(*agg.GetScalar("sum"), 5.0);  // 2 + 3; w0 timed out
   ASSERT_EQ(session.excluded_workers().size(), 1u);
   EXPECT_EQ(session.excluded_workers()[0], "w0");
-  master.bus().set_fault_injector(nullptr);
+  master.bus().set_fault_hook(nullptr);
 }
 
 // --- Serving layer: slow-loris defense -------------------------------------

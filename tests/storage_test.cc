@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "engine/encoding.h"
 #include "engine/exec_context.h"
 #include "engine/expr.h"
+#include "engine/sql_parser.h"
 #include "engine/table.h"
 #include "net/frame.h"
 #include "storage/compaction.h"
@@ -1437,23 +1439,26 @@ TEST(IndexScanDatabaseTest, ExplainShowsIndexScanWithProbeCounts) {
   EXPECT_NE(plan.find("segments:"), std::string::npos) << plan;
 
   // Ablation: with the rule off the same query renders a plain zone Scan.
-  fx.db->set_index_scan(false);
+  fx.db->optimizer_options().index_scan = false;
   const std::string zoned = ExplainText(fx.db.get(), sql);
   EXPECT_EQ(zoned.find("IndexScan"), std::string::npos) << zoned;
-  fx.db->set_index_scan(true);
+  fx.db->optimizer_options().index_scan = true;
 
   // An unselective predicate must NOT flip: the index cannot beat zone maps
   // when every segment holds candidates.
   const std::string wide =
       ExplainText(fx.db.get(), "SELECT key FROM t WHERE key >= 0");
   EXPECT_EQ(wide.find("IndexScan"), std::string::npos) << wide;
+}
 
-  // MIP_INDEX_SCAN=0 flips the constructor default (the bench ablation).
-  ::setenv("MIP_INDEX_SCAN", "0", 1);
-  Database ablated("ablated");
-  EXPECT_FALSE(ablated.index_scan());
-  ::unsetenv("MIP_INDEX_SCAN");
-  EXPECT_TRUE(Database("fresh").index_scan());
+void ExpectSameScanStats(const engine::ScanStats& got,
+                         const engine::ScanStats& want,
+                         const std::string& context) {
+  EXPECT_EQ(got.total, want.total) << context;
+  EXPECT_EQ(got.scanned, want.scanned) << context;
+  EXPECT_EQ(got.pruned, want.pruned) << context;
+  EXPECT_EQ(got.index_probes, want.index_probes) << context;
+  EXPECT_EQ(got.index_rows, want.index_rows) << context;
 }
 
 TEST(IndexScanDatabaseTest, IndexVsScanByteParityAcrossCorpusAndThreads) {
@@ -1485,13 +1490,29 @@ TEST(IndexScanDatabaseTest, IndexVsScanByteParityAcrossCorpusAndThreads) {
   ThreadPool pool(8);
   engine::ExecContext parallel{&pool, 64};  // tiny morsels: force fan-out
   for (const std::string& pred : predicates) {
+    // The previews the optimizer plans from must equal the scans they
+    // predict, segment for segment and probe for probe.
+    auto parsed = engine::ParseSql("SELECT * FROM t WHERE " + pred);
+    ASSERT_TRUE(parsed.ok()) << pred;
+    const engine::Expr* hint =
+        std::get<engine::SelectStmt>(parsed.ValueOrDie()).where.get();
+    engine::ScanStats zone_scan, index_scan;
+    ASSERT_TRUE(fx.store->ScanTable("t", hint, &zone_scan).ok()) << pred;
+    ASSERT_TRUE(fx.store->IndexScanTable("t", hint, &index_scan).ok()) << pred;
+    auto zone_preview = fx.store->PrunePreview("t", hint);
+    auto index_preview = fx.store->PreviewIndexScan("t", hint);
+    ASSERT_TRUE(zone_preview.ok()) << pred;
+    ASSERT_TRUE(index_preview.ok()) << pred;
+    ExpectSameScanStats(zone_preview.ValueOrDie(), zone_scan, pred);
+    ExpectSameScanStats(index_preview.ValueOrDie().stats, index_scan, pred);
+
     for (const std::string sql :
          {"SELECT key, val, grp FROM t WHERE " + pred,
           "SELECT count(*) AS n, sum(val) AS s FROM t WHERE " + pred}) {
       auto want = mem.ExecuteSql(sql);
       ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
       for (const bool use_index : {true, false}) {
-        fx.db->set_index_scan(use_index);
+        fx.db->optimizer_options().index_scan = use_index;
         for (const bool use_pool : {false, true}) {
           fx.db->set_exec_context(use_pool ? &parallel
                                            : &engine::ExecContext::Serial());
@@ -1520,11 +1541,11 @@ TEST(IndexScanDatabaseTest, FingerprintIgnoresAccessPathAndCompaction) {
   // Same query with the access-path rule off: physically different plan
   // (Scan vs IndexScan), same fingerprint — flips between the two paths
   // must not shatter the gateway's result cache.
-  fx.db->set_index_scan(false);
+  fx.db->optimizer_options().index_scan = false;
   auto plan_zoned = fx.db->TryPlanSelectSql(sql);
   ASSERT_TRUE(plan_zoned.ok());
   EXPECT_EQ(engine::PlanFingerprint(*plan_zoned.ValueOrDie()), fp_indexed);
-  fx.db->set_index_scan(true);
+  fx.db->optimizer_options().index_scan = true;
 
   // Compaction reshapes segments (and thus probe/prune annotations) but the
   // canonical fingerprint — and the catalog version — stay put.
@@ -1567,9 +1588,14 @@ TEST(StorageCountersTest, CountersTrackFlushScanProbeCompactReplay) {
       engine::Eq(engine::Col("key"), engine::LitInt(123456));
   auto preview = store->PreviewIndexScan("t", filter.get());
   ASSERT_TRUE(preview.ok()) << preview.status().ToString();
-  EXPECT_EQ(preview.ValueOrDie().probes, 5u);
+  EXPECT_EQ(preview.ValueOrDie().stats.index_probes, 5);
+  auto zone_preview = store->PrunePreview("t", filter.get());
+  ASSERT_TRUE(zone_preview.ok()) << zone_preview.status().ToString();
+  EXPECT_EQ(zone_preview.ValueOrDie().total, 5);
   EXPECT_EQ(store->Counters().index_probes, 0u);
+  EXPECT_EQ(store->Counters().index_hits, 0u);
   EXPECT_EQ(store->Counters().segments_scanned, 0u);
+  EXPECT_EQ(store->Counters().segments_pruned, 0u);
 
   // Executing the index path bumps probes; decoded/skipped segments split
   // between scanned and pruned.
