@@ -15,31 +15,39 @@ cmake -B "$ROOT/build" -S "$ROOT"
 cmake --build "$ROOT/build" -j "$JOBS"
 ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
 
+# Each sanitizer job builds and runs one suite list: the ctest label regex
+# (label = binary name) is built from the same array as the build targets,
+# so a suite cannot be built without being run.
+suite_regex() { local IFS='|'; echo "^($*)\$"; }
+
 echo "== TSan: federation concurrency + robustness + net + engine morsels =="
+TSAN_SUITES=(federation_concurrency_test robustness_test federation_test
+             net_transport_test engine_parallel_test encoding_test
+             serving_test result_cache_test storage_test join_test
+             smpc_test smpc_property_test)
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DMIP_SANITIZE=thread
-cmake --build "$ROOT/build-tsan" -j "$JOBS" \
-  --target federation_concurrency_test robustness_test federation_test \
-           net_transport_test engine_parallel_test encoding_test \
-           serving_test result_cache_test storage_test join_test \
-           smpc_test smpc_property_test
-# TSAN_OPTIONS makes any reported race fail the job. Suites are selected by
-# label (= binary name); --no-tests=error guards against a silent no-op.
+cmake --build "$ROOT/build-tsan" -j "$JOBS" --target "${TSAN_SUITES[@]}"
+# TSAN_OPTIONS makes any reported race fail the job; --no-tests=error guards
+# against a silent no-op.
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$ROOT/build-tsan" \
   --output-on-failure -j "$JOBS" --no-tests=error \
-  -L '^(federation_concurrency_test|robustness_test|federation_test|net_transport_test|engine_parallel_test|encoding_test|serving_test|result_cache_test|storage_test|join_test|smpc_test|smpc_property_test)$'
+  -L "$(suite_regex "${TSAN_SUITES[@]}")"
 
 echo "== ASan+UBSan: net framing / deserialization / codec hardening =="
 # pushdown_test and federation_test drive the engine's RemoteSite calls
 # master -> bus -> worker, so every request kind runs under ASan too.
+# net_process_test spawns the mip_worker daemon, which is built beside the
+# suites but is not a suite itself.
+ASAN_SUITES=(net_transport_test net_process_test robustness_test
+             encoding_test plan_test serving_test result_cache_test
+             storage_test join_test smpc_test smpc_property_test
+             pushdown_test federation_test)
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DMIP_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target net_transport_test net_process_test robustness_test \
-           encoding_test plan_test serving_test result_cache_test \
-           storage_test join_test smpc_test smpc_property_test \
-           pushdown_test federation_test mip_worker
+  --target "${ASAN_SUITES[@]}" mip_worker
 ASAN_OPTIONS="halt_on_error=1" ctest --test-dir "$ROOT/build-asan" \
   --output-on-failure -j "$JOBS" --no-tests=error \
-  -L '^(net_transport_test|net_process_test|robustness_test|encoding_test|plan_test|serving_test|result_cache_test|storage_test|join_test|smpc_test|smpc_property_test|pushdown_test|federation_test)$'
+  -L "$(suite_regex "${ASAN_SUITES[@]}")"
 
 echo "== perfbench self-test: tracing decorators are pass-through =="
 # perfbench builds its own Release tree (.bench_build/) against ../src. Its

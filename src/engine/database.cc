@@ -1,17 +1,65 @@
 #include "engine/database.h"
 
 #include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "common/string_util.h"
 #include "engine/sql_parser.h"
+#include "engine/stats.h"
 
 namespace mip::engine {
+
+namespace {
+
+/// A Database's catalog plus one read-only table under `name`, visible to a
+/// single statement (Database::ExecuteBoundSelect). Every other name
+/// delegates to the database. Lives on the caller's stack for one
+/// statement, so its lazily computed stats need no lock.
+class BoundTableCatalog : public PlanCatalog {
+ public:
+  BoundTableCatalog(const Database& db, const std::string& name,
+                    const Table& table)
+      : db_(db), key_(ToLower(name)), table_(table) {}
+
+  bool Binds(const std::string& name) const { return ToLower(name) == key_; }
+
+  Result<Table> GetTable(const std::string& name) const {
+    if (Binds(name)) return table_;
+    return db_.GetTable(name);
+  }
+
+  Result<TableInfo> Describe(const std::string& name) const override {
+    if (Binds(name)) return TableInfo{};  // a base table
+    return db_.Describe(name);
+  }
+  Result<Schema> TableSchema(const std::string& name) const override {
+    if (Binds(name)) return table_.schema();
+    return db_.TableSchema(name);
+  }
+  Result<TableStats> GetTableStats(const std::string& name) const override {
+    if (!Binds(name)) return db_.GetTableStats(name);
+    if (!stats_.has_value()) stats_ = ComputeTableStats(table_);
+    return *stats_;
+  }
+  Result<Table> RunTableFunction(
+      const std::string& name, const std::vector<Value>& args) const override {
+    return db_.RunTableFunction(name, args);
+  }
+
+ private:
+  const Database& db_;
+  std::string key_;
+  const Table& table_;
+  mutable std::optional<TableStats> stats_;
+};
+
+}  // namespace
 
 Database::Database(std::string name)
     : name_(std::move(name)),
       join_counters_(std::make_unique<JoinCounters>()),
-      stats_mu_(std::make_unique<std::mutex>()) {
+      cache_mu_(std::make_unique<std::mutex>()) {
   const char* env = std::getenv("MIP_OPTIMIZER");
   if (env != nullptr && std::string(env) == "0") optimizer_enabled_ = false;
   const char* cost_env = std::getenv("MIP_COST_MODEL");
@@ -85,9 +133,9 @@ Status Database::PutTable(const std::string& table_name, Table table) {
   e.kind = Entry::Kind::kBase;
   e.table = std::move(table);
   tables_[key] = std::move(e);
-  remote_schema_cache_.erase(key);
   {
-    std::lock_guard<std::mutex> lock(*stats_mu_);
+    std::lock_guard<std::mutex> lock(*cache_mu_);
+    remote_schema_cache_.erase(key);
     stats_cache_.erase(key);
   }
   ++catalog_version_;
@@ -107,9 +155,9 @@ Status Database::DropTable(const std::string& table_name) {
                                    table_name + "'");
   }
   tables_.erase(it);
-  remote_schema_cache_.erase(key);
   {
-    std::lock_guard<std::mutex> lock(*stats_mu_);
+    std::lock_guard<std::mutex> lock(*cache_mu_);
+    remote_schema_cache_.erase(key);
     stats_cache_.erase(key);
   }
   ++catalog_version_;
@@ -181,14 +229,18 @@ Result<Schema> Database::GetSchema(const std::string& table_name) const {
   }
   if (e.kind == Entry::Kind::kRemote) {
     const std::string key = ToLower(table_name);
-    auto cached = remote_schema_cache_.find(key);
-    if (cached != remote_schema_cache_.end()) return cached->second;
+    {
+      std::lock_guard<std::mutex> lock(*cache_mu_);
+      auto cached = remote_schema_cache_.find(key);
+      if (cached != remote_schema_cache_.end()) return cached->second;
+    }
     RemoteRequest request;
     request.kind = RemoteKind::kGetSchema;
     request.table_name = e.remote_name;
     MIP_ASSIGN_OR_RETURN(Table probe,
                          CallRemoteSite(remote_site_, e.location, request,
                                         table_name, name_));
+    std::lock_guard<std::mutex> lock(*cache_mu_);
     remote_schema_cache_.emplace(key, probe.schema());
     return probe.schema();
   }
@@ -234,7 +286,7 @@ Result<TableStats> Database::GetTableStats(
                             name_);
   }
   {
-    std::lock_guard<std::mutex> lock(*stats_mu_);
+    std::lock_guard<std::mutex> lock(*cache_mu_);
     auto cached = stats_cache_.find(key);
     if (cached != stats_cache_.end() &&
         cached->second.first == catalog_version_) {
@@ -277,7 +329,7 @@ Result<TableStats> Database::GetTableStats(
   }();
   MIP_RETURN_NOT_OK(stats.status());
   {
-    std::lock_guard<std::mutex> lock(*stats_mu_);
+    std::lock_guard<std::mutex> lock(*cache_mu_);
     stats_cache_[key] = {catalog_version_, *stats};
   }
   return stats;
@@ -292,45 +344,72 @@ Result<Table> Database::RunTableFunction(
   return fn->fn(args);
 }
 
-Result<PlanPtr> Database::BuildOptimizedPlan(const SelectStmt& stmt) {
-  MIP_ASSIGN_OR_RETURN(PlanPtr plan, PlanSelect(stmt, *this));
+Result<PlanPtr> Database::BuildOptimizedPlan(
+    const SelectStmt& stmt, const PlanCatalog& catalog) const {
+  MIP_ASSIGN_OR_RETURN(PlanPtr plan, PlanSelect(stmt, catalog));
   if (optimizer_enabled_) {
     OptimizerOptions options = optimizer_options_;
     options.join_counters = join_counters_.get();
     options.storage = storage_;
-    MIP_ASSIGN_OR_RETURN(plan, OptimizePlan(std::move(plan), *this, options));
+    MIP_ASSIGN_OR_RETURN(plan,
+                         OptimizePlan(std::move(plan), catalog, options));
   }
   return plan;
 }
 
-Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) {
-  MIP_ASSIGN_OR_RETURN(PlanPtr plan, BuildOptimizedPlan(stmt));
+Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) const {
+  MIP_ASSIGN_OR_RETURN(PlanPtr plan, BuildOptimizedPlan(stmt, *this));
   return ExecutePlannedSelect(*plan);
 }
 
-Result<PlanPtr> Database::TryPlanSelectSql(const std::string& sql) {
+Result<PlanPtr> Database::TryPlanSelectSql(const std::string& sql) const {
   MIP_ASSIGN_OR_RETURN(SqlStatement stmt, ParseSql(sql));
   auto* select = std::get_if<SelectStmt>(&stmt);
   if (select == nullptr) return PlanPtr();  // not a SELECT: run via ExecuteSql
-  return BuildOptimizedPlan(*select);
+  return BuildOptimizedPlan(*select, *this);
 }
 
 Result<Table> Database::ExecutePlannedSelect(const PlanNode& plan) const {
+  return RunPlan(
+      plan, [this](const std::string& name) { return GetTable(name); });
+}
+
+Result<Table> Database::ExecuteBoundSelect(const std::string& sql,
+                                           const std::string& bound_name,
+                                           const Table& bound) const {
+  MIP_ASSIGN_OR_RETURN(SqlStatement stmt, ParseSql(sql));
+  auto* select = std::get_if<SelectStmt>(&stmt);
+  if (select == nullptr) {
+    return Status::InvalidArgument("a bound-table statement must be a SELECT");
+  }
+  if (HasTable(bound_name)) {
+    return Status::InvalidArgument("bound table '" + bound_name +
+                                   "' collides with an existing table in " +
+                                   name_);
+  }
+  const BoundTableCatalog catalog(*this, bound_name, bound);
+  MIP_ASSIGN_OR_RETURN(PlanPtr plan, BuildOptimizedPlan(*select, catalog));
+  return RunPlan(*plan, [&catalog](const std::string& name) {
+    return catalog.GetTable(name);
+  });
+}
+
+Result<Table> Database::RunPlan(
+    const PlanNode& plan,
+    std::function<Result<Table>(const std::string&)> get_table) const {
   PlanExecutorOptions options;
   options.functions = &functions_;
   options.exec = exec_context_;
   options.db_name = name_;
-  options.get_table = [this](const std::string& name) {
-    return GetTable(name);
-  };
+  options.get_table = std::move(get_table);
   options.storage = storage_;
   options.remote = remote_site_;
   options.join_counters = join_counters_.get();
   return ExecutePlan(plan, options);
 }
 
-Result<std::string> Database::ExplainSelect(const SelectStmt& stmt) {
-  MIP_ASSIGN_OR_RETURN(PlanPtr plan, BuildOptimizedPlan(stmt));
+Result<std::string> Database::ExplainSelect(const SelectStmt& stmt) const {
+  MIP_ASSIGN_OR_RETURN(PlanPtr plan, BuildOptimizedPlan(stmt, *this));
   return RenderPlan(*plan);
 }
 

@@ -2,6 +2,7 @@
 #define MIP_ENGINE_DATABASE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -123,7 +124,7 @@ class Database : public PlanCatalog {
   Result<Table> ExecuteSql(const std::string& sql);
 
   /// Executes a parsed SELECT through the plan/optimize/execute pipeline.
-  Result<Table> ExecuteSelect(const SelectStmt& stmt);
+  Result<Table> ExecuteSelect(const SelectStmt& stmt) const;
 
   /// Monotonic counter bumped by every catalog or data mutation (DDL,
   /// INSERT, PutTable/DropTable). Paired with PlanFingerprint it keys the
@@ -137,18 +138,30 @@ class Database : public PlanCatalog {
   /// Parses `sql` and, when it is a plain SELECT, returns its optimized
   /// plan — the gateway's cache key (PlanFingerprint) and execution handle.
   /// Any other statement kind returns nullptr with OK status (the caller
-  /// routes it through ExecuteSql). Planning may populate the remote schema
-  /// cache: callers coordinating concurrent access need their exclusive
-  /// lock here, while ExecutePlannedSelect only reads.
-  Result<PlanPtr> TryPlanSelectSql(const std::string& sql);
+  /// routes it through ExecuteSql). Read-only on the catalog: the schema
+  /// and stats caches it fills carry their own lock, so callers planning
+  /// concurrently only need to keep DDL/DML out (a shared lock).
+  Result<PlanPtr> TryPlanSelectSql(const std::string& sql) const;
 
   /// Executes a plan built by TryPlanSelectSql / BuildOptimizedPlan.
   /// Read-only on the catalog (remote round trips happen through the
   /// installed RemoteSite), so concurrent executions may share it.
   Result<Table> ExecutePlannedSelect(const PlanNode& plan) const;
 
+  /// Plans and executes the SELECT `sql` with `bound` visible under
+  /// `bound_name` to this statement only — the broadcast-join build side a
+  /// worker serves run_sql_bound with. The binding is an overlay on the
+  /// catalog: no entry is registered, the catalog version does not move and
+  /// the bound table enters no cache, so concurrent statements share the
+  /// catalog the same way as TryPlanSelectSql. A statement other than a
+  /// SELECT, or a `bound_name` that names a catalog table, is
+  /// InvalidArgument.
+  Result<Table> ExecuteBoundSelect(const std::string& sql,
+                                   const std::string& bound_name,
+                                   const Table& bound) const;
+
   /// Renders the optimized logical plan for a SELECT as a text tree.
-  Result<std::string> ExplainSelect(const SelectStmt& stmt);
+  Result<std::string> ExplainSelect(const SelectStmt& stmt) const;
 
   // PlanCatalog implementation (the planner's view of this catalog).
   Result<TableInfo> Describe(const std::string& table_name) const override;
@@ -179,9 +192,16 @@ class Database : public PlanCatalog {
     std::vector<std::string> parts;  // kMerge
   };
 
-  /// Plan -> optimized plan, honoring optimizer_enabled_ and
-  /// optimizer_options_.
-  Result<PlanPtr> BuildOptimizedPlan(const SelectStmt& stmt);
+  /// Plan -> optimized plan against `catalog` (this database, or a
+  /// statement's bound-table overlay on it), honoring optimizer_enabled_
+  /// and optimizer_options_.
+  Result<PlanPtr> BuildOptimizedPlan(const SelectStmt& stmt,
+                                     const PlanCatalog& catalog) const;
+
+  /// Executes `plan`, materializing base-table scans through `get_table`.
+  Result<Table> RunPlan(
+      const PlanNode& plan,
+      std::function<Result<Table>(const std::string&)> get_table) const;
 
   std::string name_;
   std::map<std::string, Entry> tables_;
@@ -194,17 +214,16 @@ class Database : public PlanCatalog {
   const ExecContext* exec_context_ = nullptr;
   /// Behind a pointer (atomics are immovable) so Database stays movable.
   std::unique_ptr<JoinCounters> join_counters_;
+  /// Guards the two planning caches below, which const planning fills
+  /// while callers hold only a shared lock on the catalog. Behind a pointer
+  /// so Database stays movable.
+  std::unique_ptr<std::mutex> cache_mu_;
   /// Remote-table schemas learned via get_schema probes, keyed by
   /// lower-cased local name. Invalidated on PutTable/DropTable.
   mutable std::map<std::string, Schema> remote_schema_cache_;
   /// Table statistics keyed by lower-cased name, tagged with the catalog
-  /// version they were computed under; a stale tag is a miss. Unlike the
-  /// schema cache (whose fills callers serialize with their planning lock),
-  /// this one carries its own lock: workers fill it while planning pushed
-  /// join SQL, where no caller lock exists. Behind a pointer so Database
-  /// stays movable.
+  /// version they were computed under; a stale tag is a miss.
   mutable std::map<std::string, std::pair<uint64_t, TableStats>> stats_cache_;
-  std::unique_ptr<std::mutex> stats_mu_;
 };
 
 }  // namespace mip::engine

@@ -818,9 +818,10 @@ std::string BuildRemoteScanSql(const PlanNode& node) {
   return sql;
 }
 
-/// Process-wide counter naming broadcast temp tables; uniqueness matters
-/// because concurrent joins may broadcast to the same worker, which
-/// creates/drops the temp table by name while serving run_sql_bound.
+/// Process-wide counter naming broadcast temp tables. The worker binds the
+/// name for one statement only, so concurrent joins to the same worker
+/// never see each other's build side; distinct names keep each pushed SQL
+/// text distinct in traces.
 std::atomic<uint64_t> g_broadcast_temp_counter{0};
 
 struct PlanExecutor {

@@ -13,8 +13,9 @@ namespace mip::engine {
 /// one wire envelope type, named by RemoteKindName.
 enum class RemoteKind {
   kRunSql,       ///< "run_sql": run `sql` there, reply with its result
-  kRunSqlBound,  ///< "run_sql_bound": register `bound` as `temp_name`, run
-                 ///< `sql`, drop the temp (the broadcast-join transport)
+  kRunSqlBound,  ///< "run_sql_bound": run the SELECT `sql` with `bound`
+                 ///< visible as `temp_name` to that statement only (the
+                 ///< broadcast-join transport)
   kGetSchema,    ///< "get_schema": a zero-row table with the schema
   kGetStats,     ///< "get_stats": the table statistics (StatsToTable)
 };

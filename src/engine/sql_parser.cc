@@ -656,6 +656,21 @@ class Parser {
 
 }  // namespace
 
+bool IsReadOnlySql(const std::string& sql) {
+  size_t i = sql.find_first_not_of(" \t\r\n");
+  if (i == std::string::npos) return false;
+  auto starts_with = [&](const char* kw) {
+    for (size_t j = 0; kw[j] != '\0'; ++j) {
+      if (i + j >= sql.size()) return false;
+      const char c = sql[i + j];
+      const char lower = c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c;
+      if (lower != kw[j]) return false;
+    }
+    return true;
+  };
+  return starts_with("select") || starts_with("explain");
+}
+
 Result<SqlStatement> ParseSql(const std::string& sql) {
   MIP_ASSIGN_OR_RETURN(std::vector<Token> tokens, LexSql(sql));
   Parser parser(std::move(tokens));

@@ -27,6 +27,11 @@ namespace mip::engine {
 /// UDFs (resolved at bind time, not parse time).
 Result<SqlStatement> ParseSql(const std::string& sql);
 
+/// Leading-keyword sniff: true when `sql` starts with SELECT or EXPLAIN,
+/// which never mutate the catalog, so a caller may run them under a shared
+/// catalog lock. Everything else (DDL, INSERT, garbage) counts as a write.
+bool IsReadOnlySql(const std::string& sql);
+
 /// Parses a standalone scalar expression (used by tests and the UDF
 /// generator's loopback predicates).
 Result<ExprPtr> ParseExpression(const std::string& text);

@@ -5,6 +5,7 @@
 
 #include "common/bytes.h"
 #include "common/stopwatch.h"
+#include "engine/sql_parser.h"
 #include "engine/table.h"
 #include "smpc/cluster.h"
 
@@ -143,44 +144,32 @@ Result<std::vector<uint8_t>> Gateway::Handle(const net::Envelope& envelope) {
 Result<std::vector<uint8_t>> Gateway::RunSql(const net::Envelope& envelope) {
   BufferReader reader(envelope.payload);
   MIP_ASSIGN_OR_RETURN(std::string sql, reader.ReadString());
-
-  engine::PlanPtr plan;
-  ResultCache::Key key{0, 0};
-  {
-    // Planning (and any non-SELECT statement) mutates catalog state — the
-    // remote-schema cache during planning, tables during DDL/DML — so it
-    // runs exclusive.
-    std::unique_lock<std::shared_mutex> exclusive(db_mu_);
-    MIP_ASSIGN_OR_RETURN(plan, db_->TryPlanSelectSql(sql));
-    if (plan == nullptr) {
-      MIP_ASSIGN_OR_RETURN(engine::Table table, db_->ExecuteSql(sql));
-      BufferWriter writer;
-      engine::SerializeTableForWire(table, &writer);
-      return writer.TakeBytes();
-    }
-    key = {engine::PlanFingerprint(*plan), db_->catalog_version()};
-  }
-
-  // Execution only reads the catalog, so concurrent SELECTs share the lock;
-  // remote round trips happen inside, overlapping freely.
-  std::shared_lock<std::shared_mutex> shared(db_mu_);
-  engine::Table table;
-  // A DDL may have slipped in between the two lock scopes; it cannot run
-  // *during* this shared section, so if the version still matches the key,
-  // the cached entry is exactly the data this execution reads.
-  const bool cacheable = options_.cache_enabled &&
-                         options_.cache_capacity > 0 &&
-                         db_->catalog_version() == key.second;
-  if (cacheable) {
-    MIP_ASSIGN_OR_RETURN(
-        table, cache_.GetOrCompute(
-                   key, [&] { return db_->ExecutePlannedSelect(*plan); }));
-  } else {
-    MIP_ASSIGN_OR_RETURN(table, db_->ExecutePlannedSelect(*plan));
-  }
+  MIP_ASSIGN_OR_RETURN(engine::Table table, Execute(sql));
   BufferWriter writer;
   engine::SerializeTableForWire(table, &writer);
   return writer.TakeBytes();
+}
+
+Result<engine::Table> Gateway::Execute(const std::string& sql) {
+  if (!engine::IsReadOnlySql(sql)) {
+    // DDL/DML change the catalog and move its version: exclusive.
+    std::unique_lock<std::shared_mutex> exclusive(db_mu_);
+    return db_->ExecuteSql(sql);
+  }
+  // A SELECT only reads the catalog, so it plans and executes under the
+  // shared lock: concurrent SELECTs, cache hits included, overlap while
+  // remote round trips are in flight. The cache key's version is read in
+  // the same scope, so it names exactly the catalog this execution reads.
+  std::shared_lock<std::shared_mutex> shared(db_mu_);
+  MIP_ASSIGN_OR_RETURN(engine::PlanPtr plan, db_->TryPlanSelectSql(sql));
+  if (plan == nullptr) return db_->ExecuteSql(sql);  // EXPLAIN
+  if (!options_.cache_enabled || options_.cache_capacity == 0) {
+    return db_->ExecutePlannedSelect(*plan);
+  }
+  const ResultCache::Key key{engine::PlanFingerprint(*plan),
+                             db_->catalog_version()};
+  return cache_.GetOrCompute(
+      key, [&] { return db_->ExecutePlannedSelect(*plan); });
 }
 
 Gateway::Stats Gateway::stats() const {

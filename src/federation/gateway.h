@@ -108,9 +108,10 @@ inline constexpr char kGatewayMetrics[] = "metrics";
 /// replies with the MetricsText() bytes.
 ///
 /// Thread safety: handlers run concurrently (the epoll server's pool). The
-/// hosted Database is guarded by a shared_mutex — exclusive for planning
-/// and DDL/DML (planning mutates the remote-schema cache), shared for plan
-/// execution, which only reads the catalog while remote round trips happen.
+/// hosted Database is guarded by a shared_mutex: a SELECT plans and
+/// executes under it shared (planning's schema/stats caches carry their own
+/// lock), so concurrent SELECTs and cache hits overlap while remote round
+/// trips happen; only DDL/DML take it exclusively.
 class Gateway {
  public:
   explicit Gateway(engine::Database* db,
@@ -155,6 +156,9 @@ class Gateway {
 
  private:
   Result<std::vector<uint8_t>> RunSql(const net::Envelope& envelope);
+  /// Runs one statement under db_mu_, a SELECT through the result cache
+  /// when caching is on.
+  Result<engine::Table> Execute(const std::string& sql);
 
   engine::Database* db_;
   GatewayOptions options_;
@@ -162,7 +166,8 @@ class Gateway {
   const net::Transport* link_source_ = nullptr;
   const smpc::SmpcCluster* smpc_source_ = nullptr;
 
-  /// Catalog lock; see the class comment for the sharing discipline.
+  /// Catalog lock: shared for SELECT/EXPLAIN, exclusive for DDL/DML (see
+  /// the class comment).
   std::shared_mutex db_mu_;
 
   mutable std::mutex mu_;  ///< admission counters, stats, tenant tables

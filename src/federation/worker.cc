@@ -3,31 +3,10 @@
 #include <mutex>
 #include <utility>
 
+#include "engine/sql_parser.h"
 #include "engine/stats.h"
 
 namespace mip::federation {
-
-namespace {
-
-/// Leading-keyword sniff: SELECT/EXPLAIN never mutate the catalog, so they
-/// may run under the shared lock; everything else (DDL, INSERT) is treated
-/// as a write.
-bool IsReadOnlySql(const std::string& sql) {
-  size_t i = sql.find_first_not_of(" \t\r\n");
-  if (i == std::string::npos) return false;
-  auto starts_with = [&](const char* kw) {
-    for (size_t j = 0; kw[j] != '\0'; ++j) {
-      if (i + j >= sql.size()) return false;
-      const char c = sql[i + j];
-      const char lower = c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c;
-      if (lower != kw[j]) return false;
-    }
-    return true;
-  };
-  return starts_with("select") || starts_with("explain");
-}
-
-}  // namespace
 
 engine::Database& WorkerContext::db() { return worker_->db(); }
 TransferData& WorkerContext::state() { return worker_->JobState(job_id_); }
@@ -75,12 +54,14 @@ WorkerNode::WorkerNode(std::string id,
 
 Status WorkerNode::LoadDataset(const std::string& dataset_name,
                                engine::Table data) {
+  std::unique_lock<std::shared_mutex> lock(db_mu_);
   MIP_RETURN_NOT_OK(db_.PutTable(dataset_name, std::move(data)));
   if (!HasDataset(dataset_name)) datasets_.push_back(dataset_name);
   return Status::OK();
 }
 
 Status WorkerNode::AttachDiskStorage(engine::TableStorage* storage) {
+  std::unique_lock<std::shared_mutex> lock(db_mu_);
   MIP_RETURN_NOT_OK(db_.AttachStorage(storage));
   for (const std::string& name : storage->StorageTableNames()) {
     if (!HasDataset(name)) datasets_.push_back(name);
@@ -146,15 +127,14 @@ Result<std::vector<uint8_t>> WorkerNode::HandleEnvelope(
   MIP_ASSIGN_OR_RETURN(
       engine::RemoteRequest request,
       engine::DecodeRemoteRequest(envelope.type, &reader, &bound));
-  MIP_ASSIGN_OR_RETURN(engine::Table table,
-                       ServeRemote(request, std::move(bound)));
+  MIP_ASSIGN_OR_RETURN(engine::Table table, ServeRemote(request, bound));
   BufferWriter writer;
   engine::SerializeTableForWire(table, &writer);
   return writer.TakeBytes();
 }
 
 Result<engine::Table> WorkerNode::ServeRemote(
-    const engine::RemoteRequest& request, engine::Table bound) {
+    const engine::RemoteRequest& request, const engine::Table& bound) {
   switch (request.kind) {
     case engine::RemoteKind::kGetSchema: {
       // Schema-only probe: a zero-row table lets the Master's planner prune
@@ -177,7 +157,7 @@ Result<engine::Table> WorkerNode::ServeRemote(
       // (filters, projections, limits, partial aggregates) ship as SQL.
       std::shared_lock<std::shared_mutex> shared(db_mu_, std::defer_lock);
       std::unique_lock<std::shared_mutex> exclusive(db_mu_, std::defer_lock);
-      if (IsReadOnlySql(request.sql)) {
+      if (engine::IsReadOnlySql(request.sql)) {
         shared.lock();
       } else {
         exclusive.lock();
@@ -186,22 +166,11 @@ Result<engine::Table> WorkerNode::ServeRemote(
     }
     case engine::RemoteKind::kRunSqlBound: {
       // Broadcast-join transport: the Master ships a small build side, the
-      // join runs here next to the data, only joined rows go back. The temp
-      // table never outlives the request — dropped on success and failure
-      // alike — and the exclusive lock keeps the register/run/drop atomic
-      // against every other request.
-      std::unique_lock<std::shared_mutex> lock(db_mu_);
-      if (db_.HasTable(request.temp_name)) {
-        return Status::InvalidArgument(
-            "bound temp table '" + request.temp_name +
-            "' collides with an existing table on " + id_);
-      }
-      MIP_RETURN_NOT_OK(db_.PutTable(request.temp_name, std::move(bound)));
-      Result<engine::Table> result = db_.ExecuteSql(request.sql);
-      const Status dropped = db_.DropTable(request.temp_name);
-      MIP_RETURN_NOT_OK(result.status());
-      MIP_RETURN_NOT_OK(dropped);
-      return result;
+      // join runs here next to the data, only joined rows go back. The
+      // build side is bound for this one statement only, so the request
+      // registers nothing and shares the lock like any other read.
+      std::shared_lock<std::shared_mutex> lock(db_mu_);
+      return db_.ExecuteBoundSelect(request.sql, request.temp_name, bound);
     }
   }
   return Status::Internal("bad remote request kind");

@@ -120,18 +120,19 @@ class WorkerNode {
 
   /// Serves one decoded engine request against this worker's database:
   /// "run_sql" (REMOTE-table scans and every pushdown), "run_sql_bound"
-  /// (broadcast joins: registers `bound` under the temp name, runs the SQL,
-  /// drops the temp), "get_schema" / "get_stats" (planner probes without
-  /// materializing). Probes and read-only SQL share db_mu_; other SQL and
-  /// run_sql_bound take it exclusively.
+  /// (broadcast joins: runs the SELECT with `bound` visible under the temp
+  /// name for that statement only), "get_schema" / "get_stats" (planner
+  /// probes without materializing). Probes, read-only SQL and
+  /// run_sql_bound share db_mu_; other run_sql statements take it
+  /// exclusively.
   Result<engine::Table> ServeRemote(const engine::RemoteRequest& request,
-                                    engine::Table bound);
+                                    const engine::Table& bound);
 
   std::string id_;
   /// Transports run handlers concurrently (the Master fans out from a
-  /// thread pool), so requests that mutate the catalog — run_sql_bound's
-  /// temp-table register/drop, run_sql DDL — take this exclusively;
-  /// read-only serving (get_schema, get_stats, run_sql SELECTs) shares it.
+  /// thread pool). Everything that changes db_ or datasets_ — LoadDataset,
+  /// AttachDiskStorage, run_sql DDL/DML — takes this exclusively; serving
+  /// reads (probes, SELECTs, run_sql_bound, local steps) shares it.
   std::shared_mutex db_mu_;
   engine::Database db_;
   std::shared_ptr<LocalFunctionRegistry> functions_;

@@ -2,7 +2,8 @@
 // concurrent dispatch path must produce byte-identical aggregates to the
 // sequential path, the traffic log must contain every envelope exactly
 // once, and NetworkStats accounting must neither lose nor double-count
-// under concurrency. Run under TSan in CI (ci/run_tests.sh).
+// under concurrency; a worker dataset reload never races the SQL it serves.
+// Run under TSan in CI (ci/run_tests.sh).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "engine/remote_site.h"
 #include "federation/bus.h"
 #include "federation/fault.h"
 #include "federation/master.h"
@@ -295,6 +297,69 @@ TEST(MessageBusConcurrencyTest, ConcurrentSendsNeverLoseOrDoubleCount) {
   }
   EXPECT_EQ(link_sum.messages, stats.messages);
   EXPECT_EQ(link_sum.bytes, stats.bytes);
+}
+
+// A dataset reload takes the worker's catalog lock exclusively, so it never
+// races the run_sql SELECTs the worker serves meanwhile: every answer is
+// entirely the old data or entirely the new one, never a mix.
+TEST(WorkerReloadTest, ReloadDuringSelectsAnswersOldOrNewNeverAMix) {
+  auto make = [](double x, int rows) {
+    Schema schema;
+    EXPECT_TRUE(schema.AddField({"x", DataType::kFloat64}).ok());
+    Table t = Table::Empty(schema);
+    for (int r = 0; r < rows; ++r) {
+      EXPECT_TRUE(t.AppendRow({Value::Double(x)}).ok());
+    }
+    return t;
+  };
+  MasterNode master;
+  ASSERT_TRUE(master.AddWorker("h0").ok());
+  ASSERT_TRUE(master.LoadDataset("h0", "d", make(1.0, 200)).ok());
+
+  engine::RemoteRequest request;
+  request.sql = "SELECT count(*) AS n, sum(x) AS s FROM d";
+  BufferWriter writer;
+  engine::EncodeRemoteRequest(request, &writer);
+  const std::vector<uint8_t> payload = writer.TakeBytes();
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> answers{0}, bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        auto reply =
+            master.bus().Send(Envelope{"master", "h0", "run_sql", "", payload});
+        if (!reply.ok()) {
+          bad.fetch_add(1);
+          continue;
+        }
+        BufferReader reader(reply.ValueOrDie());
+        auto table = engine::DeserializeTable(&reader);
+        if (!table.ok()) {
+          bad.fetch_add(1);
+          continue;
+        }
+        const int64_t n = table->At(0, 0).int_value();
+        const double sum = table->At(0, 1).double_value();
+        const bool old_data = n == 200 && sum == 200.0;
+        const bool new_data = n == 300 && sum == 900.0;
+        if (!old_data && !new_data) bad.fetch_add(1);
+        answers.fetch_add(1);
+      }
+    });
+  }
+  // Keep reloading until the readers have overlapped plenty of reloads.
+  for (int i = 0; i < 100 || answers.load() < 100; ++i) {
+    ASSERT_TRUE(master
+                    .LoadDataset("h0", "d",
+                                 i % 2 == 0 ? make(3.0, 300) : make(1.0, 200))
+                    .ok());
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_GT(answers.load(), 0);
+  EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskAndDrainsOnDestruction) {

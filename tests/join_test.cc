@@ -2,15 +2,18 @@
 // reference over a corpus of edge cases (NULL keys, duplicate keys, empty
 // sides, string/int/mixed keys) at 1 and 8 threads; distributed broadcast
 // vs collect strategies byte-identical over the in-process bus and real
-// TCP; the get_stats wire round trip and its cache; HLL NDV accuracy; and
-// the join counters surfacing in the gateway metrics text.
+// TCP; concurrent broadcast joins leaving the worker's catalog and stats
+// cache untouched; the get_stats wire round trip and its cache; HLL NDV
+// accuracy; and the join counters surfacing in the gateway metrics text.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.h"
@@ -24,6 +27,8 @@
 #include "federation/master.h"
 #include "federation/worker.h"
 #include "net/tcp_transport.h"
+#include "storage/io.h"
+#include "storage/store.h"
 
 namespace mip {
 namespace {
@@ -398,6 +403,160 @@ TEST_F(DistributedJoinTest, JoinCountersSurfaceInGatewayMetrics) {
   EXPECT_EQ(metrics.find("join_build_rows 0\n"), std::string::npos)
       << metrics;
   EXPECT_NE(metrics.find("join_probe_rows "), std::string::npos);
+}
+
+/// Forwards every TableStorage call to a real store and counts the
+/// StorageTableStats calls — how often the worker profiles a disk table.
+class StatsCountingStorage : public engine::TableStorage {
+ public:
+  explicit StatsCountingStorage(engine::TableStorage* inner) : inner_(inner) {}
+
+  std::vector<std::string> StorageTableNames() const override {
+    return inner_->StorageTableNames();
+  }
+  Result<Schema> StorageTableSchema(const std::string& name) const override {
+    return inner_->StorageTableSchema(name);
+  }
+  Result<Table> ScanTable(const std::string& name,
+                          const engine::Expr* prune_filter,
+                          engine::ScanStats* stats) const override {
+    return inner_->ScanTable(name, prune_filter, stats);
+  }
+  Status AppendRows(const std::string& name, const Table& rows) override {
+    return inner_->AppendRows(name, rows);
+  }
+  Result<engine::ScanStats> PrunePreview(
+      const std::string& name,
+      const engine::Expr* prune_filter) const override {
+    return inner_->PrunePreview(name, prune_filter);
+  }
+  Result<Table> IndexScanTable(const std::string& name,
+                               const engine::Expr* prune_filter,
+                               engine::ScanStats* stats) const override {
+    return inner_->IndexScanTable(name, prune_filter, stats);
+  }
+  Result<engine::IndexPreview> PreviewIndexScan(
+      const std::string& name,
+      const engine::Expr* prune_filter) const override {
+    return inner_->PreviewIndexScan(name, prune_filter);
+  }
+  Result<engine::TableStats> StorageTableStats(
+      const std::string& name) const override {
+    stats_calls.fetch_add(1);
+    return inner_->StorageTableStats(name);
+  }
+  engine::StorageCounters Counters() const override {
+    return inner_->Counters();
+  }
+
+  mutable std::atomic<int> stats_calls{0};
+
+ private:
+  engine::TableStorage* inner_;
+};
+
+// Many broadcast joins from several client threads against one worker: the
+// build side binds for one statement only, so the worker's catalog version
+// never moves, the stats it cached for the probe table stay valid, and
+// every answer is byte-identical to the forced-collect plan.
+TEST(BroadcastWorkerCatalogTest, ConcurrentBroadcastJoinsLeaveCatalogAlone) {
+  const std::string dir = ::testing::TempDir() + "mip_join_bcast_catalog";
+  ASSERT_TRUE(storage::EnsureDir(dir).ok());
+  if (auto names = storage::ListDir(dir); names.ok()) {
+    for (const std::string& f : names.ValueOrDie()) {
+      ASSERT_TRUE(storage::RemoveFile(dir + "/" + f).ok());
+    }
+  }
+  auto store = storage::StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  Rng rng(77);
+  Schema schema;
+  ASSERT_TRUE(schema.AddField({"patient_id", DataType::kInt64}).ok());
+  ASSERT_TRUE(schema.AddField({"dur", DataType::kFloat64}).ok());
+  Table visits = Table::Empty(std::move(schema));
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(visits.AppendRow({Value::Int(rng.NextUint64() % 120),
+                                  Value::Double(rng.NextGaussian())})
+                    .ok());
+  }
+  ASSERT_TRUE((*store)->AppendRows("visits", visits).ok());
+  StatsCountingStorage counting(store->get());
+
+  federation::MessageBus bus;
+  bus.set_keep_log(true);
+  federation::WorkerNode worker(
+      "w1", std::make_shared<federation::LocalFunctionRegistry>(), 7);
+  ASSERT_TRUE(worker.AttachDiskStorage(&counting).ok());
+  ASSERT_TRUE(worker.AttachToBus(&bus).ok());
+  federation::MasterNode master;
+  master.set_transport(&bus);
+  ASSERT_TRUE(master.AddRemoteWorker("w1", {"visits"}).ok());
+  ASSERT_TRUE(master.CreateFederatedView("visits").ok());
+  Database& db = master.local_db();
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE cohort (patient_id bigint, "
+                            "label varchar)")
+                  .ok());
+  ASSERT_TRUE(db.ExecuteSql("INSERT INTO cohort VALUES (4, 'case'), "
+                            "(18, 'control'), (63, 'case'), (200, 'none')")
+                  .ok());
+  const std::string sql =
+      "SELECT label, dur FROM visits_federated JOIN cohort "
+      "ON visits_federated.patient_id = cohort.patient_id";
+
+  db.optimizer_options().force_join_strategy = 0;  // collect
+  Result<Table> collect = db.ExecuteSql(sql);
+  ASSERT_TRUE(collect.ok()) << collect.status().ToString();
+  ASSERT_GT(collect->num_rows(), 0u);
+  const std::vector<uint8_t> expected = Bytes(*collect);
+
+  // Warm the worker's stats cache for the probe table, as a get_stats
+  // probe from the master's cost model would.
+  ASSERT_TRUE(worker.db().GetTableStats("visits").ok());
+  const int profiles = counting.stats_calls.load();
+  ASSERT_GT(profiles, 0);
+  const uint64_t version = worker.db().catalog_version();
+  const std::vector<std::string> tables = worker.db().TableNames();
+
+  ThreadPool pool(8);
+  ExecContext parallel_ctx;
+  parallel_ctx.pool = &pool;
+  parallel_ctx.morsel_size = 32;
+  ExecContext serial_ctx;
+  db.optimizer_options().force_join_strategy = 1;  // broadcast
+  constexpr int kClients = 4;
+  constexpr int kJoinsPerClient = 8;
+  for (const ExecContext* ctx : {&serial_ctx, &parallel_ctx}) {
+    db.set_exec_context(ctx);
+    worker.db().set_exec_context(ctx);
+    bus.ClearLog();
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&] {
+        for (int j = 0; j < kJoinsPerClient; ++j) {
+          Result<Table> got = db.ExecuteSql(sql);
+          if (!got.ok() || Bytes(*got) != expected) mismatches.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    const int threads = ctx->pool != nullptr ? 8 : 1;
+    EXPECT_EQ(mismatches.load(), 0) << "threads=" << threads;
+    int bound_calls = 0;
+    for (const auto& entry : bus.log()) {
+      bound_calls += entry.type == "run_sql_bound" ? 1 : 0;
+    }
+    EXPECT_EQ(bound_calls, kClients * kJoinsPerClient)
+        << "threads=" << threads;
+  }
+  db.set_exec_context(nullptr);
+  worker.db().set_exec_context(nullptr);
+
+  EXPECT_EQ(worker.db().catalog_version(), version);
+  EXPECT_EQ(worker.db().TableNames(), tables);
+  ASSERT_TRUE(worker.db().GetTableStats("visits").ok());
+  EXPECT_EQ(counting.stats_calls.load(), profiles)
+      << "the worker re-profiled the probe table";
 }
 
 // The same shards and cohort, but the worker answers over a real loopback

@@ -1,10 +1,13 @@
 // Gateway result cache semantics: hits on semantically identical SQL,
 // misses on different plans, implicit invalidation through the catalog
-// version, LRU eviction order, single-flight computation, and the typed
-// BUSY admission path.
+// version, LRU eviction order, single-flight computation, the typed BUSY
+// admission path, and SELECTs overlapping under the shared catalog lock.
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +16,7 @@
 
 #include "common/bytes.h"
 #include "engine/database.h"
+#include "engine/remote_site.h"
 #include "engine/table.h"
 #include "federation/gateway.h"
 #include "storage/io.h"
@@ -171,6 +175,121 @@ TEST_F(GatewayCacheTest, MetricsTextExposesCountersAndQuantiles) {
   EXPECT_NE(text.find("cache_hits 1"), std::string::npos);
   EXPECT_NE(text.find("tenant{id=\"alice\"}"), std::string::npos);
   EXPECT_NE(text.find("p99"), std::string::npos);
+}
+
+/// A RemoteSite served by a second Database whose run_sql blocks on a latch
+/// while armed; get_schema answers at once so planning never blocks.
+/// get_stats is NotImplemented (the cost model stays blind).
+class LatchedSite : public engine::RemoteSite {
+ public:
+  explicit LatchedSite(Database* db) : db_(db) {}
+
+  Result<Table> Call(const std::string& location,
+                     const engine::RemoteRequest& request) override {
+    (void)location;
+    switch (request.kind) {
+      case engine::RemoteKind::kGetSchema: {
+        MIP_ASSIGN_OR_RETURN(engine::Schema schema,
+                             db_->GetSchema(request.table_name));
+        return Table::Empty(std::move(schema));
+      }
+      case engine::RemoteKind::kRunSql: {
+        std::unique_lock<std::mutex> lock(mu_);
+        blocked_ += 1;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return !armed_; });
+        return db_->ExecuteSql(request.sql);
+      }
+      default:
+        return Status::NotImplemented("not served by LatchedSite");
+    }
+  }
+
+  /// Waits until a run_sql call is parked on the latch.
+  bool WaitBlocked(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return blocked_ > 0; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+ private:
+  Database* db_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = true;
+  int blocked_ = 0;
+};
+
+TEST_F(GatewayCacheTest, SelectsOverlapAndDdlWaitsForInFlightSelect) {
+  Database hospital("hospital");
+  ASSERT_TRUE(hospital.ExecuteSql("CREATE TABLE v (y double)").ok());
+  ASSERT_TRUE(hospital.ExecuteSql("INSERT INTO v VALUES (5), (6)").ok());
+  LatchedSite site(&hospital);
+  db_->set_remote_site(&site);
+  ASSERT_TRUE(db_->ExecuteSql("CREATE REMOTE TABLE rv ON 'h' AS v").ok());
+  Gateway gateway(db_.get());
+
+  const std::string count_sql = "SELECT count(*) AS n FROM t";
+  auto warm = DecodeReply(gateway.Handle(SqlEnvelope(count_sql)));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_EQ(warm->At(0, 0).int_value(), 3);
+
+  auto run = [&gateway](std::string sql) {
+    return std::async(std::launch::async, [&gateway, sql] {
+      return DecodeReply(gateway.Handle(SqlEnvelope(sql)));
+    });
+  };
+  std::future<Result<Table>> a, hit, fresh, write;
+  // Declared after the futures, so it is destroyed first: every exit path
+  // releases the latch before a future's destructor waits on its request.
+  struct ReleaseOnExit {
+    LatchedSite* site;
+    ~ReleaseOnExit() { site->Release(); }
+  } release{&site};
+
+  // Request A parks inside the remote round trip, holding the catalog
+  // lock shared for the whole execution.
+  a = run("SELECT y FROM rv WHERE y > 5");
+  ASSERT_TRUE(site.WaitBlocked(std::chrono::seconds(10)));
+
+  // While A is in flight: a cache hit and a fresh local SELECT complete.
+  const auto timeout = std::chrono::seconds(5);
+  hit = run(count_sql);
+  ASSERT_EQ(hit.wait_for(timeout), std::future_status::ready)
+      << "cache hit waited for an unrelated in-flight SELECT";
+  fresh = run("SELECT x FROM t WHERE x > 2");
+  ASSERT_EQ(fresh.wait_for(timeout), std::future_status::ready)
+      << "fresh SELECT waited for an unrelated in-flight SELECT";
+  auto hit_table = hit.get();
+  ASSERT_TRUE(hit_table.ok()) << hit_table.status().ToString();
+  EXPECT_EQ(hit_table->At(0, 0).int_value(), 3);
+  auto fresh_table = fresh.get();
+  ASSERT_TRUE(fresh_table.ok()) << fresh_table.status().ToString();
+  EXPECT_EQ(fresh_table->num_rows(), 1u);
+
+  // A write must wait for A's shared section to end.
+  write = run("INSERT INTO t VALUES (4)");
+  EXPECT_EQ(write.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout)
+      << "DDL/DML ran while a SELECT was executing";
+  site.Release();
+  auto a_table = a.get();
+  ASSERT_TRUE(a_table.ok()) << a_table.status().ToString();
+  EXPECT_EQ(a_table->num_rows(), 1u);
+  ASSERT_TRUE(write.get().ok());
+
+  // The write moved the catalog version: the cached count is not reused.
+  auto after = DecodeReply(gateway.Handle(SqlEnvelope(count_sql)));
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->At(0, 0).int_value(), 4);
+  const ResultCache::Stats stats = gateway.cache().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 4u);  // warm, A, fresh, count after the write
 }
 
 // --- ResultCache unit tests: single-flight ---------------------------------

@@ -7,7 +7,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "algorithms/linear_regression.h"
 #include "common/rng.h"
@@ -497,6 +500,33 @@ TEST(RemoteRequestFuzzTest, TruncatedAndFlippedPayloadsNeverCrashTheWorker) {
       ExpectTypedErrorOrTable(&bus, type, std::move(flipped));
     }
   }
+  // run_sql_bound runs a SELECT only: a statement that would change the
+  // catalog is a typed InvalidArgument, and so is a temp name that names a
+  // hosted table.
+  const uint64_t version = worker.db().catalog_version();
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"__bcast1", "DROP TABLE d"},
+      {"__bcast1", "INSERT INTO d VALUES (9, 'z', 1.0)"},
+      {"__bcast1", "CREATE TABLE __bcast1 (pid bigint)"},
+      {"__bcast1", "DROP TABLE __bcast1"},
+      {"__bcast1", "EXPLAIN SELECT * FROM d JOIN __bcast1 ON k = pid"},
+      {"d", "SELECT * FROM d"},
+      {"D", "SELECT * FROM d"}};
+  for (const auto& [temp_name, sql] : rejected) {
+    engine::RemoteRequest request;
+    request.kind = engine::RemoteKind::kRunSqlBound;
+    request.temp_name = temp_name;
+    request.sql = sql;
+    request.bound = &bound;
+    BufferWriter writer;
+    engine::EncodeRemoteRequest(request, &writer);
+    Result<std::vector<uint8_t>> reply = bus.Send(federation::Envelope{
+        "master", "w", "run_sql_bound", "", writer.TakeBytes()});
+    ASSERT_FALSE(reply.ok()) << sql;
+    EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument) << sql;
+  }
+  EXPECT_EQ(worker.db().catalog_version(), version);
+
   // No hostile request may leave a temp table behind or touch the data.
   EXPECT_EQ(worker.db().TableNames(), std::vector<std::string>{"d"});
   EXPECT_EQ(worker.db().GetTable("d")->num_rows(), 4u);
