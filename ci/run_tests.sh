@@ -263,7 +263,13 @@ diff -u "$SMOKE_DIR/serial.txt" "$SMOKE_DIR/concurrent.txt" || {
   echo "concurrent gateway output differs from serial"; exit 1;
 }
 "$ROOT/build/tools/mip_query" --port="$GW_PORT" --metrics \
-  | grep -q "cache_hits" || { echo "gateway metrics missing"; exit 1; }
+  > "$SMOKE_DIR/metrics.txt"
+grep -q "cache_hits" "$SMOKE_DIR/metrics.txt" || {
+  echo "gateway metrics missing"; exit 1;
+}
+grep -q 'link{id="master->hospital_0"}' "$SMOKE_DIR/metrics.txt" || {
+  echo "gateway metrics missing the master->hospital_0 link latency"; exit 1;
+}
 echo "gateway smoke: 50-way concurrent output identical to serial"
 
 echo "== smoke: persistence — ingest via --data-dir, restart, byte-diff =="

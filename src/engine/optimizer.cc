@@ -862,15 +862,6 @@ double EstimateRemoteRows(const PlanNode& node, const PlanCatalog& catalog) {
   }
 }
 
-/// Mirror of the executor's per-part pushability test (ExecBroadcastPart):
-/// the join can only be pushed into a bare RemoteScan of a named table.
-bool BroadcastPushablePart(const PlanNode& part, const PlanNode& join) {
-  return part.kind == PlanKind::kRemoteScan && part.sql_override.empty() &&
-         part.columns.empty() && part.scan_limit < 0 &&
-         IsSqlIdentifier(part.remote_name) &&
-         IsSqlIdentifier(join.left_key) && IsSqlIdentifier(join.right_key);
-}
-
 /// Rough wire bytes per row of a subtree's output. The compressed codec is
 /// column-major and adaptive, but 8 bytes per field plus framing tracks
 /// *relative* sizes well enough to rank two strategies over the same data.

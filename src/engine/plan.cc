@@ -201,6 +201,13 @@ bool IsRemotelyEvaluable(const Expr& e) {
   return false;
 }
 
+bool BroadcastPushablePart(const PlanNode& part, const PlanNode& join) {
+  return part.kind == PlanKind::kRemoteScan && part.sql_override.empty() &&
+         part.columns.empty() && part.scan_limit < 0 &&
+         IsSqlIdentifier(part.remote_name) &&
+         IsSqlIdentifier(join.left_key) && IsSqlIdentifier(join.right_key);
+}
+
 // --- Planner ---------------------------------------------------------------
 
 namespace {
@@ -879,13 +886,7 @@ struct PlanExecutor {
 
   Result<Table> ExecBroadcastPart(const PlanNode& node, const PlanNode& part,
                                   const Table& small) {
-    const bool pushable =
-        part.kind == PlanKind::kRemoteScan && part.sql_override.empty() &&
-        part.columns.empty() && part.scan_limit < 0 &&
-        opts.remote != nullptr &&
-        IsSqlIdentifier(part.remote_name) && IsSqlIdentifier(node.left_key) &&
-        IsSqlIdentifier(node.right_key);
-    if (pushable) {
+    if (opts.remote != nullptr && BroadcastPushablePart(part, node)) {
       const std::string temp_name =
           "__bcast" +
           std::to_string(g_broadcast_temp_counter.fetch_add(1) + 1);

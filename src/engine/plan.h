@@ -234,6 +234,12 @@ std::string LowerExprToSql(const Expr& expr);
 /// to scalar built-ins. UDF calls and aggregates are not remotable.
 bool IsRemotelyEvaluable(const Expr& expr);
 
+/// True when a broadcast join can be pushed into `part` of its probe side:
+/// a bare RemoteScan of a named table, joined on plain identifier keys. The
+/// optimizer's strategy choice and the executor's broadcast path share this
+/// test; the executor additionally needs a RemoteSite to call.
+bool BroadcastPushablePart(const PlanNode& part, const PlanNode& join);
+
 /// \brief Builds the logical plan for a SELECT. The plan is unoptimized:
 /// merge tables expand to MergeUnion over their parts, remote tables to
 /// bare RemoteScans, and all filtering/projection happens above the scans.

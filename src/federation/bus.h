@@ -41,26 +41,17 @@ class MessageBus : public net::Transport {
   Status RegisterEndpoint(const std::string& node_id,
                           Handler handler) override;
 
-  /// Sends a request and returns the reply payload. Both directions are
-  /// metered; a request lost to fault injection meters the request bytes
-  /// only (they did leave the sender). Envelope::deadline_ms is ignored:
-  /// the in-process bus cannot preempt a running handler, so deadlines
-  /// stay cooperative (enforced by the session after the reply).
+  /// Sends a request and returns the reply payload, metering payload sizes
+  /// in the Transport ledger: a request lost to fault injection or a
+  /// handler error meters the request bytes only (they did leave the
+  /// sender). Envelope::deadline_ms is ignored: the in-process bus cannot
+  /// preempt a running handler, so deadlines stay cooperative (enforced by
+  /// the session after the reply).
   Result<std::vector<uint8_t>> Send(Envelope envelope) override;
-
-  /// Totals across all links (copied under the bus lock).
-  NetworkStats stats() const override;
-  /// Per-link accounting keyed "from->to". The sum over links equals
-  /// stats() — the invariant the concurrency property test checks.
-  std::map<std::string, NetworkStats> link_stats() const override;
-  void ResetStats() override;
 
   /// Optional fault-injection hook consulted before every delivery. Not
   /// owned; pass nullptr to detach. Set while no traffic is in flight.
   void set_fault_hook(net::FaultHook* hook) override { injector_ = hook; }
-
-  void MeterCodec(const std::string& from, const std::string& to,
-                  uint64_t raw_bytes, uint64_t wire_bytes) override;
 
   /// Log of (from, to, type, sizes) for traffic-audit tests. Only metadata
   /// and byte counts are retained — never payload bytes — so the log stays
@@ -80,10 +71,10 @@ class MessageBus : public net::Transport {
   void set_keep_log(bool keep);
 
  private:
+  /// Guards the endpoint table and the traffic log (the byte ledger has
+  /// its own lock in net::Transport).
   mutable std::mutex mu_;
   std::map<std::string, Handler> endpoints_;
-  NetworkStats stats_;
-  std::map<std::string, NetworkStats> link_stats_;
   std::vector<LogEntry> log_;
   bool keep_log_ = false;
   net::FaultHook* injector_ = nullptr;

@@ -163,7 +163,7 @@ Result<engine::Table> Gateway::Execute(const std::string& sql) {
   std::shared_lock<std::shared_mutex> shared(db_mu_);
   MIP_ASSIGN_OR_RETURN(engine::PlanPtr plan, db_->TryPlanSelectSql(sql));
   if (plan == nullptr) return db_->ExecuteSql(sql);  // EXPLAIN
-  if (!options_.cache_enabled || options_.cache_capacity == 0) {
+  if (options_.cache_capacity == 0) {
     return db_->ExecutePlannedSelect(*plan);
   }
   const ResultCache::Key key{engine::PlanFingerprint(*plan),

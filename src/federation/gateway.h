@@ -87,9 +87,8 @@ struct GatewayOptions {
   /// Per-tenant quota (tenant = Envelope::from): one noisy dashboard cannot
   /// starve the others even below the global cap.
   size_t per_tenant_in_flight = 16;
-  /// Result cache entries (0 disables caching).
+  /// Result cache entries (0 disables caching: every SELECT recomputes).
   size_t cache_capacity = 128;
-  bool cache_enabled = true;
 };
 
 /// Message types the gateway endpoint understands.
@@ -157,7 +156,7 @@ class Gateway {
  private:
   Result<std::vector<uint8_t>> RunSql(const net::Envelope& envelope);
   /// Runs one statement under db_mu_, a SELECT through the result cache
-  /// when caching is on.
+  /// when cache_capacity > 0.
   Result<engine::Table> Execute(const std::string& sql);
 
   engine::Database* db_;

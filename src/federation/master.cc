@@ -111,24 +111,19 @@ Result<std::vector<TransferData>> FederationSession::FanOutLocalRun(
       policy.max_concurrency > 0
           ? std::min<int>(policy.max_concurrency, static_cast<int>(n))
           : static_cast<int>(n);
-  if (lanes <= 1) {
-    // Sequential dispatch in worker order — the legacy path and the
-    // determinism baseline the concurrency tests compare against.
-    for (size_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    // Strided assignment over `lanes` ParallelFor chunks (grain 1), chunk t
-    // owning workers t, t+lanes, ... — honors max_concurrency (at most
-    // `lanes` chunks run at once) with the same work-distribution idiom the
-    // engine's morsel dispatch uses.
-    master_->pool().ParallelFor(
-        static_cast<size_t>(lanes), 1, [&](size_t begin, size_t end) {
-          for (size_t t = begin; t < end; ++t) {
-            for (size_t i = t; i < n; i += static_cast<size_t>(lanes)) {
-              run_one(i);
-            }
+  // Strided assignment over `lanes` ParallelFor chunks (grain 1), chunk t
+  // owning workers t, t+lanes, ... — honors max_concurrency (at most
+  // `lanes` chunks run at once) with the same work-distribution idiom the
+  // engine's morsel dispatch uses. One lane runs inline on this thread in
+  // worker order: the sequential determinism baseline.
+  master_->pool().ParallelFor(
+      static_cast<size_t>(lanes), 1, [&](size_t begin, size_t end) {
+        for (size_t t = begin; t < end; ++t) {
+          for (size_t i = t; i < n; i += static_cast<size_t>(lanes)) {
+            run_one(i);
           }
-        });
-  }
+        }
+      });
 
   last_reports_.clear();
   last_reports_.reserve(n);
@@ -402,8 +397,7 @@ Result<FederationSession> MasterNode::StartSession(
   const std::string job_id =
       "job-" + std::to_string(++job_counter_) + "-" +
       std::to_string(rng_.NextUint64() & 0xFFFFFFull);
-  return FederationSession(this, job_id, std::move(workers), datasets,
-                           config_.fanout);
+  return FederationSession(this, job_id, std::move(workers), datasets);
 }
 
 Result<std::string> MasterNode::CreateFederatedView(

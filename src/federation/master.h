@@ -31,8 +31,8 @@ enum class AggregationMode {
 /// deployments make stragglers and outages the norm, not the exception.
 struct FanoutPolicy {
   /// Workers contacted concurrently per step. 0 = all at once;
-  /// 1 = strictly sequential in worker order (the legacy dispatch path,
-  /// kept as the determinism baseline for tests).
+  /// 1 = strictly sequential in worker order on the caller's thread (the
+  /// determinism baseline for tests).
   int max_concurrency = 0;
   /// Total delivery attempts per worker per step (>= 1). Only transient
   /// failures (Unavailable / IOError) are retried; algorithm errors are
@@ -63,12 +63,7 @@ struct WorkerRunReport {
 
 struct MasterConfig {
   smpc::SmpcConfig smpc;
-  /// Link model for reporting simulated inter-hospital latency.
-  double link_latency_ms = 5.0;
-  double link_bandwidth_mbps = 100.0;
   uint64_t seed = 0xFEDE7A7E5EEDull;
-  /// Default dispatch/failure policy inherited by new sessions.
-  FanoutPolicy fanout;
 };
 
 /// \brief Master-side record of a worker living in another OS process: the
@@ -96,8 +91,8 @@ class FederationSession {
   /// read it from the args transfer under key "datasets" if needed).
   const std::vector<std::string>& datasets() const { return datasets_; }
 
-  /// Dispatch/failure policy for this session (seeded from
-  /// MasterConfig::fanout; override before running steps).
+  /// Dispatch/failure policy for this session (FanoutPolicy defaults;
+  /// override before running steps).
   const FanoutPolicy& fanout_policy() const { return fanout_; }
   void set_fanout_policy(FanoutPolicy policy) { fanout_ = policy; }
 
@@ -148,12 +143,11 @@ class FederationSession {
   friend class MasterNode;
   FederationSession(MasterNode* master, std::string job_id,
                     std::vector<std::string> worker_ids,
-                    std::vector<std::string> datasets, FanoutPolicy fanout)
+                    std::vector<std::string> datasets)
       : master_(master),
         job_id_(std::move(job_id)),
         worker_ids_(std::move(worker_ids)),
         datasets_(std::move(datasets)),
-        fanout_(fanout),
         active_worker_ids_(worker_ids_) {}
 
   std::string NextSmpcJobId() {

@@ -80,26 +80,6 @@ Status TcpTransport::RoundTrip(Socket* sock,
   }
 }
 
-void TcpTransport::MeterRequestOnly(const Envelope& envelope,
-                                    uint64_t wire_bytes) {
-  const std::string link = envelope.from + "->" + envelope.to;
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.messages += 1;
-  stats_.bytes += wire_bytes;
-  link_stats_[link].messages += 1;
-  link_stats_[link].bytes += wire_bytes;
-}
-
-void TcpTransport::MeterCodec(const std::string& from, const std::string& to,
-                              uint64_t raw_bytes, uint64_t wire_bytes) {
-  const std::string link = from + "->" + to;
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.bytes_raw += raw_bytes;
-  stats_.bytes_wire += wire_bytes;
-  link_stats_[link].bytes_raw += raw_bytes;
-  link_stats_[link].bytes_wire += wire_bytes;
-}
-
 Result<std::vector<uint8_t>> TcpTransport::Send(Envelope envelope) {
   BufferWriter w;
   EncodeFrame(EncodeEnvelopePayload(envelope), &w);
@@ -111,7 +91,7 @@ Result<std::vector<uint8_t>> TcpTransport::Send(Envelope envelope) {
   if (FaultHook* hook = hook_.load()) {
     Status fault = hook->BeforeDeliver(envelope);
     if (!fault.ok()) {
-      MeterRequestOnly(envelope, frame.size());
+      MeterRequest(envelope.from, envelope.to, frame.size());
       return fault;
     }
   }
@@ -143,7 +123,7 @@ Result<std::vector<uint8_t>> TcpTransport::Send(Envelope envelope) {
     Result<Socket> dialed =
         Socket::ConnectTcp(host, peer_port, options_.connect_timeout_ms);
     if (!dialed.ok()) {
-      MeterRequestOnly(envelope, frame.size());
+      MeterRequest(envelope.from, envelope.to, frame.size());
       return dialed.status();
     }
     conn = std::move(dialed).MoveValueUnsafe();
@@ -170,29 +150,12 @@ Result<std::vector<uint8_t>> TcpTransport::Send(Envelope envelope) {
     // The connection state is unknown (a late reply may still arrive);
     // never return it to the pool.
     conn.Close();
-    MeterRequestOnly(envelope, frame.size());
+    MeterRequest(envelope.from, envelope.to, frame.size());
     return rt;
   }
 
-  const double wall = rtt.ElapsedMillis();
-  {
-    const std::string link = envelope.from + "->" + envelope.to;
-    const std::string reverse = envelope.to + "->" + envelope.from;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.messages += 2;
-    stats_.bytes += frame.size() + reply_wire_bytes;
-    stats_.round_trips += 1;
-    stats_.wall_ms += wall;
-    NetworkStats& fwd = link_stats_[link];
-    fwd.messages += 1;
-    fwd.bytes += frame.size();
-    fwd.round_trips += 1;
-    fwd.wall_ms += wall;
-    NetworkStats& rev = link_stats_[reverse];
-    rev.messages += 1;
-    rev.bytes += reply_wire_bytes;
-    link_hist_[link].Record(wall);
-  }
+  MeterRoundTrip(envelope.from, envelope.to, frame.size(), reply_wire_bytes,
+                 rtt.ElapsedMillis());
 
   {
     std::lock_guard<std::mutex> lock(peers_mu_);
@@ -205,28 +168,6 @@ Result<std::vector<uint8_t>> TcpTransport::Send(Envelope envelope) {
   }
 
   return DecodeReplyPayload(reply_payload);
-}
-
-NetworkStats TcpTransport::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
-std::map<std::string, NetworkStats> TcpTransport::link_stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return link_stats_;
-}
-
-std::map<std::string, LatencyHistogram> TcpTransport::link_histograms() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return link_hist_;
-}
-
-void TcpTransport::ResetStats() {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_ = NetworkStats();
-  link_stats_.clear();
-  link_hist_.clear();
 }
 
 void TcpTransport::Shutdown() {

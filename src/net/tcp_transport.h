@@ -58,7 +58,9 @@ struct TcpTransportOptions {
 /// retryable by FanoutPolicy — while remote handler errors come back with
 /// their original status code and are not retried. The FaultHook runs on
 /// the sender before any bytes leave, exactly like the bus, so seeded fault
-/// sequences are identical on both transports.
+/// sequences are identical on both transports. Send() reports frame sizes
+/// (header included) to the Transport ledger; a remote error reply is a
+/// completed round trip.
 class TcpTransport : public Transport {
  public:
   explicit TcpTransport(TcpTransportOptions options = TcpTransportOptions());
@@ -88,13 +90,7 @@ class TcpTransport : public Transport {
   Status RegisterEndpoint(const std::string& node_id,
                           Handler handler) override;
   Result<std::vector<uint8_t>> Send(Envelope envelope) override;
-  NetworkStats stats() const override;
-  std::map<std::string, NetworkStats> link_stats() const override;
-  std::map<std::string, LatencyHistogram> link_histograms() const override;
-  void ResetStats() override;
   void set_fault_hook(FaultHook* hook) override { hook_ = hook; }
-  void MeterCodec(const std::string& from, const std::string& to,
-                  uint64_t raw_bytes, uint64_t wire_bytes) override;
 
  private:
   struct Peer {
@@ -108,7 +104,6 @@ class TcpTransport : public Transport {
   Status RoundTrip(Socket* sock, const std::vector<uint8_t>& frame,
                    double timeout_ms, std::vector<uint8_t>* reply_payload,
                    uint64_t* reply_wire_bytes);
-  void MeterRequestOnly(const Envelope& envelope, uint64_t wire_bytes);
 
   TcpTransportOptions options_;
   std::atomic<bool> stopping_{false};
@@ -118,12 +113,6 @@ class TcpTransport : public Transport {
 
   mutable std::mutex peers_mu_;
   std::map<std::string, Peer> peers_;
-
-  mutable std::mutex stats_mu_;
-  NetworkStats stats_;
-  std::map<std::string, NetworkStats> link_stats_;
-  /// Measured round-trip wall time per "from->to" link, milliseconds.
-  std::map<std::string, LatencyHistogram> link_hist_;
 
   std::atomic<FaultHook*> hook_{nullptr};
 };

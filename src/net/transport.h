@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -88,10 +89,16 @@ class FaultHook {
 /// Two implementations exist: the in-process MessageBus (every node in one
 /// address space — the test and simulation default) and TcpTransport
 /// (length-prefixed binary frames over real sockets, one process per node).
-/// Both meter every payload that crosses a node boundary, honor the same
-/// FaultHook, and surface delivery failures as retryable Status codes
-/// (Unavailable / IOError) so the federation fan-out policy treats them
-/// uniformly.
+/// Both honor the same FaultHook and surface delivery failures as retryable
+/// Status codes (Unavailable / IOError) so the federation fan-out policy
+/// treats them uniformly.
+///
+/// The traffic ledger lives here, once: totals, per-link NetworkStats and
+/// per-link round-trip histograms under one lock. An implementation's
+/// Send() only reports what happened through MeterRequest() (the request
+/// left but no reply came back) or MeterRoundTrip() (a reply came back).
+/// The bus reports payload sizes; TCP reports frame sizes (13-byte header
+/// included), so the same traffic costs a few more bytes on TCP.
 class Transport {
  public:
   /// A handler consumes an envelope and produces a serialized reply payload.
@@ -108,20 +115,6 @@ class Transport {
   /// request bytes only (they did leave the sender).
   virtual Result<std::vector<uint8_t>> Send(Envelope envelope) = 0;
 
-  /// Totals across all links.
-  virtual NetworkStats stats() const = 0;
-  /// Per-link accounting keyed "from->to". The messages/bytes sums over
-  /// links equal stats() — the invariant the concurrency tests check.
-  virtual std::map<std::string, NetworkStats> link_stats() const = 0;
-  virtual void ResetStats() = 0;
-
-  /// Measured round-trip latency distributions per link (milliseconds),
-  /// keyed like link_stats() by the requesting side "from->to". Feeds the
-  /// gateway's /metrics p50/p99/p999 per link. Default: not tracked.
-  virtual std::map<std::string, LatencyHistogram> link_histograms() const {
-    return {};
-  }
-
   /// Optional fault-injection hook consulted before every delivery. Not
   /// owned; pass nullptr to detach. Set while no traffic is in flight.
   virtual void set_fault_hook(FaultHook* hook) = 0;
@@ -135,17 +128,45 @@ class Transport {
     return true;
   }
 
+  // The ledger. Virtual only so decorators can forward to the transport
+  // they wrap; the implementations never override these.
+
+  /// Totals across all links.
+  virtual NetworkStats stats() const;
+  /// Per-link accounting keyed "from->to". The messages/bytes sums over
+  /// links equal stats() — the invariant the concurrency tests check.
+  virtual std::map<std::string, NetworkStats> link_stats() const;
+  /// Measured round-trip latency distributions per link (milliseconds),
+  /// keyed like link_stats() by the requesting side "from->to"; a link's
+  /// count equals its link_stats() round_trips. Feeds the gateway's
+  /// /metrics p50/p99/p999 per link.
+  virtual std::map<std::string, LatencyHistogram> link_histograms() const;
+  virtual void ResetStats();
+
   /// Records one codec-encoded payload on the from->to link: `raw_bytes` is
   /// the fixed-width size the payload would have had, `wire_bytes` what
   /// actually crossed. Callers that decode a payload know both sides; the
-  /// transport only keeps the ledger. Default: no accounting.
+  /// transport only keeps the ledger.
   virtual void MeterCodec(const std::string& from, const std::string& to,
-                          uint64_t raw_bytes, uint64_t wire_bytes) {
-    (void)from;
-    (void)to;
-    (void)raw_bytes;
-    (void)wire_bytes;
-  }
+                          uint64_t raw_bytes, uint64_t wire_bytes);
+
+ protected:
+  /// A request of `bytes` left `from` for `to` but no reply came back
+  /// (fault drop, dial or round-trip failure, handler error on the bus).
+  void MeterRequest(const std::string& from, const std::string& to,
+                    uint64_t bytes);
+  /// A request and its reply completed in `wall_ms`: charges the request,
+  /// the round trip and its latency sample to from->to and the reply to
+  /// to->from.
+  void MeterRoundTrip(const std::string& from, const std::string& to,
+                      uint64_t request_bytes, uint64_t reply_bytes,
+                      double wall_ms);
+
+ private:
+  mutable std::mutex ledger_mu_;
+  NetworkStats stats_;
+  std::map<std::string, NetworkStats> link_stats_;
+  std::map<std::string, LatencyHistogram> link_hist_;
 };
 
 }  // namespace mip::net

@@ -37,21 +37,6 @@ Result<std::string> ExperimentSpec::RequireParam(const std::string& key) const {
   return it->second;
 }
 
-federation::FanoutPolicy ExperimentSpec::ResolvedFanout() const {
-  federation::FanoutPolicy policy = fanout;
-  policy.min_workers = static_cast<size_t>(GetNumericParam(
-      "fanout.min_workers", static_cast<double>(policy.min_workers)));
-  policy.max_attempts = static_cast<int>(
-      GetNumericParam("fanout.max_attempts", policy.max_attempts));
-  policy.max_concurrency = static_cast<int>(
-      GetNumericParam("fanout.max_concurrency", policy.max_concurrency));
-  policy.worker_timeout_ms =
-      GetNumericParam("fanout.worker_timeout_ms", policy.worker_timeout_ms);
-  policy.retry_backoff_ms =
-      GetNumericParam("fanout.retry_backoff_ms", policy.retry_backoff_ms);
-  return policy;
-}
-
 Result<std::vector<std::string>> ExperimentSpec::RequireListParam(
     const std::string& key) const {
   auto it = list_params.find(key);
@@ -130,7 +115,7 @@ Result<std::string> ExperimentManager::Submit(const ExperimentSpec& spec) {
     records_.push_back(record);
     return record.id;
   }
-  session.ValueOrDie().set_fanout_policy(spec.ResolvedFanout());
+  session.ValueOrDie().set_fanout_policy(spec.fanout);
   Result<std::string> result = (*runner)(&session.ValueOrDie(), spec);
   record.runtime_ms = sw.ElapsedMillis();
   record.worker_reports = session.ValueOrDie().CumulativeReports();

@@ -22,14 +22,8 @@ struct ExperimentSpec {
   /// List parameters ("variables", "covariates", "levels", ...).
   std::map<std::string, std::vector<std::string>> list_params;
   federation::AggregationMode mode = federation::AggregationMode::kPlain;
-  /// Dispatch/failure policy for the experiment's session. Scalar params
-  /// "fanout.min_workers", "fanout.max_attempts", "fanout.max_concurrency",
-  /// "fanout.worker_timeout_ms" and "fanout.retry_backoff_ms" override the
-  /// corresponding fields (the UI submits them as plain form values).
+  /// Dispatch/failure policy for the experiment's session.
   federation::FanoutPolicy fanout;
-
-  /// The fanout policy with any "fanout.*" params applied.
-  federation::FanoutPolicy ResolvedFanout() const;
 
   // -- typed accessors with defaults -------------------------------------
   std::string GetParam(const std::string& key,

@@ -1,10 +1,13 @@
 // Tests for the src/net transport layer: frame codec correctness, the TCP
 // transport (echo round trips, concurrency, deadlines, peer death), fault
-// injection parity with the in-process bus, and a deterministic mutation
-// fuzz over every deserializer that consumes bytes from the network.
+// injection parity with the in-process bus, the shared traffic ledger and
+// the gateway's per-link metrics on both transports, and a deterministic
+// mutation fuzz over every deserializer that consumes bytes from the
+// network.
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +19,11 @@
 #include "engine/table.h"
 #include "federation/fault.h"
 #include "federation/bus.h"
+#include "federation/gateway.h"
+#include "federation/master.h"
 #include "federation/transfer.h"
+#include "federation/worker.h"
+#include "federation/worker_steps.h"
 #include "net/frame.h"
 #include "net/tcp_transport.h"
 #include "net/transport.h"
@@ -468,6 +475,177 @@ TEST(FaultParityTest, SeededOutcomesIdenticalOnBusAndTcp) {
   EXPECT_FALSE(bus_outcomes[0]);
   EXPECT_FALSE(bus_outcomes[1]);
 
+  client.Shutdown();
+  server.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Traffic ledger: one implementation in net::Transport, fed by both
+// transports. Each transport only chooses which sizes it reports and
+// whether a failure is request-only or a full round trip.
+
+struct LedgerExpectation {
+  uint64_t messages;
+  uint64_t bytes;
+  uint64_t round_trips;
+};
+
+const std::vector<uint8_t> kLedgerPayload = {1, 2, 3, 4};
+const Status kHandlerError = Status::InvalidArgument("rejects every request");
+
+/// Sends 5 requests to "ok" (the first 2 dropped by the fault hook) and 2 to
+/// "bad" (whose handler fails), then checks the ledger's shape.
+void ExpectLedgerShape(net::Transport* transport, LedgerExpectation want) {
+  FaultInjector injector;
+  FaultSpec flaky;
+  flaky.fail_first_n = 2;
+  injector.SetLinkFault("master", "ok", flaky);
+  transport->set_fault_hook(&injector);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(transport->Send(MakeEnvelope("ok", kLedgerPayload)).ok(), i >= 2);
+  }
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(transport->Send(MakeEnvelope("bad", kLedgerPayload)).ok());
+  }
+  transport->set_fault_hook(nullptr);
+
+  const net::NetworkStats total = transport->stats();
+  EXPECT_EQ(total.messages, want.messages);
+  EXPECT_EQ(total.bytes, want.bytes);
+  EXPECT_EQ(total.round_trips, want.round_trips);
+  const auto links = transport->link_stats();
+  uint64_t messages = 0, bytes = 0, round_trips = 0;
+  for (const auto& [link, s] : links) {
+    messages += s.messages;
+    bytes += s.bytes;
+    round_trips += s.round_trips;
+  }
+  EXPECT_EQ(messages, total.messages);
+  EXPECT_EQ(bytes, total.bytes);
+  EXPECT_EQ(round_trips, total.round_trips);
+
+  // Every link with a completed round trip has a latency histogram whose
+  // count is exactly its round trips; no other link has one.
+  const auto hists = transport->link_histograms();
+  size_t links_with_round_trips = 0;
+  for (const auto& [link, s] : links) {
+    if (s.round_trips == 0) continue;
+    ++links_with_round_trips;
+    ASSERT_TRUE(hists.count(link)) << link;
+    EXPECT_EQ(hists.at(link).count(), s.round_trips) << link;
+  }
+  EXPECT_EQ(hists.size(), links_with_round_trips);
+  EXPECT_EQ(links.at("master->ok").round_trips, 3u);
+
+  transport->ResetStats();
+  EXPECT_EQ(transport->stats().messages, 0u);
+  EXPECT_TRUE(transport->link_stats().empty());
+  EXPECT_TRUE(transport->link_histograms().empty());
+}
+
+Result<std::vector<uint8_t>> Echo(const Envelope& e) { return e.payload; }
+Result<std::vector<uint8_t>> Fail(const Envelope&) { return kHandlerError; }
+
+TEST(TrafficLedgerTest, BusMetersPayloadsAndHandlerErrorsAsRequestOnly) {
+  MessageBus bus;
+  ASSERT_TRUE(bus.RegisterEndpoint("ok", Echo).ok());
+  ASSERT_TRUE(bus.RegisterEndpoint("bad", Fail).ok());
+  // 7 requests + 3 replies of 4 payload bytes each; a handler error never
+  // produced a reply.
+  ExpectLedgerShape(&bus, {10, 40, 3});
+}
+
+TEST(TrafficLedgerTest, TcpMetersFramesAndRemoteErrorsAsRoundTrips) {
+  TcpTransport server;
+  ASSERT_TRUE(server.RegisterEndpoint("ok", Echo).ok());
+  ASSERT_TRUE(server.RegisterEndpoint("bad", Fail).ok());
+  ASSERT_TRUE(server.Listen(0).ok());
+  TcpTransport client;
+  client.AddPeer("ok", "127.0.0.1", server.port());
+  client.AddPeer("bad", "127.0.0.1", server.port());
+  // 7 requests + 5 replies, metered as whole frames: a remote error comes
+  // back as a reply frame.
+  auto request = [](const std::string& to) {
+    return net::kFrameHeaderBytes +
+           net::EncodeEnvelopePayload(MakeEnvelope(to, kLedgerPayload)).size();
+  };
+  auto reply = [](const Status& status, const std::vector<uint8_t>& bytes) {
+    return net::kFrameHeaderBytes +
+           net::EncodeReplyPayload(status, bytes).size();
+  };
+  const uint64_t bytes = 5 * request("ok") + 2 * request("bad") +
+                         3 * reply(Status::OK(), kLedgerPayload) +
+                         2 * reply(kHandlerError, {});
+  ExpectLedgerShape(&client, {12, bytes, 5});
+  client.Shutdown();
+  server.Shutdown();
+}
+
+/// One federated SELECT through a gateway whose link source is the
+/// master's transport: /metrics must show one latency line per site, and
+/// each histogram must count exactly its link's round trips.
+void ExpectOneLinkLinePerSite(federation::MasterNode* master,
+                              const std::vector<std::string>& sites) {
+  ASSERT_TRUE(master->CreateFederatedView("linreg").ok());
+  federation::Gateway gateway(&master->local_db());
+  gateway.set_link_source(&master->transport());
+  BufferWriter sql;
+  sql.WriteString("SELECT count(*) AS n FROM linreg_federated");
+  auto reply = gateway.Handle(
+      Envelope{"alice", "gateway", "run_sql", "", sql.TakeBytes()});
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+
+  const std::string text = gateway.MetricsText();
+  for (const std::string& site : sites) {
+    const std::string line = "link{id=\"master->" + site + "\"} n=";
+    const size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos) << line << " missing from\n" << text;
+    EXPECT_EQ(text.find(line, at + 1), std::string::npos) << text;
+  }
+  const auto links = master->transport().link_stats();
+  const auto hists = master->transport().link_histograms();
+  EXPECT_EQ(hists.size(), sites.size());
+  for (const auto& [link, hist] : hists) {
+    ASSERT_TRUE(links.count(link)) << link;
+    EXPECT_GT(hist.count(), 0u) << link;
+    EXPECT_EQ(hist.count(), links.at(link).round_trips) << link;
+  }
+}
+
+const std::vector<std::string> kSites = {"hospital_0", "hospital_1"};
+
+engine::Table SiteTable(size_t i) {
+  return federation::MakeSyntheticLinregTable(21 + i, 80, {1.5, -2.0}, 0.1);
+}
+
+TEST(GatewayLinkMetricsTest, BusBackedMasterRendersOneLinkLinePerSite) {
+  federation::MasterNode master;
+  for (size_t i = 0; i < kSites.size(); ++i) {
+    ASSERT_TRUE(master.AddWorker(kSites[i]).ok());
+    ASSERT_TRUE(master.LoadDataset(kSites[i], "linreg", SiteTable(i)).ok());
+  }
+  ExpectOneLinkLinePerSite(&master, kSites);
+}
+
+TEST(GatewayLinkMetricsTest, TcpBackedMasterRendersOneLinkLinePerSite) {
+  auto functions = std::make_shared<federation::LocalFunctionRegistry>();
+  TcpTransport server;
+  std::vector<std::unique_ptr<federation::WorkerNode>> workers;
+  for (size_t i = 0; i < kSites.size(); ++i) {
+    workers.push_back(
+        std::make_unique<federation::WorkerNode>(kSites[i], functions, i));
+    ASSERT_TRUE(workers.back()->LoadDataset("linreg", SiteTable(i)).ok());
+    ASSERT_TRUE(workers.back()->AttachToBus(&server).ok());
+  }
+  ASSERT_TRUE(server.Listen(0).ok());
+  TcpTransport client;
+  federation::MasterNode master;
+  master.set_transport(&client);
+  for (const std::string& site : kSites) {
+    client.AddPeer(site, "127.0.0.1", server.port());
+    ASSERT_TRUE(master.AddRemoteWorker(site, {"linreg"}).ok());
+  }
+  ExpectOneLinkLinePerSite(&master, kSites);
   client.Shutdown();
   server.Shutdown();
 }

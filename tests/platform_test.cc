@@ -2,6 +2,7 @@
 
 #include "algorithms/histogram.h"
 #include "data/synthetic.h"
+#include "federation/fault.h"
 #include "federation/master.h"
 #include "platform/experiment.h"
 
@@ -110,6 +111,47 @@ TEST_F(PlatformTest, SecureModeFlowsThroughTheSpec) {
   ASSERT_TRUE(id.ok());
   EXPECT_EQ((*manager_->Get(*id)).status, ExperimentStatus::kCompleted);
   EXPECT_GT(master_.smpc().stats().bytes_transferred, 0u);
+}
+
+TEST_F(PlatformTest, SpecFanoutQuorumExcludesAFaultedHospital) {
+  // Every delivery to lille fails: the spec's fan-out policy is the only
+  // thing deciding whether the experiment survives it.
+  federation::FaultInjector injector;
+  federation::FaultSpec down;
+  down.fail_first_n = 1 << 20;
+  injector.SetEndpointFault("lille", down);
+  master_.bus().set_fault_hook(&injector);
+
+  ExperimentSpec spec;
+  spec.algorithm = "linear_regression";
+  spec.datasets = Datasets();
+  spec.list_params["covariates"] = {"age", "p_tau"};
+  spec.params["target"] = "left_hippocampus";
+  spec.fanout.max_attempts = 2;
+  spec.fanout.retry_backoff_ms = 0.0;
+
+  // Strict policy (min_workers = 0): the outage fails the experiment.
+  auto strict_id = manager_->Submit(spec);
+  ASSERT_TRUE(strict_id.ok());
+  ExperimentRecord strict = *manager_->Get(*strict_id);
+  EXPECT_EQ(strict.status, ExperimentStatus::kFailed);
+  EXPECT_TRUE(strict.excluded_workers.empty());
+
+  // Quorum of 3 of 4: the experiment completes without lille and says so.
+  spec.fanout.min_workers = 3;
+  auto id = manager_->Submit(spec);
+  ASSERT_TRUE(id.ok());
+  ExperimentRecord record = *manager_->Get(*id);
+  master_.bus().set_fault_hook(nullptr);
+  EXPECT_EQ(record.status, ExperimentStatus::kCompleted) << record.error;
+  EXPECT_NE(record.result.find("Linear regression"), std::string::npos);
+  EXPECT_EQ(record.excluded_workers, std::vector<std::string>{"lille"});
+  EXPECT_EQ(record.excluded_datasets,
+            std::vector<std::string>{"edsd_lille"});
+  for (const federation::WorkerRunReport& report : record.worker_reports) {
+    EXPECT_EQ(report.status.ok(), report.worker_id != "lille")
+        << report.worker_id;
+  }
 }
 
 TEST_F(PlatformTest, MyExperimentsKeepsHistoryInOrder) {

@@ -128,7 +128,7 @@ TEST_F(GatewayCacheTest, CapacityEvictsLeastRecentlyUsed) {
 
 TEST_F(GatewayCacheTest, CacheDisabledAlwaysRecomputes) {
   GatewayOptions options;
-  options.cache_enabled = false;
+  options.cache_capacity = 0;
   Gateway gateway(db_.get(), options);
   const std::string sql = "SELECT x FROM t WHERE x > 1";
   ASSERT_TRUE(gateway.Handle(SqlEnvelope(sql)).ok());

@@ -48,8 +48,7 @@ struct GatewayFlags {
   std::vector<WorkerAddr> workers;
   size_t max_in_flight = 64;
   size_t per_tenant = 16;
-  size_t cache_capacity = 128;
-  bool cache_enabled = true;
+  size_t cache_capacity = 128;  // 0 = no result cache
   int serve_threads = 4;
   double read_deadline_ms = 0.0;
   /// When set, attaches a disk-backed segment store under this directory
@@ -104,8 +103,6 @@ Status ParseFlags(int argc, char** argv, GatewayFlags* flags) {
       flags->per_tenant = static_cast<size_t>(std::atoll(v.c_str()));
     } else if (ParseFlag(arg, "cache-capacity", &v)) {
       flags->cache_capacity = static_cast<size_t>(std::atoll(v.c_str()));
-    } else if (arg == "--no-cache") {
-      flags->cache_enabled = false;
     } else if (ParseFlag(arg, "serve-threads", &v)) {
       flags->serve_threads = std::atoi(v.c_str());
     } else if (ParseFlag(arg, "read-deadline-ms", &v)) {
@@ -156,7 +153,6 @@ Status Run(const GatewayFlags& flags) {
   gw_options.max_in_flight = flags.max_in_flight;
   gw_options.per_tenant_in_flight = flags.per_tenant;
   gw_options.cache_capacity = flags.cache_capacity;
-  gw_options.cache_enabled = flags.cache_enabled;
   mip::federation::Gateway gateway(&master.local_db(), gw_options);
   gateway.set_link_source(&transport);
   gateway.set_smpc_source(&master.smpc());
