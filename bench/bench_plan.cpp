@@ -21,8 +21,18 @@
 // and broadcast ships >= 5x fewer bytes than collect on the smallest
 // cohort.
 //
+// Experiment E20 — federated-SELECT latency vs site count: 4, 16 and 64 bus
+// workers, each behind a 10 ms injected delay on its master link, answer
+//   SELECT g, count(*) AS n, sum(x) AS s FROM <view> GROUP BY g
+// (a merge-aggregate: one partial-aggregate round trip per site) under
+// ExecContext::Serial() and under the default context, whose pool runs the
+// parts concurrently with at most pool size + 1 in flight. Acceptance:
+// byte-identical answers and parallel <= 0.5x serial wall time at every
+// site count.
+//
 // Results are printed and written to BENCH_plan.json for the CI smoke step.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -31,7 +41,9 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "engine/database.h"
+#include "engine/exec_context.h"
 #include "engine/table.h"
+#include "federation/fault.h"
 #include "federation/master.h"
 
 namespace {
@@ -223,6 +235,111 @@ E19Result RunE19() {
   return e19;
 }
 
+// --- E20: federated-SELECT latency vs site count ---------------------------
+
+struct SitePoint {
+  int sites = 0;
+  double serial_ms = 0.0;    // median of kE20Reps
+  double parallel_ms = 0.0;  // median of kE20Reps
+  bool identical = false;
+};
+
+struct E20Result {
+  std::vector<SitePoint> points;
+  int lanes = 1;  // parts in flight under the default context
+  bool pass = false;
+};
+
+constexpr double kE20DelayMs = 10.0;
+constexpr int kE20Reps = 3;
+
+double MedianMs(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+E20Result RunE20() {
+  E20Result e20;
+  const mip::engine::ExecContext& parallel =
+      mip::engine::ExecContext::Default();
+  e20.lanes = parallel.pool != nullptr ? parallel.pool->size() + 1 : 1;
+  std::printf("%-8s %12s %12s %8s %6s\n", "sites", "serial_ms", "parallel_ms",
+              "ratio", "lanes");
+  bool all_ok = true;
+  for (const int sites : {4, 16, 64}) {
+    mip::federation::MasterNode master;
+    Rng rng(0xE20 + static_cast<uint64_t>(sites));
+    const std::vector<std::string> groups = {"AD", "MCI", "control"};
+    for (int w = 0; w < sites; ++w) {
+      const std::string id = "h" + std::to_string(w + 1);
+      if (!master.AddWorker(id).ok()) return e20;
+      Schema schema;
+      (void)schema.AddField({"x", DataType::kFloat64});
+      (void)schema.AddField({"g", DataType::kString});
+      Table t = Table::Empty(schema);
+      for (int i = 0; i < 200; ++i) {
+        (void)t.AppendRow(
+            {Value::Double(rng.NextGaussian()),
+             Value::String(groups[rng.NextBounded(groups.size())])});
+      }
+      if (!master.LoadDataset(id, "d", std::move(t)).ok()) return e20;
+    }
+    auto view = master.CreateFederatedView("d");
+    if (!view.ok()) return e20;
+    const std::string sql = "SELECT g, count(*) AS n, sum(x) AS s FROM " +
+                            *view + " GROUP BY g";
+    mip::engine::Database& db = master.local_db();
+    // Warm the planner's schema/stats caches: timed runs only execute.
+    if (!db.ExecuteSql(sql).ok()) return e20;
+
+    mip::federation::FaultInjector injector(0xE20);
+    mip::federation::FaultSpec delay;
+    delay.delay_ms = kE20DelayMs;
+    for (int w = 0; w < sites; ++w) {
+      injector.SetLinkFault("master", "h" + std::to_string(w + 1), delay);
+    }
+    master.bus().set_fault_hook(&injector);
+    SitePoint p;
+    p.sites = sites;
+    std::vector<uint8_t> answers[2];
+    std::vector<double> times[2];
+    const mip::engine::ExecContext* contexts[2] = {
+        &mip::engine::ExecContext::Serial(), &parallel};
+    for (int rep = 0; rep < kE20Reps; ++rep) {
+      for (int mode = 0; mode < 2; ++mode) {
+        db.set_exec_context(contexts[mode]);
+        mip::Stopwatch timer;
+        auto out = db.ExecuteSql(sql);
+        times[mode].push_back(timer.ElapsedMillis());
+        if (!out.ok()) {
+          std::printf("E20 QUERY FAILED: %s\n",
+                      out.status().ToString().c_str());
+          master.bus().set_fault_hook(nullptr);
+          return e20;
+        }
+        answers[mode] = Bytes(*out);
+      }
+    }
+    master.bus().set_fault_hook(nullptr);
+    db.set_exec_context(nullptr);
+    p.serial_ms = MedianMs(times[0]);
+    p.parallel_ms = MedianMs(times[1]);
+    p.identical = !answers[0].empty() && answers[0] == answers[1];
+    const bool fast = p.parallel_ms <= 0.5 * p.serial_ms;
+    all_ok = all_ok && p.identical && fast;
+    std::printf("%-8d %12.1f %12.1f %8.3f %6d%s%s\n", p.sites, p.serial_ms,
+                p.parallel_ms, p.parallel_ms / p.serial_ms, e20.lanes,
+                fast ? "" : "  SLOWER THAN 0.5x SERIAL",
+                p.identical ? "" : "  RESULTS DIVERGED");
+    e20.points.push_back(p);
+  }
+  e20.pass = all_ok;
+  std::printf("\nparallel <= 0.5x serial at every site count, byte-identical "
+              "answers: %s\n",
+              all_ok ? "PASS" : "FAIL");
+  return e20;
+}
+
 }  // namespace
 
 int main() {
@@ -292,6 +409,13 @@ int main() {
               kRowsPerWorker);
   const E19Result e19 = RunE19();
 
+  std::printf("\n=== E20: federated-SELECT latency vs site count ===\n");
+  std::printf("merge-aggregate over N bus sites, %.0f ms delay per link, "
+              "median of %d\n\n",
+              kE20DelayMs, kE20Reps);
+  const E20Result e20 = RunE20();
+  const bool pass = wire_ok && identical && e19.pass && e20.pass;
+
   std::string e19_sweep_json;
   for (size_t i = 0; i < e19.sweep.size(); ++i) {
     const SweepPoint& p = e19.sweep[i];
@@ -307,6 +431,17 @@ int main() {
                   p.wall_broadcast_ms, p.wall_collect_ms, p.rows,
                   p.identical ? "true" : "false");
     e19_sweep_json += buf;
+  }
+  std::string e20_json;
+  for (size_t i = 0; i < e20.points.size(); ++i) {
+    const SitePoint& p = e20.points[i];
+    char buf[200];
+    std::snprintf(buf, sizeof(buf),
+                  "%s    {\"sites\": %d, \"serial_ms\": %.3f, "
+                  "\"parallel_ms\": %.3f, \"identical\": %s}",
+                  i == 0 ? "" : ",\n", p.sites, p.serial_ms, p.parallel_ms,
+                  p.identical ? "true" : "false");
+    e20_json += buf;
   }
 
   if (std::FILE* f = std::fopen("BENCH_plan.json", "w")) {
@@ -328,6 +463,11 @@ int main() {
         "  \"small_cohort_wire_ratio\": %.3f,\n"
         "  \"pass\": %s\n"
         "  },\n"
+        "  \"e20\": {\n"
+        "  \"delay_ms\": %.1f, \"reps\": %d, \"lanes\": %d,\n"
+        "  \"points\": [\n%s\n  ],\n"
+        "  \"pass\": %s\n"
+        "  },\n"
         "  \"pass\": %s\n"
         "}\n",
         kWorkers, kRowsPerWorker, sql.c_str(), off.rows,
@@ -337,10 +477,11 @@ int main() {
         static_cast<unsigned long long>(on.bytes_wire), on.wall_ms,
         wire_ratio, identical ? "true" : "false", e19_sweep_json.c_str(),
         e19.flips, e19.small_ratio, e19.pass ? "true" : "false",
-        wire_ok && identical && e19.pass ? "true" : "false");
+        kE20DelayMs, kE20Reps, e20.lanes, e20_json.c_str(),
+        e20.pass ? "true" : "false", pass ? "true" : "false");
     std::fclose(f);
     std::printf("\nwrote BENCH_plan.json\n");
   }
 
-  return wire_ok && identical && e19.pass ? 0 : 1;
+  return pass ? 0 : 1;
 }

@@ -21,10 +21,12 @@ ctest --test-dir "$ROOT/build" --output-on-failure -j "$JOBS"
 suite_regex() { local IFS='|'; echo "^($*)\$"; }
 
 echo "== TSan: federation concurrency + robustness + net + engine morsels =="
+# plan_test and pushdown_test run the parts of merge tables concurrently on
+# the exec pool; pushdown_test goes master -> bus -> worker.
 TSAN_SUITES=(federation_concurrency_test robustness_test federation_test
              net_transport_test engine_parallel_test encoding_test
              serving_test result_cache_test storage_test join_test
-             smpc_test smpc_property_test)
+             smpc_test smpc_property_test plan_test pushdown_test)
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DMIP_SANITIZE=thread
 cmake --build "$ROOT/build-tsan" -j "$JOBS" --target "${TSAN_SUITES[@]}"
 # TSAN_OPTIONS makes any reported race fail the job; --no-tests=error guards
@@ -100,12 +102,14 @@ for example in quickstart epilepsy_study; do
   echo "$example: identical output with cost model on and off"
 done
 
-echo "== smoke: E15/E19 plan benchmarks (BENCH_plan.json) =="
+echo "== smoke: E15/E19/E20 plan benchmarks (BENCH_plan.json) =="
 # Doubles as an acceptance gate. E15: >= 5x fewer wire bytes for a
 # ~1%-selective filter over a federated merge view, byte-identical results.
 # E19: broadcast and collect byte-identical at every cohort size, the cost
 # model flipping broadcast -> collect exactly once across the sweep, and
-# broadcast shipping >= 5x fewer bytes on the smallest cohort.
+# broadcast shipping >= 5x fewer bytes on the smallest cohort. E20: with a
+# 10 ms delay per site link, concurrent parts take <= 0.5x the serial wall
+# time at 4, 16 and 64 sites, with byte-identical answers.
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_plan
 (cd "$ROOT" && "$ROOT/build/bench/bench_plan")
 [[ -s "$ROOT/BENCH_plan.json" ]] || { echo "BENCH_plan.json missing"; exit 1; }
@@ -126,6 +130,13 @@ assert e19["flips"] <= 1, \
     f"E19 strategy flipped {e19['flips']} times across the sweep (want 1)"
 assert e19["small_cohort_wire_ratio"] >= 5.0, \
     f"E19 broadcast wire win {e19['small_cohort_wire_ratio']}x below 5x floor"
+e20 = doc["e20"]
+for p in e20["points"]:
+    assert p["identical"] is True, \
+        f"E20 parallel parts changed results at {p['sites']} sites"
+    assert p["parallel_ms"] <= 0.5 * p["serial_ms"], \
+        f"E20 parallel {p['parallel_ms']} ms > 0.5x serial " \
+        f"{p['serial_ms']} ms at {p['sites']} sites"
 assert doc["pass"] is True, "bench_plan acceptance gates failed"
 PYEOF
 

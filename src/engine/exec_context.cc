@@ -1,5 +1,7 @@
 #include "engine/exec_context.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cstdlib>
 
@@ -16,16 +18,29 @@ int DefaultThreadCount() {
   return HardwareThreads();
 }
 
+ExecContext* g_default = nullptr;
+
+/// A forked child inherits the pool object but none of its threads, and
+/// signalling the pool's condition variable there can block forever on
+/// waiters that no longer exist. The child gets a fresh pool of the same
+/// size; the stale one is leaked.
+void RenewDefaultPoolInChild() {
+  g_default->pool = new ThreadPool(g_default->pool->size());
+}
+
 }  // namespace
 
 const ExecContext& ExecContext::Default() {
   // Leaked on purpose: engine threads must outlive every static destructor
   // that might still run a query during teardown.
   static const ExecContext* ctx = [] {
-    auto* c = new ExecContext();
+    g_default = new ExecContext();
     const int threads = DefaultThreadCount();
-    if (threads > 1) c->pool = new ThreadPool(threads);
-    return c;
+    if (threads > 1) {
+      g_default->pool = new ThreadPool(threads);
+      pthread_atfork(nullptr, nullptr, RenewDefaultPoolInChild);
+    }
+    return g_default;
   }();
   return *ctx;
 }

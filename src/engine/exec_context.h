@@ -29,7 +29,8 @@ struct ExecContext {
 
   /// Process-wide default: a lazily created shared pool sized by the
   /// MIP_THREADS environment variable (unset => HardwareThreads();
-  /// <= 1 => serial, no pool). The pool lives for the process lifetime.
+  /// <= 1 => serial, no pool). The pool lives for the process lifetime; a
+  /// forked child gets a fresh pool of the same size.
   static const ExecContext& Default();
 
   /// A context that always executes serially (no pool).

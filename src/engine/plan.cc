@@ -874,22 +874,29 @@ struct PlanExecutor {
     } else {
       parts.push_back(&left);
     }
-    std::vector<Table> results;
-    results.reserve(parts.size());
-    for (const PlanNode* part : parts) {
-      MIP_ASSIGN_OR_RETURN(Table joined,
-                           ExecBroadcastPart(node, *part, small));
-      results.push_back(std::move(joined));
+    // Draw the temp names in part order before dispatch, so part i ships
+    // the same SQL text whatever order the parts run in. An empty name
+    // marks a part that cannot be pushed.
+    std::vector<std::string> temp_names(parts.size());
+    for (size_t i = 0; i < parts.size(); ++i) {
+      if (opts.remote != nullptr && BroadcastPushablePart(*parts[i], node)) {
+        temp_names[i] =
+            "__bcast" +
+            std::to_string(g_broadcast_temp_counter.fetch_add(1) + 1);
+      }
     }
+    MIP_ASSIGN_OR_RETURN(
+        std::vector<Table> results,
+        ExecParts(parts.size(), [&](size_t i) {
+          return ExecBroadcastPart(node, *parts[i], temp_names[i], small);
+        }));
     return Table::Concat(results);
   }
 
   Result<Table> ExecBroadcastPart(const PlanNode& node, const PlanNode& part,
+                                  const std::string& temp_name,
                                   const Table& small) {
-    if (opts.remote != nullptr && BroadcastPushablePart(part, node)) {
-      const std::string temp_name =
-          "__bcast" +
-          std::to_string(g_broadcast_temp_counter.fetch_add(1) + 1);
+    if (!temp_name.empty()) {
       std::string sql = "SELECT * FROM " + part.remote_name +
                         (node.join_type == JoinType::kLeft ? " LEFT JOIN "
                                                            : " JOIN ") +
@@ -912,6 +919,36 @@ struct PlanExecutor {
     }
     MIP_ASSIGN_OR_RETURN(Table left_part, Exec(part));
     return LocalJoin(node, left_part, small);
+  }
+
+  /// Runs `fn(i)` for every part i in [0, n) on the exec pool — the parts
+  /// of a merge table mostly wait on remote round trips, so a federated
+  /// SELECT waits for its slowest site rather than the sum of all of them.
+  /// ParallelFor lets the caller participate, so nesting inside a morsel or
+  /// another merge cannot deadlock, and at most pool size + 1 parts are in
+  /// flight. A null pool runs the parts inline in part order. Every part
+  /// runs; the result is the first failure in part order, else the tables
+  /// in part order, so the concatenation is byte-identical at any thread
+  /// count.
+  Result<std::vector<Table>> ExecParts(
+      size_t n, const std::function<Result<Table>(size_t)>& fn) {
+    std::vector<Result<Table>> results(n, Status::Internal("part not run"));
+    const auto run = [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) results[i] = fn(i);
+    };
+    ThreadPool* pool = ExecContext::Resolve(opts.exec).pool;
+    if (pool != nullptr) {
+      pool->ParallelFor(n, /*grain=*/1, run);
+    } else {
+      run(0, n);
+    }
+    std::vector<Table> tables;
+    tables.reserve(n);
+    for (Result<Table>& result : results) {
+      MIP_ASSIGN_OR_RETURN(Table table, std::move(result));
+      tables.push_back(std::move(table));
+    }
+    return tables;
   }
 
   Result<Table> Exec(const PlanNode& node) {
@@ -952,12 +989,10 @@ struct PlanExecutor {
                               node.table_name, opts.db_name);
       }
       case PlanKind::kMergeUnion: {
-        std::vector<Table> parts;
-        parts.reserve(node.children.size());
-        for (const PlanPtr& child : node.children) {
-          MIP_ASSIGN_OR_RETURN(Table part, Exec(*child));
-          parts.push_back(std::move(part));
-        }
+        MIP_ASSIGN_OR_RETURN(std::vector<Table> parts,
+                             ExecParts(node.children.size(), [&](size_t i) {
+                               return Exec(*node.children[i]);
+                             }));
         return Table::Concat(parts);
       }
       case PlanKind::kJoin: {

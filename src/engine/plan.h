@@ -64,9 +64,10 @@ const char* PlanKindName(PlanKind kind);
 ///                hash-join at the master (the only pre-cost-model behavior,
 ///                and the MIP_COST_MODEL=0 ablation).
 ///   kBroadcast — materialize the small (right/build) side once, ship it to
-///                every worker holding a left-side part, and push the join
-///                into the worker via a bound-table SQL round trip; the
-///                master only concatenates per-part join results.
+///                every worker holding a left-side part (all parts at once
+///                on the exec pool), and push the join into the worker via
+///                a bound-table SQL round trip; the master only
+///                concatenates per-part join results in part order.
 ///
 /// The strategy is a *physical* annotation: results are byte-identical
 /// either way (each worker joins its part against the identical build table,

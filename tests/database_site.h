@@ -4,6 +4,7 @@
 #ifndef MIP_TESTS_DATABASE_SITE_H_
 #define MIP_TESTS_DATABASE_SITE_H_
 
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -14,14 +15,19 @@ namespace mip::engine {
 
 /// Answers run_sql by executing on `db` and get_schema with a zero-row
 /// table; get_stats and run_sql_bound are NotImplemented, so the cost model
-/// stays blind and every join collects. Records each call's location.
+/// stays blind and every join collects. Records each call's location; the
+/// parts of a merge table call concurrently, so the order of `locations`
+/// is the order the calls arrived in, not part order.
 class DatabaseSite : public RemoteSite {
  public:
   explicit DatabaseSite(Database* db) : db_(db) {}
 
   Result<Table> Call(const std::string& location,
                      const RemoteRequest& request) override {
-    locations.push_back(location);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      locations.push_back(location);
+    }
     switch (request.kind) {
       case RemoteKind::kRunSql:
         return db_->ExecuteSql(request.sql);
@@ -40,6 +46,7 @@ class DatabaseSite : public RemoteSite {
   std::vector<std::string> locations;
 
  private:
+  std::mutex mu_;
   Database* db_;
 };
 

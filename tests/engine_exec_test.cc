@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <stdexcept>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "engine/exec_context.h"
 #include "engine/expr.h"
 #include "engine/row_interpreter.h"
 #include "engine/sql_parser.h"
@@ -282,5 +288,49 @@ TEST(ParallelForTest, NestedCallsDoNotDeadlock) {
   });
   EXPECT_EQ(total.load(), 8000);
 }
+
+TEST(ExecContextForkTest, ForkedChildCanUseTheDefaultPool) {
+  // A forked child inherits the default pool object but none of its
+  // threads, and the pool's lock or condition variable may be mid-use at
+  // the fork. Fork repeatedly while another thread keeps the pool busy;
+  // every child must still run ParallelFor on ExecContext::Default().
+  ThreadPool* pool = ExecContext::Default().pool;
+  if (pool == nullptr) GTEST_SKIP() << "the default context is serial";
+  std::atomic<bool> stop{false};
+  std::thread busy([pool, &stop] {
+    while (!stop.load()) pool->ParallelFor(64, 1, [](size_t, size_t) {});
+  });
+  int hung = 0, failed = 0;
+  for (int child = 0; child < 20; ++child) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      std::atomic<size_t> covered{0};
+      for (int round = 0; round < 50; ++round) {
+        ExecContext::Default().pool->ParallelFor(
+            64, 1, [&covered](size_t b, size_t e) { covered += e - b; });
+      }
+      _exit(covered.load() == 50 * 64 ? 0 : 1);
+    }
+    int status = 0;
+    pid_t done = 0;
+    for (int waited_ms = 0; waited_ms < 5000 && done == 0; waited_ms += 1) {
+      done = waitpid(pid, &status, WNOHANG);
+      if (done == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (done == 0) {
+      kill(pid, SIGKILL);
+      waitpid(pid, &status, 0);
+      ++hung;
+    } else if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      ++failed;
+    }
+  }
+  stop.store(true);
+  busy.join();
+  EXPECT_EQ(hung, 0) << "forked children hung on the default pool";
+  EXPECT_EQ(failed, 0);
+}
+
 }  // namespace
 }  // namespace mip::engine

@@ -2,18 +2,22 @@
 // concurrent dispatch path must produce byte-identical aggregates to the
 // sequential path, the traffic log must contain every envelope exactly
 // once, and NetworkStats accounting must neither lose nor double-count
-// under concurrency; a worker dataset reload never races the SQL it serves.
+// under concurrency; a worker dataset reload never races the SQL it serves;
+// the parts of a federated SELECT overlap and fail in part order.
 // Run under TSan in CI (ci/run_tests.sh).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "common/parallel.h"
+#include "engine/exec_context.h"
 #include "engine/remote_site.h"
 #include "federation/bus.h"
 #include "federation/fault.h"
@@ -360,6 +364,107 @@ TEST(WorkerReloadTest, ReloadDuringSelectsAnswersOldOrNewNeverAMix) {
   for (std::thread& t : readers) t.join();
   EXPECT_GT(answers.load(), 0);
   EXPECT_EQ(bad.load(), 0);
+}
+
+// The parts of a federated SELECT run concurrently on the master's exec
+// pool: with a 40 ms delay on every master->worker link, four parts finish
+// in about one delay instead of four. Serial() keeps the one-after-another
+// order. A failing part fails the query with the first failure in part
+// order, whichever part finishes first.
+class ParallelPartsFixture : public ::testing::Test {
+ protected:
+  static constexpr int kSites = 4;
+  static constexpr double kDelayMs = 40.0;
+
+  void SetUp() override {
+    for (int w = 1; w <= kSites; ++w) {
+      const std::string id = "h" + std::to_string(w);
+      ASSERT_TRUE(master_.AddWorker(id).ok());
+      Schema schema;
+      ASSERT_TRUE(schema.AddField({"x", DataType::kFloat64}).ok());
+      Table t = Table::Empty(schema);
+      for (int r = 0; r < w; ++r) {
+        ASSERT_TRUE(t.AppendRow({Value::Double(r)}).ok());
+      }
+      ASSERT_TRUE(master_.LoadDataset(id, "numbers", std::move(t)).ok());
+    }
+    sql_ = "SELECT count(*) AS n FROM " +
+           *master_.CreateFederatedView("numbers");
+    // Warm the planner's schema/stats caches so timed runs only execute.
+    ASSERT_TRUE(master_.local_db().ExecuteSql(sql_).ok());
+    pool_ = std::make_unique<ThreadPool>(8);
+    parallel_.pool = pool_.get();
+  }
+
+  void TearDown() override {
+    master_.bus().set_fault_hook(nullptr);
+    master_.local_db().set_exec_context(nullptr);
+  }
+
+  void SetLinkFaults(FaultInjector* injector, FaultSpec spec,
+                     const std::vector<int>& sites) {
+    for (int w : sites) {
+      injector->SetLinkFault("master", "h" + std::to_string(w), spec);
+    }
+  }
+
+  MasterNode master_;
+  std::string sql_;
+  std::unique_ptr<ThreadPool> pool_;
+  engine::ExecContext parallel_;
+};
+
+TEST_F(ParallelPartsFixture, PartsOverlapOnTheExecPool) {
+  FaultInjector injector(/*seed=*/5);
+  FaultSpec delay;
+  delay.delay_ms = kDelayMs;
+  SetLinkFaults(&injector, delay, {1, 2, 3, 4});
+  master_.bus().set_fault_hook(&injector);
+
+  auto timed_count = [this](const engine::ExecContext* ctx) {
+    master_.local_db().set_exec_context(ctx);
+    const auto start = std::chrono::steady_clock::now();
+    Result<Table> got = master_.local_db().ExecuteSql(sql_);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    if (got.ok()) {
+      EXPECT_EQ(got->At(0, 0).int_value(), 1 + 2 + 3 + 4);
+    }
+    return ms;
+  };
+  const double parallel_ms = timed_count(&parallel_);
+  const double serial_ms = timed_count(&engine::ExecContext::Serial());
+  EXPECT_LT(parallel_ms, 2.5 * kDelayMs);
+  EXPECT_GE(serial_ms, kSites * kDelayMs);
+}
+
+TEST_F(ParallelPartsFixture, FirstFailureInPartOrderWins) {
+  std::vector<std::string> errors;
+  for (const engine::ExecContext* ctx :
+       {&engine::ExecContext::Serial(),
+        static_cast<const engine::ExecContext*>(&parallel_)}) {
+    // h3 fails at once; h1 fails only after a delay, so in parallel the
+    // later part's error arrives first.
+    FaultInjector injector(/*seed=*/9);
+    FaultSpec fail_late;
+    fail_late.fail_first_n = 1;
+    fail_late.delay_ms = kDelayMs;
+    FaultSpec fail_now;
+    fail_now.fail_first_n = 1;
+    SetLinkFaults(&injector, fail_late, {1});
+    SetLinkFaults(&injector, fail_now, {3});
+    master_.bus().set_fault_hook(&injector);
+    master_.local_db().set_exec_context(ctx);
+    Result<Table> got = master_.local_db().ExecuteSql(sql_);
+    master_.bus().set_fault_hook(nullptr);
+    ASSERT_FALSE(got.ok());
+    errors.push_back(got.status().ToString());
+    EXPECT_NE(errors.back().find("master->h1"), std::string::npos)
+        << errors.back();
+  }
+  EXPECT_EQ(errors[0], errors[1]);
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskAndDrainsOnDestruction) {

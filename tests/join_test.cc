@@ -4,16 +4,21 @@
 // vs collect strategies byte-identical over the in-process bus and real
 // TCP; concurrent broadcast joins leaving the worker's catalog and stats
 // cache untouched; the get_stats wire round trip and its cache; HLL NDV
-// accuracy; and the join counters surfacing in the gateway metrics text.
+// accuracy; the join counters surfacing in the gateway metrics text; and
+// merge parts run concurrently giving the serial bytes and pushed SQL.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -557,6 +562,147 @@ TEST(BroadcastWorkerCatalogTest, ConcurrentBroadcastJoinsLeaveCatalogAlone) {
   ASSERT_TRUE(worker.db().GetTableStats("visits").ok());
   EXPECT_EQ(counting.stats_calls.load(), profiles)
       << "the worker re-profiled the probe table";
+}
+
+// Records every pushed broadcast join per location: its SQL text with the
+// temp name masked, and the temp name's number.
+class BoundSqlRecorder : public engine::RemoteSite {
+ public:
+  struct Push {
+    std::string masked_sql;
+    uint64_t temp_number = 0;
+    /// Runs compare by text only: the temp-name counter is process-wide,
+    /// so the numbers of a second run start where the first stopped.
+    bool operator==(const Push& o) const { return masked_sql == o.masked_sql; }
+  };
+
+  explicit BoundSqlRecorder(engine::RemoteSite* inner) : inner_(inner) {}
+
+  Result<Table> Call(const std::string& location,
+                     const engine::RemoteRequest& request) override {
+    if (request.kind == engine::RemoteKind::kRunSqlBound) {
+      Push push;
+      push.masked_sql = request.sql;
+      const size_t at = push.masked_sql.find(request.temp_name);
+      if (at != std::string::npos) {
+        push.masked_sql.replace(at, request.temp_name.size(), "<temp>");
+      }
+      push.temp_number =
+          std::stoull(request.temp_name.substr(sizeof("__bcast") - 1));
+      std::lock_guard<std::mutex> lock(mu_);
+      pushes_[location].push_back(push);
+    }
+    return inner_->Call(location, request);
+  }
+
+  std::map<std::string, std::vector<Push>> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(pushes_, {});
+  }
+
+ private:
+  engine::RemoteSite* inner_;
+  std::mutex mu_;
+  std::map<std::string, std::vector<Push>> pushes_;
+};
+
+// Eight remote parts run concurrently on an 8-thread pool and one after
+// another under ExecContext::Serial(): a pushed-filter scan, a
+// merge-aggregate GROUP BY, and a forced broadcast and a forced collect
+// join give byte-identical tables, and each part ships the same broadcast
+// SQL (temp names drawn in part order before dispatch) in both modes.
+TEST(ParallelPartsTest, ParallelPartsMatchSerialByteForByte) {
+  federation::MasterNode master;
+  Rng rng(418);
+  std::vector<std::string> sites;
+  for (int w = 0; w < 8; ++w) {
+    const std::string id = "p" + std::to_string(w);
+    sites.push_back(id);
+    ASSERT_TRUE(master.AddWorker(id).ok());
+    Schema schema;
+    ASSERT_TRUE(schema.AddField({"patient_id", DataType::kInt64}).ok());
+    ASSERT_TRUE(schema.AddField({"dur", DataType::kFloat64}).ok());
+    Table t = Table::Empty(std::move(schema));
+    for (int i = 0; i < 120; ++i) {
+      ASSERT_TRUE(t.AppendRow({Value::Int(rng.NextUint64() % 60),
+                               Value::Double(rng.NextGaussian())})
+                      .ok());
+    }
+    ASSERT_TRUE(master.LoadDataset(id, "visits", std::move(t)).ok());
+  }
+  const std::string view = *master.CreateFederatedView("visits");
+  Database& db = master.local_db();
+  ASSERT_TRUE(db.ExecuteSql("CREATE TABLE cohort (patient_id bigint, "
+                            "label varchar)")
+                  .ok());
+  ASSERT_TRUE(db.ExecuteSql("INSERT INTO cohort VALUES (3, 'case'), "
+                            "(17, 'control'), (42, 'case'), (59, 'control')")
+                  .ok());
+  BoundSqlRecorder recorder(&master);
+  db.set_remote_site(&recorder);
+
+  const std::string join_sql = "SELECT label, dur FROM " + view +
+                               " JOIN cohort ON " + view +
+                               ".patient_id = cohort.patient_id";
+  struct Case {
+    std::string sql;
+    int force_join;  // -1 = no join in the query
+  };
+  const std::vector<Case> cases = {
+      {"SELECT patient_id, dur FROM " + view + " WHERE dur > 0.5", -1},
+      {"SELECT patient_id, count(*) AS n, sum(dur) AS s FROM " + view +
+           " GROUP BY patient_id",
+       -1},
+      {join_sql, 1},
+      {join_sql, 0},
+  };
+  Result<Table> explain = db.ExecuteSql("EXPLAIN " + cases[1].sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  size_t partials = 0;
+  for (size_t r = 0; r < explain->num_rows(); ++r) {
+    const std::string line = explain->At(r, 0).string_value();
+    partials += line.find("GROUP BY patient_id]") != std::string::npos;
+  }
+  EXPECT_EQ(partials, sites.size())
+      << "the GROUP BY must ship as per-part partial aggregates";
+
+  ThreadPool pool(8);
+  ExecContext parallel_ctx;
+  parallel_ctx.pool = &pool;
+  for (const Case& c : cases) {
+    db.optimizer_options().force_join_strategy = c.force_join;
+    std::vector<std::vector<uint8_t>> bytes;
+    std::vector<std::map<std::string, std::vector<BoundSqlRecorder::Push>>>
+        pushed;
+    for (const ExecContext* ctx : {&ExecContext::Serial(),
+                                   static_cast<const ExecContext*>(
+                                       &parallel_ctx)}) {
+      db.set_exec_context(ctx);
+      Result<Table> got = db.ExecuteSql(c.sql);
+      ASSERT_TRUE(got.ok()) << c.sql << ": " << got.status().ToString();
+      ASSERT_GT(got->num_rows(), 0u) << c.sql;
+      bytes.push_back(Bytes(*got));
+      pushed.push_back(recorder.Take());
+    }
+    EXPECT_EQ(bytes[0], bytes[1]) << c.sql << " force=" << c.force_join;
+    EXPECT_EQ(pushed[0], pushed[1]) << c.sql << " force=" << c.force_join;
+    if (c.force_join != 1) {
+      EXPECT_TRUE(pushed[1].empty()) << c.sql;
+      continue;
+    }
+    // Part i binds the i-th temp name drawn, in both modes.
+    for (const auto& mode : pushed) {
+      ASSERT_EQ(mode.size(), sites.size());
+      const uint64_t first = mode.at(sites[0]).at(0).temp_number;
+      for (size_t i = 0; i < sites.size(); ++i) {
+        ASSERT_EQ(mode.at(sites[i]).size(), 1u) << sites[i];
+        EXPECT_EQ(mode.at(sites[i])[0].temp_number, first + i) << sites[i];
+      }
+    }
+  }
+  db.set_exec_context(nullptr);
+  db.optimizer_options().force_join_strategy = -1;
+  db.set_remote_site(&master);
 }
 
 // The same shards and cohort, but the worker answers over a real loopback
