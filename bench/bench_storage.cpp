@@ -29,12 +29,21 @@
 // E18 adds byte-identical results across path/threads/compaction, EXPLAIN
 // showing `IndexScan ... index: probes=`, and a >= 10x point-query p50
 // speedup for the index path. Results go to BENCH_storage.json for CI.
+//
+// CRC32: every segment block read is CRC-checked, so the checksum's speed
+// is part of the scan cost. The bench times mip::Crc32 (slice-by-8) and a
+// bytewise one-table reference over one seeded 64 MiB buffer (median of
+// kCrcReps) and reports both rates plus whether the two checksums agree;
+// only the agreement is a gate.
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -62,6 +71,8 @@ constexpr int64_t kBatchRows = 100'000;
 constexpr uint64_t kSegmentRows = 64 * 1024;
 constexpr int kSelectiveReps = 15;
 constexpr int kIndexReps = 9;
+constexpr size_t kCrcBytes = 64ull << 20;
+constexpr int kCrcReps = 5;
 
 // Unsorted high-cardinality key: a Knuth-multiplier bijection scatters row
 // position across the key space, so segment zone ranges all overlap and
@@ -93,6 +104,40 @@ Table MakeBatch(int64_t start, int64_t count) {
                               Column::FromDoubles(std::move(vals)),
                               Column::FromStrings(std::move(sites))})
       .ValueOrDie();
+}
+
+// The classic bytewise one-table CRC-32: the reference mip::Crc32 must equal.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t n) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c = kTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// Median MB/s of `crc` over `buf`; `*sum` receives the checksum.
+template <typename Fn>
+double CrcMbPerS(const std::vector<uint8_t>& buf, Fn crc, uint32_t* sum) {
+  std::vector<double> rates;
+  for (int rep = 0; rep < kCrcReps; ++rep) {
+    Stopwatch sw;
+    *sum = crc(buf.data(), buf.size());
+    const double s = std::max(sw.ElapsedSeconds(), 1e-9);
+    rates.push_back(static_cast<double>(buf.size()) / 1e6 / s);
+  }
+  std::sort(rates.begin(), rates.end());
+  return rates[rates.size() / 2];
 }
 
 // Joins an EXPLAIN result's rows back into the rendered plan text.
@@ -370,7 +415,28 @@ int main() {
               e18_fast ? "PASS" : "FAIL", point_speedup, range_speedup);
   const bool e18_pass = e18_identical && explain_ok && e18_fast;
 
-  const bool pass = e17_pass && e18_pass;
+  // --- CRC32 throughput, slice-by-8 vs the bytewise reference.
+  std::printf("\n=== CRC32: slice-by-8 vs bytewise reference ===\n");
+  std::vector<uint8_t> crc_buf(kCrcBytes);
+  Rng crc_rng(0xC3C32);
+  for (size_t i = 0; i < crc_buf.size(); i += 8) {
+    const uint64_t word = crc_rng.NextUint64();
+    for (size_t b = 0; b < 8 && i + b < crc_buf.size(); ++b) {
+      crc_buf[i + b] = static_cast<uint8_t>(word >> (8 * b));
+    }
+  }
+  uint32_t crc_sum = 0, crc_ref_sum = 0;
+  const double crc_mb_s = CrcMbPerS(
+      crc_buf, [](const uint8_t* d, size_t n) { return mip::Crc32(d, n); },
+      &crc_sum);
+  const double crc_ref_mb_s = CrcMbPerS(crc_buf, ReferenceCrc32, &crc_ref_sum);
+  const bool crc_matches = crc_sum == crc_ref_sum;
+  std::printf("crc32: %.0f MB/s, reference %.0f MB/s over %zu MiB\n",
+              crc_mb_s, crc_ref_mb_s, kCrcBytes >> 20);
+  std::printf("crc32 matches reference: %s\n",
+              crc_matches ? "PASS" : "FAIL");
+
+  const bool pass = e17_pass && e18_pass && crc_matches;
   if (std::FILE* f = std::fopen("BENCH_storage.json", "w")) {
     std::fprintf(
         f,
@@ -397,6 +463,9 @@ int main() {
         "  \"e18_explain_shows_index_scan\": %s,\n"
         "  \"e18_results_identical\": %s,\n"
         "  \"e18_pass\": %s,\n"
+        "  \"crc32_mb_s\": %.0f,\n"
+        "  \"crc32_ref_mb_s\": %.0f,\n"
+        "  \"crc32_matches_reference\": %s,\n"
         "  \"pass\": %s\n"
         "}\n",
         static_cast<long long>(kRows),
@@ -409,6 +478,7 @@ int main() {
         static_cast<unsigned long long>(segments_after), point_post_p50,
         range_post_p50, explain_ok ? "true" : "false",
         e18_identical ? "true" : "false", e18_pass ? "true" : "false",
+        crc_mb_s, crc_ref_mb_s, crc_matches ? "true" : "false",
         pass ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_storage.json\n");

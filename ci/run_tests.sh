@@ -39,11 +39,12 @@ echo "== ASan+UBSan: net framing / deserialization / codec hardening =="
 # pushdown_test and federation_test drive the engine's RemoteSite calls
 # master -> bus -> worker, so every request kind runs under ASan too.
 # net_process_test spawns the mip_worker daemon, which is built beside the
-# suites but is not a suite itself.
+# suites but is not a suite itself. common_test runs the slice-by-8 CRC32's
+# 8-byte loads at every length and alignment under UBSan.
 ASAN_SUITES=(net_transport_test net_process_test robustness_test
              encoding_test plan_test serving_test result_cache_test
              storage_test join_test smpc_test smpc_property_test
-             pushdown_test federation_test)
+             pushdown_test federation_test common_test)
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DMIP_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target "${ASAN_SUITES[@]}" mip_worker
@@ -163,7 +164,9 @@ echo "== smoke: E17/E18 disk segment store benchmark (BENCH_storage.json) =="
 # scan. E18 — on an unsorted high-cardinality key (zone maps useless), the
 # IndexScan access path answers a point query >= 10x faster at p50 than the
 # zone-map-only ablation, with byte-identical results across access path,
-# thread count, and compaction, and the choice visible in EXPLAIN.
+# thread count, and compaction, and the choice visible in EXPLAIN. CRC32 —
+# the slice-by-8 checksum equals the bytewise reference (speed is reported,
+# not gated).
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_storage
 (cd "$ROOT" && "$ROOT/build/bench/bench_storage")
 [[ -s "$ROOT/BENCH_storage.json" ]] || {
@@ -179,6 +182,8 @@ assert doc["e18_explain_shows_index_scan"] is True, \
     "EXPLAIN no longer surfaces the IndexScan access path"
 assert doc["e18_point_speedup"] >= 10.0, \
     f"index point-query speedup {doc['e18_point_speedup']}x below 10x floor"
+assert doc["crc32_matches_reference"] is True, \
+    "slice-by-8 CRC32 disagrees with the bytewise reference"
 assert doc["pass"] is True, "bench_storage acceptance gates failed"
 PYEOF
 

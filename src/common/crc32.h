@@ -9,7 +9,13 @@ namespace mip {
 
 /// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the integrity
 /// check shared by the network frame layer and the on-disk storage formats
-/// (segments, WAL records, manifest). Crc32("123456789") == 0xCBF43926.
+/// (segments, WAL records, manifest, indexes). Crc32("123456789") ==
+/// 0xCBF43926.
+///
+/// Computed slice-by-8: eight table lookups fold each 8-byte word, then a
+/// bytewise tail. This is an implementation choice only — the polynomial,
+/// init and xorout are the classic bytewise CRC's, so every checksum and
+/// every on-disk / on-wire format that stores one is unchanged.
 uint32_t Crc32(const uint8_t* data, size_t n);
 
 inline uint32_t Crc32(const std::vector<uint8_t>& data) {

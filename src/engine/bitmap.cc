@@ -18,6 +18,22 @@ void Bitmap::Append(bool valid) {
   ++length_;
 }
 
+void Bitmap::AppendBits(const Bitmap& other) {
+  // Bits past a bitmap's length are always zero (the constructor clears
+  // them and nothing sets them), so whole words can be OR-ed in.
+  const size_t shift = length_ % 64;
+  if (shift == 0) {
+    words_.insert(words_.end(), other.words_.begin(), other.words_.end());
+  } else {
+    for (uint64_t w : other.words_) {
+      words_.back() |= w << shift;
+      words_.push_back(w >> (64 - shift));
+    }
+  }
+  length_ += other.length_;
+  words_.resize((length_ + 63) / 64);
+}
+
 size_t Bitmap::CountSet() const {
   size_t n = 0;
   for (uint64_t w : words_) n += static_cast<size_t>(std::popcount(w));

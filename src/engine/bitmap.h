@@ -36,6 +36,9 @@ class Bitmap {
   /// Appends one bit.
   void Append(bool valid);
 
+  /// Appends every bit of `other`, a word at a time.
+  void AppendBits(const Bitmap& other);
+
   /// Number of set (valid) bits.
   size_t CountSet() const;
 

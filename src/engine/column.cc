@@ -1,5 +1,6 @@
 #include "engine/column.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -161,114 +162,125 @@ void Column::Reserve(size_t n) {
 }
 
 void Column::AppendFrom(const Column& other) {
-  // Null storage slots are re-canonicalized (NaN / 0 / "") below, exactly
-  // what the old boxed AppendValue path produced, so serialized bytes are
-  // unchanged.
-  const size_t base = length_;
   switch (type_) {
     case DataType::kBool:
       bools_.insert(bools_.end(), other.bools_.begin(), other.bools_.end());
-      if (other.has_validity()) {
-        for (size_t i = 0; i < other.length_; ++i) {
-          if (!other.validity_.Get(i)) bools_[base + i] = 0;
-        }
-      }
       break;
     case DataType::kInt64:
       ints_.insert(ints_.end(), other.ints_.begin(), other.ints_.end());
-      if (other.has_validity()) {
-        for (size_t i = 0; i < other.length_; ++i) {
-          if (!other.validity_.Get(i)) ints_[base + i] = 0;
-        }
-      }
       break;
     case DataType::kFloat64:
       doubles_.insert(doubles_.end(), other.doubles_.begin(),
                       other.doubles_.end());
-      if (other.has_validity()) {
-        for (size_t i = 0; i < other.length_; ++i) {
-          if (!other.validity_.Get(i)) {
-            doubles_[base + i] = std::numeric_limits<double>::quiet_NaN();
-          }
-        }
-      }
       break;
     case DataType::kString:
       strings_.insert(strings_.end(), other.strings_.begin(),
                       other.strings_.end());
-      if (other.has_validity()) {
-        for (size_t i = 0; i < other.length_; ++i) {
-          if (!other.validity_.Get(i)) strings_[base + i].clear();
-        }
-      }
       break;
   }
+  AdoptAppendedRows(other.validity_);
+}
+
+void Column::AppendTake(const Column& source,
+                        const std::vector<int64_t>& indices) {
+  // Typed gather, no per-cell Value boxing; AdoptAppendedRows canonicalizes
+  // the null slots afterwards.
+  auto gather = [&indices](auto& dst, const auto& src) {
+    for (int64_t i : indices) dst.push_back(src[static_cast<size_t>(i)]);
+  };
+  switch (type_) {
+    case DataType::kBool:
+      gather(bools_, source.bools_);
+      break;
+    case DataType::kInt64:
+      gather(ints_, source.ints_);
+      break;
+    case DataType::kFloat64:
+      gather(doubles_, source.doubles_);
+      break;
+    case DataType::kString:
+      gather(strings_, source.strings_);
+      break;
+  }
+  // The gathered rows carry a bitmap only if one of them is null.
+  Bitmap taken;
+  if (source.has_validity()) {
+    Bitmap bits(indices.size(), true);
+    bool any_null = false;
+    for (size_t k = 0; k < indices.size(); ++k) {
+      if (!source.validity_.Get(static_cast<size_t>(indices[k]))) {
+        bits.Set(k, false);
+        any_null = true;
+      }
+    }
+    if (any_null) taken = std::move(bits);
+  }
+  AdoptAppendedRows(taken);
+}
+
+void Column::AdoptAppendedRows(const Bitmap& validity) {
+  const size_t base = length_;
+  size_t stored = 0;
+  switch (type_) {
+    case DataType::kBool:
+      stored = bools_.size();
+      break;
+    case DataType::kInt64:
+      stored = ints_.size();
+      break;
+    case DataType::kFloat64:
+      stored = doubles_.size();
+      break;
+    case DataType::kString:
+      stored = strings_.size();
+      break;
+  }
+  const size_t n = stored - base;
   // The bitmap stays absent until an actual null arrives (the branch-free
   // fast-path invariant): materialize only when either side carries one.
-  if (other.has_validity()) {
-    EnsureValidity();  // length_ is still the pre-append length here
-    for (size_t i = 0; i < other.length_; ++i) {
-      validity_.Append(other.validity_.Get(i));
+  if (validity.length() > 0) {
+    // Null storage slots are re-canonicalized (NaN / 0 / ""), exactly what
+    // the boxed AppendNull path writes, so serialized bytes never depend on
+    // what a source held under its nulls. The null bits are walked a word
+    // at a time; bits past the bitmap's length are zero, so only the last
+    // word needs a mask.
+    const std::vector<uint64_t>& words = validity.words();
+    for (size_t w = 0; w < words.size(); ++w) {
+      uint64_t nulls = ~words[w];
+      if (w + 1 == words.size() && n % 64 != 0) {
+        nulls &= (1ull << (n % 64)) - 1;
+      }
+      for (; nulls != 0; nulls &= nulls - 1) {
+        const size_t i =
+            base + w * 64 + static_cast<size_t>(std::countr_zero(nulls));
+        switch (type_) {
+          case DataType::kBool:
+            bools_[i] = 0;
+            break;
+          case DataType::kInt64:
+            ints_[i] = 0;
+            break;
+          case DataType::kFloat64:
+            doubles_[i] = std::numeric_limits<double>::quiet_NaN();
+            break;
+          case DataType::kString:
+            strings_[i].clear();
+            break;
+        }
+      }
     }
+    EnsureValidity();  // length_ is still the pre-append length here
+    validity_.AppendBits(validity);
   } else if (has_validity()) {
-    for (size_t i = 0; i < other.length_; ++i) validity_.Append(true);
+    validity_.AppendBits(Bitmap(n, true));
   }
-  length_ = base + other.length_;
+  length_ = stored;
 }
 
 Column Column::Take(const std::vector<int64_t>& indices) const {
   Column out(type_);
-  const size_t n = indices.size();
-  // Typed gather, no per-cell Value boxing; null slots get the canonical
-  // storage values AppendNull would have written.
-  switch (type_) {
-    case DataType::kBool: {
-      out.bools_.resize(n);
-      for (size_t k = 0; k < n; ++k) {
-        const size_t i = static_cast<size_t>(indices[k]);
-        out.bools_[k] = IsValid(i) ? bools_[i] : 0;
-      }
-      break;
-    }
-    case DataType::kInt64: {
-      out.ints_.resize(n);
-      for (size_t k = 0; k < n; ++k) {
-        const size_t i = static_cast<size_t>(indices[k]);
-        out.ints_[k] = IsValid(i) ? ints_[i] : 0;
-      }
-      break;
-    }
-    case DataType::kFloat64: {
-      out.doubles_.resize(n);
-      for (size_t k = 0; k < n; ++k) {
-        const size_t i = static_cast<size_t>(indices[k]);
-        out.doubles_[k] = IsValid(i)
-                              ? doubles_[i]
-                              : std::numeric_limits<double>::quiet_NaN();
-      }
-      break;
-    }
-    case DataType::kString: {
-      out.strings_.resize(n);
-      for (size_t k = 0; k < n; ++k) {
-        const size_t i = static_cast<size_t>(indices[k]);
-        if (IsValid(i)) out.strings_[k] = strings_[i];
-      }
-      break;
-    }
-  }
-  out.length_ = n;
-  if (has_validity()) {
-    Bitmap bm(n, true);
-    bool any_null = false;
-    for (size_t k = 0; k < n; ++k) {
-      if (!validity_.Get(static_cast<size_t>(indices[k]))) {
-        bm.Set(k, false);
-        any_null = true;
-      }
-    }
-    if (any_null) out.validity_ = std::move(bm);
-  }
+  out.Reserve(indices.size());
+  out.AppendTake(*this, indices);
   return out;
 }
 

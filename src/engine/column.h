@@ -72,6 +72,19 @@ class Column {
   /// typed bulk copies — the unboxed path behind merge-table concatenation.
   void AppendFrom(const Column& other);
 
+  /// Appends the rows of `source` (same type) at `indices`, in that order.
+  /// The appended rows get a bitmap only if one of them is null.
+  void AppendTake(const Column& source, const std::vector<int64_t>& indices);
+
+  /// Adopts as rows of this column the elements its typed storage vector
+  /// holds beyond length(), e.g. ones a codec decoded straight into
+  /// mutable_ints(). `validity` holds their validity bits, or is
+  /// empty when every one is valid; its length must otherwise equal the
+  /// adopted count. Null slots are canonicalized (NaN / 0 / "") and the
+  /// column bitmap appears only once some appended row carries one — the
+  /// same rules every append above follows.
+  void AdoptAppendedRows(const Bitmap& validity);
+
   /// Gathers rows by index.
   Column Take(const std::vector<int64_t>& indices) const;
 

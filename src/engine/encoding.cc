@@ -45,6 +45,17 @@ Status RunOverflowError() {
   return Status::IOError("RLE runs exceed the block count");
 }
 
+/// The value-returning form of an append decoder: decode into a fresh
+/// vector.
+template <typename T>
+Result<std::vector<T>> DecodeFresh(BufferReader* r,
+                                   Status (*decode)(BufferReader*,
+                                                    std::vector<T>*)) {
+  std::vector<T> out;
+  MIP_RETURN_NOT_OK(decode(r, &out));
+  return out;
+}
+
 }  // namespace
 
 void PutVarint(BufferWriter* w, uint64_t v) {
@@ -100,33 +111,37 @@ Codec EncodeInts(const std::vector<int64_t>& values, BufferWriter* w) {
   return Codec::kRaw;
 }
 
-Result<std::vector<int64_t>> DecodeInts(BufferReader* r) {
+Status DecodeInts(BufferReader* r, std::vector<int64_t>* out) {
   MIP_ASSIGN_OR_RETURN(
       BlockHeader h,
       ReadBlockHeader(r, CodecBit(Codec::kRaw) | CodecBit(Codec::kDeltaVarint)));
-  std::vector<int64_t> out;
   if (h.codec == Codec::kRaw) {
     if (h.count * sizeof(int64_t) > r->Remaining()) {
       return Status::IOError("truncated raw int block");
     }
-    out.resize(h.count);
+    const size_t base = out->size();
+    out->resize(base + h.count);
     if (h.count > 0) {
-      MIP_RETURN_NOT_OK(r->ReadRawBytes(out.data(),
+      MIP_RETURN_NOT_OK(r->ReadRawBytes(out->data() + base,
                                         h.count * sizeof(int64_t)));
     }
-    return out;
+    return Status::OK();
   }
   if (h.count > r->Remaining()) {
     return Status::IOError("truncated delta-varint int block");
   }
-  out.reserve(h.count);
+  out->reserve(out->size() + h.count);
   uint64_t prev = 0;
   for (uint64_t i = 0; i < h.count; ++i) {
     MIP_ASSIGN_OR_RETURN(uint64_t z, GetVarint(r));
     prev += static_cast<uint64_t>(ZigZagDecode(z));
-    out.push_back(static_cast<int64_t>(prev));
+    out->push_back(static_cast<int64_t>(prev));
   }
-  return out;
+  return Status::OK();
+}
+
+Result<std::vector<int64_t>> DecodeInts(BufferReader* r) {
+  return DecodeFresh<int64_t>(r, &DecodeInts);
 }
 
 Codec EncodeDoubles(const std::vector<double>& values, BufferWriter* w) {
@@ -153,35 +168,39 @@ Codec EncodeDoubles(const std::vector<double>& values, BufferWriter* w) {
   return Codec::kRaw;
 }
 
-Result<std::vector<double>> DecodeDoubles(BufferReader* r) {
+Status DecodeDoubles(BufferReader* r, std::vector<double>* out) {
   MIP_ASSIGN_OR_RETURN(
       BlockHeader h,
       ReadBlockHeader(r, CodecBit(Codec::kRaw) | CodecBit(Codec::kXorDouble)));
-  std::vector<double> out;
   if (h.codec == Codec::kRaw) {
     if (h.count * sizeof(double) > r->Remaining()) {
       return Status::IOError("truncated raw double block");
     }
-    out.resize(h.count);
+    const size_t base = out->size();
+    out->resize(base + h.count);
     if (h.count > 0) {
-      MIP_RETURN_NOT_OK(r->ReadRawBytes(out.data(),
+      MIP_RETURN_NOT_OK(r->ReadRawBytes(out->data() + base,
                                         h.count * sizeof(double)));
     }
-    return out;
+    return Status::OK();
   }
   if (h.count > r->Remaining()) {
     return Status::IOError("truncated xor-double block");
   }
-  out.reserve(h.count);
+  out->reserve(out->size() + h.count);
   uint64_t prev = 0;
   for (uint64_t i = 0; i < h.count; ++i) {
     MIP_ASSIGN_OR_RETURN(uint64_t x, GetVarint(r));
     prev ^= x;
     double v = 0.0;
     std::memcpy(&v, &prev, sizeof(v));
-    out.push_back(v);
+    out->push_back(v);
   }
-  return out;
+  return Status::OK();
+}
+
+Result<std::vector<double>> DecodeDoubles(BufferReader* r) {
+  return DecodeFresh<double>(r, &DecodeDoubles);
 }
 
 Codec EncodeBools(const std::vector<uint8_t>& values, BufferWriter* w) {
@@ -208,28 +227,36 @@ Codec EncodeBools(const std::vector<uint8_t>& values, BufferWriter* w) {
   return Codec::kRaw;
 }
 
-Result<std::vector<uint8_t>> DecodeBools(BufferReader* r) {
+Status DecodeBools(BufferReader* r, std::vector<uint8_t>* out) {
   MIP_ASSIGN_OR_RETURN(
       BlockHeader h,
       ReadBlockHeader(r, CodecBit(Codec::kRaw) | CodecBit(Codec::kRle)));
-  std::vector<uint8_t> out;
   if (h.codec == Codec::kRaw) {
     if (h.count > r->Remaining()) {
       return Status::IOError("truncated raw bool block");
     }
-    out.resize(h.count);
-    if (h.count > 0) MIP_RETURN_NOT_OK(r->ReadRawBytes(out.data(), h.count));
-    return out;
+    const size_t base = out->size();
+    out->resize(base + h.count);
+    if (h.count > 0) {
+      MIP_RETURN_NOT_OK(r->ReadRawBytes(out->data() + base, h.count));
+    }
+    return Status::OK();
   }
-  out.reserve(h.count);
-  while (out.size() < h.count) {
+  out->reserve(out->size() + h.count);
+  uint64_t total = 0;
+  while (total < h.count) {
     MIP_ASSIGN_OR_RETURN(uint8_t v, r->ReadU8());
     MIP_ASSIGN_OR_RETURN(uint64_t run, GetVarint(r));
     if (run == 0) return ZeroRunError();
-    if (run > h.count - out.size()) return RunOverflowError();
-    out.insert(out.end(), run, v);
+    if (run > h.count - total) return RunOverflowError();
+    out->insert(out->end(), run, v);
+    total += run;
   }
-  return out;
+  return Status::OK();
+}
+
+Result<std::vector<uint8_t>> DecodeBools(BufferReader* r) {
+  return DecodeFresh<uint8_t>(r, &DecodeBools);
 }
 
 Codec EncodeStrings(const std::vector<std::string>& values, BufferWriter* w) {
@@ -283,26 +310,24 @@ Codec EncodeStrings(const std::vector<std::string>& values, BufferWriter* w) {
   return Codec::kRaw;
 }
 
-Result<std::vector<std::string>> DecodeStrings(BufferReader* r) {
+Status DecodeStrings(BufferReader* r, std::vector<std::string>* out) {
   MIP_ASSIGN_OR_RETURN(
       BlockHeader h,
       ReadBlockHeader(r, CodecBit(Codec::kRaw) | CodecBit(Codec::kDict)));
-  std::vector<std::string> out;
   if (h.codec == Codec::kRaw) {
     if (h.count > r->Remaining()) {
       return Status::IOError("truncated raw string block");
     }
-    out.reserve(h.count);
+    out->reserve(out->size() + h.count);
     for (uint64_t i = 0; i < h.count; ++i) {
       MIP_ASSIGN_OR_RETURN(uint64_t len, GetVarint(r));
       if (len > r->Remaining()) {
         return Status::IOError("truncated string payload");
       }
-      std::string s(len, '\0');
+      std::string& s = out->emplace_back(len, '\0');
       if (len > 0) MIP_RETURN_NOT_OK(r->ReadRawBytes(s.data(), len));
-      out.push_back(std::move(s));
     }
-    return out;
+    return Status::OK();
   }
   MIP_ASSIGN_OR_RETURN(uint64_t num_entries, GetVarint(r));
   if (num_entries > kDictMaxEntries) {
@@ -325,15 +350,19 @@ Result<std::vector<std::string>> DecodeStrings(BufferReader* r) {
   if (h.count > r->Remaining()) {
     return Status::IOError("truncated dictionary index block");
   }
-  out.reserve(h.count);
+  out->reserve(out->size() + h.count);
   for (uint64_t i = 0; i < h.count; ++i) {
     MIP_ASSIGN_OR_RETURN(uint64_t idx, GetVarint(r));
     if (idx >= dict.size()) {
       return Status::IOError("dictionary index out of range");
     }
-    out.push_back(dict[idx]);
+    out->push_back(dict[idx]);
   }
-  return out;
+  return Status::OK();
+}
+
+Result<std::vector<std::string>> DecodeStrings(BufferReader* r) {
+  return DecodeFresh<std::string>(r, &DecodeStrings);
 }
 
 Codec EncodeValidity(const Bitmap& validity, BufferWriter* w) {

@@ -73,6 +73,16 @@ Codec EncodeStrings(const std::vector<std::string>& values, BufferWriter* w);
 Codec EncodeValidity(const Bitmap& validity, BufferWriter* w);
 
 // --- Decoders: bounds-checked inverses of the encoders above. ---
+// Each codec has one decoder, which appends the block's elements to `*out`
+// and keeps what is already there, so a caller can decode several blocks
+// straight into one column vector (the segment scan path). Each decoder
+// reserves room for its own block only, so such a caller reserves the
+// total up front. On error `*out` may hold a partial append. The
+// value-returning forms decode into a fresh vector.
+Status DecodeInts(BufferReader* r, std::vector<int64_t>* out);
+Status DecodeDoubles(BufferReader* r, std::vector<double>* out);
+Status DecodeBools(BufferReader* r, std::vector<uint8_t>* out);
+Status DecodeStrings(BufferReader* r, std::vector<std::string>* out);
 Result<std::vector<int64_t>> DecodeInts(BufferReader* r);
 Result<std::vector<double>> DecodeDoubles(BufferReader* r);
 Result<std::vector<uint8_t>> DecodeBools(BufferReader* r);

@@ -795,7 +795,8 @@ Table DedupRows(const Table& table) {
   return table.Take(keep);
 }
 
-Result<Table> SelectTableColumns(const Table& table,
+/// Keeps `columns` of `table`, moving them out rather than copying.
+Result<Table> SelectTableColumns(Table table,
                                  const std::vector<std::string>& columns) {
   Schema schema;
   std::vector<Column> cols;
@@ -807,7 +808,8 @@ Result<Table> SelectTableColumns(const Table& table,
     }
     MIP_RETURN_NOT_OK(
         schema.AddField(table.schema().field(static_cast<size_t>(idx))));
-    cols.push_back(table.column(static_cast<size_t>(idx)));
+    // AddField rejected a repeated name above, so no column moves twice.
+    cols.push_back(std::move(table.mutable_column(static_cast<size_t>(idx))));
   }
   return Table::Make(std::move(schema), std::move(cols));
 }
@@ -977,7 +979,7 @@ struct PlanExecutor {
           t = Limit(t, static_cast<size_t>(node.scan_limit));
         }
         if (!node.columns.empty()) {
-          return SelectTableColumns(t, node.columns);
+          return SelectTableColumns(std::move(t), node.columns);
         }
         return t;
       }

@@ -96,30 +96,46 @@ Table Table::Slice(size_t offset, size_t count) const {
   return Take(idx);
 }
 
+void Table::Reserve(size_t rows) {
+  for (Column& c : columns_) c.Reserve(rows);
+}
+
+Status Table::Append(const Table& part) {
+  if (part.num_columns() != num_columns()) {
+    return Status::TypeError("Concat schema mismatch (column count)");
+  }
+  for (size_t c = 0; c < num_columns(); ++c) {
+    if (part.column(c).type() != columns_[c].type()) {
+      return Status::TypeError("Concat schema mismatch (column type)");
+    }
+  }
+  // Columnar append: typed bulk copies per column instead of boxing every
+  // cell into a Value row (the merge-table hot path).
+  for (size_t c = 0; c < num_columns(); ++c) {
+    columns_[c].AppendFrom(part.column(c));
+  }
+  num_rows_ += part.num_rows();
+  return Status::OK();
+}
+
+Status Table::SyncRowCount() {
+  const size_t rows = columns_.empty() ? 0 : columns_[0].length();
+  for (const Column& c : columns_) {
+    if (c.length() != rows) {
+      return Status::Internal("column lengths differ after an append");
+    }
+  }
+  num_rows_ = rows;
+  return Status::OK();
+}
+
 Result<Table> Table::Concat(const std::vector<Table>& parts) {
   if (parts.empty()) return Status::InvalidArgument("Concat of zero tables");
   Table out = Table::Empty(parts[0].schema());
   size_t total_rows = 0;
-  for (const Table& part : parts) {
-    if (part.num_columns() != out.num_columns()) {
-      return Status::TypeError("Concat schema mismatch (column count)");
-    }
-    for (size_t c = 0; c < part.num_columns(); ++c) {
-      if (part.column(c).type() != out.column(c).type()) {
-        return Status::TypeError("Concat schema mismatch (column type)");
-      }
-    }
-    total_rows += part.num_rows();
-  }
-  // Columnar concatenation: one reserve + typed bulk copies per column,
-  // instead of boxing every cell into a Value row (the merge-table hot path).
-  for (size_t c = 0; c < out.num_columns(); ++c) {
-    out.columns_[c].Reserve(total_rows);
-    for (const Table& part : parts) {
-      out.columns_[c].AppendFrom(part.column(c));
-    }
-  }
-  out.num_rows_ = total_rows;
+  for (const Table& part : parts) total_rows += part.num_rows();
+  out.Reserve(total_rows);
+  for (const Table& part : parts) MIP_RETURN_NOT_OK(out.Append(part));
   return out;
 }
 

@@ -75,6 +75,18 @@ class Table {
   /// Contiguous row range.
   Table Slice(size_t offset, size_t count) const;
 
+  /// Reserves room for `rows` rows in every column.
+  void Reserve(size_t rows);
+
+  /// Appends every row of `part` (same column count and types; names are
+  /// not checked) via Column::AppendFrom.
+  Status Append(const Table& part);
+
+  /// Re-reads num_rows() after rows were appended column by column through
+  /// mutable_column() (Column::AppendTake / AdoptAppendedRows). Every
+  /// column must then have the same length.
+  Status SyncRowCount();
+
   /// Vertical concatenation; schemas must match exactly.
   static Result<Table> Concat(const std::vector<Table>& parts);
 

@@ -61,7 +61,7 @@ Result<engine::Table> SortForCompaction(const engine::Table& table,
   std::vector<engine::Column> columns;
   columns.reserve(sorted.num_columns() + 1);
   for (size_t c = 0; c < sorted.num_columns(); ++c) {
-    columns.push_back(sorted.column(c));
+    columns.push_back(std::move(sorted.mutable_column(c)));
   }
   // Output row i came from original row order[i] — exactly the position
   // column the read path inverts.
@@ -70,11 +70,19 @@ Result<engine::Table> SortForCompaction(const engine::Table& table,
                              std::move(columns));
 }
 
-Result<engine::Table> RestoreGroupOrder(const engine::Table& group) {
+Status RestoreGroupOrder(const engine::Table& group, engine::Table* out) {
   const int pos_idx = group.schema().FieldIndex(kHiddenPosColumn);
   if (pos_idx < 0) {
     return Status::IOError("compaction group is missing its '" +
                            std::string(kHiddenPosColumn) + "' column");
+  }
+  bool columns_match = out->num_columns() + 1 == group.num_columns();
+  for (size_t c = 0, dst = 0; columns_match && c < group.num_columns(); ++c) {
+    if (static_cast<int>(c) == pos_idx) continue;
+    columns_match = group.column(c).type() == out->column(dst++).type();
+  }
+  if (!columns_match) {
+    return Status::Internal("compaction group does not match its table");
   }
   const engine::Column& pos = group.column(static_cast<size_t>(pos_idx));
   const size_t n = group.num_rows();
@@ -100,17 +108,12 @@ Result<engine::Table> RestoreGroupOrder(const engine::Table& group) {
                               pos.IntAt(static_cast<size_t>(b));
                      });
   }
-  engine::Table sorted = group.Take(order);
-
-  std::vector<engine::Field> fields;
-  std::vector<engine::Column> columns;
-  for (size_t c = 0; c < sorted.num_columns(); ++c) {
+  size_t dst = 0;
+  for (size_t c = 0; c < group.num_columns(); ++c) {
     if (static_cast<int>(c) == pos_idx) continue;
-    fields.push_back(sorted.schema().field(c));
-    columns.push_back(sorted.column(c));
+    out->mutable_column(dst++).AppendTake(group.column(c), order);
   }
-  return engine::Table::Make(engine::Schema(std::move(fields)),
-                             std::move(columns));
+  return out->SyncRowCount();
 }
 
 Status StorageEngine::Compact(const std::string& name,
@@ -142,36 +145,12 @@ Status StorageEngine::Compact(const std::string& name,
   // 1. Read every input row in visible order (group-aware, no pruning).
   // Unlocked: segment files are immutable, and only compactions delete
   // them — which this mutex serializes.
-  std::vector<engine::Table> parts;
-  size_t i = 0;
-  while (i < inputs.size()) {
-    const uint64_t group = inputs[i].group;
-    size_t j = i + 1;
-    if (group != 0) {
-      while (j < inputs.size() && inputs[j].group == group) ++j;
-    }
-    std::vector<engine::Table> group_parts;
-    for (size_t k = i; k < j; ++k) {
-      MIP_ASSIGN_OR_RETURN(
-          engine::Table part,
-          ReadSegmentData(SegmentPath(inputs[k].id), inputs[k].footer));
-      group_parts.push_back(std::move(part));
-    }
-    if (group != 0) {
-      MIP_ASSIGN_OR_RETURN(engine::Table merged,
-                           engine::Table::Concat(group_parts));
-      MIP_ASSIGN_OR_RETURN(engine::Table restored, RestoreGroupOrder(merged));
-      parts.push_back(std::move(restored));
-    } else {
-      for (engine::Table& part : group_parts) parts.push_back(std::move(part));
-    }
-    i = j;
-  }
+  uint64_t input_rows = 0;
+  for (const SegmentState& seg : inputs) input_rows += seg.footer.num_rows;
   engine::Table all = engine::Table::Empty(schema);
-  if (!parts.empty()) {
-    MIP_ASSIGN_OR_RETURN(all, engine::Table::Concat(parts));
-  }
-  parts.clear();
+  all.Reserve(static_cast<size_t>(input_rows));
+  MIP_RETURN_NOT_OK(AppendSegmentRows(
+      inputs, std::vector<bool>(inputs.size(), true), &all));
 
   // 2. Re-sort by the clustering key (configured, or the first column) and
   // remember every row's original position.

@@ -67,10 +67,12 @@ engine::Schema SchemaWithPos(const engine::Schema& schema);
 Result<engine::Table> SortForCompaction(const engine::Table& table,
                                         const std::string& cluster_key);
 
-/// Inverse of the re-sort for the read path: `group` holds the concatenated
+/// Inverse of the re-sort for the read path: `group` holds the decoded
 /// (surviving) rows of one compaction group including the hidden position
-/// column; returns the rows ordered by position with the column stripped.
-Result<engine::Table> RestoreGroupOrder(const engine::Table& group);
+/// column; appends them to `*out` ordered by position with the column
+/// stripped, in one gather. `out`'s columns are `group`'s minus the hidden
+/// one, in order.
+Status RestoreGroupOrder(const engine::Table& group, engine::Table* out);
 
 }  // namespace mip::storage
 

@@ -257,9 +257,11 @@ Status CheckHeader(const std::string& path, const uint8_t* data, size_t n) {
   return Status::OK();
 }
 
-Result<Column> DecodeColumnBlock(const std::string& path,
-                                 const SegmentColumn& meta,
-                                 const uint8_t* block, uint64_t num_rows) {
+/// Checks one column block and decodes it by appending to `col` (its type
+/// already matched against `meta`). Every count must equal `num_rows`.
+Status AppendColumnBlock(const std::string& path, const SegmentColumn& meta,
+                         const uint8_t* block, uint64_t num_rows,
+                         Column* col) {
   BufferReader r(block, static_cast<size_t>(meta.length));
   MIP_ASSIGN_OR_RETURN(uint8_t has_validity, r.ReadU8());
   if (has_validity > 1) return Corrupt(path, "bad validity flag");
@@ -270,42 +272,36 @@ Result<Column> DecodeColumnBlock(const std::string& path,
       return Corrupt(path, "validity length mismatch");
     }
   }
-  Column col;
+  const size_t base = col->length();
   switch (meta.type) {
-    case DataType::kBool: {
-      MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> v, DecodeBools(&r));
-      if (v.size() != num_rows) return Corrupt(path, "bool count mismatch");
-      col = Column::FromBools(std::move(v));
+    case DataType::kBool:
+      MIP_RETURN_NOT_OK(DecodeBools(&r, &col->mutable_bools()));
+      if (col->bools().size() - base != num_rows) {
+        return Corrupt(path, "bool count mismatch");
+      }
       break;
-    }
-    case DataType::kInt64: {
-      MIP_ASSIGN_OR_RETURN(std::vector<int64_t> v, DecodeInts(&r));
-      if (v.size() != num_rows) return Corrupt(path, "int count mismatch");
-      col = Column::FromInts(std::move(v));
+    case DataType::kInt64:
+      MIP_RETURN_NOT_OK(DecodeInts(&r, &col->mutable_ints()));
+      if (col->ints().size() - base != num_rows) {
+        return Corrupt(path, "int count mismatch");
+      }
       break;
-    }
-    case DataType::kFloat64: {
-      MIP_ASSIGN_OR_RETURN(std::vector<double> v, DecodeDoubles(&r));
-      if (v.size() != num_rows) {
+    case DataType::kFloat64:
+      MIP_RETURN_NOT_OK(DecodeDoubles(&r, &col->mutable_doubles()));
+      if (col->doubles().size() - base != num_rows) {
         return Corrupt(path, "double count mismatch");
       }
-      col = Column::FromDoubles(std::move(v));
       break;
-    }
-    case DataType::kString: {
-      MIP_ASSIGN_OR_RETURN(std::vector<std::string> v, DecodeStrings(&r));
-      if (v.size() != num_rows) {
+    case DataType::kString:
+      MIP_RETURN_NOT_OK(DecodeStrings(&r, &col->mutable_strings()));
+      if (col->strings().size() - base != num_rows) {
         return Corrupt(path, "string count mismatch");
       }
-      col = Column::FromStrings(std::move(v));
       break;
-    }
   }
   if (!r.AtEnd()) return Corrupt(path, "trailing bytes in column block");
-  if (has_validity == 1) {
-    MIP_RETURN_NOT_OK(col.SetValidity(std::move(validity)));
-  }
-  return col;
+  col->AdoptAppendedRows(validity);
+  return Status::OK();
 }
 
 }  // namespace
@@ -398,16 +394,26 @@ Result<SegmentFooter> ReadSegmentFooter(const std::string& path) {
   return ParseFooter(path, parsed->first, parsed->second);
 }
 
-Result<engine::Table> ReadSegmentData(const std::string& path,
-                                      const SegmentFooter& footer) {
+Status AppendSegmentData(const std::string& path, const SegmentFooter& footer,
+                         Table* out) {
+  const Schema& schema = out->schema();
+  bool columns_match = footer.columns.size() == schema.num_fields();
+  for (size_t c = 0; columns_match && c < footer.columns.size(); ++c) {
+    columns_match = footer.columns[c].type == schema.field(c).type &&
+                    EqualsIgnoreCase(footer.columns[c].name,
+                                     schema.field(c).name);
+  }
+  if (!columns_match) {
+    return Corrupt(path, "columns do not match the table schema " +
+                             schema.ToString());
+  }
   MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
   if (bytes.size() < kSegmentHeaderBytes + kSegmentTrailerBytes) {
     return Corrupt(path, "file too small");
   }
   MIP_RETURN_NOT_OK(CheckHeader(path, bytes.data(), bytes.size()));
-  std::vector<Column> columns;
-  Schema schema;
-  for (const SegmentColumn& meta : footer.columns) {
+  for (size_t c = 0; c < footer.columns.size(); ++c) {
+    const SegmentColumn& meta = footer.columns[c];
     if (meta.offset > bytes.size() ||
         meta.length > bytes.size() - meta.offset) {
       return Corrupt(path, "column block out of bounds");
@@ -416,13 +422,18 @@ Result<engine::Table> ReadSegmentData(const std::string& path,
     if (Crc32(block, static_cast<size_t>(meta.length)) != meta.crc) {
       return Corrupt(path, "column '" + meta.name + "' CRC mismatch");
     }
-    MIP_ASSIGN_OR_RETURN(Column col,
-                         DecodeColumnBlock(path, meta, block,
-                                           footer.num_rows));
-    MIP_RETURN_NOT_OK(schema.AddField(engine::Field{meta.name, meta.type}));
-    columns.push_back(std::move(col));
+    MIP_RETURN_NOT_OK(AppendColumnBlock(path, meta, block, footer.num_rows,
+                                        &out->mutable_column(c)));
   }
-  return Table::Make(std::move(schema), std::move(columns));
+  return out->SyncRowCount();
+}
+
+Result<engine::Table> ReadSegmentData(const std::string& path,
+                                      const SegmentFooter& footer) {
+  Table out = Table::Empty(footer.schema());
+  out.Reserve(static_cast<size_t>(footer.num_rows));
+  MIP_RETURN_NOT_OK(AppendSegmentData(path, footer, &out));
+  return out;
 }
 
 Result<engine::Table> ReadSegment(const std::string& path) {

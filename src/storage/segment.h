@@ -104,14 +104,26 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
 /// bounds of every column block) — the cheap path pruning and recovery use.
 Result<SegmentFooter> ReadSegmentFooter(const std::string& path);
 
-/// Full read: footer validation plus per-column CRC check and codec decode.
-/// Every decoded count must equal num_rows.
-Result<engine::Table> ReadSegment(const std::string& path);
+/// The one segment-decode routine. Reads the file at `path`, whose footer
+/// `footer` was already validated (the in-memory copy the store caches for
+/// immutable segments), checks the header and every column block's bounds
+/// and CRC, and decodes each block by appending its rows straight to the
+/// matching column of `*out`. `out`'s columns must match the footer's in
+/// count, type and (case-insensitive) name. Every decoded count must equal
+/// num_rows. Appended rows follow Column::AdoptAppendedRows: NULL slots are
+/// canonicalized and a bitmap appears only where a block carries one, so
+/// appending segments one after another gives exactly the bytes of a
+/// Table::Concat of their individual reads. On error `*out` may hold a
+/// partial append and must be discarded.
+Status AppendSegmentData(const std::string& path, const SegmentFooter& footer,
+                         engine::Table* out);
 
-/// Same, reusing an already-validated footer (the in-memory copy the store
-/// caches for immutable segments).
+/// AppendSegmentData into an empty table with the footer's schema.
 Result<engine::Table> ReadSegmentData(const std::string& path,
                                       const SegmentFooter& footer);
+
+/// Footer validation plus ReadSegmentData.
+Result<engine::Table> ReadSegment(const std::string& path);
 
 /// \brief One zone-map-testable conjunct of a pruning hint:
 /// `column <op> literal` with op in {=, <, <=, >, >=}.

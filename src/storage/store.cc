@@ -572,14 +572,9 @@ StorageEngine::SegmentSelection StorageEngine::SelectSegmentsLocked(
   return sel;
 }
 
-Result<engine::Table> StorageEngine::ScanLocked(
-    const TableState& state, const engine::Expr* prune_filter,
-    engine::ScanStats* stats, bool use_index) const {
-  const SegmentSelection sel =
-      SelectSegmentsLocked(state, prune_filter, use_index);
-
-  std::vector<engine::Table> parts;
-  const std::vector<SegmentState>& segs = state.segments;
+Status StorageEngine::AppendSegmentRows(const std::vector<SegmentState>& segs,
+                                        const std::vector<bool>& decode,
+                                        engine::Table* out) const {
   size_t i = 0;
   while (i < segs.size()) {
     const uint64_t group = segs[i].group;
@@ -587,29 +582,56 @@ Result<engine::Table> StorageEngine::ScanLocked(
     if (group != 0) {
       while (j < segs.size() && segs[j].group == group) ++j;
     }
-    std::vector<engine::Table> group_parts;
-    for (size_t k = i; k < j; ++k) {
-      if (!sel.decode[k]) continue;
-      MIP_ASSIGN_OR_RETURN(engine::Table part,
-                           ReadSegmentData(SegmentPath(segs[k].id),
-                                           segs[k].footer));
-      group_parts.push_back(std::move(part));
-    }
-    if (group != 0 && !group_parts.empty()) {
-      // Compacted group: surviving rows carry the hidden position column;
-      // put them back in pre-compaction order and strip it.
-      MIP_ASSIGN_OR_RETURN(engine::Table merged,
-                           engine::Table::Concat(group_parts));
-      MIP_ASSIGN_OR_RETURN(engine::Table restored, RestoreGroupOrder(merged));
-      parts.push_back(std::move(restored));
+    if (group == 0) {
+      if (decode[i]) {
+        MIP_RETURN_NOT_OK(
+            AppendSegmentData(SegmentPath(segs[i].id), segs[i].footer, out));
+      }
     } else {
-      for (engine::Table& part : group_parts) parts.push_back(std::move(part));
+      // Compacted group: the surviving rows carry the hidden position
+      // column; decode them together, then gather them into `out` in
+      // pre-compaction order without it.
+      uint64_t rows = 0;
+      for (size_t k = i; k < j; ++k) {
+        if (decode[k]) rows += segs[k].footer.num_rows;
+      }
+      if (rows > 0) {
+        engine::Table group_rows =
+            engine::Table::Empty(SchemaWithPos(out->schema()));
+        group_rows.Reserve(static_cast<size_t>(rows));
+        for (size_t k = i; k < j; ++k) {
+          if (!decode[k]) continue;
+          MIP_RETURN_NOT_OK(AppendSegmentData(SegmentPath(segs[k].id),
+                                              segs[k].footer, &group_rows));
+        }
+        MIP_RETURN_NOT_OK(RestoreGroupOrder(group_rows, out));
+      }
     }
     i = j;
   }
+  return Status::OK();
+}
+
+Result<engine::Table> StorageEngine::ScanLocked(
+    const TableState& state, const engine::Expr* prune_filter,
+    engine::ScanStats* stats, bool use_index) const {
+  const SegmentSelection sel =
+      SelectSegmentsLocked(state, prune_filter, use_index);
+
+  // One reservation for everything the scan returns, then every segment
+  // and memtable batch appends straight into it.
+  uint64_t rows = state.memtable_rows;
+  for (size_t s = 0; s < state.segments.size(); ++s) {
+    if (sel.decode[s]) rows += state.segments[s].footer.num_rows;
+  }
+  engine::Table out = engine::Table::Empty(state.schema);
+  out.Reserve(static_cast<size_t>(rows));
+  MIP_RETURN_NOT_OK(AppendSegmentRows(state.segments, sel.decode, &out));
   // Memtable rows ride along unpruned — they have no zone maps and the
   // Filter above the scan re-applies the predicate anyway.
-  for (const engine::Table& batch : state.memtable) parts.push_back(batch);
+  for (const engine::Table& batch : state.memtable) {
+    MIP_RETURN_NOT_OK(out.Append(batch));
+  }
 
   // Only an executing scan counts toward the lifetime counters; previews
   // run the same selection without touching them.
@@ -621,8 +643,7 @@ Result<engine::Table> StorageEngine::ScanLocked(
                               std::memory_order_relaxed);
   ctr_index_hits_.fetch_add(sel.index_hits, std::memory_order_relaxed);
   if (stats != nullptr) *stats = sel.stats;
-  if (parts.empty()) return engine::Table::Empty(state.schema);
-  return engine::Table::Concat(parts);
+  return out;
 }
 
 Result<engine::Table> StorageEngine::ScanTable(

@@ -217,8 +217,18 @@ class StorageEngine : public engine::TableStorage {
   SegmentSelection SelectSegmentsLocked(const TableState& state,
                                         const engine::Expr* prune_filter,
                                         bool use_index) const;
-  /// Shared scan body: decodes the selected segments, restores group
-  /// order, bumps the counters. Caller holds the shared lock.
+  /// The one segment walk shared by scans and compaction: appends the rows
+  /// of the `decode`-selected `segs` to `*out` (the table's user schema) in
+  /// visible order. A plain segment decodes straight into `out`; a
+  /// compacted group's selected segments decode into one table that keeps
+  /// the hidden position column, which RestoreGroupOrder gathers into
+  /// `out`. Reads only immutable segment files; on error `*out` may hold a
+  /// partial append.
+  Status AppendSegmentRows(const std::vector<SegmentState>& segs,
+                           const std::vector<bool>& decode,
+                           engine::Table* out) const;
+  /// Shared scan body: appends the selected segments and the memtable into
+  /// one reserved table, bumps the counters. Caller holds the shared lock.
   Result<engine::Table> ScanLocked(const TableState& state,
                                    const engine::Expr* prune_filter,
                                    engine::ScanStats* stats,

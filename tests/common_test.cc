@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/crc32.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -112,6 +117,52 @@ TEST(BytesTest, MaliciousLengthPrefixIsRejected) {
   EXPECT_FALSE(r.ReadString().ok());
   BufferReader r2(w.bytes());
   EXPECT_FALSE(r2.ReadDoubleVector().ok());
+}
+
+/// The classic one-table bytewise CRC-32 (IEEE, reflected, 0xEDB88320) —
+/// the reference the slice-by-8 Crc32 must match bit for bit.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t n) {
+  static const std::array<uint32_t, 256> kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c = kTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownVectorAndEmptyInput) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32(std::vector<uint8_t>{}), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(20261017);
+  std::vector<uint8_t> buf(4096 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextUint64());
+  size_t mismatches = 0;
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      if (Crc32(p, len) != ReferenceCrc32(p, len)) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+        if (++mismatches >= 10) return;
+      }
+    }
+  }
 }
 
 TEST(RngTest, DeterministicGivenSeed) {

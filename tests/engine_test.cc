@@ -63,6 +63,22 @@ TEST(BitmapTest, AppendAndAnd) {
   }
 }
 
+TEST(BitmapTest, AppendBitsMatchesBitByBitAtEveryAlignment) {
+  for (size_t head = 0; head < 130; head += 7) {
+    for (size_t tail = 0; tail < 200; tail += 13) {
+      Bitmap bulk(head, true);
+      Bitmap other;
+      for (size_t i = 0; i < tail; ++i) other.Append(i % 5 != 2);
+      Bitmap want = bulk;
+      for (size_t i = 0; i < tail; ++i) want.Append(other.Get(i));
+      bulk.AppendBits(other);
+      ASSERT_EQ(bulk.length(), want.length());
+      EXPECT_EQ(bulk.words(), want.words()) << head << "+" << tail;
+      EXPECT_EQ(bulk.CountSet(), want.CountSet());
+    }
+  }
+}
+
 TEST(ColumnTest, TypedAppendAndAccess) {
   Column c(DataType::kFloat64);
   c.AppendDouble(1.5);

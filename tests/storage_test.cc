@@ -10,12 +10,15 @@
 // Scan-vs-IndexScan access-path rule (EXPLAIN surface, byte parity at 1 and
 // 8 threads), storage counters, and manifest v1 back-compat.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <variant>
@@ -1694,6 +1697,373 @@ TEST(ManifestCompatTest, V1RejectedAndIndexlessManifestGainsIndexesOnBoot) {
   EXPECT_EQ(TableBytes((*store)->ScanTable("t", nullptr, nullptr)
                            .ValueOrDie()),
             bytes0);
+}
+
+// ---------------------------------------------------------------------------
+// Decode-into-output scans: byte identity with the per-segment composition,
+// corruption through the store
+// ---------------------------------------------------------------------------
+
+/// All four types. `id` is a permutation of 0..1008 (so compaction really
+/// re-sorts); with `nulls` every column has NULL rows, otherwise none does.
+Table MakeMixedTable(int64_t start, int64_t count, bool nulls) {
+  std::vector<int64_t> ids, ints;
+  std::vector<double> dbls;
+  std::vector<uint8_t> flags;
+  std::vector<std::string> strs;
+  for (int64_t i = start; i < start + count; ++i) {
+    ids.push_back((i * 7919) % 1009);
+    ints.push_back(i % 5 == 0 ? std::numeric_limits<int64_t>::min() : i * 3);
+    dbls.push_back(i % 11 == 4 ? std::numeric_limits<double>::quiet_NaN()
+                               : static_cast<double>(i) / 8.0 - 20.0);
+    flags.push_back(static_cast<uint8_t>(i % 3 == 1));
+    strs.push_back("v" + std::to_string(i % 13));
+  }
+  std::vector<Column> cols = {Column::FromInts(ids), Column::FromInts(ints),
+                              Column::FromDoubles(dbls),
+                              Column::FromBools(flags),
+                              Column::FromStrings(strs)};
+  if (nulls) {
+    for (size_t c = 1; c < cols.size(); ++c) {
+      Bitmap v(static_cast<size_t>(count), true);
+      for (int64_t i = 0; i < count; ++i) {
+        if ((start + i) % 7 == static_cast<int64_t>(c)) {
+          v.Set(static_cast<size_t>(i), false);
+        }
+      }
+      // Canonical placeholders under the NULLs, as every engine path keeps.
+      Column canonical(cols[c].type());
+      for (int64_t i = 0; i < count; ++i) {
+        if (v.Get(static_cast<size_t>(i))) {
+          EXPECT_TRUE(canonical.AppendValue(cols[c].ValueAt(i)).ok());
+        } else {
+          canonical.AppendNull();
+        }
+      }
+      cols[c] = std::move(canonical);
+    }
+  }
+  Schema schema({{"id", DataType::kInt64},
+                 {"n", DataType::kInt64},
+                 {"d", DataType::kFloat64},
+                 {"b", DataType::kBool},
+                 {"s", DataType::kString}});
+  auto t = Table::Make(schema, std::move(cols));
+  EXPECT_TRUE(t.ok());
+  return t.ValueOrDie();
+}
+
+/// A scan as it was composed before segments decoded straight into the
+/// output: every surviving segment read on its own with ReadSegment, each
+/// compacted group concatenated, argsorted by its hidden position column
+/// and stripped of it, then everything plus the memtable batches joined by
+/// Table::Concat.
+Table ReferenceScan(const std::string& dir, const std::string& name,
+                    const Schema& schema,
+                    const std::vector<PruneConjunct>& conjuncts,
+                    const std::vector<Table>& memtable) {
+  auto manifest = storage::LoadManifest(dir + "/MANIFEST");
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  std::vector<Table> parts;
+  const storage::ManifestTable* mt = manifest->FindTable(name);
+  const std::vector<storage::ManifestSegment> segs =
+      mt == nullptr ? std::vector<storage::ManifestSegment>{} : mt->segments;
+  size_t i = 0;
+  while (i < segs.size()) {
+    size_t j = i + 1;
+    while (segs[i].group != 0 && j < segs.size() &&
+           segs[j].group == segs[i].group) {
+      ++j;
+    }
+    std::vector<Table> group;
+    for (size_t k = i; k < j; ++k) {
+      const std::string path =
+          dir + "/seg-" + std::to_string(segs[k].id) + ".mip";
+      auto footer = storage::ReadSegmentFooter(path);
+      EXPECT_TRUE(footer.ok()) << footer.status().ToString();
+      if (!storage::SegmentCanMatch(footer.ValueOrDie(), conjuncts)) continue;
+      auto seg = storage::ReadSegment(path);
+      EXPECT_TRUE(seg.ok()) << seg.status().ToString();
+      group.push_back(seg.ValueOrDie());
+    }
+    if (segs[i].group == 0 || group.empty()) {
+      for (Table& t : group) parts.push_back(std::move(t));
+    } else {
+      const Table merged = Table::Concat(group).ValueOrDie();
+      const Column& pos = merged.column(merged.num_columns() - 1);
+      std::vector<int64_t> order(merged.num_rows());
+      std::iota(order.begin(), order.end(), 0);
+      std::stable_sort(order.begin(), order.end(), [&pos](int64_t a,
+                                                          int64_t b) {
+        return pos.IntAt(static_cast<size_t>(a)) <
+               pos.IntAt(static_cast<size_t>(b));
+      });
+      const Table sorted = merged.Take(order);
+      std::vector<Column> cols;
+      for (size_t c = 0; c + 1 < sorted.num_columns(); ++c) {
+        cols.push_back(sorted.column(c));
+      }
+      parts.push_back(Table::Make(schema, std::move(cols)).ValueOrDie());
+    }
+    i = j;
+  }
+  for (const Table& batch : memtable) parts.push_back(batch);
+  if (parts.empty()) return Table::Empty(schema);
+  return Table::Concat(parts).ValueOrDie();
+}
+
+std::vector<PruneConjunct> ConjunctsOf(const std::string& where) {
+  auto parsed = engine::ParseSql("SELECT * FROM t WHERE " + where);
+  EXPECT_TRUE(parsed.ok()) << where;
+  return storage::ExtractPruneConjuncts(
+      *std::get<engine::SelectStmt>(parsed.ValueOrDie()).where);
+}
+
+/// Scan bytes under `where` (empty = no hint) on the zone or index path.
+std::vector<uint8_t> ScanBytes(const StorageEngine& store,
+                               const std::string& where, bool use_index,
+                               engine::ScanStats* stats = nullptr) {
+  engine::ExprPtr hint;
+  if (!where.empty()) {
+    auto parsed = engine::ParseSql("SELECT * FROM t WHERE " + where);
+    EXPECT_TRUE(parsed.ok()) << where;
+    hint = std::move(std::get<engine::SelectStmt>(parsed.ValueOrDie()).where);
+  }
+  auto scan = use_index ? store.IndexScanTable("t", hint.get(), stats)
+                        : store.ScanTable("t", hint.get(), stats);
+  EXPECT_TRUE(scan.ok()) << where << ": " << scan.status().ToString();
+  return scan.ok() ? TableBytes(scan.ValueOrDie()) : std::vector<uint8_t>{};
+}
+
+TEST(ScanIntoOutputTest, ByteIdenticalToPerSegmentConcatAcrossLayouts) {
+  const std::string dir = TestDir("scan_into_output");
+  StorageOptions options;
+  options.target_segment_rows = 50;
+  const Schema schema = MakeMixedTable(0, 1, false).schema();
+  {
+    auto store = StorageEngine::Open(dir, options);
+    ASSERT_TRUE(store.ok());
+    // Two NULL-free segments, two with NULLs, compacted into one group...
+    ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(0, 100, false)).ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(100, 100, true)).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    const std::vector<uint8_t> before = ScanBytes(**store, "", false);
+    ASSERT_TRUE((*store)->Compact("t").ok());
+    EXPECT_EQ(ScanBytes(**store, "", false), before);
+    // ...then two plain segments after the group: one without NULLs, one
+    // with them.
+    ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(200, 50, false)).ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(250, 50, true)).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_EQ((*store)->SegmentCount("t").ValueOrDie(), 6u);
+  }
+
+  // Non-canonical values under the NULL slots of the last segment: a scan
+  // must still return canonical placeholders there, as Concat did.
+  auto manifest = storage::LoadManifest(dir + "/MANIFEST");
+  ASSERT_TRUE(manifest.ok());
+  const std::string last_seg =
+      dir + "/seg-" +
+      std::to_string(manifest->FindTable("t")->segments.back().id) + ".mip";
+  {
+    Table dirty = storage::ReadSegment(last_seg).ValueOrDie();
+    for (size_t c = 1; c < dirty.num_columns(); ++c) {
+      Column& col = dirty.mutable_column(c);
+      ASSERT_GT(col.null_count(), 0u);
+      for (size_t r = 0; r < col.length(); ++r) {
+        if (col.IsValid(r)) continue;
+        switch (col.type()) {
+          case DataType::kInt64:
+            col.mutable_ints()[r] = 4242;
+            break;
+          case DataType::kFloat64:
+            col.mutable_doubles()[r] = 2.5;
+            break;
+          case DataType::kBool:
+            col.mutable_bools()[r] = 1;
+            break;
+          case DataType::kString:
+            col.mutable_strings()[r] = "junk";
+            break;
+        }
+      }
+    }
+    ASSERT_TRUE(storage::WriteSegment(last_seg, dirty).ok());
+  }
+
+  auto store = StorageEngine::Open(dir, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  // Plus a memtable batch with NULLs riding behind the segments.
+  const std::vector<Table> memtable = {MakeMixedTable(300, 30, true)};
+  ASSERT_TRUE((*store)->AppendRows("t", memtable[0]).ok());
+
+  auto full = (*store)->ScanTable("t", nullptr, nullptr);
+  ASSERT_TRUE(full.ok());
+  for (size_t c = 1; c < full->num_columns(); ++c) {
+    const Column& col = full->column(c);
+    for (size_t r = 0; r < col.length(); ++r) {
+      if (col.IsValid(r)) continue;
+      switch (col.type()) {
+        case DataType::kInt64:
+          EXPECT_EQ(col.IntAt(r), 0) << "column " << c << " row " << r;
+          break;
+        case DataType::kFloat64:
+          EXPECT_TRUE(std::isnan(col.DoubleAt(r)));
+          break;
+        case DataType::kBool:
+          EXPECT_FALSE(col.BoolAt(r));
+          break;
+        case DataType::kString:
+          EXPECT_EQ(col.StringAt(r), "");
+          break;
+      }
+    }
+  }
+
+  // "id < 300" and "id >= 700" prune different segments of the compacted
+  // group (its files are sorted by id); the plain segments span the whole
+  // id range and survive. "s = 'v3'" prunes nothing.
+  const std::vector<std::string> filters = {"", "id < 300", "id >= 700",
+                                            "s = 'v3'"};
+  std::vector<std::vector<uint8_t>> want;
+  for (const std::string& where : filters) {
+    const std::vector<PruneConjunct> conjuncts =
+        where.empty() ? std::vector<PruneConjunct>{} : ConjunctsOf(where);
+    want.push_back(
+        TableBytes(ReferenceScan(dir, "t", schema, conjuncts, memtable)));
+    engine::ScanStats zone;
+    EXPECT_EQ(ScanBytes(**store, where, false, &zone), want.back()) << where;
+    if (where == "id < 300" || where == "id >= 700") {
+      EXPECT_GT(zone.pruned, 0) << where;
+      EXPECT_LT(zone.pruned, 4) << where;  // part of the group survives
+    }
+    // A range on a never-NULL column: every zone survivor holds a match, so
+    // the index path selects the same segments and must give the same bytes.
+    if (where.rfind("id", 0) == 0 || where.empty()) {
+      engine::ScanStats index;
+      EXPECT_EQ(ScanBytes(**store, where, true, &index), want.back())
+          << where;
+      EXPECT_EQ(index.pruned, zone.pruned) << where;
+    }
+  }
+
+  // The same bytes from 8 concurrent scanners.
+  std::vector<std::vector<std::vector<uint8_t>>> got(8);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::string& where : filters) {
+        // Odd threads take the index path wherever it selects the same
+        // segments as zone maps (every filter but the string one).
+        const bool use_index = t % 2 == 1 && where.rfind("s", 0) != 0;
+        got[t].push_back(ScanBytes(**store, where, use_index));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].size(), filters.size());
+    for (size_t f = 0; f < filters.size(); ++f) {
+      EXPECT_EQ(got[t][f], want[f]) << "thread " << t << " " << filters[f];
+    }
+  }
+}
+
+TEST(ScanIntoOutputTest, MemtableOnlyAndSegmentOnlyStores) {
+  const Schema schema = MakeMixedTable(0, 1, false).schema();
+  const std::vector<Table> batches = {MakeMixedTable(0, 40, true),
+                                      MakeMixedTable(40, 40, false)};
+  {
+    const std::string dir = TestDir("scan_into_output_memtable");
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    for (const Table& b : batches) {
+      ASSERT_TRUE((*store)->AppendRows("t", b).ok());
+    }
+    ASSERT_EQ((*store)->SegmentCount("t").ValueOrDie(), 0u);
+    EXPECT_EQ(ScanBytes(**store, "", false),
+              TableBytes(Table::Concat(batches).ValueOrDie()));
+    EXPECT_EQ(ScanBytes(**store, "id < 100", true),
+              TableBytes(Table::Concat(batches).ValueOrDie()));
+  }
+  {
+    const std::string dir = TestDir("scan_into_output_segments");
+    StorageOptions options;
+    options.target_segment_rows = 30;
+    auto store = StorageEngine::Open(dir, options);
+    ASSERT_TRUE(store.ok());
+    for (const Table& b : batches) {
+      ASSERT_TRUE((*store)->AppendRows("t", b).ok());
+    }
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_EQ((*store)->MemtableRows("t").ValueOrDie(), 0u);
+    const std::vector<uint8_t> want =
+        TableBytes(ReferenceScan(dir, "t", schema, {}, {}));
+    EXPECT_EQ(want, TableBytes(Table::Concat(batches).ValueOrDie()));
+    EXPECT_EQ(ScanBytes(**store, "", false), want);
+    EXPECT_EQ(ScanBytes(**store, "", true), want);
+  }
+}
+
+/// Overwrites `path` in place, without the tmp + fsync + rename of
+/// WriteFileAtomic: the sweeps below rewrite one file thousands of times.
+void OverwriteFile(const std::string& path, const std::vector<uint8_t>& bytes,
+                   size_t n) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(n));
+  ASSERT_TRUE(f.good()) << path;
+}
+
+TEST(ScanIntoOutputTest, EveryFlippedBlockByteAndTruncationIsTypedIOError) {
+  const std::string dir = TestDir("scan_into_output_corrupt");
+  StorageOptions options;
+  options.target_segment_rows = 24;
+  {
+    auto store = StorageEngine::Open(dir, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(0, 48, true)).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  auto store = StorageEngine::Open(dir, options);
+  ASSERT_TRUE(store.ok());
+  const std::vector<uint8_t> want = ScanBytes(**store, "", false);
+
+  auto manifest = storage::LoadManifest(dir + "/MANIFEST");
+  ASSERT_TRUE(manifest.ok());
+  const std::string seg =
+      dir + "/seg-" +
+      std::to_string(manifest->FindTable("t")->segments.back().id) + ".mip";
+  const std::vector<uint8_t> good = storage::ReadFileBytes(seg).ValueOrDie();
+  const SegmentFooter footer = storage::ReadSegmentFooter(seg).ValueOrDie();
+  size_t blocks_end = storage::kSegmentHeaderBytes;
+  for (const storage::SegmentColumn& col : footer.columns) {
+    blocks_end = std::max<size_t>(blocks_end, col.offset + col.length);
+  }
+  ASSERT_GT(blocks_end, storage::kSegmentHeaderBytes);
+
+  // The store cached the footer at Open; every scan re-reads the blocks.
+  auto expect_io_error = [&store](const std::string& what) {
+    for (const bool use_index : {false, true}) {
+      auto scan = use_index ? (*store)->IndexScanTable("t", nullptr, nullptr)
+                            : (*store)->ScanTable("t", nullptr, nullptr);
+      ASSERT_FALSE(scan.ok()) << what << ": returned rows";
+      EXPECT_EQ(scan.status().code(), StatusCode::kIOError)
+          << what << ": " << scan.status().ToString();
+    }
+  };
+  for (size_t i = storage::kSegmentHeaderBytes; i < blocks_end; ++i) {
+    std::vector<uint8_t> bad = good;
+    bad[i] ^= 0x01;
+    OverwriteFile(seg, bad, bad.size());
+    expect_io_error("flip at byte " + std::to_string(i));
+  }
+  for (size_t n = 0; n < blocks_end; ++n) {
+    OverwriteFile(seg, good, n);
+    expect_io_error("truncated to " + std::to_string(n) + " bytes");
+  }
+  OverwriteFile(seg, good, good.size());
+  EXPECT_EQ(ScanBytes(**store, "", false), want);
 }
 
 }  // namespace
