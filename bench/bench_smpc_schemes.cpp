@@ -165,10 +165,9 @@ int main() {
   }
   {
     mip::smpc::SpdzDealer dealer(3, 77);
-    mip::smpc::VecExec exec{&pool, 16384};
     for (int rep = 0; rep < 3; ++rep) {
       mip::Stopwatch sw;
-      dealer.PrecomputeTriples(kTriples, exec);
+      dealer.PrecomputeTriples(kTriples);
       batched_ms = std::min(batched_ms, sw.ElapsedMillis());
       (void)dealer.TakeTriples(kTriples);
     }

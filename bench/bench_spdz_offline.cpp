@@ -3,10 +3,9 @@
 // computations in an offline phase."
 //
 // Measures (i) Beaver-triple generation throughput for the scalar reference
-// dealer vs the batched kernel dealer — same seed, bit-identical pool — at
-// one thread and with morsel parallelism, and (ii) online secure-product
-// latency with a warm triple pool vs. generating triples on demand inside
-// the online phase.
+// dealer vs the batched kernel dealer — same seed, bit-identical pool — and
+// (ii) online secure-product latency with a warm triple pool vs. generating
+// triples on demand inside the online phase.
 //
 // The line "SPDZ_OFFLINE ... speedup=..." is machine-parsed by ci/run_tests.sh
 // (the batched dealer must beat the scalar reference by at least the portable
@@ -14,10 +13,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "smpc/cluster.h"
 #include "smpc/spdz.h"
@@ -36,8 +33,7 @@ int main() {
   // floor.
   const size_t kCount = 200000;
   const int kReps = 4;
-  const unsigned hw = std::max(2u, std::thread::hardware_concurrency());
-  double scalar_ms = 1e30, batched_ms = 1e30, parallel_ms = 1e30;
+  double scalar_ms = 1e30, batched_ms = 1e30;
   {
     mip::smpc::SpdzDealer dealer(3, 1234);
     for (int rep = 0; rep < kReps; ++rep) {
@@ -51,32 +47,18 @@ int main() {
     mip::smpc::SpdzDealer dealer(3, 1234);
     for (int rep = 0; rep < kReps; ++rep) {
       mip::Stopwatch sw;
-      dealer.PrecomputeTriples(kCount);  // single-threaded batched
+      dealer.PrecomputeTriples(kCount);
       batched_ms = std::min(batched_ms, sw.ElapsedMillis());
       (void)dealer.TakeTriples(kCount);
     }
   }
-  {
-    mip::ThreadPool pool(static_cast<int>(hw));
-    mip::smpc::SpdzDealer dealer(3, 1234);
-    mip::smpc::VecExec exec{&pool, 16384};
-    for (int rep = 0; rep < kReps; ++rep) {
-      mip::Stopwatch sw;
-      dealer.PrecomputeTriples(kCount, exec);
-      parallel_ms = std::min(parallel_ms, sw.ElapsedMillis());
-      (void)dealer.TakeTriples(kCount);
-    }
-  }
-  const double best_ms = std::min(batched_ms, parallel_ms);
   std::printf("offline phase, %zu triples, 3 parties:\n", kCount);
   std::printf("  scalar reference : %9.1f ms  (%.0f triples/s)\n", scalar_ms,
               kCount / scalar_ms * 1e3);
-  std::printf("  batched, 1 thread: %9.1f ms  (%.0f triples/s)\n", batched_ms,
+  std::printf("  batched          : %9.1f ms  (%.0f triples/s)\n", batched_ms,
               kCount / batched_ms * 1e3);
-  std::printf("  batched, %2u thr  : %9.1f ms  (%.0f triples/s)\n", hw,
-              parallel_ms, kCount / parallel_ms * 1e3);
   std::printf("SPDZ_OFFLINE scalar_ms=%.2f batched_ms=%.2f speedup=%.2f\n\n",
-              scalar_ms, best_ms, scalar_ms / best_ms);
+              scalar_ms, batched_ms, scalar_ms / batched_ms);
 
   std::printf("%12s | %16s | %16s | %8s\n", "elements",
               "warm pool ms", "on-demand ms", "speedup");

@@ -4,6 +4,8 @@
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "engine/remote_site.h"
+#include "engine/stats.h"
 
 namespace mip::platform {
 
@@ -169,17 +171,37 @@ Result<std::vector<ExperimentRecord>> ExperimentManager::RunWorkflow(
 Result<DataCatalogue> DataCatalogue::Build(federation::MasterNode* master) {
   DataCatalogue catalogue;
   std::map<std::string, DatasetInfo> by_name;
-  const std::vector<std::string> workers = master->WorkersWithDatasets({});
-  for (const std::string& wid : workers) {
-    federation::WorkerNode* worker = master->GetWorker(wid);
-    if (worker == nullptr) continue;
-    for (const std::string& dataset : worker->datasets()) {
+  // Every worker, in-process or remote, is probed the way the engine's
+  // planner probes a REMOTE table: get_stats for the row count, get_schema
+  // for the variables. Neither ships a row.
+  auto add_worker = [&](const std::string& wid,
+                        const std::vector<std::string>& datasets) -> Status {
+    for (const std::string& dataset : datasets) {
+      engine::RemoteRequest request;
+      request.kind = engine::RemoteKind::kGetStats;
+      request.table_name = dataset;
+      MIP_ASSIGN_OR_RETURN(engine::Table stats_table,
+                           master->Call(wid, request));
+      MIP_ASSIGN_OR_RETURN(engine::TableStats stats,
+                           engine::StatsFromTable(stats_table));
       DatasetInfo& info = by_name[dataset];
       info.name = dataset;
       info.workers.push_back(wid);
-      MIP_ASSIGN_OR_RETURN(engine::Table table, worker->db().GetTable(dataset));
-      info.total_rows += static_cast<int64_t>(table.num_rows());
-      if (info.schema.empty()) info.schema = table.schema().fields();
+      info.total_rows += stats.row_count;
+      if (info.schema.empty()) {
+        request.kind = engine::RemoteKind::kGetSchema;
+        MIP_ASSIGN_OR_RETURN(engine::Table probe, master->Call(wid, request));
+        info.schema = probe.schema().fields();
+      }
+    }
+    return Status::OK();
+  };
+  for (const std::string& wid : master->WorkersWithDatasets({})) {
+    if (federation::WorkerNode* worker = master->GetWorker(wid)) {
+      MIP_RETURN_NOT_OK(add_worker(wid, worker->datasets()));
+    } else {
+      MIP_RETURN_NOT_OK(
+          add_worker(wid, master->remote_workers().at(wid).datasets));
     }
   }
   for (auto& [name, info] : by_name) {

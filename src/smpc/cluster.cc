@@ -29,7 +29,7 @@ void SmpcCluster::PrecomputeTriples(size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   Stopwatch sw;
   if (config_.use_batched_kernels) {
-    dealer_.PrecomputeTriples(count, Exec());
+    dealer_.PrecomputeTriples(count);
   } else {
     dealer_.PrecomputeTriplesScalar(count);
   }
@@ -238,7 +238,7 @@ Result<SpdzMatrix> SmpcCluster::MinMaxFtVec(const SpdzMatrix& x,
                       d[p].macs.data());
   }
   SpdzMatrix r = dealer_.SharePositiveRandomVec(18, n, exec);
-  SpdzTripleBlock triples = dealer_.TakeTriples(n, exec);
+  SpdzTripleBlock triples = dealer_.TakeTriples(n);
   stats_.triples_consumed += n;
   SpdzMatrix z;
   MIP_RETURN_NOT_OK(
@@ -319,7 +319,7 @@ Status SmpcCluster::ComputeFt(const std::string& job_id, SmpcOp op,
       acc = contributions[0];
       for (size_t c = 1; c < contributions.size(); ++c) {
         if (batched) {
-          SpdzTripleBlock triples = dealer_.TakeTriples(n, exec);
+          SpdzTripleBlock triples = dealer_.TakeTriples(n);
           stats_.triples_consumed += n;
           SpdzMatrix z;
           MIP_RETURN_NOT_OK(Spdz::MultiplyVec(acc, contributions[c], triples,

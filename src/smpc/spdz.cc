@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <utility>
 
 #include "smpc/field.h"
@@ -234,8 +232,7 @@ std::vector<SpdzTriple> SpdzDealer::MakeTriple() {
   return out;
 }
 
-void SpdzDealer::GenerateTriplesInto(SpdzTripleBlock* blk, size_t count,
-                                     const VecExec& exec) {
+void SpdzDealer::GenerateTriplesInto(SpdzTripleBlock* blk, size_t count) {
   // Draw order per triple (matching count scalar MakeTriple calls):
   // a, b, shares(a), shares(b), shares(c) — 2 + 6(np-1) words, flat.
   // Appends to `blk` in place: a long-lived dealer's pool keeps its array
@@ -277,87 +274,32 @@ void SpdzDealer::GenerateTriplesInto(SpdzTripleBlock* blk, size_t count,
   // and accumulation order are the scalar MakeTriple/ShareValue ones
   // verbatim (bit-parity pinned in smpc_property_test).
   // Fuse granularity: small enough that a morsel's random words plus the 18
-  // column tails stay cache-resident.
+  // column tails stay cache-resident. RandomVec draws the stream in order
+  // whatever the chunk size, so per-morsel draws keep scalar parity.
   constexpr size_t kMorsel = 1024;
-  // Pipeline handoff granularity: one producer/consumer exchange per
-  // kBlockMorsels morsels, so condition-variable wakeup latency amortizes
-  // over ~100k words instead of being paid per morsel.
-  constexpr size_t kBlockMorsels = 8;
-  constexpr size_t kBlock = kMorsel * kBlockMorsels;
-  const size_t nblocks = (count + kBlock - 1) / kBlock;
   const FuseFn fixed_fuse = FuseForParties(np);
-  const auto fuse = [&](const uint64_t* rand, uint64_t* const* col,
-                        size_t len) {
-    if (fixed_fuse != nullptr) {
-      fixed_fuse(rand, col, len, alpha);
-    } else {
-      FuseTriplesGeneric(rand, col, len, alpha, np, stride, per_share);
-    }
-  };
-
-  // With a pool, the block loop becomes a two-stage pipeline: a single
-  // producer task draws block k+1's random words (still strictly in stream
-  // order — the RNG sequence is the parity contract) while this thread
-  // fuses block k. The double buffer bounds the producer's lead.
-  // NOTE: must not be called from a task of the same pool (the producer
-  // would queue behind the blocked caller).
-  const bool pipelined = exec.pool != nullptr && nblocks >= 2;
-  std::vector<uint64_t> rand[2];
-  rand[0].resize(kBlock * stride);
-  if (pipelined) rand[1].resize(kBlock * stride);
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t filled = 0;    // blocks drawn by the producer
-  size_t consumed = 0;  // blocks fused by this thread
-  if (pipelined) {
-    exec.pool->Submit([&, count] {
-      for (size_t k = 0; k < nblocks; ++k) {
-        const size_t len = std::min(kBlock, count - k * kBlock);
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return k < consumed + 2; });
-        }
-        Field::RandomVec(rand[k % 2].data(), len * stride, &rng_);
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          filled = k + 1;
-        }
-        cv.notify_all();
-      }
-    });
-  }
-
+  std::vector<uint64_t> rand(std::min(count, kMorsel) * stride);
   std::vector<uint64_t*> cols(ncols);
-  for (size_t k = 0; k < nblocks; ++k) {
-    const size_t blk_lo = k * kBlock;
-    const size_t blk_len = std::min(kBlock, count - blk_lo);
-    if (pipelined) {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return filled > k; });
+  static const uint64_t kZeros[kMorsel] = {};
+  for (size_t m = 0; m < count; m += kMorsel) {
+    const size_t len = std::min(kMorsel, count - m);
+    Field::RandomVec(rand.data(), len * stride, &rng_);
+    for (size_t j = 0; j < ncols; ++j) {
+      arrs[j]->insert(arrs[j]->end(), kZeros, kZeros + len);
+      cols[j] = arrs[j]->data() + (arrs[j]->size() - len);
+    }
+    if (fixed_fuse != nullptr) {
+      fixed_fuse(rand.data(), cols.data(), len, alpha);
     } else {
-      Field::RandomVec(rand[0].data(), blk_len * stride, &rng_);
-    }
-    const uint64_t* rblock = rand[pipelined ? k % 2 : 0].data();
-    static const uint64_t kZeros[kMorsel] = {};
-    for (size_t m = 0; m < blk_len; m += kMorsel) {
-      const size_t len = std::min(kMorsel, blk_len - m);
-      for (size_t j = 0; j < ncols; ++j) {
-        arrs[j]->insert(arrs[j]->end(), kZeros, kZeros + len);
-        cols[j] = arrs[j]->data() + (arrs[j]->size() - len);
-      }
-      fuse(rblock + m * stride, cols.data(), len);
-    }
-    if (pipelined) {
-      std::lock_guard<std::mutex> lock(mu);
-      consumed = k + 1;
-      cv.notify_all();
+      FuseTriplesGeneric(rand.data(), cols.data(), len, alpha, np, stride,
+                         per_share);
     }
   }
 }
 
-SpdzTripleBlock SpdzDealer::MakeTriples(size_t count, const VecExec& exec) {
+SpdzTripleBlock SpdzDealer::MakeTriples(size_t count) {
   SpdzTripleBlock blk;
-  GenerateTriplesInto(&blk, count, exec);
+  GenerateTriplesInto(&blk, count);
   return blk;
 }
 
@@ -369,11 +311,11 @@ void EnsureParties(SpdzMatrix* m, int np) {
 
 }  // namespace
 
-void SpdzDealer::PrecomputeTriples(size_t count, const VecExec& exec) {
+void SpdzDealer::PrecomputeTriples(size_t count) {
   // Generates straight into the pool arrays: no block-adoption copy, and a
   // drained pool's retained capacity makes steady-state refills run in warm
   // memory.
-  GenerateTriplesInto(&pool_, count, exec);
+  GenerateTriplesInto(&pool_, count);
   triples_precomputed_ += count;
 }
 
@@ -414,7 +356,7 @@ std::vector<SpdzTriple> SpdzDealer::TakeTriple() {
   return MakeTriple();
 }
 
-SpdzTripleBlock SpdzDealer::TakeTriples(size_t count, const VecExec& exec) {
+SpdzTripleBlock SpdzDealer::TakeTriples(size_t count) {
   SpdzTripleBlock out;
   out.a.assign(static_cast<size_t>(num_parties_), SpdzVec{});
   out.b.assign(static_cast<size_t>(num_parties_), SpdzVec{});
@@ -446,7 +388,7 @@ SpdzTripleBlock SpdzDealer::TakeTriples(size_t count, const VecExec& exec) {
   }
   if (count > from_pool) {
     const size_t fresh = count - from_pool;
-    SpdzTripleBlock gen = MakeTriples(fresh, exec);
+    SpdzTripleBlock gen = MakeTriples(fresh);
     triples_online_ += fresh;
     for (size_t p = 0; p < out.a.size(); ++p) {
       std::copy(gen.a[p].values.begin(), gen.a[p].values.end(),

@@ -107,11 +107,11 @@ class SpdzDealer {
 
   /// Batched triple generation: bit-identical to `count` MakeTriple calls
   /// for the same Rng state.
-  SpdzTripleBlock MakeTriples(size_t count, const VecExec& exec = {});
+  SpdzTripleBlock MakeTriples(size_t count);
 
   /// Pre-generates `count` triples into the pool (the offline phase),
   /// using the batched generator.
-  void PrecomputeTriples(size_t count, const VecExec& exec = {});
+  void PrecomputeTriples(size_t count);
 
   /// Scalar ablation of PrecomputeTriples: same pool contents for the same
   /// seed, one MakeTriple call per triple. Kept callable so the offline
@@ -125,7 +125,7 @@ class SpdzDealer {
   /// Takes `count` triples as a block — element e is exactly the triple the
   /// e-th of `count` successive TakeTriple calls would return (LIFO pops
   /// from the pool, then batch-generated on demand).
-  SpdzTripleBlock TakeTriples(size_t count, const VecExec& exec = {});
+  SpdzTripleBlock TakeTriples(size_t count);
 
   size_t pool_size() const { return pool_.size(); }
   size_t triples_precomputed() const { return triples_precomputed_; }
@@ -145,10 +145,9 @@ class SpdzDealer {
 
  private:
   /// Appends `count` fresh triples to `blk`'s columns in place (morsel
-  /// streaming; pipelined RNG draw when `exec.pool` is set). Reusing a
-  /// block's retained capacity keeps steady-state refills in warm memory.
-  void GenerateTriplesInto(SpdzTripleBlock* blk, size_t count,
-                           const VecExec& exec);
+  /// streaming). Reusing a block's retained capacity keeps steady-state
+  /// refills in warm memory.
+  void GenerateTriplesInto(SpdzTripleBlock* blk, size_t count);
 
   int num_parties_;
   Rng rng_;

@@ -1,0 +1,85 @@
+#ifndef MIP_STORAGE_FRAMED_FILE_H_
+#define MIP_STORAGE_FRAMED_FILE_H_
+
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/bytes.h"
+#include "common/result.h"
+
+namespace mip::storage {
+
+/// \brief The framing shared by segment (segment.h) and index (index.h)
+/// files, all integers little-endian:
+///
+///   header   u32 magic, u8 version                       (5 bytes)
+///   blocks   CRC'd payload blocks, each addressed from the footer by a
+///            BlockRef: varint offset, varint length, u32 crc
+///   footer   contents owned by the file kind
+///   trailer  u32 footer_len, u32 footer_crc, u32 footer_magic (12 bytes)
+///
+/// Readers check magics, version, footer CRC, block bounds (inside
+/// [header end, footer start)) and block CRCs before a file kind parses or
+/// decodes anything. Every failure is kIOError "corrupt <noun> '<path>': …".
+inline constexpr size_t kFramedHeaderBytes = 5;
+inline constexpr size_t kFramedTrailerBytes = 12;
+
+struct BlockRef {
+  uint64_t offset = 0;  // absolute file offset
+  uint64_t length = 0;
+  uint32_t crc = 0;
+
+  friend bool operator==(const BlockRef&, const BlockRef&) = default;
+};
+
+/// Checked footer bytes and their file offset (every block's upper bound).
+struct FramedFooter {
+  std::vector<uint8_t> bytes;
+  uint64_t start = 0;
+};
+
+/// One file kind's framing constants and the checks that use them. `what`
+/// names a block in error messages.
+struct FramedFormat {
+  uint32_t magic = 0;
+  uint32_t footer_magic = 0;
+  uint8_t version = 0;
+  const char* noun = "";  // "segment" / "index"
+
+  Status Corrupt(const std::string& path, const std::string& why) const;
+  /// Header, trailer and footer CRC. Reads the header and the last 64 KiB,
+  /// plus the footer's own range when footer_len reaches past that tail.
+  Result<FramedFooter> ReadFooter(const std::string& path) const;
+  /// Reads a BlockRef from footer bytes, bounded by `footer_start`.
+  Result<BlockRef> GetBlockRef(const std::string& path, uint64_t footer_start,
+                               const std::string& what, BufferReader* r) const;
+  /// Whole-file read with the header checked (the segment scan's one read).
+  Result<std::vector<uint8_t>> ReadFile(const std::string& path) const;
+  /// Bounds-checks and CRC-checks a block of the whole-file `file`.
+  Status CheckBlock(const std::string& path, const std::vector<uint8_t>& file,
+                    const BlockRef& ref, const std::string& what) const;
+  /// Ranged read of one CRC-checked block (index probes).
+  Result<std::vector<uint8_t>> ReadBlock(const std::string& path,
+                                         const BlockRef& ref,
+                                         const std::string& what) const;
+};
+
+void PutBlockRef(const BlockRef& ref, BufferWriter* w);
+
+/// Writes the header on construction; Finish appends the footer and
+/// trailer and publishes the file crash-atomically.
+class FramedFileWriter {
+ public:
+  explicit FramedFileWriter(const FramedFormat& format);
+  BlockRef AppendBlock(const std::vector<uint8_t>& bytes);
+  Status Finish(const std::string& path, const std::vector<uint8_t>& footer);
+
+ private:
+  const FramedFormat format_;
+  BufferWriter out_;
+};
+
+}  // namespace mip::storage
+
+#endif  // MIP_STORAGE_FRAMED_FILE_H_

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <type_traits>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 #include "common/string_util.h"
 #include "engine/encoding.h"
-#include "storage/io.h"
 
 namespace mip::storage {
 
@@ -27,52 +27,49 @@ using engine::Value;
 
 namespace {
 
+constexpr FramedFormat kFormat{kIndexMagic, kIndexFooterMagic, kIndexVersion,
+                               "index"};
+
 Status Corrupt(const std::string& path, const std::string& why) {
-  return Status::IOError("corrupt index '" + path + "': " + why);
+  return kFormat.Corrupt(path, why);
 }
 
 bool EqLike(BinaryOp op) {
   return op == BinaryOp::kEq || op == BinaryOp::kLe || op == BinaryOp::kGe;
 }
 
-void TightenLo(KeyInterval* iv, double v, bool inclusive) {
-  if (!iv->has_lo || v > iv->lo) {
-    iv->has_lo = true;
-    iv->lo = v;
-    iv->lo_inclusive = inclusive;
-  } else if (v == iv->lo && !inclusive) {
-    iv->lo_inclusive = false;
+/// Moves one bound to `v` when `v` is tighter (`tighter(v, *bound)`), or
+/// makes an equal bound exclusive.
+template <typename T, typename Tighter>
+void Tighten(bool* has, T* bound, bool* bound_inclusive, const T& v,
+             bool inclusive, Tighter tighter) {
+  if (!*has || tighter(v, *bound)) {
+    *has = true;
+    *bound = v;
+    *bound_inclusive = inclusive;
+  } else if (v == *bound && !inclusive) {
+    *bound_inclusive = false;
   }
 }
 
-void TightenHi(KeyInterval* iv, double v, bool inclusive) {
-  if (!iv->has_hi || v < iv->hi) {
-    iv->has_hi = true;
-    iv->hi = v;
-    iv->hi_inclusive = inclusive;
-  } else if (v == iv->hi && !inclusive) {
-    iv->hi_inclusive = false;
+/// Narrows `iv` by `key op v` on one pair of its bounds: `lo`/`hi` point at
+/// iv->lo/hi (numeric) or iv->lo_s/hi_s (string). False when `op` is not a
+/// comparison.
+template <typename T>
+bool Restrict(KeyInterval* iv, T* lo, T* hi, BinaryOp op, const T& v) {
+  const bool lower =
+      op == BinaryOp::kEq || op == BinaryOp::kGt || op == BinaryOp::kGe;
+  const bool upper =
+      op == BinaryOp::kEq || op == BinaryOp::kLt || op == BinaryOp::kLe;
+  if (lower) {
+    Tighten(&iv->has_lo, lo, &iv->lo_inclusive, v, EqLike(op),
+            std::greater<T>());
   }
-}
-
-void TightenLoS(KeyInterval* iv, const std::string& v, bool inclusive) {
-  if (!iv->has_lo || v > iv->lo_s) {
-    iv->has_lo = true;
-    iv->lo_s = v;
-    iv->lo_inclusive = inclusive;
-  } else if (v == iv->lo_s && !inclusive) {
-    iv->lo_inclusive = false;
+  if (upper) {
+    Tighten(&iv->has_hi, hi, &iv->hi_inclusive, v, EqLike(op),
+            std::less<T>());
   }
-}
-
-void TightenHiS(KeyInterval* iv, const std::string& v, bool inclusive) {
-  if (!iv->has_hi || v < iv->hi_s) {
-    iv->has_hi = true;
-    iv->hi_s = v;
-    iv->hi_inclusive = inclusive;
-  } else if (v == iv->hi_s && !inclusive) {
-    iv->hi_inclusive = false;
-  }
+  return lower || upper;
 }
 
 /// key below the interval's low bound (numeric domain).
@@ -100,28 +97,9 @@ KeyInterval BuildKeyInterval(DataType type, const std::string& column,
       // Mixed-type comparisons route the engine through paths the index
       // cannot mirror exactly; ignoring the conjunct only widens the count.
       if (c.literal.kind() != Value::Kind::kString) continue;
-      const std::string& v = c.literal.string_value();
-      switch (c.op) {
-        case BinaryOp::kEq:
-          TightenLoS(&iv, v, true);
-          TightenHiS(&iv, v, true);
-          break;
-        case BinaryOp::kLt:
-          TightenHiS(&iv, v, false);
-          break;
-        case BinaryOp::kLe:
-          TightenHiS(&iv, v, true);
-          break;
-        case BinaryOp::kGt:
-          TightenLoS(&iv, v, false);
-          break;
-        case BinaryOp::kGe:
-          TightenLoS(&iv, v, true);
-          break;
-        default:
-          continue;
+      if (Restrict(&iv, &iv.lo_s, &iv.hi_s, c.op, c.literal.string_value())) {
+        iv.restricts = true;
       }
-      iv.restricts = true;
       continue;
     }
     // Numeric column: the engine compares cells to the literal as doubles.
@@ -138,27 +116,7 @@ KeyInterval BuildKeyInterval(DataType type, const std::string& column,
       continue;
     }
     if (!EqLike(c.op)) iv.include_nan = false;  // NaN cells fail < and >
-    switch (c.op) {
-      case BinaryOp::kEq:
-        TightenLo(&iv, v, true);
-        TightenHi(&iv, v, true);
-        break;
-      case BinaryOp::kLt:
-        TightenHi(&iv, v, false);
-        break;
-      case BinaryOp::kLe:
-        TightenHi(&iv, v, true);
-        break;
-      case BinaryOp::kGt:
-        TightenLo(&iv, v, false);
-        break;
-      case BinaryOp::kGe:
-        TightenLo(&iv, v, true);
-        break;
-      default:
-        continue;
-    }
-    iv.restricts = true;
+    if (Restrict(&iv, &iv.lo, &iv.hi, c.op, v)) iv.restricts = true;
   }
   if (iv.has_lo && iv.has_hi) {
     const bool contradictory =
@@ -176,18 +134,51 @@ KeyInterval BuildKeyInterval(DataType type, const std::string& column,
 
 namespace {
 
-struct EntryI {
-  int64_t key;
+template <typename K>
+struct Entry {
+  K key;
   int64_t row;
 };
-struct EntryD {
-  double key;
-  int64_t row;
-};
-struct EntryS {
-  std::string key;
-  int64_t row;
-};
+
+/// Sorts one column's (key, row-id) run and appends it to `file` as blocks
+/// of up to kIndexBlockEntries entries, recording each block's key range
+/// (`first`, `last`) in `blocks`.
+template <typename K>
+void AppendEntryBlocks(std::vector<Entry<K>> entries, K IndexBlock::*first,
+                       K IndexBlock::*last, FramedFileWriter* file,
+                       std::vector<IndexBlock>* blocks) {
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry<K>& a, const Entry<K>& b) {
+              return a.key != b.key ? a.key < b.key : a.row < b.row;
+            });
+  for (size_t off = 0; off < entries.size(); off += kIndexBlockEntries) {
+    const size_t count =
+        std::min<size_t>(kIndexBlockEntries, entries.size() - off);
+    std::vector<K> keys;
+    std::vector<int64_t> row_ids;
+    keys.reserve(count);
+    row_ids.reserve(count);
+    for (size_t k = off; k < off + count; ++k) {
+      keys.push_back(entries[k].key);
+      row_ids.push_back(entries[k].row);
+    }
+    IndexBlock block;
+    block.count = count;
+    block.*first = keys.front();
+    block.*last = keys.back();
+    BufferWriter body;
+    if constexpr (std::is_same_v<K, int64_t>) {
+      EncodeInts(keys, &body);
+    } else if constexpr (std::is_same_v<K, double>) {
+      EncodeDoubles(keys, &body);
+    } else {
+      EncodeStrings(keys, &body);
+    }
+    EncodeInts(row_ids, &body);
+    block.ref = file->AppendBlock(body.bytes());
+    blocks->push_back(std::move(block));
+  }
+}
 
 void WriteBlockKey(DataType type, const IndexBlock& b, bool first,
                    BufferWriter* w) {
@@ -242,11 +233,11 @@ Result<IndexFooter> WriteIndex(const std::string& path,
   footer.type = column.type();
   footer.num_rows = column.length();
 
-  // Gather the sorted (key, row-id) run. NULLs are excluded (they never
-  // pass a comparison filter); NaNs go to the side list.
-  std::vector<EntryI> ints;
-  std::vector<EntryD> doubles;
-  std::vector<EntryS> strings;
+  // Gather the (key, row-id) run. NULLs are excluded (they never pass a
+  // comparison filter); NaNs go to the side list.
+  std::vector<Entry<int64_t>> ints;
+  std::vector<Entry<double>> doubles;
+  std::vector<Entry<std::string>> strings;
   std::vector<int64_t> nan_rows;
   for (size_t i = 0; i < column.length(); ++i) {
     if (!column.IsValid(i)) continue;
@@ -272,88 +263,22 @@ Result<IndexFooter> WriteIndex(const std::string& path,
         break;
     }
   }
-  std::sort(ints.begin(), ints.end(), [](const EntryI& a, const EntryI& b) {
-    return a.key != b.key ? a.key < b.key : a.row < b.row;
-  });
-  std::sort(doubles.begin(), doubles.end(),
-            [](const EntryD& a, const EntryD& b) {
-              return a.key != b.key ? a.key < b.key : a.row < b.row;
-            });
-  std::sort(strings.begin(), strings.end(),
-            [](const EntryS& a, const EntryS& b) {
-              return a.key != b.key ? a.key < b.key : a.row < b.row;
-            });
   footer.num_entries = ints.size() + doubles.size() + strings.size();
   footer.nan_count = nan_rows.size();
 
-  BufferWriter w;
-  w.WriteU32(kIndexMagic);
-  w.WriteU8(kIndexVersion);
-
-  const uint64_t n = footer.num_entries;
-  for (uint64_t off = 0; off < n; off += kIndexBlockEntries) {
-    const uint64_t count = std::min<uint64_t>(kIndexBlockEntries, n - off);
-    IndexBlock block;
-    block.count = count;
-    BufferWriter body;
-    std::vector<int64_t> row_ids;
-    row_ids.reserve(static_cast<size_t>(count));
-    switch (footer.type) {
-      case DataType::kBool:
-      case DataType::kInt64: {
-        std::vector<int64_t> keys;
-        keys.reserve(static_cast<size_t>(count));
-        for (uint64_t k = 0; k < count; ++k) {
-          keys.push_back(ints[off + k].key);
-          row_ids.push_back(ints[off + k].row);
-        }
-        block.first_i = keys.front();
-        block.last_i = keys.back();
-        EncodeInts(keys, &body);
-        break;
-      }
-      case DataType::kFloat64: {
-        std::vector<double> keys;
-        keys.reserve(static_cast<size_t>(count));
-        for (uint64_t k = 0; k < count; ++k) {
-          keys.push_back(doubles[off + k].key);
-          row_ids.push_back(doubles[off + k].row);
-        }
-        block.first_d = keys.front();
-        block.last_d = keys.back();
-        EncodeDoubles(keys, &body);
-        break;
-      }
-      case DataType::kString: {
-        std::vector<std::string> keys;
-        keys.reserve(static_cast<size_t>(count));
-        for (uint64_t k = 0; k < count; ++k) {
-          keys.push_back(strings[off + k].key);
-          row_ids.push_back(strings[off + k].row);
-        }
-        block.first_s = keys.front();
-        block.last_s = keys.back();
-        EncodeStrings(keys, &body);
-        break;
-      }
-    }
-    EncodeInts(row_ids, &body);
-    const std::vector<uint8_t> bytes = body.TakeBytes();
-    block.offset = w.size();
-    block.length = bytes.size();
-    block.crc = Crc32(bytes);
-    w.AppendRaw(bytes.data(), bytes.size());
-    footer.blocks.push_back(std::move(block));
-  }
+  FramedFileWriter file(kFormat);
+  // Only the run matching the column type is non-empty.
+  AppendEntryBlocks(std::move(ints), &IndexBlock::first_i, &IndexBlock::last_i,
+                    &file, &footer.blocks);
+  AppendEntryBlocks(std::move(doubles), &IndexBlock::first_d,
+                    &IndexBlock::last_d, &file, &footer.blocks);
+  AppendEntryBlocks(std::move(strings), &IndexBlock::first_s,
+                    &IndexBlock::last_s, &file, &footer.blocks);
 
   if (!nan_rows.empty()) {
     BufferWriter body;
     EncodeInts(nan_rows, &body);
-    const std::vector<uint8_t> bytes = body.TakeBytes();
-    footer.nan_offset = w.size();
-    footer.nan_length = bytes.size();
-    footer.nan_crc = Crc32(bytes);
-    w.AppendRaw(bytes.data(), bytes.size());
+    footer.nan_block = file.AppendBlock(body.bytes());
   }
 
   BufferWriter f;
@@ -362,27 +287,15 @@ Result<IndexFooter> WriteIndex(const std::string& path,
   PutVarint(&f, footer.num_rows);
   PutVarint(&f, footer.num_entries);
   PutVarint(&f, footer.nan_count);
-  if (footer.nan_count > 0) {
-    PutVarint(&f, footer.nan_offset);
-    PutVarint(&f, footer.nan_length);
-    f.WriteU32(footer.nan_crc);
-  }
+  if (footer.nan_count > 0) PutBlockRef(footer.nan_block, &f);
   PutVarint(&f, footer.blocks.size());
   for (const IndexBlock& b : footer.blocks) {
     WriteBlockKey(footer.type, b, true, &f);
     WriteBlockKey(footer.type, b, false, &f);
     PutVarint(&f, b.count);
-    PutVarint(&f, b.offset);
-    PutVarint(&f, b.length);
-    f.WriteU32(b.crc);
+    PutBlockRef(b.ref, &f);
   }
-  const std::vector<uint8_t> footer_bytes = f.TakeBytes();
-  w.AppendRaw(footer_bytes.data(), footer_bytes.size());
-  w.WriteU32(static_cast<uint32_t>(footer_bytes.size()));
-  w.WriteU32(Crc32(footer_bytes));
-  w.WriteU32(kIndexFooterMagic);
-
-  MIP_RETURN_NOT_OK(WriteFileAtomic(path, w.bytes()));
+  MIP_RETURN_NOT_OK(file.Finish(path, f.bytes()));
   return footer;
 }
 
@@ -419,9 +332,8 @@ bool BlockSelfOrdered(DataType type, const IndexBlock& b) {
 }
 
 Result<IndexFooter> ParseIndexFooter(const std::string& path,
-                                     const std::vector<uint8_t>& footer_bytes,
-                                     uint64_t footer_start) {
-  BufferReader r(footer_bytes);
+                                     const FramedFooter& framed) {
+  BufferReader r(framed.bytes);
   IndexFooter footer;
   MIP_ASSIGN_OR_RETURN(footer.column, r.ReadString());
   MIP_ASSIGN_OR_RETURN(uint8_t type_byte, r.ReadU8());
@@ -441,14 +353,9 @@ Result<IndexFooter> ParseIndexFooter(const std::string& path,
     return Corrupt(path, "NaN list on a non-double column");
   }
   if (footer.nan_count > 0) {
-    MIP_ASSIGN_OR_RETURN(footer.nan_offset, GetVarint(&r));
-    MIP_ASSIGN_OR_RETURN(footer.nan_length, GetVarint(&r));
-    MIP_ASSIGN_OR_RETURN(footer.nan_crc, r.ReadU32());
-    if (footer.nan_offset < kIndexHeaderBytes ||
-        footer.nan_offset > footer_start ||
-        footer.nan_length > footer_start - footer.nan_offset) {
-      return Corrupt(path, "NaN block out of bounds");
-    }
+    MIP_ASSIGN_OR_RETURN(footer.nan_block,
+                         kFormat.GetBlockRef(path, framed.start, "NaN block",
+                                             &r));
   }
   MIP_ASSIGN_OR_RETURN(uint64_t num_blocks, GetVarint(&r));
   if (num_blocks > kMaxIndexBlocks) {
@@ -460,15 +367,10 @@ Result<IndexFooter> ParseIndexFooter(const std::string& path,
     MIP_RETURN_NOT_OK(ReadBlockKey(footer.type, true, &r, &b));
     MIP_RETURN_NOT_OK(ReadBlockKey(footer.type, false, &r, &b));
     MIP_ASSIGN_OR_RETURN(b.count, GetVarint(&r));
-    MIP_ASSIGN_OR_RETURN(b.offset, GetVarint(&r));
-    MIP_ASSIGN_OR_RETURN(b.length, GetVarint(&r));
-    MIP_ASSIGN_OR_RETURN(b.crc, r.ReadU32());
+    MIP_ASSIGN_OR_RETURN(b.ref,
+                         kFormat.GetBlockRef(path, framed.start, "block", &r));
     if (b.count == 0 || b.count > kIndexBlockEntries) {
       return Corrupt(path, "bad block entry count");
-    }
-    if (b.offset < kIndexHeaderBytes || b.offset > footer_start ||
-        b.length > footer_start - b.offset) {
-      return Corrupt(path, "block out of bounds");
     }
     if (!BlockSelfOrdered(footer.type, b)) {
       return Corrupt(path, "block first key after last key");
@@ -487,49 +389,6 @@ Result<IndexFooter> ParseIndexFooter(const std::string& path,
   return footer;
 }
 
-Status CheckIndexHeader(const std::string& path, const uint8_t* data,
-                        size_t n) {
-  BufferReader r(data, n);
-  MIP_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  if (magic != kIndexMagic) return Corrupt(path, "bad index magic");
-  MIP_ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
-  if (version != kIndexVersion) {
-    return Corrupt(path,
-                   "unsupported index version " + std::to_string(version));
-  }
-  return Status::OK();
-}
-
-Result<std::pair<std::vector<uint8_t>, uint64_t>> CheckIndexTail(
-    const std::string& path, uint64_t file_size,
-    const std::vector<uint8_t>& tail, uint64_t tail_offset) {
-  if (tail.size() < kIndexTrailerBytes) {
-    return Corrupt(path, "file too small for trailer");
-  }
-  BufferReader tr(tail.data() + tail.size() - kIndexTrailerBytes,
-                  kIndexTrailerBytes);
-  MIP_ASSIGN_OR_RETURN(uint32_t footer_len, tr.ReadU32());
-  MIP_ASSIGN_OR_RETURN(uint32_t footer_crc, tr.ReadU32());
-  MIP_ASSIGN_OR_RETURN(uint32_t magic, tr.ReadU32());
-  if (magic != kIndexFooterMagic) {
-    return Corrupt(path, "bad footer magic");
-  }
-  if (footer_len > file_size - kIndexHeaderBytes - kIndexTrailerBytes) {
-    return Corrupt(path, "footer length out of bounds");
-  }
-  const uint64_t footer_start = file_size - kIndexTrailerBytes - footer_len;
-  if (footer_start < tail_offset) {
-    return Corrupt(path, "footer longer than tail read");
-  }
-  const size_t in_tail = static_cast<size_t>(footer_start - tail_offset);
-  std::vector<uint8_t> footer_bytes(tail.begin() + in_tail,
-                                    tail.end() - kIndexTrailerBytes);
-  if (Crc32(footer_bytes) != footer_crc) {
-    return Corrupt(path, "footer CRC mismatch");
-  }
-  return std::make_pair(std::move(footer_bytes), footer_start);
-}
-
 struct DecodedBlock {
   std::vector<int64_t> key_i;
   std::vector<double> key_d;
@@ -541,8 +400,7 @@ Result<DecodedBlock> ReadBlock(const std::string& path,
                                const IndexFooter& footer,
                                const IndexBlock& block) {
   MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                       ReadFileRange(path, block.offset, block.length));
-  if (Crc32(bytes) != block.crc) return Corrupt(path, "block CRC mismatch");
+                       kFormat.ReadBlock(path, block.ref, "block"));
   BufferReader r(bytes);
   DecodedBlock out;
   size_t n = 0;
@@ -575,25 +433,8 @@ Result<DecodedBlock> ReadBlock(const std::string& path,
 }  // namespace
 
 Result<IndexFooter> ReadIndexFooter(const std::string& path) {
-  MIP_ASSIGN_OR_RETURN(uint64_t size, FileSize(path));
-  if (size < kIndexHeaderBytes + kIndexTrailerBytes) {
-    return Corrupt(path, "file too small");
-  }
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> head,
-                       ReadFileRange(path, 0, kIndexHeaderBytes));
-  MIP_RETURN_NOT_OK(CheckIndexHeader(path, head.data(), head.size()));
-  const uint64_t tail_n = std::min<uint64_t>(size, 64 * 1024);
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> tail,
-                       ReadFileRange(path, size - tail_n, tail_n));
-  auto parsed = CheckIndexTail(path, size, tail, size - tail_n);
-  if (!parsed.ok() &&
-      parsed.status().message().find("longer than tail read") !=
-          std::string::npos) {
-    MIP_ASSIGN_OR_RETURN(tail, ReadFileBytes(path));
-    parsed = CheckIndexTail(path, size, tail, 0);
-  }
-  MIP_RETURN_NOT_OK(parsed.status());
-  return ParseIndexFooter(path, parsed->first, parsed->second);
+  MIP_ASSIGN_OR_RETURN(FramedFooter framed, kFormat.ReadFooter(path));
+  return ParseIndexFooter(path, framed);
 }
 
 Result<IndexProbe> ProbeIndex(const std::string& path,
@@ -677,34 +518,27 @@ Status VerifyIndex(const std::string& path, const IndexFooter& footer) {
         return Corrupt(path, "row id out of range");
       }
       // Strict (key, row-id) order also proves row-id uniqueness.
+      auto follows = [&](auto* prev, const auto& key) {
+        const bool after = !have_prev || *prev < key ||
+                           (*prev == key && prev_row < row);
+        *prev = key;
+        return after;
+      };
       bool ordered = true;
       switch (disk.type) {
         case DataType::kBool:
-        case DataType::kInt64: {
-          const int64_t key = decoded.key_i[k];
-          if (have_prev) {
-            ordered = prev_i < key || (prev_i == key && prev_row < row);
-          }
-          prev_i = key;
+        case DataType::kInt64:
+          ordered = follows(&prev_i, decoded.key_i[k]);
           break;
-        }
-        case DataType::kFloat64: {
-          const double key = decoded.key_d[k];
-          if (std::isnan(key)) return Corrupt(path, "NaN entry key");
-          if (have_prev) {
-            ordered = prev_d < key || (prev_d == key && prev_row < row);
+        case DataType::kFloat64:
+          if (std::isnan(decoded.key_d[k])) {
+            return Corrupt(path, "NaN entry key");
           }
-          prev_d = key;
+          ordered = follows(&prev_d, decoded.key_d[k]);
           break;
-        }
-        case DataType::kString: {
-          const std::string& key = decoded.key_s[k];
-          if (have_prev) {
-            ordered = prev_s < key || (prev_s == key && prev_row < row);
-          }
-          prev_s = key;
+        case DataType::kString:
+          ordered = follows(&prev_s, decoded.key_s[k]);
           break;
-        }
       }
       if (!ordered) return Corrupt(path, "entries out of (key, row) order");
       prev_row = row;
@@ -712,12 +546,8 @@ Status VerifyIndex(const std::string& path, const IndexFooter& footer) {
     }
   }
   if (disk.nan_count > 0) {
-    MIP_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> bytes,
-        ReadFileRange(path, disk.nan_offset, disk.nan_length));
-    if (Crc32(bytes) != disk.nan_crc) {
-      return Corrupt(path, "NaN block CRC mismatch");
-    }
+    MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                         kFormat.ReadBlock(path, disk.nan_block, "NaN block"));
     BufferReader r(bytes);
     MIP_ASSIGN_OR_RETURN(std::vector<int64_t> rows, DecodeInts(&r));
     if (rows.size() != disk.nan_count || !r.AtEnd()) {

@@ -25,10 +25,10 @@ namespace mip::storage {
 /// of footer-guided block reads and decodes only the segments that actually
 /// hold candidates.
 ///
-/// Layout, all integers little-endian:
+/// The header, trailer, block references and CRC checks are the shared
+/// framing of framed_file.h; layout, all integers little-endian:
 ///
-///   u32 magic        "MIX1"
-///   u8  version      1
+///   header           magic "MIX1", version 1
 ///   -- entry blocks of up to kIndexBlockEntries (key, row-id) pairs,
 ///      globally sorted by (key, row-id); each block is independently
 ///      decodable (engine codecs) and CRC'd:
@@ -42,15 +42,12 @@ namespace mip::storage {
 ///     varint  num_rows      (rows in the segment the index covers)
 ///     varint  num_entries   (indexed rows: non-null, non-NaN)
 ///     varint  nan_count
-///     varint nan_offset, varint nan_length, u32 nan_crc   (iff nan_count>0)
+///     BlockRef      NaN block     (iff nan_count > 0)
 ///     varint  num_blocks, per block:
 ///       typed   first_key, last_key   (sparse top level)
 ///       varint  count
-///       varint  offset, varint length, u32 crc
-///   -- trailer (fixed 12 bytes):
-///     u32 footer_len
-///     u32 footer_crc
-///     u32 magic        "MIXF"
+///       BlockRef
+///   trailer          footer magic "MIXF"
 ///
 /// NULL rows are excluded: under this engine's semantics a NULL cell never
 /// passes a comparison filter, so their absence can never drop a real
@@ -67,8 +64,6 @@ namespace mip::storage {
 inline constexpr uint32_t kIndexMagic = 0x3158494Du;        // "MIX1"
 inline constexpr uint32_t kIndexFooterMagic = 0x4658494Du;  // "MIXF"
 inline constexpr uint8_t kIndexVersion = 1;
-inline constexpr size_t kIndexHeaderBytes = 5;
-inline constexpr size_t kIndexTrailerBytes = 12;
 inline constexpr uint64_t kIndexBlockEntries = 1024;
 inline constexpr uint64_t kMaxIndexBlocks = 1u << 20;
 
@@ -78,9 +73,7 @@ struct IndexBlock {
   double first_d = 0.0, last_d = 0.0;  // kFloat64 (never NaN)
   std::string first_s, last_s;         // kString
   uint64_t count = 0;
-  uint64_t offset = 0;
-  uint64_t length = 0;
-  uint32_t crc = 0;
+  BlockRef ref;
 };
 
 struct IndexFooter {
@@ -89,8 +82,7 @@ struct IndexFooter {
   uint64_t num_rows = 0;     // segment rows the index covers
   uint64_t num_entries = 0;  // indexed (non-null, non-NaN) rows
   uint64_t nan_count = 0;
-  uint64_t nan_offset = 0, nan_length = 0;
-  uint32_t nan_crc = 0;
+  BlockRef nan_block;  // iff nan_count > 0
   std::vector<IndexBlock> blocks;
 };
 

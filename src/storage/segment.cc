@@ -3,10 +3,8 @@
 #include <cmath>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 #include "common/string_util.h"
 #include "engine/encoding.h"
-#include "storage/io.h"
 
 namespace mip::storage {
 
@@ -32,8 +30,23 @@ using engine::Value;
 
 namespace {
 
+constexpr FramedFormat kFormat{kSegmentMagic, kSegmentFooterMagic,
+                               kSegmentVersion, "segment"};
+
 Status Corrupt(const std::string& path, const std::string& why) {
-  return Status::IOError("corrupt segment '" + path + "': " + why);
+  return kFormat.Corrupt(path, why);
+}
+
+/// Widens the zone's [*min, *max] range to cover `v`.
+template <typename T>
+void Widen(ZoneMap* zone, T* min, T* max, const T& v) {
+  if (!zone->has_range) {
+    *min = *max = v;
+    zone->has_range = true;
+  } else {
+    if (v < *min) *min = v;
+    if (v > *max) *max = v;
+  }
 }
 
 }  // namespace
@@ -53,54 +66,25 @@ ZoneMap ComputeZoneMap(const Column& column) {
   for (size_t i = 0; i < column.length(); ++i) {
     if (!column.IsValid(i)) continue;
     switch (column.type()) {
-      case DataType::kBool: {
-        const int64_t v = column.BoolAt(i) ? 1 : 0;
-        if (!zone.has_range) {
-          zone.min_i = zone.max_i = v;
-          zone.has_range = true;
-        } else {
-          if (v < zone.min_i) zone.min_i = v;
-          if (v > zone.max_i) zone.max_i = v;
-        }
+      case DataType::kBool:
+        Widen<int64_t>(&zone, &zone.min_i, &zone.max_i,
+                       column.BoolAt(i) ? 1 : 0);
         break;
-      }
-      case DataType::kInt64: {
-        const int64_t v = column.IntAt(i);
-        if (!zone.has_range) {
-          zone.min_i = zone.max_i = v;
-          zone.has_range = true;
-        } else {
-          if (v < zone.min_i) zone.min_i = v;
-          if (v > zone.max_i) zone.max_i = v;
-        }
+      case DataType::kInt64:
+        Widen(&zone, &zone.min_i, &zone.max_i, column.IntAt(i));
         break;
-      }
       case DataType::kFloat64: {
         const double v = column.DoubleAt(i);
         if (std::isnan(v)) {
           zone.has_nan = true;
-          break;
-        }
-        if (!zone.has_range) {
-          zone.min_d = zone.max_d = v;
-          zone.has_range = true;
         } else {
-          if (v < zone.min_d) zone.min_d = v;
-          if (v > zone.max_d) zone.max_d = v;
+          Widen(&zone, &zone.min_d, &zone.max_d, v);
         }
         break;
       }
-      case DataType::kString: {
-        const std::string& v = column.StringAt(i);
-        if (!zone.has_range) {
-          zone.min_s = zone.max_s = v;
-          zone.has_range = true;
-        } else {
-          if (v < zone.min_s) zone.min_s = v;
-          if (v > zone.max_s) zone.max_s = v;
-        }
+      case DataType::kString:
+        Widen(&zone, &zone.min_s, &zone.max_s, column.StringAt(i));
         break;
-      }
     }
   }
   return zone;
@@ -163,12 +147,11 @@ Status ReadZoneMap(BufferReader* r, SegmentColumn* col) {
   return Status::OK();
 }
 
-/// Parses + validates footer bytes. `file_size` and `footer_start` bound
-/// every column block: [kSegmentHeaderBytes, footer_start).
+/// Parses + validates the footer contents; every column block must lie
+/// before the footer.
 Result<SegmentFooter> ParseFooter(const std::string& path,
-                                  const std::vector<uint8_t>& footer_bytes,
-                                  uint64_t footer_start) {
-  BufferReader r(footer_bytes);
+                                  const FramedFooter& framed) {
+  BufferReader r(framed.bytes);
   SegmentFooter footer;
   MIP_ASSIGN_OR_RETURN(footer.num_rows, GetVarint(&r));
   if (footer.num_rows > kMaxWireElements) {
@@ -190,13 +173,8 @@ Result<SegmentFooter> ParseFooter(const std::string& path,
     }
     col.type = static_cast<DataType>(type_byte);
     MIP_RETURN_NOT_OK(ReadZoneMap(&r, &col));
-    MIP_ASSIGN_OR_RETURN(col.offset, GetVarint(&r));
-    MIP_ASSIGN_OR_RETURN(col.length, GetVarint(&r));
-    MIP_ASSIGN_OR_RETURN(col.crc, r.ReadU32());
-    if (col.offset < kSegmentHeaderBytes || col.offset > footer_start ||
-        col.length > footer_start - col.offset) {
-      return Corrupt(path, "column block out of bounds");
-    }
+    MIP_ASSIGN_OR_RETURN(col.block, kFormat.GetBlockRef(path, framed.start,
+                                                        "column block", &r));
     if (col.zone.null_count > footer.num_rows) {
       return Corrupt(path, "null count exceeds row count");
     }
@@ -209,60 +187,12 @@ Result<SegmentFooter> ParseFooter(const std::string& path,
   return footer;
 }
 
-/// Splits the trailer, checks magics/CRC, returns (footer_bytes,
-/// footer_start) given the file size and a reader positioned on the raw
-/// trailer+footer tail bytes.
-Result<std::pair<std::vector<uint8_t>, uint64_t>> CheckTail(
-    const std::string& path, uint64_t file_size,
-    const std::vector<uint8_t>& tail, uint64_t tail_offset) {
-  // tail holds bytes [tail_offset, file_size); the last 12 are the trailer.
-  if (tail.size() < kSegmentTrailerBytes) {
-    return Corrupt(path, "file too small for trailer");
-  }
-  BufferReader tr(tail.data() + tail.size() - kSegmentTrailerBytes,
-                  kSegmentTrailerBytes);
-  MIP_ASSIGN_OR_RETURN(uint32_t footer_len, tr.ReadU32());
-  MIP_ASSIGN_OR_RETURN(uint32_t footer_crc, tr.ReadU32());
-  MIP_ASSIGN_OR_RETURN(uint32_t magic, tr.ReadU32());
-  if (magic != kSegmentFooterMagic) {
-    return Corrupt(path, "bad footer magic");
-  }
-  if (footer_len >
-      file_size - kSegmentHeaderBytes - kSegmentTrailerBytes) {
-    return Corrupt(path, "footer length out of bounds");
-  }
-  const uint64_t footer_start =
-      file_size - kSegmentTrailerBytes - footer_len;
-  if (footer_start < tail_offset) {
-    return Corrupt(path, "footer longer than tail read");
-  }
-  const size_t in_tail = static_cast<size_t>(footer_start - tail_offset);
-  std::vector<uint8_t> footer_bytes(tail.begin() + in_tail,
-                                    tail.end() - kSegmentTrailerBytes);
-  if (Crc32(footer_bytes) != footer_crc) {
-    return Corrupt(path, "footer CRC mismatch");
-  }
-  return std::make_pair(std::move(footer_bytes), footer_start);
-}
-
-Status CheckHeader(const std::string& path, const uint8_t* data, size_t n) {
-  BufferReader r(data, n);
-  MIP_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
-  if (magic != kSegmentMagic) return Corrupt(path, "bad segment magic");
-  MIP_ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
-  if (version != kSegmentVersion) {
-    return Corrupt(path, "unsupported segment version " +
-                             std::to_string(version));
-  }
-  return Status::OK();
-}
-
 /// Checks one column block and decodes it by appending to `col` (its type
 /// already matched against `meta`). Every count must equal `num_rows`.
 Status AppendColumnBlock(const std::string& path, const SegmentColumn& meta,
                          const uint8_t* block, uint64_t num_rows,
                          Column* col) {
-  BufferReader r(block, static_cast<size_t>(meta.length));
+  BufferReader r(block, static_cast<size_t>(meta.block.length));
   MIP_ASSIGN_OR_RETURN(uint8_t has_validity, r.ReadU8());
   if (has_validity > 1) return Corrupt(path, "bad validity flag");
   engine::Bitmap validity;
@@ -311,10 +241,7 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
   if (table.num_rows() > kMaxWireElements) {
     return Status::InvalidArgument("segment batch exceeds row cap");
   }
-  BufferWriter w;
-  w.WriteU32(kSegmentMagic);
-  w.WriteU8(kSegmentVersion);
-
+  FramedFileWriter file(kFormat);
   SegmentFooter footer;
   footer.num_rows = table.num_rows();
   for (size_t i = 0; i < table.num_columns(); ++i) {
@@ -336,16 +263,11 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
         EncodeStrings(column.strings(), &block);
         break;
     }
-    const std::vector<uint8_t> block_bytes = block.TakeBytes();
-
     SegmentColumn col;
     col.name = table.schema().field(i).name;
     col.type = column.type();
     col.zone = ComputeZoneMap(column);
-    col.offset = w.size();
-    col.length = block_bytes.size();
-    col.crc = Crc32(block_bytes);
-    w.AppendRaw(block_bytes.data(), block_bytes.size());
+    col.block = file.AppendBlock(block.bytes());
     footer.columns.push_back(std::move(col));
   }
 
@@ -356,42 +278,15 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
     f.WriteString(col.name);
     f.WriteU8(static_cast<uint8_t>(col.type));
     WriteZoneMap(col, &f);
-    PutVarint(&f, col.offset);
-    PutVarint(&f, col.length);
-    f.WriteU32(col.crc);
+    PutBlockRef(col.block, &f);
   }
-  const std::vector<uint8_t> footer_bytes = f.TakeBytes();
-  w.AppendRaw(footer_bytes.data(), footer_bytes.size());
-  w.WriteU32(static_cast<uint32_t>(footer_bytes.size()));
-  w.WriteU32(Crc32(footer_bytes));
-  w.WriteU32(kSegmentFooterMagic);
-
-  MIP_RETURN_NOT_OK(WriteFileAtomic(path, w.bytes()));
+  MIP_RETURN_NOT_OK(file.Finish(path, f.bytes()));
   return footer;
 }
 
 Result<SegmentFooter> ReadSegmentFooter(const std::string& path) {
-  MIP_ASSIGN_OR_RETURN(uint64_t size, FileSize(path));
-  if (size < kSegmentHeaderBytes + kSegmentTrailerBytes) {
-    return Corrupt(path, "file too small");
-  }
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> head,
-                       ReadFileRange(path, 0, kSegmentHeaderBytes));
-  MIP_RETURN_NOT_OK(CheckHeader(path, head.data(), head.size()));
-  // One bounded tail read covers the trailer and (almost always) the whole
-  // footer; re-read exactly when the footer is larger.
-  const uint64_t tail_n = std::min<uint64_t>(size, 64 * 1024);
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> tail,
-                       ReadFileRange(path, size - tail_n, tail_n));
-  auto parsed = CheckTail(path, size, tail, size - tail_n);
-  if (!parsed.ok() &&
-      parsed.status().message().find("longer than tail read") !=
-          std::string::npos) {
-    MIP_ASSIGN_OR_RETURN(tail, ReadFileBytes(path));
-    parsed = CheckTail(path, size, tail, 0);
-  }
-  MIP_RETURN_NOT_OK(parsed.status());
-  return ParseFooter(path, parsed->first, parsed->second);
+  MIP_ASSIGN_OR_RETURN(FramedFooter framed, kFormat.ReadFooter(path));
+  return ParseFooter(path, framed);
 }
 
 Status AppendSegmentData(const std::string& path, const SegmentFooter& footer,
@@ -407,22 +302,14 @@ Status AppendSegmentData(const std::string& path, const SegmentFooter& footer,
     return Corrupt(path, "columns do not match the table schema " +
                              schema.ToString());
   }
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-  if (bytes.size() < kSegmentHeaderBytes + kSegmentTrailerBytes) {
-    return Corrupt(path, "file too small");
-  }
-  MIP_RETURN_NOT_OK(CheckHeader(path, bytes.data(), bytes.size()));
+  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, kFormat.ReadFile(path));
   for (size_t c = 0; c < footer.columns.size(); ++c) {
     const SegmentColumn& meta = footer.columns[c];
-    if (meta.offset > bytes.size() ||
-        meta.length > bytes.size() - meta.offset) {
-      return Corrupt(path, "column block out of bounds");
-    }
-    const uint8_t* block = bytes.data() + meta.offset;
-    if (Crc32(block, static_cast<size_t>(meta.length)) != meta.crc) {
-      return Corrupt(path, "column '" + meta.name + "' CRC mismatch");
-    }
-    MIP_RETURN_NOT_OK(AppendColumnBlock(path, meta, block, footer.num_rows,
+    MIP_RETURN_NOT_OK(kFormat.CheckBlock(path, bytes, meta.block,
+                                         "column '" + meta.name + "' block"));
+    MIP_RETURN_NOT_OK(AppendColumnBlock(path, meta,
+                                        bytes.data() + meta.block.offset,
+                                        footer.num_rows,
                                         &out->mutable_column(c)));
   }
   return out->SyncRowCount();

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "engine/expr.h"
 #include "engine/table.h"
+#include "storage/framed_file.h"
 
 namespace mip::storage {
 
@@ -15,10 +16,11 @@ namespace mip::storage {
 ///
 /// One segment holds one batch of rows for one table, columns encoded with
 /// the engine's wire codecs (engine/encoding.h: dict / delta-varint / RLE /
-/// XOR-double, smallest candidate wins). Layout, all integers little-endian:
+/// XOR-double, smallest candidate wins). The header, trailer, block
+/// references and CRC checks are the shared framing of framed_file.h;
+/// layout, all integers little-endian:
 ///
-///   u32 magic        "MSG1"
-///   u8  version      1
+///   header           magic "MSG1", version 1
 ///   -- one block per column, schema order:
 ///     u8      has_validity
 ///     [block] validity  (EncodeValidity, present iff has_validity)
@@ -35,13 +37,8 @@ namespace mip::storage {
 ///         u8     has_nan      (any non-null NaN; doubles only)
 ///         typed  min, max     (i64 pair / double pair / string pair;
 ///                              present iff has_range)
-///       varint  offset        (column block, absolute file offset)
-///       varint  length        (column block byte count)
-///       u32     crc32         (of the column block bytes)
-///   -- trailer (fixed 12 bytes, so the footer is locatable from EOF):
-///     u32 footer_len
-///     u32 footer_crc   (of the footer bytes)
-///     u32 magic        "MSGF"
+///       BlockRef      (the column block)
+///   trailer          footer magic "MSGF"
 ///
 /// Readers trust nothing: magics, versions, CRCs, counts, offsets and
 /// lengths are all validated before any allocation or decode, and the
@@ -58,8 +55,6 @@ namespace mip::storage {
 inline constexpr uint32_t kSegmentMagic = 0x3147534Du;   // "MSG1"
 inline constexpr uint32_t kSegmentFooterMagic = 0x4647534Du;  // "MSGF"
 inline constexpr uint8_t kSegmentVersion = 1;
-inline constexpr size_t kSegmentHeaderBytes = 5;
-inline constexpr size_t kSegmentTrailerBytes = 12;
 inline constexpr uint64_t kMaxSegmentColumns = 4096;
 
 /// Per-column min/max/null-count statistics.
@@ -80,9 +75,7 @@ struct SegmentColumn {
   std::string name;
   engine::DataType type = engine::DataType::kFloat64;
   ZoneMap zone;
-  uint64_t offset = 0;  // column block position in the file
-  uint64_t length = 0;  // column block byte count
-  uint32_t crc = 0;     // CRC-32 of the column block
+  BlockRef block;  // the column block
 };
 
 struct SegmentFooter {

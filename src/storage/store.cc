@@ -228,27 +228,14 @@ Status StorageEngine::RecoverLocked() {
   for (WalRecord& record : replay.records) {
     MIP_RETURN_NOT_OK(ApplyToMemtableLocked(record.table_name, record.rows));
   }
-
-  // 5. Index any segment the manifest lists without its indexes, so a
-  // --data-dir boot comes up fully indexed.
-  return EnsureIndexesLocked();
+  return Status::OK();
 }
 
 std::vector<std::string> StorageEngine::IndexedColumns(
-    const engine::Schema& schema) const {
+    const engine::Schema& schema) {
   std::vector<std::string> columns;
   for (const engine::Field& f : schema.fields()) {
-    if (IsReservedColumn(f.name)) continue;  // hidden position column
-    if (options_.auto_index) {
-      columns.push_back(f.name);
-      continue;
-    }
-    for (const std::string& want : options_.index_columns) {
-      if (EqualsIgnoreCase(want, f.name)) {
-        columns.push_back(f.name);
-        break;
-      }
-    }
+    if (!IsReservedColumn(f.name)) columns.push_back(f.name);
   }
   return columns;
 }
@@ -284,8 +271,8 @@ Manifest StorageEngine::BuildManifestLocked(uint64_t wal_id) const {
       ms.rows = seg.footer.num_rows;
       ms.group = seg.group;
       // Invalid indexes stay referenced: the sweep must not delete their
-      // files out from under a later forensic look, and EnsureIndexes must
-      // not paper over them — only a flush/compaction rewrite replaces them.
+      // files out from under a later forensic look — only a compaction
+      // rewrite replaces them.
       for (const IndexState& idx : seg.indexes) {
         ms.indexes.push_back(ManifestIndex{idx.id, idx.column});
       }
@@ -294,46 +281,6 @@ Manifest StorageEngine::BuildManifestLocked(uint64_t wal_id) const {
     manifest.tables.push_back(std::move(mt));
   }
   return manifest;
-}
-
-Status StorageEngine::EnsureIndexesLocked() {
-  bool built_any = false;
-  for (auto& [key, state] : tables_) {
-    const std::vector<std::string> wanted = IndexedColumns(state.schema);
-    if (wanted.empty()) continue;
-    for (SegmentState& seg : state.segments) {
-      engine::Table data;
-      bool loaded = false;
-      for (const std::string& name : wanted) {
-        bool have = false;
-        for (const IndexState& idx : seg.indexes) {
-          // An existing entry — even an invalid one — blocks a rebuild;
-          // see BuildManifestLocked.
-          if (EqualsIgnoreCase(idx.column, name)) have = true;
-        }
-        if (have) continue;
-        if (!loaded) {
-          MIP_ASSIGN_OR_RETURN(data,
-                               ReadSegmentData(SegmentPath(seg.id),
-                                               seg.footer));
-          loaded = true;
-        }
-        MIP_ASSIGN_OR_RETURN(const engine::Column* col,
-                             data.ColumnByName(name));
-        IndexState idx;
-        idx.id = next_index_id_++;
-        idx.column = name;
-        MIP_ASSIGN_OR_RETURN(idx.footer,
-                             WriteIndex(IndexPath(idx.id), name, *col));
-        idx.valid = true;
-        seg.indexes.push_back(std::move(idx));
-        built_any = true;
-      }
-    }
-  }
-  if (!built_any) return Status::OK();
-  // Same WAL epoch: only derived files changed, the data did not.
-  return SaveManifest(ManifestPath(), BuildManifestLocked(wal_id_));
 }
 
 Status StorageEngine::ApplyToMemtableLocked(const std::string& name,

@@ -30,17 +30,6 @@ struct StorageOptions {
   /// which is what gives zone maps something to prune.
   uint64_t target_segment_rows = 64 * 1024;
 
-  /// Build an ordered secondary index for every column at flush/compaction
-  /// time. When false, only `index_columns` (if any) are indexed.
-  bool auto_index = true;
-  /// Explicit index columns (case-insensitive), used when !auto_index.
-  /// Open builds any configured index the manifest is missing (e.g.
-  /// segments flushed under a narrower setting); indexes the manifest
-  /// references but whose files fail validation are NOT rebuilt — they stay
-  /// invalid so the scan fallback remains observable until the next
-  /// flush/compaction rewrites them.
-  std::vector<std::string> index_columns;
-
   /// Compaction clustering key: the column compacted segments are re-sorted
   /// by (sharpens zone maps / index block ranges). Empty = each table's
   /// first column.
@@ -74,9 +63,12 @@ struct StorageOptions {
 /// referenced index footer (soft: an unreadable index is marked invalid
 /// and that segment falls back to the zone-map path — an index is an
 /// accelerator, losing one must never lose data or fail recovery), delete
-/// orphan segments / indexes / stale WALs / *.tmp leftovers, replay the
-/// live WAL (truncating a torn tail), then build any indexes the manifest
-/// never had (old-format directories gain indexes on boot).
+/// orphan segments / indexes / stale WALs / *.tmp leftovers, then replay
+/// the live WAL (truncating a torn tail). Every flush and compaction
+/// commits a segment together with one index per user column, so Open
+/// never builds one; a segment the manifest lists without an index (or
+/// with an invalid one) keeps the zone-map path until a compaction
+/// rewrites it.
 ///
 /// Read path: one private routine, SelectSegmentsLocked, decides which
 /// segments a read under a pruning hint decodes — zone maps first, then
@@ -191,18 +183,15 @@ class StorageEngine : public engine::TableStorage {
   Status FlushLocked();
   Status ApplyToMemtableLocked(const std::string& key,
                                const engine::Table& rows);
-  /// Columns of `schema` that should carry indexes under the options.
-  std::vector<std::string> IndexedColumns(const engine::Schema& schema) const;
-  /// Builds the configured indexes over `data` (one segment's rows),
-  /// assigning ids from `*next_index_id`.
+  /// Columns of `schema` that carry indexes: every user (non-reserved) one.
+  static std::vector<std::string> IndexedColumns(const engine::Schema& schema);
+  /// Builds the indexes over `data` (one segment's rows), assigning ids
+  /// from `*next_index_id`.
   Status BuildSegmentIndexes(const engine::Table& data, uint64_t* next_index_id,
                              std::vector<IndexState>* out) const;
   /// Serializes the in-memory committed state (callers pass the wal/next
   /// ids the manifest should record).
   Manifest BuildManifestLocked(uint64_t wal_id) const;
-  /// Builds indexes missing from the manifest (boot path for pre-index
-  /// data directories); commits one manifest if anything was built.
-  Status EnsureIndexesLocked();
   /// Which of a table's segments a read under `prune_filter` decodes, and
   /// the ScanStats that choice produces.
   struct SegmentSelection {

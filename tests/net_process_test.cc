@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -336,6 +337,52 @@ TEST_F(NetProcessTest, WorkerSurvivesBenignSignalsAndExitsCleanOnEof) {
   w.pid = -1;
   EXPECT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/// Runs mip_worker with `flag` (stdin at EOF, so a daemon that does start
+/// exits at once) and returns its exit status and stderr text.
+std::pair<int, std::string> RunWorkerWithFlag(const std::string& flag) {
+  int from_child[2];
+  if (pipe2(from_child, O_CLOEXEC) != 0) return {-1, ""};
+  const pid_t pid = fork();
+  if (pid < 0) return {-1, ""};
+  if (pid == 0) {
+    const int null_fd = open("/dev/null", O_RDWR);
+    dup2(null_fd, STDIN_FILENO);
+    dup2(null_fd, STDOUT_FILENO);
+    dup2(from_child[1], STDERR_FILENO);
+    execl(MIP_WORKER_BIN, MIP_WORKER_BIN, "--dataset=linreg", flag.c_str(),
+          static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  close(from_child[1]);
+  std::string err;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = read(from_child[0], buf, sizeof(buf))) > 0) {
+    err.append(buf, static_cast<size_t>(n));
+  }
+  close(from_child[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, err};
+}
+
+TEST(WorkerFlagsTest, MalformedNumbersFailNamingTheFlag) {
+  // Each of these used to parse a prefix (or 0) and start the daemon.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"--port=12x", "invalid --port value '12x'"},
+      {"--port=", "invalid --port value ''"},
+      {"--port=99999999999", "invalid --port value '99999999999'"},
+      {"--rows=10k", "invalid --rows value '10k'"},
+      {"--seed=-1", "invalid --seed value '-1'"},
+      {"--weights=1.5,x", "invalid --weights value 'x'"},
+      {"--noise=0.1.2", "invalid --noise value '0.1.2'"}};
+  for (const auto& [flag, message] : cases) {
+    const auto [code, err] = RunWorkerWithFlag(flag);
+    EXPECT_NE(code, 0) << flag;
+    EXPECT_NE(err.find(message), std::string::npos) << flag << ": " << err;
+  }
 }
 
 }  // namespace

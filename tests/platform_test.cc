@@ -4,6 +4,7 @@
 #include "data/synthetic.h"
 #include "federation/fault.h"
 #include "federation/master.h"
+#include "federation/worker_steps.h"
 #include "platform/experiment.h"
 
 namespace mip::platform {
@@ -180,6 +181,41 @@ TEST_F(PlatformTest, DataCatalogueListsFederatedDatasets) {
   EXPECT_FALSE(brescia->schema.empty());
   EXPECT_FALSE(catalogue.Find("nope").ok());
   EXPECT_NE(catalogue.ToString().find("edsd_lille"), std::string::npos);
+}
+
+TEST(DataCatalogueTest, CountsRowsOnRemoteWorkersToo) {
+  // A worker the Master reaches only through its transport, as it reaches
+  // an mip_worker daemon: registered with AddRemoteWorker, not AddWorker.
+  federation::WorkerNode remote(
+      "remote_site", std::make_shared<federation::LocalFunctionRegistry>(),
+      5);
+  MasterNode master;
+  const std::vector<double> weights = {1.0, -0.5};
+  ASSERT_TRUE(master.AddWorker("local_site").ok());
+  ASSERT_TRUE(master.LoadDataset(
+      "local_site", "cohort",
+      federation::MakeSyntheticLinregTable(1, 40, weights, 0.1)).ok());
+  ASSERT_TRUE(remote.LoadDataset(
+      "cohort", federation::MakeSyntheticLinregTable(2, 25, weights, 0.1)).ok());
+  ASSERT_TRUE(remote.LoadDataset(
+      "remote_only",
+      federation::MakeSyntheticLinregTable(3, 7, weights, 0.1)).ok());
+  ASSERT_TRUE(remote.AttachToBus(&master.bus()).ok());
+  ASSERT_TRUE(
+      master.AddRemoteWorker("remote_site", {"cohort", "remote_only"}).ok());
+
+  auto catalogue = DataCatalogue::Build(&master);
+  ASSERT_TRUE(catalogue.ok()) << catalogue.status().ToString();
+  ASSERT_EQ(catalogue->datasets().size(), 2u);
+  const auto* cohort = *catalogue->Find("cohort");
+  EXPECT_EQ(cohort->total_rows, 65);
+  EXPECT_EQ(cohort->workers,
+            (std::vector<std::string>{"local_site", "remote_site"}));
+  const auto* remote_only = *catalogue->Find("remote_only");
+  EXPECT_EQ(remote_only->total_rows, 7);
+  EXPECT_EQ(remote_only->workers, std::vector<std::string>{"remote_site"});
+  EXPECT_EQ(remote_only->schema.size(), cohort->schema.size());
+  EXPECT_FALSE(remote_only->schema.empty());
 }
 
 TEST_F(PlatformTest, WorkflowRunsStepsInOrder) {

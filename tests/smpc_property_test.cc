@@ -317,22 +317,24 @@ TEST(SpdzBatchParity, ShareVectorBatchMatchesScalar) {
 }
 
 TEST(SpdzBatchParity, MakeTriplesMatchesRepeatedMakeTriple) {
+  // 2500 spans several 1024-triple generation morsels and a partial one.
   for (const int parties : {2, 3, 5}) {
-    SpdzDealer scalar(parties, 77);
-    SpdzDealer batch(parties, 77);
-    const size_t count = 64;
-    std::vector<std::vector<SpdzTriple>> want;
-    for (size_t i = 0; i < count; ++i) want.push_back(scalar.MakeTriple());
-    const SpdzTripleBlock got = batch.MakeTriples(count);
-    ASSERT_EQ(got.size(), count);
-    for (size_t t = 0; t < count; ++t) {
-      for (size_t p = 0; p < static_cast<size_t>(parties); ++p) {
-        EXPECT_EQ(got.a[p].values[t], want[t][p].a.value);
-        EXPECT_EQ(got.a[p].macs[t], want[t][p].a.mac);
-        EXPECT_EQ(got.b[p].values[t], want[t][p].b.value);
-        EXPECT_EQ(got.b[p].macs[t], want[t][p].b.mac);
-        EXPECT_EQ(got.c[p].values[t], want[t][p].c.value);
-        EXPECT_EQ(got.c[p].macs[t], want[t][p].c.mac);
+    for (const size_t count : {size_t{64}, size_t{2500}}) {
+      SpdzDealer scalar(parties, 77);
+      SpdzDealer batch(parties, 77);
+      std::vector<std::vector<SpdzTriple>> want;
+      for (size_t i = 0; i < count; ++i) want.push_back(scalar.MakeTriple());
+      const SpdzTripleBlock got = batch.MakeTriples(count);
+      ASSERT_EQ(got.size(), count);
+      for (size_t t = 0; t < count; ++t) {
+        for (size_t p = 0; p < static_cast<size_t>(parties); ++p) {
+          EXPECT_EQ(got.a[p].values[t], want[t][p].a.value);
+          EXPECT_EQ(got.a[p].macs[t], want[t][p].a.mac);
+          EXPECT_EQ(got.b[p].values[t], want[t][p].b.value);
+          EXPECT_EQ(got.b[p].macs[t], want[t][p].b.mac);
+          EXPECT_EQ(got.c[p].values[t], want[t][p].c.value);
+          EXPECT_EQ(got.c[p].macs[t], want[t][p].c.mac);
+        }
       }
     }
   }

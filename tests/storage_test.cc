@@ -609,7 +609,7 @@ TEST(StoreTest, CorruptCommittedSegmentIsTypedIOError) {
   // column CRC and fails with a typed kIOError instead of decoding garbage.
   {
     std::vector<uint8_t> bad = good;
-    bad[storage::kSegmentHeaderBytes + 2] ^= 0x01;
+    bad[storage::kFramedHeaderBytes + 2] ^= 0x01;
     ASSERT_TRUE(storage::WriteFileAtomic(seg, bad).ok());
     auto store = StorageEngine::Open(dir);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -1080,48 +1080,180 @@ TEST(IndexTest, EveryFlippedByteAndEveryTruncationIsDetected) {
 }
 
 // ---------------------------------------------------------------------------
-// StorageEngine + indexes: boot builds, corruption falls back, never wrong
+// Pinned file bytes: the segment and index writers are a storage format
 // ---------------------------------------------------------------------------
 
-TEST(StoreIndexTest, FlushBuildsIndexesAndBootBuildsMissingOnes) {
-  const std::string dir = TestDir("store_idx_boot");
-  StorageOptions no_index;
-  no_index.target_segment_rows = 50;
-  no_index.auto_index = false;  // pre-index era: segments only
-  const Table all = MakeKeyedTable(0, 250);
-  std::vector<uint8_t> bytes0;
+/// 3000 seeded rows, all four types: NULLs in every column but `s`, NaN
+/// cells in `d` (the index's NaN side list), and enough distinct keys for
+/// three index blocks per column.
+Table MakePinnedTable() {
+  const size_t n = 3000;
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  auto next = [&state] {  // splitmix64
+    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<uint8_t> bools;
+  std::vector<std::string> strings;
+  Bitmap vi(n, true), vd(n, true), vb(n, true);
+  for (size_t r = 0; r < n; ++r) {
+    const uint64_t x = next();
+    ints.push_back(static_cast<int64_t>(x % 100000) - 50000);
+    doubles.push_back(x % 13 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                  : static_cast<double>(x % 4096) / 8.0);
+    bools.push_back(static_cast<uint8_t>((x >> 20) & 1));
+    strings.push_back("s" + std::to_string((x >> 32) % 500));
+    if ((x >> 40) % 17 == 0) {
+      vi.Set(r, false);
+      ints.back() = 0;
+    }
+    if ((x >> 44) % 19 == 0) {
+      vd.Set(r, false);
+      doubles.back() = std::numeric_limits<double>::quiet_NaN();
+    }
+    if ((x >> 48) % 23 == 0) {
+      vb.Set(r, false);
+      bools.back() = 0;
+    }
+  }
+  Column ci = Column::FromInts(ints);
+  Column cd = Column::FromDoubles(doubles);
+  Column cb = Column::FromBools(bools);
+  EXPECT_TRUE(ci.SetValidity(vi).ok());
+  EXPECT_TRUE(cd.SetValidity(vd).ok());
+  EXPECT_TRUE(cb.SetValidity(vb).ok());
+  auto t = Table::Make(Schema({{"i", DataType::kInt64},
+                               {"d", DataType::kFloat64},
+                               {"b", DataType::kBool},
+                               {"s", DataType::kString}}),
+                       {ci, cd, cb, Column::FromStrings(strings)});
+  EXPECT_TRUE(t.ok());
+  return t.ValueOrDie();
+}
+
+// The size and CRC of each file WriteSegment and WriteIndex produce for
+// MakePinnedTable. A change here is a file format change: bump the version.
+constexpr uint64_t kPinnedSegmentSize = 44257;
+constexpr uint32_t kPinnedSegmentCrc = 0xD322A8DBu;
+constexpr uint64_t kPinnedIndexSizes[] = {8958, 19625, 11844};  // i, d, s
+constexpr uint32_t kPinnedIndexCrcs[] = {0x45713C93u, 0xBBCDEAC8u,
+                                         0x25BAFCFCu};
+
+void ExpectFileIs(const std::string& path, uint64_t size, uint32_t crc) {
+  auto bytes = storage::ReadFileBytes(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(bytes.ValueOrDie().size(), size) << path;
+  EXPECT_EQ(Crc32(bytes.ValueOrDie()), crc) << path;
+}
+
+TEST(FileBytesTest, SegmentAndIndexFilesArePinned) {
+  const std::string dir = TestDir("pinned_bytes");
+  const Table t = MakePinnedTable();
+  auto written = storage::WriteSegment(dir + "/seg-0.mip", t);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  ExpectFileIs(dir + "/seg-0.mip", kPinnedSegmentSize, kPinnedSegmentCrc);
+
+  auto read = storage::ReadSegmentFooter(dir + "/seg-0.mip");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  const SegmentFooter& w = written.ValueOrDie();
+  const SegmentFooter& r = read.ValueOrDie();
+  EXPECT_EQ(r.num_rows, w.num_rows);
+  ASSERT_EQ(r.columns.size(), w.columns.size());
+  for (size_t c = 0; c < w.columns.size(); ++c) {
+    EXPECT_EQ(r.columns[c].name, w.columns[c].name);
+    EXPECT_EQ(r.columns[c].block, w.columns[c].block);
+    EXPECT_EQ(r.columns[c].zone.null_count, w.columns[c].zone.null_count);
+    EXPECT_EQ(r.columns[c].zone.has_nan, w.columns[c].zone.has_nan);
+  }
+  auto data = storage::ReadSegmentData(dir + "/seg-0.mip", r);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(TableBytes(data.ValueOrDie()), TableBytes(t));
+
+  const char* key_columns[] = {"i", "d", "s"};
+  for (size_t k = 0; k < 3; ++k) {
+    const std::string path = dir + "/idx-" + std::to_string(k) + ".mix";
+    auto col = t.ColumnByName(key_columns[k]);
+    ASSERT_TRUE(col.ok());
+    auto wi = WriteIndex(path, key_columns[k], *col.ValueOrDie());
+    ASSERT_TRUE(wi.ok()) << wi.status().ToString();
+    ExpectFileIs(path, kPinnedIndexSizes[k], kPinnedIndexCrcs[k]);
+    auto ri = ReadIndexFooter(path);
+    ASSERT_TRUE(ri.ok()) << ri.status().ToString();
+    const IndexFooter& a = wi.ValueOrDie();
+    const IndexFooter& b = ri.ValueOrDie();
+    EXPECT_EQ(b.column, a.column);
+    EXPECT_EQ(b.num_rows, a.num_rows);
+    EXPECT_EQ(b.num_entries, a.num_entries);
+    EXPECT_EQ(b.nan_count, a.nan_count);
+    EXPECT_EQ(b.nan_block, a.nan_block);
+    ASSERT_EQ(b.blocks.size(), a.blocks.size());
+    EXPECT_EQ(a.blocks.size(), 3u);
+    for (size_t i = 0; i < a.blocks.size(); ++i) {
+      EXPECT_EQ(b.blocks[i].count, a.blocks[i].count);
+      EXPECT_EQ(b.blocks[i].ref, a.blocks[i].ref);
+    }
+    EXPECT_TRUE(VerifyIndex(path, b).ok());
+  }
+  // The double column's NaN cells reach the NaN side list.
+  auto d = ReadIndexFooter(dir + "/idx-1.mix");
+  ASSERT_TRUE(d.ok());
+  EXPECT_GT(d.ValueOrDie().nan_count, 0u);
+}
+
+TEST(FileBytesTest, FootersLargerThanTheTailReadRoundTrip) {
+  // A 70 KiB string is both zone-map bounds of the segment column and both
+  // keys of the index's one block: each footer outgrows the 64 KiB tail.
+  const std::string dir = TestDir("large_footer");
+  const std::string big(70 * 1024, 'x');
+  auto t = Table::Make(Schema({{"s", DataType::kString}}),
+                       {Column::FromStrings({big})});
+  ASSERT_TRUE(t.ok());
+  auto seg = storage::WriteSegment(dir + "/seg-0.mip", t.ValueOrDie());
+  ASSERT_TRUE(seg.ok());
+  auto read = storage::ReadSegment(dir + "/seg-0.mip");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(TableBytes(read.ValueOrDie()), TableBytes(t.ValueOrDie()));
+
+  const std::string path = dir + "/idx-0.mix";
+  ASSERT_TRUE(WriteIndex(path, "s", Column::FromStrings({big})).ok());
+  auto footer = ReadIndexFooter(path);
+  ASSERT_TRUE(footer.ok()) << footer.status().ToString();
+  ASSERT_EQ(footer.ValueOrDie().blocks.size(), 1u);
+  EXPECT_EQ(footer.ValueOrDie().blocks[0].first_s, big);
+  EXPECT_TRUE(VerifyIndex(path, footer.ValueOrDie()).ok());
+}
+
+// ---------------------------------------------------------------------------
+// StorageEngine + indexes: flush builds, corruption falls back, never wrong
+// ---------------------------------------------------------------------------
+
+TEST(StoreIndexTest, FlushBuildsOneIndexPerColumn) {
+  const std::string dir = TestDir("store_idx_flush");
+  StorageOptions options;
+  options.target_segment_rows = 50;
   {
-    auto store = StorageEngine::Open(dir, no_index);
+    auto store = StorageEngine::Open(dir, options);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE((*store)->AppendRows("t", all).ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeKeyedTable(0, 250)).ok());
     ASSERT_TRUE((*store)->Flush().ok());
     ASSERT_EQ((*store)->SegmentCount("t").ValueOrDie(), 5u);
-    EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 0u);
-    bytes0 = TableBytes((*store)->ScanTable("t", nullptr, nullptr)
-                            .ValueOrDie());
-  }
-  // Reopen with indexing on: Open backfills every missing index and commits
-  // one manifest — a pre-index data directory gains indexes on boot.
-  StorageOptions indexed;
-  indexed.target_segment_rows = 50;
-  {
-    auto store = StorageEngine::Open(dir, indexed);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 15u);  // 5 segs x 3 cols
     EXPECT_TRUE((*store)->VerifyIndexes().ok());
-    EXPECT_EQ(TableBytes((*store)->ScanTable("t", nullptr, nullptr)
-                             .ValueOrDie()),
-              bytes0);
   }
-  // Idempotent: the next boot finds nothing to build.
-  auto store = StorageEngine::Open(dir, indexed);
+  // The indexes are committed with their segments: a reopen loads them all.
+  auto store = StorageEngine::Open(dir, options);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 15u);
+  EXPECT_EQ(IndexFiles(dir).size(), 15u);
   EXPECT_TRUE((*store)->VerifyIndexes().ok());
 }
 
-/// Shared harness for the index-corruption sweeps: a 3-segment store
-/// indexed on `key` only, plus reference answers computed while healthy.
+/// Shared harness for the index-corruption sweeps: a 3-segment store with
+/// every column indexed, plus reference answers computed while healthy.
 struct CorruptionFixture {
   std::string dir;
   StorageOptions options;
@@ -1132,8 +1264,6 @@ struct CorruptionFixture {
     CorruptionFixture fx;
     fx.dir = TestDir(name);
     fx.options.target_segment_rows = 40;
-    fx.options.auto_index = false;
-    fx.options.index_columns = {"key"};
     const Table all = MakeKeyedTable(0, 120);
     fx.present = all.At(77, 0).int_value();
     fx.absent = 500000;
@@ -1149,7 +1279,7 @@ struct CorruptionFixture {
     EXPECT_TRUE((*store)->AppendRows("t", all).ok());
     EXPECT_TRUE((*store)->Flush().ok());
     EXPECT_EQ((*store)->SegmentCount("t").ValueOrDie(), 3u);
-    EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 3u);
+    EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 9u);  // 3 segs x 3 cols
     EXPECT_TRUE((*store)->VerifyIndexes().ok());
     fx.want_present = fx.Query(store.ValueOrDie().get(), fx.present);
     fx.want_absent = fx.Query(store.ValueOrDie().get(), fx.absent);
@@ -1220,13 +1350,13 @@ TEST(StoreIndexTest, EveryTruncatedIndexPrefixFallsBackToScan) {
 TEST(StoreIndexTest, MissingIndexFileFallsBackAndFailsVerify) {
   CorruptionFixture fx = CorruptionFixture::Make("store_idx_missing");
   const std::vector<std::string> files = IndexFiles(fx.dir);
-  ASSERT_EQ(files.size(), 3u);
+  ASSERT_EQ(files.size(), 9u);
   ASSERT_TRUE(storage::RemoveFile(files[1]).ok());
   fx.CheckFallback("missing " + files[1]);
-  // The two intact indexes still load; only the missing one is invalid.
+  // The eight intact indexes still load; only the missing one is invalid.
   auto store = StorageEngine::Open(fx.dir, fx.options);
   ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 2u);
+  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 8u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1618,7 +1748,7 @@ TEST(StorageCountersTest, CountersTrackFlushScanProbeCompactReplay) {
 // them on boot
 // ---------------------------------------------------------------------------
 
-TEST(ManifestCompatTest, V1RejectedAndIndexlessManifestGainsIndexesOnBoot) {
+TEST(ManifestCompatTest, V1RejectedAndIndexlessManifestScansByZoneMaps) {
   const std::string dir = TestDir("manifest_v1");
   StorageOptions options;
   options.target_segment_rows = 40;
@@ -1685,14 +1815,25 @@ TEST(ManifestCompatTest, V1RejectedAndIndexlessManifestGainsIndexesOnBoot) {
   }
   ASSERT_TRUE(storage::SaveManifest(dir + "/MANIFEST", m).ok());
 
-  // Open: the now-unreferenced idx files are swept as orphans, and the boot
-  // backfill immediately rebuilds every index.
+  // Open: the now-unreferenced idx files are swept as orphans and nothing
+  // rebuilds them; both scan paths fall back to zone maps, same bytes.
   auto store = StorageEngine::Open(dir, options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   for (const std::string& f : old_index_files) {
     EXPECT_FALSE(storage::FileExists(f)) << f;
   }
-  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 9u);
+  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 0u);
+  EXPECT_TRUE((*store)->VerifyIndexes().ok());
+  EXPECT_EQ(TableBytes((*store)->ScanTable("t", nullptr, nullptr)
+                           .ValueOrDie()),
+            bytes0);
+  auto index_scan = (*store)->IndexScanTable("t", nullptr, nullptr);
+  ASSERT_TRUE(index_scan.ok());
+  EXPECT_EQ(TableBytes(index_scan.ValueOrDie()), bytes0);
+
+  // A compaction rewrites the segments and indexes them again.
+  ASSERT_TRUE((*store)->Compact("t").ok());
+  EXPECT_GT((*store)->IndexCount("t").ValueOrDie(), 0u);
   EXPECT_TRUE((*store)->VerifyIndexes().ok());
   EXPECT_EQ(TableBytes((*store)->ScanTable("t", nullptr, nullptr)
                            .ValueOrDie()),
@@ -2036,11 +2177,11 @@ TEST(ScanIntoOutputTest, EveryFlippedBlockByteAndTruncationIsTypedIOError) {
       std::to_string(manifest->FindTable("t")->segments.back().id) + ".mip";
   const std::vector<uint8_t> good = storage::ReadFileBytes(seg).ValueOrDie();
   const SegmentFooter footer = storage::ReadSegmentFooter(seg).ValueOrDie();
-  size_t blocks_end = storage::kSegmentHeaderBytes;
+  size_t blocks_end = storage::kFramedHeaderBytes;
   for (const storage::SegmentColumn& col : footer.columns) {
-    blocks_end = std::max<size_t>(blocks_end, col.offset + col.length);
+    blocks_end = std::max<size_t>(blocks_end, col.block.offset + col.block.length);
   }
-  ASSERT_GT(blocks_end, storage::kSegmentHeaderBytes);
+  ASSERT_GT(blocks_end, storage::kFramedHeaderBytes);
 
   // The store cached the footer at Open; every scan re-reads the blocks.
   auto expect_io_error = [&store](const std::string& what) {
@@ -2052,7 +2193,7 @@ TEST(ScanIntoOutputTest, EveryFlippedBlockByteAndTruncationIsTypedIOError) {
           << what << ": " << scan.status().ToString();
     }
   };
-  for (size_t i = storage::kSegmentHeaderBytes; i < blocks_end; ++i) {
+  for (size_t i = storage::kFramedHeaderBytes; i < blocks_end; ++i) {
     std::vector<uint8_t> bad = good;
     bad[i] ^= 0x01;
     OverwriteFile(seg, bad, bad.size());

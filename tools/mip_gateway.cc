@@ -18,7 +18,6 @@
 // tests.
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "common/status.h"
 #include "federation/gateway.h"
 #include "federation/master.h"
+#include "flags.h"
 #include "net/tcp_transport.h"
 #include "serve_until_eof.h"
 #include "storage/store.h"
@@ -33,6 +33,8 @@
 namespace {
 
 using mip::Status;
+using mip::tools::ParseFlag;
+using mip::tools::ParseNumber;
 
 struct WorkerAddr {
   std::string id;
@@ -57,13 +59,6 @@ struct GatewayFlags {
   std::string data_dir;
 };
 
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
 Status ParseWorker(const std::string& spec, WorkerAddr* out) {
   const size_t c1 = spec.find(':');
   const size_t c2 = spec.rfind(':');
@@ -73,7 +68,8 @@ Status ParseWorker(const std::string& spec, WorkerAddr* out) {
   }
   out->id = spec.substr(0, c1);
   out->host = spec.substr(c1 + 1, c2 - c1 - 1);
-  out->port = std::atoi(spec.substr(c2 + 1).c_str());
+  MIP_RETURN_NOT_OK(ParseNumber("--worker port", spec.substr(c2 + 1),
+                                &out->port));
   if (out->id.empty() || out->host.empty() || out->port <= 0) {
     return Status::InvalidArgument("--worker wants id:host:port, got '" +
                                    spec + "'");
@@ -90,7 +86,7 @@ Status ParseFlags(int argc, char** argv, GatewayFlags* flags) {
     } else if (ParseFlag(arg, "host", &v)) {
       flags->host = v;
     } else if (ParseFlag(arg, "port", &v)) {
-      flags->port = std::atoi(v.c_str());
+      MIP_RETURN_NOT_OK(ParseNumber("--port", v, &flags->port));
     } else if (ParseFlag(arg, "dataset", &v)) {
       flags->dataset = v;
     } else if (ParseFlag(arg, "worker", &v)) {
@@ -98,15 +94,19 @@ Status ParseFlags(int argc, char** argv, GatewayFlags* flags) {
       MIP_RETURN_NOT_OK(ParseWorker(v, &w));
       flags->workers.push_back(w);
     } else if (ParseFlag(arg, "max-in-flight", &v)) {
-      flags->max_in_flight = static_cast<size_t>(std::atoll(v.c_str()));
+      MIP_RETURN_NOT_OK(
+          ParseNumber("--max-in-flight", v, &flags->max_in_flight));
     } else if (ParseFlag(arg, "per-tenant", &v)) {
-      flags->per_tenant = static_cast<size_t>(std::atoll(v.c_str()));
+      MIP_RETURN_NOT_OK(ParseNumber("--per-tenant", v, &flags->per_tenant));
     } else if (ParseFlag(arg, "cache-capacity", &v)) {
-      flags->cache_capacity = static_cast<size_t>(std::atoll(v.c_str()));
+      MIP_RETURN_NOT_OK(
+          ParseNumber("--cache-capacity", v, &flags->cache_capacity));
     } else if (ParseFlag(arg, "serve-threads", &v)) {
-      flags->serve_threads = std::atoi(v.c_str());
+      MIP_RETURN_NOT_OK(
+          ParseNumber("--serve-threads", v, &flags->serve_threads));
     } else if (ParseFlag(arg, "read-deadline-ms", &v)) {
-      flags->read_deadline_ms = std::atof(v.c_str());
+      MIP_RETURN_NOT_OK(
+          ParseNumber("--read-deadline-ms", v, &flags->read_deadline_ms));
     } else if (ParseFlag(arg, "data-dir", &v)) {
       flags->data_dir = v;
     } else {

@@ -16,7 +16,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,12 +25,15 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "engine/table.h"
+#include "flags.h"
 #include "net/tcp_transport.h"
 
 namespace {
 
 using mip::Result;
 using mip::Status;
+using mip::tools::ParseFlag;
+using mip::tools::ParseNumber;
 
 struct QueryFlags {
   std::string host = "127.0.0.1";
@@ -46,13 +48,6 @@ struct QueryFlags {
   bool metrics = false;
 };
 
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
-
 Status ParseFlags(int argc, char** argv, QueryFlags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -60,7 +55,7 @@ Status ParseFlags(int argc, char** argv, QueryFlags* flags) {
     if (ParseFlag(arg, "host", &v)) {
       flags->host = v;
     } else if (ParseFlag(arg, "port", &v)) {
-      flags->port = std::atoi(v.c_str());
+      MIP_RETURN_NOT_OK(ParseNumber("--port", v, &flags->port));
     } else if (ParseFlag(arg, "to", &v)) {
       flags->to = v;
     } else if (ParseFlag(arg, "tenant", &v)) {
@@ -68,13 +63,14 @@ Status ParseFlags(int argc, char** argv, QueryFlags* flags) {
     } else if (ParseFlag(arg, "sql", &v)) {
       flags->sqls.push_back(v);
     } else if (ParseFlag(arg, "repeat", &v)) {
-      flags->repeat = std::atoi(v.c_str());
+      MIP_RETURN_NOT_OK(ParseNumber("--repeat", v, &flags->repeat));
     } else if (ParseFlag(arg, "concurrency", &v)) {
-      flags->concurrency = std::atoi(v.c_str());
+      MIP_RETURN_NOT_OK(ParseNumber("--concurrency", v, &flags->concurrency));
     } else if (ParseFlag(arg, "busy-retries", &v)) {
-      flags->busy_retries = std::atoi(v.c_str());
+      MIP_RETURN_NOT_OK(
+          ParseNumber("--busy-retries", v, &flags->busy_retries));
     } else if (ParseFlag(arg, "timeout-ms", &v)) {
-      flags->timeout_ms = std::atof(v.c_str());
+      MIP_RETURN_NOT_OK(ParseNumber("--timeout-ms", v, &flags->timeout_ms));
     } else if (arg == "--metrics") {
       flags->metrics = true;
     } else {

@@ -17,8 +17,6 @@
 // pipe — owns its lifetime: closing the pipe stops the worker cleanly).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +25,7 @@
 #include "common/string_util.h"
 #include "federation/worker.h"
 #include "federation/worker_steps.h"
+#include "flags.h"
 #include "net/tcp_transport.h"
 #include "serve_until_eof.h"
 #include "storage/store.h"
@@ -34,6 +33,8 @@
 namespace {
 
 using mip::Status;
+using mip::tools::ParseFlag;
+using mip::tools::ParseNumber;
 
 struct WorkerFlags {
   std::string id = "worker";
@@ -53,23 +54,17 @@ struct WorkerFlags {
   std::string data_dir;
 };
 
-std::vector<double> ParseDoubleList(const std::string& csv) {
-  std::vector<double> out;
+Status ParseWeights(const std::string& csv, std::vector<double>* out) {
+  out->clear();
   size_t pos = 0;
   while (pos < csv.size()) {
     size_t comma = csv.find(',', pos);
     if (comma == std::string::npos) comma = csv.size();
-    out.push_back(std::atof(csv.substr(pos, comma - pos).c_str()));
+    MIP_RETURN_NOT_OK(ParseNumber("--weights", csv.substr(pos, comma - pos),
+                                  &out->emplace_back()));
     pos = comma + 1;
   }
-  return out;
-}
-
-bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
-  const std::string prefix = std::string("--") + name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
+  return Status::OK();
 }
 
 Status ParseFlags(int argc, char** argv, WorkerFlags* flags) {
@@ -81,19 +76,20 @@ Status ParseFlags(int argc, char** argv, WorkerFlags* flags) {
     } else if (ParseFlag(arg, "host", &v)) {
       flags->host = v;
     } else if (ParseFlag(arg, "port", &v)) {
-      flags->port = std::atoi(v.c_str());
+      MIP_RETURN_NOT_OK(ParseNumber("--port", v, &flags->port));
     } else if (ParseFlag(arg, "dataset", &v)) {
       flags->dataset = v;
     } else if (ParseFlag(arg, "rows", &v)) {
-      flags->rows = static_cast<size_t>(std::atoll(v.c_str()));
+      MIP_RETURN_NOT_OK(ParseNumber("--rows", v, &flags->rows));
     } else if (ParseFlag(arg, "seed", &v)) {
-      flags->seed = static_cast<uint64_t>(std::strtoull(v.c_str(), nullptr, 10));
+      MIP_RETURN_NOT_OK(ParseNumber("--seed", v, &flags->seed));
     } else if (ParseFlag(arg, "weights", &v)) {
-      flags->weights = ParseDoubleList(v);
+      MIP_RETURN_NOT_OK(ParseWeights(v, &flags->weights));
     } else if (ParseFlag(arg, "noise", &v)) {
-      flags->noise = std::atof(v.c_str());
+      MIP_RETURN_NOT_OK(ParseNumber("--noise", v, &flags->noise));
     } else if (ParseFlag(arg, "read-deadline-ms", &v)) {
-      flags->read_deadline_ms = std::atof(v.c_str());
+      MIP_RETURN_NOT_OK(
+          ParseNumber("--read-deadline-ms", v, &flags->read_deadline_ms));
     } else if (ParseFlag(arg, "data-dir", &v)) {
       flags->data_dir = v;
     } else {
@@ -130,8 +126,8 @@ Status Run(const WorkerFlags& flags) {
       MIP_RETURN_NOT_OK(store->Flush());
     }
     MIP_RETURN_NOT_OK(worker.AttachDiskStorage(store.get()));
-    // Open already rebuilt any missing ordered index; from here the
-    // background thread folds small flush segments into sorted groups.
+    // From here the background thread folds small flush segments into
+    // sorted, indexed groups.
     store->StartBackgroundCompaction();
   } else {
     MIP_RETURN_NOT_OK(worker.LoadDataset(
