@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "engine/encoding.h"
 #include "engine/table.h"
@@ -31,6 +32,7 @@ namespace {
 
 using engine::Bitmap;
 using engine::Codec;
+using engine::Column;
 using engine::DataType;
 using engine::Schema;
 using engine::Table;
@@ -481,6 +483,187 @@ TEST(TransferWireV2Test, TinyTransferFallsBackToV1) {
 }
 
 // --------------------------------------------------------------------------
+// Pinned wire bytes: the size and CRC32 of every layout the table and
+// transfer writers produce. A change here is a wire format change.
+
+/// Four types, seeded values, NULLs over non-canonical storage (SetValidity
+/// keeps whatever the vectors hold under a null), NaN, -0.0 and "".
+Table MakeWirePinnedTable() {
+  Rng rng(0x51EE7);
+  const size_t n = 300;
+  const std::vector<std::string> words = {"", "athens", "lyon", "madrid"};
+  std::vector<uint8_t> flags;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+  std::vector<std::string> strings;
+  for (size_t i = 0; i < n; ++i) {
+    flags.push_back(static_cast<uint8_t>(rng.NextBounded(2)));
+    ints.push_back(static_cast<int64_t>(rng.NextBounded(1u << 20)) - 4000);
+    double d = 0.25 * static_cast<double>(rng.NextBounded(64));
+    if (i % 29 == 0) d = std::numeric_limits<double>::quiet_NaN();
+    if (i % 31 == 0) d = -0.0;
+    doubles.push_back(d);
+    strings.push_back(words[rng.NextBounded(words.size())]);
+  }
+  auto nulls_every = [n](Column col, size_t stride) {
+    Bitmap bm(n, true);
+    for (size_t i = 0; i < n; i += stride) bm.Set(i, false);
+    EXPECT_TRUE(col.SetValidity(std::move(bm)).ok());
+    return col;
+  };
+  auto t = Table::Make(Schema({{"flag", DataType::kBool},
+                               {"visits", DataType::kInt64},
+                               {"score", DataType::kFloat64},
+                               {"site", DataType::kString}}),
+                       {Column::FromBools(flags),
+                        nulls_every(Column::FromInts(ints), 7),
+                        nulls_every(Column::FromDoubles(doubles), 5),
+                        nulls_every(Column::FromStrings(strings), 3)});
+  EXPECT_TRUE(t.ok());
+  return t.ValueOrDie();
+}
+
+TransferData MakeWirePinnedTransfer() {
+  TransferData t;
+  t.PutString("algo", "linreg");
+  t.PutString("empty", "");
+  t.PutStringList("datasets", {"cohort_a", "", "cohort_b"});
+  t.PutScalar("n", 128.0);
+  t.PutScalar("neg_zero", -0.0);
+  std::vector<double> weights(200, 0.125);
+  weights[7] = std::numeric_limits<double>::quiet_NaN();
+  t.PutVector("weights", weights);
+  t.PutMatrix("xtx",
+              stats::Matrix::FromFlat(2, 3, {1.0, 2.0, 3.0, 4.0, -0.0, 6.0})
+                  .ValueOrDie());
+  t.PutTable("sample", MakeWirePinnedTable());
+  return t;
+}
+
+struct PinnedBytes {
+  size_t size;
+  uint32_t crc;
+};
+
+constexpr PinnedBytes kPinnedTableV1{7675, 0x76FA699Du};
+constexpr PinnedBytes kPinnedTableV2{4102, 0x2101BF6Au};
+constexpr PinnedBytes kPinnedEmptyTableV1{61, 0xD5D5E562u};
+constexpr PinnedBytes kPinnedEmptyTableWire{48, 0xA8C6DFECu};
+constexpr PinnedBytes kPinnedTransferV1{9499, 0x9B72648Fu};
+constexpr PinnedBytes kPinnedTransferV2{4552, 0x2FAA0E7Eu};
+constexpr PinnedBytes kPinnedScalarTransfer{57, 0x7E7E7A21u};
+
+void ExpectBytesAre(const std::vector<uint8_t>& bytes, PinnedBytes pin,
+                    const char* what) {
+  EXPECT_EQ(bytes.size(), pin.size) << what;
+  EXPECT_EQ(Crc32(bytes), pin.crc)
+      << what << ": crc 0x" << std::hex << Crc32(bytes);
+}
+
+bool StartsWith(const std::vector<uint8_t>& bytes, uint32_t magic) {
+  uint32_t head = 0;
+  if (bytes.size() >= sizeof(head)) std::memcpy(&head, bytes.data(), 4);
+  return head == magic;
+}
+
+/// Decodes `bytes` with DeserializeTable and re-encodes the result with
+/// `encode`: the codec path is lossless, storage under NULLs included.
+template <typename Encode>
+std::vector<uint8_t> TableRoundTrip(const std::vector<uint8_t>& bytes,
+                                    Encode encode) {
+  BufferReader r(bytes);
+  auto back = engine::DeserializeTable(&r);
+  EXPECT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  BufferWriter w;
+  if (back.ok()) encode(back.ValueOrDie(), &w);
+  return w.TakeBytes();
+}
+
+template <typename Encode>
+std::vector<uint8_t> TransferRoundTrip(const std::vector<uint8_t>& bytes,
+                                       Encode encode) {
+  BufferReader r(bytes);
+  auto back = TransferData::Deserialize(&r);
+  EXPECT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  BufferWriter w;
+  if (back.ok()) encode(back.ValueOrDie(), &w);
+  return w.TakeBytes();
+}
+
+TEST(WireBytesTest, TableLayoutsArePinned) {
+  const Table t = MakeWirePinnedTable();
+  BufferWriter v1, v2;
+  engine::SerializeTable(t, &v1);
+  engine::SerializeTableForWire(t, &v2);
+  ASSERT_TRUE(StartsWith(v2.bytes(), engine::kTableWireMagic));
+  ExpectBytesAre(v1.bytes(), kPinnedTableV1, "table v1");
+  ExpectBytesAre(v2.bytes(), kPinnedTableV2, "table v2");
+  EXPECT_EQ(engine::RawTableWireBytes(t), kPinnedTableV1.size);
+
+  EXPECT_EQ(TableRoundTrip(v1.bytes(), engine::SerializeTable), v1.bytes());
+  EXPECT_EQ(TableRoundTrip(v2.bytes(), engine::SerializeTableForWire),
+            v2.bytes());
+  // Either layout decodes to the same table: v2 -> v1 gives the v1 bytes.
+  EXPECT_EQ(TableRoundTrip(v2.bytes(), engine::SerializeTable), v1.bytes());
+}
+
+TEST(WireBytesTest, EmptyTableLayoutsArePinned) {
+  const Table t = Table::Empty(Schema({{"id", DataType::kInt64},
+                                       {"name", DataType::kString},
+                                       {"x", DataType::kFloat64},
+                                       {"ok", DataType::kBool}}));
+  BufferWriter v1, wire;
+  engine::SerializeTable(t, &v1);
+  engine::SerializeTableForWire(t, &wire);
+  ExpectBytesAre(v1.bytes(), kPinnedEmptyTableV1, "empty table v1");
+  ExpectBytesAre(wire.bytes(), kPinnedEmptyTableWire, "empty table wire");
+  EXPECT_EQ(engine::RawTableWireBytes(t), kPinnedEmptyTableV1.size);
+  EXPECT_EQ(TableRoundTrip(v1.bytes(), engine::SerializeTable), v1.bytes());
+  EXPECT_EQ(TableRoundTrip(wire.bytes(), engine::SerializeTableForWire),
+            wire.bytes());
+}
+
+TEST(WireBytesTest, TransferLayoutsArePinned) {
+  const TransferData t = MakeWirePinnedTransfer();
+  BufferWriter v1, v2;
+  t.Serialize(&v1);
+  t.SerializeForWire(&v2);
+  ASSERT_TRUE(StartsWith(v2.bytes(), federation::kTransferWireMagic));
+  ExpectBytesAre(v1.bytes(), kPinnedTransferV1, "transfer v1");
+  ExpectBytesAre(v2.bytes(), kPinnedTransferV2, "transfer v2");
+  EXPECT_EQ(t.RawSerializedBytes(), kPinnedTransferV1.size);
+  EXPECT_EQ(t.SerializedBytes(), kPinnedTransferV1.size);
+
+  auto v1_again = [](const TransferData& d, BufferWriter* w) {
+    d.Serialize(w);
+  };
+  auto wire_again = [](const TransferData& d, BufferWriter* w) {
+    d.SerializeForWire(w);
+  };
+  EXPECT_EQ(TransferRoundTrip(v1.bytes(), v1_again), v1.bytes());
+  EXPECT_EQ(TransferRoundTrip(v2.bytes(), wire_again), v2.bytes());
+  EXPECT_EQ(TransferRoundTrip(v2.bytes(), v1_again), v1.bytes());
+}
+
+TEST(WireBytesTest, ScalarOnlyTransferFallsBackToPinnedV1) {
+  TransferData t;
+  t.PutScalar("count", 42.0);
+  t.PutScalar("mean", -0.0);
+  BufferWriter v1, wire;
+  t.Serialize(&v1);
+  t.SerializeForWire(&wire);
+  EXPECT_EQ(wire.bytes(), v1.bytes());
+  ExpectBytesAre(v1.bytes(), kPinnedScalarTransfer, "scalar-only transfer");
+  EXPECT_EQ(t.RawSerializedBytes(), kPinnedScalarTransfer.size);
+  auto v1_again = [](const TransferData& d, BufferWriter* w) {
+    d.Serialize(w);
+  };
+  EXPECT_EQ(TransferRoundTrip(v1.bytes(), v1_again), v1.bytes());
+}
+
+// --------------------------------------------------------------------------
 // Mutation fuzz: the new decoders must survive arbitrary corruption with a
 // clean Status (no crash, no over-read — ASan/UBSan enforce in CI).
 
@@ -572,6 +755,24 @@ TEST(CodecFuzzTest, TransferV2ContainerNeverCrashes) {
   t.SerializeForWire(&w);
   ASSERT_LT(w.size(), t.RawSerializedBytes());
   FuzzBlock(w.bytes(), 0x7F43,
+            [](BufferReader* r) { (void)TransferData::Deserialize(r); });
+}
+
+TEST(CodecFuzzTest, TableV1LayoutNeverCrashes) {
+  // DeserializeTable reads both layouts in one walk; the fixed-width branch
+  // gets the same truncation and corruption as the compressed one.
+  Table t = MakeMixedTable(64, /*with_nulls=*/true);
+  BufferWriter w;
+  engine::SerializeTable(t, &w);
+  FuzzBlock(w.bytes(), 0x7AB1,
+            [](BufferReader* r) { (void)engine::DeserializeTable(r); });
+}
+
+TEST(CodecFuzzTest, TransferV1LayoutNeverCrashes) {
+  TransferData t = MakeRichTransfer();
+  BufferWriter w;
+  t.Serialize(&w);
+  FuzzBlock(w.bytes(), 0x7F41,
             [](BufferReader* r) { (void)TransferData::Deserialize(r); });
 }
 
