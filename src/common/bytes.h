@@ -19,7 +19,22 @@ namespace mip {
 /// cost model are exactly the sizes produced here.
 class BufferWriter {
  public:
-  void WriteU8(uint8_t v) { buf_.push_back(v); }
+  /// A byte-counting sink: every write only advances size() and nothing is
+  /// stored, so running a serializer into it measures the exact size of its
+  /// layout without building (or copying) a byte.
+  static BufferWriter Counter() {
+    BufferWriter w;
+    w.count_only_ = true;
+    return w;
+  }
+
+  void WriteU8(uint8_t v) {
+    if (count_only_) {
+      ++counted_;
+    } else {
+      buf_.push_back(v);
+    }
+  }
   void WriteU32(uint32_t v) { AppendRaw(&v, sizeof(v)); }
   void WriteU64(uint64_t v) { AppendRaw(&v, sizeof(v)); }
   void WriteI64(int64_t v) { AppendRaw(&v, sizeof(v)); }
@@ -31,29 +46,23 @@ class BufferWriter {
     AppendRaw(s.data(), s.size());
   }
 
+  /// u32 element count, then the elements' fixed-width bytes (bool bytes,
+  /// int64s, u64 words, doubles).
+  template <typename T>
+  void WriteVector(const std::vector<T>& v) {
+    WriteU32(static_cast<uint32_t>(v.size()));
+    AppendRaw(v.data(), v.size() * sizeof(T));
+  }
+
   /// Length-prefixed raw blob (the framing layer's payload primitive).
-  void WriteBytes(const std::vector<uint8_t>& v) {
-    WriteU32(static_cast<uint32_t>(v.size()));
-    AppendRaw(v.data(), v.size());
-  }
-
-  void WriteDoubleVector(const std::vector<double>& v) {
-    WriteU32(static_cast<uint32_t>(v.size()));
-    AppendRaw(v.data(), v.size() * sizeof(double));
-  }
-
-  void WriteU64Vector(const std::vector<uint64_t>& v) {
-    WriteU32(static_cast<uint32_t>(v.size()));
-    AppendRaw(v.data(), v.size() * sizeof(uint64_t));
-  }
-
-  void WriteI64Vector(const std::vector<int64_t>& v) {
-    WriteU32(static_cast<uint32_t>(v.size()));
-    AppendRaw(v.data(), v.size() * sizeof(int64_t));
-  }
+  void WriteBytes(const std::vector<uint8_t>& v) { WriteVector(v); }
 
   /// Appends raw bytes verbatim.
   void AppendRaw(const void* data, size_t n) {
+    if (count_only_) {
+      counted_ += n;
+      return;
+    }
     const auto* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
@@ -61,14 +70,18 @@ class BufferWriter {
   /// Grows capacity to hold `n` more bytes beyond the current size, so a
   /// serializer that knows its output size up front (SerializeTable does)
   /// pays one allocation instead of a reallocation per column.
-  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+  void Reserve(size_t n) {
+    if (!count_only_) buf_.reserve(buf_.size() + n);
+  }
 
-  size_t size() const { return buf_.size(); }
+  size_t size() const { return count_only_ ? counted_ : buf_.size(); }
   const std::vector<uint8_t>& bytes() const { return buf_; }
   std::vector<uint8_t> TakeBytes() { return std::move(buf_); }
 
  private:
   std::vector<uint8_t> buf_;
+  bool count_only_ = false;
+  size_t counted_ = 0;
 };
 
 /// \brief Sequential reader over a byte span produced by BufferWriter.
@@ -119,41 +132,17 @@ class BufferReader {
     return s;
   }
 
-  Result<std::vector<uint8_t>> ReadBytes() {
-    MIP_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
-    if (n > Remaining()) return TruncatedError();
-    std::vector<uint8_t> v(data_ + pos_, data_ + pos_ + n);
-    pos_ += n;
-    return v;
-  }
+  Result<std::vector<uint8_t>> ReadBytes() { return ReadVector<uint8_t>(); }
 
-  Result<std::vector<double>> ReadDoubleVector() {
+  /// Inverse of BufferWriter::WriteVector.
+  template <typename T>
+  Result<std::vector<T>> ReadVector() {
     MIP_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
-    if (static_cast<size_t>(n) * sizeof(double) > Remaining()) {
+    if (static_cast<size_t>(n) > Remaining() / sizeof(T)) {
       return TruncatedError();
     }
-    std::vector<double> v(n);
-    if (n > 0) MIP_RETURN_NOT_OK(ReadRaw(v.data(), n * sizeof(double)));
-    return v;
-  }
-
-  Result<std::vector<uint64_t>> ReadU64Vector() {
-    MIP_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
-    if (static_cast<size_t>(n) * sizeof(uint64_t) > Remaining()) {
-      return TruncatedError();
-    }
-    std::vector<uint64_t> v(n);
-    if (n > 0) MIP_RETURN_NOT_OK(ReadRaw(v.data(), n * sizeof(uint64_t)));
-    return v;
-  }
-
-  Result<std::vector<int64_t>> ReadI64Vector() {
-    MIP_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
-    if (static_cast<size_t>(n) * sizeof(int64_t) > Remaining()) {
-      return TruncatedError();
-    }
-    std::vector<int64_t> v(n);
-    if (n > 0) MIP_RETURN_NOT_OK(ReadRaw(v.data(), n * sizeof(int64_t)));
+    std::vector<T> v(n);
+    if (n > 0) MIP_RETURN_NOT_OK(ReadRaw(v.data(), n * sizeof(T)));
     return v;
   }
 

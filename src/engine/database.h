@@ -131,9 +131,6 @@ class Database : public PlanCatalog {
   /// gateway's result cache: any mutation changes the version, so stale
   /// cached results simply stop matching — no explicit invalidation walk.
   uint64_t catalog_version() const { return catalog_version_; }
-  /// Out-of-band invalidation hook for data changed behind the catalog's
-  /// back (e.g. a remote worker reloading its dataset).
-  void BumpCatalogVersion() { ++catalog_version_; }
 
   /// Parses `sql` and, when it is a plain SELECT, returns its optimized
   /// plan — the gateway's cache key (PlanFingerprint) and execution handle.

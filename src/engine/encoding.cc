@@ -45,6 +45,19 @@ Status RunOverflowError() {
   return Status::IOError("RLE runs exceed the block count");
 }
 
+/// Appends one block with `decode` and checks it held `num_rows` values.
+template <typename T>
+Status DecodeRows(BufferReader* r,
+                  Status (*decode)(BufferReader*, std::vector<T>*),
+                  uint64_t num_rows, std::vector<T>* out) {
+  const size_t base = out->size();
+  MIP_RETURN_NOT_OK(decode(r, out));
+  if (out->size() - base != num_rows) {
+    return Status::IOError("column length does not match row count");
+  }
+  return Status::OK();
+}
+
 /// The value-returning form of an append decoder: decode into a fresh
 /// vector.
 template <typename T>
@@ -426,6 +439,57 @@ Result<Bitmap> DecodeValidity(BufferReader* r) {
     total += run;
   }
   return out;
+}
+
+void EncodeColumn(const Column& column, BufferWriter* w) {
+  w->WriteBool(column.has_validity());
+  if (column.has_validity()) EncodeValidity(column.validity(), w);
+  switch (column.type()) {
+    case DataType::kBool:
+      EncodeBools(column.bools(), w);
+      break;
+    case DataType::kInt64:
+      EncodeInts(column.ints(), w);
+      break;
+    case DataType::kFloat64:
+      EncodeDoubles(column.doubles(), w);
+      break;
+    case DataType::kString:
+      EncodeStrings(column.strings(), w);
+      break;
+  }
+}
+
+Result<Bitmap> DecodeColumn(BufferReader* r, uint64_t num_rows,
+                            Column* column) {
+  MIP_ASSIGN_OR_RETURN(uint8_t has_validity, r->ReadU8());
+  if (has_validity > 1) return Status::IOError("bad validity flag");
+  Bitmap validity;
+  if (has_validity == 1) {
+    MIP_ASSIGN_OR_RETURN(validity, DecodeValidity(r));
+    if (validity.length() != num_rows) {
+      return Status::IOError("validity length does not match row count");
+    }
+  }
+  switch (column->type()) {
+    case DataType::kBool:
+      MIP_RETURN_NOT_OK(
+          DecodeRows(r, &DecodeBools, num_rows, &column->mutable_bools()));
+      break;
+    case DataType::kInt64:
+      MIP_RETURN_NOT_OK(
+          DecodeRows(r, &DecodeInts, num_rows, &column->mutable_ints()));
+      break;
+    case DataType::kFloat64:
+      MIP_RETURN_NOT_OK(
+          DecodeRows(r, &DecodeDoubles, num_rows, &column->mutable_doubles()));
+      break;
+    case DataType::kString:
+      MIP_RETURN_NOT_OK(DecodeRows(r, &DecodeStrings, num_rows,
+                                   &column->mutable_strings()));
+      break;
+  }
+  return validity;
 }
 
 }  // namespace mip::engine

@@ -8,6 +8,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "engine/bitmap.h"
+#include "engine/column.h"
 
 namespace mip::engine {
 
@@ -88,6 +89,25 @@ Result<std::vector<double>> DecodeDoubles(BufferReader* r);
 Result<std::vector<uint8_t>> DecodeBools(BufferReader* r);
 Result<std::vector<std::string>> DecodeStrings(BufferReader* r);
 Result<Bitmap> DecodeValidity(BufferReader* r);
+
+// --- The column codec: one body shared by the v2 wire table and the
+// segment column block. ---
+//
+//   u8           has_validity (0 or 1)
+//   [codec block] validity (EncodeValidity), when has_validity
+//   codec block  the values, by column type
+
+void EncodeColumn(const Column& column, BufferWriter* w);
+
+/// Reads one EncodeColumn body that must hold `num_rows` rows. Appends its
+/// values to `column`'s typed storage past column->length() and returns
+/// their validity bits, empty when the body carries none; the caller turns
+/// the values into rows (Column::AdoptAppendedRows, or SetValidity on a
+/// fresh column). A flag byte above 1, or a validity or value count other
+/// than `num_rows`, is an IOError. A caller that knows where the body ends
+/// checks for trailing bytes itself.
+Result<Bitmap> DecodeColumn(BufferReader* r, uint64_t num_rows,
+                            Column* column);
 
 }  // namespace mip::engine
 

@@ -160,134 +160,160 @@ std::string Table::ToString(size_t max_rows) const {
   return os.str();
 }
 
-size_t RawTableWireBytes(const Table& table) {
-  size_t total = sizeof(uint32_t) + sizeof(uint64_t);
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Field& f = table.schema().field(c);
-    const Column& col = table.column(c);
-    total += sizeof(uint32_t) + f.name.size() + 1 /*type*/ + 1 /*validity?*/;
-    if (col.has_validity()) {
-      total += sizeof(uint32_t) +
-               col.validity().words().size() * sizeof(uint64_t);
+namespace {
+
+/// The fixed-width (v1) column body: u8 has_validity, the validity words
+/// (u32 count + u64s) when present, then the values as u32 count +
+/// fixed-width elements, or for strings u32 count + u32-prefixed bytes each.
+void WriteFixedWidthColumn(const Column& col, BufferWriter* w) {
+  w->WriteBool(col.has_validity());
+  if (col.has_validity()) w->WriteVector(col.validity().words());
+  switch (col.type()) {
+    case DataType::kBool:
+      w->WriteVector(col.bools());
+      break;
+    case DataType::kInt64:
+      w->WriteVector(col.ints());
+      break;
+    case DataType::kFloat64:
+      w->WriteVector(col.doubles());
+      break;
+    case DataType::kString:
+      w->WriteU32(static_cast<uint32_t>(col.strings().size()));
+      for (const std::string& s : col.strings()) w->WriteString(s);
+      break;
+  }
+}
+
+/// Reads a WriteFixedWidthColumn body into the fresh `col` the way
+/// DecodeColumn reads an EncodeColumn body: values into the typed storage,
+/// validity bits returned.
+Result<Bitmap> ReadFixedWidthColumn(BufferReader* r, uint64_t num_rows,
+                                    Column* col) {
+  MIP_ASSIGN_OR_RETURN(bool has_validity, r->ReadBool());
+  Bitmap validity;
+  if (has_validity) {
+    MIP_ASSIGN_OR_RETURN(std::vector<uint64_t> words,
+                         r->ReadVector<uint64_t>());
+    if (words.size() * 64 < num_rows) {
+      return Status::IOError("table validity bitmap shorter than row count");
     }
-    switch (f.type) {
-      case DataType::kBool:
-        total += sizeof(uint32_t) + col.bools().size();
-        break;
-      case DataType::kInt64:
-        total += sizeof(uint32_t) + col.ints().size() * sizeof(int64_t);
-        break;
-      case DataType::kFloat64:
-        total += sizeof(uint32_t) + col.doubles().size() * sizeof(double);
-        break;
-      case DataType::kString:
-        total += sizeof(uint32_t);
-        for (const std::string& s : col.strings()) {
-          total += sizeof(uint32_t) + s.size();
-        }
-        break;
+    validity = Bitmap(num_rows, true);
+    for (size_t i = 0; i < num_rows; ++i) {
+      if (((words[i >> 6] >> (i & 63)) & 1ull) == 0) validity.Set(i, false);
     }
   }
-  return total;
+  switch (col->type()) {
+    case DataType::kBool: {
+      MIP_ASSIGN_OR_RETURN(col->mutable_bools(), r->ReadVector<uint8_t>());
+      break;
+    }
+    case DataType::kInt64: {
+      MIP_ASSIGN_OR_RETURN(col->mutable_ints(), r->ReadVector<int64_t>());
+      break;
+    }
+    case DataType::kFloat64: {
+      MIP_ASSIGN_OR_RETURN(col->mutable_doubles(), r->ReadVector<double>());
+      break;
+    }
+    case DataType::kString: {
+      MIP_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
+      if (static_cast<size_t>(n) > r->Remaining() / sizeof(uint32_t)) {
+        return Status::IOError("truncated buffer while deserializing");
+      }
+      std::vector<std::string>& vals = col->mutable_strings();
+      vals.resize(n);
+      for (std::string& s : vals) {
+        MIP_ASSIGN_OR_RETURN(s, r->ReadString());
+      }
+      break;
+    }
+  }
+  return validity;
+}
+
+/// The one walk behind every table writer. The layouts differ in the
+/// header and the column body only:
+///
+///   v1 (fixed width)               v2 (compressed)
+///   u32  num_cols                  u32 kTableWireMagic, u8 version
+///   u64  num_rows                  varint num_cols, varint num_rows
+///   per column: u32+bytes name, u8 DataType, then the body:
+///   WriteFixedWidthColumn          EncodeColumn (encoding.h)
+void WriteTable(const Table& table, bool compressed, BufferWriter* w) {
+  if (compressed) {
+    w->WriteU32(kTableWireMagic);
+    w->WriteU8(kTableWireVersion);
+    PutVarint(w, table.num_columns());
+    PutVarint(w, table.num_rows());
+  } else {
+    w->WriteU32(static_cast<uint32_t>(table.num_columns()));
+    w->WriteU64(table.num_rows());
+  }
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Field& f = table.schema().field(c);
+    w->WriteString(f.name);
+    w->WriteU8(static_cast<uint8_t>(f.type));
+    if (compressed) {
+      EncodeColumn(table.column(c), w);
+    } else {
+      WriteFixedWidthColumn(table.column(c), w);
+    }
+  }
+}
+
+}  // namespace
+
+size_t RawTableWireBytes(const Table& table) {
+  BufferWriter counter = BufferWriter::Counter();
+  WriteTable(table, /*compressed=*/false, &counter);
+  return counter.size();
 }
 
 void SerializeTable(const Table& table, BufferWriter* w) {
   w->Reserve(RawTableWireBytes(table));
-  w->WriteU32(static_cast<uint32_t>(table.num_columns()));
-  w->WriteU64(table.num_rows());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Field& f = table.schema().field(c);
-    w->WriteString(f.name);
-    w->WriteU8(static_cast<uint8_t>(f.type));
-    const Column& col = table.column(c);
-    w->WriteBool(col.has_validity());
-    if (col.has_validity()) {
-      std::vector<uint64_t> words = col.validity().words();
-      w->WriteU64Vector(words);
-    }
-    switch (f.type) {
-      case DataType::kBool: {
-        w->WriteU32(static_cast<uint32_t>(col.bools().size()));
-        w->AppendRaw(col.bools().data(), col.bools().size());
-        break;
-      }
-      case DataType::kInt64:
-        w->WriteI64Vector(col.ints());
-        break;
-      case DataType::kFloat64:
-        w->WriteDoubleVector(col.doubles());
-        break;
-      case DataType::kString: {
-        w->WriteU32(static_cast<uint32_t>(col.strings().size()));
-        for (const std::string& s : col.strings()) w->WriteString(s);
-        break;
-      }
-    }
+  WriteTable(table, /*compressed=*/false, w);
+}
+
+void SerializeTableForWire(const Table& table, BufferWriter* w) {
+  // Measured, not guessed: commit the compressed layout only when it beats
+  // the fixed-width one, so bytes_wire <= bytes_raw holds unconditionally.
+  const size_t raw_bytes = RawTableWireBytes(table);
+  BufferWriter scratch;
+  WriteTable(table, /*compressed=*/true, &scratch);
+  if (scratch.size() < raw_bytes) {
+    w->AppendRaw(scratch.bytes().data(), scratch.size());
+  } else {
+    w->Reserve(raw_bytes);
+    WriteTable(table, /*compressed=*/false, w);
   }
 }
 
-namespace {
-
-/// Compressed (v2) layout:
-///
-///   u32     kTableWireMagic
-///   u8      kTableWireVersion
-///   varint  num_cols
-///   varint  num_rows
-///   per column:
-///     u32+bytes  field name (BufferWriter::WriteString)
-///     u8         DataType
-///     u8         has_validity
-///     [codec block]  validity (when present)
-///     codec block    column data
-void SerializeTableV2(const Table& table, BufferWriter* w) {
-  w->WriteU32(kTableWireMagic);
-  w->WriteU8(kTableWireVersion);
-  PutVarint(w, table.num_columns());
-  PutVarint(w, table.num_rows());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Field& f = table.schema().field(c);
-    const Column& col = table.column(c);
-    w->WriteString(f.name);
-    w->WriteU8(static_cast<uint8_t>(f.type));
-    w->WriteBool(col.has_validity());
-    if (col.has_validity()) EncodeValidity(col.validity(), w);
-    switch (f.type) {
-      case DataType::kBool:
-        EncodeBools(col.bools(), w);
-        break;
-      case DataType::kInt64:
-        EncodeInts(col.ints(), w);
-        break;
-      case DataType::kFloat64:
-        EncodeDoubles(col.doubles(), w);
-        break;
-      case DataType::kString:
-        EncodeStrings(col.strings(), w);
-        break;
+Result<Table> DeserializeTable(BufferReader* r) {
+  Result<uint32_t> sniff = r->PeekU32();
+  const bool compressed = sniff.ok() && *sniff == kTableWireMagic;
+  uint64_t num_cols = 0;
+  uint64_t num_rows = 0;
+  if (compressed) {
+    MIP_RETURN_NOT_OK(r->ReadU32().status());
+    MIP_ASSIGN_OR_RETURN(uint8_t version, r->ReadU8());
+    if (version != kTableWireVersion) {
+      return Status::IOError("unsupported compressed table version " +
+                             std::to_string(version));
     }
+    MIP_ASSIGN_OR_RETURN(num_cols, GetVarint(r));
+    MIP_ASSIGN_OR_RETURN(num_rows, GetVarint(r));
+    if (num_rows > kMaxWireElements) {
+      return Status::IOError("compressed table row count exceeds the limit");
+    }
+  } else {
+    MIP_ASSIGN_OR_RETURN(num_cols, r->ReadU32());
+    MIP_ASSIGN_OR_RETURN(num_rows, r->ReadU64());
   }
-}
-
-Result<Table> DeserializeTableV2(BufferReader* r) {
-  MIP_ASSIGN_OR_RETURN(uint32_t magic, r->ReadU32());
-  if (magic != kTableWireMagic) {
-    return Status::IOError("compressed table magic mismatch");
-  }
-  MIP_ASSIGN_OR_RETURN(uint8_t version, r->ReadU8());
-  if (version != kTableWireVersion) {
-    return Status::IOError("unsupported compressed table version " +
-                           std::to_string(version));
-  }
-  MIP_ASSIGN_OR_RETURN(uint64_t num_cols, GetVarint(r));
-  MIP_ASSIGN_OR_RETURN(uint64_t num_rows, GetVarint(r));
   // Every column costs at least its name prefix; reject impossible counts
   // before looping (the loop itself re-checks every read).
   if (num_cols > r->Remaining()) {
     return Status::IOError("truncated buffer while deserializing");
-  }
-  if (num_rows > kMaxWireElements) {
-    return Status::IOError("compressed table row count exceeds the limit");
   }
   Schema schema;
   std::vector<Column> columns;
@@ -300,135 +326,20 @@ Result<Table> DeserializeTableV2(BufferReader* r) {
     }
     const DataType type = static_cast<DataType>(type_byte);
     MIP_RETURN_NOT_OK(schema.AddField(Field{name, type}));
-    MIP_ASSIGN_OR_RETURN(bool has_validity, r->ReadBool());
-    Bitmap validity;
-    if (has_validity) {
-      MIP_ASSIGN_OR_RETURN(validity, DecodeValidity(r));
-      if (validity.length() != num_rows) {
-        return Status::IOError("validity length does not match row count");
-      }
-    }
     Column col(type);
-    size_t decoded = 0;
-    switch (type) {
-      case DataType::kBool: {
-        MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> vals, DecodeBools(r));
-        decoded = vals.size();
-        col = Column::FromBools(std::move(vals));
-        break;
-      }
-      case DataType::kInt64: {
-        MIP_ASSIGN_OR_RETURN(std::vector<int64_t> vals, DecodeInts(r));
-        decoded = vals.size();
-        col = Column::FromInts(std::move(vals));
-        break;
-      }
-      case DataType::kFloat64: {
-        MIP_ASSIGN_OR_RETURN(std::vector<double> vals, DecodeDoubles(r));
-        decoded = vals.size();
-        col = Column::FromDoubles(std::move(vals));
-        break;
-      }
-      case DataType::kString: {
-        MIP_ASSIGN_OR_RETURN(std::vector<std::string> vals, DecodeStrings(r));
-        decoded = vals.size();
-        col = Column::FromStrings(std::move(vals));
-        break;
-      }
-    }
-    if (decoded != num_rows) {
+    MIP_ASSIGN_OR_RETURN(Bitmap validity,
+                         compressed ? DecodeColumn(r, num_rows, &col)
+                                    : ReadFixedWidthColumn(r, num_rows, &col));
+    // SetValidity rather than AdoptAppendedRows(validity): a decoded table
+    // keeps what its sender stored under its NULLs, so decoding and
+    // re-encoding reproduces the sender's bytes.
+    col.AdoptAppendedRows(Bitmap());
+    if (col.length() != num_rows) {
       return Status::IOError("column length does not match row count");
     }
-    if (has_validity) MIP_RETURN_NOT_OK(col.SetValidity(std::move(validity)));
-    columns.push_back(std::move(col));
-  }
-  return Table::Make(std::move(schema), std::move(columns));
-}
-
-}  // namespace
-
-void SerializeTableForWire(const Table& table, BufferWriter* w) {
-  // Measured, not guessed: commit the compressed layout only when it beats
-  // the fixed-width one, so bytes_wire <= bytes_raw holds unconditionally.
-  const size_t raw_bytes = RawTableWireBytes(table);
-  BufferWriter scratch;
-  SerializeTableV2(table, &scratch);
-  if (scratch.size() < raw_bytes) {
-    w->AppendRaw(scratch.bytes().data(), scratch.size());
-  } else {
-    SerializeTable(table, w);
-  }
-}
-
-Result<Table> DeserializeTable(BufferReader* r) {
-  Result<uint32_t> sniff = r->PeekU32();
-  if (sniff.ok() && sniff.ValueOrDie() == kTableWireMagic) {
-    return DeserializeTableV2(r);
-  }
-  MIP_ASSIGN_OR_RETURN(uint32_t num_cols, r->ReadU32());
-  MIP_ASSIGN_OR_RETURN(uint64_t num_rows, r->ReadU64());
-  Schema schema;
-  std::vector<Column> columns;
-  for (uint32_t c = 0; c < num_cols; ++c) {
-    MIP_ASSIGN_OR_RETURN(std::string name, r->ReadString());
-    MIP_ASSIGN_OR_RETURN(uint8_t type_byte, r->ReadU8());
-    if (type_byte > static_cast<uint8_t>(DataType::kString)) {
-      return Status::IOError("table wire format has unknown column type " +
-                             std::to_string(type_byte));
+    if (validity.length() > 0) {
+      MIP_RETURN_NOT_OK(col.SetValidity(std::move(validity)));
     }
-    const DataType type = static_cast<DataType>(type_byte);
-    MIP_RETURN_NOT_OK(schema.AddField(Field{name, type}));
-    MIP_ASSIGN_OR_RETURN(bool has_validity, r->ReadBool());
-    Bitmap validity;
-    if (has_validity) {
-      MIP_ASSIGN_OR_RETURN(std::vector<uint64_t> words, r->ReadU64Vector());
-      if (words.size() * 64 < num_rows) {
-        return Status::IOError("table validity bitmap shorter than row count");
-      }
-      validity = Bitmap(num_rows, true);
-      for (size_t i = 0; i < num_rows; ++i) {
-        const bool bit = (words[i >> 6] >> (i & 63)) & 1ull;
-        validity.Set(i, bit);
-      }
-    }
-    Column col(type);
-    switch (type) {
-      case DataType::kBool: {
-        MIP_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
-        if (n > r->Remaining()) {
-          return Status::IOError("truncated buffer while deserializing");
-        }
-        std::vector<uint8_t> vals(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          MIP_ASSIGN_OR_RETURN(vals[i], r->ReadU8());
-        }
-        col = Column::FromBools(std::move(vals));
-        break;
-      }
-      case DataType::kInt64: {
-        MIP_ASSIGN_OR_RETURN(std::vector<int64_t> vals, r->ReadI64Vector());
-        col = Column::FromInts(std::move(vals));
-        break;
-      }
-      case DataType::kFloat64: {
-        MIP_ASSIGN_OR_RETURN(std::vector<double> vals, r->ReadDoubleVector());
-        col = Column::FromDoubles(std::move(vals));
-        break;
-      }
-      case DataType::kString: {
-        MIP_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
-        if (static_cast<size_t>(n) > r->Remaining() / sizeof(uint32_t)) {
-          return Status::IOError("truncated buffer while deserializing");
-        }
-        std::vector<std::string> vals(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          MIP_ASSIGN_OR_RETURN(vals[i], r->ReadString());
-        }
-        col = Column::FromStrings(std::move(vals));
-        break;
-      }
-    }
-    if (has_validity) MIP_RETURN_NOT_OK(col.SetValidity(std::move(validity)));
     columns.push_back(std::move(col));
   }
   return Table::Make(std::move(schema), std::move(columns));

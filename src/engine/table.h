@@ -123,9 +123,10 @@ void SerializeTableForWire(const Table& table, BufferWriter* w);
 /// and the v2 layout.
 Result<Table> DeserializeTable(BufferReader* r);
 
-/// Exact byte size the v1 (uncompressed) layout would produce for `table`,
-/// computed without serializing — the "raw" side of the bytes_raw/bytes_wire
-/// compression ledger, and the Reserve() hint for SerializeTable.
+/// Exact byte size the v1 (uncompressed) layout would produce for `table`:
+/// the v1 walk run into a byte-counting sink, which copies and encodes
+/// nothing — the "raw" side of the bytes_raw/bytes_wire compression ledger,
+/// and the Reserve() hint for SerializeTable.
 size_t RawTableWireBytes(const Table& table);
 
 }  // namespace mip::engine

@@ -60,40 +60,67 @@ Result<engine::Table> TransferData::GetTable(const std::string& key) const {
   return it->second;
 }
 
-void TransferData::Serialize(BufferWriter* w) const {
-  w->WriteU32(static_cast<uint32_t>(strings_.size()));
-  for (const auto& [k, v] : strings_) {
+namespace {
+
+/// One section of either layout: u32 entry count, then each key
+/// (u32+bytes) followed by its value.
+template <typename Map, typename WriteValue>
+void WriteSection(const Map& section, BufferWriter* w,
+                  WriteValue write_value) {
+  w->WriteU32(static_cast<uint32_t>(section.size()));
+  for (const auto& [k, v] : section) {
     w->WriteString(k);
-    w->WriteString(v);
+    write_value(v);
   }
-  w->WriteU32(static_cast<uint32_t>(string_lists_.size()));
-  for (const auto& [k, v] : string_lists_) {
-    w->WriteString(k);
+}
+
+template <typename Map, typename ReadValue>
+Status ReadSection(BufferReader* r, Map* section, ReadValue read_value) {
+  MIP_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
+  for (uint32_t i = 0; i < n; ++i) {
+    MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
+    MIP_ASSIGN_OR_RETURN((*section)[k], read_value());
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+void TransferData::WriteSections(bool compressed, BufferWriter* w) const {
+  if (compressed) {
+    w->WriteU32(kTransferWireMagic);
+    w->WriteU8(kTransferWireVersion);
+  }
+  auto write_doubles = [compressed, w](const std::vector<double>& v) {
+    if (compressed) {
+      engine::EncodeDoubles(v, w);
+    } else {
+      w->WriteVector(v);
+    }
+  };
+  WriteSection(strings_, w, [w](const std::string& v) { w->WriteString(v); });
+  WriteSection(string_lists_, w, [w](const std::vector<std::string>& v) {
     w->WriteU32(static_cast<uint32_t>(v.size()));
     for (const std::string& s : v) w->WriteString(s);
-  }
-  w->WriteU32(static_cast<uint32_t>(scalars_.size()));
-  for (const auto& [k, v] : scalars_) {
-    w->WriteString(k);
-    w->WriteDouble(v);
-  }
-  w->WriteU32(static_cast<uint32_t>(vectors_.size()));
-  for (const auto& [k, v] : vectors_) {
-    w->WriteString(k);
-    w->WriteDoubleVector(v);
-  }
-  w->WriteU32(static_cast<uint32_t>(matrices_.size()));
-  for (const auto& [k, m] : matrices_) {
-    w->WriteString(k);
+  });
+  WriteSection(scalars_, w, [w](double v) { w->WriteDouble(v); });
+  WriteSection(vectors_, w, write_doubles);
+  WriteSection(matrices_, w, [w, &write_doubles](const stats::Matrix& m) {
     w->WriteU32(static_cast<uint32_t>(m.rows()));
     w->WriteU32(static_cast<uint32_t>(m.cols()));
-    w->WriteDoubleVector(m.Flatten());
-  }
-  w->WriteU32(static_cast<uint32_t>(tables_.size()));
-  for (const auto& [k, t] : tables_) {
-    w->WriteString(k);
-    engine::SerializeTable(t, w);
-  }
+    write_doubles(m.Flatten());
+  });
+  WriteSection(tables_, w, [compressed, w](const engine::Table& t) {
+    if (compressed) {
+      engine::SerializeTableForWire(t, w);
+    } else {
+      engine::SerializeTable(t, w);
+    }
+  });
+}
+
+void TransferData::Serialize(BufferWriter* w) const {
+  WriteSections(/*compressed=*/false, w);
 }
 
 void TransferData::SerializeForWire(BufferWriter* w) const {
@@ -102,41 +129,7 @@ void TransferData::SerializeForWire(BufferWriter* w) const {
   // tables go through the columnar codec blocks. Committed only when the
   // measured size beats v1, so bytes_wire <= bytes_raw always holds.
   BufferWriter scratch;
-  scratch.WriteU32(kTransferWireMagic);
-  scratch.WriteU8(kTransferWireVersion);
-  scratch.WriteU32(static_cast<uint32_t>(strings_.size()));
-  for (const auto& [k, v] : strings_) {
-    scratch.WriteString(k);
-    scratch.WriteString(v);
-  }
-  scratch.WriteU32(static_cast<uint32_t>(string_lists_.size()));
-  for (const auto& [k, v] : string_lists_) {
-    scratch.WriteString(k);
-    scratch.WriteU32(static_cast<uint32_t>(v.size()));
-    for (const std::string& s : v) scratch.WriteString(s);
-  }
-  scratch.WriteU32(static_cast<uint32_t>(scalars_.size()));
-  for (const auto& [k, v] : scalars_) {
-    scratch.WriteString(k);
-    scratch.WriteDouble(v);
-  }
-  scratch.WriteU32(static_cast<uint32_t>(vectors_.size()));
-  for (const auto& [k, v] : vectors_) {
-    scratch.WriteString(k);
-    engine::EncodeDoubles(v, &scratch);
-  }
-  scratch.WriteU32(static_cast<uint32_t>(matrices_.size()));
-  for (const auto& [k, m] : matrices_) {
-    scratch.WriteString(k);
-    scratch.WriteU32(static_cast<uint32_t>(m.rows()));
-    scratch.WriteU32(static_cast<uint32_t>(m.cols()));
-    engine::EncodeDoubles(m.Flatten(), &scratch);
-  }
-  scratch.WriteU32(static_cast<uint32_t>(tables_.size()));
-  for (const auto& [k, t] : tables_) {
-    scratch.WriteString(k);
-    engine::SerializeTableForWire(t, &scratch);
-  }
+  WriteSections(/*compressed=*/true, &scratch);
   if (scratch.size() < RawSerializedBytes()) {
     w->AppendRaw(scratch.bytes().data(), scratch.size());
   } else {
@@ -145,154 +138,57 @@ void TransferData::SerializeForWire(BufferWriter* w) const {
 }
 
 Result<TransferData> TransferData::Deserialize(BufferReader* r) {
-  {
-    Result<uint32_t> sniff = r->PeekU32();
-    if (sniff.ok() && sniff.ValueOrDie() == kTransferWireMagic) {
-      MIP_ASSIGN_OR_RETURN(uint32_t magic, r->ReadU32());
-      (void)magic;
-      MIP_ASSIGN_OR_RETURN(uint8_t version, r->ReadU8());
-      if (version != kTransferWireVersion) {
-        return Status::IOError("unsupported compressed transfer version " +
-                               std::to_string(version));
-      }
-      TransferData out;
-      MIP_ASSIGN_OR_RETURN(uint32_t n_strings, r->ReadU32());
-      for (uint32_t i = 0; i < n_strings; ++i) {
-        MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-        MIP_ASSIGN_OR_RETURN(std::string v, r->ReadString());
-        out.strings_[k] = std::move(v);
-      }
-      MIP_ASSIGN_OR_RETURN(uint32_t n_lists, r->ReadU32());
-      for (uint32_t i = 0; i < n_lists; ++i) {
-        MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
+  Result<uint32_t> sniff = r->PeekU32();
+  const bool compressed = sniff.ok() && *sniff == kTransferWireMagic;
+  if (compressed) {
+    MIP_RETURN_NOT_OK(r->ReadU32().status());
+    MIP_ASSIGN_OR_RETURN(uint8_t version, r->ReadU8());
+    if (version != kTransferWireVersion) {
+      return Status::IOError("unsupported compressed transfer version " +
+                             std::to_string(version));
+    }
+  }
+  auto read_doubles = [compressed, r] {
+    return compressed ? engine::DecodeDoubles(r) : r->ReadVector<double>();
+  };
+  TransferData out;
+  MIP_RETURN_NOT_OK(
+      ReadSection(r, &out.strings_, [r] { return r->ReadString(); }));
+  MIP_RETURN_NOT_OK(ReadSection(
+      r, &out.string_lists_, [r]() -> Result<std::vector<std::string>> {
         MIP_ASSIGN_OR_RETURN(uint32_t len, r->ReadU32());
+        // Each string needs at least its 4-byte length prefix; reject
+        // counts the remaining bytes cannot possibly hold before allocating.
         if (static_cast<size_t>(len) > r->Remaining() / sizeof(uint32_t)) {
           return Status::IOError("truncated buffer while deserializing");
         }
         std::vector<std::string> v(len);
-        for (uint32_t j = 0; j < len; ++j) {
-          MIP_ASSIGN_OR_RETURN(v[j], r->ReadString());
+        for (std::string& s : v) {
+          MIP_ASSIGN_OR_RETURN(s, r->ReadString());
         }
-        out.string_lists_[k] = std::move(v);
-      }
-      MIP_ASSIGN_OR_RETURN(uint32_t n_scalars, r->ReadU32());
-      for (uint32_t i = 0; i < n_scalars; ++i) {
-        MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-        MIP_ASSIGN_OR_RETURN(double v, r->ReadDouble());
-        out.scalars_[k] = v;
-      }
-      MIP_ASSIGN_OR_RETURN(uint32_t n_vectors, r->ReadU32());
-      for (uint32_t i = 0; i < n_vectors; ++i) {
-        MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-        MIP_ASSIGN_OR_RETURN(std::vector<double> v,
-                             engine::DecodeDoubles(r));
-        out.vectors_[k] = std::move(v);
-      }
-      MIP_ASSIGN_OR_RETURN(uint32_t n_matrices, r->ReadU32());
-      for (uint32_t i = 0; i < n_matrices; ++i) {
-        MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
+        return v;
+      }));
+  MIP_RETURN_NOT_OK(
+      ReadSection(r, &out.scalars_, [r] { return r->ReadDouble(); }));
+  MIP_RETURN_NOT_OK(ReadSection(r, &out.vectors_, read_doubles));
+  MIP_RETURN_NOT_OK(ReadSection(
+      r, &out.matrices_, [r, &read_doubles]() -> Result<stats::Matrix> {
         MIP_ASSIGN_OR_RETURN(uint32_t rows, r->ReadU32());
         MIP_ASSIGN_OR_RETURN(uint32_t cols, r->ReadU32());
-        MIP_ASSIGN_OR_RETURN(std::vector<double> flat,
-                             engine::DecodeDoubles(r));
-        MIP_ASSIGN_OR_RETURN(
-            stats::Matrix m,
-            stats::Matrix::FromFlat(rows, cols, std::move(flat)));
-        out.matrices_[k] = std::move(m);
-      }
-      MIP_ASSIGN_OR_RETURN(uint32_t n_tables, r->ReadU32());
-      for (uint32_t i = 0; i < n_tables; ++i) {
-        MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-        MIP_ASSIGN_OR_RETURN(engine::Table t, engine::DeserializeTable(r));
-        out.tables_[k] = std::move(t);
-      }
-      return out;
-    }
-  }
-  TransferData out;
-  MIP_ASSIGN_OR_RETURN(uint32_t n_strings, r->ReadU32());
-  for (uint32_t i = 0; i < n_strings; ++i) {
-    MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-    MIP_ASSIGN_OR_RETURN(std::string v, r->ReadString());
-    out.strings_[k] = std::move(v);
-  }
-  MIP_ASSIGN_OR_RETURN(uint32_t n_lists, r->ReadU32());
-  for (uint32_t i = 0; i < n_lists; ++i) {
-    MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-    MIP_ASSIGN_OR_RETURN(uint32_t len, r->ReadU32());
-    // Each string needs at least its 4-byte length prefix; reject counts the
-    // remaining bytes cannot possibly hold before allocating.
-    if (static_cast<size_t>(len) > r->Remaining() / sizeof(uint32_t)) {
-      return Status::IOError("truncated buffer while deserializing");
-    }
-    std::vector<std::string> v(len);
-    for (uint32_t j = 0; j < len; ++j) {
-      MIP_ASSIGN_OR_RETURN(v[j], r->ReadString());
-    }
-    out.string_lists_[k] = std::move(v);
-  }
-  MIP_ASSIGN_OR_RETURN(uint32_t n_scalars, r->ReadU32());
-  for (uint32_t i = 0; i < n_scalars; ++i) {
-    MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-    MIP_ASSIGN_OR_RETURN(double v, r->ReadDouble());
-    out.scalars_[k] = v;
-  }
-  MIP_ASSIGN_OR_RETURN(uint32_t n_vectors, r->ReadU32());
-  for (uint32_t i = 0; i < n_vectors; ++i) {
-    MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-    MIP_ASSIGN_OR_RETURN(std::vector<double> v, r->ReadDoubleVector());
-    out.vectors_[k] = std::move(v);
-  }
-  MIP_ASSIGN_OR_RETURN(uint32_t n_matrices, r->ReadU32());
-  for (uint32_t i = 0; i < n_matrices; ++i) {
-    MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-    MIP_ASSIGN_OR_RETURN(uint32_t rows, r->ReadU32());
-    MIP_ASSIGN_OR_RETURN(uint32_t cols, r->ReadU32());
-    MIP_ASSIGN_OR_RETURN(std::vector<double> flat, r->ReadDoubleVector());
-    MIP_ASSIGN_OR_RETURN(stats::Matrix m,
-                         stats::Matrix::FromFlat(rows, cols, std::move(flat)));
-    out.matrices_[k] = std::move(m);
-  }
-  MIP_ASSIGN_OR_RETURN(uint32_t n_tables, r->ReadU32());
-  for (uint32_t i = 0; i < n_tables; ++i) {
-    MIP_ASSIGN_OR_RETURN(std::string k, r->ReadString());
-    MIP_ASSIGN_OR_RETURN(engine::Table t, engine::DeserializeTable(r));
-    out.tables_[k] = std::move(t);
-  }
+        MIP_ASSIGN_OR_RETURN(std::vector<double> flat, read_doubles());
+        return stats::Matrix::FromFlat(rows, cols, std::move(flat));
+      }));
+  MIP_RETURN_NOT_OK(ReadSection(
+      r, &out.tables_, [r] { return engine::DeserializeTable(r); }));
   return out;
 }
 
-size_t TransferData::SerializedBytes() const {
-  BufferWriter w;
-  Serialize(&w);
-  return w.size();
-}
+size_t TransferData::SerializedBytes() const { return RawSerializedBytes(); }
 
 size_t TransferData::RawSerializedBytes() const {
-  auto keyed = [](const std::string& k) { return sizeof(uint32_t) + k.size(); };
-  size_t total = 6 * sizeof(uint32_t);  // the six section counts
-  for (const auto& [k, v] : strings_) {
-    total += keyed(k) + sizeof(uint32_t) + v.size();
-  }
-  for (const auto& [k, v] : string_lists_) {
-    total += keyed(k) + sizeof(uint32_t);
-    for (const std::string& s : v) total += sizeof(uint32_t) + s.size();
-  }
-  for (const auto& [k, v] : scalars_) {
-    (void)v;
-    total += keyed(k) + sizeof(double);
-  }
-  for (const auto& [k, v] : vectors_) {
-    total += keyed(k) + sizeof(uint32_t) + v.size() * sizeof(double);
-  }
-  for (const auto& [k, m] : matrices_) {
-    total += keyed(k) + 3 * sizeof(uint32_t) +
-             m.rows() * m.cols() * sizeof(double);
-  }
-  for (const auto& [k, t] : tables_) {
-    total += keyed(k) + engine::RawTableWireBytes(t);
-  }
-  return total;
+  BufferWriter counter = BufferWriter::Counter();
+  Serialize(&counter);
+  return counter.size();
 }
 
 Result<TransferData> TransferData::SumMerge(

@@ -94,8 +94,9 @@ class TransferData {
   /// Accepts both the v1 and the v2 layout (sniffed from the first bytes).
   static Result<TransferData> Deserialize(BufferReader* r);
   size_t SerializedBytes() const;
-  /// Exact v1 byte size, computed without serializing — the "raw" side of
-  /// the bytes_raw/bytes_wire compression ledger.
+  /// Exact v1 byte size, measured by the v1 walk into a byte-counting sink
+  /// (no bytes are built) — the "raw" side of the bytes_raw/bytes_wire
+  /// compression ledger. Equal to SerializedBytes().
   size_t RawSerializedBytes() const;
 
   /// Elementwise sum of the numeric parts of several transfers (all must
@@ -112,6 +113,9 @@ class TransferData {
   Result<TransferData> UnflattenNumeric(const std::vector<double>& flat) const;
 
  private:
+  /// The one section walk behind Serialize (v1) and SerializeForWire (v2).
+  void WriteSections(bool compressed, BufferWriter* w) const;
+
   std::map<std::string, std::string> strings_;
   std::map<std::string, std::vector<std::string>> string_lists_;
   std::map<std::string, double> scalars_;

@@ -9,7 +9,6 @@
 namespace mip::federation {
 
 engine::Database& WorkerContext::db() { return worker_->db(); }
-TransferData& WorkerContext::state() { return worker_->JobState(job_id_); }
 Rng& WorkerContext::rng() { return worker_->rng(); }
 const std::string& WorkerContext::worker_id() const { return worker_->id(); }
 const engine::ExecContext& WorkerContext::exec() {
@@ -81,6 +80,7 @@ Result<TransferData> WorkerNode::RunLocal(const std::string& func,
                                           const TransferData& args) {
   MIP_ASSIGN_OR_RETURN(const LocalFn* fn, functions_->Find(func));
   WorkerContext ctx(this, job_id);
+  std::shared_lock<std::shared_mutex> lock(db_mu_);
   return (*fn)(ctx, args);
 }
 
@@ -93,7 +93,6 @@ Result<std::vector<uint8_t>> WorkerNode::HandleEnvelope(
     const Envelope& envelope) {
   BufferReader reader(envelope.payload);
   if (envelope.type == "local_run" || envelope.type == "local_run_secure") {
-    std::shared_lock<std::shared_mutex> lock(db_mu_);
     MIP_ASSIGN_OR_RETURN(std::string func, reader.ReadString());
     MIP_ASSIGN_OR_RETURN(std::string smpc_job, reader.ReadString());
     MIP_ASSIGN_OR_RETURN(TransferData args,

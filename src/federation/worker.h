@@ -20,17 +20,13 @@ namespace mip::federation {
 class WorkerNode;
 
 /// \brief Execution context handed to a local computation step running on a
-/// Worker: the in-database engine, per-job persistent state (the "pointer to
-/// the actual data" of the paper — local results stay on the worker, indexed
-/// by job id), and a deterministic RNG.
+/// Worker: the in-database engine, the job id and a deterministic RNG.
 class WorkerContext {
  public:
   WorkerContext(WorkerNode* worker, std::string job_id)
       : worker_(worker), job_id_(std::move(job_id)) {}
 
   engine::Database& db();
-  /// Per-job state surviving across steps of one algorithm execution.
-  TransferData& state();
   Rng& rng();
   const std::string& worker_id() const;
   const std::string& job_id() const { return job_id_; }
@@ -104,16 +100,12 @@ class WorkerNode {
   /// Wires the worker to the SMPC cluster for secure imports.
   void SetSmpcCluster(smpc::SmpcCluster* cluster) { smpc_ = cluster; }
 
-  /// Executes a registered local step directly (in-process path; the bus
-  /// handler funnels here).
+  /// Executes a registered local step under a shared db_mu_ (in-process
+  /// path; the bus handler funnels here), so a dataset reload never races
+  /// the step's table reads.
   Result<TransferData> RunLocal(const std::string& func,
                                 const std::string& job_id,
                                 const TransferData& args);
-
-  TransferData& JobState(const std::string& job_id) {
-    return job_state_[job_id];
-  }
-  void ClearJobState(const std::string& job_id) { job_state_.erase(job_id); }
 
  private:
   Result<std::vector<uint8_t>> HandleEnvelope(const Envelope& envelope);
@@ -138,7 +130,6 @@ class WorkerNode {
   std::shared_ptr<LocalFunctionRegistry> functions_;
   Rng rng_;
   std::vector<std::string> datasets_;
-  std::map<std::string, TransferData> job_state_;
   smpc::SmpcCluster* smpc_ = nullptr;
 };
 

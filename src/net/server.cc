@@ -9,6 +9,14 @@
 
 namespace mip::net {
 
+namespace {
+/// Complete frames queued behind an in-flight handler, per connection
+/// (requests pipeline; replies stay in request order). Beyond this the
+/// connection is dropped as abusive.
+constexpr size_t kMaxPipeline = 128;
+constexpr int kListenBacklog = 256;
+}  // namespace
+
 EpollServer::EpollServer(EpollServerOptions options)
     : options_(std::move(options)) {}
 
@@ -31,7 +39,7 @@ Status EpollServer::Listen(int port) {
                                  std::to_string(port_));
   }
   MIP_ASSIGN_OR_RETURN(listener_, Socket::ListenTcp(options_.bind_host, port,
-                                                    options_.listen_backlog));
+                                                    kListenBacklog));
   MIP_ASSIGN_OR_RETURN(port_, listener_.BoundPort());
   if (options_.serve_threads > 0) {
     pool_ = std::make_unique<ThreadPool>(options_.serve_threads);
@@ -141,10 +149,10 @@ void EpollServer::Pump(const std::shared_ptr<Conn>& conn) {
     if (!next.ValueOrDie()) break;
     conn->inbox.push_back(std::move(payload));
   }
-  if (conn->inbox.size() > options_.max_pipeline) {
+  if (conn->inbox.size() > kMaxPipeline) {
     MIP_LOG(Warning) << "dropping connection: pipeline depth "
                      << conn->inbox.size() << " exceeds cap "
-                     << options_.max_pipeline;
+                     << kMaxPipeline;
     CloseConn(conn);
     return;
   }

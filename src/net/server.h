@@ -34,11 +34,6 @@ struct EpollServerOptions {
   /// Accepted-connection ceiling; beyond it new connections are closed
   /// immediately (counted in Stats::rejected_overload).
   size_t max_connections = 4096;
-  /// Complete frames queued behind an in-flight handler, per connection
-  /// (requests pipeline; replies stay in request order). Beyond this the
-  /// connection is dropped as abusive.
-  size_t max_pipeline = 128;
-  int listen_backlog = 256;
 };
 
 /// \brief Epoll event-loop frame server: multiplexes many client

@@ -7,20 +7,8 @@
 
 namespace mip::net {
 
-namespace {
-EpollServerOptions ServerOptions(const TcpTransportOptions& options) {
-  EpollServerOptions server;
-  server.bind_host = options.bind_host;
-  server.max_frame_payload = options.max_frame_payload;
-  server.serve_threads = options.serve_threads;
-  server.read_deadline_ms = options.read_deadline_ms;
-  server.max_connections = options.max_connections;
-  return server;
-}
-}  // namespace
-
 TcpTransport::TcpTransport(TcpTransportOptions options)
-    : options_(std::move(options)), server_(ServerOptions(options_)) {}
+    : options_(std::move(options)), server_(options_.server) {}
 
 TcpTransport::~TcpTransport() { Shutdown(); }
 
@@ -54,7 +42,7 @@ Status TcpTransport::RoundTrip(Socket* sock,
                                uint64_t* reply_wire_bytes) {
   Stopwatch sw;
   MIP_RETURN_NOT_OK(sock->SendAll(frame.data(), frame.size(), timeout_ms));
-  FrameDecoder decoder(options_.max_frame_payload);
+  FrameDecoder decoder(options_.server.max_frame_payload);
   uint8_t chunk[16384];
   for (;;) {
     double remaining = 0.0;

@@ -17,9 +17,10 @@
 namespace mip::net {
 
 struct TcpTransportOptions {
-  /// Interface the server side binds to. Loopback by default: the
-  /// reproduction federates processes, not machines.
-  std::string bind_host = "127.0.0.1";
+  /// The server side: bind host (loopback by default: the reproduction
+  /// federates processes, not machines), handler threads, read deadline and
+  /// connection ceiling. Its max_frame_payload bounds both directions.
+  EpollServerOptions server;
   /// Dial deadline for new peer connections.
   double connect_timeout_ms = 2000.0;
   /// Default round-trip deadline per request (Envelope::deadline_ms
@@ -28,16 +29,6 @@ struct TcpTransportOptions {
   double io_timeout_ms = 10000.0;
   /// Idle connections kept per peer; extras are closed on check-in.
   size_t max_idle_per_peer = 4;
-  /// Frame payload ceiling for both directions.
-  size_t max_frame_payload = kDefaultMaxFramePayload;
-  /// Handler threads of the server side (see EpollServerOptions); requests
-  /// from different connections execute concurrently up to this bound.
-  int serve_threads = 4;
-  /// Server-side eviction budget for connections stuck mid-frame
-  /// (EpollServerOptions::read_deadline_ms); 0 disables.
-  double read_deadline_ms = 0.0;
-  /// Server-side connection ceiling (EpollServerOptions::max_connections).
-  size_t max_connections = 4096;
 };
 
 /// \brief Real socket implementation of Transport: length-prefixed binary

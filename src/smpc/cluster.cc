@@ -10,6 +10,13 @@
 
 namespace mip::smpc {
 
+namespace {
+/// Columnar wire blocks one node's share column of `n` elements ships in.
+size_t WireBlocks(size_t n) {
+  return (n + wire::kDefaultBlockElems - 1) / wire::kDefaultBlockElems;
+}
+}  // namespace
+
 double SmpcCostStats::SimulatedNetworkSeconds(const SmpcConfig& config) const {
   // One protocol round = one latency-bound message exchange; the formula
   // itself lives in net (shared with the federation link model).
@@ -45,13 +52,10 @@ void SmpcCluster::AccountTransfer(uint64_t bytes, uint64_t rounds) {
 
 uint64_t SmpcCluster::MeasureFtWire(const SpdzMatrix& m) {
   uint64_t bytes = 0;
-  const size_t block = config_.wire_block_elems;
   for (const SpdzVec& node : m) {
-    bytes += wire::MeasureLimbBlocks(node.values.data(), node.size(), block);
-    bytes += wire::MeasureLimbBlocks(node.macs.data(), node.size(), block);
-    const size_t per_col =
-        block == 0 ? 1 : (node.size() + block - 1) / block;
-    stats_.wire_blocks += 2 * per_col;
+    bytes += wire::MeasureLimbBlocks(node.values.data(), node.size());
+    bytes += wire::MeasureLimbBlocks(node.macs.data(), node.size());
+    stats_.wire_blocks += 2 * WireBlocks(node.size());
   }
   return bytes;
 }
@@ -59,10 +63,9 @@ uint64_t SmpcCluster::MeasureFtWire(const SpdzMatrix& m) {
 uint64_t SmpcCluster::MeasureShamirWire(
     const std::vector<std::vector<uint64_t>>& m) {
   uint64_t bytes = 0;
-  const size_t block = config_.wire_block_elems;
   for (const std::vector<uint64_t>& node : m) {
-    bytes += wire::MeasureLimbBlocks(node.data(), node.size(), block);
-    stats_.wire_blocks += block == 0 ? 1 : (node.size() + block - 1) / block;
+    bytes += wire::MeasureLimbBlocks(node.data(), node.size());
+    stats_.wire_blocks += WireBlocks(node.size());
   }
   return bytes;
 }

@@ -47,9 +47,6 @@ struct SmpcConfig {
   /// vectors. Not owned; null runs single-threaded. Thread count never
   /// changes results (deterministic chunking).
   ThreadPool* pool = nullptr;
-  /// Elements per columnar wire block for share distribution (0 = one
-  /// block per column).
-  size_t wire_block_elems = 4096;
 };
 
 /// Communication/computation accounting for one cluster (reset-able). The

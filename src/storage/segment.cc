@@ -10,16 +10,6 @@ namespace mip::storage {
 
 using engine::Column;
 using engine::DataType;
-using engine::DecodeBools;
-using engine::DecodeDoubles;
-using engine::DecodeInts;
-using engine::DecodeStrings;
-using engine::DecodeValidity;
-using engine::EncodeBools;
-using engine::EncodeDoubles;
-using engine::EncodeInts;
-using engine::EncodeStrings;
-using engine::EncodeValidity;
 using engine::Expr;
 using engine::GetVarint;
 using engine::kMaxWireElements;
@@ -187,50 +177,15 @@ Result<SegmentFooter> ParseFooter(const std::string& path,
   return footer;
 }
 
-/// Checks one column block and decodes it by appending to `col` (its type
-/// already matched against `meta`). Every count must equal `num_rows`.
-Status AppendColumnBlock(const std::string& path, const SegmentColumn& meta,
-                         const uint8_t* block, uint64_t num_rows,
-                         Column* col) {
-  BufferReader r(block, static_cast<size_t>(meta.block.length));
-  MIP_ASSIGN_OR_RETURN(uint8_t has_validity, r.ReadU8());
-  if (has_validity > 1) return Corrupt(path, "bad validity flag");
-  engine::Bitmap validity;
-  if (has_validity == 1) {
-    MIP_ASSIGN_OR_RETURN(validity, DecodeValidity(&r));
-    if (validity.length() != num_rows) {
-      return Corrupt(path, "validity length mismatch");
-    }
-  }
-  const size_t base = col->length();
-  switch (meta.type) {
-    case DataType::kBool:
-      MIP_RETURN_NOT_OK(DecodeBools(&r, &col->mutable_bools()));
-      if (col->bools().size() - base != num_rows) {
-        return Corrupt(path, "bool count mismatch");
-      }
-      break;
-    case DataType::kInt64:
-      MIP_RETURN_NOT_OK(DecodeInts(&r, &col->mutable_ints()));
-      if (col->ints().size() - base != num_rows) {
-        return Corrupt(path, "int count mismatch");
-      }
-      break;
-    case DataType::kFloat64:
-      MIP_RETURN_NOT_OK(DecodeDoubles(&r, &col->mutable_doubles()));
-      if (col->doubles().size() - base != num_rows) {
-        return Corrupt(path, "double count mismatch");
-      }
-      break;
-    case DataType::kString:
-      MIP_RETURN_NOT_OK(DecodeStrings(&r, &col->mutable_strings()));
-      if (col->strings().size() - base != num_rows) {
-        return Corrupt(path, "string count mismatch");
-      }
-      break;
-  }
+/// Decodes one column block (an engine::EncodeColumn body of `num_rows`
+/// rows) by appending to `col`, whose type already matched the footer.
+Status AppendColumnBlock(const std::string& path, const uint8_t* block,
+                         size_t length, uint64_t num_rows, Column* col) {
+  BufferReader r(block, length);
+  Result<engine::Bitmap> validity = engine::DecodeColumn(&r, num_rows, col);
+  if (!validity.ok()) return Corrupt(path, validity.status().message());
   if (!r.AtEnd()) return Corrupt(path, "trailing bytes in column block");
-  col->AdoptAppendedRows(validity);
+  col->AdoptAppendedRows(*validity);
   return Status::OK();
 }
 
@@ -247,22 +202,7 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
   for (size_t i = 0; i < table.num_columns(); ++i) {
     const Column& column = table.column(i);
     BufferWriter block;
-    block.WriteU8(column.has_validity() ? 1 : 0);
-    if (column.has_validity()) EncodeValidity(column.validity(), &block);
-    switch (column.type()) {
-      case DataType::kBool:
-        EncodeBools(column.bools(), &block);
-        break;
-      case DataType::kInt64:
-        EncodeInts(column.ints(), &block);
-        break;
-      case DataType::kFloat64:
-        EncodeDoubles(column.doubles(), &block);
-        break;
-      case DataType::kString:
-        EncodeStrings(column.strings(), &block);
-        break;
-    }
+    engine::EncodeColumn(column, &block);
     SegmentColumn col;
     col.name = table.schema().field(i).name;
     col.type = column.type();
@@ -307,10 +247,10 @@ Status AppendSegmentData(const std::string& path, const SegmentFooter& footer,
     const SegmentColumn& meta = footer.columns[c];
     MIP_RETURN_NOT_OK(kFormat.CheckBlock(path, bytes, meta.block,
                                          "column '" + meta.name + "' block"));
-    MIP_RETURN_NOT_OK(AppendColumnBlock(path, meta,
-                                        bytes.data() + meta.block.offset,
-                                        footer.num_rows,
-                                        &out->mutable_column(c)));
+    MIP_RETURN_NOT_OK(AppendColumnBlock(
+        path, bytes.data() + meta.block.offset,
+        static_cast<size_t>(meta.block.length), footer.num_rows,
+        &out->mutable_column(c)));
   }
   return out->SyncRowCount();
 }

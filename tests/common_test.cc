@@ -89,13 +89,32 @@ TEST(BytesTest, ScalarRoundTrip) {
 
 TEST(BytesTest, VectorRoundTrip) {
   BufferWriter w;
-  w.WriteDoubleVector({1.5, -2.5, 0.0});
-  w.WriteU64Vector({1, 2, 3, 4});
-  w.WriteI64Vector({-1, 0, 1});
+  w.WriteVector(std::vector<double>{1.5, -2.5, 0.0});
+  w.WriteVector(std::vector<uint64_t>{1, 2, 3, 4});
+  w.WriteVector(std::vector<int64_t>{-1, 0, 1});
+  w.WriteVector(std::vector<uint8_t>{});
   BufferReader r(w.bytes());
-  EXPECT_EQ(*r.ReadDoubleVector(), (std::vector<double>{1.5, -2.5, 0.0}));
-  EXPECT_EQ(*r.ReadU64Vector(), (std::vector<uint64_t>{1, 2, 3, 4}));
-  EXPECT_EQ(*r.ReadI64Vector(), (std::vector<int64_t>{-1, 0, 1}));
+  EXPECT_EQ(*r.ReadVector<double>(), (std::vector<double>{1.5, -2.5, 0.0}));
+  EXPECT_EQ(*r.ReadVector<uint64_t>(), (std::vector<uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(*r.ReadVector<int64_t>(), (std::vector<int64_t>{-1, 0, 1}));
+  EXPECT_TRUE(r.ReadVector<uint8_t>()->empty());
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(BytesTest, CounterMeasuresWithoutStoring) {
+  BufferWriter counter = BufferWriter::Counter();
+  BufferWriter real;
+  for (BufferWriter* w : {&counter, &real}) {
+    w->Reserve(1024);
+    w->WriteU8(1);
+    w->WriteU64(2);
+    w->WriteString("abc");
+    w->WriteVector(std::vector<double>{1.0, 2.0});
+  }
+  EXPECT_EQ(counter.size(), real.size());
+  EXPECT_EQ(counter.size(), 1u + 8 + 7 + 20);
+  EXPECT_TRUE(counter.bytes().empty());
+  EXPECT_EQ(counter.bytes().capacity(), 0u);
 }
 
 TEST(BytesTest, TruncatedReadFails) {
@@ -116,7 +135,7 @@ TEST(BytesTest, MaliciousLengthPrefixIsRejected) {
   BufferReader r(w.bytes());
   EXPECT_FALSE(r.ReadString().ok());
   BufferReader r2(w.bytes());
-  EXPECT_FALSE(r2.ReadDoubleVector().ok());
+  EXPECT_FALSE(r2.ReadVector<double>().ok());
 }
 
 /// The classic one-table bytewise CRC-32 (IEEE, reflected, 0xEDB88320) —

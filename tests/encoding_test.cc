@@ -7,6 +7,8 @@
 //     than the block header;
 //   * the v2 containers are only committed when smaller than v1, so
 //     serialized size never exceeds the raw (v1) size;
+//   * the v1 and v2 table / transfer bytes, the raw sizes and the
+//     decode -> re-encode bytes are pinned (WireBytesTest);
 //   * every decoder survives truncation and corruption with a clean Status
 //     (run under ASan/UBSan in CI).
 

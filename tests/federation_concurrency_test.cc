@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <set>
@@ -303,22 +305,24 @@ TEST(MessageBusConcurrencyTest, ConcurrentSendsNeverLoseOrDoubleCount) {
   EXPECT_EQ(link_sum.bytes, stats.bytes);
 }
 
+// `rows` rows of one double column x, every cell equal to `x`.
+Table ConstantTable(double x, int rows) {
+  Schema schema;
+  EXPECT_TRUE(schema.AddField({"x", DataType::kFloat64}).ok());
+  Table t = Table::Empty(schema);
+  for (int r = 0; r < rows; ++r) {
+    EXPECT_TRUE(t.AppendRow({Value::Double(x)}).ok());
+  }
+  return t;
+}
+
 // A dataset reload takes the worker's catalog lock exclusively, so it never
 // races the run_sql SELECTs the worker serves meanwhile: every answer is
 // entirely the old data or entirely the new one, never a mix.
 TEST(WorkerReloadTest, ReloadDuringSelectsAnswersOldOrNewNeverAMix) {
-  auto make = [](double x, int rows) {
-    Schema schema;
-    EXPECT_TRUE(schema.AddField({"x", DataType::kFloat64}).ok());
-    Table t = Table::Empty(schema);
-    for (int r = 0; r < rows; ++r) {
-      EXPECT_TRUE(t.AppendRow({Value::Double(x)}).ok());
-    }
-    return t;
-  };
   MasterNode master;
   ASSERT_TRUE(master.AddWorker("h0").ok());
-  ASSERT_TRUE(master.LoadDataset("h0", "d", make(1.0, 200)).ok());
+  ASSERT_TRUE(master.LoadDataset("h0", "d", ConstantTable(1.0, 200)).ok());
 
   engine::RemoteRequest request;
   request.sql = "SELECT count(*) AS n, sum(x) AS s FROM d";
@@ -357,11 +361,64 @@ TEST(WorkerReloadTest, ReloadDuringSelectsAnswersOldOrNewNeverAMix) {
   for (int i = 0; i < 100 || answers.load() < 100; ++i) {
     ASSERT_TRUE(master
                     .LoadDataset("h0", "d",
-                                 i % 2 == 0 ? make(3.0, 300) : make(1.0, 200))
+                                 i % 2 == 0 ? ConstantTable(3.0, 300)
+                                            : ConstantTable(1.0, 200))
                     .ok());
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();
+  EXPECT_GT(answers.load(), 0);
+  EXPECT_EQ(bad.load(), 0);
+}
+
+// LocalRunSecureOp calls each worker's step in process, not over the bus.
+// The step still holds the worker's catalog lock, so a reload never races
+// the table reads of the step: every answer is the old max or the new one.
+TEST(WorkerReloadTest, ReloadDuringSecureOpNeverRacesTheStep) {
+  MasterNode master;
+  ASSERT_TRUE(master.AddWorker("h0").ok());
+  ASSERT_TRUE(master.LoadDataset("h0", "d", ConstantTable(1.0, 200)).ok());
+  ASSERT_TRUE(master.functions()
+                  ->Register("max_x",
+                             [](WorkerContext& ctx, const TransferData&)
+                                 -> Result<TransferData> {
+                               MIP_ASSIGN_OR_RETURN(Table t,
+                                                    ctx.db().GetTable("d"));
+                               MIP_ASSIGN_OR_RETURN(const engine::Column* col,
+                                                    t.ColumnByName("x"));
+                               double best = 0.0;
+                               for (double v : col->NonNullDoubles()) {
+                                 best = std::max(best, v);
+                               }
+                               TransferData out;
+                               out.PutVector("vals", {best});
+                               return out;
+                             })
+                  .ok());
+  FederationSession session = *master.StartSession({"d"});
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> answers{0}, bad{0};
+  std::thread runner([&] {
+    while (!stop.load()) {
+      auto maxs = session.LocalRunSecureOp("max_x", TransferData(), "vals",
+                                           smpc::SmpcOp::kMax);
+      const bool ok = maxs.ok() && maxs->size() == 1 &&
+                      (std::abs((*maxs)[0] - 1.0) < 1e-4 ||
+                       std::abs((*maxs)[0] - 3.0) < 1e-4);
+      if (!ok) bad.fetch_add(1);
+      answers.fetch_add(1);
+    }
+  });
+  for (int i = 0; i < 100 || answers.load() < 50; ++i) {
+    ASSERT_TRUE(master
+                    .LoadDataset("h0", "d",
+                                 ConstantTable(i % 2 == 0 ? 3.0 : 1.0,
+                                               i % 2 == 0 ? 300 : 200))
+                    .ok());
+  }
+  stop.store(true);
+  runner.join();
   EXPECT_GT(answers.load(), 0);
   EXPECT_EQ(bad.load(), 0);
 }

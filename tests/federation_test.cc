@@ -227,39 +227,6 @@ TEST_F(FederationFixture, SecureOpMinMax) {
   EXPECT_NEAR(maxs[0], 6.0, 1e-4);
 }
 
-TEST_F(FederationFixture, WorkerStatePersistsAcrossSteps) {
-  ASSERT_TRUE(master_.functions()
-                  ->Register("remember",
-                             [](WorkerContext& ctx, const TransferData& args)
-                                 -> Result<TransferData> {
-                               MIP_ASSIGN_OR_RETURN(double v,
-                                                    args.GetScalar("v"));
-                               ctx.state().PutScalar("stored", v);
-                               TransferData out;
-                               out.PutScalar("ok", 1);
-                               return out;
-                             })
-                  .ok());
-  ASSERT_TRUE(master_.functions()
-                  ->Register("recall",
-                             [](WorkerContext& ctx, const TransferData&)
-                                 -> Result<TransferData> {
-                               TransferData out;
-                               MIP_ASSIGN_OR_RETURN(
-                                   double v, ctx.state().GetScalar("stored"));
-                               out.PutScalar("v", v);
-                               return out;
-                             })
-                  .ok());
-  FederationSession session = *master_.StartSession({"numbers"});
-  TransferData args;
-  args.PutScalar("v", 42.0);
-  ASSERT_TRUE(session.LocalRun("remember", args).ok());
-  TransferData agg = *session.LocalRunAndAggregate(
-      "recall", TransferData(), AggregationMode::kPlain);
-  EXPECT_EQ(*agg.GetScalar("v"), 3 * 42.0);
-}
-
 TEST_F(FederationFixture, UnknownLocalFunctionErrors) {
   FederationSession session = *master_.StartSession({"numbers"});
   EXPECT_FALSE(session.LocalRun("nope", TransferData()).ok());

@@ -353,7 +353,7 @@ TEST(FaultInjectionTest, SlowWorkerTimesOutAndIsExcludedUnderQuorum) {
 
 TEST(ServingRobustnessTest, SlowLorisClientEvictedWithoutCollateral) {
   net::TcpTransportOptions options;
-  options.read_deadline_ms = 80.0;  // stall budget for a started frame
+  options.server.read_deadline_ms = 80.0;  // stall budget for a started frame
   net::TcpTransport server(options);
   ASSERT_TRUE(server
                   .RegisterEndpoint(

@@ -281,7 +281,7 @@ TEST(ServingTest, CorruptCrcDropsConnectionNotServer) {
 
 TEST(ServingTest, OversizedFrameIsRejectedCleanly) {
   TcpTransportOptions options;
-  options.max_frame_payload = 1024;  // tiny ceiling for the test
+  options.server.max_frame_payload = 1024;  // tiny ceiling for the test
   TcpTransport server(options);
   ASSERT_TRUE(RegisterReverser(&server).ok());
   ASSERT_TRUE(server.Listen(0).ok());
@@ -318,7 +318,7 @@ TEST(ServingTest, OversizedFrameIsRejectedCleanly) {
 
 TEST(ServingTest, ConnectionFloodBeyondCapIsShedNotServed) {
   TcpTransportOptions options;
-  options.max_connections = 2;
+  options.server.max_connections = 2;
   TcpTransport server(options);
   ASSERT_TRUE(RegisterReverser(&server).ok());
   ASSERT_TRUE(server.Listen(0).ok());

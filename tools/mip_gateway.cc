@@ -120,9 +120,9 @@ Status Run(const GatewayFlags& flags) {
   // One transport plays both roles: server for the tenants dialing us,
   // client for the Master's remote-table traffic toward the workers.
   mip::net::TcpTransportOptions options;
-  options.bind_host = flags.host;
-  options.serve_threads = flags.serve_threads;
-  options.read_deadline_ms = flags.read_deadline_ms;
+  options.server.bind_host = flags.host;
+  options.server.serve_threads = flags.serve_threads;
+  options.server.read_deadline_ms = flags.read_deadline_ms;
   mip::net::TcpTransport transport(options);
   MIP_RETURN_NOT_OK(transport.Listen(flags.port));
 
@@ -139,9 +139,10 @@ Status Run(const GatewayFlags& flags) {
 
   std::unique_ptr<mip::storage::StorageEngine> store;
   if (!flags.data_dir.empty()) {
-    // Open builds any ordered index the manifest is missing, so even a
-    // pre-index data directory boots fully indexed; the background thread
-    // then keeps flush segments folded into sorted compaction groups.
+    // Open builds no index: a segment the manifest lists without one keeps
+    // the zone-map path until a compaction rewrites it with its indexes.
+    // The background thread keeps flush segments folded into sorted
+    // compaction groups.
     MIP_ASSIGN_OR_RETURN(store,
                          mip::storage::StorageEngine::Open(flags.data_dir));
     MIP_RETURN_NOT_OK(master.local_db().AttachStorage(store.get()));

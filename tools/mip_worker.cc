@@ -138,8 +138,8 @@ Status Run(const WorkerFlags& flags) {
   }
 
   mip::net::TcpTransportOptions options;
-  options.bind_host = flags.host;
-  options.read_deadline_ms = flags.read_deadline_ms;
+  options.server.bind_host = flags.host;
+  options.server.read_deadline_ms = flags.read_deadline_ms;
   mip::net::TcpTransport transport(options);
   MIP_RETURN_NOT_OK(transport.Listen(flags.port));
   MIP_RETURN_NOT_OK(worker.AttachToBus(&transport));
