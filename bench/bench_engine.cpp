@@ -1,8 +1,9 @@
 // Experiments E6 + E13 — the Worker-engine execution claim of §2:
 // in-database analytics with vectorization and JIT compilation (E6, the
-// three execution engines compared on analytics expressions) and
-// morsel-driven intra-query parallelism (E13, threads sweep over the
-// relational kernels plus the DenseDoubles conversion micro-bench).
+// three execution engines compared on analytics expressions, plus the SQL
+// path a Worker serves) and morsel-driven intra-query parallelism (E13,
+// threads sweep over the relational kernels plus the DenseDoubles
+// conversion micro-bench).
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "engine/database.h"
 #include "engine/exec_context.h"
 #include "engine/expr.h"
 #include "engine/operators.h"
@@ -147,6 +149,69 @@ void BM_JitThreads(benchmark::State& state) {
     benchmark::DoNotOptimize(col);
   }
   state.SetItemsProcessed(state.iterations() * (1 << 21));
+}
+
+// The SQL path: the statements a Worker runs for perfbench's fed_sql panel
+// and fetch classes, through Database::ExecuteSql on one in-memory
+// 100k-row table (scan, BETWEEN filter, group-by or projection).
+constexpr size_t kSqlRows = 100000;
+
+mip::engine::Database* SqlDatabase() {
+  static mip::engine::Database* db = [] {
+    mip::Rng rng(5);
+    const char* diags[] = {"AD", "MCI", "CN", "FTD"};
+    Column id(DataType::kInt64), age(DataType::kInt64), year(DataType::kInt64),
+        diag(DataType::kString), mmse(DataType::kFloat64);
+    std::vector<Column> volumes(4, Column(DataType::kFloat64));
+    for (size_t i = 0; i < kSqlRows; ++i) {
+      id.AppendInt(static_cast<int64_t>(i));
+      age.AppendInt(18 + static_cast<int64_t>(rng.NextBounded(73)));
+      year.AppendInt(2000 + static_cast<int64_t>(rng.NextBounded(25)));
+      diag.AppendString(diags[rng.NextBounded(4)]);
+      if (rng.NextBounded(20) == 0) {
+        mmse.AppendNull();
+      } else {
+        mmse.AppendDouble(rng.NextUniform(0.0, 30.0));
+      }
+      for (Column& v : volumes) v.AppendDouble(rng.NextGaussian(3.5, 0.5));
+    }
+    Schema schema;
+    for (const char* name : {"patient_id", "age", "year"}) {
+      (void)schema.AddField({name, DataType::kInt64});
+    }
+    (void)schema.AddField({"diag", DataType::kString});
+    (void)schema.AddField({"mmse", DataType::kFloat64});
+    std::vector<Column> columns = {id, age, year, diag, mmse};
+    for (size_t v = 0; v < volumes.size(); ++v) {
+      (void)schema.AddField({"vol" + std::to_string(v), DataType::kFloat64});
+      columns.push_back(volumes[v]);
+    }
+    auto* out = new mip::engine::Database("bench");
+    (void)out->PutTable("visits",
+                        *Table::Make(std::move(schema), std::move(columns)));
+    return out;
+  }();
+  return db;
+}
+
+// Arg 0: the panel (4-conjunct BETWEEN filter + GROUP BY on a string key
+// with six aggregates); arg 1: the 4-id fetch.
+void BM_SqlPath(benchmark::State& state) {
+  const char* sql =
+      state.range(0) == 0
+          ? "SELECT diag, COUNT(*) AS n, AVG(mmse) AS mmse_avg, AVG(vol0) AS "
+            "v1, SUM(vol1) AS v2, MIN(age) AS age_min, MAX(age) AS age_max "
+            "FROM visits WHERE age BETWEEN 40 AND 64 AND year BETWEEN 2004 "
+            "AND 2015 GROUP BY diag"
+          : "SELECT patient_id, age, mmse FROM visits WHERE patient_id "
+            "BETWEEN 50000 AND 50003";
+  mip::engine::Database* db = SqlDatabase();
+  for (auto _ : state) {
+    auto out = db->ExecuteSql(sql);
+    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * kSqlRows);
 }
 
 // --- Experiment E13: morsel-driven parallel aggregation ------------------
@@ -299,6 +364,7 @@ BENCHMARK(BM_RowInterpreter)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_Vectorized)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_JitFused)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 BENCHMARK(BM_JitCompileOnly);
+BENCHMARK(BM_SqlPath)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_JitBatchSize)->Arg(64)->Arg(512)->Arg(2048)->Arg(16384)
     ->Arg(1 << 20);
 BENCHMARK(BM_JitThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

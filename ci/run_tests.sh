@@ -23,10 +23,13 @@ suite_regex() { local IFS='|'; echo "^($*)\$"; }
 echo "== TSan: federation concurrency + robustness + net + engine morsels =="
 # plan_test and pushdown_test run the parts of merge tables concurrently on
 # the exec pool; pushdown_test goes master -> bus -> worker.
+# column_sharing_test reads shared column buffers while a worker appends to
+# and replaces the table; kernel_test runs the SQL kernels on a pool.
 TSAN_SUITES=(federation_concurrency_test robustness_test federation_test
              net_transport_test engine_parallel_test encoding_test
              serving_test result_cache_test storage_test join_test
-             smpc_test smpc_property_test plan_test pushdown_test)
+             smpc_test smpc_property_test plan_test pushdown_test
+             kernel_test column_sharing_test)
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DMIP_SANITIZE=thread
 cmake --build "$ROOT/build-tsan" -j "$JOBS" --target "${TSAN_SUITES[@]}"
 # TSAN_OPTIONS makes any reported race fail the job; --no-tests=error guards
@@ -42,11 +45,13 @@ echo "== ASan+UBSan: net framing / deserialization / codec hardening =="
 # suites but is not a suite itself. common_test runs the slice-by-8 CRC32's
 # 8-byte loads at every length and alignment under UBSan. platform_test
 # builds the data catalogue from get_schema / get_stats replies, so their
-# decode runs under ASan too.
+# decode runs under ASan too. kernel_test and column_sharing_test cover the
+# copy-on-write column buffers and the typed kernels that read them.
 ASAN_SUITES=(net_transport_test net_process_test robustness_test
              encoding_test plan_test serving_test result_cache_test
              storage_test join_test smpc_test smpc_property_test
-             pushdown_test federation_test common_test platform_test)
+             pushdown_test federation_test common_test platform_test
+             kernel_test column_sharing_test)
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DMIP_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target "${ASAN_SUITES[@]}" mip_worker

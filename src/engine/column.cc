@@ -3,34 +3,88 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 namespace mip::engine {
+
+// Reference counting. The uniqueness test in Mut() loads the count with the
+// (sequentially consistent) ordering every Release() writes it with, so all
+// reads another copy made of a buffer happen before this copy writes it in
+// place.
+Column::Buffer* Column::Retain(Buffer* b) {
+  b->refs.fetch_add(1);
+  return b;
+}
+
+void Column::Release(Buffer* b) {
+  if (b->refs.fetch_sub(1) == 1) delete b;
+}
+
+// Fresh and moved-from columns hold one process-wide empty buffer. It keeps
+// a reference of its own that is never dropped, so it always looks shared
+// and the first mutation of such a column allocates.
+Column::Column(DataType type) : type_(type) {
+  static Buffer* const empty = new Buffer();
+  buf_ = Retain(empty);
+}
+
+Column::Column(const Column& other) noexcept
+    : type_(other.type_), length_(other.length_), buf_(Retain(other.buf_)) {}
+
+Column::Column(Column&& other) noexcept : Column(other.type_) {
+  std::swap(length_, other.length_);
+  std::swap(buf_, other.buf_);
+}
+
+// Copy and move assignment both: `other` arrives as a copy or a move.
+Column& Column::operator=(Column other) noexcept {
+  std::swap(type_, other.type_);
+  std::swap(length_, other.length_);
+  std::swap(buf_, other.buf_);
+  return *this;
+}
+
+Column::~Column() { Release(buf_); }
+
+Column::Buffer& Column::Mut() {
+  if (buf_->refs.load() != 1) {
+    Buffer* copy = new Buffer();
+    copy->ints = buf_->ints;
+    copy->doubles = buf_->doubles;
+    copy->bools = buf_->bools;
+    copy->strings = buf_->strings;
+    copy->validity = buf_->validity;
+    Release(buf_);
+    buf_ = copy;
+  }
+  return *buf_;
+}
 
 Column Column::FromDoubles(std::vector<double> values) {
   Column c(DataType::kFloat64);
   c.length_ = values.size();
-  c.doubles_ = std::move(values);
+  c.Mut().doubles = std::move(values);
   return c;
 }
 
 Column Column::FromInts(std::vector<int64_t> values) {
   Column c(DataType::kInt64);
   c.length_ = values.size();
-  c.ints_ = std::move(values);
+  c.Mut().ints = std::move(values);
   return c;
 }
 
 Column Column::FromBools(std::vector<uint8_t> values) {
   Column c(DataType::kBool);
   c.length_ = values.size();
-  c.bools_ = std::move(values);
+  c.Mut().bools = std::move(values);
   return c;
 }
 
 Column Column::FromStrings(std::vector<std::string> values) {
   Column c(DataType::kString);
   c.length_ = values.size();
-  c.strings_ = std::move(values);
+  c.Mut().strings = std::move(values);
   return c;
 }
 
@@ -38,11 +92,11 @@ double Column::AsDoubleAt(size_t i) const {
   if (!IsValid(i)) return std::numeric_limits<double>::quiet_NaN();
   switch (type_) {
     case DataType::kBool:
-      return bools_[i] ? 1.0 : 0.0;
+      return buf_->bools[i] ? 1.0 : 0.0;
     case DataType::kInt64:
-      return static_cast<double>(ints_[i]);
+      return static_cast<double>(buf_->ints[i]);
     case DataType::kFloat64:
-      return doubles_[i];
+      return buf_->doubles[i];
     case DataType::kString:
       return std::numeric_limits<double>::quiet_NaN();
   }
@@ -53,62 +107,67 @@ Value Column::ValueAt(size_t i) const {
   if (!IsValid(i)) return Value::Null();
   switch (type_) {
     case DataType::kBool:
-      return Value::Bool(bools_[i] != 0);
+      return Value::Bool(buf_->bools[i] != 0);
     case DataType::kInt64:
-      return Value::Int(ints_[i]);
+      return Value::Int(buf_->ints[i]);
     case DataType::kFloat64:
-      return Value::Double(doubles_[i]);
+      return Value::Double(buf_->doubles[i]);
     case DataType::kString:
-      return Value::String(strings_[i]);
+      return Value::String(buf_->strings[i]);
   }
   return Value::Null();
 }
 
 void Column::EnsureValidity() {
-  if (!has_validity()) validity_ = Bitmap(length_, true);
+  if (!has_validity()) Mut().validity = Bitmap(length_, true);
 }
 
 void Column::AppendNull() {
   EnsureValidity();
+  Buffer& b = Mut();
   switch (type_) {
     case DataType::kBool:
-      bools_.push_back(0);
+      b.bools.push_back(0);
       break;
     case DataType::kInt64:
-      ints_.push_back(0);
+      b.ints.push_back(0);
       break;
     case DataType::kFloat64:
-      doubles_.push_back(std::numeric_limits<double>::quiet_NaN());
+      b.doubles.push_back(std::numeric_limits<double>::quiet_NaN());
       break;
     case DataType::kString:
-      strings_.emplace_back();
+      b.strings.emplace_back();
       break;
   }
-  validity_.Append(false);
+  b.validity.Append(false);
   ++length_;
 }
 
 void Column::AppendInt(int64_t v) {
-  ints_.push_back(v);
-  if (has_validity()) validity_.Append(true);
+  Buffer& b = Mut();
+  b.ints.push_back(v);
+  if (has_validity()) b.validity.Append(true);
   ++length_;
 }
 
 void Column::AppendDouble(double v) {
-  doubles_.push_back(v);
-  if (has_validity()) validity_.Append(true);
+  Buffer& b = Mut();
+  b.doubles.push_back(v);
+  if (has_validity()) b.validity.Append(true);
   ++length_;
 }
 
 void Column::AppendBool(bool v) {
-  bools_.push_back(v ? 1 : 0);
-  if (has_validity()) validity_.Append(true);
+  Buffer& b = Mut();
+  b.bools.push_back(v ? 1 : 0);
+  if (has_validity()) b.validity.Append(true);
   ++length_;
 }
 
 void Column::AppendString(std::string v) {
-  strings_.push_back(std::move(v));
-  if (has_validity()) validity_.Append(true);
+  Buffer& b = Mut();
+  b.strings.push_back(std::move(v));
+  if (has_validity()) b.validity.Append(true);
   ++length_;
 }
 
@@ -145,70 +204,83 @@ Status Column::AppendValue(const Value& v) {
 }
 
 void Column::Reserve(size_t n) {
+  Buffer& b = Mut();
   switch (type_) {
     case DataType::kBool:
-      bools_.reserve(n);
+      b.bools.reserve(n);
       break;
     case DataType::kInt64:
-      ints_.reserve(n);
+      b.ints.reserve(n);
       break;
     case DataType::kFloat64:
-      doubles_.reserve(n);
+      b.doubles.reserve(n);
       break;
     case DataType::kString:
-      strings_.reserve(n);
+      b.strings.reserve(n);
       break;
   }
 }
 
 void Column::AppendFrom(const Column& other) {
+  // `other` may be this column or share its buffer: hold a reference to its
+  // rows (and read only its first length() of them) while Mut() detaches.
+  const Column src = other;
+  const Buffer& o = *src.buf_;
+  const size_t n = src.length_;
+  Buffer& b = Mut();
+  auto append = [n](auto& dst, const auto& from) {
+    dst.insert(dst.end(), from.begin(), from.begin() + n);
+  };
   switch (type_) {
     case DataType::kBool:
-      bools_.insert(bools_.end(), other.bools_.begin(), other.bools_.end());
+      append(b.bools, o.bools);
       break;
     case DataType::kInt64:
-      ints_.insert(ints_.end(), other.ints_.begin(), other.ints_.end());
+      append(b.ints, o.ints);
       break;
     case DataType::kFloat64:
-      doubles_.insert(doubles_.end(), other.doubles_.begin(),
-                      other.doubles_.end());
+      append(b.doubles, o.doubles);
       break;
     case DataType::kString:
-      strings_.insert(strings_.end(), other.strings_.begin(),
-                      other.strings_.end());
+      append(b.strings, o.strings);
       break;
   }
-  AdoptAppendedRows(other.validity_);
+  AdoptAppendedRows(o.validity);
 }
 
 void Column::AppendTake(const Column& source,
                         const std::vector<int64_t>& indices) {
   // Typed gather, no per-cell Value boxing; AdoptAppendedRows canonicalizes
   // the null slots afterwards.
-  auto gather = [&indices](auto& dst, const auto& src) {
-    for (int64_t i : indices) dst.push_back(src[static_cast<size_t>(i)]);
+  // `source` may share this column's buffer; the local copy keeps its rows
+  // alive while Mut() detaches.
+  const Column src_col = source;
+  const Buffer& src = *src_col.buf_;
+  Buffer& b = Mut();
+  auto gather = [&indices](auto& dst, const auto& from) {
+    for (int64_t i : indices) dst.push_back(from[static_cast<size_t>(i)]);
   };
   switch (type_) {
     case DataType::kBool:
-      gather(bools_, source.bools_);
+      gather(b.bools, src.bools);
       break;
     case DataType::kInt64:
-      gather(ints_, source.ints_);
+      gather(b.ints, src.ints);
       break;
     case DataType::kFloat64:
-      gather(doubles_, source.doubles_);
+      gather(b.doubles, src.doubles);
       break;
     case DataType::kString:
-      gather(strings_, source.strings_);
+      gather(b.strings, src.strings);
       break;
   }
   // The gathered rows carry a bitmap only if one of them is null.
   Bitmap taken;
-  if (source.has_validity()) {
+  if (src_col.has_validity()) {
     Bitmap bits(indices.size(), true);
     bool any_null = false;
     for (size_t k = 0; k < indices.size(); ++k) {
-      if (!source.validity_.Get(static_cast<size_t>(indices[k]))) {
+      if (!src.validity.Get(static_cast<size_t>(indices[k]))) {
         bits.Set(k, false);
         any_null = true;
       }
@@ -220,19 +292,20 @@ void Column::AppendTake(const Column& source,
 
 void Column::AdoptAppendedRows(const Bitmap& validity) {
   const size_t base = length_;
+  Buffer& b = Mut();
   size_t stored = 0;
   switch (type_) {
     case DataType::kBool:
-      stored = bools_.size();
+      stored = b.bools.size();
       break;
     case DataType::kInt64:
-      stored = ints_.size();
+      stored = b.ints.size();
       break;
     case DataType::kFloat64:
-      stored = doubles_.size();
+      stored = b.doubles.size();
       break;
     case DataType::kString:
-      stored = strings_.size();
+      stored = b.strings.size();
       break;
   }
   const size_t n = stored - base;
@@ -255,24 +328,24 @@ void Column::AdoptAppendedRows(const Bitmap& validity) {
             base + w * 64 + static_cast<size_t>(std::countr_zero(nulls));
         switch (type_) {
           case DataType::kBool:
-            bools_[i] = 0;
+            b.bools[i] = 0;
             break;
           case DataType::kInt64:
-            ints_[i] = 0;
+            b.ints[i] = 0;
             break;
           case DataType::kFloat64:
-            doubles_[i] = std::numeric_limits<double>::quiet_NaN();
+            b.doubles[i] = std::numeric_limits<double>::quiet_NaN();
             break;
           case DataType::kString:
-            strings_[i].clear();
+            b.strings[i].clear();
             break;
         }
       }
     }
     EnsureValidity();  // length_ is still the pre-append length here
-    validity_.AppendBits(validity);
+    b.validity.AppendBits(validity);
   } else if (has_validity()) {
-    validity_.AppendBits(Bitmap(n, true));
+    b.validity.AppendBits(Bitmap(n, true));
   }
   length_ = stored;
 }
@@ -297,7 +370,7 @@ Status Column::SetValidity(Bitmap validity) {
   if (validity.length() != length_) {
     return Status::InvalidArgument("validity length mismatch");
   }
-  validity_ = std::move(validity);
+  Mut().validity = std::move(validity);
   return Status::OK();
 }
 

@@ -185,20 +185,11 @@ Result<Table> Database::GetTable(const std::string& table_name) const {
   switch (e.kind) {
     case Entry::Kind::kBase:
       return e.table;
-    case Entry::Kind::kRemote: {
-      RemoteRequest request;
-      request.sql = "SELECT * FROM " + e.remote_name;
-      return CallRemoteSite(remote_site_, e.location, request, table_name,
-                            name_);
-    }
-    case Entry::Kind::kMerge: {
-      std::vector<Table> parts;
-      for (const std::string& part : e.parts) {
-        MIP_ASSIGN_OR_RETURN(Table t, GetTable(part));
-        parts.push_back(std::move(t));
-      }
-      return Table::Concat(parts);
-    }
+    case Entry::Kind::kRemote:
+    case Entry::Kind::kMerge:
+      return Status::InvalidArgument("table '" + table_name +
+                                     "' is a remote or merge table; read it "
+                                     "through a SELECT");
     case Entry::Kind::kDisk:
       if (storage_ == nullptr) {
         return Status::ExecutionError("disk table '" + table_name +
@@ -244,8 +235,8 @@ Result<Schema> Database::GetSchema(const std::string& table_name) const {
     remote_schema_cache_.emplace(key, probe.schema());
     return probe.schema();
   }
-  MIP_ASSIGN_OR_RETURN(Table t, GetTable(table_name));
-  return t.schema();
+  return Status::InvalidArgument("merge table '" + table_name +
+                                 "' has no parts");
 }
 
 Result<PlanCatalog::TableInfo> Database::Describe(

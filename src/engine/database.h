@@ -108,10 +108,10 @@ class Database : public PlanCatalog {
   bool HasTable(const std::string& table_name) const;
   std::vector<std::string> TableNames() const;
 
-  /// Materializes the named table. Base tables are returned as stored;
-  /// remote tables are fetched; merge tables concatenate their parts
-  /// (conceptually non-materialized — the executor only calls this when it
-  /// actually scans).
+  /// The named base or disk table. A base table comes back as stored,
+  /// sharing its column buffers (no rows are copied); a disk table is
+  /// scanned. Remote and merge tables are read only through a SELECT, whose
+  /// plan scans their sites; here they are an InvalidArgument.
   Result<Table> GetTable(const std::string& table_name) const;
 
   /// Schema without materializing. Remote schemas come from a get_schema

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <set>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "engine/vectorized.h"
 
@@ -29,18 +31,13 @@ struct AggState {
   double max = -std::numeric_limits<double>::infinity();
   Value min_value;  // typed min/max (strings supported)
   Value max_value;
-  std::set<std::string> distinct;  // only populated for COUNT(DISTINCT)
+  // Only populated for COUNT(DISTINCT): the typed keys (AppendKeyBytes) of
+  // the distinct values seen.
+  std::unordered_set<std::string> distinct;
 
-  void Add(const Value& v, AggFunc func) {
+  void Add(const Value& v) {
     if (v.is_null()) return;
     ++count;
-    if (func == AggFunc::kCountDistinct) {
-      std::string key;
-      key.push_back(static_cast<char>(v.kind()));
-      key += v.ToString();
-      distinct.insert(std::move(key));
-      return;
-    }
     if (v.kind() == Value::Kind::kString) {
       if (min_value.is_null() ||
           v.string_value() < min_value.string_value()) {
@@ -61,11 +58,15 @@ struct AggState {
   void AddInt(int64_t v) {
     AddNumericTracked(static_cast<double>(v), Value::Kind::kInt, v);
   }
+  void AddDistinct(std::string key) {
+    ++count;
+    distinct.insert(std::move(key));
+  }
 
   /// Merges `o` into this state, where `o` accumulated a later row range.
   /// Must be applied in morsel order: min/max ties and the variance combine
   /// assume `this` precedes `o`.
-  void Merge(const AggState& o, AggFunc /*func*/) {
+  void Merge(const AggState& o) {
     if (o.count == 0) return;
     if (count == 0) {
       *this = o;
@@ -170,21 +171,71 @@ struct AggState {
   }
 };
 
+/// Normalized numeric key bits: -0.0 folds into +0.0 and every NaN into
+/// one NaN, so values the comparison kernels call equal hash equal.
+uint64_t NumericKeyBits(double v) {
+  if (v == 0.0) v = 0.0;
+  if (std::isnan(v)) v = std::numeric_limits<double>::quiet_NaN();
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Grouping key bits of valid row `r` of a numeric column: int64 and bool
+/// values exactly, doubles through NumericKeyBits.
+uint64_t NumericCellBits(const Column& col, size_t r) {
+  switch (col.type()) {
+    case DataType::kFloat64:
+      return NumericKeyBits(col.DoubleAt(r));
+    case DataType::kInt64:
+      return static_cast<uint64_t>(col.IntAt(r));
+    default:
+      return col.BoolAt(r) ? 1 : 0;
+  }
+}
+
+/// Appends the typed key of row `r` of `col`: a null/valid byte, then 8
+/// bytes of NumericCellBits or a u64 length and the string bytes. Keys of
+/// one column list are equal iff every cell is equal as a grouping key.
+void AppendKeyBytes(const Column& col, size_t r, std::string* key) {
+  if (!col.IsValid(r)) {
+    key->push_back('\0');
+    return;
+  }
+  key->push_back('\1');
+  if (col.type() == DataType::kString) {
+    const std::string& s = col.StringAt(r);
+    const uint64_t len = s.size();
+    key->append(reinterpret_cast<const char*>(&len), sizeof(len));
+    key->append(s);
+    return;
+  }
+  const uint64_t bits = NumericCellBits(col, r);
+  key->append(reinterpret_cast<const char*>(&bits), sizeof(bits));
+}
+
 /// Streams row `r` of `col` into `state`, taking the unboxed path for
 /// numeric columns (the hot aggregate loop) and the boxed path otherwise.
 inline void AddRow(const Column& col, size_t r, AggFunc func,
                    AggState* state) {
-  if (func != AggFunc::kCountDistinct) {
-    if (col.type() == DataType::kFloat64) {
-      if (col.IsValid(r)) state->AddDouble(col.doubles()[r]);
-      return;
-    }
-    if (col.type() == DataType::kInt64) {
-      if (col.IsValid(r)) state->AddInt(col.ints()[r]);
-      return;
-    }
+  if (!col.IsValid(r)) return;
+  if (func == AggFunc::kCountDistinct) {
+    std::string key;
+    AppendKeyBytes(col, r, &key);
+    state->AddDistinct(std::move(key));
+    return;
   }
-  state->Add(col.ValueAt(r), func);
+  switch (col.type()) {
+    case DataType::kFloat64:
+      state->AddDouble(col.DoubleAt(r));
+      return;
+    case DataType::kInt64:
+      state->AddInt(col.IntAt(r));
+      return;
+    default:
+      state->Add(col.ValueAt(r));
+      return;
+  }
 }
 
 DataType AggOutputType(const AggregateSpec& spec) {
@@ -202,16 +253,100 @@ DataType AggOutputType(const AggregateSpec& spec) {
   }
 }
 
-// Encodes a grouping key tuple into a hashable string with type tags.
-std::string EncodeKey(const std::vector<Column>& key_cols, size_t row) {
-  std::string key;
-  for (const Column& c : key_cols) {
-    const Value v = c.ValueAt(row);
-    key.push_back(static_cast<char>(v.kind()));
-    key += v.ToString();
-    key.push_back('\x1f');
+/// One group of a hash grouping: its first row, its row count and one
+/// state per aggregate.
+struct Group {
+  size_t first_row = 0;
+  int64_t rows = 0;
+  std::vector<AggState> states;
+};
+
+/// Hash grouping of rows [0, n) by `key_at(r)`, calling `add(&group, r)` for
+/// every row. Each morsel builds a private table in first-seen order; the
+/// tables merge in morsel order. A key's first insertion comes from the
+/// lowest morsel containing it, and morsels scan disjoint ascending row
+/// ranges, so the group order, every first_row and every state (each morsel
+/// adds its rows in row order; partial states merge in morsel order) equal
+/// the serial whole-table scan's at any thread count.
+template <typename KeyAt, typename AddFn>
+std::vector<Group> HashGroups(size_t n, size_t num_states,
+                              const ExecContext& ctx, KeyAt key_at,
+                              AddFn add) {
+  using Key = decltype(key_at(size_t{0}));
+  struct Partial {
+    std::unordered_map<Key, size_t> index;
+    std::vector<Key> keys;
+    std::vector<Group> groups;
+  };
+  std::vector<Partial> parts(ctx.NumMorsels(n));
+  ctx.ForEachMorsel(n, [&](size_t morsel, size_t begin, size_t end) {
+    Partial& part = parts[morsel];
+    for (size_t r = begin; r < end; ++r) {
+      Key key = key_at(r);
+      auto [it, inserted] = part.index.try_emplace(key, part.groups.size());
+      if (inserted) {
+        part.keys.push_back(std::move(key));
+        Group g;
+        g.first_row = r;
+        g.states.resize(num_states);
+        part.groups.push_back(std::move(g));
+      }
+      Group& g = part.groups[it->second];
+      ++g.rows;
+      add(&g, r);
+    }
+  });
+  std::unordered_map<Key, size_t> index;
+  std::vector<Group> groups;
+  for (Partial& part : parts) {
+    for (size_t gi = 0; gi < part.groups.size(); ++gi) {
+      auto [it, inserted] =
+          index.try_emplace(std::move(part.keys[gi]), groups.size());
+      if (inserted) {
+        groups.push_back(std::move(part.groups[gi]));
+        continue;
+      }
+      Group& g = groups[it->second];
+      const Group& pg = part.groups[gi];
+      g.rows += pg.rows;
+      for (size_t i = 0; i < num_states; ++i) {
+        g.states[i].Merge(pg.states[i]);
+      }
+    }
   }
-  return key;
+  return groups;
+}
+
+/// Groups the rows of `key_cols` (equal length) by their typed key: one
+/// string column hashes its bytes, one numeric column its NumericCellBits,
+/// and several columns their packed AppendKeyBytes. NULL is a key of its
+/// own, distinct from every value.
+template <typename AddFn>
+std::vector<Group> GroupRows(const std::vector<Column>& key_cols, size_t n,
+                             size_t num_states, const ExecContext& ctx,
+                             AddFn add) {
+  if (key_cols.size() == 1 && key_cols[0].type() == DataType::kString) {
+    const Column& c = key_cols[0];
+    auto key_at = [&c](size_t r) -> std::optional<std::string_view> {
+      if (!c.IsValid(r)) return std::nullopt;
+      return std::string_view(c.StringAt(r));
+    };
+    return HashGroups(n, num_states, ctx, key_at, add);
+  }
+  if (key_cols.size() == 1) {
+    const Column& c = key_cols[0];
+    auto key_at = [&c](size_t r) -> std::optional<uint64_t> {
+      if (!c.IsValid(r)) return std::nullopt;
+      return NumericCellBits(c, r);
+    };
+    return HashGroups(n, num_states, ctx, key_at, add);
+  }
+  auto key_at = [&key_cols](size_t r) {
+    std::string key;
+    for (const Column& c : key_cols) AppendKeyBytes(c, r, &key);
+    return key;
+  };
+  return HashGroups(n, num_states, ctx, key_at, add);
 }
 
 }  // namespace
@@ -275,7 +410,7 @@ Result<Table> AggregateAll(const Table& table,
   std::vector<AggState> states(aggs.size());
   for (const std::vector<AggState>& local : partials) {
     for (size_t i = 0; i < aggs.size(); ++i) {
-      states[i].Merge(local[i], aggs[i].func);
+      states[i].Merge(local[i]);
     }
   }
   Schema schema;
@@ -319,64 +454,14 @@ Result<Table> GroupByAggregate(const Table& table,
     }
   }
 
-  struct Group {
-    size_t first_row;
-    int64_t rows = 0;
-    std::vector<AggState> states;
-  };
-  // Each morsel builds a private hash table; groups keep within-morsel
-  // first-seen order.
-  struct PartialGroups {
-    std::unordered_map<std::string, size_t> index;
-    std::vector<std::string> insertion_keys;
-    std::vector<Group> groups;
-  };
-  const size_t n = table.num_rows();
-  std::vector<PartialGroups> parts(ctx.NumMorsels(n));
-  ctx.ForEachMorsel(n, [&](size_t morsel, size_t begin, size_t end) {
-    PartialGroups& part = parts[morsel];
-    for (size_t r = begin; r < end; ++r) {
-      std::string key = EncodeKey(key_cols, r);
-      auto [it, inserted] = part.index.emplace(key, part.groups.size());
-      if (inserted) {
-        part.insertion_keys.push_back(std::move(key));
-        Group g;
-        g.first_row = r;
-        g.states.resize(aggs.size());
-        part.groups.push_back(std::move(g));
-      }
-      Group& g = part.groups[it->second];
-      ++g.rows;
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        if (aggs[i].arg != nullptr) {
-          AddRow(arg_cols[i], r, aggs[i].func, &g.states[i]);
+  const std::vector<Group> groups = GroupRows(
+      key_cols, table.num_rows(), aggs.size(), ctx, [&](Group* g, size_t r) {
+        for (size_t i = 0; i < aggs.size(); ++i) {
+          if (aggs[i].arg != nullptr) {
+            AddRow(arg_cols[i], r, aggs[i].func, &g->states[i]);
+          }
         }
-      }
-    }
-  });
-
-  // Merge partial tables in morsel order. A key's first insertion comes from
-  // the lowest morsel containing it, and morsels scan disjoint ascending row
-  // ranges, so the resulting group order (and first_row) equals the serial
-  // whole-table scan's first-seen order.
-  std::unordered_map<std::string, size_t> index;
-  std::vector<Group> groups;
-  for (PartialGroups& part : parts) {
-    for (size_t gi = 0; gi < part.groups.size(); ++gi) {
-      auto [it, inserted] =
-          index.emplace(std::move(part.insertion_keys[gi]), groups.size());
-      if (inserted) {
-        groups.push_back(std::move(part.groups[gi]));
-        continue;
-      }
-      Group& g = groups[it->second];
-      const Group& pg = part.groups[gi];
-      g.rows += pg.rows;
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        g.states[i].Merge(pg.states[i], aggs[i].func);
-      }
-    }
-  }
+      });
 
   Schema schema;
   std::vector<Column> out_cols;
@@ -400,6 +485,22 @@ Result<Table> GroupByAggregate(const Table& table,
     out_cols.push_back(std::move(col));
   }
   return Table::Make(std::move(schema), std::move(out_cols));
+}
+
+Table Distinct(const Table& table) {
+  std::vector<Column> cols;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    cols.push_back(table.column(c));
+  }
+  const std::vector<Group> groups =
+      GroupRows(cols, table.num_rows(), /*num_states=*/0,
+                ExecContext::Serial(), [](Group*, size_t) {});
+  std::vector<int64_t> keep;
+  keep.reserve(groups.size());
+  for (const Group& g : groups) {
+    keep.push_back(static_cast<int64_t>(g.first_row));
+  }
+  return table.Take(keep);
 }
 
 Result<Table> SortBy(const Table& table, const std::vector<std::string>& keys,
@@ -469,15 +570,6 @@ Column TakeWithNulls(const Column& col, const std::vector<int64_t>& idx) {
     }
   }
   return out;
-}
-
-/// Normalized numeric key bits: -0.0 folds into +0.0 so values the
-/// comparison kernels call equal hash equal. Callers exclude NaN first.
-uint64_t NumericKeyBits(double v) {
-  if (v == 0.0) v = 0.0;
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
 }
 
 }  // namespace

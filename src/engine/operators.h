@@ -45,12 +45,21 @@ Result<Table> AggregateAll(const Table& table,
 /// as the first output columns under `key_names`. Each morsel builds a
 /// private hash table; partials merge in morsel order, which reproduces the
 /// serial scan's first-seen group order and per-group states exactly.
+/// Keys are typed, not text: one string key hashes its bytes, one numeric
+/// key its value bits (int64 exact; a double with -0.0 folded into 0.0 and
+/// every NaN one key), and several keys their packed bytes. NULL is a group
+/// of its own. COUNT(DISTINCT) and Distinct use the same keys.
 Result<Table> GroupByAggregate(const Table& table,
                                const std::vector<ExprPtr>& keys,
                                const std::vector<std::string>& key_names,
                                const std::vector<AggregateSpec>& aggs,
                                const FunctionRegistry* registry = nullptr,
                                const ExecContext* exec = nullptr);
+
+/// Keeps the first occurrence of each distinct row (SELECT DISTINCT), in row
+/// order. Rows compare by the typed keys of GroupByAggregate: NULL equals
+/// NULL, doubles compare exactly with -0.0 equal to 0.0 and every NaN equal.
+Table Distinct(const Table& table);
 
 /// Stable multi-key sort by output-column names. `ascending` parallels
 /// `keys`. NULLs sort last.

@@ -776,25 +776,6 @@ uint64_t PlanFingerprint(const PlanNode& root) {
 
 namespace {
 
-// Keeps the first occurrence of each distinct row (SELECT DISTINCT).
-Table DedupRows(const Table& table) {
-  std::set<std::string> seen;
-  std::vector<int64_t> keep;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    std::string key;
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      const Value v = table.At(r, c);
-      key.push_back(static_cast<char>(v.kind()));
-      key += v.ToString();
-      key.push_back('\x1f');
-    }
-    if (seen.insert(std::move(key)).second) {
-      keep.push_back(static_cast<int64_t>(r));
-    }
-  }
-  return table.Take(keep);
-}
-
 /// Keeps `columns` of `table`, moving them out rather than copying.
 Result<Table> SelectTableColumns(Table table,
                                  const std::vector<std::string>& columns) {
@@ -1061,7 +1042,7 @@ struct PlanExecutor {
       }
       case PlanKind::kDistinct: {
         MIP_ASSIGN_OR_RETURN(Table input, Exec(*node.children[0]));
-        return DedupRows(input);
+        return Distinct(input);
       }
       case PlanKind::kSort: {
         MIP_ASSIGN_OR_RETURN(Table input, Exec(*node.children[0]));

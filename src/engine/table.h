@@ -43,9 +43,10 @@ class Schema {
 
 /// \brief Immutable-ish columnar table: a schema plus one Column per field.
 ///
-/// Tables are value types (cheap enough at MIP scales); the federation layer
-/// serializes them with SerializeTable/DeserializeTable when results cross a
-/// node boundary.
+/// Tables are value types that copy cheaply: a copy shares every column's
+/// buffer and copies a row only when one side is mutated (see Column). The
+/// federation layer serializes them with SerializeTable/DeserializeTable when
+/// results cross a node boundary.
 class Table {
  public:
   Table() = default;

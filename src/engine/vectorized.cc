@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/string_util.h"
 #include "engine/function_registry.h"
@@ -67,83 +68,52 @@ std::vector<double> DenseDoublesImpl(const Column& col,
   return out;
 }
 
+/// Zeroes the entries of `values` at the null rows of `col`.
+void ZeroNullRows(const Column& col, const ExecContext& exec,
+                  std::vector<uint8_t>* values) {
+  if (!col.has_validity()) return;
+  const uint64_t* words = col.validity().words().data();
+  uint8_t* out = values->data();
+  MorselLoop(exec, values->size(), [&](size_t b, size_t e) {
+    for (size_t i = b; i < e; ++i) {
+      out[i] &= static_cast<uint8_t>((words[i >> 6] >> (i & 63)) & 1ull);
+    }
+  });
+}
+
 // Dense validity view (1 = valid), expanded from the packed bitmap words.
 std::vector<uint8_t> DenseValidity(const Column& col,
                                    const ExecContext& exec) {
-  const size_t n = col.length();
-  std::vector<uint8_t> out(n, 1);
-  if (col.has_validity()) {
-    const uint64_t* words = col.validity().words().data();
-    MorselLoop(exec, n, [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        out[i] = static_cast<uint8_t>((words[i >> 6] >> (i & 63)) & 1ull);
-      }
-    });
+  std::vector<uint8_t> out(col.length(), 1);
+  ZeroNullRows(col, exec, &out);
+  return out;
+}
+
+/// Attaches the validity of dense flags `valid` (1 = valid) to `out`, as a
+/// bitmap only if some flag is 0.
+Column WithValidity(Column out, const std::vector<uint8_t>& valid) {
+  if (std::find(valid.begin(), valid.end(), 0) == valid.end()) return out;
+  Bitmap bm(valid.size(), true);
+  for (size_t i = 0; i < valid.size(); ++i) {
+    if (!valid[i]) bm.Set(i, false);
   }
+  (void)out.SetValidity(std::move(bm));
   return out;
 }
 
 Column MakeDoubleColumn(std::vector<double> values,
                         const std::vector<uint8_t>& valid) {
-  const size_t n = values.size();
-  Column out = Column::FromDoubles(std::move(values));
-  bool any_null = false;
-  for (uint8_t v : valid) {
-    if (!v) {
-      any_null = true;
-      break;
-    }
-  }
-  if (any_null) {
-    Bitmap bm(n, true);
-    for (size_t i = 0; i < n; ++i) {
-      if (!valid[i]) bm.Set(i, false);
-    }
-    (void)out.SetValidity(std::move(bm));
-  }
-  return out;
+  return WithValidity(Column::FromDoubles(std::move(values)), valid);
 }
 
 Column MakeIntColumn(std::vector<int64_t> values,
                      const std::vector<uint8_t>& valid) {
-  const size_t n = values.size();
-  Column out = Column::FromInts(std::move(values));
-  bool any_null = false;
-  for (uint8_t v : valid) {
-    if (!v) {
-      any_null = true;
-      break;
-    }
-  }
-  if (any_null) {
-    Bitmap bm(n, true);
-    for (size_t i = 0; i < n; ++i) {
-      if (!valid[i]) bm.Set(i, false);
-    }
-    (void)out.SetValidity(std::move(bm));
-  }
-  return out;
+  return WithValidity(Column::FromInts(std::move(values)), valid);
 }
 
 Column MakeBoolColumn(std::vector<uint8_t> values,
                       const std::vector<uint8_t>& valid) {
-  const size_t n = values.size();
-  Column out = Column::FromBools(std::move(values));
-  bool any_null = false;
-  for (uint8_t v : valid) {
-    if (!v) {
-      any_null = true;
-      break;
-    }
-  }
-  if (any_null) {
-    Bitmap bm(n, true);
-    for (size_t i = 0; i < n; ++i) {
-      if (!valid[i]) bm.Set(i, false);
-    }
-    (void)out.SetValidity(std::move(bm));
-  }
-  return out;
+  return WithValidity(Column::FromBools(std::move(values)), valid);
 }
 
 Column BroadcastLiteral(const Value& v, size_t n) {
@@ -267,6 +237,116 @@ Result<Column> EvalArithmetic(const Expr& expr, const Column& l,
   return MakeDoubleColumn(std::move(out), valid);
 }
 
+/// Calls `body(truth)` with the truth function of comparison `op`. `truth`
+/// takes lt = (a < b) and gt = (a > b) and returns 1 or 0, so every
+/// operator keeps the three-way contract cmp = lt ? -1 : gt ? 1 : 0: a NaN
+/// operand gives cmp == 0 (equal, <= and >= hold; <, >, <> do not).
+template <typename Body>
+Status WithComparison(BinaryOp op, Body body) {
+  switch (op) {
+    case BinaryOp::kEq:
+      body([](bool lt, bool gt) -> uint8_t { return !(lt | gt); });
+      return Status::OK();
+    case BinaryOp::kNe:
+      body([](bool lt, bool gt) -> uint8_t { return lt | gt; });
+      return Status::OK();
+    case BinaryOp::kLt:
+      body([](bool lt, bool) -> uint8_t { return lt; });
+      return Status::OK();
+    case BinaryOp::kLe:
+      body([](bool, bool gt) -> uint8_t { return !gt; });
+      return Status::OK();
+    case BinaryOp::kGt:
+      body([](bool, bool gt) -> uint8_t { return gt; });
+      return Status::OK();
+    case BinaryOp::kGe:
+      body([](bool lt, bool) -> uint8_t { return !lt; });
+      return Status::OK();
+    default:
+      return Status::Internal("bad comparison op");
+  }
+}
+
+/// `b op a` as `a Mirror(op) b`.
+BinaryOp Mirror(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;
+  }
+}
+
+/// Bool column of 0/1 `values` with the nulls of `like`: null rows are
+/// zeroed, and a bitmap is attached only if some row is null.
+Column BoolsWithNullsOf(std::vector<uint8_t> values, const Column& like,
+                        const ExecContext& exec) {
+  if (like.null_count() == 0) return Column::FromBools(std::move(values));
+  ZeroNullRows(like, exec, &values);
+  Column out = Column::FromBools(std::move(values));
+  (void)out.SetValidity(like.validity());
+  return out;
+}
+
+/// `col op literal` against the scalar, without broadcasting it: one
+/// branch-free loop per operator and column type. Numeric columns compare
+/// through double (int64 included), like the column-column kernel. Returns
+/// an empty result when the operand types have no scalar kernel.
+Result<std::optional<Column>> CompareWithScalar(const Column& col,
+                                                const Value& lit, BinaryOp op,
+                                                const ExecContext& exec) {
+  const size_t n = col.length();
+  std::vector<uint8_t> out(n);
+  if (col.type() == DataType::kString) {
+    if (lit.kind() != Value::Kind::kString) return std::optional<Column>();
+    const std::string& s = lit.string_value();
+    const std::string* src = col.strings().data();
+    MIP_RETURN_NOT_OK(WithComparison(op, [&](auto truth) {
+      MorselLoop(exec, n, [&](size_t b, size_t e) {
+        for (size_t i = b; i < e; ++i) {
+          const int c = src[i].compare(s);
+          out[i] = truth(c < 0, c > 0);
+        }
+      });
+    }));
+    return std::optional<Column>(BoolsWithNullsOf(std::move(out), col, exec));
+  }
+  if (lit.kind() != Value::Kind::kInt && lit.kind() != Value::Kind::kDouble &&
+      lit.kind() != Value::Kind::kBool) {
+    return std::optional<Column>();
+  }
+  const double s = lit.AsDouble();
+  MIP_RETURN_NOT_OK(WithComparison(op, [&](auto truth) {
+    auto run = [&](const auto* src, auto as_double) {
+      MorselLoop(exec, n, [&](size_t b, size_t e) {
+        for (size_t i = b; i < e; ++i) {
+          const double a = as_double(src[i]);
+          out[i] = truth(a < s, a > s);
+        }
+      });
+    };
+    switch (col.type()) {
+      case DataType::kFloat64:
+        run(col.doubles().data(), [](double v) { return v; });
+        break;
+      case DataType::kInt64:
+        run(col.ints().data(),
+            [](int64_t v) { return static_cast<double>(v); });
+        break;
+      default:
+        run(col.bools().data(), [](uint8_t v) { return v ? 1.0 : 0.0; });
+        break;
+    }
+  }));
+  return std::optional<Column>(BoolsWithNullsOf(std::move(out), col, exec));
+}
+
 Result<Column> EvalComparison(const Expr& expr, const Column& l,
                               const Column& r, const ExecContext& exec) {
   const size_t n = l.length();
@@ -274,91 +354,95 @@ Result<Column> EvalComparison(const Expr& expr, const Column& l,
   std::vector<uint8_t> valid(n, 1);
   const std::vector<uint8_t> lv = DenseValidity(l, exec);
   const std::vector<uint8_t> rv = DenseValidity(r, exec);
-
   const bool strings =
       l.type() == DataType::kString || r.type() == DataType::kString;
-  const BinaryOp op = expr.binary_op;
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      break;
-    default:
-      return Status::Internal("bad comparison op");
-  }
-  MorselLoop(exec, n, [&](size_t mb, size_t me) {
-    for (size_t i = mb; i < me; ++i) {
-      if (!(lv[i] & rv[i])) {
-        valid[i] = 0;
-        continue;
+  MIP_RETURN_NOT_OK(WithComparison(expr.binary_op, [&](auto truth) {
+    MorselLoop(exec, n, [&](size_t mb, size_t me) {
+      for (size_t i = mb; i < me; ++i) {
+        if (!(lv[i] & rv[i])) {
+          valid[i] = 0;
+          continue;
+        }
+        if (strings) {
+          const int c = l.StringAt(i).compare(r.StringAt(i));
+          out[i] = truth(c < 0, c > 0);
+        } else {
+          const double a = l.AsDoubleAt(i);
+          const double b = r.AsDoubleAt(i);
+          out[i] = truth(a < b, a > b);
+        }
       }
-      int cmp;
-      if (strings) {
-        cmp = l.StringAt(i).compare(r.StringAt(i));
-      } else {
-        const double a = l.AsDoubleAt(i);
-        const double b = r.AsDoubleAt(i);
-        cmp = (a < b) ? -1 : (a > b ? 1 : 0);
-      }
-      bool res = false;
-      switch (op) {
-        case BinaryOp::kEq:
-          res = cmp == 0;
-          break;
-        case BinaryOp::kNe:
-          res = cmp != 0;
-          break;
-        case BinaryOp::kLt:
-          res = cmp < 0;
-          break;
-        case BinaryOp::kLe:
-          res = cmp <= 0;
-          break;
-        case BinaryOp::kGt:
-          res = cmp > 0;
-          break;
-        default:
-          res = cmp >= 0;
-          break;
-      }
-      out[i] = res ? 1 : 0;
-    }
-  });
+    });
+  }));
   return MakeBoolColumn(std::move(out), valid);
 }
 
-Result<Column> EvalLogical(const Expr& expr, const Column& l, const Column& r,
-                           const ExecContext& exec) {
+/// Truth value of every row — what Value::AsBool gives for the boxed
+/// value (a NaN is true) — and 0 where the row is null.
+std::vector<uint8_t> TruthValues(const Column& col, const ExecContext& exec) {
+  const size_t n = col.length();
+  std::vector<uint8_t> out(n);
+  auto run = [&](const auto* src, auto truth) {
+    MorselLoop(exec, n, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) out[i] = truth(src[i]);
+    });
+  };
+  switch (col.type()) {
+    case DataType::kBool:
+      run(col.bools().data(), [](uint8_t v) -> uint8_t { return v != 0; });
+      break;
+    case DataType::kInt64:
+      run(col.ints().data(), [](int64_t v) -> uint8_t { return v != 0; });
+      break;
+    case DataType::kFloat64:
+      run(col.doubles().data(), [](double v) -> uint8_t { return v != 0.0; });
+      break;
+    case DataType::kString:
+      run(col.strings().data(),
+          [](const std::string& v) -> uint8_t { return !v.empty(); });
+      break;
+  }
+  ZeroNullRows(col, exec, &out);
+  return out;
+}
+
+/// Three-valued AND/OR over typed truth values. Two bool columns without
+/// nulls take the bytewise path; otherwise, with lb/rb the truth values
+/// (0 where null), AND is true iff lb & rb and known iff both sides are
+/// or either is a known false; OR is true iff lb | rb and known iff both
+/// sides are or either is true.
+Column EvalLogical(const Expr& expr, const Column& l, const Column& r,
+                   const ExecContext& exec) {
   const size_t n = l.length();
-  std::vector<uint8_t> out(n, 0);
-  std::vector<uint8_t> valid(n, 1);
+  const bool is_and = expr.binary_op == BinaryOp::kAnd;
+  std::vector<uint8_t> out(n);
+  if (l.type() == DataType::kBool && r.type() == DataType::kBool &&
+      !l.has_validity() && !r.has_validity()) {
+    const uint8_t* a = l.bools().data();
+    const uint8_t* b = r.bools().data();
+    MorselLoop(exec, n, [&](size_t mb, size_t me) {
+      if (is_and) {
+        for (size_t i = mb; i < me; ++i) out[i] = (a[i] != 0) & (b[i] != 0);
+      } else {
+        for (size_t i = mb; i < me; ++i) out[i] = (a[i] != 0) | (b[i] != 0);
+      }
+    });
+    return Column::FromBools(std::move(out));
+  }
   const std::vector<uint8_t> lv = DenseValidity(l, exec);
   const std::vector<uint8_t> rv = DenseValidity(r, exec);
-  const bool is_and = expr.binary_op == BinaryOp::kAnd;
+  const std::vector<uint8_t> lb = TruthValues(l, exec);
+  const std::vector<uint8_t> rb = TruthValues(r, exec);
+  std::vector<uint8_t> valid(n);
   MorselLoop(exec, n, [&](size_t mb, size_t me) {
     for (size_t i = mb; i < me; ++i) {
-      const bool lb = lv[i] && l.ValueAt(i).AsBool();
-      const bool rb = rv[i] && r.ValueAt(i).AsBool();
-      if (lv[i] && rv[i]) {
-        out[i] = (is_and ? (lb && rb) : (lb || rb)) ? 1 : 0;
-        continue;
-      }
-      // Three-valued logic with at least one NULL operand.
+      const uint8_t both = lv[i] & rv[i];
       if (is_and) {
-        if ((lv[i] && !lb) || (rv[i] && !rb)) {
-          out[i] = 0;  // definite false
-        } else {
-          valid[i] = 0;
-        }
+        out[i] = lb[i] & rb[i];
+        valid[i] = both | (lv[i] & !lb[i]) | (rv[i] & !rb[i]);
       } else {
-        if ((lv[i] && lb) || (rv[i] && rb)) {
-          out[i] = 1;  // definite true
-        } else {
-          valid[i] = 0;
-        }
+        out[i] = lb[i] | rb[i];
+        valid[i] = both | lb[i] | rb[i];
       }
     }
   });
@@ -445,14 +529,12 @@ Result<Column> EvalVectorized(const Expr& expr, const Table& table,
           return MakeDoubleColumn(std::move(out), valid);
         }
         case UnaryOp::kNot: {
-          std::vector<uint8_t> valid = DenseValidity(a, ctx);
-          std::vector<uint8_t> out(n, 0);
+          // A null row stores 1, the negation of a null's false truth.
+          std::vector<uint8_t> out = TruthValues(a, ctx);
           MorselLoop(ctx, n, [&](size_t mb, size_t me) {
-            for (size_t i = mb; i < me; ++i) {
-              out[i] = a.ValueAt(i).AsBool() ? 0 : 1;
-            }
+            for (size_t i = mb; i < me; ++i) out[i] ^= 1;
           });
-          return MakeBoolColumn(std::move(out), valid);
+          return MakeBoolColumn(std::move(out), DenseValidity(a, ctx));
         }
         case UnaryOp::kIsNull: {
           std::vector<uint8_t> out(n, 0);
@@ -472,23 +554,34 @@ Result<Column> EvalVectorized(const Expr& expr, const Table& table,
       return Status::Internal("bad unary op");
     }
     case ExprKind::kBinary: {
-      MIP_ASSIGN_OR_RETURN(
-          Column l, EvalVectorized(*expr.args[0], table, registry, &ctx));
-      MIP_ASSIGN_OR_RETURN(
-          Column r, EvalVectorized(*expr.args[1], table, registry, &ctx));
-      switch (expr.binary_op) {
-        case BinaryOp::kAdd:
-        case BinaryOp::kSub:
-        case BinaryOp::kMul:
-        case BinaryOp::kDiv:
-        case BinaryOp::kMod:
-          return EvalArithmetic(expr, l, r, ctx);
-        case BinaryOp::kAnd:
-        case BinaryOp::kOr:
-          return EvalLogical(expr, l, r, ctx);
-        default:
-          return EvalComparison(expr, l, r, ctx);
+      const BinaryOp op = expr.binary_op;
+      const bool arithmetic = op == BinaryOp::kAdd || op == BinaryOp::kSub ||
+                              op == BinaryOp::kMul || op == BinaryOp::kDiv ||
+                              op == BinaryOp::kMod;
+      const bool logical = op == BinaryOp::kAnd || op == BinaryOp::kOr;
+      // A comparison with a non-null literal on one side runs against the
+      // scalar.
+      const Expr& lhs = *expr.args[0];
+      const Expr& rhs = *expr.args[1];
+      const bool lit_l = lhs.kind == ExprKind::kLiteral && !lhs.literal.is_null();
+      const bool lit_r = rhs.kind == ExprKind::kLiteral && !rhs.literal.is_null();
+      if (!arithmetic && !logical && lit_l != lit_r) {
+        const Expr& other = lit_r ? lhs : rhs;
+        MIP_ASSIGN_OR_RETURN(Column c,
+                             EvalVectorized(other, table, registry, &ctx));
+        MIP_ASSIGN_OR_RETURN(
+            std::optional<Column> out,
+            CompareWithScalar(c, lit_r ? rhs.literal : lhs.literal,
+                              lit_r ? op : Mirror(op), ctx));
+        if (out.has_value()) return std::move(*out);
       }
+      MIP_ASSIGN_OR_RETURN(Column l,
+                           EvalVectorized(lhs, table, registry, &ctx));
+      MIP_ASSIGN_OR_RETURN(Column r,
+                           EvalVectorized(rhs, table, registry, &ctx));
+      if (arithmetic) return EvalArithmetic(expr, l, r, ctx);
+      if (logical) return EvalLogical(expr, l, r, ctx);
+      return EvalComparison(expr, l, r, ctx);
     }
     case ExprKind::kCall: {
       const std::string lower = ToLower(expr.func_name);
@@ -573,18 +666,20 @@ Result<std::vector<int64_t>> EvalPredicate(const Expr& expr,
   MIP_ASSIGN_OR_RETURN(Column pred,
                        EvalVectorized(expr, table, registry, &ctx));
   const size_t n = pred.length();
-  const bool is_bool = pred.type() == DataType::kBool;
+  const std::vector<uint8_t> hit = TruthValues(pred, ctx);
   // Per-morsel selection vectors concatenated in morsel order == the serial
-  // scan's output at any thread count.
+  // scan's output at any thread count. Each row index is written
+  // unconditionally and kept by advancing the cursor by its 0/1 hit.
   std::vector<std::vector<int64_t>> parts(ctx.NumMorsels(n));
   ctx.ForEachMorsel(n, [&](size_t morsel, size_t begin, size_t end) {
     std::vector<int64_t>& out = parts[morsel];
+    out.resize(end - begin);
+    size_t k = 0;
     for (size_t i = begin; i < end; ++i) {
-      if (!pred.IsValid(i)) continue;
-      const bool hit = is_bool ? pred.bools()[i] != 0
-                               : pred.ValueAt(i).AsBool();
-      if (hit) out.push_back(static_cast<int64_t>(i));
+      out[k] = static_cast<int64_t>(i);
+      k += hit[i];
     }
+    out.resize(k);
   });
   std::vector<int64_t> sel;
   size_t total = 0;

@@ -14,7 +14,8 @@ class FunctionRegistry;
 ///
 /// Each operator node materializes a full intermediate column and applies a
 /// tight loop over raw arrays — the execution model of columnar engines like
-/// the one MIP deploys on each Worker. Fast for analytics; intermediates are
+/// the one MIP deploys on each Worker. A comparison with a literal operand
+/// runs against the scalar instead of a broadcast column. Fast for analytics; intermediates are
 /// full-column sized (the JIT-fused VectorProgram removes that memory
 /// traffic, see engine/vector_program.h).
 ///
