@@ -6,7 +6,10 @@
 // disk — the scan works a dataset well beyond its in-memory buffer). The
 // bench then measures:
 //   * ingest throughput (rows/s through WAL + memtable + flush);
-//   * full-scan latency (every segment read and decoded);
+//   * full vs projected scan: a 2-column aggregate over every row with all
+//     four column blocks decoded (optimizer off) vs only its two (optimizer
+//     on: storage reads just the projected blocks), p50 over reps, answers
+//     and storage-level bytes compared;
 //   * selective scans over one id-range, pruned (optimizer pushes the
 //     predicate into the scan, zone maps skip non-overlapping segments)
 //     vs unpruned (optimizer off: every segment read, filter on top).
@@ -25,7 +28,8 @@
 //   * the same queries after background-style compaction re-sorts the
 //     table by `key` (sorted runs make narrow ranges cheap for both paths).
 //
-// Acceptance: E17 as before (identical results, >= 75% pruned, >= 2x p50);
+// Acceptance: E17 as before (identical results, >= 75% pruned, >= 2x p50)
+// plus identical projected results;
 // E18 adds byte-identical results across path/threads/compaction, EXPLAIN
 // showing `IndexScan ... index: probes=`, and a >= 10x point-query p50
 // speedup for the index path. Results go to BENCH_storage.json for CI.
@@ -43,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/histogram.h"
 #include "common/parallel.h"
@@ -140,6 +145,12 @@ double CrcMbPerS(const std::vector<uint8_t>& buf, Fn crc, uint32_t* sum) {
   return rates[rates.size() / 2];
 }
 
+std::vector<uint8_t> TableBytes(const Table& table) {
+  mip::BufferWriter w;
+  mip::engine::SerializeTable(table, &w);
+  return w.TakeBytes();
+}
+
 // Joins an EXPLAIN result's rows back into the rendered plan text.
 std::string ExplainText(Database* db, const std::string& sql) {
   auto out = db->ExecuteSql("EXPLAIN " + sql);
@@ -209,17 +220,54 @@ int main() {
     return 1;
   }
 
-  // --- Full scan: every segment decoded (the beyond-buffer baseline).
-  Stopwatch full_sw;
-  auto full = db.ExecuteSql("SELECT count(*) AS n, sum(val) AS s FROM events");
-  const double full_ms = full_sw.ElapsedMillis();
-  if (!full.ok()) {
-    std::fprintf(stderr, "full scan failed: %s\n",
-                 full.status().ToString().c_str());
+  // --- Full vs projected scan: a 2-column aggregate over every row. With
+  // the optimizer off the scan reads and decodes all four column blocks of
+  // every segment and the aggregate picks its two columns afterwards (the
+  // beyond-buffer baseline); with it on, storage reads only the `id` and
+  // `val` blocks. p50 over interleaved reps.
+  const std::string projected_sql =
+      "SELECT count(*) AS n, sum(val) AS s, max(id) AS hi FROM events";
+  LatencyHistogram full_lat, projected_lat;
+  std::string full_rows, projected_rows;
+  for (int rep = 0; rep < kSelectiveReps; ++rep) {
+    db.set_optimizer_enabled(false);
+    Stopwatch full_sw;
+    auto full = db.ExecuteSql(projected_sql);
+    full_lat.Record(full_sw.ElapsedMillis());
+    db.set_optimizer_enabled(true);
+    Stopwatch projected_sw;
+    auto projected = db.ExecuteSql(projected_sql);
+    projected_lat.Record(projected_sw.ElapsedMillis());
+    if (!full.ok() || !projected.ok()) {
+      std::fprintf(stderr, "full/projected scan failed\n");
+      return 1;
+    }
+    full_rows = full.ValueOrDie().ToString(10);
+    projected_rows = projected.ValueOrDie().ToString(10);
+    if (full_rows != projected_rows) break;
+  }
+  const double full_ms = full_lat.Quantile(0.5);
+  const double projected_ms = projected_lat.Quantile(0.5);
+  // The same projection at the storage layer, byte for byte: Scan against
+  // the default TableStorage::Scan (full scan, then SelectTableColumns).
+  const mip::engine::ScanSpec spec{{"id", "val"}, nullptr, false};
+  auto projected_scan = store->Scan("events", spec, nullptr);
+  auto selected_scan = store->mip::engine::TableStorage::Scan("events", spec,
+                                                              nullptr);
+  if (!projected_scan.ok() || !selected_scan.ok()) {
+    std::fprintf(stderr, "storage projected scan failed\n");
     return 1;
   }
-  std::printf("full scan: %.1f ms (%lld rows)\n", full_ms,
-              static_cast<long long>(full.ValueOrDie().At(0, 0).int_value()));
+  const bool projected_identical =
+      full_rows == projected_rows &&
+      TableBytes(projected_scan.ValueOrDie()) ==
+          TableBytes(selected_scan.ValueOrDie());
+  std::printf("full scan (4 of 4 columns):      %s\n",
+              full_lat.Summary().c_str());
+  std::printf("projected scan (2 of 4 columns): %s\n",
+              projected_lat.Summary().c_str());
+  std::printf("projected results identical: %s\n",
+              projected_identical ? "PASS" : "FAIL");
 
   // --- Selective scan: one ~64K-id slice out of 2M. Zone maps should skip
   // every segment whose id range misses the slice.
@@ -279,7 +327,8 @@ int main() {
   std::printf("p50 speedup >= 2x:  %s (got %.1fx)\n",
               fast_enough ? "PASS" : "FAIL", speedup);
 
-  const bool e17_pass = identical && pruned_enough && fast_enough;
+  const bool e17_pass =
+      identical && pruned_enough && fast_enough && projected_identical;
 
   // =========================================================================
   // E18: ordered secondary indexes vs zone-map-only scans on `key`.
@@ -445,6 +494,8 @@ int main() {
         "  \"rows\": %lld, \"segments\": %llu,\n"
         "  \"ingest_rows_per_s\": %.0f,\n"
         "  \"full_scan_ms\": %.2f,\n"
+        "  \"projected_scan_ms\": %.2f,\n"
+        "  \"projected_results_identical\": %s,\n"
         "  \"selective_pruned_p50_ms\": %.3f,\n"
         "  \"selective_unpruned_p50_ms\": %.3f,\n"
         "  \"speedup_p50\": %.2f,\n"
@@ -470,7 +521,7 @@ int main() {
         "}\n",
         static_cast<long long>(kRows),
         static_cast<unsigned long long>(segments), ingest_rows_per_s, full_ms,
-        p50_pruned, p50_unpruned, speedup,
+        projected_ms, projected_identical ? "true" : "false", p50_pruned, p50_unpruned, speedup,
         static_cast<long long>(pruned_segments),
         static_cast<long long>(total_segments), identical ? "true" : "false",
         point_idx_p50, point_zone_p50, point_speedup, range_idx_p50,

@@ -168,7 +168,8 @@ cmake --build "$ROOT/build" -j "$JOBS" --target bench_serving
 echo "== smoke: E17/E18 disk segment store benchmark (BENCH_storage.json) =="
 # Acceptance gates: E17 — zone-map pruning skips >= 75% of segments on a
 # selective scan, >= 2x faster at p50, results identical to the unpruned
-# scan. E18 — on an unsorted high-cardinality key (zone maps useless), the
+# scan; a projected 2-column scan equals the full scan with the columns
+# selected afterwards. E18 — on an unsorted high-cardinality key (zone maps useless), the
 # IndexScan access path answers a point query >= 10x faster at p50 than the
 # zone-map-only ablation, with byte-identical results across access path,
 # thread count, and compaction, and the choice visible in EXPLAIN. CRC32 —
@@ -183,6 +184,8 @@ python3 - "$ROOT/BENCH_storage.json" <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["results_identical"] is True, "E17 pruned scan changed results"
+assert doc["projected_results_identical"] is True, \
+    "E17 projected scan differs from the full scan with columns selected after"
 assert doc["e18_results_identical"] is True, \
     "E18 index path / thread count / compaction changed result bytes"
 assert doc["e18_explain_shows_index_scan"] is True, \

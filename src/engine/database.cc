@@ -196,7 +196,7 @@ Result<Table> Database::GetTable(const std::string& table_name) const {
                                       "' has no storage attached on " +
                                       name_);
       }
-      return storage_->ScanTable(table_name, nullptr, nullptr);
+      return storage_->Scan(table_name, ScanSpec{}, nullptr);
   }
   return Status::Internal("bad table entry kind");
 }

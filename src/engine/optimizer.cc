@@ -486,6 +486,19 @@ bool CanPruneScan(const PlanNode& node,
   }
 }
 
+/// The columns a scan (or merge) subtree must produce for a parent that
+/// needs `required`. A parent that needs rows but no values (`COUNT(*)`,
+/// `SELECT 1`) passes an empty list; the scan then keeps one column, the
+/// table's first field, to carry the row count instead of reading them all.
+std::vector<std::string> ScanColumns(const PlanNode& node,
+                                     const std::vector<std::string>& required,
+                                     const PlanCatalog& catalog) {
+  if (!required.empty()) return required;
+  Result<Schema> schema = catalog.TableSchema(node.table_name);
+  if (!schema.ok() || schema->num_fields() == 0) return {};
+  return {schema->field(0).name};
+}
+
 void AddRequired(std::vector<std::string>* required, const std::string& name) {
   for (const std::string& existing : *required) {
     if (EqualsIgnoreCase(existing, name)) return;
@@ -501,14 +514,20 @@ void PruneColumns(PlanNode* node, const std::vector<std::string>* required,
     case PlanKind::kScan:
     case PlanKind::kIndexScan:
     case PlanKind::kRemoteScan:
-      if (required != nullptr && CanPruneScan(*node, *required, catalog)) {
-        node->columns = *required;
+      if (required != nullptr) {
+        std::vector<std::string> columns =
+            ScanColumns(*node, *required, catalog);
+        if (CanPruneScan(*node, columns, catalog)) {
+          node->columns = std::move(columns);
+        }
       }
       return;
     case PlanKind::kMergeUnion: {
-      const std::vector<std::string>* pass = required;
-      if (required != nullptr && !CanPruneScan(*node, *required, catalog)) {
-        pass = nullptr;
+      std::vector<std::string> columns;
+      const std::vector<std::string>* pass = nullptr;
+      if (required != nullptr) {
+        columns = ScanColumns(*node, *required, catalog);
+        if (CanPruneScan(*node, columns, catalog)) pass = &columns;
       }
       for (PlanPtr& child : node->children) {
         PruneColumns(child.get(), pass, catalog);

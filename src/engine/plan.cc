@@ -776,25 +776,6 @@ uint64_t PlanFingerprint(const PlanNode& root) {
 
 namespace {
 
-/// Keeps `columns` of `table`, moving them out rather than copying.
-Result<Table> SelectTableColumns(Table table,
-                                 const std::vector<std::string>& columns) {
-  Schema schema;
-  std::vector<Column> cols;
-  for (const std::string& name : columns) {
-    const int idx = table.schema().FieldIndex(name);
-    if (idx < 0) {
-      return Status::Internal("pruned column '" + name +
-                              "' missing from scanned table");
-    }
-    MIP_RETURN_NOT_OK(
-        schema.AddField(table.schema().field(static_cast<size_t>(idx))));
-    // AddField rejected a repeated name above, so no column moves twice.
-    cols.push_back(std::move(table.mutable_column(static_cast<size_t>(idx))));
-  }
-  return Table::Make(std::move(schema), std::move(cols));
-}
-
 std::string BuildRemoteScanSql(const PlanNode& node) {
   std::string sql = "SELECT ";
   sql += node.columns.empty() ? "*" : JoinStrings(node.columns);
@@ -947,20 +928,20 @@ struct PlanExecutor {
                 "disk table '" + node.table_name +
                 "' has no storage attached on database " + opts.db_name);
           }
+          // Storage reads only the pruned columns.
+          const ScanSpec spec{node.columns, node.prune_filter.get(),
+                              node.kind == PlanKind::kIndexScan};
           MIP_ASSIGN_OR_RETURN(
-              t, node.kind == PlanKind::kIndexScan
-                     ? opts.storage->IndexScanTable(
-                           node.table_name, node.prune_filter.get(), nullptr)
-                     : opts.storage->ScanTable(
-                           node.table_name, node.prune_filter.get(), nullptr));
+              t, opts.storage->Scan(node.table_name, spec, nullptr));
         } else {
           MIP_ASSIGN_OR_RETURN(t, opts.get_table(node.table_name));
+          if (!node.columns.empty()) {
+            MIP_ASSIGN_OR_RETURN(
+                t, SelectTableColumns(std::move(t), node.columns));
+          }
         }
         if (node.scan_limit >= 0) {
           t = Limit(t, static_cast<size_t>(node.scan_limit));
-        }
-        if (!node.columns.empty()) {
-          return SelectTableColumns(std::move(t), node.columns);
         }
         return t;
       }

@@ -293,10 +293,10 @@ struct PlanExecutorOptions {
   std::string db_name;
   /// Materializes a base table by catalog name.
   std::function<Result<Table>(const std::string& name)> get_table;
-  /// Disk-resident tables (TableKind::kDisk): kScan calls ScanTable and
-  /// kIndexScan calls IndexScanTable, each with the node's advisory prune
-  /// filter. Null = no attached storage; a disk scan then fails with an
-  /// execution error.
+  /// Disk-resident tables (TableKind::kDisk): kScan and kIndexScan call
+  /// TableStorage::Scan with the node's pruned columns, advisory prune
+  /// filter and access path. Null = no attached storage; a disk scan then
+  /// fails with an execution error.
   const TableStorage* storage = nullptr;
   /// Serves RemoteScans (run_sql) and pushed broadcast joins
   /// (run_sql_bound). Null = remote scans fail with an execution error and

@@ -41,6 +41,26 @@ struct IndexPreview {
   ScanStats stats;
 };
 
+/// \brief What one scan reads. `columns` empty means every column, in
+/// schema order; otherwise the result holds exactly these columns (matched
+/// case-insensitively, named as in the table schema), in this order.
+/// `prune_filter` (may be null) is the advisory pruning hint described at
+/// TableStorage::ScanTable. `use_index` picks the IndexScanTable access
+/// path. None of the three may change the rows a scan returns: a projected
+/// scan equals SelectTableColumns of the full scan, byte for byte.
+struct ScanSpec {
+  std::vector<std::string> columns;
+  const Expr* prune_filter = nullptr;
+  bool use_index = false;
+};
+
+/// Keeps `columns` of `table`, in that order, moving them out rather than
+/// copying. A name missing from `table` is an Internal error (a projection
+/// the planner built from the table's own schema); a repeated name is
+/// rejected by the Schema.
+Result<Table> SelectTableColumns(Table table,
+                                 const std::vector<std::string>& columns);
+
 /// \brief Monotonic storage-layer counters for the /metrics surface:
 /// lifetime totals since the store opened (in-memory, reset per process).
 struct StorageCounters {
@@ -57,7 +77,8 @@ struct StorageCounters {
 /// storage::StorageEngine and injected into Database (the same
 /// dependency-inverting shape as RemoteSite: the engine plans and
 /// executes against the interface, the storage library depends on the
-/// engine — never the reverse).
+/// engine — never the reverse). The engine reads rows only through Scan;
+/// ScanTable and IndexScanTable are the full-width scans it defaults to.
 class TableStorage {
  public:
   virtual ~TableStorage() = default;
@@ -66,6 +87,16 @@ class TableStorage {
   virtual std::vector<std::string> StorageTableNames() const = 0;
 
   virtual Result<Schema> StorageTableSchema(const std::string& name) const = 0;
+
+  /// The scan entry point the engine calls (the executor's Scan/IndexScan
+  /// nodes, Database::GetTable). Returns the rows of ScanTable (or, with
+  /// `spec.use_index`, IndexScanTable) restricted to `spec.columns`. The
+  /// default runs that full scan and then SelectTableColumns; a store that
+  /// can read columns separately overrides it to read only the requested
+  /// ones (storage::StorageEngine decodes only their segment blocks).
+  /// Decorators that do not override it take the default, full-decode path.
+  virtual Result<Table> Scan(const std::string& name, const ScanSpec& spec,
+                             ScanStats* stats) const;
 
   /// Materializes a table: committed segments in ingest order, then the
   /// WAL'd memtable rows. `prune_filter` (may be null) is advisory — the

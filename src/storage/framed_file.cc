@@ -85,36 +85,29 @@ Result<BlockRef> FramedFormat::GetBlockRef(const std::string& path,
   return ref;
 }
 
-Result<std::vector<uint8_t>> FramedFormat::ReadFile(
-    const std::string& path) const {
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-  if (bytes.size() < kFramedHeaderBytes + kFramedTrailerBytes) {
-    return Corrupt(path, "file too small");
-  }
-  MIP_RETURN_NOT_OK(CheckHeader(*this, path, bytes));
-  return bytes;
+Result<FramedFileReader> FramedFileReader::Open(const FramedFormat& format,
+                                               const std::string& path) {
+  MIP_ASSIGN_OR_RETURN(ReadOnlyFile file, ReadOnlyFile::Open(path));
+  std::vector<uint8_t> head(kFramedHeaderBytes);
+  MIP_ASSIGN_OR_RETURN(size_t got,
+                       file.ReadAt(0, kFramedHeaderBytes, head.data()));
+  if (got < kFramedHeaderBytes) return format.Corrupt(path, "file too small");
+  MIP_RETURN_NOT_OK(CheckHeader(format, path, head));
+  return FramedFileReader(format, std::move(file));
 }
 
-Status FramedFormat::CheckBlock(const std::string& path,
-                                const std::vector<uint8_t>& file,
-                                const BlockRef& ref,
-                                const std::string& what) const {
-  if (ref.offset > file.size() || ref.length > file.size() - ref.offset) {
-    return Corrupt(path, what + " out of bounds");
+Status FramedFileReader::ReadBlock(const BlockRef& ref, const std::string& what,
+                                   std::vector<uint8_t>* out) const {
+  out->resize(static_cast<size_t>(ref.length));
+  MIP_ASSIGN_OR_RETURN(size_t got,
+                       file_.ReadAt(ref.offset, out->size(), out->data()));
+  if (got < out->size()) {
+    return format_.Corrupt(path(), what + " extends past end of file");
   }
-  if (Crc32(file.data() + ref.offset, ref.length) != ref.crc) {
-    return Corrupt(path, what + " CRC mismatch");
+  if (Crc32(out->data(), out->size()) != ref.crc) {
+    return format_.Corrupt(path(), what + " CRC mismatch");
   }
   return Status::OK();
-}
-
-Result<std::vector<uint8_t>> FramedFormat::ReadBlock(
-    const std::string& path, const BlockRef& ref,
-    const std::string& what) const {
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                       ReadFileRange(path, ref.offset, ref.length));
-  if (Crc32(bytes) != ref.crc) return Corrupt(path, what + " CRC mismatch");
-  return bytes;
 }
 
 void PutBlockRef(const BlockRef& ref, BufferWriter* w) {

@@ -7,6 +7,7 @@
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "storage/io.h"
 
 namespace mip::storage {
 
@@ -22,6 +23,9 @@ namespace mip::storage {
 /// Readers check magics, version, footer CRC, block bounds (inside
 /// [header end, footer start)) and block CRCs before a file kind parses or
 /// decodes anything. Every failure is kIOError "corrupt <noun> '<path>': …".
+/// Blocks are read one range at a time (FramedFileReader), so a reader
+/// checks exactly the blocks it decodes: the bytes of a block it skips are
+/// never read, never CRC-checked, and never trusted.
 inline constexpr size_t kFramedHeaderBytes = 5;
 inline constexpr size_t kFramedTrailerBytes = 12;
 
@@ -54,15 +58,31 @@ struct FramedFormat {
   /// Reads a BlockRef from footer bytes, bounded by `footer_start`.
   Result<BlockRef> GetBlockRef(const std::string& path, uint64_t footer_start,
                                const std::string& what, BufferReader* r) const;
-  /// Whole-file read with the header checked (the segment scan's one read).
-  Result<std::vector<uint8_t>> ReadFile(const std::string& path) const;
-  /// Bounds-checks and CRC-checks a block of the whole-file `file`.
-  Status CheckBlock(const std::string& path, const std::vector<uint8_t>& file,
-                    const BlockRef& ref, const std::string& what) const;
-  /// Ranged read of one CRC-checked block (index probes).
-  Result<std::vector<uint8_t>> ReadBlock(const std::string& path,
-                                         const BlockRef& ref,
-                                         const std::string& what) const;
+};
+
+/// \brief An open framed file for ranged, CRC-checked block reads — the one
+/// block-read path of segment scans and index probes: one open (and header
+/// check) per file, one pread per block.
+class FramedFileReader {
+ public:
+  /// Opens `path` and checks its header magic and version.
+  static Result<FramedFileReader> Open(const FramedFormat& format,
+                                       const std::string& path);
+
+  /// Reads the block at `ref` into `*out` (resized to its length) and checks
+  /// its CRC. `ref` was bounds-checked against the footer by GetBlockRef; a
+  /// file that ends inside the block is corrupt.
+  Status ReadBlock(const BlockRef& ref, const std::string& what,
+                   std::vector<uint8_t>* out) const;
+
+  const std::string& path() const { return file_.path(); }
+
+ private:
+  FramedFileReader(const FramedFormat& format, ReadOnlyFile file)
+      : format_(format), file_(std::move(file)) {}
+
+  FramedFormat format_;
+  ReadOnlyFile file_;
 };
 
 void PutBlockRef(const BlockRef& ref, BufferWriter* w);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <optional>
 #include <type_traits>
 
 #include "common/bytes.h"
@@ -396,11 +397,12 @@ struct DecodedBlock {
   std::vector<int64_t> rows;
 };
 
-Result<DecodedBlock> ReadBlock(const std::string& path,
+Result<DecodedBlock> ReadBlock(const FramedFileReader& file,
                                const IndexFooter& footer,
                                const IndexBlock& block) {
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                       kFormat.ReadBlock(path, block.ref, "block"));
+  const std::string& path = file.path();
+  std::vector<uint8_t> bytes;
+  MIP_RETURN_NOT_OK(file.ReadBlock(block.ref, "block", &bytes));
   BufferReader r(bytes);
   DecodedBlock out;
   size_t n = 0;
@@ -451,6 +453,9 @@ Result<IndexProbe> ProbeIndex(const std::string& path,
     return probe;
   }
   const bool is_string = footer.type == DataType::kString;
+  // Opened at the first block that needs decoding: a probe the footer
+  // answers alone does no I/O.
+  std::optional<FramedFileReader> file;
   for (const IndexBlock& b : footer.blocks) {
     // Block key ranges vs the interval: skip blocks entirely outside, count
     // blocks entirely inside from the footer alone, decode only straddlers.
@@ -474,7 +479,10 @@ Result<IndexProbe> ProbeIndex(const std::string& path,
       probe.candidates += b.count;
       continue;
     }
-    MIP_ASSIGN_OR_RETURN(DecodedBlock decoded, ReadBlock(path, footer, b));
+    if (!file.has_value()) {
+      MIP_ASSIGN_OR_RETURN(file, FramedFileReader::Open(kFormat, path));
+    }
+    MIP_ASSIGN_OR_RETURN(DecodedBlock decoded, ReadBlock(*file, footer, b));
     ++probe.blocks_read;
     for (uint64_t k = 0; k < b.count; ++k) {
       bool in;
@@ -510,8 +518,10 @@ Status VerifyIndex(const std::string& path, const IndexFooter& footer) {
   double prev_d = 0.0;
   std::string prev_s;
   int64_t prev_row = 0;
+  MIP_ASSIGN_OR_RETURN(FramedFileReader file,
+                       FramedFileReader::Open(kFormat, path));
   for (const IndexBlock& b : disk.blocks) {
-    MIP_ASSIGN_OR_RETURN(DecodedBlock decoded, ReadBlock(path, disk, b));
+    MIP_ASSIGN_OR_RETURN(DecodedBlock decoded, ReadBlock(file, disk, b));
     for (uint64_t k = 0; k < b.count; ++k) {
       const int64_t row = decoded.rows[k];
       if (row < 0 || static_cast<uint64_t>(row) >= disk.num_rows) {
@@ -546,8 +556,8 @@ Status VerifyIndex(const std::string& path, const IndexFooter& footer) {
     }
   }
   if (disk.nan_count > 0) {
-    MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                         kFormat.ReadBlock(path, disk.nan_block, "NaN block"));
+    std::vector<uint8_t> bytes;
+    MIP_RETURN_NOT_OK(file.ReadBlock(disk.nan_block, "NaN block", &bytes));
     BufferReader r(bytes);
     MIP_ASSIGN_OR_RETURN(std::vector<int64_t> rows, DecodeInts(&r));
     if (rows.size() != disk.nan_count || !r.AtEnd()) {

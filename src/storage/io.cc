@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace mip::storage {
 
@@ -56,27 +57,52 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
 
 Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
                                            uint64_t offset, uint64_t n) {
+  MIP_ASSIGN_OR_RETURN(ReadOnlyFile file, ReadOnlyFile::Open(path));
+  std::vector<uint8_t> out(n);
+  MIP_ASSIGN_OR_RETURN(size_t got, file.ReadAt(offset, n, out.data()));
+  if (got < n) {
+    return Status::IOError("read '" + path + "': unexpected EOF at " +
+                           std::to_string(offset + got));
+  }
+  return out;
+}
+
+Result<ReadOnlyFile> ReadOnlyFile::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return IOErrorFromErrno("open", path);
-  std::vector<uint8_t> out(n);
+  return ReadOnlyFile(fd, path);
+}
+
+ReadOnlyFile::ReadOnlyFile(ReadOnlyFile&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
+
+ReadOnlyFile& ReadOnlyFile::operator=(ReadOnlyFile&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+    path_ = std::move(other.path_);
+  }
+  return *this;
+}
+
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Result<size_t> ReadOnlyFile::ReadAt(uint64_t offset, size_t n,
+                                    uint8_t* out) const {
   size_t got = 0;
   while (got < n) {
-    const ssize_t r = ::pread(fd, out.data() + got, n - got,
-                              static_cast<off_t>(offset + got));
+    const ssize_t r =
+        ::pread(fd_, out + got, n - got, static_cast<off_t>(offset + got));
     if (r < 0) {
       if (errno == EINTR) continue;
-      ::close(fd);
-      return IOErrorFromErrno("read", path);
+      return IOErrorFromErrno("read", path_);
     }
-    if (r == 0) {
-      ::close(fd);
-      return Status::IOError("read '" + path + "': unexpected EOF at " +
-                             std::to_string(offset + got));
-    }
+    if (r == 0) break;
     got += static_cast<size_t>(r);
   }
-  ::close(fd);
-  return out;
+  return got;
 }
 
 Result<uint64_t> FileSize(const std::string& path) {

@@ -21,6 +21,31 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
                                            uint64_t offset, uint64_t n);
 
+/// \brief A read-only descriptor for positioned reads: open once, then one
+/// pread per range. Closes on destruction; movable, not copyable.
+class ReadOnlyFile {
+ public:
+  static Result<ReadOnlyFile> Open(const std::string& path);
+
+  ReadOnlyFile(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile& operator=(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile(const ReadOnlyFile&) = delete;
+  ReadOnlyFile& operator=(const ReadOnlyFile&) = delete;
+  ~ReadOnlyFile();
+
+  /// Reads up to `n` bytes at `offset` into `out` and returns how many it
+  /// read: fewer than `n` only when the file ends first.
+  Result<size_t> ReadAt(uint64_t offset, size_t n, uint8_t* out) const;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  ReadOnlyFile(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
+
+  int fd_ = -1;
+  std::string path_;
+};
+
 Result<uint64_t> FileSize(const std::string& path);
 bool FileExists(const std::string& path);
 

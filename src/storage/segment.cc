@@ -231,26 +231,34 @@ Result<SegmentFooter> ReadSegmentFooter(const std::string& path) {
 
 Status AppendSegmentData(const std::string& path, const SegmentFooter& footer,
                          Table* out) {
+  // Map each output column to its footer column before any I/O.
   const Schema& schema = out->schema();
-  bool columns_match = footer.columns.size() == schema.num_fields();
-  for (size_t c = 0; columns_match && c < footer.columns.size(); ++c) {
-    columns_match = footer.columns[c].type == schema.field(c).type &&
-                    EqualsIgnoreCase(footer.columns[c].name,
-                                     schema.field(c).name);
+  std::vector<const SegmentColumn*> blocks;
+  blocks.reserve(schema.num_fields());
+  for (const engine::Field& field : schema.fields()) {
+    const SegmentColumn* match = nullptr;
+    for (const SegmentColumn& col : footer.columns) {
+      if (col.type == field.type && EqualsIgnoreCase(col.name, field.name)) {
+        match = &col;
+        break;
+      }
+    }
+    if (match == nullptr) {
+      return Corrupt(path, "no column '" + field.name + "' of type " +
+                               engine::DataTypeName(field.type));
+    }
+    blocks.push_back(match);
   }
-  if (!columns_match) {
-    return Corrupt(path, "columns do not match the table schema " +
-                             schema.ToString());
-  }
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, kFormat.ReadFile(path));
-  for (size_t c = 0; c < footer.columns.size(); ++c) {
-    const SegmentColumn& meta = footer.columns[c];
-    MIP_RETURN_NOT_OK(kFormat.CheckBlock(path, bytes, meta.block,
-                                         "column '" + meta.name + "' block"));
-    MIP_RETURN_NOT_OK(AppendColumnBlock(
-        path, bytes.data() + meta.block.offset,
-        static_cast<size_t>(meta.block.length), footer.num_rows,
-        &out->mutable_column(c)));
+  MIP_ASSIGN_OR_RETURN(FramedFileReader file,
+                       FramedFileReader::Open(kFormat, path));
+  std::vector<uint8_t> bytes;
+  for (size_t c = 0; c < blocks.size(); ++c) {
+    const SegmentColumn& meta = *blocks[c];
+    MIP_RETURN_NOT_OK(
+        file.ReadBlock(meta.block, "column '" + meta.name + "' block", &bytes));
+    MIP_RETURN_NOT_OK(AppendColumnBlock(path, bytes.data(), bytes.size(),
+                                        footer.num_rows,
+                                        &out->mutable_column(c)));
   }
   return out->SyncRowCount();
 }

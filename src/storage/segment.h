@@ -40,10 +40,14 @@ namespace mip::storage {
 ///       BlockRef      (the column block)
 ///   trailer          footer magic "MSGF"
 ///
-/// Readers trust nothing: magics, versions, CRCs, counts, offsets and
-/// lengths are all validated before any allocation or decode, and the
-/// codec decoders underneath are the fuzz-hardened PR-4 ones — a truncated
-/// or bit-flipped file yields a clean kIOError, never a crash or over-read.
+/// Readers trust nothing they decode: magics, versions, CRCs, counts,
+/// offsets and lengths are all validated before any allocation or decode,
+/// and the codec decoders underneath are fuzz-hardened — a truncated or
+/// bit-flipped file yields a clean kIOError, never a crash or over-read.
+/// Every column is its own CRC-checked block, so a projected read fetches
+/// (one ranged read each) and checks only the blocks of the columns it
+/// decodes; a corrupt block of a column it skips goes unnoticed by that
+/// read and is caught by the next read that decodes it.
 ///
 /// NaN is excluded from double min/max on write and tracked as a separate
 /// has_nan flag. The flag matters because of how this engine's comparison
@@ -97,17 +101,19 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
 /// bounds of every column block) — the cheap path pruning and recovery use.
 Result<SegmentFooter> ReadSegmentFooter(const std::string& path);
 
-/// The one segment-decode routine. Reads the file at `path`, whose footer
-/// `footer` was already validated (the in-memory copy the store caches for
-/// immutable segments), checks the header and every column block's bounds
-/// and CRC, and decodes each block by appending its rows straight to the
-/// matching column of `*out`. `out`'s columns must match the footer's in
-/// count, type and (case-insensitive) name. Every decoded count must equal
-/// num_rows. Appended rows follow Column::AdoptAppendedRows: NULL slots are
-/// canonicalized and a bitmap appears only where a block carries one, so
-/// appending segments one after another gives exactly the bytes of a
-/// Table::Concat of their individual reads. On error `*out` may hold a
-/// partial append and must be discarded.
+/// The one segment-decode routine. `footer` is the already validated footer
+/// of the file at `path` (the in-memory copy the store caches for immutable
+/// segments). Each column of `*out` — any subset of the footer's columns, in
+/// any order — maps to the footer column of the same (case-insensitive) name
+/// and type; a missing one is a kIOError. It then opens the file once,
+/// checks the header, and for each mapped column reads just that block
+/// (one pread), checks its CRC and appends its decoded rows straight to the
+/// column of `*out`. Blocks of columns `out` lacks are never read. Every
+/// decoded count must equal num_rows. Appended rows follow
+/// Column::AdoptAppendedRows: NULL slots are canonicalized and a bitmap
+/// appears only where a block carries one, so appending segments one after
+/// another gives exactly the bytes of a Table::Concat of their individual
+/// reads. On error `*out` may hold a partial append and must be discarded.
 Status AppendSegmentData(const std::string& path, const SegmentFooter& footer,
                          engine::Table* out);
 

@@ -560,10 +560,23 @@ Status StorageEngine::AppendSegmentRows(const std::vector<SegmentState>& segs,
 }
 
 Result<engine::Table> StorageEngine::ScanLocked(
-    const TableState& state, const engine::Expr* prune_filter,
-    engine::ScanStats* stats, bool use_index) const {
+    const TableState& state, const engine::ScanSpec& spec,
+    engine::ScanStats* stats) const {
+  // The projected schema (validated exactly as the default Scan's
+  // SelectTableColumns would) and its field positions in the table schema.
+  engine::Schema schema = state.schema;
+  if (!spec.columns.empty()) {
+    MIP_ASSIGN_OR_RETURN(engine::Table empty,
+                         engine::SelectTableColumns(
+                             engine::Table::Empty(state.schema), spec.columns));
+    schema = empty.schema();
+  }
+  std::vector<size_t> fields;
+  for (const engine::Field& field : schema.fields()) {
+    fields.push_back(static_cast<size_t>(state.schema.FieldIndex(field.name)));
+  }
   const SegmentSelection sel =
-      SelectSegmentsLocked(state, prune_filter, use_index);
+      SelectSegmentsLocked(state, spec.prune_filter, spec.use_index);
 
   // One reservation for everything the scan returns, then every segment
   // and memtable batch appends straight into it.
@@ -571,13 +584,19 @@ Result<engine::Table> StorageEngine::ScanLocked(
   for (size_t s = 0; s < state.segments.size(); ++s) {
     if (sel.decode[s]) rows += state.segments[s].footer.num_rows;
   }
-  engine::Table out = engine::Table::Empty(state.schema);
+  engine::Table out = engine::Table::Empty(schema);
   out.Reserve(static_cast<size_t>(rows));
   MIP_RETURN_NOT_OK(AppendSegmentRows(state.segments, sel.decode, &out));
   // Memtable rows ride along unpruned — they have no zone maps and the
-  // Filter above the scan re-applies the predicate anyway.
+  // Filter above the scan re-applies the predicate anyway. Each batch
+  // contributes its projected columns as pointer copies of its buffers.
   for (const engine::Table& batch : state.memtable) {
-    MIP_RETURN_NOT_OK(out.Append(batch));
+    std::vector<engine::Column> columns;
+    columns.reserve(fields.size());
+    for (size_t f : fields) columns.push_back(batch.column(f));
+    MIP_ASSIGN_OR_RETURN(engine::Table projected,
+                         engine::Table::Make(schema, std::move(columns)));
+    MIP_RETURN_NOT_OK(out.Append(projected));
   }
 
   // Only an executing scan counts toward the lifetime counters; previews
@@ -593,26 +612,27 @@ Result<engine::Table> StorageEngine::ScanLocked(
   return out;
 }
 
-Result<engine::Table> StorageEngine::ScanTable(
-    const std::string& name, const engine::Expr* prune_filter,
-    engine::ScanStats* stats) const {
+Result<engine::Table> StorageEngine::Scan(const std::string& name,
+                                          const engine::ScanSpec& spec,
+                                          engine::ScanStats* stats) const {
   std::shared_lock lock(mu_);
   auto it = tables_.find(ToLower(name));
   if (it == tables_.end()) {
     return Status::NotFound("no disk table named '" + name + "'");
   }
-  return ScanLocked(it->second, prune_filter, stats, /*use_index=*/false);
+  return ScanLocked(it->second, spec, stats);
+}
+
+Result<engine::Table> StorageEngine::ScanTable(
+    const std::string& name, const engine::Expr* prune_filter,
+    engine::ScanStats* stats) const {
+  return Scan(name, engine::ScanSpec{{}, prune_filter, false}, stats);
 }
 
 Result<engine::Table> StorageEngine::IndexScanTable(
     const std::string& name, const engine::Expr* prune_filter,
     engine::ScanStats* stats) const {
-  std::shared_lock lock(mu_);
-  auto it = tables_.find(ToLower(name));
-  if (it == tables_.end()) {
-    return Status::NotFound("no disk table named '" + name + "'");
-  }
-  return ScanLocked(it->second, prune_filter, stats, /*use_index=*/true);
+  return Scan(name, engine::ScanSpec{{}, prune_filter, true}, stats);
 }
 
 Result<engine::TableStats> StorageEngine::StorageTableStats(

@@ -74,12 +74,16 @@ struct StorageOptions {
 /// segments a read under a pruning hint decodes — zone maps first, then
 /// (index path only) a probe of each surviving segment's ordered indexes,
 /// skipping segments a probe proves empty — and returns that choice with
-/// its ScanStats. ScanTable and IndexScanTable execute it (the zone and
-/// index paths); PrunePreview and PreviewIndexScan return its stats for
-/// the optimizer, so a preview always equals the scan it predicts. Only an
-/// executing scan bumps the lifetime counters. Both scans restore the
+/// its ScanStats. Scan executes it (ScanTable and IndexScanTable are Scan
+/// of every column on the zone and index paths); PrunePreview and
+/// PreviewIndexScan return its stats for the optimizer, so a preview always
+/// equals the scan it predicts. Only an executing scan bumps the lifetime
+/// counters. Scan builds its output under the projected schema: each
+/// selected segment reads and decodes only the blocks of the requested
+/// columns (a compacted group's also its hidden position column), and
+/// memtable batches contribute only those columns. Every scan restores the
 /// original row order of compacted groups (see compaction.h), so results
-/// are byte-identical to each other and to the never-compacted store.
+/// are byte-identical across access paths, projections and compaction.
 ///
 /// Thread-safe: scans take a shared lock for their entire read (segment
 /// and index files are immutable; visibility flows through the in-memory
@@ -99,6 +103,10 @@ class StorageEngine : public engine::TableStorage {
   std::vector<std::string> StorageTableNames() const override;
   Result<engine::Schema> StorageTableSchema(
       const std::string& name) const override;
+  /// Decodes only the column blocks `spec.columns` names (see "Read path").
+  Result<engine::Table> Scan(const std::string& name,
+                             const engine::ScanSpec& spec,
+                             engine::ScanStats* stats) const override;
   Result<engine::Table> ScanTable(const std::string& name,
                                   const engine::Expr* prune_filter,
                                   engine::ScanStats* stats) const override;
@@ -207,21 +215,22 @@ class StorageEngine : public engine::TableStorage {
                                         const engine::Expr* prune_filter,
                                         bool use_index) const;
   /// The one segment walk shared by scans and compaction: appends the rows
-  /// of the `decode`-selected `segs` to `*out` (the table's user schema) in
-  /// visible order. A plain segment decodes straight into `out`; a
-  /// compacted group's selected segments decode into one table that keeps
-  /// the hidden position column, which RestoreGroupOrder gathers into
-  /// `out`. Reads only immutable segment files; on error `*out` may hold a
-  /// partial append.
+  /// of the `decode`-selected `segs` to `*out` in visible order. `out`'s
+  /// columns are any subset of the table's user columns, in any order; only
+  /// their blocks are read. A plain segment decodes straight into `out`; a
+  /// compacted group's selected segments decode those columns plus the
+  /// hidden position column into one table, which RestoreGroupOrder gathers
+  /// into `out`. Reads only immutable segment files; on error `*out` may
+  /// hold a partial append.
   Status AppendSegmentRows(const std::vector<SegmentState>& segs,
                            const std::vector<bool>& decode,
                            engine::Table* out) const;
-  /// Shared scan body: appends the selected segments and the memtable into
-  /// one reserved table, bumps the counters. Caller holds the shared lock.
+  /// Scan's body: appends the selected segments and the memtable into one
+  /// reserved table of the projected schema, bumps the counters. Caller
+  /// holds the shared lock.
   Result<engine::Table> ScanLocked(const TableState& state,
-                                   const engine::Expr* prune_filter,
-                                   engine::ScanStats* stats,
-                                   bool use_index) const;
+                                   const engine::ScanSpec& spec,
+                                   engine::ScanStats* stats) const;
   void BackgroundCompactionLoop();
 
   const std::string dir_;

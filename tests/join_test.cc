@@ -422,6 +422,10 @@ class StatsCountingStorage : public engine::TableStorage {
   Result<Schema> StorageTableSchema(const std::string& name) const override {
     return inner_->StorageTableSchema(name);
   }
+  Result<Table> Scan(const std::string& name, const engine::ScanSpec& spec,
+                     engine::ScanStats* stats) const override {
+    return inner_->Scan(name, spec, stats);
+  }
   Result<Table> ScanTable(const std::string& name,
                           const engine::Expr* prune_filter,
                           engine::ScanStats* stats) const override {

@@ -157,6 +157,41 @@ TEST_F(PlanTest, GoldenProjectionPruningAndEarlySort) {
             "      Scan p1 cols=[g, x]\n");
 }
 
+TEST_F(PlanTest, GoldenCountStarScansOneColumn) {
+  // A scan that needs rows but no values keeps the table's first field
+  // rather than every column, on a base table and under the merge-aggregate
+  // decomposition alike.
+  EXPECT_EQ(ExplainText(&db_, "SELECT count(*) AS n FROM p1"),
+            "Project __agg0 AS n\n"
+            "  Aggregate aggs=[count(*) AS __agg0]\n"
+            "    Scan p1 cols=[g]\n");
+  EXPECT_EQ(ExplainText(&db_, "SELECT count(*) AS n FROM m"),
+            "Project __agg0 AS n\n"
+            "  Project cast_bigint(__p0_ca) AS __agg0\n"
+            "    Aggregate aggs=[sum(__p0_a) AS __p0_ca]\n"
+            "      MergeUnion m\n"
+            "        Project __agg0 AS __p0_a\n"
+            "          Aggregate aggs=[count(*) AS __agg0]\n"
+            "            Scan p1 cols=[g]\n"
+            "        Project __agg0 AS __p0_a\n"
+            "          Aggregate aggs=[count(*) AS __agg0]\n"
+            "            Scan p2 cols=[g]\n"
+            "        Project __agg0 AS __p0_a\n"
+            "          Aggregate aggs=[count(*) AS __agg0]\n"
+            "            Scan p3 cols=[g]\n");
+  for (const char* sql : {"SELECT count(*) AS n FROM p1",
+                          "SELECT count(*) AS n FROM m",
+                          "SELECT 1 AS one FROM p2 LIMIT 2"}) {
+    Result<Table> on = db_.ExecuteSql(sql);
+    ASSERT_TRUE(on.ok()) << on.status().ToString();
+    db_.set_optimizer_enabled(false);
+    Result<Table> off = db_.ExecuteSql(sql);
+    db_.set_optimizer_enabled(true);
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    EXPECT_EQ(Bytes(*on), Bytes(*off)) << sql;
+  }
+}
+
 TEST_F(PlanTest, GoldenMergeAggregateDecomposition) {
   EXPECT_EQ(
       ExplainText(&db_, "SELECT g, avg(x) AS mean FROM m WHERE k < 5 "
@@ -306,6 +341,18 @@ class PlanRemoteTest : public ::testing::Test {
   DatabaseSite site_{&remote_};
   Database master_{"masterdb"};
 };
+
+TEST_F(PlanRemoteTest, GoldenRemoteCountStarFetchesOneColumn) {
+  // An unpushed remote scan under COUNT(*) ships the first column, not
+  // SELECT *.
+  EXPECT_EQ(ExplainText(&master_, "SELECT count(*) AS n FROM rd"),
+            "Project __agg0 AS n\n"
+            "  Aggregate aggs=[count(*) AS __agg0]\n"
+            "    RemoteScan rd on w1 remote=d cols=[g]\n");
+  Result<Table> out = master_.ExecuteSql("SELECT count(*) AS n FROM rd");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->At(0, 0).int_value(), 3);
+}
 
 TEST_F(PlanRemoteTest, GoldenRemoteScanCarriesFilterColumnsAndLimit) {
   EXPECT_EQ(

@@ -11,6 +11,7 @@
 // 8 threads), storage counters, and manifest v1 back-compat.
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -29,6 +30,8 @@
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/parallel.h"
+#include "common/rng.h"
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "engine/encoding.h"
 #include "engine/exec_context.h"
@@ -2205,6 +2208,291 @@ TEST(ScanIntoOutputTest, EveryFlippedBlockByteAndTruncationIsTypedIOError) {
   }
   OverwriteFile(seg, good, good.size());
   EXPECT_EQ(ScanBytes(**store, "", false), want);
+}
+
+// ---------------------------------------------------------------------------
+// Projected scans: only the requested columns' blocks are read and decoded
+// ---------------------------------------------------------------------------
+
+/// The pruning hint for `where` (null when empty).
+engine::ExprPtr HintOf(const std::string& where) {
+  if (where.empty()) return nullptr;
+  auto parsed = engine::ParseSql("SELECT * FROM t WHERE " + where);
+  EXPECT_TRUE(parsed.ok()) << where;
+  return std::move(std::get<engine::SelectStmt>(parsed.ValueOrDie()).where);
+}
+
+/// `count` seeded column subsets of `names`: each non-empty, in shuffled
+/// order, with every name's case flipped at random (storage matches names
+/// case-insensitively).
+std::vector<std::vector<std::string>> SeededSubsets(
+    const std::vector<std::string>& names, uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<std::vector<std::string>> subsets;
+  for (int k = 0; k < count; ++k) {
+    std::vector<std::string> pick;
+    for (const std::string& name : names) {
+      if (rng.NextBounded(2) == 1) pick.push_back(name);
+    }
+    if (pick.empty()) pick.push_back(names[rng.NextBounded(names.size())]);
+    for (size_t i = pick.size(); i > 1; --i) {
+      std::swap(pick[i - 1], pick[rng.NextBounded(i)]);
+    }
+    for (std::string& name : pick) {
+      if (rng.NextBounded(2) == 1) {
+        for (char& ch : name) {
+          ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+        }
+      }
+    }
+    subsets.push_back(std::move(pick));
+  }
+  return subsets;
+}
+
+/// Projected Scan bytes, and the bytes of the full scan on the same path
+/// with the columns selected afterwards (the default TableStorage::Scan).
+struct ProjectedPair {
+  std::vector<uint8_t> projected, selected;
+  engine::ScanStats projected_stats, selected_stats;
+};
+
+ProjectedPair ScanBothWays(const StorageEngine& store, const std::string& where,
+                           bool use_index,
+                           const std::vector<std::string>& columns) {
+  const engine::ExprPtr hint = HintOf(where);
+  const engine::ScanSpec spec{columns, hint.get(), use_index};
+  ProjectedPair out;
+  auto projected = store.Scan("t", spec, &out.projected_stats);
+  EXPECT_TRUE(projected.ok()) << projected.status().ToString();
+  auto full = use_index ? store.IndexScanTable("t", hint.get(),
+                                               &out.selected_stats)
+                        : store.ScanTable("t", hint.get(), &out.selected_stats);
+  EXPECT_TRUE(full.ok()) << full.status().ToString();
+  if (!projected.ok() || !full.ok()) return out;
+  auto selected = engine::SelectTableColumns(std::move(full).ValueOrDie(),
+                                             columns);
+  EXPECT_TRUE(selected.ok()) << selected.status().ToString();
+  out.projected = TableBytes(projected.ValueOrDie());
+  if (selected.ok()) out.selected = TableBytes(selected.ValueOrDie());
+  return out;
+}
+
+TEST(ProjectedScanTest, EqualsSelectedFullScanAcrossLayoutsPathsAndThreads) {
+  const std::string dir = TestDir("projected_scan");
+  StorageOptions options;
+  options.target_segment_rows = 50;
+  auto store = StorageEngine::Open(dir, options);
+  ASSERT_TRUE(store.ok());
+  // A four-segment compacted group (sorted by id), two plain segments after
+  // it, and a memtable batch, with NULLs in every layout.
+  ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(0, 100, false)).ok());
+  ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(100, 100, true)).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->Compact("t").ok());
+  ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(200, 50, false)).ok());
+  ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(250, 50, true)).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(300, 30, true)).ok());
+  ASSERT_EQ((*store)->SegmentCount("t").ValueOrDie(), 6u);
+  ASSERT_EQ((*store)->MemtableRows("t").ValueOrDie(), 30u);
+
+  const std::vector<std::vector<std::string>> subsets =
+      SeededSubsets({"id", "n", "d", "b", "s"}, 0x5CA9, 24);
+  // "id < 300" and "id >= 700" prune part of the compacted group, so
+  // RestoreGroupOrder takes its argsort branch; "" keeps the whole group
+  // (the inverse-permutation branch). The index path runs where it selects
+  // the same segments as zone maps.
+  struct Case {
+    std::string where;
+    bool use_index;
+  };
+  const std::vector<Case> cases = {{"", false},         {"", true},
+                                   {"id < 300", false}, {"id < 300", true},
+                                   {"id >= 700", false}, {"id >= 700", true},
+                                   {"s = 'v3'", false}};
+  for (const Case& c : cases) {
+    for (const std::vector<std::string>& columns : subsets) {
+      const ProjectedPair got =
+          ScanBothWays(**store, c.where, c.use_index, columns);
+      ASSERT_FALSE(got.projected.empty());
+      EXPECT_EQ(got.projected, got.selected)
+          << c.where << " index=" << c.use_index << " columns "
+          << columns.size();
+      EXPECT_EQ(got.projected_stats.scanned, got.selected_stats.scanned);
+      EXPECT_EQ(got.projected_stats.pruned, got.selected_stats.pruned);
+      if (c.where.rfind("id", 0) == 0) {
+        EXPECT_GT(got.projected_stats.pruned, 0) << c.where;
+        EXPECT_LT(got.projected_stats.pruned, 4) << c.where;
+      }
+    }
+  }
+  // The base-class default (full scan, then select) agrees too.
+  const engine::ScanSpec spec{{"s", "ID"}, nullptr, false};
+  EXPECT_EQ(TableBytes((*store)->Scan("t", spec, nullptr).ValueOrDie()),
+            TableBytes(
+                (*store)->engine::TableStorage::Scan("t", spec, nullptr)
+                    .ValueOrDie()));
+  // Empty columns means every column, in schema order.
+  EXPECT_EQ(
+      TableBytes((*store)->Scan("t", engine::ScanSpec{}, nullptr).ValueOrDie()),
+      TableBytes((*store)->ScanTable("t", nullptr, nullptr).ValueOrDie()));
+  // An unknown or repeated column fails, as SelectTableColumns does.
+  EXPECT_FALSE((*store)->Scan("t", {{"id", "zz"}, nullptr, false}, nullptr).ok());
+  EXPECT_FALSE((*store)->Scan("t", {{"id", "ID"}, nullptr, false}, nullptr).ok());
+
+  // The same bytes from 8 concurrent scanners, each over every case.
+  std::vector<std::vector<std::vector<uint8_t>>> want(cases.size());
+  for (size_t k = 0; k < cases.size(); ++k) {
+    for (const std::vector<std::string>& columns : subsets) {
+      want[k].push_back(
+          ScanBothWays(**store, cases[k].where, cases[k].use_index, columns)
+              .selected);
+    }
+  }
+  std::vector<int> mismatches(8, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < cases.size(); ++k) {
+        const engine::ExprPtr hint = HintOf(cases[k].where);
+        for (size_t i = 0; i < subsets.size(); ++i) {
+          const engine::ScanSpec spec{subsets[i], hint.get(),
+                                      cases[k].use_index};
+          auto got = (*store)->Scan("t", spec, nullptr);
+          if (!got.ok() || TableBytes(got.ValueOrDie()) != want[k][i]) {
+            ++mismatches[t];
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+TEST(ProjectedScanTest, OnlyDecodedBlocksAreReadAndChecked) {
+  const std::string dir = TestDir("projected_scan_corrupt");
+  StorageOptions options;
+  options.target_segment_rows = 48;
+  {
+    auto store = StorageEngine::Open(dir, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(0, 48, true)).ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(48, 48, true)).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    // The first two flushes become one two-segment compacted group (each
+    // segment with a hidden position block); the third stays plain.
+    ASSERT_TRUE((*store)->Compact("t").ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeMixedTable(96, 48, true)).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  auto store = StorageEngine::Open(dir, options);
+  ASSERT_TRUE(store.ok());
+  const std::vector<std::string> names = {"id", "n", "d", "b", "s"};
+  auto scan = [&store](const std::vector<std::string>& columns,
+                       bool use_index) {
+    return (*store)->Scan("t", engine::ScanSpec{columns, nullptr, use_index},
+                          nullptr);
+  };
+  std::vector<std::vector<uint8_t>> want;  // one column at a time
+  for (const std::string& name : names) {
+    want.push_back(TableBytes(scan({name}, false).ValueOrDie()));
+  }
+
+  auto manifest = storage::LoadManifest(dir + "/MANIFEST");
+  ASSERT_TRUE(manifest.ok());
+  const std::vector<storage::ManifestSegment>& segs =
+      manifest->FindTable("t")->segments;
+  ASSERT_EQ(segs.size(), 3u);
+  ASSERT_NE(segs[0].group, 0u);
+  ASSERT_EQ(segs[1].group, segs[0].group);
+  ASSERT_EQ(segs[2].group, 0u);
+  for (const storage::ManifestSegment& ms : segs) {
+    const std::string path = dir + "/seg-" + std::to_string(ms.id) + ".mip";
+    const std::vector<uint8_t> good = storage::ReadFileBytes(path).ValueOrDie();
+    const SegmentFooter footer = storage::ReadSegmentFooter(path).ValueOrDie();
+    for (const storage::SegmentColumn& col : footer.columns) {
+      std::vector<uint8_t> bad = good;
+      bad[col.block.offset + col.block.length / 2] ^= 0x01;
+      OverwriteFile(path, bad, bad.size());
+      const bool hidden = col.name == storage::kHiddenPosColumn;
+      for (const bool use_index : {false, true}) {
+        // The full scan decodes every block and rejects the flip.
+        auto full = use_index ? (*store)->IndexScanTable("t", nullptr, nullptr)
+                              : (*store)->ScanTable("t", nullptr, nullptr);
+        ASSERT_FALSE(full.ok()) << col.name;
+        EXPECT_EQ(full.status().code(), StatusCode::kIOError);
+        for (size_t c = 0; c < names.size(); ++c) {
+          auto one = scan({names[c]}, use_index);
+          // A group decodes its position block for every projection.
+          if (hidden || EqualsIgnoreCase(names[c], col.name)) {
+            ASSERT_FALSE(one.ok()) << col.name << " flipped, read " << names[c];
+            EXPECT_EQ(one.status().code(), StatusCode::kIOError);
+            EXPECT_NE(one.status().message().find("corrupt segment '" + path +
+                                                  "'"),
+                      std::string::npos)
+                << one.status().ToString();
+          } else {
+            ASSERT_TRUE(one.ok()) << col.name << " flipped, read " << names[c]
+                                  << ": " << one.status().ToString();
+            EXPECT_EQ(TableBytes(one.ValueOrDie()), want[c]);
+          }
+        }
+      }
+    }
+    // A file cut off at its last column block: the earlier columns are still
+    // read (by range, never past their own blocks), the last one is not.
+    const storage::SegmentColumn* last = &footer.columns[0];
+    for (const storage::SegmentColumn& col : footer.columns) {
+      if (col.block.offset > last->block.offset) last = &col;
+    }
+    OverwriteFile(path, good, static_cast<size_t>(last->block.offset));
+    for (size_t c = 0; c < names.size(); ++c) {
+      auto one = scan({names[c]}, false);
+      if (last->name == storage::kHiddenPosColumn ||
+          EqualsIgnoreCase(names[c], last->name)) {
+        ASSERT_FALSE(one.ok()) << names[c];
+        EXPECT_EQ(one.status().code(), StatusCode::kIOError);
+      } else {
+        ASSERT_TRUE(one.ok()) << names[c] << ": " << one.status().ToString();
+        EXPECT_EQ(TableBytes(one.ValueOrDie()), want[c]);
+      }
+    }
+    OverwriteFile(path, good, good.size());
+  }
+  for (size_t c = 0; c < names.size(); ++c) {
+    EXPECT_EQ(TableBytes(scan({names[c]}, true).ValueOrDie()), want[c]);
+  }
+}
+
+TEST(ProjectedScanTest, SegmentReadMapsColumnsByNameAndType) {
+  const std::string dir = TestDir("projected_segment");
+  const std::string path = dir + "/seg-0.mip";
+  const Table table = MakeGnarlyTable();
+  ASSERT_TRUE(storage::WriteSegment(path, table).ok());
+  const SegmentFooter footer = storage::ReadSegmentFooter(path).ValueOrDie();
+
+  Table out = Table::Empty(Schema({{"S", DataType::kString},
+                                   {"i", DataType::kInt64}}));
+  ASSERT_TRUE(storage::AppendSegmentData(path, footer, &out).ok());
+  EXPECT_EQ(TableBytes(Table::Make(Schema({{"S", DataType::kString},
+                                           {"i", DataType::kInt64}}),
+                                   {table.column(3), table.column(0)})
+                           .ValueOrDie()),
+            TableBytes(out));
+
+  for (const Field& missing : {Field{"i", DataType::kFloat64},
+                               Field{"zz", DataType::kInt64}}) {
+    Table bad = Table::Empty(Schema({missing}));
+    const Status st = storage::AppendSegmentData(path, footer, &bad);
+    ASSERT_FALSE(st.ok()) << missing.name;
+    EXPECT_EQ(st.code(), StatusCode::kIOError);
+    EXPECT_NE(st.message().find("corrupt segment"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 }  // namespace
