@@ -3,7 +3,9 @@
 // sequential path, the traffic log must contain every envelope exactly
 // once, and NetworkStats accounting must neither lose nor double-count
 // under concurrency; a worker dataset reload never races the SQL it serves;
-// the parts of a federated SELECT overlap and fail in part order.
+// the parts of a federated SELECT overlap and fail in part order; the
+// bytes the master sends for a step, a secure step and a broadcast join
+// are pinned.
 // Run under TSan in CI (ci/run_tests.sh).
 
 #include <gtest/gtest.h>
@@ -522,6 +524,177 @@ TEST_F(ParallelPartsFixture, FirstFailureInPartOrderWins) {
         << errors.back();
   }
   EXPECT_EQ(errors[0], errors[1]);
+}
+
+// Pins every byte the master puts on the bus for one plain step with a
+// retry, one secure step and one broadcast-join SELECT: the sorted traffic
+// log, each link's ledger and each worker's attempt count. The dispatch
+// code may be restructured freely; these figures may not move.
+class PinnedTrafficTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int w = 0; w < 3; ++w) {
+      const std::string id = "h" + std::to_string(w);
+      ASSERT_TRUE(master_.AddWorker(id).ok());
+      Schema schema;
+      ASSERT_TRUE(schema.AddField({"id", DataType::kInt64}).ok());
+      ASSERT_TRUE(schema.AddField({"x", DataType::kFloat64}).ok());
+      Table t = Table::Empty(schema);
+      for (int r = 0; r < 4 + w; ++r) {
+        ASSERT_TRUE(
+            t.AppendRow({Value::Int(w * 4 + r), Value::Double(0.5 * r + w)})
+                .ok());
+      }
+      ASSERT_TRUE(master_.LoadDataset(id, "t", std::move(t)).ok());
+    }
+    ASSERT_TRUE(
+        master_.functions()
+            ->Register("moments",
+                       [](WorkerContext& ctx,
+                          const TransferData&) -> Result<TransferData> {
+                         MIP_ASSIGN_OR_RETURN(Table t, ctx.db().GetTable("t"));
+                         MIP_ASSIGN_OR_RETURN(const engine::Column* col,
+                                              t.ColumnByName("x"));
+                         double sum = 0, sumsq = 0;
+                         for (double v : col->NonNullDoubles()) {
+                           sum += v;
+                           sumsq += v * v;
+                         }
+                         TransferData out;
+                         out.PutScalar("n", static_cast<double>(t.num_rows()));
+                         out.PutVector("moments", {sum, sumsq});
+                         return out;
+                       })
+            .ok());
+    master_.bus().set_keep_log(true);
+  }
+
+  void TearDown() override {
+    master_.bus().set_fault_hook(nullptr);
+    master_.bus().set_keep_log(false);
+  }
+
+  void ResetTraffic() {
+    master_.bus().ResetStats();
+    master_.bus().ClearLog();
+  }
+
+  // Sorted, because concurrent dispatch appends in completion order.
+  std::string Log() {
+    std::vector<std::string> lines;
+    for (const MessageBus::LogEntry& e : master_.bus().log()) {
+      lines.push_back(e.from + "->" + e.to + " " + e.type + " " +
+                      std::to_string(e.request_bytes) + "/" +
+                      std::to_string(e.reply_bytes));
+    }
+    std::sort(lines.begin(), lines.end());
+    std::string out;
+    for (const std::string& line : lines) out += line + "\n";
+    return out;
+  }
+
+  std::string Links() {
+    std::string out;
+    for (const auto& [link, s] : master_.bus().link_stats()) {
+      out += link + " " + std::to_string(s.messages) + " " +
+             std::to_string(s.bytes) + " " + std::to_string(s.bytes_raw) +
+             " " + std::to_string(s.bytes_wire) + "\n";
+    }
+    return out;
+  }
+
+  static std::vector<int> Attempts(const FederationSession& session) {
+    std::vector<int> out;
+    for (const WorkerRunReport& r : session.last_reports()) {
+      out.push_back(r.attempts);
+    }
+    return out;
+  }
+
+  MasterNode master_;
+};
+
+TEST_F(PinnedTrafficTest, PlainStepWithOneRetry) {
+  FaultInjector injector(/*seed=*/1);
+  FaultSpec fail_once;
+  fail_once.fail_first_n = 1;
+  injector.SetLinkFault("master", "h1", fail_once);
+  master_.bus().set_fault_hook(&injector);
+  FederationSession session = *master_.StartSession({"t"});
+  FanoutPolicy policy;
+  policy.retry_backoff_ms = 0.0;
+  session.set_fanout_policy(policy);
+  ResetTraffic();
+  ASSERT_TRUE(session
+                  .LocalRunAndAggregate("moments", TransferData(),
+                                        AggregationMode::kPlain)
+                  .ok());
+  EXPECT_EQ(Log(),
+            "master->h0 local_run 39/68\n"
+            "master->h1 local_run 39/68\n"
+            "master->h2 local_run 39/68\n");
+  EXPECT_EQ(Links(),
+            "h0->master 1 68 68 68\n"
+            "h1->master 1 68 68 68\n"
+            "h2->master 1 68 68 68\n"
+            "master->h0 1 39 39 39\n"
+            "master->h1 2 78 39 39\n"
+            "master->h2 1 39 39 39\n");
+  EXPECT_EQ(Attempts(session), (std::vector<int>{1, 2, 1}));
+}
+
+TEST_F(PinnedTrafficTest, SecureStep) {
+  FederationSession session = *master_.StartSession({"t"});
+  ResetTraffic();
+  ASSERT_TRUE(session
+                  .LocalRunAndAggregate("moments", TransferData(),
+                                        AggregationMode::kSecure)
+                  .ok());
+  EXPECT_EQ(Log(),
+            "master->h0 local_run_secure 59/57\n"
+            "master->h1 local_run_secure 59/57\n"
+            "master->h2 local_run_secure 59/57\n");
+  EXPECT_EQ(Links(),
+            "h0->master 1 57 68 57\n"
+            "h1->master 1 57 68 57\n"
+            "h2->master 1 57 68 57\n"
+            "master->h0 1 59 59 59\n"
+            "master->h1 1 59 59 59\n"
+            "master->h2 1 59 59 59\n");
+  EXPECT_EQ(Attempts(session), (std::vector<int>{1, 1, 1}));
+}
+
+TEST_F(PinnedTrafficTest, BroadcastJoinSelect) {
+  engine::Database& db = master_.local_db();
+  const std::string view = *master_.CreateFederatedView("t");
+  ASSERT_TRUE(
+      db.ExecuteSql("CREATE TABLE cohort (id bigint, tag varchar)").ok());
+  ASSERT_TRUE(db.ExecuteSql("INSERT INTO cohort VALUES (1, 'a'), (6, 'b'), "
+                            "(9, 'a'), (13, 'c')")
+                  .ok());
+  db.optimizer_options().force_join_strategy = 1;  // broadcast
+  ResetTraffic();
+  Result<Table> got =
+      db.ExecuteSql("SELECT tag, x FROM " + view + " JOIN cohort ON " + view +
+                    ".id = cohort.id");
+  db.optimizer_options().force_join_strategy = -1;
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->num_rows(), 4u);
+  EXPECT_EQ(Log(),
+            "master->h0 get_schema 5/26\n"
+            "master->h0 get_stats 5/137\n"
+            "master->h0 run_sql_bound 96/61\n"
+            "master->h1 get_stats 5/151\n"
+            "master->h1 run_sql_bound 96/61\n"
+            "master->h2 get_stats 5/151\n"
+            "master->h2 run_sql_bound 96/73\n");
+  EXPECT_EQ(Links(),
+            "h0->master 3 224 344 224\n"
+            "h1->master 2 212 309 212\n"
+            "h2->master 2 224 338 224\n"
+            "master->h0 3 106 89 96\n"
+            "master->h1 2 101 89 96\n"
+            "master->h2 2 101 89 96\n");
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskAndDrainsOnDestruction) {
