@@ -47,11 +47,13 @@ echo "== ASan+UBSan: net framing / deserialization / codec hardening =="
 # builds the data catalogue from get_schema / get_stats replies, so their
 # decode runs under ASan too. kernel_test and column_sharing_test cover the
 # copy-on-write column buffers and the typed kernels that read them.
+# federation_concurrency_test drives the one ordered fan-out that serves
+# both algorithm steps and merge-table parts, and the pinned traffic.
 ASAN_SUITES=(net_transport_test net_process_test robustness_test
              encoding_test plan_test serving_test result_cache_test
              storage_test join_test smpc_test smpc_property_test
              pushdown_test federation_test common_test platform_test
-             kernel_test column_sharing_test)
+             kernel_test column_sharing_test federation_concurrency_test)
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DMIP_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target "${ASAN_SUITES[@]}" mip_worker

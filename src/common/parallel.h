@@ -1,11 +1,14 @@
 #ifndef MIP_COMMON_PARALLEL_H_
 #define MIP_COMMON_PARALLEL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -18,8 +21,9 @@ int HardwareThreads();
 ///
 /// Used by the federation Master to fan local-run requests out to many
 /// Workers concurrently (tasks there mostly wait on simulated network
-/// latency, so the pool may be larger than the core count) and by the
-/// engine's morsel dispatch (ParallelFor). Tasks submitted through Submit()
+/// latency, so the pool may be larger than the core count), by the parts
+/// of a merge table (both through OrderedFanOut) and by the engine's
+/// morsel dispatch (ParallelFor). Tasks submitted through Submit()
 /// must be independent: a task must never block on another task that could
 /// still be queued behind it, or the pool can deadlock. ParallelFor() is
 /// exempt from that rule — the caller participates in the work, so it makes
@@ -67,6 +71,32 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// \brief The one ordered fan-out: runs `fn(i)` for every i in [0, n) with
+/// at most `lanes` calls in flight (0: up to n), each lane claiming the
+/// next unclaimed index, and returns the results in index order. Inline in
+/// index order when `pool` is null or `lanes == 1`. Lanes are ParallelFor
+/// chunks, so the caller participates and nesting cannot deadlock.
+template <typename Fn>
+auto OrderedFanOut(ThreadPool* pool, size_t n, size_t lanes, const Fn& fn)
+    -> std::vector<decltype(fn(size_t{0}))> {
+  using T = decltype(fn(size_t{0}));
+  std::vector<std::optional<T>> slots(n);
+  std::atomic<size_t> next{0};
+  const auto drain = [&](size_t, size_t) {
+    for (size_t i; (i = next.fetch_add(1)) < n;) slots[i].emplace(fn(i));
+  };
+  lanes = lanes == 0 ? n : std::min(lanes, n);
+  if (pool == nullptr || lanes <= 1) {
+    drain(0, n);
+  } else {
+    pool->ParallelFor(lanes, 1, drain);
+  }
+  std::vector<T> out;
+  out.reserve(n);
+  for (std::optional<T>& slot : slots) out.push_back(std::move(*slot));
+  return out;
+}
 
 }  // namespace mip
 

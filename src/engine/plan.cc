@@ -849,12 +849,9 @@ struct PlanExecutor {
             std::to_string(g_broadcast_temp_counter.fetch_add(1) + 1);
       }
     }
-    MIP_ASSIGN_OR_RETURN(
-        std::vector<Table> results,
-        ExecParts(parts.size(), [&](size_t i) {
-          return ExecBroadcastPart(node, *parts[i], temp_names[i], small);
-        }));
-    return Table::Concat(results);
+    return ExecParts(parts.size(), [&](size_t i) {
+      return ExecBroadcastPart(node, *parts[i], temp_names[i], small);
+    });
   }
 
   Result<Table> ExecBroadcastPart(const PlanNode& node, const PlanNode& part,
@@ -888,31 +885,21 @@ struct PlanExecutor {
   /// Runs `fn(i)` for every part i in [0, n) on the exec pool — the parts
   /// of a merge table mostly wait on remote round trips, so a federated
   /// SELECT waits for its slowest site rather than the sum of all of them.
-  /// ParallelFor lets the caller participate, so nesting inside a morsel or
-  /// another merge cannot deadlock, and at most pool size + 1 parts are in
-  /// flight. A null pool runs the parts inline in part order. Every part
-  /// runs; the result is the first failure in part order, else the tables
-  /// in part order, so the concatenation is byte-identical at any thread
-  /// count.
-  Result<std::vector<Table>> ExecParts(
-      size_t n, const std::function<Result<Table>(size_t)>& fn) {
-    std::vector<Result<Table>> results(n, Status::Internal("part not run"));
-    const auto run = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) results[i] = fn(i);
-    };
-    ThreadPool* pool = ExecContext::Resolve(opts.exec).pool;
-    if (pool != nullptr) {
-      pool->ParallelFor(n, /*grain=*/1, run);
-    } else {
-      run(0, n);
-    }
+  /// OrderedFanOut runs at most pool size + 1 parts at once, inline in part
+  /// order for a null pool. Every part runs; the result is the first
+  /// failure in part order, else the parts concatenated in part order, so
+  /// it is byte-identical at any thread count.
+  Result<Table> ExecParts(size_t n,
+                          const std::function<Result<Table>(size_t)>& fn) {
+    std::vector<Result<Table>> results =
+        OrderedFanOut(ExecContext::Resolve(opts.exec).pool, n, n, fn);
     std::vector<Table> tables;
     tables.reserve(n);
     for (Result<Table>& result : results) {
       MIP_ASSIGN_OR_RETURN(Table table, std::move(result));
       tables.push_back(std::move(table));
     }
-    return tables;
+    return Table::Concat(tables);
   }
 
   Result<Table> Exec(const PlanNode& node) {
@@ -952,13 +939,9 @@ struct PlanExecutor {
         return CallRemoteSite(opts.remote, node.location, request,
                               node.table_name, opts.db_name);
       }
-      case PlanKind::kMergeUnion: {
-        MIP_ASSIGN_OR_RETURN(std::vector<Table> parts,
-                             ExecParts(node.children.size(), [&](size_t i) {
-                               return Exec(*node.children[i]);
-                             }));
-        return Table::Concat(parts);
-      }
+      case PlanKind::kMergeUnion:
+        return ExecParts(node.children.size(),
+                         [&](size_t i) { return Exec(*node.children[i]); });
       case PlanKind::kJoin: {
         // Build side first: both strategies materialize it exactly once.
         MIP_ASSIGN_OR_RETURN(Table right, Exec(*node.children[1]));

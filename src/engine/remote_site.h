@@ -35,13 +35,15 @@ struct RemoteRequest {
 
 /// \brief The engine's one way to reach another node. REMOTE-table scans,
 /// pushed SQL, broadcast joins and the planner's schema/stats probes all go
-/// through Call. The federation's MasterNode implements it over a
-/// net::Transport; tests serve it from a second Database. Calls arrive
-/// concurrently: from concurrent query executions, and from one query,
-/// whose executor sends the parts of a merge table at once on the exec
-/// pool. A failing part does not stop the parts after it from being sent;
-/// the query still returns the first failure in part order, so the extra
-/// traffic is paid only on the failure path.
+/// through Call. The federation's MasterNode implements it with the same
+/// send loop its algorithm steps use, with one attempt and no deadline, so
+/// a failing site fails the call with its own status. Tests serve it from
+/// a second Database. Calls arrive concurrently: from concurrent query
+/// executions, and from one query, whose executor sends the parts of a
+/// merge table through OrderedFanOut on the exec pool. A failing part does
+/// not stop the parts after it from being sent; the query still returns
+/// the first failure in part order, so the extra traffic is paid only on
+/// the failure path.
 class RemoteSite {
  public:
   virtual ~RemoteSite() = default;

@@ -25,9 +25,12 @@ using NetworkStats = net::NetworkStats;
 /// against).
 ///
 /// Every payload that crosses a node boundary goes through Send() as
-/// serialized bytes — there is no back door — so the byte counts are honest
-/// and "only aggregated, encrypted data leaves the hospital" is checkable
-/// in tests by inspecting the traffic log.
+/// serialized bytes, so the byte counts are honest and "only aggregated,
+/// encrypted data leaves the hospital" is checkable in tests by inspecting
+/// the traffic log. The one remaining back door is
+/// FederationSession::LocalRunSecureOp, which calls each in-process
+/// worker's step directly (WorkerNode::RunLocal) and imports the named
+/// vector into the SMPC cluster; nothing of it appears in the log.
 ///
 /// Send() is safe to call from many threads at once (the Master fans
 /// local-run requests out concurrently); handlers for distinct endpoints

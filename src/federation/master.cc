@@ -22,136 +22,66 @@ bool IsTransient(StatusCode code) {
 
 Result<std::vector<TransferData>> FederationSession::FanOutLocalRun(
     const char* msg_type, const std::string& func, const std::string& smpc_job,
-    const TransferData& args, bool enforce_timeout) {
-  const std::vector<std::string> ids = active_worker_ids_;
+    const TransferData& args, const FanoutPolicy& policy) {
+  const std::vector<std::string>& ids = active_worker_ids_;
   const size_t n = ids.size();
   if (n == 0) {
     return Status::Unavailable("session " + job_id_ +
                                " has no active workers left");
   }
 
-  const FanoutPolicy policy = fanout_;
-  net::Transport* transport = master_->transport_;
-
-  // Serialize the request once and share it across the fan-out.
+  // Serialize the request once and share it across the fan-out; `raw`
+  // measures its fixed-width size for the per-link compression ledger.
   BufferWriter writer;
-  writer.WriteString(func);
-  writer.WriteString(smpc_job);
+  BufferWriter raw = BufferWriter::Counter();
+  for (BufferWriter* w : {&writer, &raw}) {
+    w->WriteString(func);
+    w->WriteString(smpc_job);
+  }
   args.SerializeForWire(&writer);
+  args.Serialize(&raw);
   const std::vector<uint8_t> payload = writer.TakeBytes();
-  // Fixed-width request size, for the per-link compression ledger.
-  const size_t raw_request_bytes = sizeof(uint32_t) + func.size() +
-                                   sizeof(uint32_t) + smpc_job.size() +
-                                   args.RawSerializedBytes();
-
-  struct Slot {
-    Status status = Status::Unavailable("not attempted");
-    std::optional<TransferData> value;
-    int attempts = 0;
-    double elapsed_ms = 0.0;
-  };
-  std::vector<Slot> slots(n);
 
   // One call = one worker's full dispatch: attempts, backoff, deadline.
-  // Writes only its own slot; all sharing goes through the locked bus.
-  auto run_one = [&](size_t i) {
-    Slot& slot = slots[i];
+  const size_t lanes = static_cast<size_t>(std::max(0, policy.max_concurrency));
+  std::vector<std::optional<TransferData>> values(n);
+  last_reports_ = OrderedFanOut(&master_->pool(), n, lanes, [&](size_t i) {
+    WorkerRunReport report{ids[i], Status::OK(), 0, 0.0};
     Stopwatch total;
-    const int max_attempts = std::max(1, policy.max_attempts);
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      slot.attempts = attempt;
-      Stopwatch rtt;
-      Envelope envelope{"master", ids[i], msg_type, job_id_, payload};
-      // Hard deadline for transports that can enforce one at the socket
-      // (TCP); the cooperative post-hoc check below covers the in-process
-      // bus, which cannot preempt a running handler.
-      if (enforce_timeout && policy.worker_timeout_ms > 0) {
-        envelope.deadline_ms = policy.worker_timeout_ms;
-      }
-      Result<std::vector<uint8_t>> reply = transport->Send(std::move(envelope));
-      if (reply.ok()) {
-        if (enforce_timeout && policy.worker_timeout_ms > 0 &&
-            rtt.ElapsedMillis() > policy.worker_timeout_ms) {
-          slot.status = Status::Unavailable(
-              "worker '" + ids[i] + "' exceeded the " +
-              std::to_string(policy.worker_timeout_ms) + " ms step deadline");
-        } else {
-          BufferReader reader(reply.ValueOrDie());
-          Result<TransferData> parsed = TransferData::Deserialize(&reader);
-          if (parsed.ok()) {
-            // Compression ledger for both directions of this round trip:
-            // raw-equivalent sizes are computed analytically, never by
-            // re-serializing.
-            transport->MeterCodec("master", ids[i], raw_request_bytes,
-                                  payload.size());
-            transport->MeterCodec(
-                ids[i], "master",
-                parsed.ValueOrDie().RawSerializedBytes(),
-                reply.ValueOrDie().size());
-            slot.value = std::move(parsed).MoveValueUnsafe();
-            slot.status = Status::OK();
-          } else {
-            slot.status = parsed.status();
-          }
-          break;
-        }
-      } else {
-        slot.status = reply.status();
-      }
-      if (attempt == max_attempts || !IsTransient(slot.status.code())) break;
-      if (policy.retry_backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            policy.retry_backoff_ms * static_cast<double>(1 << (attempt - 1))));
-      }
-    }
-    slot.elapsed_ms = total.ElapsedMillis();
-  };
+    report.status = master_->SendToSite(
+        ids[i], msg_type, job_id_, payload, raw.size(), policy,
+        [&](const std::vector<uint8_t>& reply) -> Result<uint64_t> {
+          BufferReader reader(reply);
+          MIP_ASSIGN_OR_RETURN(values[i], TransferData::Deserialize(&reader));
+          return values[i]->RawSerializedBytes();
+        },
+        &report.attempts);
+    report.elapsed_ms = total.ElapsedMillis();
+    return report;
+  });
 
-  const int lanes =
-      policy.max_concurrency > 0
-          ? std::min<int>(policy.max_concurrency, static_cast<int>(n))
-          : static_cast<int>(n);
-  // Strided assignment over `lanes` ParallelFor chunks (grain 1), chunk t
-  // owning workers t, t+lanes, ... — honors max_concurrency (at most
-  // `lanes` chunks run at once) with the same work-distribution idiom the
-  // engine's morsel dispatch uses. One lane runs inline on this thread in
-  // worker order: the sequential determinism baseline.
-  master_->pool().ParallelFor(
-      static_cast<size_t>(lanes), 1, [&](size_t begin, size_t end) {
-        for (size_t t = begin; t < end; ++t) {
-          for (size_t i = t; i < n; i += static_cast<size_t>(lanes)) {
-            run_one(i);
-          }
-        }
-      });
-
-  last_reports_.clear();
-  last_reports_.reserve(n);
   size_t successes = 0;
-  for (size_t i = 0; i < n; ++i) {
-    WorkerRunReport report{ids[i], slots[i].status, slots[i].attempts,
-                           slots[i].elapsed_ms};
-    auto [it, inserted] = cumulative_.try_emplace(ids[i], report);
+  for (const WorkerRunReport& report : last_reports_) {
+    auto [it, inserted] = cumulative_.try_emplace(report.worker_id, report);
     if (!inserted) {
       it->second.status = report.status;
       it->second.attempts += report.attempts;
       it->second.elapsed_ms += report.elapsed_ms;
     }
-    last_reports_.push_back(std::move(report));
-    if (slots[i].status.ok()) ++successes;
+    if (report.status.ok()) ++successes;
   }
 
   if (policy.min_workers == 0) {
     // Strict mode: the first failure (in worker order) fails the step.
-    for (const Slot& slot : slots) {
-      if (!slot.status.ok()) return slot.status;
+    for (const WorkerRunReport& report : last_reports_) {
+      if (!report.status.ok()) return report.status;
     }
   } else if (successes < policy.min_workers) {
     std::string detail;
-    for (size_t i = 0; i < n; ++i) {
-      if (slots[i].status.ok()) continue;
+    for (const WorkerRunReport& report : last_reports_) {
+      if (report.status.ok()) continue;
       if (!detail.empty()) detail += "; ";
-      detail += ids[i] + ": " + slots[i].status.ToString();
+      detail += report.worker_id + ": " + report.status.ToString();
     }
     return Status::Unavailable(
         "quorum not met: " + std::to_string(successes) + " of " +
@@ -164,8 +94,8 @@ Result<std::vector<TransferData>> FederationSession::FanOutLocalRun(
   std::vector<std::string> survivors;
   survivors.reserve(successes);
   for (size_t i = 0; i < n; ++i) {
-    if (slots[i].status.ok()) {
-      results.push_back(std::move(*slots[i].value));
+    if (last_reports_[i].status.ok()) {
+      results.push_back(std::move(*values[i]));
       survivors.push_back(ids[i]);
     } else {
       excluded_workers_.push_back(ids[i]);
@@ -212,8 +142,7 @@ std::vector<WorkerRunReport> FederationSession::CumulativeReports() const {
 Result<std::vector<TransferData>> FederationSession::LocalRun(
     const std::string& func, const TransferData& args) {
   // No SMPC job on the plain path.
-  return FanOutLocalRun("local_run", func, "", args,
-                        /*enforce_timeout=*/true);
+  return FanOutLocalRun("local_run", func, "", args, fanout_);
 }
 
 Result<TransferData> FederationSession::LocalRunAndAggregate(
@@ -225,17 +154,18 @@ Result<TransferData> FederationSession::LocalRunAndAggregate(
     return TransferData::SumMerge(parts);
   }
   // Secure path: each worker imports its transfer into the SMPC cluster;
-  // only shapes travel on the bus. The step deadline is not enforced here:
-  // once a (late) reply arrives the shares are already in the cluster, and
+  // only shapes travel on the bus. The step deadline is cleared here: once
+  // a (late) reply arrives the shares are already in the cluster, and
   // excluding the worker afterwards would corrupt the aggregate.
   const std::string smpc_job = NextSmpcJobId();
+  FanoutPolicy no_deadline = fanout_;
+  no_deadline.worker_timeout_ms = 0.0;
   // Large share vectors batch-process on the fan-out pool (morsel
   // parallelism never changes the shares — deterministic chunking).
   master_->smpc_.set_pool(&master_->pool());
   MIP_ASSIGN_OR_RETURN(
       std::vector<TransferData> shapes,
-      FanOutLocalRun("local_run_secure", func, smpc_job, args,
-                     /*enforce_timeout=*/false));
+      FanOutLocalRun("local_run_secure", func, smpc_job, args, no_deadline));
   if (shapes.empty()) {
     return Status::ExecutionError("no workers in session");
   }
@@ -276,26 +206,74 @@ MasterNode::MasterNode(MasterConfig config)
   local_db_.set_remote_site(this);
 }
 
+Status MasterNode::SendToSite(const std::string& to, const std::string& type,
+                              const std::string& job_id,
+                              std::vector<uint8_t> payload,
+                              uint64_t raw_request_bytes,
+                              const FanoutPolicy& policy,
+                              const ReplyDecoder& decode, int* attempts) {
+  const int max_attempts = std::max(1, policy.max_attempts);
+  const double deadline_ms = policy.worker_timeout_ms;
+  const uint64_t request_bytes = payload.size();
+  for (int attempt = 1;; ++attempt) {
+    if (attempts != nullptr) *attempts = attempt;
+    Stopwatch rtt;
+    // The last attempt gives up the payload; earlier ones send a copy.
+    Envelope envelope{"master", to, type, job_id,
+                      attempt < max_attempts ? payload : std::move(payload)};
+    // Hard deadline for transports that can enforce one at the socket
+    // (TCP); the cooperative post-hoc check below covers the in-process
+    // bus, which cannot preempt a running handler.
+    if (deadline_ms > 0) envelope.deadline_ms = deadline_ms;
+    Result<std::vector<uint8_t>> reply = transport_->Send(std::move(envelope));
+    Status status = reply.status();
+    if (reply.ok() && deadline_ms > 0 && rtt.ElapsedMillis() > deadline_ms) {
+      status = Status::Unavailable("worker '" + to + "' exceeded the " +
+                                   std::to_string(deadline_ms) +
+                                   " ms step deadline");
+    } else if (reply.ok()) {
+      // Decode errors are deterministic: never retried.
+      MIP_ASSIGN_OR_RETURN(uint64_t raw_reply_bytes,
+                           decode(reply.ValueOrDie()));
+      // Codec ledger for both directions, raw sizes measured, not rebuilt.
+      if (raw_request_bytes > 0) {
+        transport_->MeterCodec("master", to, raw_request_bytes,
+                               request_bytes);
+      }
+      transport_->MeterCodec(to, "master", raw_reply_bytes,
+                             reply.ValueOrDie().size());
+      return Status::OK();
+    }
+    if (attempt == max_attempts || !IsTransient(status.code())) return status;
+    if (policy.retry_backoff_ms > 0) {
+      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+          policy.retry_backoff_ms * static_cast<double>(1 << (attempt - 1))));
+    }
+  }
+}
+
 Result<engine::Table> MasterNode::Call(const std::string& location,
                                        const engine::RemoteRequest& request) {
-  const bool bound = request.kind == engine::RemoteKind::kRunSqlBound;
   BufferWriter writer;
   engine::EncodeRemoteRequest(request, &writer);
-  std::vector<uint8_t> payload = writer.TakeBytes();
-  const uint64_t request_bytes = payload.size();
-  Envelope envelope{"master", location, engine::RemoteKindName(request.kind),
-                    "", std::move(payload)};
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                       transport_->Send(std::move(envelope)));
-  if (bound) {
-    transport_->MeterCodec("master", location,
-                           engine::RawTableWireBytes(*request.bound),
-                           request_bytes);
-  }
-  BufferReader reader(reply);
-  MIP_ASSIGN_OR_RETURN(engine::Table table, engine::DeserializeTable(&reader));
-  transport_->MeterCodec(location, "master", engine::RawTableWireBytes(table),
-                         reply.size());
+  // Only a bound build side went through the table codecs.
+  const uint64_t raw_request_bytes =
+      request.kind == engine::RemoteKind::kRunSqlBound
+          ? engine::RawTableWireBytes(*request.bound)
+          : 0;
+  // SQL calls make one attempt with no deadline.
+  FanoutPolicy once;
+  once.max_attempts = 1;
+  engine::Table table;
+  MIP_RETURN_NOT_OK(SendToSite(
+      location, engine::RemoteKindName(request.kind), "", writer.TakeBytes(),
+      raw_request_bytes, once,
+      [&table](const std::vector<uint8_t>& reply) -> Result<uint64_t> {
+        BufferReader reader(reply);
+        MIP_ASSIGN_OR_RETURN(table, engine::DeserializeTable(&reader));
+        return engine::RawTableWireBytes(table);
+      },
+      nullptr));
   return table;
 }
 

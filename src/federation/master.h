@@ -1,6 +1,7 @@
 #ifndef MIP_FEDERATION_MASTER_H_
 #define MIP_FEDERATION_MASTER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,10 +41,11 @@ struct FanoutPolicy {
   int max_attempts = 3;
   /// Sleep before retry k is `retry_backoff_ms * 2^(k-1)`.
   double retry_backoff_ms = 1.0;
-  /// A worker whose round-trip exceeds this is classified Unavailable for
-  /// the step (cooperative: the in-process bus cannot preempt a running
-  /// handler). 0 disables the deadline. Not enforced on the secure path,
-  /// where a late reply means shares were already imported.
+  /// Each attempt's socket deadline on TCP; a round trip that exceeds it
+  /// anyway (the in-process bus cannot preempt a running handler) is
+  /// classified Unavailable for the step. 0 disables the deadline. Cleared
+  /// on the secure path, where a late reply means shares were already
+  /// imported.
   double worker_timeout_ms = 0.0;
   /// Quorum. 0 = strict: every worker must succeed or the step fails
   /// (legacy behavior). N > 0 = degraded mode: the step succeeds if at
@@ -155,16 +157,16 @@ class FederationSession {
   }
 
   /// Dispatches one local-run step (`msg_type` is "local_run" or
-  /// "local_run_secure") to every active worker according to the fan-out
-  /// policy: concurrent delivery over the Master's thread pool, retry with
-  /// exponential backoff on transient failures, per-worker deadline, then
-  /// quorum evaluation. Returns the surviving workers' transfers in worker
-  /// order; updates last_reports()/excluded_workers()/active_workers().
+  /// "local_run_secure") to every active worker according to `policy`:
+  /// OrderedFanOut over the Master's thread pool, one MasterNode::SendToSite
+  /// per worker (retries, backoff, deadline), then quorum evaluation.
+  /// Returns the surviving workers' transfers in worker order; updates
+  /// last_reports()/excluded_workers()/active_workers().
   Result<std::vector<TransferData>> FanOutLocalRun(const char* msg_type,
                                                    const std::string& func,
                                                    const std::string& smpc_job,
                                                    const TransferData& args,
-                                                   bool enforce_timeout);
+                                                   const FanoutPolicy& policy);
 
   MasterNode* master_;
   std::string job_id_;
@@ -188,9 +190,9 @@ class MasterNode : public engine::RemoteSite {
   explicit MasterNode(MasterConfig config = MasterConfig());
 
   /// The local engine's one remote call path: encodes `request` as the
-  /// envelope RemoteKindName(kind) names, sends it to `location` over the
-  /// transport, decodes the reply table, and records both directions in
-  /// the codec ledger.
+  /// envelope RemoteKindName(kind) names and sends it to `location` through
+  /// SendToSite with one attempt and no deadline, then decodes the reply
+  /// table.
   Result<engine::Table> Call(const std::string& location,
                              const engine::RemoteRequest& request) override;
 
@@ -252,6 +254,21 @@ class MasterNode : public engine::RemoteSite {
 
  private:
   friend class FederationSession;
+
+  /// Decodes an accepted reply and returns its fixed-width size.
+  using ReplyDecoder =
+      std::function<Result<uint64_t>(const std::vector<uint8_t>&)>;
+
+  /// The Master's one send loop to a site: sends `payload` as a `type`
+  /// envelope to `to` under `policy` (transient-only retries with backoff,
+  /// worker_timeout_ms as socket deadline and post-hoc check), decodes the
+  /// accepted reply once, then meters both directions in the codec ledger
+  /// (the request only if `raw_request_bytes` > 0). `*attempts`, if given,
+  /// gets the deliveries tried.
+  Status SendToSite(const std::string& to, const std::string& type,
+                    const std::string& job_id, std::vector<uint8_t> payload,
+                    uint64_t raw_request_bytes, const FanoutPolicy& policy,
+                    const ReplyDecoder& decode, int* attempts);
 
   MasterConfig config_;
   MessageBus bus_;

@@ -223,21 +223,6 @@ Result<size_t> Socket::RecvSome(uint8_t* out, size_t n, double timeout_ms) {
   }
 }
 
-Status Socket::RecvAll(uint8_t* out, size_t n, double timeout_ms) {
-  Stopwatch sw;
-  size_t got = 0;
-  while (got < n) {
-    if (Expired(timeout_ms, sw)) {
-      return Status::Unavailable("receive deadline expired");
-    }
-    MIP_ASSIGN_OR_RETURN(
-        size_t chunk,
-        RecvSome(out + got, n - got, Remaining(timeout_ms, sw)));
-    got += chunk;
-  }
-  return Status::OK();
-}
-
 void Socket::Close() {
   if (fd_ >= 0) {
     close(fd_);

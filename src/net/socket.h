@@ -65,9 +65,6 @@ class Socket {
   /// Reads 1..n bytes within the deadline. IOError("peer closed") on EOF.
   Result<size_t> RecvSome(uint8_t* out, size_t n, double timeout_ms);
 
-  /// Reads exactly `n` bytes within the deadline.
-  Status RecvAll(uint8_t* out, size_t n, double timeout_ms);
-
   /// Non-blocking read for event loops: 1..n bytes, Unavailable when the
   /// socket has nothing buffered, IOError("peer closed ...") on EOF.
   Result<size_t> TryRecv(uint8_t* out, size_t n);

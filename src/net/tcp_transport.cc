@@ -23,11 +23,6 @@ void TcpTransport::AddPeer(const std::string& node_id,
   peer.idle.clear();  // stale connections to an old address are useless
 }
 
-bool TcpTransport::HasPeer(const std::string& node_id) const {
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  return peers_.count(node_id) > 0;
-}
-
 Status TcpTransport::RegisterEndpoint(const std::string& node_id,
                                       Handler handler) {
   // Endpoint serving lives entirely in the epoll server: frame decode,

@@ -71,7 +71,6 @@ class TcpTransport : public Transport {
 
   /// Declares where a remote node lives. Send() routes by Envelope::to.
   void AddPeer(const std::string& node_id, const std::string& host, int port);
-  bool HasPeer(const std::string& node_id) const;
 
   /// Stops the server loop, drains in-flight handlers, closes every socket.
   /// Idempotent; called by the destructor.

@@ -1,6 +1,7 @@
 #include "storage/compaction.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <numeric>
@@ -70,7 +71,8 @@ Result<engine::Table> SortForCompaction(const engine::Table& table,
                              std::move(columns));
 }
 
-Status RestoreGroupOrder(const engine::Table& group, engine::Table* out) {
+Status RestoreGroupOrder(const engine::Table& group, uint64_t group_id,
+                         uint64_t group_rows, engine::Table* out) {
   const int pos_idx = group.schema().FieldIndex(kHiddenPosColumn);
   if (pos_idx < 0) {
     return Status::IOError("compaction group is missing its '" +
@@ -84,29 +86,44 @@ Status RestoreGroupOrder(const engine::Table& group, engine::Table* out) {
   if (!columns_match) {
     return Status::Internal("compaction group does not match its table");
   }
-  const engine::Column& pos = group.column(static_cast<size_t>(pos_idx));
-  const size_t n = group.num_rows();
+  const std::vector<int64_t>& pos =
+      group.column(static_cast<size_t>(pos_idx)).ints();
 
-  // When every row of the group survived pruning, the positions are a
-  // permutation of 0..n-1 and the inverse permutation restores the order in
-  // O(n); otherwise (some segments pruned) argsort the surviving positions.
-  std::vector<int64_t> order(n, -1);
-  bool is_permutation = true;
-  for (size_t i = 0; i < n; ++i) {
-    const int64_t p = pos.IntAt(i);
-    if (p < 0 || p >= static_cast<int64_t>(n) || order[p] != -1) {
-      is_permutation = false;
-      break;
+  // No comparison sort: a bitmap over the group's positions marks each
+  // surviving row (a repeated or out-of-range position means a corrupt
+  // group), a running count per word ranks the positions, and each row goes
+  // to its position's rank. The bitmap is 1/64 of the group's rows.
+  struct Word {
+    uint64_t bits = 0;
+    size_t rank = 0;  // surviving positions below this word's first
+  };
+  std::vector<Word> words(static_cast<size_t>((group_rows + 63) / 64));
+  for (const int64_t p : pos) {
+    const uint64_t bit = uint64_t{1} << (p & 63);
+    if (p < 0 || static_cast<uint64_t>(p) >= group_rows ||
+        (words[p >> 6].bits & bit) != 0) {
+      return Status::IOError(
+          "corrupt compaction group " + std::to_string(group_id) +
+          ": position " + std::to_string(p) + " is repeated or outside [0, " +
+          std::to_string(group_rows) + ")");
     }
-    order[p] = static_cast<int64_t>(i);
+    words[p >> 6].bits |= bit;
   }
-  if (!is_permutation) {
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&pos](int64_t a, int64_t b) {
-                       return pos.IntAt(static_cast<size_t>(a)) <
-                              pos.IntAt(static_cast<size_t>(b));
-                     });
+  size_t rank = 0;
+  for (Word& word : words) {
+    word.rank = rank;
+    rank += static_cast<size_t>(std::popcount(word.bits));
+  }
+  std::vector<int64_t> order(pos.size());
+  for (size_t i = 0; i < pos.size(); ++i) {
+    const Word& word = words[pos[i] >> 6];
+    const int low = static_cast<int>(pos[i] & 63);
+    // In a full word (every row of a dense group) the offset is the rank.
+    const int below =
+        word.bits == ~uint64_t{0}
+            ? low
+            : std::popcount(word.bits & ((uint64_t{1} << low) - 1));
+    order[word.rank + static_cast<size_t>(below)] = static_cast<int64_t>(i);
   }
   size_t dst = 0;
   for (size_t c = 0; c < group.num_columns(); ++c) {

@@ -68,11 +68,14 @@ Result<engine::Table> SortForCompaction(const engine::Table& table,
                                         const std::string& cluster_key);
 
 /// Inverse of the re-sort for the read path: `group` holds the decoded
-/// (surviving) rows of one compaction group including the hidden position
-/// column; appends them to `*out` ordered by position with the column
-/// stripped, in one gather. `out`'s columns are `group`'s minus the hidden
-/// one, in order.
-Status RestoreGroupOrder(const engine::Table& group, engine::Table* out);
+/// (surviving) rows of compaction group `group_id`, which has `group_rows`
+/// rows over all its segments, including the hidden position column;
+/// appends them to `*out` ordered by position with the column stripped, in
+/// one gather, with no comparison sort. `out`'s columns are `group`'s minus
+/// the hidden one, in order. A repeated position, or one outside
+/// [0, group_rows), is an IOError naming the group.
+Status RestoreGroupOrder(const engine::Table& group, uint64_t group_id,
+                         uint64_t group_rows, engine::Table* out);
 
 }  // namespace mip::storage
 

@@ -538,20 +538,21 @@ Status StorageEngine::AppendSegmentRows(const std::vector<SegmentState>& segs,
       // Compacted group: the surviving rows carry the hidden position
       // column; decode them together, then gather them into `out` in
       // pre-compaction order without it.
-      uint64_t rows = 0;
+      uint64_t rows = 0, group_rows = 0;
       for (size_t k = i; k < j; ++k) {
+        group_rows += segs[k].footer.num_rows;
         if (decode[k]) rows += segs[k].footer.num_rows;
       }
       if (rows > 0) {
-        engine::Table group_rows =
+        engine::Table survivors =
             engine::Table::Empty(SchemaWithPos(out->schema()));
-        group_rows.Reserve(static_cast<size_t>(rows));
+        survivors.Reserve(static_cast<size_t>(rows));
         for (size_t k = i; k < j; ++k) {
           if (!decode[k]) continue;
           MIP_RETURN_NOT_OK(AppendSegmentData(SegmentPath(segs[k].id),
-                                              segs[k].footer, &group_rows));
+                                              segs[k].footer, &survivors));
         }
-        MIP_RETURN_NOT_OK(RestoreGroupOrder(group_rows, out));
+        MIP_RETURN_NOT_OK(RestoreGroupOrder(survivors, group, group_rows, out));
       }
     }
     i = j;

@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -303,6 +304,44 @@ TEST_F(NetProcessTest, CodecTrafficMatchesInProcessAndIsMetered) {
   EXPECT_LE(stats.bytes_wire, stats.bytes_raw);
   EXPECT_GE(stats.CompressionRatio(), 1.0);
   client.Shutdown();
+}
+
+TEST_F(NetProcessTest, StepDeadlineCutsTheSocketWait) {
+  // The step deadline rides each request as the socket deadline, so a
+  // worker that sleeps 300 ms fails the step after about 50 ms instead of
+  // being waited out and judged late afterwards.
+  MasterNode master;
+  net::TcpTransport transport;
+  for (int i = 0; i < kWorkers; ++i) {
+    transport.AddPeer(WorkerId(i), "127.0.0.1", workers_[i].port);
+    ASSERT_TRUE(master.AddRemoteWorker(WorkerId(i), {"linreg"}).ok());
+  }
+  master.set_transport(&transport);
+  auto session = master.StartSession({"linreg"});
+  ASSERT_TRUE(session.ok());
+  federation::FanoutPolicy policy;
+  policy.max_attempts = 1;
+  policy.worker_timeout_ms = 50.0;
+  session.ValueOrDie().set_fanout_policy(policy);
+  TransferData args;
+  args.PutScalar("ms", 300.0);
+
+  const auto start = std::chrono::steady_clock::now();
+  auto result = session.ValueOrDie().LocalRun("mip.sleep", args);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(result.status().ToString().find("deadline expired"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_LT(wall_ms, 200.0);
+  for (const federation::WorkerRunReport& report :
+       session.ValueOrDie().last_reports()) {
+    EXPECT_EQ(report.attempts, 1) << report.worker_id;
+  }
+  transport.Shutdown();
 }
 
 TEST_F(NetProcessTest, WorkerSurvivesBenignSignalsAndExitsCleanOnEof) {

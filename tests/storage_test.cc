@@ -60,6 +60,8 @@ using engine::Table;
 using engine::Value;
 using storage::BuildKeyInterval;
 using storage::CompactionHooks;
+using storage::RestoreGroupOrder;
+using storage::SchemaWithPos;
 using storage::IndexFooter;
 using storage::KeyInterval;
 using storage::ProbeIndex;
@@ -1507,6 +1509,35 @@ TEST(CompactionTest, ReservedColumnNamesRejectedAtAppend) {
   EXPECT_EQ((*store)->StorageTableNames().size(), 0u);
 }
 
+// RestoreGroupOrder places the surviving rows of a compacted group by their
+// hidden positions. A partial group comes back in position order; a
+// repeated or out-of-range position is a corrupt group, never a silent
+// reorder.
+TEST(CompactionTest, RestoreGroupOrderPlacesByPositionAndRejectsCorruption) {
+  const Schema user({{"x", DataType::kInt64}});
+  auto group = [&user](std::vector<int64_t> xs, std::vector<int64_t> pos) {
+    return Table::Make(SchemaWithPos(user),
+                       {Column::FromInts(std::move(xs)),
+                        Column::FromInts(std::move(pos))})
+        .ValueOrDie();
+  };
+  Table out = Table::Empty(user);
+  ASSERT_TRUE(
+      RestoreGroupOrder(group({30, 10, 20}, {7, 2, 5}), 4, 8, &out).ok());
+  EXPECT_EQ(out.column(0).ints(), (std::vector<int64_t>{10, 20, 30}));
+
+  for (const std::vector<int64_t>& pos :
+       {std::vector<int64_t>{0, 1, 1}, std::vector<int64_t>{0, 1, 3},
+        std::vector<int64_t>{-1, 0, 1}}) {
+    Table sink = Table::Empty(user);
+    const Status st = RestoreGroupOrder(group({1, 2, 3}, pos), 9, 3, &sink);
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+    EXPECT_NE(st.ToString().find("corrupt compaction group 9"),
+              std::string::npos)
+        << st.ToString();
+  }
+}
+
 TEST(CompactionTest, BackgroundThreadCompactsAndPreservesBytes) {
   const std::string dir = TestDir("compact_background");
   StorageOptions options;
@@ -2300,9 +2331,8 @@ TEST(ProjectedScanTest, EqualsSelectedFullScanAcrossLayoutsPathsAndThreads) {
   const std::vector<std::vector<std::string>> subsets =
       SeededSubsets({"id", "n", "d", "b", "s"}, 0x5CA9, 24);
   // "id < 300" and "id >= 700" prune part of the compacted group, so
-  // RestoreGroupOrder takes its argsort branch; "" keeps the whole group
-  // (the inverse-permutation branch). The index path runs where it selects
-  // the same segments as zone maps.
+  // RestoreGroupOrder restores a partial group; "" keeps the whole group.
+  // The index path runs where it selects the same segments as zone maps.
   struct Case {
     std::string where;
     bool use_index;

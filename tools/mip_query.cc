@@ -153,30 +153,19 @@ Status Run(const QueryFlags& flags) {
 
   // Issue concurrently, print in request order: output is a pure function
   // of the request list, never of scheduling.
-  std::vector<std::string> outputs(requests.size());
-  std::vector<Status> statuses(requests.size(), Status::OK());
-  {
-    mip::ThreadPool pool(flags.concurrency);
-    pool.ParallelFor(requests.size(), 1, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        Result<std::string> text = RunOne(&transport, flags, requests[i]);
-        if (text.ok()) {
-          outputs[i] = text.MoveValueUnsafe();
-        } else {
-          statuses[i] = text.status();
-        }
-      }
-    });
-  }
+  mip::ThreadPool pool(flags.concurrency);
+  const std::vector<Result<std::string>> outputs = mip::OrderedFanOut(
+      &pool, requests.size(), requests.size(),
+      [&](size_t i) { return RunOne(&transport, flags, requests[i]); });
 
   Status first_error = Status::OK();
   for (size_t i = 0; i < requests.size(); ++i) {
     std::printf("== %s\n", requests[i].c_str());
-    if (statuses[i].ok()) {
-      std::fputs(outputs[i].c_str(), stdout);
+    if (outputs[i].ok()) {
+      std::fputs(outputs[i].ValueOrDie().c_str(), stdout);
     } else {
-      std::printf("ERROR %s\n", statuses[i].ToString().c_str());
-      if (first_error.ok()) first_error = statuses[i];
+      std::printf("ERROR %s\n", outputs[i].status().ToString().c_str());
+      if (first_error.ok()) first_error = outputs[i].status();
     }
   }
   std::fflush(stdout);
