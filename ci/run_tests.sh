@@ -25,11 +25,13 @@ echo "== TSan: federation concurrency + robustness + net + engine morsels =="
 # the exec pool; pushdown_test goes master -> bus -> worker.
 # column_sharing_test reads shared column buffers while a worker appends to
 # and replaces the table; kernel_test runs the SQL kernels on a pool.
+# algorithms_test runs the algorithm local steps, whose sufficient-statistics
+# loops are morsel-parallel on the exec pool, over the columnar gather.
 TSAN_SUITES=(federation_concurrency_test robustness_test federation_test
              net_transport_test engine_parallel_test encoding_test
              serving_test result_cache_test storage_test join_test
              smpc_test smpc_property_test plan_test pushdown_test
-             kernel_test column_sharing_test)
+             kernel_test column_sharing_test algorithms_test)
 cmake -B "$ROOT/build-tsan" -S "$ROOT" -DMIP_SANITIZE=thread
 cmake --build "$ROOT/build-tsan" -j "$JOBS" --target "${TSAN_SUITES[@]}"
 # TSAN_OPTIONS makes any reported race fail the job; --no-tests=error guards
@@ -49,11 +51,14 @@ echo "== ASan+UBSan: net framing / deserialization / codec hardening =="
 # copy-on-write column buffers and the typed kernels that read them.
 # federation_concurrency_test drives the one ordered fan-out that serves
 # both algorithm steps and merge-table parts, and the pinned traffic.
+# algorithms_test reads the column buffers and bitmaps the complete-case
+# gather walks word by word.
 ASAN_SUITES=(net_transport_test net_process_test robustness_test
              encoding_test plan_test serving_test result_cache_test
              storage_test join_test smpc_test smpc_property_test
              pushdown_test federation_test common_test platform_test
-             kernel_test column_sharing_test federation_concurrency_test)
+             kernel_test column_sharing_test federation_concurrency_test
+             algorithms_test)
 cmake -B "$ROOT/build-asan" -S "$ROOT" -DMIP_SANITIZE=address
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target "${ASAN_SUITES[@]}" mip_worker

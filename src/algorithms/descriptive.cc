@@ -47,11 +47,11 @@ Status RegisterSteps(federation::LocalFunctionRegistry* registry) {
             for (const stats::SummaryAccumulator& part : parts) {
               acc.Merge(part);
             }
-            std::vector<double> values = col->NonNullDoubles();
             std::vector<double> row = acc.ToVector();  // n,na,mean,m2,min,max
-            row.push_back(stats::Quantile(values, 0.25));
-            row.push_back(stats::Quantile(values, 0.50));
-            row.push_back(stats::Quantile(values, 0.75));
+            for (double q : stats::Quantiles(col->NonNullDoubles(),
+                                             {0.25, 0.50, 0.75})) {
+              row.push_back(q);
+            }
             out.PutVector("row/" + ds + "/" + var, std::move(row));
           }
         }

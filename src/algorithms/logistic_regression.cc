@@ -1,5 +1,6 @@
 #include "algorithms/logistic_regression.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -47,33 +48,48 @@ Result<GatheredXy> GatherXy(federation::WorkerContext& ctx,
     MIP_ASSIGN_OR_RETURN(positive_class, args.GetString("positive_class"));
   }
 
-  LocalData data;
+  // `raw` holds the numeric variables the fold hash reads: the covariates,
+  // and the target too when it is numeric.
+  std::vector<std::string> raw_vars = x_vars;
+  std::vector<std::string> cat_vars;
   if (positive_class.empty()) {
-    std::vector<std::string> all_vars = x_vars;
-    all_vars.push_back(target);
-    MIP_ASSIGN_OR_RETURN(
-        data, GatherData(ctx, WorkerDatasets(ctx, args), all_vars, {}));
+    raw_vars.push_back(target);
   } else {
-    MIP_ASSIGN_OR_RETURN(data, GatherData(ctx, WorkerDatasets(ctx, args),
-                                          x_vars, {target}));
+    cat_vars.push_back(target);
   }
+  MIP_ASSIGN_OR_RETURN(std::vector<DatasetCases> cases,
+                       SelectCompleteCases(ctx, WorkerDatasets(ctx, args),
+                                           raw_vars, cat_vars));
+  stats::Matrix raw = NumericMatrix(cases, raw_vars.size());
 
+  const size_t n = raw.rows();
   const size_t p_x = x_vars.size();
-  const size_t p = p_x + (intercept ? 1 : 0);
+  const size_t k0 = intercept ? 1 : 0;
   GatheredXy out;
-  out.x = stats::Matrix(data.num_rows, p);
-  out.y.resize(data.num_rows);
-  out.raw = data.numeric;
-  for (size_t r = 0; r < data.num_rows; ++r) {
-    size_t k = 0;
-    if (intercept) out.x(r, k++) = 1.0;
-    for (size_t j = 0; j < p_x; ++j) out.x(r, k++) = data.numeric(r, j);
-    if (positive_class.empty()) {
-      out.y[r] = data.numeric(r, p_x) >= 0.5 ? 1.0 : 0.0;
-    } else {
-      out.y[r] = data.categorical[0][r] == positive_class ? 1.0 : 0.0;
+  out.x = stats::Matrix(n, p_x + k0);
+  out.y.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    double* x = out.x.row(r);
+    if (intercept) x[0] = 1.0;
+    std::copy(raw.row(r), raw.row(r) + p_x, x + k0);
+  }
+  if (positive_class.empty()) {
+    for (size_t r = 0; r < n; ++r) out.y[r] = raw(r, p_x) >= 0.5 ? 1.0 : 0.0;
+  } else {
+    // The target compared on its own column: no category text is built
+    // for a string target.
+    size_t r = 0;
+    for (const DatasetCases& d : cases) {
+      const engine::Column& col = d.categorical[0];
+      const bool is_string = col.type() == engine::DataType::kString;
+      for (size_t row : d.rows) {
+        const bool hit = is_string ? col.StringAt(row) == positive_class
+                                   : CategoryText(col, row) == positive_class;
+        out.y[r++] = hit ? 1.0 : 0.0;
+      }
     }
   }
+  out.raw = std::move(raw);
   return out;
 }
 

@@ -41,7 +41,11 @@ Result<Table> CallRemoteSite(RemoteSite* site, const std::string& location,
   return site->Call(location, request);
 }
 
-void EncodeRemoteRequest(const RemoteRequest& request, BufferWriter* w) {
+namespace {
+
+/// The one request layout; `compressed` picks the bound table's codec.
+void WriteRemoteRequest(const RemoteRequest& request, bool compressed,
+                        BufferWriter* w) {
   switch (request.kind) {
     case RemoteKind::kRunSql:
       w->WriteString(request.sql);
@@ -49,13 +53,29 @@ void EncodeRemoteRequest(const RemoteRequest& request, BufferWriter* w) {
     case RemoteKind::kRunSqlBound:
       w->WriteString(request.temp_name);
       w->WriteString(request.sql);
-      SerializeTableForWire(*request.bound, w);
+      if (compressed) {
+        SerializeTableForWire(*request.bound, w);
+      } else {
+        SerializeTable(*request.bound, w);
+      }
       return;
     case RemoteKind::kGetSchema:
     case RemoteKind::kGetStats:
       w->WriteString(request.table_name);
       return;
   }
+}
+
+}  // namespace
+
+void EncodeRemoteRequest(const RemoteRequest& request, BufferWriter* w) {
+  WriteRemoteRequest(request, /*compressed=*/true, w);
+}
+
+size_t RawRemoteRequestBytes(const RemoteRequest& request) {
+  BufferWriter counter = BufferWriter::Counter();
+  WriteRemoteRequest(request, /*compressed=*/false, &counter);
+  return counter.size();
 }
 
 Result<RemoteRequest> DecodeRemoteRequest(const std::string& type,

@@ -62,6 +62,10 @@ Result<Table> CallRemoteSite(RemoteSite* site, const std::string& location,
 /// through SerializeTableForWire; the other fields are plain strings.
 void EncodeRemoteRequest(const RemoteRequest& request, BufferWriter* w);
 
+/// Size of the same payload with a bound build side in the fixed-width
+/// layout (SerializeTable): the raw side of the codec ledger.
+size_t RawRemoteRequestBytes(const RemoteRequest& request);
+
 /// Parses the payload of an envelope of type `type`. A kRunSqlBound build
 /// side is decoded into `*bound` and the request points at it. Any other
 /// type is InvalidArgument.

@@ -256,10 +256,11 @@ Result<engine::Table> MasterNode::Call(const std::string& location,
                                        const engine::RemoteRequest& request) {
   BufferWriter writer;
   engine::EncodeRemoteRequest(request, &writer);
-  // Only a bound build side went through the table codecs.
+  // Only a bound build side went through the table codecs; the ledger
+  // compares the whole request in both layouts, as the wire carried it.
   const uint64_t raw_request_bytes =
       request.kind == engine::RemoteKind::kRunSqlBound
-          ? engine::RawTableWireBytes(*request.bound)
+          ? engine::RawRemoteRequestBytes(request)
           : 0;
   // SQL calls make one attempt with no deadline.
   FanoutPolicy once;

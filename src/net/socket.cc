@@ -153,11 +153,14 @@ Result<size_t> Socket::TryRecv(uint8_t* out, size_t n) {
   for (;;) {
     const ssize_t rc = recv(fd_, out, n, 0);
     if (rc > 0) return static_cast<size_t>(rc);
-    if (rc == 0) return Status::IOError("peer closed the connection");
+    if (rc == 0) {
+      peer_closed_ = true;
+      return Status::IOError("peer closed the connection");
+    }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return Status::Unavailable("no bytes available");
     }
-    if (errno != EINTR) return Errno("recv");
+    if (errno != EINTR) return Failed("recv");
   }
 }
 
@@ -168,7 +171,7 @@ Result<size_t> Socket::TrySend(const uint8_t* data, size_t n) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return Status::Unavailable("kernel send buffer full");
     }
-    if (errno != EINTR) return Errno("send");
+    if (errno != EINTR) return Failed("send");
   }
 }
 
@@ -199,7 +202,7 @@ Status Socket::SendAll(const uint8_t* data, size_t n, double timeout_ms) {
       continue;
     }
     if (rc < 0 && errno == EINTR) continue;
-    return Errno("send");
+    return Failed("send");
   }
   return Status::OK();
 }
@@ -212,15 +215,23 @@ Result<size_t> Socket::RecvSome(uint8_t* out, size_t n, double timeout_ms) {
     }
     const ssize_t rc = recv(fd_, out, n, 0);
     if (rc > 0) return static_cast<size_t>(rc);
-    if (rc == 0) return Status::IOError("peer closed the connection");
+    if (rc == 0) {
+      peer_closed_ = true;
+      return Status::IOError("peer closed the connection");
+    }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       MIP_RETURN_NOT_OK(
           PollFor(fd_, POLLIN, Remaining(timeout_ms, sw), "receive"));
       continue;
     }
     if (errno == EINTR) continue;
-    return Errno("recv");
+    return Failed("recv");
   }
+}
+
+Status Socket::Failed(const char* op) {
+  if (errno == ECONNRESET || errno == EPIPE) peer_closed_ = true;
+  return Errno(op);
 }
 
 void Socket::Close() {

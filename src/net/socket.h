@@ -24,11 +24,15 @@ class Socket {
 
   Socket(const Socket&) = delete;
   Socket& operator=(const Socket&) = delete;
-  Socket(Socket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Socket(Socket&& other) noexcept
+      : fd_(other.fd_), peer_closed_(other.peer_closed_) {
+    other.fd_ = -1;
+  }
   Socket& operator=(Socket&& other) noexcept {
     if (this != &other) {
       Close();
       fd_ = other.fd_;
+      peer_closed_ = other.peer_closed_;
       other.fd_ = -1;
     }
     return *this;
@@ -75,10 +79,17 @@ class Socket {
 
   void Close();
   bool valid() const { return fd_ >= 0; }
+  /// True once a read met EOF or a read or write failed with ECONNRESET or
+  /// EPIPE: the peer closed this connection.
+  bool peer_closed() const { return peer_closed_; }
   int fd() const { return fd_; }
 
  private:
+  /// Records a failed send()/recv() errno and returns it as IOError.
+  Status Failed(const char* op);
+
   int fd_ = -1;
+  bool peer_closed_ = false;
 };
 
 }  // namespace mip::net

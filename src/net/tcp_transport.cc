@@ -34,11 +34,17 @@ Status TcpTransport::RoundTrip(Socket* sock,
                                const std::vector<uint8_t>& frame,
                                double timeout_ms,
                                std::vector<uint8_t>* reply_payload,
-                               uint64_t* reply_wire_bytes) {
+                               uint64_t* reply_wire_bytes, bool* stale) {
+  *stale = false;
   Stopwatch sw;
-  MIP_RETURN_NOT_OK(sock->SendAll(frame.data(), frame.size(), timeout_ms));
+  Status sent = sock->SendAll(frame.data(), frame.size(), timeout_ms);
+  if (!sent.ok()) {
+    *stale = sock->peer_closed();
+    return sent;
+  }
   FrameDecoder decoder(options_.server.max_frame_payload);
   uint8_t chunk[16384];
+  bool replied = false;
   for (;;) {
     double remaining = 0.0;
     if (timeout_ms > 0) {
@@ -49,9 +55,13 @@ Status TcpTransport::RoundTrip(Socket* sock,
                                    " ms expired");
       }
     }
-    MIP_ASSIGN_OR_RETURN(size_t got,
-                         sock->RecvSome(chunk, sizeof(chunk), remaining));
-    decoder.Feed(chunk, got);
+    Result<size_t> got = sock->RecvSome(chunk, sizeof(chunk), remaining);
+    if (!got.ok()) {
+      *stale = !replied && sock->peer_closed();
+      return got.status();
+    }
+    replied = true;
+    decoder.Feed(chunk, *got);
     MIP_ASSIGN_OR_RETURN(bool done, decoder.Next(reply_payload));
     if (done) {
       if (decoder.buffered() != 0) {
@@ -114,11 +124,14 @@ Result<std::vector<uint8_t>> TcpTransport::Send(Envelope envelope) {
 
   std::vector<uint8_t> reply_payload;
   uint64_t reply_wire_bytes = 0;
+  bool stale = false;
   Status rt = RoundTrip(&conn, frame, timeout, &reply_payload,
-                        &reply_wire_bytes);
-  if (!rt.ok() && pooled) {
-    // A pooled connection may have been closed by the peer while idle;
-    // retry exactly once on a fresh dial before reporting failure.
+                        &reply_wire_bytes, &stale);
+  if (!rt.ok() && pooled && stale) {
+    // The peer closed the pooled connection while it sat idle, and no reply
+    // byte came back: resend once on a fresh dial. Any other failure (an
+    // expired deadline, a reset mid-reply) may mean the request ran, so it
+    // is reported, never sent twice.
     conn.Close();
     Result<Socket> dialed =
         Socket::ConnectTcp(host, peer_port, options_.connect_timeout_ms);
@@ -126,7 +139,7 @@ Result<std::vector<uint8_t>> TcpTransport::Send(Envelope envelope) {
       conn = std::move(dialed).MoveValueUnsafe();
       reply_payload.clear();
       rt = RoundTrip(&conn, frame, timeout, &reply_payload,
-                     &reply_wire_bytes);
+                     &reply_wire_bytes, &stale);
     }
   }
   if (!rt.ok()) {

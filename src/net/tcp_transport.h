@@ -90,10 +90,11 @@ class TcpTransport : public Transport {
   };
 
   /// One request/reply over one connection. Fills *reply_wire_bytes with
-  /// the framed reply size on success.
+  /// the framed reply size on success. On failure *stale says the peer had
+  /// closed the connection before any reply byte arrived.
   Status RoundTrip(Socket* sock, const std::vector<uint8_t>& frame,
                    double timeout_ms, std::vector<uint8_t>* reply_payload,
-                   uint64_t* reply_wire_bytes);
+                   uint64_t* reply_wire_bytes, bool* stale);
 
   TcpTransportOptions options_;
   std::atomic<bool> stopping_{false};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace mip::stats {
 
@@ -70,19 +71,69 @@ SummaryAccumulator SummaryAccumulator::FromVector(
   return acc;
 }
 
-double Quantile(std::vector<double> values, double q) {
+namespace {
+
+/// Strict weak order on non-NaN doubles that is total on their bits:
+/// -0.0 sorts before +0.0, so an order statistic is one exact value
+/// whichever algorithm finds it.
+bool Before(double a, double b) {
+  return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+}
+
+}  // namespace
+
+std::vector<double> Quantiles(std::vector<double> values,
+                              const std::vector<double>& qs) {
   values.erase(std::remove_if(values.begin(), values.end(),
                               [](double x) { return std::isnan(x); }),
                values.end());
-  if (values.empty()) return std::numeric_limits<double>::quiet_NaN();
-  std::sort(values.begin(), values.end());
-  if (q <= 0.0) return values.front();
-  if (q >= 1.0) return values.back();
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
+  const size_t n = values.size();
+  // The k-th smallest value, found by selection. Ranks are asked for in
+  // nondecreasing order, so every rank below `cut` that was asked for is
+  // already in place and [cut, n) holds the larger values.
+  size_t cut = 0;
+  auto at = [&values, &cut](size_t k) {
+    if (k >= cut) {
+      const auto kth = values.begin() + static_cast<std::ptrdiff_t>(k);
+      if (k == cut) {
+        // The next rank up is the minimum of the partition above.
+        std::iter_swap(kth, std::min_element(kth, values.end(), Before));
+      } else {
+        std::nth_element(values.begin() + static_cast<std::ptrdiff_t>(cut),
+                         kth, values.end(), Before);
+      }
+      cut = k + 1;
+    }
+    return values[k];
+  };
+  std::vector<double> out;
+  out.reserve(qs.size());
+  for (double q : qs) {
+    double v = std::numeric_limits<double>::quiet_NaN();
+    if (n == 0) {
+      // No values: NaN.
+    } else if (q <= 0.0) {
+      v = at(0);
+    } else if (q >= 1.0) {
+      v = at(n - 1);
+    } else {
+      const double pos = q * static_cast<double>(n - 1);
+      const size_t lo = static_cast<size_t>(pos);
+      const double frac = pos - static_cast<double>(lo);
+      if (lo + 1 >= n) {
+        v = at(n - 1);
+      } else {
+        const double below = at(lo);  // the lower rank is placed first
+        v = below * (1.0 - frac) + at(lo + 1) * frac;
+      }
+    }
+    out.push_back(v);
+  }
+  return out;
+}
+
+double Quantile(std::vector<double> values, double q) {
+  return Quantiles(std::move(values), {q})[0];
 }
 
 }  // namespace mip::stats

@@ -54,9 +54,15 @@ class SummaryAccumulator {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// \brief Exact quantiles of a sample (linear interpolation, type-7 like
-/// NumPy default). `q` in [0, 1]. Sorts a copy.
+/// \brief Exact quantile of a sample (linear interpolation, type-7 like
+/// NumPy default). `q` in [0, 1]; NaNs are dropped, and an empty sample
+/// gives NaN. Selects on a copy (no sort); -0.0 orders before +0.0.
 double Quantile(std::vector<double> values, double q);
+
+/// Quantile() at each of `qs`, which must be ascending, from one copy:
+/// each quantile selects only within the part above the previous one.
+std::vector<double> Quantiles(std::vector<double> values,
+                              const std::vector<double>& qs);
 
 /// \brief The row set of the MIP dashboard's "Descriptive Analysis" panel
 /// for a single variable in a single dataset (Figure 3).

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
 #include "algorithms/anova.h"
 #include "algorithms/calibration_belt.h"
+#include "algorithms/common.h"
 #include "algorithms/decision_tree.h"
 #include "algorithms/descriptive.h"
 #include "algorithms/kaplan_meier.h"
@@ -81,6 +83,173 @@ class AlgorithmsFixture : public ::testing::Test {
   MasterNode fed_;
   MasterNode central_;
 };
+
+// --- Complete-case gather ----------------------------------------------------
+
+// A row-at-a-time gather, the oracle for GatherData: per row, every numeric
+// variable through AsDoubleAt (NaN = missing), every categorical variable
+// through IsValid, and the kept rows' categories as ValueAt(r).ToString().
+Result<LocalData> RowAtATimeGather(
+    federation::WorkerContext& ctx, const std::vector<std::string>& datasets,
+    const std::vector<std::string>& numeric_vars,
+    const std::vector<std::string>& categorical_vars) {
+  LocalData out;
+  std::vector<std::vector<double>> numeric_rows;
+  out.categorical.resize(categorical_vars.size());
+  for (const std::string& ds : datasets) {
+    MIP_ASSIGN_OR_RETURN(Table table, ctx.db().GetTable(ds));
+    std::vector<const engine::Column*> num_cols;
+    for (const std::string& v : numeric_vars) {
+      MIP_ASSIGN_OR_RETURN(const engine::Column* c, table.ColumnByName(v));
+      num_cols.push_back(c);
+    }
+    std::vector<const engine::Column*> cat_cols;
+    for (const std::string& v : categorical_vars) {
+      MIP_ASSIGN_OR_RETURN(const engine::Column* c, table.ColumnByName(v));
+      cat_cols.push_back(c);
+    }
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      bool complete = true;
+      std::vector<double> row(num_cols.size());
+      for (size_t j = 0; j < num_cols.size() && complete; ++j) {
+        row[j] = num_cols[j]->AsDoubleAt(r);
+        complete = !std::isnan(row[j]);
+      }
+      for (size_t j = 0; j < cat_cols.size() && complete; ++j) {
+        complete = cat_cols[j]->IsValid(r);
+      }
+      if (!complete) continue;
+      numeric_rows.push_back(std::move(row));
+      for (size_t j = 0; j < cat_cols.size(); ++j) {
+        out.categorical[j].push_back(cat_cols[j]->ValueAt(r).ToString());
+      }
+    }
+  }
+  out.num_rows = numeric_rows.size();
+  out.numeric = stats::Matrix(out.num_rows, numeric_vars.size());
+  for (size_t r = 0; r < out.num_rows; ++r) {
+    for (size_t c = 0; c < numeric_vars.size(); ++c) {
+      out.numeric(r, c) = numeric_rows[r][c];
+    }
+  }
+  return out;
+}
+
+// One worker hosting two seeded mixed-type datasets with NULLs in every
+// column and valid NaNs in the DOUBLE ones, an empty table and a table in
+// which no row is complete.
+class GatherTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto worker = master_.AddWorker("h0");
+    ASSERT_TRUE(worker.ok());
+    worker_ = *worker;
+    Rng rng(77);
+    for (const char* name : {"a", "b"}) {
+      Table t = Table::Empty(MixedSchema());
+      for (int r = 0; r < 300; ++r) {
+        auto maybe = [&rng](Value v) {
+          return rng.NextDouble() < 0.08 ? Value::Null() : v;
+        };
+        const double d = rng.NextDouble() < 0.05
+                             ? std::nan("")
+                             : std::round(rng.NextGaussian(0, 3) * 4) / 4;
+        ASSERT_TRUE(
+            t.AppendRow({maybe(Value::Double(d)),
+                         maybe(Value::Int(static_cast<int64_t>(
+                             rng.NextDouble() * 7) - 3)),
+                         maybe(Value::Bool(rng.NextDouble() < 0.5)),
+                         maybe(Value::String(rng.NextDouble() < 0.5 ? "AD"
+                                                                     : "CN")),
+                         Value::Double(rng.NextGaussian(5, 1))})
+                .ok());
+      }
+      ASSERT_TRUE(master_.LoadDataset("h0", name, std::move(t)).ok());
+    }
+    ASSERT_TRUE(
+        master_.LoadDataset("h0", "empty", Table::Empty(MixedSchema())).ok());
+    Table none = Table::Empty(MixedSchema());
+    for (int r = 0; r < 70; ++r) {
+      ASSERT_TRUE(none.AppendRow({r % 2 == 0 ? Value::Null()
+                                             : Value::Double(std::nan("")),
+                                  Value::Int(r), Value::Bool(true),
+                                  Value::String("x"), Value::Double(r)})
+                      .ok());
+    }
+    ASSERT_TRUE(master_.LoadDataset("h0", "none", std::move(none)).ok());
+  }
+
+  static Schema MixedSchema() {
+    Schema schema;
+    EXPECT_TRUE(schema.AddField({"d", DataType::kFloat64}).ok());
+    EXPECT_TRUE(schema.AddField({"i", DataType::kInt64}).ok());
+    EXPECT_TRUE(schema.AddField({"b", DataType::kBool}).ok());
+    EXPECT_TRUE(schema.AddField({"s", DataType::kString}).ok());
+    EXPECT_TRUE(schema.AddField({"e", DataType::kFloat64}).ok());
+    return schema;
+  }
+
+  // Gathers with both implementations and requires the same rows, bit for
+  // bit, in the same order; returns the number of rows kept.
+  size_t ExpectSameGather(const std::vector<std::string>& datasets,
+                          const std::vector<std::string>& numeric_vars,
+                          const std::vector<std::string>& categorical_vars) {
+    federation::WorkerContext ctx(worker_, "job");
+    Result<LocalData> got =
+        GatherData(ctx, datasets, numeric_vars, categorical_vars);
+    Result<LocalData> want =
+        RowAtATimeGather(ctx, datasets, numeric_vars, categorical_vars);
+    EXPECT_EQ(got.ok(), want.ok());
+    if (!got.ok() || !want.ok()) return 0;
+    EXPECT_EQ(got->num_rows, want->num_rows);
+    EXPECT_EQ(got->numeric.rows(), want->numeric.rows());
+    EXPECT_EQ(got->numeric.cols(), want->numeric.cols());
+    if (got->numeric.size() == want->numeric.size() &&
+        got->numeric.size() > 0) {
+      EXPECT_EQ(std::memcmp(got->numeric.data(), want->numeric.data(),
+                            got->numeric.size() * sizeof(double)),
+                0);
+    }
+    EXPECT_EQ(got->categorical, want->categorical);
+    return got->num_rows;
+  }
+
+  MasterNode master_;
+  federation::WorkerNode* worker_ = nullptr;
+};
+
+TEST_F(GatherTest, MatchesRowAtATimeGatherOverMixedTypes) {
+  const std::vector<std::string> two = {"a", "b"};
+  // Every numeric type with NULLs and valid NaNs, as numeric variables.
+  const size_t kept = ExpectSameGather(two, {"d", "i", "b", "e"}, {});
+  EXPECT_GT(kept, 300u);
+  EXPECT_LT(kept, 600u);
+  // Every type as a categorical variable.
+  EXPECT_GT(ExpectSameGather(two, {"e"}, {"s", "i", "b", "d"}), 0u);
+  EXPECT_GT(ExpectSameGather(two, {}, {"d"}), 0u);
+  EXPECT_GT(ExpectSameGather({"b", "a"}, {"i", "d"}, {"s"}), 0u);
+  // A STRING column used as a numeric variable drops every row.
+  EXPECT_EQ(ExpectSameGather(two, {"e", "s"}, {"i"}), 0u);
+  // No variables: every row is complete.
+  EXPECT_EQ(ExpectSameGather(two, {}, {}), 600u);
+}
+
+TEST_F(GatherTest, EmptyAndAllIncompleteTablesContributeNoRows) {
+  EXPECT_EQ(ExpectSameGather({"empty"}, {"d", "e"}, {"s"}), 0u);
+  EXPECT_EQ(ExpectSameGather({"none"}, {"d", "e"}, {"s"}), 0u);
+  EXPECT_EQ(ExpectSameGather({"none"}, {"i", "e"}, {"s"}), 70u);
+  const size_t a = ExpectSameGather({"a"}, {"d", "i"}, {"b"});
+  EXPECT_EQ(ExpectSameGather({"empty", "a", "none"}, {"d", "i"}, {"b"}), a);
+  EXPECT_EQ(ExpectSameGather({}, {"d", "i"}, {"b"}), 0u);
+}
+
+TEST_F(GatherTest, MissingVariableOrDatasetFailsLikeTheRowGather) {
+  federation::WorkerContext ctx(worker_, "job");
+  EXPECT_FALSE(GatherData(ctx, {"a"}, {"nope"}, {}).ok());
+  EXPECT_FALSE(GatherData(ctx, {"a"}, {"d"}, {"nope"}).ok());
+  EXPECT_FALSE(GatherData(ctx, {"a", "nope"}, {"d"}, {}).ok());
+  ExpectSameGather({"a"}, {"nope"}, {});
+}
 
 // --- Descriptive (E1) --------------------------------------------------------
 

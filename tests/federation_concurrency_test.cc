@@ -596,6 +596,8 @@ class PinnedTrafficTest : public ::testing::Test {
   std::string Links() {
     std::string out;
     for (const auto& [link, s] : master_.bus().link_stats()) {
+      // The codec ledger never reports a payload grown by its codecs.
+      EXPECT_LE(s.bytes_wire, s.bytes_raw) << link;
       out += link + " " + std::to_string(s.messages) + " " +
              std::to_string(s.bytes) + " " + std::to_string(s.bytes_raw) +
              " " + std::to_string(s.bytes_wire) + "\n";
@@ -692,9 +694,9 @@ TEST_F(PinnedTrafficTest, BroadcastJoinSelect) {
             "h0->master 3 224 344 224\n"
             "h1->master 2 212 309 212\n"
             "h2->master 2 224 338 224\n"
-            "master->h0 3 106 89 96\n"
-            "master->h1 2 101 89 96\n"
-            "master->h2 2 101 89 96\n");
+            "master->h0 3 106 145 96\n"
+            "master->h1 2 101 145 96\n"
+            "master->h2 2 101 145 96\n");
 }
 
 TEST(ThreadPoolTest, RunsEveryTaskAndDrainsOnDestruction) {

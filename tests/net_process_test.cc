@@ -344,6 +344,48 @@ TEST_F(NetProcessTest, StepDeadlineCutsTheSocketWait) {
   transport.Shutdown();
 }
 
+TEST_F(NetProcessTest, StepDeadlineOnAPooledConnectionIsNotResent) {
+  // A quick step first leaves one idle connection per worker in the pool.
+  // The 50 ms deadline of the next, 300 ms step must then fail it once, in
+  // about 50 ms: an expired deadline is not a closed socket, so the request
+  // is neither re-dialed nor waited out a second time.
+  MasterNode master;
+  net::TcpTransport transport;
+  for (int i = 0; i < kWorkers; ++i) {
+    transport.AddPeer(WorkerId(i), "127.0.0.1", workers_[i].port);
+    ASSERT_TRUE(master.AddRemoteWorker(WorkerId(i), {"linreg"}).ok());
+  }
+  master.set_transport(&transport);
+  auto session = master.StartSession({"linreg"});
+  ASSERT_TRUE(session.ok());
+  federation::FanoutPolicy policy;
+  policy.max_attempts = 1;
+  session.ValueOrDie().set_fanout_policy(policy);
+  TransferData quick;
+  quick.PutScalar("ms", 1.0);
+  ASSERT_TRUE(session.ValueOrDie().LocalRun("mip.sleep", quick).ok());
+
+  policy.worker_timeout_ms = 50.0;
+  session.ValueOrDie().set_fanout_policy(policy);
+  TransferData slow;
+  slow.PutScalar("ms", 300.0);
+  const auto start = std::chrono::steady_clock::now();
+  auto result = session.ValueOrDie().LocalRun("mip.sleep", slow);
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(result.status().ToString().find("deadline"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_LT(wall_ms, 100.0);
+  for (const federation::WorkerRunReport& report :
+       session.ValueOrDie().last_reports()) {
+    EXPECT_EQ(report.attempts, 1) << report.worker_id;
+  }
+  transport.Shutdown();
+}
+
 TEST_F(NetProcessTest, WorkerSurvivesBenignSignalsAndExitsCleanOnEof) {
   // Regression: a signal interrupting the daemon's blocking stdin read made
   // fgets return null, which the old loop mistook for EOF — the worker

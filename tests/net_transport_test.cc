@@ -415,6 +415,90 @@ TEST(TcpTransportTest, PeerDeathMidRequestIsRetryableError) {
   client.Shutdown();
 }
 
+TEST(TcpTransportTest, ExpiredDeadlineOnAPooledConnectionIsNotResent) {
+  // The request whose deadline expires on a pooled connection reaches the
+  // handler once: only a connection the peer closed is re-dialed.
+  std::atomic<int> calls{0};
+  TcpTransport server;
+  ASSERT_TRUE(server
+                  .RegisterEndpoint(
+                      "slow",
+                      [&calls](const Envelope& e)
+                          -> Result<std::vector<uint8_t>> {
+                        calls.fetch_add(1);
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(e.payload[0]));
+                        return e.payload;
+                      })
+                  .ok());
+  ASSERT_TRUE(server.Listen(0).ok());
+  TcpTransport client;
+  client.AddPeer("slow", "127.0.0.1", server.port());
+  ASSERT_TRUE(client.Send(MakeEnvelope("slow", {1}, 5000.0)).ok());
+
+  auto r = client.Send(MakeEnvelope("slow", {200}, /*deadline_ms=*/50.0));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  server.Shutdown();  // drains the running handler
+  EXPECT_EQ(calls.load(), 2);
+  client.Shutdown();
+}
+
+TEST(TcpTransportTest, PeerClosingAnIdlePooledSocketIsRedialed) {
+  // A peer that answers one request per connection and then closes it, as
+  // a restarted or idle-reaping worker would. The second Send finds its
+  // pooled connection closed before any reply byte and must re-dial and
+  // succeed without the caller seeing a failure.
+  auto listener = net::Socket::ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto port = listener.ValueOrDie().BoundPort();
+  ASSERT_TRUE(port.ok());
+  std::atomic<int> accepted{0};
+  std::thread peer([&listener, &accepted] {
+    for (int c = 0; c < 2; ++c) {
+      auto conn = listener.ValueOrDie().Accept(/*timeout_ms=*/5000.0);
+      if (!conn.ok()) return;
+      accepted.fetch_add(1);
+      FrameDecoder decoder(1 << 20);
+      std::vector<uint8_t> payload;
+      uint8_t buf[4096];
+      bool done = false;
+      while (!done) {
+        auto got = conn.ValueOrDie().RecvSome(buf, sizeof(buf), 5000.0);
+        if (!got.ok()) return;
+        decoder.Feed(buf, got.ValueOrDie());
+        auto next = decoder.Next(&payload);
+        if (!next.ok()) return;
+        done = next.ValueOrDie();
+      }
+      auto envelope = net::DecodeEnvelopePayload(payload);
+      if (!envelope.ok()) return;
+      BufferWriter w;
+      net::EncodeFrame(
+          net::EncodeReplyPayload(Status::OK(), envelope.ValueOrDie().payload),
+          &w);
+      const std::vector<uint8_t> reply = w.TakeBytes();
+      if (!conn.ValueOrDie().SendAll(reply.data(), reply.size(), 5000.0).ok()) {
+        return;
+      }
+      // The socket closes here, after the reply: the client pools it.
+    }
+  });
+
+  TcpTransport client;
+  client.AddPeer("flaky", "127.0.0.1", port.ValueOrDie());
+  auto first = client.Send(MakeEnvelope("flaky", {1, 2}, 5000.0));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  // Let the peer's close reach the client's pooled socket.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  auto second = client.Send(MakeEnvelope("flaky", {3}, 5000.0));
+  peer.join();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(second.ValueOrDie(), (std::vector<uint8_t>{3}));
+  EXPECT_EQ(accepted.load(), 2);
+  client.Shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Fault-injection parity: the same seeded injector must produce the same
 // delivery outcome sequence whether the transport is the in-process bus or

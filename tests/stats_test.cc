@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.h"
 #include "stats/distributions.h"
@@ -259,6 +263,86 @@ TEST(QuantileTest, IgnoresNans) {
   EXPECT_DOUBLE_EQ(Quantile({std::nan(""), 2.0, std::nan(""), 4.0}, 0.5),
                    3.0);
   EXPECT_TRUE(std::isnan(Quantile({}, 0.5)));
+}
+
+// A sort-based reference quantile: sort a NaN-free copy (with -0.0 before
+// +0.0, the order Quantile documents) and interpolate.
+double SortedCopyQuantile(std::vector<double> values, double q) {
+  values.erase(std::remove_if(values.begin(), values.end(),
+                              [](double x) { return std::isnan(x); }),
+               values.end());
+  if (values.empty()) return std::nan("");
+  std::sort(values.begin(), values.end(), [](double a, double b) {
+    return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+  });
+  if (q <= 0.0) return values.front();
+  if (q >= 1.0) return values.back();
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  if (lo + 1 >= values.size()) return values.back();
+  return values[lo] * (1.0 - frac) + values[lo + 1] * frac;
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+TEST(QuantileTest, SelectionEqualsSortedCopyBitForBit) {
+  const std::vector<double> qs = {0.0, 0.25, 0.5, 0.75, 1.0};
+  Rng rng(4242);
+  std::vector<size_t> sizes = {1, 2, 3, 4, 5, 6, 7, 8, 9, 20000};
+  for (int round = 0; round < 40; ++round) {
+    for (size_t n : sizes) {
+      // Few distinct values (many duplicates), both signed zeros, an
+      // occasional infinity and NaN.
+      std::vector<double> values(n);
+      for (double& v : values) {
+        const double u = rng.NextDouble();
+        if (u < 0.15) {
+          v = 0.0;
+        } else if (u < 0.3) {
+          v = -0.0;
+        } else if (u < 0.33) {
+          v = std::nan("");
+        } else if (u < 0.35) {
+          v = (round % 2 == 0 ? 1 : -1) *
+              std::numeric_limits<double>::infinity();
+        } else if (round % 2 == 0) {
+          v = std::round(rng.NextGaussian(0, 2));
+        } else {
+          v = rng.NextGaussian(0, 2);
+        }
+      }
+      const std::vector<double> together = Quantiles(values, qs);
+      ASSERT_EQ(together.size(), qs.size());
+      for (size_t i = 0; i < qs.size(); ++i) {
+        const double want = SortedCopyQuantile(values, qs[i]);
+        const double got = Quantile(values, qs[i]);
+        EXPECT_EQ(Bits(got), Bits(want))
+            << "n=" << n << " q=" << qs[i] << " got=" << got
+            << " want=" << want;
+        EXPECT_EQ(Bits(together[i]), Bits(want))
+            << "n=" << n << " q=" << qs[i];
+      }
+    }
+  }
+}
+
+TEST(QuantileTest, QuartilesFromOneCopyMatchOneAtATime) {
+  const std::vector<double> xs = {7, -0.0, 3, 3, 0.0, 9, 1, 3};
+  const std::vector<double> qs = {0.25, 0.5, 0.75};
+  const std::vector<double> got = Quantiles(xs, qs);
+  for (size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(Bits(got[i]), Bits(Quantile(xs, qs[i])));
+  }
+  EXPECT_DOUBLE_EQ(got[0], 0.75);
+  EXPECT_DOUBLE_EQ(got[1], 3.0);
+  EXPECT_DOUBLE_EQ(got[2], 4.0);
+  EXPECT_TRUE(std::signbit(Quantile(xs, 0.0)));
+  for (double q : Quantiles({}, qs)) EXPECT_TRUE(std::isnan(q));
 }
 
 }  // namespace
