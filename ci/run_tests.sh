@@ -372,4 +372,24 @@ exec 5>&- 6>&-
 wait "$PW_PID" "$PG_PID" 2>/dev/null || true
 echo "persistence smoke: restart with different seed served identical bytes"
 
+echo "== smoke: mip_worker --data-dir reboot leaves MANIFEST byte-identical =="
+# Two boots on one directory. The first seeds the store and flushes it; the
+# second finds the dataset, so it must neither re-seed nor commit: both print
+# READY, and the MANIFEST after the second boot equals the first's.
+REBOOT_DIR="$SMOKE_DIR/reboot"
+for boot in 1 2; do
+  READY="$(echo quit | "$ROOT/build/tools/mip_worker" --id=reboot --port=0 \
+    --dataset=linreg --rows=48 --seed=5 --data-dir="$REBOOT_DIR")"
+  [[ "$READY" == MIP_WORKER\ READY\ id=reboot\ port=* ]] || {
+    echo "reboot smoke: boot $boot printed no READY line"; exit 1;
+  }
+  if [[ $boot == 1 ]]; then
+    cp "$REBOOT_DIR/MANIFEST" "$SMOKE_DIR/manifest_boot1"
+  fi
+done
+cmp "$SMOKE_DIR/manifest_boot1" "$REBOOT_DIR/MANIFEST" || {
+  echo "second --data-dir boot rewrote MANIFEST (re-seeded?)"; exit 1;
+}
+echo "reboot smoke: both boots READY, MANIFEST unchanged"
+
 echo "== OK =="

@@ -39,9 +39,9 @@ CrcTables BuildCrcTables() {
 
 }  // namespace
 
-uint32_t Crc32(const uint8_t* data, size_t n) {
+uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed) {
   static const CrcTables kTables = BuildCrcTables();
-  uint32_t c = 0xFFFFFFFFu;
+  uint32_t c = 0xFFFFFFFFu ^ seed;
   for (; n >= 8; data += 8, n -= 8) {
     uint64_t word = 0;
     std::memcpy(&word, data, sizeof(word));

@@ -16,10 +16,14 @@ namespace mip {
 /// bytewise tail. This is an implementation choice only — the polynomial,
 /// init and xorout are the classic bytewise CRC's, so every checksum and
 /// every on-disk / on-wire format that stores one is unchanged.
-uint32_t Crc32(const uint8_t* data, size_t n);
+///
+/// A nonzero `seed` is XORed into the initial register, so the same bytes
+/// checksum differently under every seed; seed 0 is the classic CRC. The
+/// WAL seeds its records with a per-epoch salt (storage/wal.h).
+uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 
-inline uint32_t Crc32(const std::vector<uint8_t>& data) {
-  return Crc32(data.data(), data.size());
+inline uint32_t Crc32(const std::vector<uint8_t>& data, uint32_t seed = 0) {
+  return Crc32(data.data(), data.size(), seed);
 }
 
 }  // namespace mip

@@ -263,7 +263,8 @@ Status StorageEngine::Compact(const std::string& name,
       replaced.push_back(it->second.segments[k]);
     }
     std::swap(it->second.segments, replaced);  // `replaced` now = old list
-    Status st = SaveManifest(ManifestPath(), BuildManifestLocked(wal_id_));
+    Status st = SaveManifest(ManifestPath(),
+                             BuildManifestLocked(wal_id_, wal_salt_));
     if (!st.ok()) {
       std::swap(it->second.segments, replaced);
       lock.unlock();

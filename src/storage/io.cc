@@ -136,21 +136,50 @@ Status WriteFileAtomic(const std::string& path,
   return SyncParentDir(path);
 }
 
-Status AppendFileSync(const std::string& path,
-                      const std::vector<uint8_t>& bytes) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+Status WriteFileAt(const std::string& path, uint64_t offset,
+                   const std::vector<uint8_t>& bytes) {
+  bool created = false;
+  int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0 && errno == ENOENT) {
+    fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+    created = fd >= 0;
+  }
   if (fd < 0) return IOErrorFromErrno("open", path);
-  Status st = WriteAll(fd, bytes.data(), bytes.size(), path);
+  Status st = Status::OK();
+  for (size_t off = 0; st.ok() && off < bytes.size();) {
+    const ssize_t w = ::pwrite(fd, bytes.data() + off, bytes.size() - off,
+                               static_cast<off_t>(offset + off));
+    if (w < 0) {
+      if (errno != EINTR) st = IOErrorFromErrno("write", path);
+      continue;
+    }
+    off += static_cast<size_t>(w);
+  }
   if (st.ok() && ::fsync(fd) != 0) st = IOErrorFromErrno("fsync", path);
   ::close(fd);
+  if (st.ok() && created) st = SyncParentDir(path);
   return st;
 }
 
-Status TruncateFile(const std::string& path, uint64_t size) {
-  if (::truncate(path.c_str(), static_cast<off_t>(size)) != 0) {
-    return IOErrorFromErrno("truncate", path);
+Status RenameFile(const std::string& from, const std::string& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) {
+    return IOErrorFromErrno("rename", from);
   }
-  return Status::OK();
+  return SyncParentDir(to);
+}
+
+Status ExchangeFiles(const std::string& from, const std::string& to) {
+  if (::renameat2(AT_FDCWD, from.c_str(), AT_FDCWD, to.c_str(),
+                  RENAME_EXCHANGE) != 0) {
+    if (errno != ENOENT && errno != EINVAL && errno != ENOSYS &&
+        errno != EOPNOTSUPP) {
+      return IOErrorFromErrno("exchange", from);
+    }
+    if (::rename(from.c_str(), to.c_str()) != 0) {
+      return IOErrorFromErrno("rename", from);
+    }
+  }
+  return SyncParentDir(to);
 }
 
 Status RemoveFile(const std::string& path) {

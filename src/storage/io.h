@@ -55,13 +55,23 @@ bool FileExists(const std::string& path);
 Status WriteFileAtomic(const std::string& path,
                        const std::vector<uint8_t>& bytes);
 
-/// Appends to (creating if absent) `path` and fsyncs — the WAL's durability
-/// primitive.
-Status AppendFileSync(const std::string& path,
-                      const std::vector<uint8_t>& bytes);
+/// Writes `bytes` at `offset` in place and fsyncs. No O_APPEND and no
+/// O_TRUNC: the file keeps the blocks it has, and bytes beyond the write
+/// stay as they were. Creates the file when absent, and then also fsyncs
+/// its directory so the new entry is durable. The WAL appends and the
+/// manifest's spare rewrite go through here.
+Status WriteFileAt(const std::string& path, uint64_t offset,
+                   const std::vector<uint8_t>& bytes);
 
-/// Truncates `path` to `size` bytes (torn-tail amputation on WAL replay).
-Status TruncateFile(const std::string& path, uint64_t size);
+/// Renames `from` to the unused name `to`, then fsyncs the directory. (A
+/// rename over an existing file would free that file's blocks.)
+Status RenameFile(const std::string& from, const std::string& to);
+
+/// Swaps the names `from` and `to` with renameat2(RENAME_EXCHANGE), then
+/// fsyncs the directory: `to` names `from`'s old file and `from` keeps
+/// `to`'s, so nothing is freed. When `to` does not exist, or the filesystem
+/// refuses the exchange, renames `from` over `to` instead.
+Status ExchangeFiles(const std::string& from, const std::string& to);
 
 Status RemoveFile(const std::string& path);
 

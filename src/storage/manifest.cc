@@ -1,5 +1,7 @@
 #include "storage/manifest.h"
 
+#include <cstring>
+
 #include "common/bytes.h"
 #include "common/crc32.h"
 #include "engine/encoding.h"
@@ -17,11 +19,20 @@ ManifestTable* Manifest::FindTable(const std::string& name) {
   return nullptr;
 }
 
+namespace {
+
+/// Byte offset of the version-3 `length` field.
+constexpr size_t kLengthOffset = 5;
+
+}  // namespace
+
 Status SaveManifest(const std::string& path, const Manifest& manifest) {
   BufferWriter w;
   w.WriteU32(kManifestMagic);
   w.WriteU8(kManifestVersion);
+  w.WriteU32(0);  // length, patched below
   w.WriteU64(manifest.wal_id);
+  w.WriteU32(manifest.wal_salt);
   w.WriteU64(manifest.next_segment_id);
   w.WriteU64(manifest.next_index_id);
   PutVarint(&w, manifest.tables.size());
@@ -44,8 +55,15 @@ Status SaveManifest(const std::string& path, const Manifest& manifest) {
       }
     }
   }
-  w.WriteU32(Crc32(w.bytes()));
-  return WriteFileAtomic(path, w.bytes());
+  std::vector<uint8_t> bytes = w.TakeBytes();
+  const uint32_t length = static_cast<uint32_t>(bytes.size() + 4);
+  std::memcpy(bytes.data() + kLengthOffset, &length, sizeof(length));
+  const uint32_t crc = Crc32(bytes);
+  const auto* crc_bytes = reinterpret_cast<const uint8_t*>(&crc);
+  bytes.insert(bytes.end(), crc_bytes, crc_bytes + sizeof(crc));
+  const std::string spare = path + ".tmp";
+  MIP_RETURN_NOT_OK(WriteFileAt(spare, 0, bytes));
+  return ExchangeFiles(spare, path);
 }
 
 Result<Manifest> LoadManifest(const std::string& path) {
@@ -53,12 +71,24 @@ Result<Manifest> LoadManifest(const std::string& path) {
   if (bytes.size() < 8) {
     return Status::IOError("manifest '" + path + "' too short");
   }
+  // Version 3 states its length (a stale tail may follow); older versions
+  // end at the end of the file. Version and magic are checked under the CRC
+  // below.
+  size_t length = bytes.size();
+  if (bytes[4] == kManifestVersion) {
+    uint32_t stated = 0;
+    if (bytes.size() >= kLengthOffset + sizeof(stated)) {
+      std::memcpy(&stated, bytes.data() + kLengthOffset, sizeof(stated));
+    }
+    if (stated < kLengthOffset + sizeof(stated) + 4 || stated > bytes.size()) {
+      return Status::IOError("manifest '" + path + "' bad length");
+    }
+    length = stated;
+  }
   // CRC covers everything before the trailing u32.
-  const std::vector<uint8_t> body(bytes.begin(), bytes.end() - 4);
-  BufferReader tail(bytes);
-  std::vector<uint8_t> skip(bytes.size() - 4);
-  MIP_RETURN_NOT_OK(tail.ReadRawBytes(skip.data(), skip.size()));
-  MIP_ASSIGN_OR_RETURN(uint32_t stored_crc, tail.ReadU32());
+  const std::vector<uint8_t> body(bytes.begin(), bytes.begin() + length - 4);
+  uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, bytes.data() + length - 4, sizeof(stored_crc));
   if (Crc32(body) != stored_crc) {
     return Status::IOError("manifest '" + path + "' CRC mismatch");
   }
@@ -69,12 +99,18 @@ Result<Manifest> LoadManifest(const std::string& path) {
     return Status::IOError("manifest '" + path + "' bad magic");
   }
   MIP_ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
-  if (version != kManifestVersion) {
+  if (version != kManifestVersion && version != 2) {
     return Status::IOError("manifest '" + path + "' unsupported version " +
                            std::to_string(version));
   }
   Manifest m;
+  if (version == kManifestVersion) {
+    MIP_RETURN_NOT_OK(r.ReadU32().status());  // length, checked above
+  }
   MIP_ASSIGN_OR_RETURN(m.wal_id, r.ReadU64());
+  if (version == kManifestVersion) {
+    MIP_ASSIGN_OR_RETURN(m.wal_salt, r.ReadU32());
+  }
   MIP_ASSIGN_OR_RETURN(m.next_segment_id, r.ReadU64());
   MIP_ASSIGN_OR_RETURN(m.next_index_id, r.ReadU64());
   MIP_ASSIGN_OR_RETURN(uint64_t num_tables, GetVarint(&r));

@@ -14,13 +14,22 @@ namespace mip::storage {
 /// ordered secondary indexes) belong to which table, which compaction
 /// group each segment is part of, and which WAL epoch is live.
 ///
-/// Written atomically (tmp + fsync + rename) on every flush or compaction;
-/// the manifest on disk therefore always describes a consistent snapshot —
-/// it is the single commit point for both. Layout (version 2):
+/// The single commit point for both flush and compaction, and committed
+/// without freeing a block. Two files take turns: `MANIFEST` and its spare
+/// `MANIFEST.tmp`, which holds the commit before last. A commit overwrites
+/// the spare in place (no O_TRUNC), fsyncs it, swaps the two names with
+/// renameat2(RENAME_EXCHANGE), and fsyncs the directory; the manifest on
+/// disk therefore always describes a consistent snapshot. The first commit
+/// has no MANIFEST to swap with, and a filesystem that refuses the exchange
+/// gets a rename over MANIFEST instead. Layout (version 3):
 ///
 ///   u32 magic        "MMF1"
-///   u8  version      2
+///   u8  version      3
+///   u32 length       byte count of the manifest, this header and the CRC
+///                    included; the spare is rewritten in place, so bytes
+///                    beyond `length` are an older, longer commit's tail
 ///   u64 wal_id       live WAL epoch; recovery replays wal-<wal_id>.log
+///   u32 wal_salt     seed of the live epoch's WAL record CRCs (wal.h)
 ///   u64 next_segment_id
 ///   u64 next_index_id
 ///   varint num_tables, per table:
@@ -33,16 +42,19 @@ namespace mip::storage {
 ///                         carry a hidden position column that lets scans
 ///                         restore the pre-compaction row order.
 ///       varint num_indexes, per index: varint id, string column
-///   u32 crc32        of everything before it
+///   u32 crc32        of the `length - 4` bytes before it
 ///
-/// Only version 2 loads; any other version byte is an IOError. A segment
+/// Version 2 — the same without `length` and `wal_salt`, its CRC at the end
+/// of the file — still loads, with wal_salt 0 (an unseeded WAL); the next
+/// commit writes version 3. Any other version byte is an IOError. A segment
 /// whose index list is empty gets its indexes rebuilt on the next boot.
 ///
 /// Segment/index files not referenced by the manifest and WAL files other
 /// than wal-<wal_id>.log are orphans from an interrupted flush or
-/// compaction; recovery deletes them.
+/// compaction; recovery deletes them, except that it renames a stale WAL to
+/// the live name when that name is missing (see store.h).
 inline constexpr uint32_t kManifestMagic = 0x31464D4Du;  // "MMF1"
-inline constexpr uint8_t kManifestVersion = 2;
+inline constexpr uint8_t kManifestVersion = 3;
 inline constexpr uint64_t kMaxManifestTables = 65536;
 inline constexpr uint64_t kMaxManifestSegments = 1u << 24;
 inline constexpr uint64_t kMaxManifestIndexes = 4096;  // per segment
@@ -67,6 +79,7 @@ struct ManifestTable {
 
 struct Manifest {
   uint64_t wal_id = 0;
+  uint32_t wal_salt = 0;  // 0 = unseeded WAL CRCs (a version-2 manifest)
   uint64_t next_segment_id = 0;
   uint64_t next_index_id = 0;
   std::vector<ManifestTable> tables;
@@ -74,11 +87,12 @@ struct Manifest {
   ManifestTable* FindTable(const std::string& name);
 };
 
-/// Serializes and writes crash-atomically.
+/// Serializes as version 3 and commits crash-atomically through the spare
+/// `<path>.tmp` (see above).
 Status SaveManifest(const std::string& path, const Manifest& manifest);
 
-/// Reads and validates (magic, version, CRC, counts, duplicate names).
-/// Any corruption is kIOError.
+/// Reads and validates version 3 or 2 (magic, version, length, CRC, counts,
+/// duplicate names). Any corruption is kIOError.
 Result<Manifest> LoadManifest(const std::string& path);
 
 }  // namespace mip::storage

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <random>
 #include <set>
 
 #include "common/string_util.h"
@@ -86,6 +87,16 @@ bool HasSuffix(const std::string& name, const std::string& suffix) {
          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// A new epoch's WAL salt (wal.h): random, so no tenant can predict it;
+/// never 0, the unseeded CRC; never the previous epoch's, so none of the
+/// previous epoch's records verifies under it.
+uint32_t NextWalSalt(uint32_t previous) {
+  std::random_device device;
+  uint32_t salt = 0;
+  while (salt == 0 || salt == previous) salt = device();
+  return salt;
+}
+
 }  // namespace
 
 std::string StorageEngine::SegmentPath(uint64_t id) const {
@@ -120,6 +131,7 @@ Status StorageEngine::RecoverLocked() {
     MIP_ASSIGN_OR_RETURN(manifest, LoadManifest(ManifestPath()));
   }
   wal_id_ = manifest.wal_id;
+  wal_salt_ = manifest.wal_salt;
   next_segment_id_ = manifest.next_segment_id;
   next_index_id_ = manifest.next_index_id;
 
@@ -189,13 +201,14 @@ Status StorageEngine::RecoverLocked() {
 
   // 3. Sweep orphans: segments/indexes the manifest does not reference (a
   // flush or compaction that died before its manifest committed), WALs from
-  // dead epochs, tmp files.
+  // dead epochs, tmp files other than the manifest's spare.
   MIP_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir_));
+  std::vector<uint64_t> stale_wals;
   for (const std::string& name : names) {
     uint64_t id = 0;
     bool orphan = false;
     if (HasSuffix(name, ".tmp")) {
-      orphan = true;
+      orphan = name != "MANIFEST.tmp";
     } else if (ParseIdFileName(name, "seg-", ".mip", &id)) {
       orphan = true;
       for (const auto& [key, state] : tables_) {
@@ -212,17 +225,29 @@ Status StorageEngine::RecoverLocked() {
           }
         }
       }
-    } else if (ParseIdFileName(name, "wal-", ".log", &id)) {
-      orphan = (id != wal_id_);
+    } else if (ParseIdFileName(name, "wal-", ".log", &id) && id != wal_id_) {
+      stale_wals.push_back(id);
     }
     if (orphan) MIP_RETURN_NOT_OK(RemoveFile(dir_ + "/" + name));
   }
-
-  // 4. Replay the live WAL into memtables, truncating a torn tail.
-  MIP_ASSIGN_OR_RETURN(WalReplay replay, ReplayWal(WalPath(wal_id_)));
-  if (replay.torn) {
-    MIP_RETURN_NOT_OK(TruncateFile(WalPath(wal_id_), replay.valid_bytes));
+  // A flush that committed its manifest but died before recycling its WAL
+  // left the file under the previous epoch's name: finish the rename rather
+  // than free the file. Only a salted epoch may take it over — unseeded
+  // (salt 0) replay would verify the old records. Any other stale WAL is an
+  // orphan.
+  std::sort(stale_wals.begin(), stale_wals.end());
+  if (!stale_wals.empty() && wal_salt_ != 0 &&
+      !FileExists(WalPath(wal_id_))) {
+    MIP_RETURN_NOT_OK(RenameFile(WalPath(stale_wals.back()), WalPath(wal_id_)));
+    stale_wals.pop_back();
   }
+  for (uint64_t id : stale_wals) MIP_RETURN_NOT_OK(RemoveFile(WalPath(id)));
+
+  // 4. Replay the live WAL into memtables. Its tail is where the valid
+  // prefix ends; the next append overwrites whatever follows.
+  MIP_ASSIGN_OR_RETURN(WalReplay replay,
+                       ReplayWal(WalPath(wal_id_), wal_salt_));
+  wal_tail_ = replay.valid_bytes;
   ctr_wal_replays_.fetch_add(replay.records.size(),
                              std::memory_order_relaxed);
   for (WalRecord& record : replay.records) {
@@ -256,9 +281,25 @@ Status StorageEngine::BuildSegmentIndexes(const engine::Table& data,
   return Status::OK();
 }
 
-Manifest StorageEngine::BuildManifestLocked(uint64_t wal_id) const {
+ManifestSegment StorageEngine::DescribeSegment(const SegmentState& seg) {
+  ManifestSegment ms;
+  ms.id = seg.id;
+  ms.rows = seg.footer.num_rows;
+  ms.group = seg.group;
+  // Invalid indexes stay referenced: the sweep must not delete their files
+  // out from under a later forensic look — only a compaction rewrite
+  // replaces them.
+  for (const IndexState& idx : seg.indexes) {
+    ms.indexes.push_back(ManifestIndex{idx.id, idx.column});
+  }
+  return ms;
+}
+
+Manifest StorageEngine::BuildManifestLocked(uint64_t wal_id,
+                                            uint32_t wal_salt) const {
   Manifest manifest;
   manifest.wal_id = wal_id;
+  manifest.wal_salt = wal_salt;
   manifest.next_segment_id = next_segment_id_;
   manifest.next_index_id = next_index_id_;
   for (const auto& [key, state] : tables_) {
@@ -266,17 +307,7 @@ Manifest StorageEngine::BuildManifestLocked(uint64_t wal_id) const {
     mt.name = key;
     mt.schema = state.schema;
     for (const SegmentState& seg : state.segments) {
-      ManifestSegment ms;
-      ms.id = seg.id;
-      ms.rows = seg.footer.num_rows;
-      ms.group = seg.group;
-      // Invalid indexes stay referenced: the sweep must not delete their
-      // files out from under a later forensic look — only a compaction
-      // rewrite replaces them.
-      for (const IndexState& idx : seg.indexes) {
-        ms.indexes.push_back(ManifestIndex{idx.id, idx.column});
-      }
-      mt.segments.push_back(std::move(ms));
+      mt.segments.push_back(DescribeSegment(seg));
     }
     manifest.tables.push_back(std::move(mt));
   }
@@ -328,7 +359,8 @@ Status StorageEngine::AppendRows(const std::string& name,
   }
   if (rows.num_rows() == 0 && it != tables_.end()) return Status::OK();
   // WAL first: once the fsync returns, the batch is durable.
-  MIP_RETURN_NOT_OK(AppendWalRecord(WalPath(wal_id_), name, rows));
+  MIP_RETURN_NOT_OK(
+      AppendWalRecord(WalPath(wal_id_), wal_salt_, &wal_tail_, name, rows));
   MIP_RETURN_NOT_OK(ApplyToMemtableLocked(name, rows));
   if (memtable_bytes_ >= options_.memtable_budget_bytes) {
     return FlushLocked();
@@ -342,6 +374,11 @@ Status StorageEngine::Flush() {
 }
 
 Status StorageEngine::FlushLocked() {
+  // With every memtable empty, the committed manifest already says it all.
+  bool pending = false;
+  for (const auto& [key, state] : tables_) pending |= !state.memtable.empty();
+  if (!pending) return Status::OK();
+
   // 1. Write memtables out as immutable segments, each with its ordered
   // indexes (every write is itself atomic; nothing references these files
   // until the manifest commits).
@@ -369,41 +406,25 @@ Status StorageEngine::FlushLocked() {
   }
 
   // 2. Commit point: the new manifest references the new segments + indexes
-  // and the next WAL epoch. A crash before this line leaves only orphans.
-  Manifest manifest;
-  manifest.wal_id = wal_id_ + 1;
+  // and the next WAL epoch under a fresh salt. A crash before the swap
+  // leaves only orphans.
+  const uint32_t salt = NextWalSalt(wal_salt_);
+  Manifest manifest = BuildManifestLocked(wal_id_ + 1, salt);
   manifest.next_segment_id = next_id;
   manifest.next_index_id = next_idx;
-  for (auto& [key, state] : tables_) {
-    ManifestTable mt;
-    mt.name = key;
-    mt.schema = state.schema;
-    auto describe = [&mt](const SegmentState& seg) {
-      ManifestSegment ms;
-      ms.id = seg.id;
-      ms.rows = seg.footer.num_rows;
-      ms.group = seg.group;
-      for (const IndexState& idx : seg.indexes) {
-        ms.indexes.push_back(ManifestIndex{idx.id, idx.column});
-      }
-      mt.segments.push_back(std::move(ms));
-    };
-    for (const SegmentState& seg : state.segments) describe(seg);
-    auto fit = flushed.find(key);
-    if (fit != flushed.end()) {
-      for (const SegmentState& seg : fit->second) describe(seg);
+  for (ManifestTable& mt : manifest.tables) {
+    auto fit = flushed.find(mt.name);
+    if (fit == flushed.end()) continue;
+    for (const SegmentState& seg : fit->second) {
+      mt.segments.push_back(DescribeSegment(seg));
     }
-    manifest.tables.push_back(std::move(mt));
   }
   MIP_RETURN_NOT_OK(SaveManifest(ManifestPath(), manifest));
 
-  // 3. The old WAL's records are now all represented by segments; drop it.
-  // A crash between the manifest commit and this unlink is healed by the
-  // stale-epoch sweep in recovery.
-  const std::string old_wal = WalPath(wal_id_);
-  if (FileExists(old_wal)) MIP_RETURN_NOT_OK(RemoveFile(old_wal));
-
+  const uint64_t old_wal_id = wal_id_;
   wal_id_ += 1;
+  wal_salt_ = salt;
+  wal_tail_ = 0;
   next_segment_id_ = next_id;
   next_index_id_ = next_idx;
   memtable_bytes_ = 0;
@@ -418,7 +439,14 @@ Status StorageEngine::FlushLocked() {
     state.memtable_rows = 0;
   }
   if (wrote) ctr_flushes_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+
+  // 3. Recycle the old WAL: its records are all in segments now, and none
+  // of them verifies under the new salt, so it becomes the new epoch's file
+  // under a rename onto an unused name — which frees nothing, where an
+  // unlink would. A crash before the rename is finished by recovery.
+  const std::string old_wal = WalPath(old_wal_id);
+  if (!FileExists(old_wal)) return Status::OK();
+  return RenameFile(old_wal, WalPath(wal_id_));
 }
 
 std::vector<std::string> StorageEngine::StorageTableNames() const {

@@ -46,25 +46,38 @@ struct StorageOptions {
 ///
 /// Layout inside the data directory:
 ///   MANIFEST            committed root (manifest.h)
+///   MANIFEST.tmp        the commit before last: the spare the next commit
+///                       overwrites in place and swaps in (manifest.h)
 ///   seg-<id>.mip        immutable columnar segments (segment.h)
 ///   idx-<id>.mix        immutable ordered indexes, one per
 ///                       (segment, column) (index.h)
-///   wal-<id>.log        live WAL epoch (wal.h)
+///   wal-<id>.log        live WAL epoch, a recycled file (wal.h)
 ///
-/// Append path: WAL record fsynced first, then the batch joins the
-/// in-memory memtable; once the summed memtable estimate exceeds the
-/// budget, the memtables flush into segments (and their indexes) and a new
-/// manifest commits atomically. The destructor deliberately does NOT flush
+/// Append path: WAL record written at the epoch's tail and fsynced first,
+/// then the batch joins the in-memory memtable; once the summed memtable
+/// estimate exceeds the budget, the memtables flush. Flush() with every
+/// memtable empty is a no-op. The destructor deliberately does NOT flush
 /// — durability must come from the WAL alone, and the crash tests hold us
 /// to that.
+///
+/// A flush frees no disk block. Its commit order: write the segments and
+/// their indexes (new files, renamed onto unused names); swap the new
+/// manifest in (spare rewritten in place, fsync, exchange, directory
+/// fsync) — the commit point, which names the next WAL epoch and its salt;
+/// rename the old WAL to the next epoch's name and fsync the directory.
+/// Only compaction unlinks files: the segments and indexes it replaced,
+/// because that is how their space comes back.
 ///
 /// Recovery (Open): load + validate MANIFEST, validate every referenced
 /// segment footer (hard error on mismatch — committed data), load every
 /// referenced index footer (soft: an unreadable index is marked invalid
 /// and that segment falls back to the zone-map path — an index is an
 /// accelerator, losing one must never lose data or fail recovery), delete
-/// orphan segments / indexes / stale WALs / *.tmp leftovers, then replay
-/// the live WAL (truncating a torn tail). Every flush and compaction
+/// orphan segments / indexes / *.tmp leftovers other than the manifest's
+/// spare, rename a stale WAL to the live name when a flush died before
+/// doing so and delete any other, then replay the live WAL under the
+/// manifest's salt up to its first invalid record, which sets the tail the
+/// next append writes at. Every flush and compaction
 /// commits a segment together with one index per user column, so Open
 /// never builds one; a segment the manifest lists without an index (or
 /// with an invalid one) keeps the zone-map path until a compaction
@@ -128,7 +141,8 @@ class StorageEngine : public engine::TableStorage {
       const std::string& name) const override;
   engine::StorageCounters Counters() const override;
 
-  /// Forces memtables into segments and commits a new manifest.
+  /// Forces memtables into segments and commits a new manifest; a no-op
+  /// when every memtable is empty.
   Status Flush();
 
   /// Merges `name`'s committed segments into one sorted compaction group
@@ -197,9 +211,9 @@ class StorageEngine : public engine::TableStorage {
   /// from `*next_index_id`.
   Status BuildSegmentIndexes(const engine::Table& data, uint64_t* next_index_id,
                              std::vector<IndexState>* out) const;
-  /// Serializes the in-memory committed state (callers pass the wal/next
-  /// ids the manifest should record).
-  Manifest BuildManifestLocked(uint64_t wal_id) const;
+  static ManifestSegment DescribeSegment(const SegmentState& seg);
+  /// Serializes the in-memory committed state under the given WAL epoch.
+  Manifest BuildManifestLocked(uint64_t wal_id, uint32_t wal_salt) const;
   /// Which of a table's segments a read under `prune_filter` decodes, and
   /// the ScanStats that choice produces.
   struct SegmentSelection {
@@ -238,6 +252,8 @@ class StorageEngine : public engine::TableStorage {
 
   mutable std::shared_mutex mu_;
   uint64_t wal_id_ = 0;
+  uint32_t wal_salt_ = 0;  // seeds the live epoch's record CRCs (wal.h)
+  uint64_t wal_tail_ = 0;  // offset of the live WAL's next record
   uint64_t next_segment_id_ = 0;
   uint64_t next_index_id_ = 0;
   uint64_t memtable_bytes_ = 0;  // estimate, summed across tables

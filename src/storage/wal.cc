@@ -6,7 +6,30 @@
 
 namespace mip::storage {
 
-Status AppendWalRecord(const std::string& path,
+namespace {
+
+/// Decodes one record's payload; any failure means the record is not part
+/// of the epoch.
+Result<WalRecord> ParsePayload(const std::vector<uint8_t>& payload) {
+  BufferReader pr(payload);
+  MIP_ASSIGN_OR_RETURN(uint8_t type, pr.ReadU8());
+  if (type != kWalRecordAppend) {
+    return Status::IOError("unknown WAL record type");
+  }
+  WalRecord record;
+  MIP_ASSIGN_OR_RETURN(record.table_name, pr.ReadString());
+  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> table_bytes, pr.ReadBytes());
+  BufferReader tr(table_bytes);
+  MIP_ASSIGN_OR_RETURN(record.rows, engine::DeserializeTable(&tr));
+  if (!pr.AtEnd()) {
+    return Status::IOError("trailing bytes in WAL payload");
+  }
+  return record;
+}
+
+}  // namespace
+
+Status AppendWalRecord(const std::string& path, uint32_t salt, uint64_t* tail,
                        const std::string& table_name,
                        const engine::Table& rows) {
   BufferWriter payload;
@@ -22,56 +45,41 @@ Status AppendWalRecord(const std::string& path,
   BufferWriter record;
   record.Reserve(8 + p.size());
   record.WriteU32(static_cast<uint32_t>(p.size()));
-  record.WriteU32(Crc32(p));
+  record.WriteU32(Crc32(p, salt));
   record.AppendRaw(p.data(), p.size());
-  return AppendFileSync(path, record.bytes());
+  MIP_RETURN_NOT_OK(WriteFileAt(path, *tail, record.bytes()));
+  *tail += record.bytes().size();
+  return Status::OK();
 }
 
-Result<WalReplay> ReplayWal(const std::string& path) {
+Result<WalReplay> ReplayWal(const std::string& path, uint32_t salt) {
   WalReplay replay;
   if (!FileExists(path)) return replay;
-  MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
-  BufferReader r(bytes);
-  while (!r.AtEnd()) {
-    const uint64_t record_start = bytes.size() - r.Remaining();
-    auto parse_one = [&]() -> Result<WalRecord> {
-      MIP_ASSIGN_OR_RETURN(uint32_t length, r.ReadU32());
-      if (length > kMaxWalRecordBytes) {
-        return Status::IOError("hostile WAL record length");
-      }
-      MIP_ASSIGN_OR_RETURN(uint32_t crc, r.ReadU32());
-      if (length > r.Remaining()) {
-        return Status::IOError("truncated WAL record");
-      }
-      std::vector<uint8_t> payload(length);
-      MIP_RETURN_NOT_OK(r.ReadRawBytes(payload.data(), length));
-      if (Crc32(payload) != crc) {
-        return Status::IOError("WAL record CRC mismatch");
-      }
-      BufferReader pr(payload);
-      MIP_ASSIGN_OR_RETURN(uint8_t type, pr.ReadU8());
-      if (type != kWalRecordAppend) {
-        return Status::IOError("unknown WAL record type");
-      }
-      WalRecord record;
-      MIP_ASSIGN_OR_RETURN(record.table_name, pr.ReadString());
-      MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> table_bytes, pr.ReadBytes());
-      BufferReader tr(table_bytes);
-      MIP_ASSIGN_OR_RETURN(record.rows, engine::DeserializeTable(&tr));
-      if (!pr.AtEnd()) {
-        return Status::IOError("trailing bytes in WAL payload");
-      }
-      return record;
-    };
-    Result<WalRecord> record = parse_one();
-    if (!record.ok()) {
-      // Torn tail: drop the suffix (it was never acknowledged).
-      replay.valid_bytes = record_start;
-      replay.torn = true;
-      return replay;
+  MIP_ASSIGN_OR_RETURN(uint64_t size, FileSize(path));
+  MIP_ASSIGN_OR_RETURN(ReadOnlyFile file, ReadOnlyFile::Open(path));
+  // Reads record by record, so the stale bytes of a recycled file past the
+  // tail are never read beyond the first record header that fails.
+  for (;;) {
+    uint8_t header[8];
+    MIP_ASSIGN_OR_RETURN(size_t got,
+                         file.ReadAt(replay.valid_bytes, sizeof(header), header));
+    if (got < sizeof(header)) break;
+    BufferReader hr(header, sizeof(header));
+    MIP_ASSIGN_OR_RETURN(uint32_t length, hr.ReadU32());
+    MIP_ASSIGN_OR_RETURN(uint32_t crc, hr.ReadU32());
+    if (length > kMaxWalRecordBytes ||
+        length > size - replay.valid_bytes - sizeof(header)) {
+      break;
     }
+    std::vector<uint8_t> payload(length);
+    MIP_ASSIGN_OR_RETURN(
+        got, file.ReadAt(replay.valid_bytes + sizeof(header), length,
+                         payload.data()));
+    if (got < length || Crc32(payload, salt) != crc) break;
+    Result<WalRecord> record = ParsePayload(payload);
+    if (!record.ok()) break;
     replay.records.push_back(std::move(*record));
-    replay.valid_bytes = bytes.size() - r.Remaining();
+    replay.valid_bytes += sizeof(header) + length;
   }
   return replay;
 }

@@ -16,6 +16,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
@@ -92,6 +95,39 @@ std::vector<uint8_t> TableBytes(const Table& t) {
   BufferWriter w;
   engine::SerializeTable(t, &w);
   return w.bytes();
+}
+
+/// Writes `bytes` at `offset` of `path` in place: no O_TRUNC, no fsync, so
+/// the corruption sweeps, which patch one file thousands of times, never
+/// free its blocks.
+void PatchFile(const std::string& path, uint64_t offset,
+               const std::vector<uint8_t>& bytes) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open()) << path;
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(f.good()) << path;
+}
+
+/// Sets byte `pos` of `path` to `good[pos] ^ mask` (mask 0 restores it).
+void FlipByte(const std::string& path, const std::vector<uint8_t>& good,
+              size_t pos, uint8_t mask) {
+  PatchFile(path, pos, {static_cast<uint8_t>(good[pos] ^ mask)});
+}
+
+/// Appends `bytes` at the end of `path`, creating it when absent.
+void AppendBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::app);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(f.good()) << path;
+}
+
+uint64_t Inode(const std::string& path) {
+  struct stat st{};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return static_cast<uint64_t>(st.st_ino);
 }
 
 /// All four types; NULLs, NaN, -0.0, int64 extremes, empty strings. Null
@@ -305,15 +341,14 @@ TEST(SegmentTest, EveryFlippedByteIsRejected) {
   // Every byte of the file sits under a magic, a version check, or a CRC:
   // no single-byte corruption may survive a full read.
   for (size_t i = 0; i < good.size(); ++i) {
-    std::vector<uint8_t> bad = good;
-    bad[i] ^= 0xFF;
-    ASSERT_TRUE(storage::WriteFileAtomic(path, bad).ok());
+    FlipByte(path, good, i, 0xFF);
     auto read = storage::ReadSegment(path);
     EXPECT_FALSE(read.ok()) << "flipped byte " << i << " went undetected";
     if (!read.ok()) {
       EXPECT_EQ(read.status().code(), StatusCode::kIOError)
           << read.status().ToString();
     }
+    FlipByte(path, good, i, 0);
   }
 }
 
@@ -324,9 +359,8 @@ TEST(SegmentTest, EveryTruncationIsRejected) {
   auto bytes = storage::ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   const std::vector<uint8_t> good = bytes.ValueOrDie();
-  for (size_t len = 0; len < good.size(); ++len) {
-    const std::vector<uint8_t> bad(good.begin(), good.begin() + len);
-    ASSERT_TRUE(storage::WriteFileAtomic(path, bad).ok());
+  for (size_t len = good.size(); len-- > 0;) {
+    std::filesystem::resize_file(path, len);
     auto read = storage::ReadSegment(path);
     EXPECT_FALSE(read.ok()) << "truncation to " << len << " went undetected";
   }
@@ -435,22 +469,28 @@ TEST(SegmentPruneTest, CleanRangesPruneAndAllNullPrunesEverything) {
 // WAL
 // ---------------------------------------------------------------------------
 
+constexpr uint32_t kTestSalt = 0x5A17C0DEu;
+
 TEST(WalTest, TornTailTruncatesToCommittedPrefix) {
   const std::string dir = TestDir("wal_torn");
   const std::string path = dir + "/wal-0.log";
   const Table batch = MakeGnarlyTable();
-  ASSERT_TRUE(storage::AppendWalRecord(path, "t", batch).ok());
-  ASSERT_TRUE(storage::AppendWalRecord(path, "t", batch).ok());
-  ASSERT_TRUE(storage::AppendWalRecord(path, "t", batch).ok());
+  uint64_t tail = 0;
+  ASSERT_TRUE(storage::AppendWalRecord(path, kTestSalt, &tail, "t", batch).ok());
+  ASSERT_TRUE(storage::AppendWalRecord(path, kTestSalt, &tail, "t", batch).ok());
+  const uint64_t two = tail;
+  ASSERT_TRUE(storage::AppendWalRecord(path, kTestSalt, &tail, "t", batch).ok());
   auto size = storage::FileSize(path);
   ASSERT_TRUE(size.ok());
+  EXPECT_EQ(size.ValueOrDie(), tail);
 
-  // Tear the last record mid-payload: replay keeps exactly two.
-  ASSERT_TRUE(storage::TruncateFile(path, size.ValueOrDie() - 5).ok());
-  auto replay = storage::ReplayWal(path);
+  // Tear the last record mid-payload: replay keeps exactly two, and its
+  // tail is where the torn record began.
+  std::filesystem::resize_file(path, size.ValueOrDie() - 5);
+  auto replay = storage::ReplayWal(path, kTestSalt);
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_TRUE(replay.ValueOrDie().torn);
   ASSERT_EQ(replay.ValueOrDie().records.size(), 2u);
+  EXPECT_EQ(replay.ValueOrDie().valid_bytes, two);
   EXPECT_EQ(TableBytes(replay.ValueOrDie().records[1].rows),
             TableBytes(batch));
 }
@@ -458,23 +498,48 @@ TEST(WalTest, TornTailTruncatesToCommittedPrefix) {
 TEST(WalTest, GarbageTailIsTornNotFatal) {
   const std::string dir = TestDir("wal_garbage");
   const std::string path = dir + "/wal-0.log";
-  ASSERT_TRUE(storage::AppendWalRecord(path, "t", MakeGnarlyTable()).ok());
+  uint64_t tail = 0;
+  ASSERT_TRUE(storage::AppendWalRecord(path, kTestSalt, &tail, "t",
+                                       MakeGnarlyTable())
+                  .ok());
   auto size = storage::FileSize(path);
   ASSERT_TRUE(size.ok());
-  ASSERT_TRUE(storage::AppendFileSync(path, {0xDE, 0xAD, 0xBE, 0xEF, 0x01,
-                                             0x02, 0x03, 0x04, 0x05}).ok());
-  auto replay = storage::ReplayWal(path);
+  AppendBytes(path, {0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04, 0x05});
+  auto replay = storage::ReplayWal(path, kTestSalt);
   ASSERT_TRUE(replay.ok());
-  EXPECT_TRUE(replay.ValueOrDie().torn);
   EXPECT_EQ(replay.ValueOrDie().records.size(), 1u);
   EXPECT_EQ(replay.ValueOrDie().valid_bytes, size.ValueOrDie());
 }
 
 TEST(WalTest, MissingFileIsEmptyReplay) {
-  auto replay = storage::ReplayWal(TestDir("wal_missing") + "/wal-0.log");
+  auto replay =
+      storage::ReplayWal(TestDir("wal_missing") + "/wal-0.log", kTestSalt);
   ASSERT_TRUE(replay.ok());
   EXPECT_TRUE(replay.ValueOrDie().records.empty());
-  EXPECT_FALSE(replay.ValueOrDie().torn);
+  EXPECT_EQ(replay.ValueOrDie().valid_bytes, 0u);
+}
+
+TEST(WalTest, RecordsVerifyOnlyUnderTheirSalt) {
+  const std::string path = TestDir("wal_salt") + "/wal-0.log";
+  uint64_t tail = 0;
+  ASSERT_TRUE(storage::AppendWalRecord(path, kTestSalt, &tail, "t",
+                                       MakeGnarlyTable())
+                  .ok());
+  for (const uint32_t salt : {0u, kTestSalt ^ 1u, kTestSalt ^ 0x80000000u}) {
+    auto replay = storage::ReplayWal(path, salt);
+    ASSERT_TRUE(replay.ok());
+    EXPECT_TRUE(replay.ValueOrDie().records.empty()) << salt;
+    EXPECT_EQ(replay.ValueOrDie().valid_bytes, 0u) << salt;
+  }
+  // A positioned append at an earlier tail overwrites what follows it.
+  uint64_t rewrite = 0;
+  ASSERT_TRUE(storage::AppendWalRecord(path, kTestSalt ^ 1u, &rewrite, "t",
+                                       MakeGnarlyTable())
+                  .ok());
+  EXPECT_EQ(rewrite, tail);
+  EXPECT_TRUE(storage::ReplayWal(path, kTestSalt).ValueOrDie().records.empty());
+  EXPECT_EQ(storage::ReplayWal(path, kTestSalt ^ 1u).ValueOrDie().records.size(),
+            1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -547,15 +612,14 @@ TEST(StoreTest, CrashRecoveryTornWalKeepsCommittedDropsUncommitted) {
     ASSERT_TRUE((*store)->AppendRows("events", committed).ok());
   }
   // Simulate a crash mid-append: a torn half-record at the WAL tail.
-  ASSERT_TRUE(storage::AppendFileSync(dir + "/wal-0.log",
-                                      {0x40, 0x00, 0x00, 0x00, 0x99, 0x99,
-                                       0x12, 0x34, 0x56}).ok());
+  AppendBytes(dir + "/wal-0.log",
+              {0x40, 0x00, 0x00, 0x00, 0x99, 0x99, 0x12, 0x34, 0x56});
   auto store = StorageEngine::Open(dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   auto scan = (*store)->ScanTable("events", nullptr, nullptr);
   ASSERT_TRUE(scan.ok());
-  // Committed rows intact, torn suffix absent — and the tail was truncated,
-  // so the next append extends a clean log.
+  // Committed rows intact, torn suffix absent — and the next append
+  // overwrites the torn bytes, so the log stays clean.
   EXPECT_EQ(TableBytes(scan.ValueOrDie()), TableBytes(committed));
   ASSERT_TRUE((*store)->AppendRows("events", MakeEventsTable(120, 30)).ok());
   EXPECT_EQ((*store)->ScanTable("events", nullptr, nullptr)
@@ -578,8 +642,8 @@ TEST(StoreTest, CrashRecoverySweepsOrphanSegmentsAndStaleWals) {
   // tmp file. Recovery must delete all three and keep the data intact.
   ASSERT_TRUE(storage::WriteFileAtomic(dir + "/seg-999.mip",
                                        {1, 2, 3, 4, 5}).ok());
-  ASSERT_TRUE(storage::AppendFileSync(dir + "/wal-0.log", {9, 9, 9}).ok());
-  ASSERT_TRUE(storage::AppendFileSync(dir + "/seg-7.mip.tmp", {1}).ok());
+  AppendBytes(dir + "/wal-0.log", {9, 9, 9});
+  AppendBytes(dir + "/seg-7.mip.tmp", {1});
   auto store = StorageEngine::Open(dir);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   EXPECT_FALSE(storage::FileExists(dir + "/seg-999.mip"));
@@ -669,6 +733,443 @@ TEST(StoreTest, SchemaMismatchRejectedBeforeWal) {
   auto reopened = StorageEngine::Open(dir);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->MemtableRows("events").ValueOrDie(), 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Commit path: a flush frees no file (recycled WAL, manifest swapped in
+// place) and recovery stays exact
+// ---------------------------------------------------------------------------
+
+std::string WalName(const std::string& dir, uint64_t id) {
+  return dir + "/wal-" + std::to_string(id) + ".log";
+}
+
+std::vector<uint8_t> ScanAll(const StorageEngine& store,
+                             const std::string& name) {
+  auto scan = store.ScanTable(name, nullptr, nullptr);
+  EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+  return scan.ok() ? TableBytes(scan.ValueOrDie()) : std::vector<uint8_t>{};
+}
+
+std::vector<uint8_t> ConcatBytes(const std::vector<Table>& parts) {
+  auto all = Table::Concat(parts);
+  EXPECT_TRUE(all.ok());
+  return TableBytes(all.ValueOrDie());
+}
+
+/// A MANIFEST as the previous (version 2) format wrote it: no length, no
+/// WAL salt, the CRC at the end of the file.
+std::vector<uint8_t> V2ManifestBytes(const storage::Manifest& m) {
+  BufferWriter w;
+  w.WriteU32(storage::kManifestMagic);
+  w.WriteU8(2);
+  w.WriteU64(m.wal_id);
+  w.WriteU64(m.next_segment_id);
+  w.WriteU64(m.next_index_id);
+  engine::PutVarint(&w, m.tables.size());
+  for (const storage::ManifestTable& t : m.tables) {
+    w.WriteString(t.name);
+    engine::PutVarint(&w, t.schema.num_fields());
+    for (const engine::Field& f : t.schema.fields()) {
+      w.WriteString(f.name);
+      w.WriteU8(static_cast<uint8_t>(f.type));
+    }
+    engine::PutVarint(&w, t.segments.size());
+    for (const storage::ManifestSegment& s : t.segments) {
+      engine::PutVarint(&w, s.id);
+      engine::PutVarint(&w, s.rows);
+      engine::PutVarint(&w, s.group);
+      engine::PutVarint(&w, s.indexes.size());
+      for (const storage::ManifestIndex& idx : s.indexes) {
+        engine::PutVarint(&w, idx.id);
+        w.WriteString(idx.column);
+      }
+    }
+  }
+  w.WriteU32(Crc32(w.bytes()));
+  return w.bytes();
+}
+
+TEST(CommitTest, FlushRecyclesTheWalAndAlternatesTwoManifestInodes) {
+  const std::string dir = TestDir("commit_no_free");
+  StorageOptions options;
+  options.target_segment_rows = 1000;
+  std::vector<Table> parts;
+  std::vector<uint64_t> manifest_inodes;
+  uint64_t wal_inode = 0;
+  {
+    auto store = StorageEngine::Open(dir, options);
+    ASSERT_TRUE(store.ok());
+    for (uint64_t k = 0; k < 5; ++k) {
+      parts.push_back(MakeEventsTable(static_cast<int64_t>(40 * k), 40));
+      ASSERT_TRUE((*store)->AppendRows("events", parts.back()).ok());
+      if (k == 0) wal_inode = Inode(WalName(dir, 0));
+      ASSERT_TRUE((*store)->Flush().ok());
+      // The WAL keeps its inode under the next epoch's name.
+      EXPECT_FALSE(storage::FileExists(WalName(dir, k)));
+      EXPECT_EQ(Inode(WalName(dir, k + 1)), wal_inode) << "flush " << k;
+      manifest_inodes.push_back(Inode(dir + "/MANIFEST"));
+    }
+    // A compaction commits through the same swap.
+    ASSERT_TRUE((*store)->Compact("events").ok());
+    manifest_inodes.push_back(Inode(dir + "/MANIFEST"));
+    EXPECT_EQ(Inode(WalName(dir, 5)), wal_inode);
+    EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes(parts));
+  }
+  // The first commit has no MANIFEST to swap with; from the second on,
+  // MANIFEST and its spare trade places.
+  ASSERT_NE(manifest_inodes[0], manifest_inodes[1]);
+  for (size_t k = 2; k < manifest_inodes.size(); ++k) {
+    EXPECT_EQ(manifest_inodes[k], manifest_inodes[k % 2]) << "commit " << k;
+  }
+  EXPECT_EQ(Inode(dir + "/MANIFEST.tmp"),
+            manifest_inodes[(manifest_inodes.size()) % 2]);
+  auto store = StorageEngine::Open(dir, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes(parts));
+  EXPECT_TRUE(storage::FileExists(dir + "/MANIFEST.tmp"));
+}
+
+TEST(CommitTest, FlushWithEmptyMemtablesChangesNothing) {
+  const std::string dir = TestDir("commit_empty_flush");
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+  EXPECT_FALSE(storage::FileExists(dir + "/MANIFEST"));
+
+  ASSERT_TRUE((*store)->AppendRows("events", MakeEventsTable(0, 30)).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+  const std::vector<uint8_t> manifest =
+      storage::ReadFileBytes(dir + "/MANIFEST").ValueOrDie();
+  const std::vector<uint8_t> wal =
+      storage::ReadFileBytes(WalName(dir, 1)).ValueOrDie();
+  const uint64_t manifest_inode = Inode(dir + "/MANIFEST");
+  const uint64_t wal_inode = Inode(WalName(dir, 1));
+  const std::vector<std::string> names = storage::ListDir(dir).ValueOrDie();
+  const uint64_t flushes = (*store)->Counters().flushes;
+
+  ASSERT_TRUE((*store)->Flush().ok());
+  EXPECT_EQ(storage::ReadFileBytes(dir + "/MANIFEST").ValueOrDie(), manifest);
+  EXPECT_EQ(Inode(dir + "/MANIFEST"), manifest_inode);
+  EXPECT_EQ(storage::ReadFileBytes(WalName(dir, 1)).ValueOrDie(), wal);
+  EXPECT_EQ(Inode(WalName(dir, 1)), wal_inode);
+  EXPECT_EQ(storage::ListDir(dir).ValueOrDie(), names);
+  EXPECT_EQ((*store)->Counters().flushes, flushes);
+}
+
+TEST(CommitTest, AppendAfterJunkPastTheTailOverwritesIt) {
+  // A failed append (short write, failed fsync) leaves bytes past the tail
+  // it never advanced. The next acknowledged append must land on them, not
+  // behind them where replay would never reach it.
+  const std::string dir = TestDir("commit_junk_tail");
+  const Table a = MakeEventsTable(0, 40);
+  const Table b = MakeEventsTable(40, 25);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("events", a).ok());
+    AppendBytes(WalName(dir, 0),
+                {0x40, 0x00, 0x00, 0x00, 0x99, 0x99, 0x12, 0x34, 0x56});
+    ASSERT_TRUE((*store)->AppendRows("events", b).ok());
+  }
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b}));
+}
+
+TEST(CommitTest, StaleEpochBytesNeverReplayEvenACraftedRecord) {
+  const std::string dir = TestDir("commit_stale_epoch");
+  const Schema schema({{"s", DataType::kString}});
+  auto rows = [&schema](std::vector<std::string> cells) {
+    return Table::Make(schema, {Column::FromStrings(std::move(cells))})
+        .ValueOrDie();
+  };
+  // A complete, valid, unseeded record for "t": the bytes a store that
+  // checked WAL records with the classic CRC would replay.
+  const std::string scratch = TestDir("commit_stale_scratch") + "/forged.log";
+  uint64_t forged_size = 0;
+  ASSERT_TRUE(storage::AppendWalRecord(scratch, 0, &forged_size, "t",
+                                       rows({"forged"}))
+                  .ok());
+  const std::vector<uint8_t> forged =
+      storage::ReadFileBytes(scratch).ValueOrDie();
+  ASSERT_EQ(storage::ReplayWal(scratch, 0).ValueOrDie().records.size(), 1u);
+
+  // Epoch 0 carries the forged record inside a tenant's string cell. The
+  // flush moves it into a segment and recycles the file as epoch 1.
+  const Table epoch0 =
+      rows({std::string(300, 'p'), std::string(forged.begin(), forged.end())});
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("t", epoch0).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  // Epoch 0's own records are stale at epoch 1's tail 0.
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->MemtableRows("t").ValueOrDie(), 0u);
+    EXPECT_EQ(ScanAll(**store, "t"), TableBytes(epoch0));
+  }
+  const std::vector<uint8_t> stale =
+      storage::ReadFileBytes(WalName(dir, 1)).ValueOrDie();
+  const auto at =
+      std::search(stale.begin(), stale.end(), forged.begin(), forged.end());
+  ASSERT_NE(at, stale.end());
+  const uint64_t offset = static_cast<uint64_t>(at - stale.begin());
+
+  // One epoch-1 record that ends exactly where the forged record begins.
+  const std::string probe = TestDir("commit_stale_probe") + "/probe.log";
+  Table filler;
+  bool found = false;
+  for (size_t len = 0; len < offset && !found; ++len) {
+    filler = rows({std::string(len, 'f')});
+    uint64_t size = 0;
+    ASSERT_TRUE(storage::AppendWalRecord(probe, 1, &size, "t", filler).ok());
+    found = size == offset;
+  }
+  ASSERT_TRUE(found);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("t", filler).ok());
+  }
+  // The forged bytes now sit at the live tail, and they are a valid
+  // unseeded record there...
+  const std::vector<uint8_t> now =
+      storage::ReadFileBytes(WalName(dir, 1)).ValueOrDie();
+  const std::string rest = TestDir("commit_stale_rest") + "/rest.log";
+  AppendBytes(rest, std::vector<uint8_t>(now.begin() + offset, now.end()));
+  auto unseeded = storage::ReplayWal(rest, 0);
+  ASSERT_TRUE(unseeded.ok());
+  ASSERT_GE(unseeded->records.size(), 1u);
+  EXPECT_EQ(TableBytes(unseeded->records[0].rows), TableBytes(rows({"forged"})));
+  // ...but not under epoch 1's salt: replay stops at them.
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->MemtableRows("t").ValueOrDie(), 1u);
+  EXPECT_EQ(ScanAll(**store, "t"), ConcatBytes({epoch0, filler}));
+}
+
+TEST(CommitTest, CrashBetweenManifestSwapAndWalRenameRecoversExactly) {
+  const std::string dir = TestDir("commit_crash_rename");
+  const Table a = MakeEventsTable(0, 30);
+  const Table b = MakeEventsTable(30, 30);
+  const Table c = MakeEventsTable(60, 30);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("events", a).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->AppendRows("events", b).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  // The second flush's manifest names epoch 2, but its WAL still has
+  // epoch 1's name and records.
+  const uint64_t wal_inode = Inode(WalName(dir, 2));
+  std::filesystem::rename(WalName(dir, 2), WalName(dir, 1));
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->MemtableRows("events").ValueOrDie(), 0u);
+    EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b}));
+    // Recovery finished the rename rather than freeing the file.
+    EXPECT_FALSE(storage::FileExists(WalName(dir, 1)));
+    EXPECT_EQ(Inode(WalName(dir, 2)), wal_inode);
+    ASSERT_TRUE((*store)->AppendRows("events", c).ok());
+  }
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b, c}));
+}
+
+TEST(CommitTest, TornSpareManifestBeforeTheSwapRecoversExactly) {
+  const std::string dir = TestDir("commit_torn_spare");
+  const Table a = MakeEventsTable(0, 30);
+  const Table b = MakeEventsTable(30, 30);
+  const Table c = MakeEventsTable(60, 30);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("events", a).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->AppendRows("events", b).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->AppendRows("events", c).ok());
+  }
+  // A third commit died halfway through rewriting the spare in place: its
+  // first half is new bytes, the rest the commit before last.
+  const std::string spare = dir + "/MANIFEST.tmp";
+  ASSERT_TRUE(storage::FileExists(spare));
+  const std::vector<uint8_t> current =
+      storage::ReadFileBytes(dir + "/MANIFEST").ValueOrDie();
+  std::vector<uint8_t> half(current.begin(),
+                            current.begin() + current.size() / 2);
+  for (uint8_t& byte : half) byte ^= 0x5A;
+  PatchFile(spare, 0, half);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b, c}));
+    // The next commit overwrites the torn spare and swaps it in.
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  ASSERT_TRUE(storage::LoadManifest(dir + "/MANIFEST").ok());
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->MemtableRows("events").ValueOrDie(), 0u);
+  EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b, c}));
+}
+
+TEST(CommitTest, TornWalTailThenMoreAppendsRecoversExactly) {
+  const std::string dir = TestDir("commit_torn_wal");
+  const Table a = MakeEventsTable(0, 30);
+  const Table b = MakeEventsTable(30, 30);
+  const Table c = MakeEventsTable(60, 5);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("events", a).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->AppendRows("events", b).ok());
+  }
+  // A crash tore an append far longer than the one that follows it: the
+  // first half of a valid epoch-1 record for 2000 rows.
+  const uint32_t salt =
+      storage::LoadManifest(dir + "/MANIFEST").ValueOrDie().wal_salt;
+  ASSERT_NE(salt, 0u);
+  const std::string scratch = TestDir("commit_torn_scratch") + "/big.log";
+  uint64_t big_size = 0;
+  ASSERT_TRUE(storage::AppendWalRecord(scratch, salt, &big_size, "events",
+                                       MakeEventsTable(100, 2000))
+                  .ok());
+  const std::vector<uint8_t> big = storage::ReadFileBytes(scratch).ValueOrDie();
+  AppendBytes(WalName(dir, 1),
+              std::vector<uint8_t>(big.begin(), big.begin() + big.size() / 2));
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b}));
+    ASSERT_TRUE((*store)->AppendRows("events", c).ok());
+  }
+  // The small append overwrote the torn record's start; the rest of it
+  // never verifies.
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b, c}));
+}
+
+TEST(CommitTest, EveryFlippedManifestByteIsIOErrorAndTheStaleTailIsIgnored) {
+  const std::string dir = TestDir("commit_manifest_flip");
+  StorageOptions options;
+  options.target_segment_rows = 1000;
+  std::vector<Table> parts;
+  {
+    auto store = StorageEngine::Open(dir, options);
+    ASSERT_TRUE(store.ok());
+    for (int64_t k = 0; k < 3; ++k) {
+      parts.push_back(MakeEventsTable(30 * k, 30));
+      ASSERT_TRUE((*store)->AppendRows("events", parts.back()).ok());
+      ASSERT_TRUE((*store)->Flush().ok());
+    }
+    // Three segments become one: commit 4, shorter than commit 2, whose
+    // file it was written over in place.
+    ASSERT_TRUE((*store)->Compact("events").ok());
+  }
+  const std::string path = dir + "/MANIFEST";
+  const std::vector<uint8_t> good = storage::ReadFileBytes(path).ValueOrDie();
+  ASSERT_EQ(good[4], storage::kManifestVersion);
+  uint32_t length = 0;
+  std::memcpy(&length, good.data() + 5, sizeof(length));
+  ASSERT_LT(length, good.size()) << "no stale tail to test";
+  const std::vector<uint8_t> want = ConcatBytes(parts);
+
+  for (size_t pos = 0; pos < good.size(); ++pos) {
+    FlipByte(path, good, pos, 0x01);
+    auto store = StorageEngine::Open(dir, options);
+    if (pos < length) {
+      ASSERT_FALSE(store.ok()) << "flip at byte " << pos << " went undetected";
+      EXPECT_EQ(store.status().code(), StatusCode::kIOError)
+          << store.status().ToString();
+    } else {
+      ASSERT_TRUE(store.ok()) << "stale byte " << pos << ": "
+                              << store.status().ToString();
+      EXPECT_EQ(ScanAll(**store, "events"), want) << "stale byte " << pos;
+    }
+    FlipByte(path, good, pos, 0);
+  }
+}
+
+TEST(CommitTest, PreviousFormatDirectoryOpensEveryRowAndUpgrades) {
+  const std::string dir = TestDir("commit_v2_dir");
+  const Table a = MakeEventsTable(0, 60);
+  const Table b = MakeEventsTable(60, 40);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("events", a).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  // Rewrite the directory as the previous format left it: a version-2
+  // MANIFEST, no spare, and an unseeded WAL holding rows not yet flushed.
+  const storage::Manifest m =
+      storage::LoadManifest(dir + "/MANIFEST").ValueOrDie();
+  ASSERT_NE(m.wal_salt, 0u);
+  ASSERT_FALSE(storage::FileExists(dir + "/MANIFEST.tmp"));
+  ASSERT_TRUE(
+      storage::WriteFileAtomic(dir + "/MANIFEST", V2ManifestBytes(m)).ok());
+  ASSERT_TRUE(storage::RemoveFile(WalName(dir, m.wal_id)).ok());
+  uint64_t tail = 0;
+  ASSERT_TRUE(
+      storage::AppendWalRecord(WalName(dir, m.wal_id), 0, &tail, "events", b)
+          .ok());
+  const storage::Manifest v2 =
+      storage::LoadManifest(dir + "/MANIFEST").ValueOrDie();
+  EXPECT_EQ(v2.wal_salt, 0u);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->MemtableRows("events").ValueOrDie(), 40u);
+    EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b}));
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  const std::vector<uint8_t> bytes =
+      storage::ReadFileBytes(dir + "/MANIFEST").ValueOrDie();
+  EXPECT_EQ(bytes[4], 3u);
+  EXPECT_NE(storage::LoadManifest(dir + "/MANIFEST").ValueOrDie().wal_salt,
+            0u);
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->MemtableRows("events").ValueOrDie(), 0u);
+  EXPECT_EQ(ScanAll(**store, "events"), ConcatBytes({a, b}));
+}
+
+TEST(CommitTest, PreviousFormatCrashBeforeWalUnlinkReplaysNothingTwice) {
+  // The previous format's flush died after its manifest commit and before
+  // it unlinked the old WAL, whose unseeded records are all in segments.
+  const std::string dir = TestDir("commit_v2_stale_wal");
+  const Table a = MakeEventsTable(0, 60);
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("events", a).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  const storage::Manifest m =
+      storage::LoadManifest(dir + "/MANIFEST").ValueOrDie();
+  ASSERT_EQ(m.wal_id, 1u);
+  ASSERT_TRUE(
+      storage::WriteFileAtomic(dir + "/MANIFEST", V2ManifestBytes(m)).ok());
+  ASSERT_TRUE(storage::RemoveFile(WalName(dir, 1)).ok());
+  uint64_t tail = 0;
+  ASSERT_TRUE(
+      storage::AppendWalRecord(WalName(dir, 0), 0, &tail, "events", a).ok());
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->MemtableRows("events").ValueOrDie(), 0u);
+  EXPECT_EQ(ScanAll(**store, "events"), TableBytes(a));
+  EXPECT_FALSE(storage::FileExists(WalName(dir, 0)));
 }
 
 // ---------------------------------------------------------------------------
@@ -1053,9 +1554,7 @@ TEST(IndexTest, EveryFlippedByteAndEveryTruncationIsDetected) {
   // Any single flipped bit lands in a region covered by a magic, a CRC, or
   // a validated bound — the full audit must reject every one of them.
   for (size_t pos = 0; pos < good.size(); ++pos) {
-    std::vector<uint8_t> bad = good;
-    bad[pos] ^= 0x01;
-    ASSERT_TRUE(storage::WriteFileAtomic(path, bad).ok());
+    FlipByte(path, good, pos, 0x01);
     auto footer = ReadIndexFooter(path);
     if (footer.ok()) {
       const Status audit = VerifyIndex(path, footer.ValueOrDie());
@@ -1064,21 +1563,19 @@ TEST(IndexTest, EveryFlippedByteAndEveryTruncationIsDetected) {
     } else {
       EXPECT_EQ(footer.status().code(), StatusCode::kIOError);
     }
+    FlipByte(path, good, pos, 0);
   }
 
   // Every truncated prefix loses the trailer (or leaves one whose offsets
   // dangle): the footer read must fail typed, never crash or misread.
-  for (size_t len = 0; len < good.size(); ++len) {
-    ASSERT_TRUE(storage::WriteFileAtomic(
-                    path, std::vector<uint8_t>(good.begin(),
-                                               good.begin() + len))
-                    .ok());
+  for (size_t len = good.size(); len-- > 0;) {
+    std::filesystem::resize_file(path, len);
     auto footer = ReadIndexFooter(path);
     ASSERT_FALSE(footer.ok()) << "accepted truncation to " << len;
     EXPECT_EQ(footer.status().code(), StatusCode::kIOError);
   }
 
-  ASSERT_TRUE(storage::WriteFileAtomic(path, good).ok());
+  PatchFile(path, 0, good);
   auto footer = ReadIndexFooter(path);
   ASSERT_TRUE(footer.ok());
   EXPECT_TRUE(VerifyIndex(path, footer.ValueOrDie()).ok());
@@ -1326,12 +1823,10 @@ TEST(StoreIndexTest, EveryFlippedIndexByteFallsBackToScanNeverWrongRows) {
     ASSERT_TRUE(bytes.ok());
     const std::vector<uint8_t> good = bytes.ValueOrDie();
     for (size_t pos = 0; pos < good.size(); ++pos) {
-      std::vector<uint8_t> bad = good;
-      bad[pos] ^= 0x01;
-      ASSERT_TRUE(storage::WriteFileAtomic(path, bad).ok());
+      FlipByte(path, good, pos, 0x01);
       fx.CheckFallback(path + " flip@" + std::to_string(pos));
+      FlipByte(path, good, pos, 0);
     }
-    ASSERT_TRUE(storage::WriteFileAtomic(path, good).ok());
   }
 }
 
@@ -1341,14 +1836,13 @@ TEST(StoreIndexTest, EveryTruncatedIndexPrefixFallsBackToScan) {
     auto bytes = storage::ReadFileBytes(path);
     ASSERT_TRUE(bytes.ok());
     const std::vector<uint8_t> good = bytes.ValueOrDie();
-    for (size_t len = 0; len < good.size(); len += 7) {  // every 7th prefix
-      ASSERT_TRUE(storage::WriteFileAtomic(
-                      path, std::vector<uint8_t>(good.begin(),
-                                                 good.begin() + len))
-                      .ok());
+    // Every 7th prefix, longest first, so each cut is a truncate(2).
+    for (size_t len = (good.size() - 1) / 7 * 7;; len -= 7) {
+      std::filesystem::resize_file(path, len);
       fx.CheckFallback(path + " trunc@" + std::to_string(len));
+      if (len == 0) break;
     }
-    ASSERT_TRUE(storage::WriteFileAtomic(path, good).ok());
+    PatchFile(path, 0, good);
   }
 }
 
@@ -1474,12 +1968,14 @@ TEST(CompactionTest, KillBetweenEveryStepRecoversExactBytes) {
     EXPECT_TRUE((*store)->VerifyIndexes().ok()) << context;
 
     // Nothing dangles: on-disk segments/indexes are exactly the committed
-    // ones, and no tmp files survive recovery.
+    // ones, and no tmp file but the manifest's spare survives recovery.
     uint64_t seg_files = 0;
     auto names = storage::ListDir(dir);
     ASSERT_TRUE(names.ok());
     for (const std::string& n : names.ValueOrDie()) {
-      EXPECT_EQ(n.find(".tmp"), std::string::npos) << context << ": " << n;
+      if (n != "MANIFEST.tmp") {
+        EXPECT_EQ(n.find(".tmp"), std::string::npos) << context << ": " << n;
+      }
       if (n.rfind("seg-", 0) == 0) ++seg_files;
     }
     EXPECT_EQ(seg_files, (*store)->SegmentCount("t").ValueOrDie()) << context;
@@ -2180,16 +2676,6 @@ TEST(ScanIntoOutputTest, MemtableOnlyAndSegmentOnlyStores) {
   }
 }
 
-/// Overwrites `path` in place, without the tmp + fsync + rename of
-/// WriteFileAtomic: the sweeps below rewrite one file thousands of times.
-void OverwriteFile(const std::string& path, const std::vector<uint8_t>& bytes,
-                   size_t n) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(bytes.data()),
-          static_cast<std::streamsize>(n));
-  ASSERT_TRUE(f.good()) << path;
-}
-
 TEST(ScanIntoOutputTest, EveryFlippedBlockByteAndTruncationIsTypedIOError) {
   const std::string dir = TestDir("scan_into_output_corrupt");
   StorageOptions options;
@@ -2228,16 +2714,15 @@ TEST(ScanIntoOutputTest, EveryFlippedBlockByteAndTruncationIsTypedIOError) {
     }
   };
   for (size_t i = storage::kFramedHeaderBytes; i < blocks_end; ++i) {
-    std::vector<uint8_t> bad = good;
-    bad[i] ^= 0x01;
-    OverwriteFile(seg, bad, bad.size());
+    FlipByte(seg, good, i, 0x01);
     expect_io_error("flip at byte " + std::to_string(i));
+    FlipByte(seg, good, i, 0);
   }
-  for (size_t n = 0; n < blocks_end; ++n) {
-    OverwriteFile(seg, good, n);
+  for (size_t n = blocks_end; n-- > 0;) {
+    std::filesystem::resize_file(seg, n);
     expect_io_error("truncated to " + std::to_string(n) + " bytes");
   }
-  OverwriteFile(seg, good, good.size());
+  PatchFile(seg, 0, good);
   EXPECT_EQ(ScanBytes(**store, "", false), want);
 }
 
@@ -2445,9 +2930,8 @@ TEST(ProjectedScanTest, OnlyDecodedBlocksAreReadAndChecked) {
     const std::vector<uint8_t> good = storage::ReadFileBytes(path).ValueOrDie();
     const SegmentFooter footer = storage::ReadSegmentFooter(path).ValueOrDie();
     for (const storage::SegmentColumn& col : footer.columns) {
-      std::vector<uint8_t> bad = good;
-      bad[col.block.offset + col.block.length / 2] ^= 0x01;
-      OverwriteFile(path, bad, bad.size());
+      const size_t flip = col.block.offset + col.block.length / 2;
+      FlipByte(path, good, flip, 0x01);
       const bool hidden = col.name == storage::kHiddenPosColumn;
       for (const bool use_index : {false, true}) {
         // The full scan decodes every block and rejects the flip.
@@ -2472,6 +2956,7 @@ TEST(ProjectedScanTest, OnlyDecodedBlocksAreReadAndChecked) {
           }
         }
       }
+      FlipByte(path, good, flip, 0);
     }
     // A file cut off at its last column block: the earlier columns are still
     // read (by range, never past their own blocks), the last one is not.
@@ -2479,7 +2964,7 @@ TEST(ProjectedScanTest, OnlyDecodedBlocksAreReadAndChecked) {
     for (const storage::SegmentColumn& col : footer.columns) {
       if (col.block.offset > last->block.offset) last = &col;
     }
-    OverwriteFile(path, good, static_cast<size_t>(last->block.offset));
+    std::filesystem::resize_file(path, last->block.offset);
     for (size_t c = 0; c < names.size(); ++c) {
       auto one = scan({names[c]}, false);
       if (last->name == storage::kHiddenPosColumn ||
@@ -2491,7 +2976,7 @@ TEST(ProjectedScanTest, OnlyDecodedBlocksAreReadAndChecked) {
         EXPECT_EQ(TableBytes(one.ValueOrDie()), want[c]);
       }
     }
-    OverwriteFile(path, good, good.size());
+    PatchFile(path, 0, good);
   }
   for (size_t c = 0; c < names.size(); ++c) {
     EXPECT_EQ(TableBytes(scan({names[c]}, true).ValueOrDie()), want[c]);
