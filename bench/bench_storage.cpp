@@ -35,14 +35,24 @@
 // speedup for the index path. Results go to BENCH_storage.json for CI.
 //
 // CRC32: every segment block read is CRC-checked, so the checksum's speed
-// is part of the scan cost. The bench times mip::Crc32 (slice-by-8) and a
-// bytewise one-table reference over one seeded 64 MiB buffer (median of
-// kCrcReps) and reports both rates plus whether the two checksums agree;
-// only the agreement is a gate.
+// is part of the scan cost. The bench times mip::Crc32 (carry-less-multiply
+// folding on a CPU with PCLMULQDQ, slice-by-8 elsewhere) and a bytewise
+// one-table reference over one seeded 64 MiB buffer (median of kCrcReps)
+// and reports both rates plus whether the two checksums agree; only the
+// agreement is a gate.
+//
+// Decode: every projected column block a scan reads is then decoded. The
+// bench encodes one 256Ki-value block per varint codec (XOR-double of
+// N(20, 3) readings, delta-int of the scattered `key` column, dictionary
+// string of the `site` column), times its decode (median of kDecodeReps)
+// in MB/s of decoded values (8 bytes per number, the characters of a
+// string), and checks each decode against the input and against a
+// per-value GetVarint reference decode; only the agreement is a gate.
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,6 +64,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "engine/database.h"
+#include "engine/encoding.h"
 #include "engine/exec_context.h"
 #include "engine/expr.h"
 #include "engine/table.h"
@@ -78,6 +89,8 @@ constexpr int kSelectiveReps = 15;
 constexpr int kIndexReps = 9;
 constexpr size_t kCrcBytes = 64ull << 20;
 constexpr int kCrcReps = 5;
+constexpr size_t kDecodeValues = 256 * 1024;
+constexpr int kDecodeReps = 7;
 
 // Unsorted high-cardinality key: a Knuth-multiplier bijection scatters row
 // position across the key space, so segment zone ranges all overlap and
@@ -143,6 +156,56 @@ double CrcMbPerS(const std::vector<uint8_t>& buf, Fn crc, uint32_t* sum) {
   }
   std::sort(rates.begin(), rates.end());
   return rates[rates.size() / 2];
+}
+
+// Median MB/s of `decode` over `block`, counting `value_bytes` decoded
+// bytes per pass; `*out` receives the last pass's values.
+template <typename T>
+double DecodeMbPerS(const std::vector<uint8_t>& block,
+                    mip::Status (*decode)(mip::BufferReader*,
+                                          std::vector<T>*),
+                    size_t value_bytes, std::vector<T>* out) {
+  std::vector<double> rates;
+  for (int rep = 0; rep < kDecodeReps; ++rep) {
+    out->clear();
+    mip::BufferReader r(block);
+    Stopwatch sw;
+    const mip::Status st = decode(&r, out);
+    const double s = std::max(sw.ElapsedSeconds(), 1e-9);
+    if (!st.ok() || !r.AtEnd()) out->clear();
+    rates.push_back(static_cast<double>(value_bytes) / 1e6 / s);
+  }
+  std::sort(rates.begin(), rates.end());
+  return rates[rates.size() / 2];
+}
+
+// The per-value reference decode of one varint-codec block: the header,
+// the dictionary entries when `dict`, then one GetVarint per value handed
+// to `step(v, entries)`. False on any malformed or trailing byte.
+template <typename Step>
+bool ReferenceDecode(const std::vector<uint8_t>& block, bool dict,
+                     Step step) {
+  mip::BufferReader r(block);
+  auto codec = r.ReadU8();
+  auto count = mip::engine::GetVarint(&r);
+  if (!codec.ok() || !count.ok()) return false;
+  std::vector<std::string> entries;
+  if (dict) {
+    auto n = mip::engine::GetVarint(&r);
+    if (!n.ok()) return false;
+    for (uint64_t i = 0; i < n.ValueOrDie(); ++i) {
+      auto len = mip::engine::GetVarint(&r);
+      if (!len.ok() || len.ValueOrDie() > r.Remaining()) return false;
+      std::string e(len.ValueOrDie(), '\0');
+      if (!r.ReadRawBytes(e.data(), e.size()).ok()) return false;
+      entries.push_back(std::move(e));
+    }
+  }
+  for (uint64_t i = 0; i < count.ValueOrDie(); ++i) {
+    auto v = mip::engine::GetVarint(&r);
+    if (!v.ok() || !step(v.ValueOrDie(), entries)) return false;
+  }
+  return r.AtEnd();
 }
 
 std::vector<uint8_t> TableBytes(const Table& table) {
@@ -464,8 +527,8 @@ int main() {
               e18_fast ? "PASS" : "FAIL", point_speedup, range_speedup);
   const bool e18_pass = e18_identical && explain_ok && e18_fast;
 
-  // --- CRC32 throughput, slice-by-8 vs the bytewise reference.
-  std::printf("\n=== CRC32: slice-by-8 vs bytewise reference ===\n");
+  // --- CRC32 throughput, mip::Crc32 vs the bytewise reference.
+  std::printf("\n=== CRC32: mip::Crc32 vs bytewise reference ===\n");
   std::vector<uint8_t> crc_buf(kCrcBytes);
   Rng crc_rng(0xC3C32);
   for (size_t i = 0; i < crc_buf.size(); i += 8) {
@@ -485,7 +548,90 @@ int main() {
   std::printf("crc32 matches reference: %s\n",
               crc_matches ? "PASS" : "FAIL");
 
-  const bool pass = e17_pass && e18_pass && crc_matches;
+  // --- Decode throughput of the three varint codecs.
+  std::printf("\n=== Decode: one %zu-value block per varint codec ===\n",
+              kDecodeValues);
+  Rng dec_rng(0xDEC0DE);
+  std::vector<double> dec_doubles;
+  std::vector<int64_t> dec_ints;
+  std::vector<std::string> dec_strings;
+  size_t string_bytes = 0;
+  for (size_t i = 0; i < kDecodeValues; ++i) {
+    dec_doubles.push_back(dec_rng.NextGaussian(20.0, 3.0));
+    dec_ints.push_back(KeyOf(static_cast<int64_t>(i)));
+    dec_strings.push_back("site_" + std::to_string(i % 7));
+    string_bytes += dec_strings.back().size();
+  }
+  mip::BufferWriter xor_w, delta_w, dict_w;
+  bool decode_matches =
+      mip::engine::EncodeDoubles(dec_doubles, &xor_w) ==
+          mip::engine::Codec::kXorDouble &&
+      mip::engine::EncodeInts(dec_ints, &delta_w) ==
+          mip::engine::Codec::kDeltaVarint &&
+      mip::engine::EncodeStrings(dec_strings, &dict_w) ==
+          mip::engine::Codec::kDict;
+  std::vector<double> got_doubles;
+  std::vector<int64_t> got_ints;
+  std::vector<std::string> got_strings;
+  const double xor_mb_s =
+      DecodeMbPerS<double>(xor_w.bytes(), &mip::engine::DecodeDoubles,
+                           kDecodeValues * sizeof(double), &got_doubles);
+  const double delta_mb_s =
+      DecodeMbPerS<int64_t>(delta_w.bytes(), &mip::engine::DecodeInts,
+                            kDecodeValues * sizeof(int64_t), &got_ints);
+  const double dict_mb_s =
+      DecodeMbPerS<std::string>(dict_w.bytes(), &mip::engine::DecodeStrings,
+                                string_bytes, &got_strings);
+  std::vector<uint64_t> ref_bits;
+  std::vector<int64_t> ref_ints;
+  std::vector<std::string> ref_strings;
+  uint64_t prev = 0;
+  decode_matches =
+      decode_matches &&
+      ReferenceDecode(xor_w.bytes(), false,
+                      [&](uint64_t v, const std::vector<std::string>&) {
+                        prev ^= v;
+                        ref_bits.push_back(prev);
+                        return true;
+                      });
+  prev = 0;
+  decode_matches =
+      decode_matches &&
+      ReferenceDecode(delta_w.bytes(), false,
+                      [&](uint64_t v, const std::vector<std::string>&) {
+                        prev += static_cast<uint64_t>(
+                            mip::engine::ZigZagDecode(v));
+                        ref_ints.push_back(static_cast<int64_t>(prev));
+                        return true;
+                      });
+  decode_matches =
+      decode_matches &&
+      ReferenceDecode(dict_w.bytes(), true,
+                      [&](uint64_t v, const std::vector<std::string>& e) {
+                        if (v >= e.size()) return false;
+                        ref_strings.push_back(e[v]);
+                        return true;
+                      });
+  std::vector<uint64_t> got_bits(got_doubles.size());
+  std::vector<uint64_t> want_bits(dec_doubles.size());
+  std::memcpy(got_bits.data(), got_doubles.data(),
+              got_doubles.size() * sizeof(double));
+  std::memcpy(want_bits.data(), dec_doubles.data(),
+              dec_doubles.size() * sizeof(double));
+  decode_matches = decode_matches && got_bits == ref_bits &&
+                   got_bits == want_bits && got_ints == ref_ints &&
+                   got_ints == dec_ints && got_strings == ref_strings &&
+                   got_strings == dec_strings;
+  std::printf("decode xor-double: %.0f MB/s (%zu B encoded)\n", xor_mb_s,
+              xor_w.size());
+  std::printf("decode delta-int:  %.0f MB/s (%zu B encoded)\n", delta_mb_s,
+              delta_w.size());
+  std::printf("decode dict-string: %.0f MB/s (%zu B encoded)\n", dict_mb_s,
+              dict_w.size());
+  std::printf("decode matches reference: %s\n",
+              decode_matches ? "PASS" : "FAIL");
+
+  const bool pass = e17_pass && e18_pass && crc_matches && decode_matches;
   if (std::FILE* f = std::fopen("BENCH_storage.json", "w")) {
     std::fprintf(
         f,
@@ -517,6 +663,10 @@ int main() {
         "  \"crc32_mb_s\": %.0f,\n"
         "  \"crc32_ref_mb_s\": %.0f,\n"
         "  \"crc32_matches_reference\": %s,\n"
+        "  \"decode_xor_double_mb_s\": %.0f,\n"
+        "  \"decode_delta_int_mb_s\": %.0f,\n"
+        "  \"decode_dict_string_mb_s\": %.0f,\n"
+        "  \"decode_matches_reference\": %s,\n"
         "  \"pass\": %s\n"
         "}\n",
         static_cast<long long>(kRows),
@@ -529,7 +679,8 @@ int main() {
         static_cast<unsigned long long>(segments_after), point_post_p50,
         range_post_p50, explain_ok ? "true" : "false",
         e18_identical ? "true" : "false", e18_pass ? "true" : "false",
-        crc_mb_s, crc_ref_mb_s, crc_matches ? "true" : "false",
+        crc_mb_s, crc_ref_mb_s, crc_matches ? "true" : "false", xor_mb_s,
+        delta_mb_s, dict_mb_s, decode_matches ? "true" : "false",
         pass ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_storage.json\n");

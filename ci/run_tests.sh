@@ -44,8 +44,10 @@ echo "== ASan+UBSan: net framing / deserialization / codec hardening =="
 # pushdown_test and federation_test drive the engine's RemoteSite calls
 # master -> bus -> worker, so every request kind runs under ASan too.
 # net_process_test spawns the mip_worker daemon, which is built beside the
-# suites but is not a suite itself. common_test runs the slice-by-8 CRC32's
-# 8-byte loads at every length and alignment under UBSan. platform_test
+# suites but is not a suite itself. common_test runs the CRC32's
+# carry-less-multiply folds and the portable path's 8-byte loads at every
+# length and alignment under UBSan, and encoding_test the bulk varint
+# reader's word loads over hostile blocks under ASan. platform_test
 # builds the data catalogue from get_schema / get_stats replies, so their
 # decode runs under ASan too. kernel_test and column_sharing_test cover the
 # copy-on-write column buffers and the typed kernels that read them.
@@ -180,8 +182,10 @@ echo "== smoke: E17/E18 disk segment store benchmark (BENCH_storage.json) =="
 # IndexScan access path answers a point query >= 10x faster at p50 than the
 # zone-map-only ablation, with byte-identical results across access path,
 # thread count, and compaction, and the choice visible in EXPLAIN. CRC32 —
-# the slice-by-8 checksum equals the bytewise reference (speed is reported,
-# not gated).
+# the dispatched checksum (carry-less multiply where the CPU has it) equals
+# the bytewise reference. Decode — the XOR-double, delta-int and dictionary
+# blocks decode to their input and to a per-value varint reference decode.
+# Speeds are reported, not gated.
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_storage
 (cd "$ROOT" && "$ROOT/build/bench/bench_storage")
 [[ -s "$ROOT/BENCH_storage.json" ]] || {
@@ -200,7 +204,9 @@ assert doc["e18_explain_shows_index_scan"] is True, \
 assert doc["e18_point_speedup"] >= 10.0, \
     f"index point-query speedup {doc['e18_point_speedup']}x below 10x floor"
 assert doc["crc32_matches_reference"] is True, \
-    "slice-by-8 CRC32 disagrees with the bytewise reference"
+    "CRC32 disagrees with the bytewise reference"
+assert doc["decode_matches_reference"] is True, \
+    "a varint codec decode disagrees with the per-value reference decode"
 assert doc["pass"] is True, "bench_storage acceptance gates failed"
 PYEOF
 

@@ -162,6 +162,13 @@ class BufferReader {
   size_t Remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
 
+  /// The next unread byte; Remaining() bytes from here are readable. With
+  /// Advance, this lets a bulk decoder walk the bytes itself instead of
+  /// paying a bounds-checked read per byte.
+  const uint8_t* cursor() const { return data_ + pos_; }
+  /// Consumes `n` bytes read through cursor(); n <= Remaining().
+  void Advance(size_t n) { pos_ += n; }
+
  private:
   Status ReadRaw(void* out, size_t n) {
     if (n > Remaining()) return TruncatedError();

@@ -12,10 +12,16 @@ namespace mip {
 /// (segments, WAL records, manifest, indexes). Crc32("123456789") ==
 /// 0xCBF43926.
 ///
-/// Computed slice-by-8: eight table lookups fold each 8-byte word, then a
-/// bytewise tail. This is an implementation choice only — the polynomial,
-/// init and xorout are the classic bytewise CRC's, so every checksum and
-/// every on-disk / on-wire format that stores one is unchanged.
+/// Two implementations compute the same function; only speed differs, so
+/// every checksum and every on-disk / on-wire format that stores one is
+/// unchanged:
+///   * On an x86-64 host whose CPU reports PCLMULQDQ and SSE4.1 (checked
+///     once at run time; only the folding function is compiled for them),
+///     the longest prefix whose length is a multiple of 16 folds 64 bytes
+///     per step by carry-less multiplication, when the input has at least
+///     64 bytes. The remaining 0-15 bytes go through slice-by-8.
+///   * Everywhere else, and for inputs under 64 bytes, slice-by-8: eight
+///     table lookups fold each 8-byte word, then a bytewise tail.
 ///
 /// A nonzero `seed` is XORed into the initial register, so the same bytes
 /// checksum differently under every seed; seed 0 is the classic CRC. The
@@ -25,6 +31,15 @@ uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0);
 inline uint32_t Crc32(const std::vector<uint8_t>& data, uint32_t seed = 0) {
   return Crc32(data.data(), data.size(), seed);
 }
+
+namespace internal {
+
+/// The portable slice-by-8 path alone, whatever the host supports, so
+/// tests can check it against a reference on a host that dispatches away
+/// from it.
+uint32_t Crc32Portable(const uint8_t* data, size_t n, uint32_t seed = 0);
+
+}  // namespace internal
 
 }  // namespace mip
 

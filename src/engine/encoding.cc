@@ -1,5 +1,6 @@
 #include "engine/encoding.h"
 
+#include <bit>
 #include <cstring>
 #include <unordered_map>
 
@@ -69,6 +70,80 @@ Result<std::vector<T>> DecodeFresh(BufferReader* r,
   return out;
 }
 
+/// The longest LEB128 encoding of a u64.
+constexpr size_t kMaxVarintBytes = 10;
+
+/// Packs the low 7 bits of each byte of `x` (little-endian, at most 8
+/// bytes, continuation bits already cleared) into one 56-bit value.
+inline uint64_t PackSevenBitGroups(uint64_t x) {
+  x = ((x & 0x7F007F007F007F00ull) >> 1) | (x & 0x007F007F007F007Full);
+  x = ((x & 0x3FFF00003FFF0000ull) >> 2) | (x & 0x00003FFF00003FFFull);
+  return ((x & 0x0FFFFFFF00000000ull) >> 4) | (x & 0x000000000FFFFFFFull);
+}
+
+/// Decodes the varint at `p`, which has at least kMaxVarintBytes readable
+/// bytes, into `*v` and returns its length. One 8-byte load finds the
+/// first byte without a continuation bit and packs the groups before it,
+/// so a varint of up to 8 bytes costs no per-byte branch. Returns 0 for a
+/// tenth byte above 1 (64-bit overflow, or an 11th byte to come); GetVarint
+/// then rereads it and reports which.
+inline size_t DecodeVarintAt(const uint8_t* p, uint64_t* v) {
+  static_assert(std::endian::native == std::endian::little,
+                "DecodeVarintAt reads LEB128 bytes as a little-endian word");
+  if (p[0] < 0x80) {
+    *v = p[0];
+    return 1;
+  }
+  uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  const uint64_t last = ~word & 0x8080808080808080ull;
+  if (last != 0) {
+    const int bits = std::countr_zero(last) + 1;  // through the last byte
+    const uint64_t keep = bits == 64 ? ~0ull : (1ull << bits) - 1;
+    *v = PackSevenBitGroups(word & keep & 0x7F7F7F7F7F7F7F7Full);
+    return static_cast<size_t>(bits / 8);
+  }
+  const uint64_t low = PackSevenBitGroups(word & 0x7F7F7F7F7F7F7F7Full);
+  if (p[8] < 0x80) {
+    *v = low | (uint64_t{p[8]} << 56);
+    return 9;
+  }
+  if (p[9] > 1) return 0;
+  *v = low | (uint64_t{p[8] & 0x7Fu} << 56) | (uint64_t{p[9]} << 63);
+  return kMaxVarintBytes;
+}
+
+/// The one bulk varint reader behind every varint run of a block (the
+/// XOR-double and delta-int payloads, the dictionary indices): decodes
+/// `count` varints in stream order and hands each to `sink`, which returns
+/// a non-OK Status to stop the decode with it. While at least
+/// kMaxVarintBytes remain no varint can run off the end, so it decodes
+/// straight from the reader's bytes; the tail, and any malformed varint,
+/// go through GetVarint, so every error is GetVarint's own.
+template <typename Sink>
+Status GetVarints(BufferReader* r, uint64_t count, Sink sink) {
+  uint64_t i = 0;
+  if (r->Remaining() >= kMaxVarintBytes) {
+    const uint8_t* const begin = r->cursor();
+    const uint8_t* const fast_end =
+        begin + (r->Remaining() - kMaxVarintBytes + 1);
+    const uint8_t* p = begin;
+    for (; i < count && p < fast_end; ++i) {
+      uint64_t v = 0;
+      const size_t len = DecodeVarintAt(p, &v);
+      if (len == 0) break;
+      p += len;
+      MIP_RETURN_NOT_OK(sink(v));
+    }
+    r->Advance(static_cast<size_t>(p - begin));
+  }
+  for (; i < count; ++i) {
+    MIP_ASSIGN_OR_RETURN(uint64_t v, GetVarint(r));
+    MIP_RETURN_NOT_OK(sink(v));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 void PutVarint(BufferWriter* w, uint64_t v) {
@@ -80,12 +155,7 @@ void PutVarint(BufferWriter* w, uint64_t v) {
 }
 
 size_t VarintSize(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 Result<uint64_t> GetVarint(BufferReader* r) {
@@ -104,19 +174,23 @@ Result<uint64_t> GetVarint(BufferReader* r) {
 Codec EncodeInts(const std::vector<int64_t>& values, BufferWriter* w) {
   const uint64_t n = values.size();
   const size_t raw_size = values.size() * sizeof(int64_t);
-  // Candidate: zigzag varints of consecutive deltas (first delta vs 0).
-  // Deltas are computed in uint64 wraparound arithmetic so INT64_MIN/MAX
-  // neighbors cannot trip signed overflow.
-  BufferWriter delta;
-  uint64_t prev = 0;
-  for (int64_t v : values) {
-    const uint64_t cur = static_cast<uint64_t>(v);
-    PutVarint(&delta, ZigZagEncode(static_cast<int64_t>(cur - prev)));
-    prev = cur;
-  }
-  if (n > 0 && delta.size() < raw_size) {
+  // Candidate: zigzag varints of consecutive deltas (first delta vs 0),
+  // sized before a byte is written. Deltas are computed in uint64
+  // wraparound arithmetic so INT64_MIN/MAX neighbors cannot trip signed
+  // overflow.
+  auto for_each_code = [&values](auto fn) {
+    uint64_t prev = 0;
+    for (int64_t v : values) {
+      const uint64_t cur = static_cast<uint64_t>(v);
+      fn(ZigZagEncode(static_cast<int64_t>(cur - prev)));
+      prev = cur;
+    }
+  };
+  size_t delta_size = 0;
+  for_each_code([&delta_size](uint64_t z) { delta_size += VarintSize(z); });
+  if (n > 0 && delta_size < raw_size) {
     PutBlockHeader(w, Codec::kDeltaVarint, n);
-    w->AppendRaw(delta.bytes().data(), delta.size());
+    for_each_code([w](uint64_t z) { PutVarint(w, z); });
     return Codec::kDeltaVarint;
   }
   PutBlockHeader(w, Codec::kRaw, n);
@@ -145,12 +219,11 @@ Status DecodeInts(BufferReader* r, std::vector<int64_t>* out) {
   }
   out->reserve(out->size() + h.count);
   uint64_t prev = 0;
-  for (uint64_t i = 0; i < h.count; ++i) {
-    MIP_ASSIGN_OR_RETURN(uint64_t z, GetVarint(r));
+  return GetVarints(r, h.count, [out, &prev](uint64_t z) {
     prev += static_cast<uint64_t>(ZigZagDecode(z));
     out->push_back(static_cast<int64_t>(prev));
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Result<std::vector<int64_t>> DecodeInts(BufferReader* r) {
@@ -163,17 +236,21 @@ Codec EncodeDoubles(const std::vector<double>& values, BufferWriter* w) {
   // Candidate: varint of the IEEE-754 bits XORed with the previous value's
   // bits — repeated and sign/exponent-stable sequences collapse, while
   // values are reproduced bit-exactly (NaN payloads, -0.0, infinities).
-  BufferWriter xr;
-  uint64_t prev = 0;
-  for (double v : values) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    PutVarint(&xr, bits ^ prev);
-    prev = bits;
-  }
-  if (n > 0 && xr.size() < raw_size) {
+  // Sized before a byte is written.
+  auto for_each_code = [&values](auto fn) {
+    uint64_t prev = 0;
+    for (double v : values) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      fn(bits ^ prev);
+      prev = bits;
+    }
+  };
+  size_t xor_size = 0;
+  for_each_code([&xor_size](uint64_t x) { xor_size += VarintSize(x); });
+  if (n > 0 && xor_size < raw_size) {
     PutBlockHeader(w, Codec::kXorDouble, n);
-    w->AppendRaw(xr.bytes().data(), xr.size());
+    for_each_code([w](uint64_t x) { PutVarint(w, x); });
     return Codec::kXorDouble;
   }
   PutBlockHeader(w, Codec::kRaw, n);
@@ -202,14 +279,13 @@ Status DecodeDoubles(BufferReader* r, std::vector<double>* out) {
   }
   out->reserve(out->size() + h.count);
   uint64_t prev = 0;
-  for (uint64_t i = 0; i < h.count; ++i) {
-    MIP_ASSIGN_OR_RETURN(uint64_t x, GetVarint(r));
+  return GetVarints(r, h.count, [out, &prev](uint64_t x) {
     prev ^= x;
     double v = 0.0;
     std::memcpy(&v, &prev, sizeof(v));
     out->push_back(v);
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Result<std::vector<double>> DecodeDoubles(BufferReader* r) {
@@ -364,14 +440,13 @@ Status DecodeStrings(BufferReader* r, std::vector<std::string>* out) {
     return Status::IOError("truncated dictionary index block");
   }
   out->reserve(out->size() + h.count);
-  for (uint64_t i = 0; i < h.count; ++i) {
-    MIP_ASSIGN_OR_RETURN(uint64_t idx, GetVarint(r));
+  return GetVarints(r, h.count, [out, &dict](uint64_t idx) {
     if (idx >= dict.size()) {
       return Status::IOError("dictionary index out of range");
     }
     out->push_back(dict[idx]);
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Result<std::vector<std::string>> DecodeStrings(BufferReader* r) {

@@ -52,7 +52,11 @@ inline constexpr size_t kDictMaxEntries = 64 * 1024;
 /// frame layer (2^26 elements * 8 bytes = 512 MiB, past the frame cap).
 inline constexpr uint64_t kMaxWireElements = 1ull << 26;
 
-/// LEB128 unsigned varint (at most 10 bytes for a u64).
+/// LEB128 unsigned varint (at most 10 bytes for a u64). GetVarint reads
+/// one byte at a time; its errors are a truncated buffer, a tenth byte
+/// carrying more than one value bit ("varint overflows 64 bits") and a
+/// tenth byte with its continuation bit set ("varint longer than 10
+/// bytes").
 void PutVarint(BufferWriter* w, uint64_t v);
 Result<uint64_t> GetVarint(BufferReader* r);
 /// Encoded size of one varint without writing it.
@@ -80,6 +84,12 @@ Codec EncodeValidity(const Bitmap& validity, BufferWriter* w);
 // reserves room for its own block only, so such a caller reserves the
 // total up front. On error `*out` may hold a partial append. The
 // value-returning forms decode into a fresh vector.
+//
+// Every varint run of a block (the XOR-double and delta-int payloads and
+// the dictionary indices) goes through one bulk reader: while at least
+// ten bytes remain it decodes straight from the reader's bytes, a word at
+// a time, and the tail and any malformed varint go through GetVarint, so
+// every error is GetVarint's, with the same code and message.
 Status DecodeInts(BufferReader* r, std::vector<int64_t>* out);
 Status DecodeDoubles(BufferReader* r, std::vector<double>* out);
 Status DecodeBools(BufferReader* r, std::vector<uint8_t>* out);

@@ -15,53 +15,32 @@ namespace mip::engine {
 
 namespace {
 
-/// Streaming state for one aggregate output.
+/// Partial state for one aggregate output.
 ///
 /// Aggregation is morsel-parallel: each morsel streams its rows into a
-/// private AggState, then the per-morsel partials are merged (Merge) in
-/// morsel order. Morsel boundaries depend only on ExecContext::morsel_size,
-/// so the merge tree — and therefore every last bit of the result — is
-/// identical at any thread count.
+/// private AggState (Accumulate), then the per-morsel partials are merged
+/// (Merge) in morsel order. Morsel boundaries depend only on
+/// ExecContext::morsel_size, so the merge tree — and therefore every last
+/// bit of the result — is identical at any thread count.
+///
+/// Each function's accumulator touches only the fields its Finish and
+/// Merge read: COUNT `count`; SUM `count` and `sum`; MIN/MAX `count` and
+/// one extreme; AVG/VAR/STDDEV `count`, `mean` and `m2` (Welford);
+/// COUNT(DISTINCT) `count` and `distinct`.
 struct AggState {
   int64_t count = 0;
   double sum = 0.0;
   double mean = 0.0;
   double m2 = 0.0;
+  // Numeric extremes through the double view; min_value/max_value box the
+  // row that set them (the only home of string extremes).
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
-  Value min_value;  // typed min/max (strings supported)
+  Value min_value;
   Value max_value;
   // Only populated for COUNT(DISTINCT): the typed keys (AppendKeyBytes) of
   // the distinct values seen.
   std::unordered_set<std::string> distinct;
-
-  void Add(const Value& v) {
-    if (v.is_null()) return;
-    ++count;
-    if (v.kind() == Value::Kind::kString) {
-      if (min_value.is_null() ||
-          v.string_value() < min_value.string_value()) {
-        min_value = v;
-      }
-      if (max_value.is_null() ||
-          v.string_value() > max_value.string_value()) {
-        max_value = v;
-      }
-      return;
-    }
-    AddNumeric(v.AsDouble(), v);
-  }
-
-  /// Unboxed fast paths for the numeric aggregate functions — same updates
-  /// as Add() on the equivalent boxed value, minus the Value round-trip.
-  void AddDouble(double x) { AddNumericTracked(x, Value::Kind::kDouble, 0); }
-  void AddInt(int64_t v) {
-    AddNumericTracked(static_cast<double>(v), Value::Kind::kInt, v);
-  }
-  void AddDistinct(std::string key) {
-    ++count;
-    distinct.insert(std::move(key));
-  }
 
   /// Merges `o` into this state, where `o` accumulated a later row range.
   /// Must be applied in morsel order: min/max ties and the variance combine
@@ -73,28 +52,21 @@ struct AggState {
       return;
     }
     distinct.insert(o.distinct.begin(), o.distinct.end());
-    // String min/max (numeric states keep these in lockstep with min/max).
-    if (!o.min_value.is_null() &&
-        o.min_value.kind() == Value::Kind::kString) {
-      if (min_value.is_null() ||
-          o.min_value.string_value() < min_value.string_value()) {
-        min_value = o.min_value;
-      }
-      if (max_value.is_null() ||
-          o.max_value.string_value() > max_value.string_value()) {
-        max_value = o.max_value;
-      }
-    } else {
-      // Strict comparisons: on ties the earlier morsel wins, matching the
-      // serial stream's first-occurrence behavior.
-      if (o.min < min) {
-        min = o.min;
-        min_value = o.min_value;
-      }
-      if (o.max > max) {
-        max = o.max;
-        max_value = o.max_value;
-      }
+    // Strict comparisons: on ties the earlier morsel wins, matching the
+    // serial stream's first-occurrence behavior.
+    if (IsString(o.min_value)
+            ? min_value.is_null() ||
+                  o.min_value.string_value() < min_value.string_value()
+            : o.min < min) {
+      min = o.min;
+      min_value = o.min_value;
+    }
+    if (IsString(o.max_value)
+            ? max_value.is_null() ||
+                  o.max_value.string_value() > max_value.string_value()
+            : o.max > max) {
+      max = o.max;
+      max_value = o.max_value;
     }
     // Chan et al. pairwise combine of (count, mean, m2).
     const double na = static_cast<double>(count);
@@ -137,37 +109,8 @@ struct AggState {
   }
 
  private:
-  void AddNumeric(double x, const Value& v) {
-    sum += x;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(count);
-    m2 += delta * (x - mean);
-    if (x < min) {
-      min = x;
-      min_value = v;
-    }
-    if (x > max) {
-      max = x;
-      max_value = v;
-    }
-  }
-
-  void AddNumericTracked(double x, Value::Kind kind, int64_t iv) {
-    ++count;
-    sum += x;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(count);
-    m2 += delta * (x - mean);
-    if (x < min) {
-      min = x;
-      min_value = kind == Value::Kind::kInt ? Value::Int(iv)
-                                            : Value::Double(x);
-    }
-    if (x > max) {
-      max = x;
-      max_value = kind == Value::Kind::kInt ? Value::Int(iv)
-                                            : Value::Double(x);
-    }
+  static bool IsString(const Value& v) {
+    return v.kind() == Value::Kind::kString;
   }
 };
 
@@ -214,26 +157,150 @@ void AppendKeyBytes(const Column& col, size_t r, std::string* key) {
   key->append(reinterpret_cast<const char*>(&bits), sizeof(bits));
 }
 
-/// Streams row `r` of `col` into `state`, taking the unboxed path for
-/// numeric columns (the hot aggregate loop) and the boxed path otherwise.
-inline void AddRow(const Column& col, size_t r, AggFunc func,
-                   AggState* state) {
-  if (!col.IsValid(r)) return;
-  if (func == AggFunc::kCountDistinct) {
-    std::string key;
-    AppendKeyBytes(col, r, &key);
-    state->AddDistinct(std::move(key));
+/// Calls `fn(r)` for every valid row r of [begin, end) of `col`, in row
+/// order.
+template <typename Fn>
+inline void ForEachValid(const Column& col, size_t begin, size_t end, Fn fn) {
+  if (!col.has_validity()) {
+    for (size_t r = begin; r < end; ++r) fn(r);
     return;
   }
-  switch (col.type()) {
-    case DataType::kFloat64:
-      state->AddDouble(col.DoubleAt(r));
+  const Bitmap& valid = col.validity();
+  for (size_t r = begin; r < end; ++r) {
+    if (valid.Get(r)) fn(r);
+  }
+}
+
+/// The numeric accumulators over one column view: `x_at(r)` is row r's
+/// double view (bool 0/1, int64 converted), `box_at(r)` its typed Value,
+/// built only when the row becomes an extreme. NaN never compares below
+/// or above an extreme, so it never becomes one, and an int64 compares
+/// through its double view, so beyond 2^53 the first occurrence of a tied
+/// double wins.
+template <typename StateAt, typename XAt, typename BoxAt>
+void AccumulateNumeric(const Column& col, AggFunc func, size_t begin,
+                       size_t end, StateAt state_at, XAt x_at, BoxAt box_at) {
+  switch (func) {
+    case AggFunc::kSum:
+      ForEachValid(col, begin, end, [&](size_t r) {
+        AggState* s = state_at(r);
+        ++s->count;
+        s->sum += x_at(r);
+      });
       return;
-    case DataType::kInt64:
-      state->AddInt(col.IntAt(r));
+    case AggFunc::kMin:
+      ForEachValid(col, begin, end, [&](size_t r) {
+        AggState* s = state_at(r);
+        ++s->count;
+        const double x = x_at(r);
+        if (x < s->min) {
+          s->min = x;
+          s->min_value = box_at(r);
+        }
+      });
+      return;
+    case AggFunc::kMax:
+      ForEachValid(col, begin, end, [&](size_t r) {
+        AggState* s = state_at(r);
+        ++s->count;
+        const double x = x_at(r);
+        if (x > s->max) {
+          s->max = x;
+          s->max_value = box_at(r);
+        }
+      });
+      return;
+    default:  // AVG, VAR_SAMP, STDDEV_SAMP: Welford's update
+      ForEachValid(col, begin, end, [&](size_t r) {
+        AggState* s = state_at(r);
+        ++s->count;
+        const double x = x_at(r);
+        const double delta = x - s->mean;
+        s->mean += delta / static_cast<double>(s->count);
+        s->m2 += delta * (x - s->mean);
+      });
+      return;
+  }
+}
+
+/// Streams the valid rows [begin, end) of `col` into the states
+/// `state_at(r)` names, each in row order, through one loop chosen by
+/// `func` and the column type.
+template <typename StateAt>
+void Accumulate(const Column& col, AggFunc func, size_t begin, size_t end,
+                StateAt state_at) {
+  switch (func) {
+    case AggFunc::kCountStar:  // counted from the group's rows
+      return;
+    case AggFunc::kCount:
+      ForEachValid(col, begin, end, [&](size_t r) { ++state_at(r)->count; });
+      return;
+    case AggFunc::kCountDistinct:
+      ForEachValid(col, begin, end, [&](size_t r) {
+        std::string key;
+        AppendKeyBytes(col, r, &key);
+        AggState* s = state_at(r);
+        ++s->count;
+        s->distinct.insert(std::move(key));
+      });
       return;
     default:
-      state->Add(col.ValueAt(r));
+      break;
+  }
+  switch (col.type()) {
+    case DataType::kFloat64: {
+      const double* v = col.doubles().data();
+      AccumulateNumeric(
+          col, func, begin, end, state_at, [v](size_t r) { return v[r]; },
+          [v](size_t r) { return Value::Double(v[r]); });
+      return;
+    }
+    case DataType::kInt64: {
+      const int64_t* v = col.ints().data();
+      AccumulateNumeric(
+          col, func, begin, end, state_at,
+          [v](size_t r) { return static_cast<double>(v[r]); },
+          [v](size_t r) { return Value::Int(v[r]); });
+      return;
+    }
+    case DataType::kBool: {
+      const uint8_t* v = col.bools().data();
+      AccumulateNumeric(
+          col, func, begin, end, state_at,
+          [v](size_t r) { return v[r] != 0 ? 1.0 : 0.0; },
+          [v](size_t r) { return Value::Bool(v[r] != 0); });
+      return;
+    }
+    case DataType::kString:
+      break;
+  }
+  // Strings: MIN/MAX compare the bytes; every other function only counts.
+  const std::vector<std::string>& v = col.strings();
+  switch (func) {
+    case AggFunc::kMin:
+      ForEachValid(col, begin, end, [&](size_t r) {
+        AggState* s = state_at(r);
+        ++s->count;
+        const std::string_view x = v[r];
+        if (s->min_value.is_null() ||
+            x < std::string_view(s->min_value.string_value())) {
+          s->min_value = Value::String(v[r]);
+        }
+      });
+      return;
+    case AggFunc::kMax:
+      ForEachValid(col, begin, end, [&](size_t r) {
+        AggState* s = state_at(r);
+        ++s->count;
+        const std::string_view x = v[r];
+        if (s->max_value.is_null() ||
+            x > std::string_view(s->max_value.string_value())) {
+          s->max_value = Value::String(v[r]);
+        }
+      });
+      return;
+    default:
+      ForEachValid(col, begin, end, [&](size_t r) { ++state_at(r)->count; });
       return;
   }
 }
@@ -261,13 +328,15 @@ struct Group {
   std::vector<AggState> states;
 };
 
-/// Hash grouping of rows [0, n) by `key_at(r)`, calling `add(&group, r)` for
-/// every row. Each morsel builds a private table in first-seen order; the
-/// tables merge in morsel order. A key's first insertion comes from the
-/// lowest morsel containing it, and morsels scan disjoint ascending row
-/// ranges, so the group order, every first_row and every state (each morsel
-/// adds its rows in row order; partial states merge in morsel order) equal
-/// the serial whole-table scan's at any thread count.
+/// Hash grouping of rows [0, n) by `key_at(r)`. Each morsel builds a
+/// private table in first-seen order, then calls `add(&groups, group_of,
+/// begin, end)` once, where group_of[r - begin] indexes row r's group in
+/// that morsel's `groups`. The tables merge in morsel order. A key's first
+/// insertion comes from the lowest morsel containing it, and morsels scan
+/// disjoint ascending row ranges, so the group order, every first_row and
+/// every state (each morsel adds its rows in row order; partial states
+/// merge in morsel order) equal the serial whole-table scan's at any
+/// thread count.
 template <typename KeyAt, typename AddFn>
 std::vector<Group> HashGroups(size_t n, size_t num_states,
                               const ExecContext& ctx, KeyAt key_at,
@@ -281,6 +350,7 @@ std::vector<Group> HashGroups(size_t n, size_t num_states,
   std::vector<Partial> parts(ctx.NumMorsels(n));
   ctx.ForEachMorsel(n, [&](size_t morsel, size_t begin, size_t end) {
     Partial& part = parts[morsel];
+    std::vector<size_t> group_of(end - begin);
     for (size_t r = begin; r < end; ++r) {
       Key key = key_at(r);
       auto [it, inserted] = part.index.try_emplace(key, part.groups.size());
@@ -291,10 +361,10 @@ std::vector<Group> HashGroups(size_t n, size_t num_states,
         g.states.resize(num_states);
         part.groups.push_back(std::move(g));
       }
-      Group& g = part.groups[it->second];
-      ++g.rows;
-      add(&g, r);
+      ++part.groups[it->second].rows;
+      group_of[r - begin] = it->second;
     }
+    add(&part.groups, group_of.data(), begin, end);
   });
   std::unordered_map<Key, size_t> index;
   std::vector<Group> groups;
@@ -399,12 +469,11 @@ Result<Table> AggregateAll(const Table& table,
       ctx.NumMorsels(n), std::vector<AggState>(aggs.size()));
   ctx.ForEachMorsel(n, [&](size_t morsel, size_t begin, size_t end) {
     std::vector<AggState>& local = partials[morsel];
-    for (size_t r = begin; r < end; ++r) {
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        if (aggs[i].arg != nullptr) {
-          AddRow(arg_cols[i], r, aggs[i].func, &local[i]);
-        }
-      }
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      if (aggs[i].arg == nullptr) continue;
+      AggState* state = &local[i];
+      Accumulate(arg_cols[i], aggs[i].func, begin, end,
+                 [state](size_t) { return state; });
     }
   });
   std::vector<AggState> states(aggs.size());
@@ -455,11 +524,16 @@ Result<Table> GroupByAggregate(const Table& table,
   }
 
   const std::vector<Group> groups = GroupRows(
-      key_cols, table.num_rows(), aggs.size(), ctx, [&](Group* g, size_t r) {
+      key_cols, table.num_rows(), aggs.size(), ctx,
+      [&](std::vector<Group>* part, const size_t* group_of, size_t begin,
+          size_t end) {
+        Group* g = part->data();
         for (size_t i = 0; i < aggs.size(); ++i) {
-          if (aggs[i].arg != nullptr) {
-            AddRow(arg_cols[i], r, aggs[i].func, &g->states[i]);
-          }
+          if (aggs[i].arg == nullptr) continue;
+          Accumulate(arg_cols[i], aggs[i].func, begin, end,
+                     [g, group_of, begin, i](size_t r) {
+                       return &g[group_of[r - begin]].states[i];
+                     });
         }
       });
 
@@ -494,7 +568,8 @@ Table Distinct(const Table& table) {
   }
   const std::vector<Group> groups =
       GroupRows(cols, table.num_rows(), /*num_states=*/0,
-                ExecContext::Serial(), [](Group*, size_t) {});
+                ExecContext::Serial(),
+                [](std::vector<Group>*, const size_t*, size_t, size_t) {});
   std::vector<int64_t> keep;
   keep.reserve(groups.size());
   for (const Group& g : groups) {

@@ -271,18 +271,22 @@ Status StorageEngine::Compact(const std::string& name,
       discard_outputs();
       return st;
     }
-    // A "crash" here (post-commit, pre-delete) leaves the replaced files on
-    // disk as orphans of the new manifest; recovery sweeps them.
-    MIP_RETURN_NOT_OK(checkpoint("post-commit"));
-    ctr_compactions_.fetch_add(1, std::memory_order_relaxed);
-    // Delete the replaced files under the exclusive lock: scans hold the
-    // shared lock for their entire read, so nobody is mid-read in them.
-    // Unlink failures are harmless — the next Open's sweep retries.
-    for (const SegmentState& seg : inputs) {
-      (void)RemoveFile(SegmentPath(seg.id));
-      for (const IndexState& idx : seg.indexes) {
-        (void)RemoveFile(IndexPath(idx.id));
-      }
+  }
+  // A "crash" here (post-commit, pre-delete) leaves the replaced files on
+  // disk as orphans of the new manifest; recovery sweeps them.
+  MIP_RETURN_NOT_OK(checkpoint("post-commit"));
+  ctr_compactions_.fetch_add(1, std::memory_order_relaxed);
+  // Delete the replaced files after releasing mu_, so scans and appends
+  // never wait out a filesystem that frees blocks slowly. Scans hold the
+  // shared lock for their entire read, so every scan that could still read
+  // these files finished before the commit took the exclusive lock, and
+  // every later one reads the new list. compact_mu_ keeps the next
+  // compaction from starting before they are gone. Unlink failures are
+  // harmless — the next Open's sweep retries.
+  for (const SegmentState& seg : inputs) {
+    (void)RemoveFile(SegmentPath(seg.id));
+    for (const IndexState& idx : seg.indexes) {
+      (void)RemoveFile(IndexPath(idx.id));
     }
   }
   return checkpoint("done");

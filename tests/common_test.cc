@@ -138,9 +138,10 @@ TEST(BytesTest, MaliciousLengthPrefixIsRejected) {
   EXPECT_FALSE(r2.ReadVector<double>().ok());
 }
 
-/// The classic one-table bytewise CRC-32 (IEEE, reflected, 0xEDB88320) —
-/// the reference the slice-by-8 Crc32 must match bit for bit.
-uint32_t ReferenceCrc32(const uint8_t* data, size_t n) {
+/// The classic one-table bytewise CRC-32 (IEEE, reflected, 0xEDB88320),
+/// with Crc32's seed rule — the reference both the dispatched Crc32 and
+/// the portable slice-by-8 path must match bit for bit.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t n, uint32_t seed = 0) {
   static const std::array<uint32_t, 256> kTable = [] {
     std::array<uint32_t, 256> table{};
     for (uint32_t i = 0; i < 256; ++i) {
@@ -152,7 +153,7 @@ uint32_t ReferenceCrc32(const uint8_t* data, size_t n) {
     }
     return table;
   }();
-  uint32_t c = 0xFFFFFFFFu;
+  uint32_t c = 0xFFFFFFFFu ^ seed;
   for (size_t i = 0; i < n; ++i) {
     c = kTable[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   }
@@ -161,24 +162,36 @@ uint32_t ReferenceCrc32(const uint8_t* data, size_t n) {
 
 TEST(Crc32Test, KnownVectorAndEmptyInput) {
   const std::string check = "123456789";
-  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
-                  check.size()),
-            0xCBF43926u);
+  const auto* p = reinterpret_cast<const uint8_t*>(check.data());
+  EXPECT_EQ(Crc32(p, check.size()), 0xCBF43926u);
+  EXPECT_EQ(internal::Crc32Portable(p, check.size()), 0xCBF43926u);
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(internal::Crc32Portable(nullptr, 0), 0u);
   EXPECT_EQ(Crc32(std::vector<uint8_t>{}), 0u);
 }
 
+// Offsets 0-15 put the 16-byte folds at every alignment; lengths 0-4096
+// cover inputs below the 64-byte fold minimum, every tail length 0-15 and
+// many fold steps; the golden-ratio seed checks the seed enters the folded
+// register the way it enters slice-by-8's.
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
   Rng rng(20261017);
-  std::vector<uint8_t> buf(4096 + 8);
+  std::vector<uint8_t> buf(4096 + 16);
   for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextUint64());
   size_t mismatches = 0;
-  for (size_t offset = 0; offset < 8; ++offset) {
-    for (size_t len = 0; len <= 4096; ++len) {
-      const uint8_t* p = buf.data() + offset;
-      if (Crc32(p, len) != ReferenceCrc32(p, len)) {
-        ADD_FAILURE() << "offset " << offset << " length " << len;
-        if (++mismatches >= 10) return;
+  for (uint32_t seed : {0u, 0x9E3779B9u}) {
+    for (size_t offset = 0; offset < 16; ++offset) {
+      for (size_t len = 0; len <= 4096; ++len) {
+        const uint8_t* p = buf.data() + offset;
+        const uint32_t want = ReferenceCrc32(p, len, seed);
+        const uint32_t fast = Crc32(p, len, seed);
+        const uint32_t portable = internal::Crc32Portable(p, len, seed);
+        if (fast != want || portable != want) {
+          ADD_FAILURE() << "seed " << seed << " offset " << offset
+                        << " length " << len << ": dispatched " << fast
+                        << " portable " << portable << " reference " << want;
+          if (++mismatches >= 10) return;
+        }
       }
     }
   }

@@ -666,6 +666,289 @@ TEST(WireBytesTest, ScalarOnlyTransferFallsBackToPinnedV1) {
 }
 
 // --------------------------------------------------------------------------
+// The bulk varint reader against a per-value GetVarint oracle. The codecs
+// decode their varint runs straight from the reader's bytes while ten or
+// more remain and through GetVarint after; these tests build the varint
+// blocks by hand (so every varint length 1-10 appears, in the fast region
+// and across the tail boundary) and decode them with the layout read one
+// GetVarint at a time, the way the codecs did before the bulk reader.
+
+enum class VarintCodec { kXorDouble, kDeltaInt, kDictString };
+
+// The varint-codec branch of each decoder, one GetVarint per value. The
+// decoded elements go out as their 64-bit patterns (string entries by
+// index), so one comparison covers all three codecs.
+Result<std::vector<uint64_t>> OracleDecode(BufferReader* r, VarintCodec kind,
+                                           std::vector<std::string>* strings) {
+  MIP_ASSIGN_OR_RETURN(uint8_t codec_byte, r->ReadU8());
+  (void)codec_byte;  // the blocks below always carry the varint codec
+  MIP_ASSIGN_OR_RETURN(uint64_t count, engine::GetVarint(r));
+  if (count > engine::kMaxWireElements) {
+    return Status::IOError("column block count " + std::to_string(count) +
+                           " exceeds the element limit");
+  }
+  std::vector<std::string> dict;
+  if (kind == VarintCodec::kDictString) {
+    MIP_ASSIGN_OR_RETURN(uint64_t num_entries, engine::GetVarint(r));
+    if (num_entries > engine::kDictMaxEntries) {
+      return Status::IOError("string dictionary exceeds the entry limit");
+    }
+    if (num_entries > r->Remaining()) {
+      return Status::IOError("truncated string dictionary");
+    }
+    for (uint64_t i = 0; i < num_entries; ++i) {
+      MIP_ASSIGN_OR_RETURN(uint64_t len, engine::GetVarint(r));
+      if (len > r->Remaining()) {
+        return Status::IOError("truncated dictionary entry");
+      }
+      std::string e(len, '\0');
+      if (len > 0) MIP_RETURN_NOT_OK(r->ReadRawBytes(e.data(), len));
+      dict.push_back(std::move(e));
+    }
+  }
+  if (count > r->Remaining()) {
+    switch (kind) {
+      case VarintCodec::kXorDouble:
+        return Status::IOError("truncated xor-double block");
+      case VarintCodec::kDeltaInt:
+        return Status::IOError("truncated delta-varint int block");
+      case VarintCodec::kDictString:
+        return Status::IOError("truncated dictionary index block");
+    }
+  }
+  std::vector<uint64_t> out;
+  uint64_t prev = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    MIP_ASSIGN_OR_RETURN(uint64_t v, engine::GetVarint(r));
+    switch (kind) {
+      case VarintCodec::kXorDouble:
+        prev ^= v;
+        out.push_back(prev);
+        break;
+      case VarintCodec::kDeltaInt:
+        prev += static_cast<uint64_t>(engine::ZigZagDecode(v));
+        out.push_back(prev);
+        break;
+      case VarintCodec::kDictString:
+        if (v >= dict.size()) {
+          return Status::IOError("dictionary index out of range");
+        }
+        out.push_back(v);
+        strings->push_back(dict[v]);
+        break;
+    }
+  }
+  return out;
+}
+
+// The codec under test, with its output mapped the way OracleDecode maps.
+Result<std::vector<uint64_t>> CodecDecode(BufferReader* r, VarintCodec kind,
+                                          std::vector<std::string>* strings) {
+  std::vector<uint64_t> out;
+  switch (kind) {
+    case VarintCodec::kXorDouble: {
+      MIP_ASSIGN_OR_RETURN(std::vector<double> v, engine::DecodeDoubles(r));
+      for (double d : v) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof(bits));
+        out.push_back(bits);
+      }
+      return out;
+    }
+    case VarintCodec::kDeltaInt: {
+      MIP_ASSIGN_OR_RETURN(std::vector<int64_t> v, engine::DecodeInts(r));
+      for (int64_t x : v) out.push_back(static_cast<uint64_t>(x));
+      return out;
+    }
+    case VarintCodec::kDictString: {
+      MIP_ASSIGN_OR_RETURN(*strings, engine::DecodeStrings(r));
+      return out;
+    }
+  }
+  return out;
+}
+
+// A block header plus, for strings, a `entries`-entry dictionary; the
+// caller appends the varint payload.
+BufferWriter VarintBlockHeader(VarintCodec kind, uint64_t count,
+                               uint64_t entries) {
+  BufferWriter w;
+  switch (kind) {
+    case VarintCodec::kXorDouble:
+      w.WriteU8(static_cast<uint8_t>(Codec::kXorDouble));
+      break;
+    case VarintCodec::kDeltaInt:
+      w.WriteU8(static_cast<uint8_t>(Codec::kDeltaVarint));
+      break;
+    case VarintCodec::kDictString:
+      w.WriteU8(static_cast<uint8_t>(Codec::kDict));
+      break;
+  }
+  engine::PutVarint(&w, count);
+  if (kind == VarintCodec::kDictString) {
+    engine::PutVarint(&w, entries);
+    for (uint64_t e = 0; e < entries; ++e) {
+      const std::string entry = "entry" + std::to_string(e);
+      engine::PutVarint(&w, entry.size());
+      w.AppendRaw(entry.data(), entry.size());
+    }
+  }
+  return w;
+}
+
+// A random value whose varint is exactly `bytes` long (1-10).
+uint64_t ValueOfVarintLength(Rng* rng, size_t bytes) {
+  if (bytes == 1) return rng->NextBounded(128);
+  const uint64_t low = uint64_t{1} << (7 * (bytes - 1));
+  const uint64_t span = bytes == 10 ? ~low + 1 : low * 127;
+  return low + (span == 0 ? rng->NextUint64() : rng->NextBounded(span));
+}
+
+// Decodes `block` with the codec and the oracle; both must agree on every
+// decoded bit, or on the Status code and message.
+void ExpectMatchesOracle(const std::vector<uint8_t>& block, VarintCodec kind,
+                         const std::string& context) {
+  std::vector<std::string> got_strings, want_strings;
+  BufferReader gr(block.data(), block.size());
+  BufferReader wr(block.data(), block.size());
+  auto got = CodecDecode(&gr, kind, &got_strings);
+  auto want = OracleDecode(&wr, kind, &want_strings);
+  ASSERT_EQ(got.ok(), want.ok())
+      << context << ": codec " << got.status().ToString() << ", oracle "
+      << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << context;
+    EXPECT_EQ(got.status().message(), want.status().message()) << context;
+    return;
+  }
+  EXPECT_EQ(gr.Remaining(), wr.Remaining()) << context;
+  if (kind == VarintCodec::kDictString) {
+    EXPECT_EQ(got_strings, want_strings) << context;
+  } else {
+    EXPECT_EQ(got.ValueOrDie(), want.ValueOrDie()) << context;
+  }
+}
+
+constexpr VarintCodec kVarintCodecs[] = {
+    VarintCodec::kXorDouble, VarintCodec::kDeltaInt, VarintCodec::kDictString};
+
+TEST(BulkVarintTest, RandomBlocksDecodeLikeThePerValueOracle) {
+  Rng rng(0x5EED5);
+  for (VarintCodec kind : kVarintCodecs) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const uint64_t count = rng.NextBounded(trial < 20 ? 16 : 3000);
+      const uint64_t entries = 1 + rng.NextBounded(300);
+      BufferWriter w = VarintBlockHeader(kind, count, entries);
+      for (uint64_t i = 0; i < count; ++i) {
+        if (kind == VarintCodec::kDictString) {
+          engine::PutVarint(&w, rng.NextBounded(entries));
+        } else {
+          engine::PutVarint(&w, ValueOfVarintLength(
+                                    &rng, 1 + rng.NextBounded(10)));
+        }
+      }
+      const size_t trailing = rng.NextBounded(3);  // bytes past the block
+      for (size_t t = 0; t < trailing; ++t) w.WriteU8(0xFF);
+      ExpectMatchesOracle(w.bytes(), kind,
+                          "trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(BulkVarintTest, EncodedColumnsDecodeLikeThePerValueOracle) {
+  Rng rng(77);
+  std::vector<double> doubles;
+  std::vector<int64_t> ints;
+  std::vector<std::string> strings;
+  for (int i = 0; i < 5000; ++i) {
+    doubles.push_back(0.5 * static_cast<double>(rng.NextBounded(1000)));
+    ints.push_back(static_cast<int64_t>(rng.NextUint64() >> (i % 64)));
+    strings.push_back("site" + std::to_string(rng.NextBounded(40)));
+  }
+  BufferWriter wd, wi, ws;
+  ASSERT_EQ(engine::EncodeDoubles(doubles, &wd), Codec::kXorDouble);
+  ASSERT_EQ(engine::EncodeInts(ints, &wi), Codec::kDeltaVarint);
+  ASSERT_EQ(engine::EncodeStrings(strings, &ws), Codec::kDict);
+  ExpectMatchesOracle(wd.bytes(), VarintCodec::kXorDouble, "doubles");
+  ExpectMatchesOracle(wi.bytes(), VarintCodec::kDeltaInt, "ints");
+  ExpectMatchesOracle(ws.bytes(), VarintCodec::kDictString, "strings");
+}
+
+// Hostile varint runs: one bad varint placed after `before` good ones and
+// followed by `after` good ones, so it lands in the fast region (ten or
+// more bytes left) and on every position across the tail boundary.
+TEST(BulkVarintTest, HostileBlocksFailLikeThePerValueOracle) {
+  const std::vector<uint8_t> eleven_bytes = {0x80, 0x80, 0x80, 0x80,
+                                             0x80, 0x80, 0x80, 0x80,
+                                             0x80, 0x81, 0x00};
+  const std::vector<uint8_t> tenth_byte_two = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                               0xFF, 0xFF, 0xFF, 0xFF, 0x02};
+  struct Bad {
+    const char* name;
+    std::vector<uint8_t> bytes;  // empty: a dictionary index == entries
+    const char* message;
+  };
+  const Bad bads[] = {
+      {"11-byte varint", eleven_bytes, "varint longer than 10 bytes"},
+      {"10th byte > 1", tenth_byte_two, "varint overflows 64 bits"},
+      {"index == entries", {}, "dictionary index out of range"}};
+  constexpr uint64_t kEntries = 5;
+  for (VarintCodec kind : kVarintCodecs) {
+    for (const Bad& bad : bads) {
+      if (bad.bytes.empty() && kind != VarintCodec::kDictString) continue;
+      for (uint64_t before : {0, 1, 3, 20}) {
+        for (uint64_t after = 0; after < 12; ++after) {
+          const uint64_t count = before + 1 + after;
+          BufferWriter w = VarintBlockHeader(kind, count, kEntries);
+          for (uint64_t i = 0; i < before; ++i) engine::PutVarint(&w, 3);
+          if (bad.bytes.empty()) {
+            engine::PutVarint(&w, kEntries);
+          } else {
+            w.AppendRaw(bad.bytes.data(), bad.bytes.size());
+          }
+          for (uint64_t i = 0; i < after; ++i) engine::PutVarint(&w, 1);
+          const std::string context = std::string(bad.name) + " before " +
+                                      std::to_string(before) + " after " +
+                                      std::to_string(after);
+          ExpectMatchesOracle(w.bytes(), kind, context);
+          std::vector<std::string> strings;
+          BufferReader r(w.bytes().data(), w.size());
+          auto got = CodecDecode(&r, kind, &strings);
+          ASSERT_FALSE(got.ok()) << context;
+          EXPECT_EQ(got.status().code(), StatusCode::kIOError) << context;
+          EXPECT_EQ(got.status().message(), bad.message) << context;
+        }
+      }
+    }
+  }
+}
+
+TEST(BulkVarintTest, TruncationInTheLastTwelveBytesFailsLikeTheOracle) {
+  Rng rng(12);
+  for (VarintCodec kind : kVarintCodecs) {
+    for (uint64_t count : {1, 2, 5, 40}) {
+      BufferWriter w = VarintBlockHeader(kind, count, 7);
+      for (uint64_t i = 0; i < count; ++i) {
+        engine::PutVarint(&w, kind == VarintCodec::kDictString
+                                  ? rng.NextBounded(7)
+                                  : ValueOfVarintLength(
+                                        &rng, 1 + rng.NextBounded(10)));
+      }
+      const std::vector<uint8_t>& full = w.bytes();
+      for (size_t cut = 1; cut <= 12 && cut <= full.size(); ++cut) {
+        const std::vector<uint8_t> block(full.begin(), full.end() - cut);
+        const std::string context = "count " + std::to_string(count) +
+                                    " cut " + std::to_string(cut);
+        ExpectMatchesOracle(block, kind, context);
+        std::vector<std::string> strings;
+        BufferReader r(block.data(), block.size());
+        EXPECT_FALSE(CodecDecode(&r, kind, &strings).ok()) << context;
+      }
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
 // Mutation fuzz: the new decoders must survive arbitrary corruption with a
 // clean Status (no crash, no over-read — ASan/UBSan enforce in CI).
 

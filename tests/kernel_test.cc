@@ -1,7 +1,9 @@
 // Differential tests of the typed SQL kernels. Seeded predicate trees run
 // through the vectorized evaluator and the row interpreter (the semantic
-// reference), and hash group-by, DISTINCT and COUNT(DISTINCT) run against a
-// text-key reference that lives only in this file. The tables hold the
+// reference), hash group-by, DISTINCT and COUNT(DISTINCT) run against a
+// text-key reference, and every aggregate function runs against the
+// per-row streaming state the engine used before its per-function
+// accumulators; both references live only in this file. The tables hold the
 // awkward cells: NULLs, NaN, -0.0, int64 values above 2^53 and strings.
 
 #include <gtest/gtest.h>
@@ -477,6 +479,380 @@ TEST(DoubleKeyTest, FederatedOverBusAndTcp) {
   client.Shutdown();
   server_a.Shutdown();
   server_b.Shutdown();
+}
+
+
+// --- Aggregate accumulators against the per-row streaming oracle ----------
+
+// The per-row aggregate state the engine used before its per-function
+// accumulators, kept verbatim (COUNT(DISTINCT) keys are RefCell text) as
+// the oracle every output cell must equal bit for bit.
+struct OracleState {
+  int64_t count = 0;
+  double sum = 0.0;
+  double mean = 0.0;
+  double m2 = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  Value min_value;
+  Value max_value;
+  std::set<std::string> distinct;
+
+  void Add(const Value& v) {
+    if (v.is_null()) return;
+    ++count;
+    if (v.kind() == Value::Kind::kString) {
+      if (min_value.is_null() ||
+          v.string_value() < min_value.string_value()) {
+        min_value = v;
+      }
+      if (max_value.is_null() ||
+          v.string_value() > max_value.string_value()) {
+        max_value = v;
+      }
+      return;
+    }
+    AddNumeric(v.AsDouble(), v);
+  }
+  void AddDouble(double x) { ++count; AddNumeric(x, Value::Double(x)); }
+  void AddInt(int64_t v) {
+    ++count;
+    AddNumeric(static_cast<double>(v), Value::Int(v));
+  }
+  void AddDistinct(std::string key) {
+    ++count;
+    distinct.insert(std::move(key));
+  }
+
+  void Merge(const OracleState& o) {
+    if (o.count == 0) return;
+    if (count == 0) {
+      *this = o;
+      return;
+    }
+    distinct.insert(o.distinct.begin(), o.distinct.end());
+    if (!o.min_value.is_null() &&
+        o.min_value.kind() == Value::Kind::kString) {
+      if (min_value.is_null() ||
+          o.min_value.string_value() < min_value.string_value()) {
+        min_value = o.min_value;
+      }
+      if (max_value.is_null() ||
+          o.max_value.string_value() > max_value.string_value()) {
+        max_value = o.max_value;
+      }
+    } else {
+      if (o.min < min) {
+        min = o.min;
+        min_value = o.min_value;
+      }
+      if (o.max > max) {
+        max = o.max;
+        max_value = o.max_value;
+      }
+    }
+    const double na = static_cast<double>(count);
+    const double nb = static_cast<double>(o.count);
+    const double nt = na + nb;
+    const double delta = o.mean - mean;
+    mean += delta * (nb / nt);
+    m2 += o.m2 + delta * delta * na * (nb / nt);
+    sum += o.sum;
+    count += o.count;
+  }
+
+  Value Finish(AggFunc func, int64_t group_rows) const {
+    switch (func) {
+      case AggFunc::kCountStar:
+        return Value::Int(group_rows);
+      case AggFunc::kCount:
+        return Value::Int(count);
+      case AggFunc::kCountDistinct:
+        return Value::Int(static_cast<int64_t>(distinct.size()));
+      case AggFunc::kSum:
+        return count > 0 ? Value::Double(sum) : Value::Null();
+      case AggFunc::kAvg:
+        return count > 0 ? Value::Double(mean) : Value::Null();
+      case AggFunc::kMin:
+        return min_value;
+      case AggFunc::kMax:
+        return max_value;
+      case AggFunc::kVarSamp:
+        return count > 1 ? Value::Double(m2 / static_cast<double>(count - 1))
+                         : Value::Null();
+      case AggFunc::kStddevSamp:
+        return count > 1 ? Value::Double(std::sqrt(
+                               m2 / static_cast<double>(count - 1)))
+                         : Value::Null();
+    }
+    return Value::Null();
+  }
+
+ private:
+  void AddNumeric(double x, const Value& v) {
+    sum += x;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (x - mean);
+    if (x < min) {
+      min = x;
+      min_value = v;
+    }
+    if (x > max) {
+      max = x;
+      max_value = v;
+    }
+  }
+};
+
+void OracleAddRow(const Column& col, size_t r, AggFunc func,
+                  OracleState* state) {
+  if (!col.IsValid(r)) return;
+  if (func == AggFunc::kCountDistinct) {
+    state->AddDistinct(RefCell(col, r));
+    return;
+  }
+  switch (col.type()) {
+    case DataType::kFloat64:
+      state->AddDouble(col.DoubleAt(r));
+      return;
+    case DataType::kInt64:
+      state->AddInt(col.IntAt(r));
+      return;
+    default:
+      state->Add(col.ValueAt(r));
+      return;
+  }
+}
+
+// The oracle's output rows: groups in first-seen order (RefCell keys,
+// which the GroupKeyTest above pins to the engine's typed keys), the key
+// cells of each group's first row, then one cell per aggregate. Each
+// group's state per morsel streams that morsel's rows in row order, and
+// the partials merge in morsel order — the engine's documented merge tree.
+std::vector<std::vector<Value>> OracleAggregate(
+    const Table& table, const std::vector<std::string>& keys,
+    const std::vector<std::pair<AggFunc, std::string>>& aggs,
+    size_t morsel_size) {
+  const size_t n = table.num_rows();
+  std::vector<const Column*> key_cols;
+  for (const std::string& k : keys) key_cols.push_back(*table.ColumnByName(k));
+  std::vector<const Column*> arg_cols;
+  for (const auto& a : aggs) {
+    arg_cols.push_back(a.second.empty() ? nullptr
+                                        : *table.ColumnByName(a.second));
+  }
+  struct OracleGroup {
+    size_t first_row = 0;
+    int64_t rows = 0;
+    std::vector<OracleState> states;   // merged over finished morsels
+    std::vector<OracleState> partial;  // the current morsel's
+  };
+  std::map<std::string, size_t> index;
+  std::vector<OracleGroup> groups;
+  auto flush_partials = [&] {
+    for (OracleGroup& g : groups) {
+      for (size_t i = 0; i < aggs.size(); ++i) {
+        g.states[i].Merge(g.partial[i]);
+        g.partial[i] = OracleState();
+      }
+    }
+  };
+  for (size_t r = 0; r < n; ++r) {
+    if (r > 0 && r % morsel_size == 0) flush_partials();
+    std::string key;
+    for (const Column* c : key_cols) key += RefCell(*c, r) + "|";
+    auto [it, inserted] = index.emplace(key, groups.size());
+    if (inserted) {
+      OracleGroup g;
+      g.first_row = r;
+      g.states.resize(aggs.size());
+      g.partial.resize(aggs.size());
+      groups.push_back(std::move(g));
+    }
+    OracleGroup& g = groups[it->second];
+    ++g.rows;
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      if (arg_cols[i] != nullptr) {
+        OracleAddRow(*arg_cols[i], r, aggs[i].first, &g.partial[i]);
+      }
+    }
+  }
+  flush_partials();
+  if (keys.empty() && groups.empty()) {  // an empty table still has a row
+    groups.push_back(OracleGroup{0, 0, std::vector<OracleState>(aggs.size()),
+                                 {}});
+  }
+  std::vector<std::vector<Value>> out;
+  for (const OracleGroup& g : groups) {
+    std::vector<Value> row;
+    for (const Column* c : key_cols) row.push_back(c->ValueAt(g.first_row));
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      row.push_back(g.states[i].Finish(aggs[i].first, g.rows));
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+// Columns for the accumulators: `g` a 7-value int key whose group 5 holds
+// only NaN in `d` and group 6 only +inf (MIN of +inf alone is NULL, as it
+// always was), `k` a string key, `d` doubles with NaN, +-0.0 and +-inf,
+// `i` int64 at +-2^53+-1 and the extremes, `b` bools, `s` strings, the
+// same four as no-null `e`/`j`/`c`/`t`, and `z`/`y` all NULL.
+Table AccumulatorTable(uint64_t seed, size_t rows) {
+  Rng rng(seed);
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double doubles[] = {0.0,  -0.0,  kNaN, kInf, -kInf, 1.5,
+                            -2.25, 1e300, 9007199254740992.0, 1.0000001};
+  const int64_t ints[] = {0,
+                          -1,
+                          7,
+                          k2p53 - 1,
+                          k2p53,
+                          k2p53 + 1,
+                          -k2p53 - 1,
+                          -k2p53 + 1,
+                          std::numeric_limits<int64_t>::max(),
+                          std::numeric_limits<int64_t>::min()};
+  const char* strings[] = {"", "a", "ab", "b", "AD", "CN", "MCI"};
+  Column g(DataType::kInt64), k(DataType::kString), d(DataType::kFloat64),
+      i(DataType::kInt64), b(DataType::kBool), s(DataType::kString),
+      e(DataType::kFloat64), j(DataType::kInt64), c(DataType::kBool),
+      t(DataType::kString), z(DataType::kFloat64), y(DataType::kString);
+  for (size_t r = 0; r < rows; ++r) {
+    auto null = [&rng] { return rng.NextBounded(6) == 0; };
+    const int64_t key = static_cast<int64_t>(rng.NextBounded(7));
+    g.AppendInt(key);
+    k.AppendString(strings[rng.NextBounded(3)]);
+    const double dv = key == 5   ? kNaN
+                      : key == 6 ? kInf
+                                 : doubles[rng.NextBounded(10)];
+    if (null()) d.AppendNull(); else d.AppendDouble(dv);
+    if (null()) i.AppendNull(); else i.AppendInt(ints[rng.NextBounded(10)]);
+    if (null()) b.AppendNull(); else b.AppendBool(rng.NextBounded(2) == 1);
+    if (null()) s.AppendNull(); else s.AppendString(strings[rng.NextBounded(7)]);
+    e.AppendDouble(key == 5 ? kNaN : doubles[rng.NextBounded(10)]);
+    j.AppendInt(ints[rng.NextBounded(10)]);
+    c.AppendBool(rng.NextBounded(2) == 1);
+    t.AppendString(strings[rng.NextBounded(7)]);
+    z.AppendNull();
+    y.AppendNull();
+  }
+  Schema schema;
+  for (const auto& [name, type] :
+       std::vector<std::pair<std::string, DataType>>{
+           {"g", DataType::kInt64},   {"k", DataType::kString},
+           {"d", DataType::kFloat64}, {"i", DataType::kInt64},
+           {"b", DataType::kBool},    {"s", DataType::kString},
+           {"e", DataType::kFloat64}, {"j", DataType::kInt64},
+           {"c", DataType::kBool},    {"t", DataType::kString},
+           {"z", DataType::kFloat64}, {"y", DataType::kString}}) {
+    EXPECT_TRUE(schema.AddField({name, type}).ok());
+  }
+  return *Table::Make(std::move(schema), {g, k, d, i, b, s, e, j, c, t, z, y});
+}
+
+// SameBits, except that any two NaNs match. Which NaN a sum yields once
+// +inf + -inf meets a stored NaN is whichever operand the compiler puts
+// first in a commutative add: the oracle below gives nan at -O2 and -nan
+// at -O3. No C++ source pins that bit, so the oracle pins NaN-ness only.
+bool SameCell(const Value& a, const Value& b) {
+  if (a.kind() == Value::Kind::kDouble && b.kind() == Value::Kind::kDouble &&
+      std::isnan(a.double_value()) && std::isnan(b.double_value())) {
+    return true;
+  }
+  return SameBits(a, b);
+}
+
+TEST(AccumulatorTest, EveryFunctionMatchesPerRowOracleBitForBit) {
+  const Table table = AccumulatorTable(2027, 500);
+  const AggFunc funcs[] = {AggFunc::kCount,  AggFunc::kCountDistinct,
+                           AggFunc::kSum,    AggFunc::kAvg,
+                           AggFunc::kMin,    AggFunc::kMax,
+                           AggFunc::kVarSamp, AggFunc::kStddevSamp};
+  std::vector<std::pair<AggFunc, std::string>> agg_list = {
+      {AggFunc::kCountStar, ""}};
+  for (const char* col : {"d", "i", "b", "s", "e", "j", "c", "t", "z", "y"}) {
+    for (AggFunc f : funcs) agg_list.emplace_back(f, col);
+  }
+  std::vector<AggregateSpec> aggs;
+  for (size_t a = 0; a < agg_list.size(); ++a) {
+    AggregateSpec spec;
+    spec.func = agg_list[a].first;
+    spec.output_name = "a" + std::to_string(a);
+    if (!agg_list[a].second.empty()) {
+      spec.arg = engine::Col(agg_list[a].second);
+      EXPECT_TRUE(engine::BindExpr(spec.arg.get(), table.schema()).ok());
+    }
+    aggs.push_back(std::move(spec));
+  }
+  ThreadPool pool(8);
+  for (const std::vector<std::string>& keys :
+       std::vector<std::vector<std::string>>{{}, {"g"}, {"k"}, {"g", "b"}}) {
+    std::vector<ExprPtr> key_exprs;
+    for (const std::string& key : keys) {
+      key_exprs.push_back(engine::Col(key));
+      ASSERT_TRUE(engine::BindExpr(key_exprs.back().get(), table.schema()).ok());
+    }
+    for (size_t morsel : {size_t{1}, size_t{7}, size_t{65536}}) {
+      const std::vector<std::vector<Value>> want =
+          OracleAggregate(table, keys, agg_list, morsel);
+      for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        SCOPED_TRACE("keys " + std::to_string(keys.size()) + " morsel " +
+                     std::to_string(morsel) +
+                     (threads != nullptr ? " 8 threads" : " 1 thread"));
+        ExecContext ctx;
+        ctx.pool = threads;
+        ctx.morsel_size = morsel;
+        Result<Table> got = engine::GroupByAggregate(table, key_exprs, keys,
+                                                     aggs, nullptr, &ctx);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got->num_rows(), want.size());
+        size_t mismatches = 0;
+        for (size_t row = 0; row < want.size(); ++row) {
+          ASSERT_EQ(got->num_columns(), want[row].size());
+          for (size_t col = 0; col < want[row].size(); ++col) {
+            const Value cell = got->At(row, col);
+            if (!SameCell(cell, want[row][col])) {
+              ADD_FAILURE() << "row " << row << " column "
+                            << got->schema().field(col).name << " got "
+                            << cell.ToString() << " want "
+                            << want[row][col].ToString();
+              if (++mismatches >= 10) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AccumulatorTest, EmptyTableAggregatesLikeTheOracle) {
+  const Table table = AccumulatorTable(5, 0);
+  std::vector<std::pair<AggFunc, std::string>> agg_list = {
+      {AggFunc::kCountStar, ""}, {AggFunc::kCount, "d"},
+      {AggFunc::kSum, "i"},      {AggFunc::kMin, "s"},
+      {AggFunc::kMax, "b"},      {AggFunc::kVarSamp, "e"}};
+  std::vector<AggregateSpec> aggs;
+  for (size_t a = 0; a < agg_list.size(); ++a) {
+    AggregateSpec spec;
+    spec.func = agg_list[a].first;
+    spec.output_name = "a" + std::to_string(a);
+    if (!agg_list[a].second.empty()) {
+      spec.arg = engine::Col(agg_list[a].second);
+      EXPECT_TRUE(engine::BindExpr(spec.arg.get(), table.schema()).ok());
+    }
+    aggs.push_back(std::move(spec));
+  }
+  Result<Table> got = engine::AggregateAll(table, aggs);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  const std::vector<std::vector<Value>> want =
+      OracleAggregate(table, {}, agg_list, ExecContext::kDefaultMorselSize);
+  ASSERT_EQ(got->num_rows(), 1u);
+  for (size_t col = 0; col < want[0].size(); ++col) {
+    EXPECT_TRUE(SameCell(got->At(0, col), want[0][col])) << "column " << col;
+  }
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -1990,6 +1991,52 @@ TEST(CompactionTest, KillBetweenEveryStepRecoversExactBytes) {
               bytes0)
         << context;
   }
+}
+
+TEST(CompactionTest, ScanFromPostCommitDoesNotWaitForFileDeletion) {
+  // The replaced files are unlinked after the commit releases the table
+  // lock, so a scan started from the post-commit checkpoint (after the
+  // commit, before the unlinks) runs to the end instead of waiting for
+  // the compaction, and it reads the new segments.
+  StorageOptions options;
+  options.target_segment_rows = 40;
+  auto store = StorageEngine::Open(TestDir("compact_post_commit_scan"),
+                                   options);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE((*store)->AppendRows("t", MakeKeyedTable(0, 150)).ok());
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_EQ((*store)->SegmentCount("t").ValueOrDie(), 4u);
+  const std::vector<uint8_t> bytes0 =
+      TableBytes((*store)->ScanTable("t", nullptr, nullptr).ValueOrDie());
+
+  StorageEngine* engine = store->get();
+  bool scanned = false;
+  std::vector<uint8_t> scan_bytes;
+  // Outlives the hook: a scan still blocked when the hook gives up must
+  // be joined after Compact returns, not inside it.
+  std::future<Result<Table>> scan;
+  CompactionHooks hooks;
+  hooks.checkpoint = [&](const std::string& step) {
+    if (step != "post-commit") return Status::OK();
+    scan = std::async(std::launch::async, [engine] {
+      return engine->ScanTable("t", nullptr, nullptr);
+    });
+    if (scan.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      return Status::Internal("scan blocked behind the compaction commit");
+    }
+    auto result = scan.get();
+    if (!result.ok()) return result.status();
+    scan_bytes = TableBytes(result.ValueOrDie());
+    scanned = true;
+    return Status::OK();
+  };
+  const Status st = engine->Compact("t", hooks);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_TRUE(scanned);
+  EXPECT_EQ(scan_bytes, bytes0);
+  EXPECT_EQ(engine->SegmentCount("t").ValueOrDie(), 4u);
+  EXPECT_EQ(TableBytes(engine->ScanTable("t", nullptr, nullptr).ValueOrDie()),
+            bytes0);
 }
 
 TEST(CompactionTest, ReservedColumnNamesRejectedAtAppend) {
