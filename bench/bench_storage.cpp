@@ -273,9 +273,22 @@ int main() {
   const double ingest_ms = ingest_sw.ElapsedMillis();
   const double ingest_rows_per_s = 1000.0 * kRows / ingest_ms;
   const uint64_t segments = store->SegmentCount("events").ValueOrDie();
-  std::printf("ingest: %lld rows in %.0f ms -> %.0f rows/s, %llu segments\n",
+  // Files a segment costs: everything in the directory but the manifest,
+  // its spare and the WAL, per committed segment.
+  uint64_t segment_files = 0;
+  if (auto names = mip::storage::ListDir(dir); names.ok()) {
+    for (const std::string& f : names.ValueOrDie()) {
+      if (f != "MANIFEST" && f != "MANIFEST.tmp" && f.rfind("wal-", 0) != 0) {
+        ++segment_files;
+      }
+    }
+  }
+  const double files_per_segment =
+      segments > 0 ? static_cast<double>(segment_files) / segments : 0.0;
+  std::printf("ingest: %lld rows in %.0f ms -> %.0f rows/s, %llu segments, "
+              "%.2f files per segment\n",
               static_cast<long long>(kRows), ingest_ms, ingest_rows_per_s,
-              static_cast<unsigned long long>(segments));
+              static_cast<unsigned long long>(segments), files_per_segment);
 
   Database db("benchstore");
   if (auto st = db.AttachStorage(store.get()); !st.ok()) {
@@ -639,6 +652,7 @@ int main() {
         "  \"experiment\": \"E17+E18\",\n"
         "  \"rows\": %lld, \"segments\": %llu,\n"
         "  \"ingest_rows_per_s\": %.0f,\n"
+        "  \"files_per_segment\": %.2f,\n"
         "  \"full_scan_ms\": %.2f,\n"
         "  \"projected_scan_ms\": %.2f,\n"
         "  \"projected_results_identical\": %s,\n"
@@ -670,7 +684,8 @@ int main() {
         "  \"pass\": %s\n"
         "}\n",
         static_cast<long long>(kRows),
-        static_cast<unsigned long long>(segments), ingest_rows_per_s, full_ms,
+        static_cast<unsigned long long>(segments), ingest_rows_per_s,
+        files_per_segment, full_ms,
         projected_ms, projected_identical ? "true" : "false", p50_pruned, p50_unpruned, speedup,
         static_cast<long long>(pruned_segments),
         static_cast<long long>(total_segments), identical ? "true" : "false",

@@ -185,6 +185,7 @@ echo "== smoke: E17/E18 disk segment store benchmark (BENCH_storage.json) =="
 # the dispatched checksum (carry-less multiply where the CPU has it) equals
 # the bytewise reference. Decode — the XOR-double, delta-int and dictionary
 # blocks decode to their input and to a per-value varint reference decode.
+# Layout — a segment is one file (its indexes are blocks inside it).
 # Speeds are reported, not gated.
 cmake --build "$ROOT/build" -j "$JOBS" --target bench_storage
 (cd "$ROOT" && "$ROOT/build/bench/bench_storage")
@@ -207,6 +208,8 @@ assert doc["crc32_matches_reference"] is True, \
     "CRC32 disagrees with the bytewise reference"
 assert doc["decode_matches_reference"] is True, \
     "a varint codec decode disagrees with the per-value reference decode"
+assert doc["files_per_segment"] == 1, \
+    f"{doc['files_per_segment']} files per segment, expected exactly 1"
 assert doc["pass"] is True, "bench_storage acceptance gates failed"
 PYEOF
 
@@ -381,7 +384,8 @@ echo "persistence smoke: restart with different seed served identical bytes"
 echo "== smoke: mip_worker --data-dir reboot leaves MANIFEST byte-identical =="
 # Two boots on one directory. The first seeds the store and flushes it; the
 # second finds the dataset, so it must neither re-seed nor commit: both print
-# READY, and the MANIFEST after the second boot equals the first's.
+# READY, and the MANIFEST after the second boot equals the first's. No
+# idx-*.mix index file may exist: a segment file holds its indexes.
 REBOOT_DIR="$SMOKE_DIR/reboot"
 for boot in 1 2; do
   READY="$(echo quit | "$ROOT/build/tools/mip_worker" --id=reboot --port=0 \
@@ -396,6 +400,10 @@ done
 cmp "$SMOKE_DIR/manifest_boot1" "$REBOOT_DIR/MANIFEST" || {
   echo "second --data-dir boot rewrote MANIFEST (re-seeded?)"; exit 1;
 }
-echo "reboot smoke: both boots READY, MANIFEST unchanged"
+if compgen -G "$REBOOT_DIR/idx-*.mix" > /dev/null; then
+  echo "reboot smoke: an idx-*.mix index file exists; indexes belong in segments"
+  exit 1
+fi
+echo "reboot smoke: both boots READY, MANIFEST unchanged, no index files"
 
 echo "== OK =="

@@ -88,20 +88,20 @@ struct AggState {
       case AggFunc::kCountDistinct:
         return Value::Int(static_cast<int64_t>(distinct.size()));
       case AggFunc::kSum:
-        return count > 0 ? Value::Double(sum) : Value::Null();
+        return count > 0 ? CanonicalDouble(sum) : Value::Null();
       case AggFunc::kAvg:
-        return count > 0 ? Value::Double(mean) : Value::Null();
+        return count > 0 ? CanonicalDouble(mean) : Value::Null();
       case AggFunc::kMin:
         return min_value;
       case AggFunc::kMax:
         return max_value;
       case AggFunc::kVarSamp:
         return count > 1
-                   ? Value::Double(m2 / static_cast<double>(count - 1))
+                   ? CanonicalDouble(m2 / static_cast<double>(count - 1))
                    : Value::Null();
       case AggFunc::kStddevSamp:
         return count > 1
-                   ? Value::Double(
+                   ? CanonicalDouble(
                          std::sqrt(m2 / static_cast<double>(count - 1)))
                    : Value::Null();
     }
@@ -109,6 +109,12 @@ struct AggState {
   }
 
  private:
+  /// `v` with every NaN folded into one quiet NaN: which NaN survives an
+  /// add of +inf, -inf and a stored NaN is up to code generation.
+  static Value CanonicalDouble(double v) {
+    return Value::Double(std::isnan(v) ? std::numeric_limits<double>::quiet_NaN()
+                                       : v);
+  }
   static bool IsString(const Value& v) {
     return v.kind() == Value::Kind::kString;
   }

@@ -12,6 +12,11 @@
 
 namespace mip::storage {
 
+bool IsReservedColumn(const std::string& name) {
+  const std::string prefix = kReservedColumnPrefix;
+  return ToLower(name).compare(0, prefix.size(), prefix) == 0;
+}
+
 engine::Schema SchemaWithPos(const engine::Schema& schema) {
   engine::Schema out = schema;
   // Cannot collide: AppendRows rejects user columns with the reserved
@@ -183,55 +188,34 @@ Status StorageEngine::Compact(const std::string& name,
   const uint64_t rows = sorted.num_rows();
   const uint64_t per = std::max<uint64_t>(1, options_.target_segment_rows);
   const uint64_t nsegs = (rows + per - 1) / per;
-  const std::vector<std::string> index_cols = IndexedColumns(schema);
   uint64_t first_seg = 0;
-  uint64_t next_idx = 0;
   {
     std::unique_lock lock(mu_);
     first_seg = next_segment_id_;
     next_segment_id_ += nsegs;
-    next_idx = next_index_id_;
-    next_index_id_ += nsegs * index_cols.size();
   }
   // Nonzero and unique per compaction (distinct first_seg reservations), so
   // adjacent groups in a segment list can never merge.
   const uint64_t group_id = first_seg + 1;
 
-  // 4. Write the new segments and their indexes. Nothing references these
-  // files until the commit; a crash anywhere in here leaves orphans for the
-  // next Open's sweep.
+  // 4. Write the new segments, each holding its indexes. Nothing references
+  // these files until the commit; a crash anywhere in here leaves orphans
+  // for the next Open's sweep.
   std::vector<SegmentState> outputs;
   auto discard_outputs = [this, &outputs] {
     for (const SegmentState& seg : outputs) {
       (void)RemoveFile(SegmentPath(seg.id));
-      for (const IndexState& idx : seg.indexes) {
-        (void)RemoveFile(IndexPath(idx.id));
-      }
     }
   };
   for (uint64_t out_i = 0; out_i * per < rows; ++out_i) {
     const size_t off = static_cast<size_t>(out_i * per);
     const size_t count = std::min<size_t>(per, rows - off);
     const engine::Table chunk = sorted.Slice(off, count);
-    SegmentState seg;
-    seg.id = first_seg + out_i;
-    seg.group = group_id;
-    MIP_ASSIGN_OR_RETURN(seg.footer, WriteSegment(SegmentPath(seg.id), chunk));
+    const uint64_t id = first_seg + out_i;
+    MIP_ASSIGN_OR_RETURN(SegmentFooter footer,
+                         WriteSegment(SegmentPath(id), chunk));
+    outputs.push_back(LoadSegment(id, group_id, std::move(footer)));
     MIP_RETURN_NOT_OK(checkpoint("segment-" + std::to_string(out_i)));
-    for (const std::string& col : index_cols) {
-      MIP_ASSIGN_OR_RETURN(const engine::Column* column,
-                           chunk.ColumnByName(col));
-      IndexState idx;
-      idx.id = next_idx++;
-      idx.column = col;
-      MIP_ASSIGN_OR_RETURN(idx.footer,
-                           WriteIndex(IndexPath(idx.id), col, *column));
-      idx.valid = true;
-      seg.indexes.push_back(std::move(idx));
-      MIP_RETURN_NOT_OK(
-          checkpoint("index-" + std::to_string(out_i) + "-" + col));
-    }
-    outputs.push_back(std::move(seg));
   }
   MIP_RETURN_NOT_OK(checkpoint("pre-commit"));
 
@@ -283,12 +267,7 @@ Status StorageEngine::Compact(const std::string& name,
   // every later one reads the new list. compact_mu_ keeps the next
   // compaction from starting before they are gone. Unlink failures are
   // harmless — the next Open's sweep retries.
-  for (const SegmentState& seg : inputs) {
-    (void)RemoveFile(SegmentPath(seg.id));
-    for (const IndexState& idx : seg.indexes) {
-      (void)RemoveFile(IndexPath(idx.id));
-    }
-  }
+  for (const SegmentState& seg : inputs) (void)RemoveFile(SegmentPath(seg.id));
   return checkpoint("done");
 }
 

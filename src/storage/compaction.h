@@ -26,8 +26,8 @@ namespace mip::storage {
 /// pre-compaction rows in the pre-compaction order, while the *files* are
 /// globally sorted by the clustering key and partition the key space.
 ///
-/// Crash safety needs no new WAL machinery: output segments and their
-/// indexes are written first (orphans if we die), the manifest rewrite is
+/// Crash safety needs no new WAL machinery: output segments, each holding
+/// its indexes, are written first (orphans if we die), the manifest rewrite is
 /// the single atomic commit point, and the input files become unreferenced
 /// garbage the next Open sweeps. Kill anywhere and recovery sees either the
 /// old epoch or the new one, never a mix.
@@ -44,9 +44,13 @@ namespace mip::storage {
 inline constexpr char kHiddenPosColumn[] = "__mip_pos";
 inline constexpr char kReservedColumnPrefix[] = "__mip_";
 
+/// True for a name with the reserved prefix (any case): such a column is
+/// storage-internal and carries no index.
+bool IsReservedColumn(const std::string& name);
+
 /// \brief Test seams for kill-anywhere crash-recovery coverage. `checkpoint`
 /// is called between every step of a compaction ("begin", "segment-<i>",
-/// "index-<i>-<col>", "pre-commit", "post-commit", "done"); returning a
+/// "pre-commit", "post-commit", "done"); returning a
 /// non-OK status makes the compaction return immediately WITHOUT cleanup —
 /// simulating a crash at that point (the test then reopens the directory
 /// and checks recovery).

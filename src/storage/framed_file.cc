@@ -12,19 +12,20 @@ namespace {
 
 constexpr uint64_t kTailReadBytes = 64 * 1024;
 
-Status CheckHeader(const FramedFormat& format, const std::string& path,
-                   const std::vector<uint8_t>& head) {
+/// Checks the header's magic and version; returns the version.
+Result<uint8_t> CheckHeader(const FramedFormat& format, const std::string& path,
+                            const std::vector<uint8_t>& head) {
   BufferReader r(head);
   MIP_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
   MIP_ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
   if (magic != format.magic) {
     return format.Corrupt(path, std::string("bad ") + format.noun + " magic");
   }
-  if (version != format.version) {
+  if (version < format.oldest_version || version > format.version) {
     return format.Corrupt(path, "unsupported version " +
                                     std::to_string(version));
   }
-  return Status::OK();
+  return version;
 }
 
 }  // namespace
@@ -42,7 +43,7 @@ Result<FramedFooter> FramedFormat::ReadFooter(const std::string& path) const {
   }
   MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> head,
                        ReadFileRange(path, 0, kFramedHeaderBytes));
-  MIP_RETURN_NOT_OK(CheckHeader(*this, path, head));
+  MIP_ASSIGN_OR_RETURN(const uint8_t version, CheckHeader(*this, path, head));
   const uint64_t tail_offset = size - std::min(size, kTailReadBytes);
   MIP_ASSIGN_OR_RETURN(std::vector<uint8_t> tail,
                        ReadFileRange(path, tail_offset, size - tail_offset));
@@ -57,6 +58,7 @@ Result<FramedFooter> FramedFormat::ReadFooter(const std::string& path) const {
   }
   FramedFooter footer;
   footer.start = size - kFramedTrailerBytes - footer_len;
+  footer.version = version;
   if (footer.start >= tail_offset) {
     footer.bytes.assign(tail.begin() + (footer.start - tail_offset),
                         tail.end() - kFramedTrailerBytes);
@@ -92,7 +94,7 @@ Result<FramedFileReader> FramedFileReader::Open(const FramedFormat& format,
   MIP_ASSIGN_OR_RETURN(size_t got,
                        file.ReadAt(0, kFramedHeaderBytes, head.data()));
   if (got < kFramedHeaderBytes) return format.Corrupt(path, "file too small");
-  MIP_RETURN_NOT_OK(CheckHeader(format, path, head));
+  MIP_RETURN_NOT_OK(CheckHeader(format, path, head).status());
   return FramedFileReader(format, std::move(file));
 }
 

@@ -11,8 +11,8 @@
 
 namespace mip::storage {
 
-/// \brief The framing shared by segment (segment.h) and index (index.h)
-/// files, all integers little-endian:
+/// \brief The framing of segment files (segment.h), all integers
+/// little-endian:
 ///
 ///   header   u32 magic, u8 version                       (5 bytes)
 ///   blocks   CRC'd payload blocks, each addressed from the footer by a
@@ -37,19 +37,23 @@ struct BlockRef {
   friend bool operator==(const BlockRef&, const BlockRef&) = default;
 };
 
-/// Checked footer bytes and their file offset (every block's upper bound).
+/// Checked footer bytes, their file offset (every block's upper bound) and
+/// the header's version.
 struct FramedFooter {
   std::vector<uint8_t> bytes;
   uint64_t start = 0;
+  uint8_t version = 0;
 };
 
 /// One file kind's framing constants and the checks that use them. `what`
-/// names a block in error messages.
+/// names a block in error messages. A reader accepts every version in
+/// [oldest_version, version]; a writer writes `version`.
 struct FramedFormat {
   uint32_t magic = 0;
   uint32_t footer_magic = 0;
   uint8_t version = 0;
-  const char* noun = "";  // "segment" / "index"
+  uint8_t oldest_version = 0;
+  const char* noun = "";
 
   Status Corrupt(const std::string& path, const std::string& why) const;
   /// Header, trailer and footer CRC. Reads the header and the last 64 KiB,

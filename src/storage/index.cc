@@ -28,11 +28,8 @@ using engine::Value;
 
 namespace {
 
-constexpr FramedFormat kFormat{kIndexMagic, kIndexFooterMagic, kIndexVersion,
-                               "index"};
-
 Status Corrupt(const std::string& path, const std::string& why) {
-  return kFormat.Corrupt(path, why);
+  return kSegmentFormat.Corrupt(path, "index " + why);
 }
 
 bool EqLike(BinaryOp op) {
@@ -223,16 +220,12 @@ Status ReadBlockKey(DataType type, bool first, BufferReader* r,
 
 }  // namespace
 
-Result<IndexFooter> WriteIndex(const std::string& path,
-                               const std::string& column_name,
-                               const Column& column) {
-  if (column.length() > kMaxWireElements) {
-    return Status::InvalidArgument("index batch exceeds row cap");
-  }
-  IndexFooter footer;
-  footer.column = column_name;
-  footer.type = column.type();
-  footer.num_rows = column.length();
+BlockRef AppendIndex(const std::string& column_name, const Column& column,
+                     FramedFileWriter* file) {
+  IndexDirectory directory;
+  directory.column = column_name;
+  directory.type = column.type();
+  directory.num_rows = column.length();
 
   // Gather the (key, row-id) run. NULLs are excluded (they never pass a
   // comparison filter); NaNs go to the side list.
@@ -264,40 +257,38 @@ Result<IndexFooter> WriteIndex(const std::string& path,
         break;
     }
   }
-  footer.num_entries = ints.size() + doubles.size() + strings.size();
-  footer.nan_count = nan_rows.size();
+  directory.num_entries = ints.size() + doubles.size() + strings.size();
+  directory.nan_count = nan_rows.size();
 
-  FramedFileWriter file(kFormat);
   // Only the run matching the column type is non-empty.
   AppendEntryBlocks(std::move(ints), &IndexBlock::first_i, &IndexBlock::last_i,
-                    &file, &footer.blocks);
+                    file, &directory.blocks);
   AppendEntryBlocks(std::move(doubles), &IndexBlock::first_d,
-                    &IndexBlock::last_d, &file, &footer.blocks);
+                    &IndexBlock::last_d, file, &directory.blocks);
   AppendEntryBlocks(std::move(strings), &IndexBlock::first_s,
-                    &IndexBlock::last_s, &file, &footer.blocks);
+                    &IndexBlock::last_s, file, &directory.blocks);
 
   if (!nan_rows.empty()) {
     BufferWriter body;
     EncodeInts(nan_rows, &body);
-    footer.nan_block = file.AppendBlock(body.bytes());
+    directory.nan_block = file->AppendBlock(body.bytes());
   }
 
-  BufferWriter f;
-  f.WriteString(footer.column);
-  f.WriteU8(static_cast<uint8_t>(footer.type));
-  PutVarint(&f, footer.num_rows);
-  PutVarint(&f, footer.num_entries);
-  PutVarint(&f, footer.nan_count);
-  if (footer.nan_count > 0) PutBlockRef(footer.nan_block, &f);
-  PutVarint(&f, footer.blocks.size());
-  for (const IndexBlock& b : footer.blocks) {
-    WriteBlockKey(footer.type, b, true, &f);
-    WriteBlockKey(footer.type, b, false, &f);
-    PutVarint(&f, b.count);
-    PutBlockRef(b.ref, &f);
+  BufferWriter d;
+  d.WriteString(directory.column);
+  d.WriteU8(static_cast<uint8_t>(directory.type));
+  PutVarint(&d, directory.num_rows);
+  PutVarint(&d, directory.num_entries);
+  PutVarint(&d, directory.nan_count);
+  if (directory.nan_count > 0) PutBlockRef(directory.nan_block, &d);
+  PutVarint(&d, directory.blocks.size());
+  for (const IndexBlock& b : directory.blocks) {
+    WriteBlockKey(directory.type, b, true, &d);
+    WriteBlockKey(directory.type, b, false, &d);
+    PutVarint(&d, b.count);
+    PutBlockRef(b.ref, &d);
   }
-  MIP_RETURN_NOT_OK(file.Finish(path, f.bytes()));
-  return footer;
+  return file->AppendBlock(d.bytes());
 }
 
 // --- Reading ---------------------------------------------------------------
@@ -332,31 +323,33 @@ bool BlockSelfOrdered(DataType type, const IndexBlock& b) {
   return false;
 }
 
-Result<IndexFooter> ParseIndexFooter(const std::string& path,
-                                     const FramedFooter& framed) {
-  BufferReader r(framed.bytes);
-  IndexFooter footer;
-  MIP_ASSIGN_OR_RETURN(footer.column, r.ReadString());
+/// Parses one directory block. Every block it references must lie before
+/// the directory itself (`directory_offset`).
+Result<IndexDirectory> ParseDirectory(const std::string& path,
+                                      const std::vector<uint8_t>& bytes,
+                                      uint64_t directory_offset) {
+  BufferReader r(bytes);
+  IndexDirectory dir;
+  MIP_ASSIGN_OR_RETURN(dir.column, r.ReadString());
   MIP_ASSIGN_OR_RETURN(uint8_t type_byte, r.ReadU8());
   if (type_byte > static_cast<uint8_t>(DataType::kString)) {
     return Corrupt(path, "bad column type byte");
   }
-  footer.type = static_cast<DataType>(type_byte);
-  MIP_ASSIGN_OR_RETURN(footer.num_rows, GetVarint(&r));
-  MIP_ASSIGN_OR_RETURN(footer.num_entries, GetVarint(&r));
-  MIP_ASSIGN_OR_RETURN(footer.nan_count, GetVarint(&r));
-  if (footer.num_rows > kMaxWireElements ||
-      footer.num_entries > footer.num_rows ||
-      footer.nan_count > footer.num_rows - footer.num_entries) {
+  dir.type = static_cast<DataType>(type_byte);
+  MIP_ASSIGN_OR_RETURN(dir.num_rows, GetVarint(&r));
+  MIP_ASSIGN_OR_RETURN(dir.num_entries, GetVarint(&r));
+  MIP_ASSIGN_OR_RETURN(dir.nan_count, GetVarint(&r));
+  if (dir.num_rows > kMaxWireElements || dir.num_entries > dir.num_rows ||
+      dir.nan_count > dir.num_rows - dir.num_entries) {
     return Corrupt(path, "entry counts exceed row count");
   }
-  if (footer.nan_count > 0 && footer.type != DataType::kFloat64) {
+  if (dir.nan_count > 0 && dir.type != DataType::kFloat64) {
     return Corrupt(path, "NaN list on a non-double column");
   }
-  if (footer.nan_count > 0) {
-    MIP_ASSIGN_OR_RETURN(footer.nan_block,
-                         kFormat.GetBlockRef(path, framed.start, "NaN block",
-                                             &r));
+  if (dir.nan_count > 0) {
+    MIP_ASSIGN_OR_RETURN(dir.nan_block,
+                         kSegmentFormat.GetBlockRef(path, directory_offset,
+                                                    "index NaN block", &r));
   }
   MIP_ASSIGN_OR_RETURN(uint64_t num_blocks, GetVarint(&r));
   if (num_blocks > kMaxIndexBlocks) {
@@ -365,29 +358,48 @@ Result<IndexFooter> ParseIndexFooter(const std::string& path,
   uint64_t total = 0;
   for (uint64_t i = 0; i < num_blocks; ++i) {
     IndexBlock b;
-    MIP_RETURN_NOT_OK(ReadBlockKey(footer.type, true, &r, &b));
-    MIP_RETURN_NOT_OK(ReadBlockKey(footer.type, false, &r, &b));
+    MIP_RETURN_NOT_OK(ReadBlockKey(dir.type, true, &r, &b));
+    MIP_RETURN_NOT_OK(ReadBlockKey(dir.type, false, &r, &b));
     MIP_ASSIGN_OR_RETURN(b.count, GetVarint(&r));
-    MIP_ASSIGN_OR_RETURN(b.ref,
-                         kFormat.GetBlockRef(path, framed.start, "block", &r));
+    MIP_ASSIGN_OR_RETURN(b.ref, kSegmentFormat.GetBlockRef(
+                                    path, directory_offset, "index block", &r));
     if (b.count == 0 || b.count > kIndexBlockEntries) {
       return Corrupt(path, "bad block entry count");
     }
-    if (!BlockSelfOrdered(footer.type, b)) {
+    if (!BlockSelfOrdered(dir.type, b)) {
       return Corrupt(path, "block first key after last key");
     }
-    if (!footer.blocks.empty() &&
-        !BlocksOrdered(footer.type, footer.blocks.back(), b)) {
+    if (!dir.blocks.empty() && !BlocksOrdered(dir.type, dir.blocks.back(), b)) {
       return Corrupt(path, "blocks out of key order");
     }
     total += b.count;
-    footer.blocks.push_back(std::move(b));
+    dir.blocks.push_back(std::move(b));
   }
-  if (total != footer.num_entries) {
+  if (total != dir.num_entries) {
     return Corrupt(path, "block counts disagree with num_entries");
   }
-  if (!r.AtEnd()) return Corrupt(path, "trailing bytes after footer");
-  return footer;
+  if (!r.AtEnd()) return Corrupt(path, "trailing bytes after directory");
+  return dir;
+}
+
+/// Reads, parses and checks index `i` of `footer` against its column.
+Result<IndexDirectory> ReadDirectory(const FramedFileReader& file,
+                                     const SegmentFooter& footer, size_t i) {
+  const SegmentIndex& index = footer.indexes[i];
+  const SegmentColumn& col = footer.columns[index.field];
+  std::vector<uint8_t> bytes;
+  MIP_RETURN_NOT_OK(file.ReadBlock(index.directory,
+                                   "index '" + col.name + "' directory",
+                                   &bytes));
+  MIP_ASSIGN_OR_RETURN(
+      IndexDirectory dir,
+      ParseDirectory(file.path(), bytes, index.directory.offset));
+  if (dir.column != col.name || dir.type != col.type ||
+      dir.num_rows != footer.num_rows) {
+    return Corrupt(file.path(), "'" + dir.column +
+                                    "' disagrees with the segment footer");
+  }
+  return dir;
 }
 
 struct DecodedBlock {
@@ -397,16 +409,16 @@ struct DecodedBlock {
   std::vector<int64_t> rows;
 };
 
-Result<DecodedBlock> ReadBlock(const FramedFileReader& file,
-                               const IndexFooter& footer,
-                               const IndexBlock& block) {
+Result<DecodedBlock> ReadEntryBlock(const FramedFileReader& file,
+                                    const IndexDirectory& dir,
+                                    const IndexBlock& block) {
   const std::string& path = file.path();
   std::vector<uint8_t> bytes;
-  MIP_RETURN_NOT_OK(file.ReadBlock(block.ref, "block", &bytes));
+  MIP_RETURN_NOT_OK(file.ReadBlock(block.ref, "index block", &bytes));
   BufferReader r(bytes);
   DecodedBlock out;
   size_t n = 0;
-  switch (footer.type) {
+  switch (dir.type) {
     case DataType::kBool:
     case DataType::kInt64: {
       MIP_ASSIGN_OR_RETURN(out.key_i, DecodeInts(&r));
@@ -432,99 +444,19 @@ Result<DecodedBlock> ReadBlock(const FramedFileReader& file,
   return out;
 }
 
-}  // namespace
-
-Result<IndexFooter> ReadIndexFooter(const std::string& path) {
-  MIP_ASSIGN_OR_RETURN(FramedFooter framed, kFormat.ReadFooter(path));
-  return ParseIndexFooter(path, framed);
-}
-
-Result<IndexProbe> ProbeIndex(const std::string& path,
-                              const IndexFooter& footer,
-                              const KeyInterval& interval) {
-  IndexProbe probe;
-  const uint64_t nan_part = interval.include_nan ? footer.nan_count : 0;
-  if (interval.empty) {
-    probe.candidates = nan_part;
-    return probe;
-  }
-  if (!interval.restricts) {
-    probe.candidates = footer.num_entries + footer.nan_count;
-    return probe;
-  }
-  const bool is_string = footer.type == DataType::kString;
-  // Opened at the first block that needs decoding: a probe the footer
-  // answers alone does no I/O.
-  std::optional<FramedFileReader> file;
-  for (const IndexBlock& b : footer.blocks) {
-    // Block key ranges vs the interval: skip blocks entirely outside, count
-    // blocks entirely inside from the footer alone, decode only straddlers.
-    const double first_d = footer.type == DataType::kFloat64
-                               ? b.first_d
-                               : static_cast<double>(b.first_i);
-    const double last_d = footer.type == DataType::kFloat64
-                              ? b.last_d
-                              : static_cast<double>(b.last_i);
-    const bool all_above =
-        is_string ? BelowLoS(interval, b.last_s) : BelowLo(interval, last_d);
-    if (all_above) continue;  // whole block below the interval
-    const bool past_hi =
-        is_string ? AboveHiS(interval, b.first_s) : AboveHi(interval, first_d);
-    if (past_hi) break;  // sorted: this and every later block are above
-    const bool inside =
-        is_string ? (!BelowLoS(interval, b.first_s) &&
-                     !AboveHiS(interval, b.last_s))
-                  : (!BelowLo(interval, first_d) && !AboveHi(interval, last_d));
-    if (inside) {
-      probe.candidates += b.count;
-      continue;
-    }
-    if (!file.has_value()) {
-      MIP_ASSIGN_OR_RETURN(file, FramedFileReader::Open(kFormat, path));
-    }
-    MIP_ASSIGN_OR_RETURN(DecodedBlock decoded, ReadBlock(*file, footer, b));
-    ++probe.blocks_read;
-    for (uint64_t k = 0; k < b.count; ++k) {
-      bool in;
-      if (is_string) {
-        const std::string& key = decoded.key_s[k];
-        in = !BelowLoS(interval, key) && !AboveHiS(interval, key);
-      } else {
-        const double key = footer.type == DataType::kFloat64
-                               ? decoded.key_d[k]
-                               : static_cast<double>(decoded.key_i[k]);
-        in = !BelowLo(interval, key) && !AboveHi(interval, key);
-      }
-      if (in) ++probe.candidates;
-    }
-  }
-  probe.candidates += nan_part;
-  return probe;
-}
-
-Status VerifyIndex(const std::string& path, const IndexFooter& footer) {
-  // Re-validate the on-disk footer (the cached copy may predate on-disk
-  // corruption), then audit every block.
-  MIP_ASSIGN_OR_RETURN(IndexFooter disk, ReadIndexFooter(path));
-  if (disk.column != footer.column || disk.type != footer.type ||
-      disk.num_rows != footer.num_rows ||
-      disk.num_entries != footer.num_entries ||
-      disk.nan_count != footer.nan_count ||
-      disk.blocks.size() != footer.blocks.size()) {
-    return Corrupt(path, "footer disagrees with manifest-cached copy");
-  }
+/// Audits every entry and NaN block of one directory.
+Status AuditIndex(const FramedFileReader& file, const IndexDirectory& dir) {
+  const std::string& path = file.path();
   bool have_prev = false;
   int64_t prev_i = 0;
   double prev_d = 0.0;
   std::string prev_s;
   int64_t prev_row = 0;
-  MIP_ASSIGN_OR_RETURN(FramedFileReader file,
-                       FramedFileReader::Open(kFormat, path));
-  for (const IndexBlock& b : disk.blocks) {
-    MIP_ASSIGN_OR_RETURN(DecodedBlock decoded, ReadBlock(file, disk, b));
+  for (const IndexBlock& b : dir.blocks) {
+    MIP_ASSIGN_OR_RETURN(DecodedBlock decoded, ReadEntryBlock(file, dir, b));
     for (uint64_t k = 0; k < b.count; ++k) {
       const int64_t row = decoded.rows[k];
-      if (row < 0 || static_cast<uint64_t>(row) >= disk.num_rows) {
+      if (row < 0 || static_cast<uint64_t>(row) >= dir.num_rows) {
         return Corrupt(path, "row id out of range");
       }
       // Strict (key, row-id) order also proves row-id uniqueness.
@@ -535,7 +467,7 @@ Status VerifyIndex(const std::string& path, const IndexFooter& footer) {
         return after;
       };
       bool ordered = true;
-      switch (disk.type) {
+      switch (dir.type) {
         case DataType::kBool:
         case DataType::kInt64:
           ordered = follows(&prev_i, decoded.key_i[k]);
@@ -555,19 +487,109 @@ Status VerifyIndex(const std::string& path, const IndexFooter& footer) {
       have_prev = true;
     }
   }
-  if (disk.nan_count > 0) {
+  if (dir.nan_count > 0) {
     std::vector<uint8_t> bytes;
-    MIP_RETURN_NOT_OK(file.ReadBlock(disk.nan_block, "NaN block", &bytes));
+    MIP_RETURN_NOT_OK(file.ReadBlock(dir.nan_block, "index NaN block", &bytes));
     BufferReader r(bytes);
     MIP_ASSIGN_OR_RETURN(std::vector<int64_t> rows, DecodeInts(&r));
-    if (rows.size() != disk.nan_count || !r.AtEnd()) {
+    if (rows.size() != dir.nan_count || !r.AtEnd()) {
       return Corrupt(path, "NaN block count mismatch");
     }
     for (int64_t row : rows) {
-      if (row < 0 || static_cast<uint64_t>(row) >= disk.num_rows) {
+      if (row < 0 || static_cast<uint64_t>(row) >= dir.num_rows) {
         return Corrupt(path, "NaN row id out of range");
       }
     }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::vector<Result<IndexDirectory>> ReadIndexDirectories(
+    const std::string& path, const SegmentFooter& footer) {
+  Result<FramedFileReader> file = FramedFileReader::Open(kSegmentFormat, path);
+  std::vector<Result<IndexDirectory>> out;
+  out.reserve(footer.indexes.size());
+  for (size_t i = 0; i < footer.indexes.size(); ++i) {
+    out.push_back(file.ok() ? ReadDirectory(*file, footer, i)
+                            : Result<IndexDirectory>(file.status()));
+  }
+  return out;
+}
+
+Result<IndexProbe> ProbeIndex(const std::string& path,
+                              const IndexDirectory& directory,
+                              const KeyInterval& interval) {
+  IndexProbe probe;
+  const uint64_t nan_part = interval.include_nan ? directory.nan_count : 0;
+  if (interval.empty) {
+    probe.candidates = nan_part;
+    return probe;
+  }
+  if (!interval.restricts) {
+    probe.candidates = directory.num_entries + directory.nan_count;
+    return probe;
+  }
+  const DataType type = directory.type;
+  const bool is_string = type == DataType::kString;
+  // Opened at the first block that needs decoding: a probe the directory
+  // answers alone does no I/O.
+  std::optional<FramedFileReader> file;
+  for (const IndexBlock& b : directory.blocks) {
+    // Block key ranges vs the interval: skip blocks entirely outside, count
+    // blocks entirely inside from the directory alone, decode only
+    // straddlers.
+    const double first_d = type == DataType::kFloat64
+                               ? b.first_d
+                               : static_cast<double>(b.first_i);
+    const double last_d = type == DataType::kFloat64
+                              ? b.last_d
+                              : static_cast<double>(b.last_i);
+    const bool all_above =
+        is_string ? BelowLoS(interval, b.last_s) : BelowLo(interval, last_d);
+    if (all_above) continue;  // whole block below the interval
+    const bool past_hi =
+        is_string ? AboveHiS(interval, b.first_s) : AboveHi(interval, first_d);
+    if (past_hi) break;  // sorted: this and every later block are above
+    const bool inside =
+        is_string ? (!BelowLoS(interval, b.first_s) &&
+                     !AboveHiS(interval, b.last_s))
+                  : (!BelowLo(interval, first_d) && !AboveHi(interval, last_d));
+    if (inside) {
+      probe.candidates += b.count;
+      continue;
+    }
+    if (!file.has_value()) {
+      MIP_ASSIGN_OR_RETURN(file, FramedFileReader::Open(kSegmentFormat, path));
+    }
+    MIP_ASSIGN_OR_RETURN(DecodedBlock decoded,
+                         ReadEntryBlock(*file, directory, b));
+    ++probe.blocks_read;
+    for (uint64_t k = 0; k < b.count; ++k) {
+      bool in;
+      if (is_string) {
+        const std::string& key = decoded.key_s[k];
+        in = !BelowLoS(interval, key) && !AboveHiS(interval, key);
+      } else {
+        const double key = type == DataType::kFloat64
+                               ? decoded.key_d[k]
+                               : static_cast<double>(decoded.key_i[k]);
+        in = !BelowLo(interval, key) && !AboveHi(interval, key);
+      }
+      if (in) ++probe.candidates;
+    }
+  }
+  probe.candidates += nan_part;
+  return probe;
+}
+
+Status VerifyIndex(const std::string& path, const SegmentFooter& footer) {
+  MIP_ASSIGN_OR_RETURN(FramedFileReader file,
+                       FramedFileReader::Open(kSegmentFormat, path));
+  for (size_t i = 0; i < footer.indexes.size(); ++i) {
+    MIP_ASSIGN_OR_RETURN(IndexDirectory dir, ReadDirectory(file, footer, i));
+    MIP_RETURN_NOT_OK(AuditIndex(file, dir));
   }
   return Status::OK();
 }

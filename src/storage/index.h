@@ -13,7 +13,8 @@
 namespace mip::storage {
 
 /// \brief Immutable ordered secondary index: one sorted (key -> row-id) run
-/// per (segment, column), stored in a CRC-checked sidecar file.
+/// per (segment, column), stored as CRC-checked blocks of the segment file
+/// itself (segment.h).
 ///
 /// The index answers one question cheaply: "how many rows of this segment
 /// could satisfy a key interval?" — the match-fraction estimate the
@@ -22,13 +23,13 @@ namespace mip::storage {
 /// no random-access decode (stream codecs), the win of an index is not
 /// row-level gathers but *segment confinement*: a selective point predicate
 /// on an unsorted high-cardinality column probes every segment in a couple
-/// of footer-guided block reads and decodes only the segments that actually
-/// hold candidates.
+/// of directory-guided block reads and decodes only the segments that
+/// actually hold candidates.
 ///
-/// The header, trailer, block references and CRC checks are the shared
-/// framing of framed_file.h; layout, all integers little-endian:
+/// One index is a run of blocks the segment writer appends after the column
+/// blocks, addressed from the segment footer by its directory block; all
+/// integers little-endian:
 ///
-///   header           magic "MIX1", version 1
 ///   -- entry blocks of up to kIndexBlockEntries (key, row-id) pairs,
 ///      globally sorted by (key, row-id); each block is independently
 ///      decodable (engine codecs) and CRC'd:
@@ -36,7 +37,7 @@ namespace mip::storage {
 ///     [block] row_ids  (EncodeInts)
 ///   -- NaN side list (kFloat64 only, present iff nan_count > 0):
 ///     [block] row_ids of NaN cells (EncodeInts)
-///   -- footer:
+///   -- directory block:
 ///     string  column        (indexed column name)
 ///     u8      type          (DataType)
 ///     varint  num_rows      (rows in the segment the index covers)
@@ -47,7 +48,6 @@ namespace mip::storage {
 ///       typed   first_key, last_key   (sparse top level)
 ///       varint  count
 ///       BlockRef
-///   trailer          footer magic "MIXF"
 ///
 /// NULL rows are excluded: under this engine's semantics a NULL cell never
 /// passes a comparison filter, so their absence can never drop a real
@@ -56,14 +56,13 @@ namespace mip::storage {
 /// segment.h) — a probe adds nan_count exactly when every conjunct on the
 /// column is eq-like, mirroring SegmentCanMatch.
 ///
-/// Readers trust nothing (magics, CRCs, counts, offsets, sortedness); a
-/// truncated or bit-flipped index yields kIOError, which the store treats
-/// as "no index" — it falls back to the zone-map scan path, never to wrong
-/// results. Index files are immutable and visibility flows through the
-/// manifest, so probes are latch-free.
-inline constexpr uint32_t kIndexMagic = 0x3158494Du;        // "MIX1"
-inline constexpr uint32_t kIndexFooterMagic = 0x4658494Du;  // "MIXF"
-inline constexpr uint8_t kIndexVersion = 1;
+/// An index is soft where the segment is hard. Readers trust nothing (CRCs,
+/// counts, offsets, sortedness); a bit-flipped directory or entry block
+/// yields kIOError for that index alone, which the store treats as "no
+/// index" — the segment falls back to the zone-map scan path, never to
+/// wrong results — while the column blocks, footer, header and trailer
+/// still decide whether the segment reads at all. Segments are immutable
+/// and visibility flows through the manifest, so probes are latch-free.
 inline constexpr uint64_t kIndexBlockEntries = 1024;
 inline constexpr uint64_t kMaxIndexBlocks = 1u << 20;
 
@@ -76,7 +75,7 @@ struct IndexBlock {
   BlockRef ref;
 };
 
-struct IndexFooter {
+struct IndexDirectory {
   std::string column;
   engine::DataType type = engine::DataType::kFloat64;
   uint64_t num_rows = 0;     // segment rows the index covers
@@ -120,35 +119,43 @@ struct KeyInterval {
 KeyInterval BuildKeyInterval(engine::DataType type, const std::string& column,
                              const std::vector<PruneConjunct>& conjuncts);
 
-/// Builds and crash-atomically writes the index for one segment column.
-/// `column_name` keys the footer; `column` is the segment's decoded column.
-Result<IndexFooter> WriteIndex(const std::string& path,
-                               const std::string& column_name,
-                               const engine::Column& column);
+/// Appends the index of one segment column to the segment `file` writes —
+/// entry blocks, NaN block, directory block — and returns the directory
+/// block's reference. `column_name` keys the directory; `column` holds at
+/// most kMaxWireElements rows (WriteSegment's cap).
+BlockRef AppendIndex(const std::string& column_name,
+                     const engine::Column& column, FramedFileWriter* file);
 
-/// Reads and validates only the footer (magics, trailer, CRC, block bounds
-/// and ordering) — the cheap path recovery uses. Block payloads are checked
-/// lazily at probe time.
-Result<IndexFooter> ReadIndexFooter(const std::string& path);
+/// Reads the directory of every index `footer` (the validated footer of the
+/// segment at `path`) lists: one open, then per index one CRC-checked block
+/// read, the parse (bounds and key order of its blocks) and a check of its
+/// column, type and row count against the footer. One Result per
+/// footer.indexes entry, in order; a failure is kIOError for that index
+/// alone. Entry and NaN blocks are checked lazily, at probe time.
+std::vector<Result<IndexDirectory>> ReadIndexDirectories(
+    const std::string& path, const SegmentFooter& footer);
 
 struct IndexProbe {
   uint64_t candidates = 0;   // rows that could satisfy the interval
   uint64_t blocks_read = 0;  // entry blocks decoded (probe cost)
 };
 
-/// Counts candidate rows in `interval`. Footer-level block ranges resolve
-/// most blocks without IO; only blocks straddling an interval bound are
-/// read (CRC-checked) and counted entry by entry. Any corruption is
-/// kIOError — the caller falls back to the scan path.
+/// Counts candidate rows in `interval`. Directory-level block ranges
+/// resolve most blocks without IO; only blocks straddling an interval bound
+/// are read (CRC-checked) from the segment at `path` and counted entry by
+/// entry. Any corruption is kIOError — the caller falls back to the scan
+/// path.
 Result<IndexProbe> ProbeIndex(const std::string& path,
-                              const IndexFooter& footer,
+                              const IndexDirectory& directory,
                               const KeyInterval& interval);
 
-/// Full audit: every block read, CRC'd, decoded; global (key, row-id)
-/// sortedness; row ids < num_rows; counts consistent with the footer.
-/// The explicit check surfaces the typed kIOError that silent probe-time
-/// fallback deliberately swallows.
-Status VerifyIndex(const std::string& path, const IndexFooter& footer);
+/// Full audit of every index of the segment at `path`, whose validated
+/// footer is `footer`: each directory read as ReadIndexDirectories does,
+/// then every entry and NaN block read, CRC'd, decoded; global (key,
+/// row-id) sortedness; row ids < num_rows; counts consistent with the
+/// directory. The explicit check surfaces the typed kIOError that silent
+/// probe-time fallback deliberately swallows.
+Status VerifyIndex(const std::string& path, const SegmentFooter& footer);
 
 }  // namespace mip::storage
 

@@ -21,7 +21,7 @@ ManifestTable* Manifest::FindTable(const std::string& name) {
 
 namespace {
 
-/// Byte offset of the version-3 `length` field.
+/// Byte offset of the `length` field (version 3 and later).
 constexpr size_t kLengthOffset = 5;
 
 }  // namespace
@@ -34,7 +34,6 @@ Status SaveManifest(const std::string& path, const Manifest& manifest) {
   w.WriteU64(manifest.wal_id);
   w.WriteU32(manifest.wal_salt);
   w.WriteU64(manifest.next_segment_id);
-  w.WriteU64(manifest.next_index_id);
   PutVarint(&w, manifest.tables.size());
   for (const ManifestTable& t : manifest.tables) {
     w.WriteString(t.name);
@@ -48,11 +47,6 @@ Status SaveManifest(const std::string& path, const Manifest& manifest) {
       PutVarint(&w, s.id);
       PutVarint(&w, s.rows);
       PutVarint(&w, s.group);
-      PutVarint(&w, s.indexes.size());
-      for (const ManifestIndex& idx : s.indexes) {
-        PutVarint(&w, idx.id);
-        w.WriteString(idx.column);
-      }
     }
   }
   std::vector<uint8_t> bytes = w.TakeBytes();
@@ -71,11 +65,11 @@ Result<Manifest> LoadManifest(const std::string& path) {
   if (bytes.size() < 8) {
     return Status::IOError("manifest '" + path + "' too short");
   }
-  // Version 3 states its length (a stale tail may follow); older versions
-  // end at the end of the file. Version and magic are checked under the CRC
-  // below.
+  // Version 3 and later state their length (a stale tail may follow);
+  // version 2 ends at the end of the file. Version and magic are checked
+  // under the CRC below.
   size_t length = bytes.size();
-  if (bytes[4] == kManifestVersion) {
+  if (bytes[4] >= 3) {
     uint32_t stated = 0;
     if (bytes.size() >= kLengthOffset + sizeof(stated)) {
       std::memcpy(&stated, bytes.data() + kLengthOffset, sizeof(stated));
@@ -99,20 +93,25 @@ Result<Manifest> LoadManifest(const std::string& path) {
     return Status::IOError("manifest '" + path + "' bad magic");
   }
   MIP_ASSIGN_OR_RETURN(uint8_t version, r.ReadU8());
-  if (version != kManifestVersion && version != 2) {
+  if (version < 2 || version > kManifestVersion) {
     return Status::IOError("manifest '" + path + "' unsupported version " +
                            std::to_string(version));
   }
   Manifest m;
-  if (version == kManifestVersion) {
+  if (version >= 3) {
     MIP_RETURN_NOT_OK(r.ReadU32().status());  // length, checked above
   }
   MIP_ASSIGN_OR_RETURN(m.wal_id, r.ReadU64());
-  if (version == kManifestVersion) {
+  if (version >= 3) {
     MIP_ASSIGN_OR_RETURN(m.wal_salt, r.ReadU32());
   }
   MIP_ASSIGN_OR_RETURN(m.next_segment_id, r.ReadU64());
-  MIP_ASSIGN_OR_RETURN(m.next_index_id, r.ReadU64());
+  // Versions 2 and 3 list the previous format's index files; their fields
+  // are parsed and discarded.
+  const bool index_lists = version < 4;
+  if (index_lists) {
+    MIP_RETURN_NOT_OK(r.ReadU64().status());  // next_index_id
+  }
   MIP_ASSIGN_OR_RETURN(uint64_t num_tables, GetVarint(&r));
   if (num_tables > kMaxManifestTables) {
     return Status::IOError("manifest '" + path + "' hostile table count");
@@ -151,19 +150,15 @@ Result<Manifest> LoadManifest(const std::string& path) {
                                "' segment id beyond next_segment_id");
       }
       MIP_ASSIGN_OR_RETURN(seg.group, GetVarint(&r));
-      MIP_ASSIGN_OR_RETURN(uint64_t num_indexes, GetVarint(&r));
-      if (num_indexes > kMaxManifestIndexes) {
-        return Status::IOError("manifest '" + path + "' hostile index count");
+      // Each entry takes at least two bytes, so a hostile count runs out
+      // of manifest long before it costs anything.
+      uint64_t num_indexes = 0;
+      if (index_lists) {
+        MIP_ASSIGN_OR_RETURN(num_indexes, GetVarint(&r));
       }
       for (uint64_t x = 0; x < num_indexes; ++x) {
-        ManifestIndex idx;
-        MIP_ASSIGN_OR_RETURN(idx.id, GetVarint(&r));
-        MIP_ASSIGN_OR_RETURN(idx.column, r.ReadString());
-        if (idx.id >= m.next_index_id) {
-          return Status::IOError("manifest '" + path +
-                                 "' index id beyond next_index_id");
-        }
-        seg.indexes.push_back(std::move(idx));
+        MIP_RETURN_NOT_OK(GetVarint(&r).status());  // index file id
+        MIP_RETURN_NOT_OK(r.ReadString().status());  // column
       }
       t.segments.push_back(std::move(seg));
     }

@@ -5,6 +5,8 @@
 #include "common/bytes.h"
 #include "common/string_util.h"
 #include "engine/encoding.h"
+#include "storage/compaction.h"
+#include "storage/index.h"
 
 namespace mip::storage {
 
@@ -20,11 +22,8 @@ using engine::Value;
 
 namespace {
 
-constexpr FramedFormat kFormat{kSegmentMagic, kSegmentFooterMagic,
-                               kSegmentVersion, "segment"};
-
 Status Corrupt(const std::string& path, const std::string& why) {
-  return kFormat.Corrupt(path, why);
+  return kSegmentFormat.Corrupt(path, why);
 }
 
 /// Widens the zone's [*min, *max] range to cover `v`.
@@ -163,8 +162,8 @@ Result<SegmentFooter> ParseFooter(const std::string& path,
     }
     col.type = static_cast<DataType>(type_byte);
     MIP_RETURN_NOT_OK(ReadZoneMap(&r, &col));
-    MIP_ASSIGN_OR_RETURN(col.block, kFormat.GetBlockRef(path, framed.start,
-                                                        "column block", &r));
+    MIP_ASSIGN_OR_RETURN(col.block, kSegmentFormat.GetBlockRef(
+                                        path, framed.start, "column block", &r));
     if (col.zone.null_count > footer.num_rows) {
       return Corrupt(path, "null count exceeds row count");
     }
@@ -172,6 +171,23 @@ Result<SegmentFooter> ParseFooter(const std::string& path,
       return Corrupt(path, "duplicate column name '" + col.name + "'");
     }
     footer.columns.push_back(std::move(col));
+  }
+  if (framed.version >= 2) {
+    // Strictly increasing ordinals below num_cols bound the loop.
+    MIP_ASSIGN_OR_RETURN(uint64_t num_indexes, GetVarint(&r));
+    for (uint64_t i = 0; i < num_indexes; ++i) {
+      SegmentIndex index;
+      MIP_ASSIGN_OR_RETURN(index.field, GetVarint(&r));
+      const bool ascending = footer.indexes.empty() ||
+                             index.field > footer.indexes.back().field;
+      if (index.field >= num_cols || !ascending) {
+        return Corrupt(path, "bad index field ordinal");
+      }
+      MIP_ASSIGN_OR_RETURN(index.directory,
+                           kSegmentFormat.GetBlockRef(path, framed.start,
+                                                      "index directory", &r));
+      footer.indexes.push_back(index);
+    }
   }
   if (!r.AtEnd()) return Corrupt(path, "trailing bytes after footer");
   return footer;
@@ -196,7 +212,7 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
   if (table.num_rows() > kMaxWireElements) {
     return Status::InvalidArgument("segment batch exceeds row cap");
   }
-  FramedFileWriter file(kFormat);
+  FramedFileWriter file(kSegmentFormat);
   SegmentFooter footer;
   footer.num_rows = table.num_rows();
   for (size_t i = 0; i < table.num_columns(); ++i) {
@@ -210,6 +226,12 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
     col.block = file.AppendBlock(block.bytes());
     footer.columns.push_back(std::move(col));
   }
+  for (size_t i = 0; i < table.num_columns(); ++i) {
+    const std::string& name = table.schema().field(i).name;
+    if (IsReservedColumn(name)) continue;
+    footer.indexes.push_back(
+        SegmentIndex{i, AppendIndex(name, table.column(i), &file)});
+  }
 
   BufferWriter f;
   PutVarint(&f, footer.num_rows);
@@ -220,12 +242,17 @@ Result<SegmentFooter> WriteSegment(const std::string& path,
     WriteZoneMap(col, &f);
     PutBlockRef(col.block, &f);
   }
+  PutVarint(&f, footer.indexes.size());
+  for (const SegmentIndex& index : footer.indexes) {
+    PutVarint(&f, index.field);
+    PutBlockRef(index.directory, &f);
+  }
   MIP_RETURN_NOT_OK(file.Finish(path, f.bytes()));
   return footer;
 }
 
 Result<SegmentFooter> ReadSegmentFooter(const std::string& path) {
-  MIP_ASSIGN_OR_RETURN(FramedFooter framed, kFormat.ReadFooter(path));
+  MIP_ASSIGN_OR_RETURN(FramedFooter framed, kSegmentFormat.ReadFooter(path));
   return ParseFooter(path, framed);
 }
 
@@ -250,7 +277,7 @@ Status AppendSegmentData(const std::string& path, const SegmentFooter& footer,
     blocks.push_back(match);
   }
   MIP_ASSIGN_OR_RETURN(FramedFileReader file,
-                       FramedFileReader::Open(kFormat, path));
+                       FramedFileReader::Open(kSegmentFormat, path));
   std::vector<uint8_t> bytes;
   for (size_t c = 0; c < blocks.size(); ++c) {
     const SegmentColumn& meta = *blocks[c];

@@ -14,17 +14,21 @@ namespace mip::storage {
 
 /// \brief Immutable, compressed, CRC-checked columnar segment files.
 ///
-/// One segment holds one batch of rows for one table, columns encoded with
-/// the engine's wire codecs (engine/encoding.h: dict / delta-varint / RLE /
-/// XOR-double, smallest candidate wins). The header, trailer, block
-/// references and CRC checks are the shared framing of framed_file.h;
-/// layout, all integers little-endian:
+/// One segment holds one batch of rows for one table: its columns, encoded
+/// with the engine's wire codecs (engine/encoding.h: dict / delta-varint /
+/// RLE / XOR-double, smallest candidate wins), and an ordered secondary
+/// index of every user column (index.h). One file is the unit a flush or a
+/// compaction commits. The header, trailer, block references and CRC checks
+/// are the shared framing of framed_file.h; layout, all integers
+/// little-endian:
 ///
-///   header           magic "MSG1", version 1
+///   header           magic "MSG1", version 2
 ///   -- one block per column, schema order:
 ///     u8      has_validity
 ///     [block] validity  (EncodeValidity, present iff has_validity)
 ///     [block] data      (EncodeInts/Doubles/Bools/Strings by column type)
+///   -- the index blocks of each user (non-reserved) column, schema order:
+///     entry blocks, NaN block, directory block (index.h)
 ///   -- footer:
 ///     varint  num_rows
 ///     varint  num_cols
@@ -38,7 +42,15 @@ namespace mip::storage {
 ///         typed  min, max     (i64 pair / double pair / string pair;
 ///                              present iff has_range)
 ///       BlockRef      (the column block)
+///     varint  num_indexes     (version 2 only)
+///     per index, strictly increasing field:
+///       varint  field         (ordinal into the columns above)
+///       BlockRef      (the index's directory block)
 ///   trailer          footer magic "MSGF"
+///
+/// Version 1 — written before indexes moved into the segment — is the same
+/// file with the footer ending after the columns: it has no indexes, and
+/// the one parser reads it as such. Any other version is an IOError.
 ///
 /// Readers trust nothing they decode: magics, versions, CRCs, counts,
 /// offsets and lengths are all validated before any allocation or decode,
@@ -47,7 +59,9 @@ namespace mip::storage {
 /// Every column is its own CRC-checked block, so a projected read fetches
 /// (one ranged read each) and checks only the blocks of the columns it
 /// decodes; a corrupt block of a column it skips goes unnoticed by that
-/// read and is caught by the next read that decodes it.
+/// read and is caught by the next read that decodes it. Index blocks are
+/// never read by a column decode: a corrupt one costs only its index
+/// (index.h), never the segment.
 ///
 /// NaN is excluded from double min/max on write and tracked as a separate
 /// has_nan flag. The flag matters because of how this engine's comparison
@@ -58,8 +72,10 @@ namespace mip::storage {
 /// engine it serves.
 inline constexpr uint32_t kSegmentMagic = 0x3147534Du;   // "MSG1"
 inline constexpr uint32_t kSegmentFooterMagic = 0x4647534Du;  // "MSGF"
-inline constexpr uint8_t kSegmentVersion = 1;
+inline constexpr uint8_t kSegmentVersion = 2;
 inline constexpr uint64_t kMaxSegmentColumns = 4096;
+inline constexpr FramedFormat kSegmentFormat{
+    kSegmentMagic, kSegmentFooterMagic, kSegmentVersion, 1, "segment"};
 
 /// Per-column min/max/null-count statistics.
 struct ZoneMap {
@@ -82,9 +98,16 @@ struct SegmentColumn {
   BlockRef block;  // the column block
 };
 
+/// Where one column's ordered index lives in the segment.
+struct SegmentIndex {
+  uint64_t field = 0;  // ordinal into SegmentFooter::columns
+  BlockRef directory;  // the index's directory block (index.h)
+};
+
 struct SegmentFooter {
   uint64_t num_rows = 0;
   std::vector<SegmentColumn> columns;
+  std::vector<SegmentIndex> indexes;  // empty in a version-1 segment
 
   engine::Schema schema() const;
 };
@@ -92,13 +115,16 @@ struct SegmentFooter {
 /// Computes the zone map of one column (NaN excluded for doubles).
 ZoneMap ComputeZoneMap(const engine::Column& column);
 
-/// Writes `table` as a segment file, crash-atomically (tmp + fsync +
-/// rename). Returns the footer that was persisted.
+/// Writes `table` as a segment file — its column blocks, then the index of
+/// every user column (every column without the reserved "__mip_" prefix,
+/// see compaction.h) — crash-atomically (tmp + fsync + rename). Returns the
+/// footer that was persisted.
 Result<SegmentFooter> WriteSegment(const std::string& path,
                                    const engine::Table& table);
 
 /// Reads and validates only the footer (header magic, trailer, footer CRC,
-/// bounds of every column block) — the cheap path pruning and recovery use.
+/// bounds of every column and index directory block) — the cheap path
+/// pruning and recovery use.
 Result<SegmentFooter> ReadSegmentFooter(const std::string& path);
 
 /// The one segment-decode routine. `footer` is the already validated footer

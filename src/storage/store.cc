@@ -46,11 +46,6 @@ bool SchemasCompatible(const engine::Schema& a, const engine::Schema& b) {
   return true;
 }
 
-bool IsReservedColumn(const std::string& name) {
-  const std::string prefix = kReservedColumnPrefix;
-  return ToLower(name).compare(0, prefix.size(), prefix) == 0;
-}
-
 /// Rebuilds `rows` under the table's canonical schema (field names may
 /// differ only in case; types were already checked).
 Result<engine::Table> Canonicalize(const engine::Schema& canonical,
@@ -103,10 +98,6 @@ std::string StorageEngine::SegmentPath(uint64_t id) const {
   return dir_ + "/seg-" + std::to_string(id) + ".mip";
 }
 
-std::string StorageEngine::IndexPath(uint64_t id) const {
-  return dir_ + "/idx-" + std::to_string(id) + ".mix";
-}
-
 std::string StorageEngine::WalPath(uint64_t id) const {
   return dir_ + "/wal-" + std::to_string(id) + ".log";
 }
@@ -133,14 +124,13 @@ Status StorageEngine::RecoverLocked() {
   wal_id_ = manifest.wal_id;
   wal_salt_ = manifest.wal_salt;
   next_segment_id_ = manifest.next_segment_id;
-  next_index_id_ = manifest.next_index_id;
 
   // 2. Validate every committed segment's footer; committed data that fails
   // validation is a hard error, not something to silently drop. Indexes are
   // the opposite: they are derived accelerators, so an unreadable index is
-  // marked invalid (its segment falls back to the zone-map path) and Open
+  // left out (its column falls back to the zone-map path) and Open
   // proceeds — recovery must never fail, and scans must never be wrong,
-  // because of a corrupt sidecar.
+  // because of a corrupt index block.
   for (const ManifestTable& mt : manifest.tables) {
     TableState state;
     state.schema = mt.schema;
@@ -175,33 +165,17 @@ Status StorageEngine::RecoverLocked() {
       }
       prev_group = ms.group;
 
-      SegmentState seg;
-      seg.id = ms.id;
-      seg.group = ms.group;
-      seg.footer = std::move(*footer);
-      for (const ManifestIndex& mi : ms.indexes) {
-        IndexState idx;
-        idx.id = mi.id;
-        idx.column = mi.column;
-        Result<IndexFooter> ifooter = ReadIndexFooter(IndexPath(mi.id));
-        const int field = mt.schema.FieldIndex(mi.column);
-        if (ifooter.ok() && field >= 0 &&
-            EqualsIgnoreCase(ifooter->column, mi.column) &&
-            ifooter->type == mt.schema.field(field).type &&
-            ifooter->num_rows == ms.rows) {
-          idx.footer = std::move(*ifooter);
-          idx.valid = true;
-        }
-        seg.indexes.push_back(std::move(idx));
-      }
-      state.segments.push_back(std::move(seg));
+      state.segments.push_back(
+          LoadSegment(ms.id, ms.group, std::move(*footer)));
     }
     tables_.emplace(ToLower(mt.name), std::move(state));
   }
 
-  // 3. Sweep orphans: segments/indexes the manifest does not reference (a
-  // flush or compaction that died before its manifest committed), WALs from
-  // dead epochs, tmp files other than the manifest's spare.
+  // 3. Sweep orphans: segments the manifest does not reference (a flush or
+  // compaction that died before its manifest committed), index files of
+  // the previous storage format (their indexes are gone with it; a
+  // compaction rebuilds them inside the segments), WALs from dead epochs,
+  // tmp files other than the manifest's spare.
   MIP_ASSIGN_OR_RETURN(std::vector<std::string> names, ListDir(dir_));
   std::vector<uint64_t> stale_wals;
   for (const std::string& name : names) {
@@ -218,13 +192,6 @@ Status StorageEngine::RecoverLocked() {
       }
     } else if (ParseIdFileName(name, "idx-", ".mix", &id)) {
       orphan = true;
-      for (const auto& [key, state] : tables_) {
-        for (const SegmentState& seg : state.segments) {
-          for (const IndexState& idx : seg.indexes) {
-            if (idx.id == id) orphan = false;
-          }
-        }
-      }
     } else if (ParseIdFileName(name, "wal-", ".log", &id) && id != wal_id_) {
       stale_wals.push_back(id);
     }
@@ -256,43 +223,21 @@ Status StorageEngine::RecoverLocked() {
   return Status::OK();
 }
 
-std::vector<std::string> StorageEngine::IndexedColumns(
-    const engine::Schema& schema) {
-  std::vector<std::string> columns;
-  for (const engine::Field& f : schema.fields()) {
-    if (!IsReservedColumn(f.name)) columns.push_back(f.name);
+StorageEngine::SegmentState StorageEngine::LoadSegment(
+    uint64_t id, uint64_t group, SegmentFooter footer) const {
+  SegmentState seg;
+  seg.id = id;
+  seg.group = group;
+  for (Result<IndexDirectory>& dir :
+       ReadIndexDirectories(SegmentPath(id), footer)) {
+    if (dir.ok()) seg.indexes.push_back(std::move(*dir));
   }
-  return columns;
-}
-
-Status StorageEngine::BuildSegmentIndexes(const engine::Table& data,
-                                          uint64_t* next_index_id,
-                                          std::vector<IndexState>* out) const {
-  for (const std::string& name : IndexedColumns(data.schema())) {
-    MIP_ASSIGN_OR_RETURN(const engine::Column* col, data.ColumnByName(name));
-    IndexState idx;
-    idx.id = (*next_index_id)++;
-    idx.column = name;
-    MIP_ASSIGN_OR_RETURN(idx.footer,
-                         WriteIndex(IndexPath(idx.id), name, *col));
-    idx.valid = true;
-    out->push_back(std::move(idx));
-  }
-  return Status::OK();
+  seg.footer = std::move(footer);
+  return seg;
 }
 
 ManifestSegment StorageEngine::DescribeSegment(const SegmentState& seg) {
-  ManifestSegment ms;
-  ms.id = seg.id;
-  ms.rows = seg.footer.num_rows;
-  ms.group = seg.group;
-  // Invalid indexes stay referenced: the sweep must not delete their files
-  // out from under a later forensic look — only a compaction rewrite
-  // replaces them.
-  for (const IndexState& idx : seg.indexes) {
-    ms.indexes.push_back(ManifestIndex{idx.id, idx.column});
-  }
-  return ms;
+  return ManifestSegment{seg.id, seg.footer.num_rows, seg.group};
 }
 
 Manifest StorageEngine::BuildManifestLocked(uint64_t wal_id,
@@ -301,7 +246,6 @@ Manifest StorageEngine::BuildManifestLocked(uint64_t wal_id,
   manifest.wal_id = wal_id;
   manifest.wal_salt = wal_salt;
   manifest.next_segment_id = next_segment_id_;
-  manifest.next_index_id = next_index_id_;
   for (const auto& [key, state] : tables_) {
     ManifestTable mt;
     mt.name = key;
@@ -379,12 +323,11 @@ Status StorageEngine::FlushLocked() {
   for (const auto& [key, state] : tables_) pending |= !state.memtable.empty();
   if (!pending) return Status::OK();
 
-  // 1. Write memtables out as immutable segments, each with its ordered
+  // 1. Write memtables out as immutable segments, each holding its ordered
   // indexes (every write is itself atomic; nothing references these files
   // until the manifest commits).
   std::map<std::string, std::vector<SegmentState>> flushed;
   uint64_t next_id = next_segment_id_;
-  uint64_t next_idx = next_index_id_;
   bool wrote = false;
   for (auto& [key, state] : tables_) {
     if (state.memtable.empty()) continue;
@@ -395,23 +338,20 @@ Status StorageEngine::FlushLocked() {
       const size_t count =
           std::min<size_t>(options_.target_segment_rows, all.num_rows() - off);
       const engine::Table chunk = all.Slice(off, count);
-      SegmentState seg;
-      seg.id = next_id++;
-      MIP_ASSIGN_OR_RETURN(seg.footer,
-                           WriteSegment(SegmentPath(seg.id), chunk));
-      MIP_RETURN_NOT_OK(BuildSegmentIndexes(chunk, &next_idx, &seg.indexes));
-      flushed[key].push_back(std::move(seg));
+      const uint64_t id = next_id++;
+      MIP_ASSIGN_OR_RETURN(SegmentFooter footer,
+                           WriteSegment(SegmentPath(id), chunk));
+      flushed[key].push_back(LoadSegment(id, 0, std::move(footer)));
       wrote = true;
     }
   }
 
-  // 2. Commit point: the new manifest references the new segments + indexes
-  // and the next WAL epoch under a fresh salt. A crash before the swap
+  // 2. Commit point: the new manifest references the new segments and the
+  // next WAL epoch under a fresh salt. A crash before the swap
   // leaves only orphans.
   const uint32_t salt = NextWalSalt(wal_salt_);
   Manifest manifest = BuildManifestLocked(wal_id_ + 1, salt);
   manifest.next_segment_id = next_id;
-  manifest.next_index_id = next_idx;
   for (ManifestTable& mt : manifest.tables) {
     auto fit = flushed.find(mt.name);
     if (fit == flushed.end()) continue;
@@ -426,7 +366,6 @@ Status StorageEngine::FlushLocked() {
   wal_salt_ = salt;
   wal_tail_ = 0;
   next_segment_id_ = next_id;
-  next_index_id_ = next_idx;
   memtable_bytes_ = 0;
   for (auto& [key, state] : tables_) {
     auto fit = flushed.find(key);
@@ -501,14 +440,14 @@ StorageEngine::SegmentSelection StorageEngine::SelectSegmentsLocked(
     ++sel.zone_survivors;
     // Probe the segment's indexes; the smallest candidate count across the
     // restricted columns bounds the rows the segment can contribute. A probe
-    // that fails (corrupt sidecar discovered at read time) is treated as "no
-    // index" — fall back to decoding the segment, never to wrong results.
+    // that fails (corrupt index block discovered at read time) is treated as
+    // "no index" — fall back to decoding the segment, never to wrong results.
     uint64_t min_candidates = 0;
     bool probed = false;
     for (const std::string& col : probe_columns) {
-      const IndexState* index = nullptr;
-      for (const IndexState& idx : seg.indexes) {
-        if (idx.valid && EqualsIgnoreCase(idx.column, col)) {
+      const IndexDirectory* index = nullptr;
+      for (const IndexDirectory& idx : seg.indexes) {
+        if (EqualsIgnoreCase(idx.column, col)) {
           index = &idx;
           break;
         }
@@ -517,14 +456,13 @@ StorageEngine::SegmentSelection StorageEngine::SelectSegmentsLocked(
       auto iit = intervals.find(col);
       if (iit == intervals.end()) {
         iit = intervals
-                  .emplace(col, BuildKeyInterval(index->footer.type, col,
-                                                 conjuncts))
+                  .emplace(col, BuildKeyInterval(index->type, col, conjuncts))
                   .first;
       }
       const KeyInterval& interval = iit->second;
       if (!interval.restricts && !interval.empty) continue;
       Result<IndexProbe> probe =
-          ProbeIndex(IndexPath(index->id), index->footer, interval);
+          ProbeIndex(SegmentPath(seg.id), *index, interval);
       ++sel.stats.index_probes;
       if (!probe.ok()) continue;
       if (probe->candidates > 0) ++sel.index_hits;
@@ -770,22 +708,13 @@ Status StorageEngine::VerifyIndexes() const {
   std::shared_lock lock(mu_);
   for (const auto& [key, state] : tables_) {
     for (const SegmentState& seg : state.segments) {
-      for (const IndexState& idx : seg.indexes) {
-        // Re-read the footer from disk (not the cached copy) so an index
-        // that was already invalid at Open — or rotted since — surfaces
-        // here as the typed error the silent scan fallback swallows.
-        Result<IndexFooter> footer = ReadIndexFooter(IndexPath(idx.id));
-        if (!footer.ok()) {
-          return Status::IOError(
-              "table '" + key + "' index " + std::to_string(idx.id) +
-              " (column '" + idx.column + "'): " + footer.status().message());
-        }
-        Status st = VerifyIndex(IndexPath(idx.id), *footer);
-        if (!st.ok()) {
-          return Status::IOError(
-              "table '" + key + "' index " + std::to_string(idx.id) +
-              " (column '" + idx.column + "'): " + st.message());
-        }
+      // Every index the footer lists, read from disk — so an index already
+      // left out at Open, or rotted since, surfaces here as the typed error
+      // the silent scan fallback swallows.
+      Status st = VerifyIndex(SegmentPath(seg.id), seg.footer);
+      if (!st.ok()) {
+        return Status::IOError("table '" + key + "' segment " +
+                               std::to_string(seg.id) + ": " + st.message());
       }
     }
   }
@@ -809,9 +738,7 @@ Result<uint64_t> StorageEngine::IndexCount(const std::string& name) const {
   }
   uint64_t count = 0;
   for (const SegmentState& seg : it->second.segments) {
-    for (const IndexState& idx : seg.indexes) {
-      if (idx.valid) ++count;
-    }
+    count += seg.indexes.size();
   }
   return count;
 }

@@ -48,9 +48,9 @@ struct StorageOptions {
 ///   MANIFEST            committed root (manifest.h)
 ///   MANIFEST.tmp        the commit before last: the spare the next commit
 ///                       overwrites in place and swaps in (manifest.h)
-///   seg-<id>.mip        immutable columnar segments (segment.h)
-///   idx-<id>.mix        immutable ordered indexes, one per
-///                       (segment, column) (index.h)
+///   seg-<id>.mip        immutable columnar segments, each holding the
+///                       ordered index of every user column (segment.h,
+///                       index.h)
 ///   wal-<id>.log        live WAL epoch, a recycled file (wal.h)
 ///
 /// Append path: WAL record written at the epoch's tail and fsynced first,
@@ -60,28 +60,28 @@ struct StorageOptions {
 /// — durability must come from the WAL alone, and the crash tests hold us
 /// to that.
 ///
-/// A flush frees no disk block. Its commit order: write the segments and
-/// their indexes (new files, renamed onto unused names); swap the new
+/// A flush frees no disk block. Its commit order: write the segments (new
+/// files, one per segment, renamed onto unused names); swap the new
 /// manifest in (spare rewritten in place, fsync, exchange, directory
 /// fsync) — the commit point, which names the next WAL epoch and its salt;
 /// rename the old WAL to the next epoch's name and fsync the directory.
-/// Only compaction unlinks files: the segments and indexes it replaced,
-/// because that is how their space comes back.
+/// Only compaction unlinks files: the segments it replaced, because that is
+/// how their space comes back.
 ///
 /// Recovery (Open): load + validate MANIFEST, validate every referenced
-/// segment footer (hard error on mismatch — committed data), load every
-/// referenced index footer (soft: an unreadable index is marked invalid
-/// and that segment falls back to the zone-map path — an index is an
+/// segment footer (hard error on mismatch — committed data), read each
+/// segment's index directories (soft: a directory that fails its CRC, its
+/// parse or its match against the footer loses only that index, and the
+/// segment scans by zone maps for that column — an index is an
 /// accelerator, losing one must never lose data or fail recovery), delete
-/// orphan segments / indexes / *.tmp leftovers other than the manifest's
-/// spare, rename a stale WAL to the live name when a flush died before
-/// doing so and delete any other, then replay the live WAL under the
-/// manifest's salt up to its first invalid record, which sets the tail the
-/// next append writes at. Every flush and compaction
-/// commits a segment together with one index per user column, so Open
-/// never builds one; a segment the manifest lists without an index (or
-/// with an invalid one) keeps the zone-map path until a compaction
-/// rewrites it.
+/// orphan segments, index files of the previous storage format and *.tmp
+/// leftovers other than the manifest's spare, rename a stale WAL to the
+/// live name when a flush died before doing so and delete any other, then
+/// replay the live WAL under the manifest's salt up to its first invalid
+/// record, which sets the tail the next append writes at. Open never
+/// builds an index: a segment written before indexes moved into segment
+/// files (version 1) scans by zone maps until a compaction rewrites it,
+/// with the same answers on either path.
 ///
 /// Read path: one private routine, SelectSegmentsLocked, decides which
 /// segments a read under a pruning hint decodes — zone maps first, then
@@ -99,7 +99,7 @@ struct StorageOptions {
 /// are byte-identical across access paths, projections and compaction.
 ///
 /// Thread-safe: scans take a shared lock for their entire read (segment
-/// and index files are immutable; visibility flows through the in-memory
+/// files are immutable; visibility flows through the in-memory
 /// manifest epoch), appends/flushes/commits an exclusive one. Compactions
 /// serialize among themselves and only take the exclusive lock to commit.
 class StorageEngine : public engine::TableStorage {
@@ -158,9 +158,9 @@ class StorageEngine : public engine::TableStorage {
   void StartBackgroundCompaction();
   void StopBackgroundCompaction();
 
-  /// Full audit of every valid index file (CRCs, sortedness, row ids);
-  /// the typed-kIOError surface for corruption that the scan paths
-  /// deliberately swallow by falling back.
+  /// Full audit of every index every segment lists (CRCs, sortedness, row
+  /// ids), read from disk — the typed-kIOError surface for corruption that
+  /// Open and the scan paths deliberately swallow by falling back.
   Status VerifyIndexes() const;
 
   const std::string& dir() const { return dir_; }
@@ -172,19 +172,13 @@ class StorageEngine : public engine::TableStorage {
   Result<uint64_t> MemtableRows(const std::string& name) const;
 
  private:
-  struct IndexState {
-    uint64_t id = 0;
-    std::string column;
-    IndexFooter footer;
-    /// False when the sidecar failed validation at Open — the segment then
-    /// behaves as if this index did not exist.
-    bool valid = false;
-  };
   struct SegmentState {
     uint64_t id = 0;
     uint64_t group = 0;  // compaction group id, 0 = not compacted
     SegmentFooter footer;
-    std::vector<IndexState> indexes;
+    /// The indexes whose directories read back and matched the footer; a
+    /// column without one scans by zone maps.
+    std::vector<IndexDirectory> indexes;
   };
   struct TableState {
     engine::Schema schema;  // user schema (never contains hidden columns)
@@ -197,7 +191,6 @@ class StorageEngine : public engine::TableStorage {
       : dir_(std::move(dir)), options_(std::move(options)) {}
 
   std::string SegmentPath(uint64_t id) const;
-  std::string IndexPath(uint64_t id) const;
   std::string WalPath(uint64_t id) const;
   std::string ManifestPath() const;
 
@@ -205,12 +198,10 @@ class StorageEngine : public engine::TableStorage {
   Status FlushLocked();
   Status ApplyToMemtableLocked(const std::string& key,
                                const engine::Table& rows);
-  /// Columns of `schema` that carry indexes: every user (non-reserved) one.
-  static std::vector<std::string> IndexedColumns(const engine::Schema& schema);
-  /// Builds the indexes over `data` (one segment's rows), assigning ids
-  /// from `*next_index_id`.
-  Status BuildSegmentIndexes(const engine::Table& data, uint64_t* next_index_id,
-                             std::vector<IndexState>* out) const;
+  /// Segment `id` with its validated `footer` and the indexes whose
+  /// directories read back (see "Recovery").
+  SegmentState LoadSegment(uint64_t id, uint64_t group,
+                           SegmentFooter footer) const;
   static ManifestSegment DescribeSegment(const SegmentState& seg);
   /// Serializes the in-memory committed state under the given WAL epoch.
   Manifest BuildManifestLocked(uint64_t wal_id, uint32_t wal_salt) const;
@@ -255,7 +246,6 @@ class StorageEngine : public engine::TableStorage {
   uint32_t wal_salt_ = 0;  // seeds the live epoch's record CRCs (wal.h)
   uint64_t wal_tail_ = 0;  // offset of the live WAL's next record
   uint64_t next_segment_id_ = 0;
-  uint64_t next_index_id_ = 0;
   uint64_t memtable_bytes_ = 0;  // estimate, summed across tables
   std::map<std::string, TableState> tables_;  // key: lower-cased name
 

@@ -3,12 +3,12 @@
 // (torn WAL tails, orphaned segments), hardened readers over corrupted
 // files, EXPLAIN segment accounting, and typed kIOError propagation.
 //
-// PR 9 additions: ordered secondary indexes (probe-vs-brute-force parity,
-// flip-every-byte / truncate-every-prefix corruption falls back to the scan
-// path and never changes results), background compaction (order-preserving
-// byte identity, kill-between-every-step crash recovery), the
-// Scan-vs-IndexScan access-path rule (EXPLAIN surface, byte parity at 1 and
-// 8 threads), storage counters, and manifest v1 back-compat.
+// Ordered secondary indexes inside the segment file (probe-vs-brute-force
+// parity, a flipped index byte falls back to the scan path and never
+// changes results), background compaction (order-preserving byte identity,
+// kill-between-every-step crash recovery), the Scan-vs-IndexScan
+// access-path rule (EXPLAIN surface, byte parity at 1 and 8 threads),
+// storage counters, and opening directories of earlier formats.
 
 #include <algorithm>
 #include <cctype>
@@ -66,16 +66,14 @@ using storage::BuildKeyInterval;
 using storage::CompactionHooks;
 using storage::RestoreGroupOrder;
 using storage::SchemaWithPos;
-using storage::IndexFooter;
+using storage::IndexDirectory;
 using storage::KeyInterval;
 using storage::ProbeIndex;
 using storage::PruneConjunct;
-using storage::ReadIndexFooter;
 using storage::SegmentFooter;
 using storage::StorageEngine;
 using storage::StorageOptions;
 using storage::VerifyIndex;
-using storage::WriteIndex;
 
 std::string TestDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "mip_storage_" + name;
@@ -236,6 +234,7 @@ Table MakeKeyedTable(int64_t start, int64_t count) {
   return t.ValueOrDie();
 }
 
+/// Index files of the previous storage format; no store writes one now.
 std::vector<std::string> IndexFiles(const std::string& dir) {
   std::vector<std::string> out;
   auto names = storage::ListDir(dir);
@@ -244,6 +243,26 @@ std::vector<std::string> IndexFiles(const std::string& dir) {
     if (n.rfind("idx-", 0) == 0) out.push_back(dir + "/" + n);
   }
   return out;
+}
+
+/// Full index audit of the segment at `path`, through its on-disk footer.
+Status AuditSegment(const std::string& path) {
+  MIP_ASSIGN_OR_RETURN(SegmentFooter footer, storage::ReadSegmentFooter(path));
+  return VerifyIndex(path, footer);
+}
+
+/// The byte range [first, second) of a segment's index blocks: from the end
+/// of its last column block to the end of its last directory block.
+std::pair<uint64_t, uint64_t> IndexRegion(const SegmentFooter& footer) {
+  std::pair<uint64_t, uint64_t> region{0, 0};
+  for (const storage::SegmentColumn& col : footer.columns) {
+    region.first = std::max(region.first, col.block.offset + col.block.length);
+  }
+  for (const storage::SegmentIndex& index : footer.indexes) {
+    region.second = std::max(region.second,
+                             index.directory.offset + index.directory.length);
+  }
+  return region;
 }
 
 std::string ExplainText(Database* db, const std::string& sql) {
@@ -335,17 +354,32 @@ TEST(SegmentTest, AllNullAndAllNanColumns) {
 TEST(SegmentTest, EveryFlippedByteIsRejected) {
   const std::string dir = TestDir("seg_flip");
   const std::string path = dir + "/seg-0.mip";
-  ASSERT_TRUE(storage::WriteSegment(path, MakeGnarlyTable()).ok());
+  const Table original = MakeGnarlyTable();
+  auto written = storage::WriteSegment(path, original);
+  ASSERT_TRUE(written.ok());
+  ASSERT_EQ(written.ValueOrDie().indexes.size(), 4u);
+  const auto [index_begin, index_end] = IndexRegion(written.ValueOrDie());
+  ASSERT_LT(index_begin, index_end);
   auto bytes = storage::ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   const std::vector<uint8_t> good = bytes.ValueOrDie();
-  // Every byte of the file sits under a magic, a version check, or a CRC:
-  // no single-byte corruption may survive a full read.
+  ASSERT_TRUE(AuditSegment(path).ok());
+  // Every byte of the file sits under a magic, a version check, or a CRC.
+  // A flip in a column block, the footer, the header or the trailer fails
+  // the read; a flip in an index block leaves the read untouched and fails
+  // the index audit. No flip passes both.
   for (size_t i = 0; i < good.size(); ++i) {
     FlipByte(path, good, i, 0xFF);
+    const bool in_index = i >= index_begin && i < index_end;
     auto read = storage::ReadSegment(path);
-    EXPECT_FALSE(read.ok()) << "flipped byte " << i << " went undetected";
-    if (!read.ok()) {
+    if (read.ok()) {
+      EXPECT_TRUE(in_index) << "flipped byte " << i << " went undetected";
+      EXPECT_EQ(TableBytes(read.ValueOrDie()), TableBytes(original)) << i;
+      const Status audit = AuditSegment(path);
+      EXPECT_FALSE(audit.ok()) << "flipped index byte " << i << " passed";
+      EXPECT_EQ(audit.code(), StatusCode::kIOError) << audit.ToString();
+    } else {
+      EXPECT_FALSE(in_index) << "index byte " << i << " failed the read";
       EXPECT_EQ(read.status().code(), StatusCode::kIOError)
           << read.status().ToString();
     }
@@ -758,15 +792,21 @@ std::vector<uint8_t> ConcatBytes(const std::vector<Table>& parts) {
   return TableBytes(all.ValueOrDie());
 }
 
-/// A MANIFEST as the previous (version 2) format wrote it: no length, no
-/// WAL salt, the CRC at the end of the file.
+/// A MANIFEST as version 2 wrote it: no length, no WAL salt, the CRC at the
+/// end of the file, and one index file listed per (segment, field), as the
+/// index files of that format were.
 std::vector<uint8_t> V2ManifestBytes(const storage::Manifest& m) {
+  uint64_t num_indexes = 0;
+  for (const storage::ManifestTable& t : m.tables) {
+    num_indexes += t.segments.size() * t.schema.num_fields();
+  }
   BufferWriter w;
   w.WriteU32(storage::kManifestMagic);
   w.WriteU8(2);
   w.WriteU64(m.wal_id);
   w.WriteU64(m.next_segment_id);
-  w.WriteU64(m.next_index_id);
+  w.WriteU64(num_indexes);  // next_index_id
+  uint64_t next_index_id = 0;
   engine::PutVarint(&w, m.tables.size());
   for (const storage::ManifestTable& t : m.tables) {
     w.WriteString(t.name);
@@ -780,10 +820,10 @@ std::vector<uint8_t> V2ManifestBytes(const storage::Manifest& m) {
       engine::PutVarint(&w, s.id);
       engine::PutVarint(&w, s.rows);
       engine::PutVarint(&w, s.group);
-      engine::PutVarint(&w, s.indexes.size());
-      for (const storage::ManifestIndex& idx : s.indexes) {
-        engine::PutVarint(&w, idx.id);
-        w.WriteString(idx.column);
+      engine::PutVarint(&w, t.schema.num_fields());
+      for (const engine::Field& f : t.schema.fields()) {
+        engine::PutVarint(&w, next_index_id++);
+        w.WriteString(f.name);
       }
     }
   }
@@ -1137,7 +1177,7 @@ TEST(CommitTest, PreviousFormatDirectoryOpensEveryRowAndUpgrades) {
   }
   const std::vector<uint8_t> bytes =
       storage::ReadFileBytes(dir + "/MANIFEST").ValueOrDie();
-  EXPECT_EQ(bytes[4], 3u);
+  EXPECT_EQ(bytes[4], storage::kManifestVersion);
   EXPECT_NE(storage::LoadManifest(dir + "/MANIFEST").ValueOrDie().wal_salt,
             0u);
   auto store = StorageEngine::Open(dir);
@@ -1393,6 +1433,20 @@ constexpr engine::BinaryOp kCmpOps[] = {
     engine::BinaryOp::kEq, engine::BinaryOp::kLt, engine::BinaryOp::kLe,
     engine::BinaryOp::kGt, engine::BinaryOp::kGe};
 
+/// Writes `col` as the one column `name` of the segment at `path` and reads
+/// its index directory back.
+Result<IndexDirectory> WriteIndexedColumn(const std::string& path,
+                                          const std::string& name,
+                                          const Column& col) {
+  MIP_ASSIGN_OR_RETURN(Table t,
+                       Table::Make(Schema({{name, col.type()}}), {col}));
+  MIP_ASSIGN_OR_RETURN(SegmentFooter footer, storage::WriteSegment(path, t));
+  std::vector<Result<IndexDirectory>> directories =
+      storage::ReadIndexDirectories(path, footer);
+  if (directories.size() != 1) return Status::Internal("expected one index");
+  return directories[0];
+}
+
 TEST(IndexTest, IntProbeMatchesBruteForceAcrossOpsAndLiterals) {
   const std::string dir = TestDir("idx_int_probe");
   const std::vector<int64_t> values = {5,  -3, 7,    7,  0,
@@ -1401,13 +1455,11 @@ TEST(IndexTest, IntProbeMatchesBruteForceAcrossOpsAndLiterals) {
   Bitmap valid(values.size(), true);
   valid.Set(4, false);  // the NULL row must never count as a candidate
   ASSERT_TRUE(col.SetValidity(valid).ok());
-  const std::string path = dir + "/idx-0.mix";
-  auto wrote = WriteIndex(path, "key", col);
-  ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
-  auto footer = ReadIndexFooter(path);
-  ASSERT_TRUE(footer.ok()) << footer.status().ToString();
-  EXPECT_EQ(footer.ValueOrDie().num_entries, values.size() - 1);
-  ASSERT_TRUE(VerifyIndex(path, footer.ValueOrDie()).ok());
+  const std::string path = dir + "/seg-0.mip";
+  auto directory = WriteIndexedColumn(path, "key", col);
+  ASSERT_TRUE(directory.ok()) << directory.status().ToString();
+  EXPECT_EQ(directory.ValueOrDie().num_entries, values.size() - 1);
+  ASSERT_TRUE(AuditSegment(path).ok());
 
   for (const engine::BinaryOp op : kCmpOps) {
     for (const int64_t lit : {-10, -3, 0, 7, 8, 42, 9001}) {
@@ -1416,7 +1468,7 @@ TEST(IndexTest, IntProbeMatchesBruteForceAcrossOpsAndLiterals) {
       const KeyInterval interval =
           BuildKeyInterval(DataType::kInt64, "key", conjuncts);
       ASSERT_TRUE(interval.restricts);
-      auto probe = ProbeIndex(path, footer.ValueOrDie(), interval);
+      auto probe = ProbeIndex(path, directory.ValueOrDie(), interval);
       ASSERT_TRUE(probe.ok()) << probe.status().ToString();
       uint64_t brute = 0;
       for (size_t i = 0; i < values.size(); ++i) {
@@ -1440,12 +1492,10 @@ TEST(IndexTest, DoubleProbeCountsNanForEqLikeOnly) {
   Bitmap valid(values.size(), true);
   valid.Set(6, false);  // NULL (canonical NaN placeholder) — excluded
   ASSERT_TRUE(col.SetValidity(valid).ok());
-  const std::string path = dir + "/idx-0.mix";
-  auto wrote = WriteIndex(path, "val", col);
-  ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
-  auto footer = ReadIndexFooter(path);
-  ASSERT_TRUE(footer.ok());
-  EXPECT_EQ(footer.ValueOrDie().nan_count, 2u);  // valid NaN cells only
+  const std::string path = dir + "/seg-0.mip";
+  auto directory = WriteIndexedColumn(path, "val", col);
+  ASSERT_TRUE(directory.ok()) << directory.status().ToString();
+  EXPECT_EQ(directory.ValueOrDie().nan_count, 2u);  // valid NaN cells only
 
   for (const engine::BinaryOp op : kCmpOps) {
     for (const double lit : {-1.0, -0.0, 0.0, 2.0, 100.0, 200.0}) {
@@ -1454,7 +1504,7 @@ TEST(IndexTest, DoubleProbeCountsNanForEqLikeOnly) {
       const KeyInterval interval =
           BuildKeyInterval(DataType::kFloat64, "val", conjuncts);
       ASSERT_TRUE(interval.restricts);
-      auto probe = ProbeIndex(path, footer.ValueOrDie(), interval);
+      auto probe = ProbeIndex(path, directory.ValueOrDie(), interval);
       ASSERT_TRUE(probe.ok()) << probe.status().ToString();
       uint64_t brute = 0;
       for (size_t i = 0; i < values.size(); ++i) {
@@ -1472,11 +1522,9 @@ TEST(IndexTest, StringProbeAndRangeConjunction) {
   Bitmap valid(6, true);
   valid.Set(2, false);
   ASSERT_TRUE(col.SetValidity(valid).ok());
-  const std::string path = dir + "/idx-0.mix";
-  auto wrote = WriteIndex(path, "grp", col);
-  ASSERT_TRUE(wrote.ok()) << wrote.status().ToString();
-  auto footer = ReadIndexFooter(path);
-  ASSERT_TRUE(footer.ok());
+  const std::string path = dir + "/seg-0.mip";
+  auto directory = WriteIndexedColumn(path, "grp", col);
+  ASSERT_TRUE(directory.ok()) << directory.status().ToString();
 
   for (const engine::BinaryOp op : kCmpOps) {
     for (const std::string lit : {"", "alpha", "m", "zzz"}) {
@@ -1484,7 +1532,7 @@ TEST(IndexTest, StringProbeAndRangeConjunction) {
           {"grp", op, Value::String(lit)}};
       const KeyInterval interval =
           BuildKeyInterval(DataType::kString, "grp", conjuncts);
-      auto probe = ProbeIndex(path, footer.ValueOrDie(), interval);
+      auto probe = ProbeIndex(path, directory.ValueOrDie(), interval);
       ASSERT_TRUE(probe.ok()) << probe.status().ToString();
       uint64_t brute = 0;
       for (size_t i = 0; i < 6; ++i) {
@@ -1498,7 +1546,7 @@ TEST(IndexTest, StringProbeAndRangeConjunction) {
   const std::vector<PruneConjunct> range = {
       {"grp", engine::BinaryOp::kGe, Value::String("alpha")},
       {"grp", engine::BinaryOp::kLt, Value::String("m")}};
-  auto probe = ProbeIndex(path, footer.ValueOrDie(),
+  auto probe = ProbeIndex(path, directory.ValueOrDie(),
                           BuildKeyInterval(DataType::kString, "grp", range));
   ASSERT_TRUE(probe.ok());
   EXPECT_EQ(probe.ValueOrDie().candidates, 3u);  // "b", "alpha", "alpha"
@@ -1507,10 +1555,9 @@ TEST(IndexTest, StringProbeAndRangeConjunction) {
 TEST(IndexTest, ContradictionsAndUnusableConjuncts) {
   const std::string dir = TestDir("idx_interval_edges");
   Column col = Column::FromInts({1, 2, 3, 4, 5, 6, 7, 8});
-  const std::string path = dir + "/idx-0.mix";
-  ASSERT_TRUE(WriteIndex(path, "k", col).ok());
-  auto footer = ReadIndexFooter(path);
-  ASSERT_TRUE(footer.ok());
+  const std::string path = dir + "/seg-0.mip";
+  auto directory = WriteIndexedColumn(path, "k", col);
+  ASSERT_TRUE(directory.ok()) << directory.status().ToString();
 
   // Contradictory bounds prove emptiness without reading any block.
   const std::vector<PruneConjunct> contradiction = {
@@ -1519,7 +1566,7 @@ TEST(IndexTest, ContradictionsAndUnusableConjuncts) {
   const KeyInterval empty =
       BuildKeyInterval(DataType::kInt64, "k", contradiction);
   EXPECT_TRUE(empty.empty);
-  auto probe = ProbeIndex(path, footer.ValueOrDie(), empty);
+  auto probe = ProbeIndex(path, directory.ValueOrDie(), empty);
   ASSERT_TRUE(probe.ok());
   EXPECT_EQ(probe.ValueOrDie().candidates, 0u);
   EXPECT_EQ(probe.ValueOrDie().blocks_read, 0u);
@@ -1546,40 +1593,45 @@ TEST(IndexTest, EveryFlippedByteAndEveryTruncationIsDetected) {
   const std::string dir = TestDir("idx_corrupt_file");
   std::vector<int64_t> values;
   for (int64_t i = 0; i < 41; ++i) values.push_back((i * 29) % 41);
-  const std::string path = dir + "/idx-0.mix";
-  ASSERT_TRUE(WriteIndex(path, "k", Column::FromInts(values)).ok());
+  const std::string path = dir + "/seg-0.mip";
+  ASSERT_TRUE(WriteIndexedColumn(path, "k", Column::FromInts(values)).ok());
+  const SegmentFooter footer =
+      storage::ReadSegmentFooter(path).ValueOrDie();
+  const auto [index_begin, index_end] = IndexRegion(footer);
   auto bytes = storage::ReadFileBytes(path);
   ASSERT_TRUE(bytes.ok());
   const std::vector<uint8_t> good = bytes.ValueOrDie();
 
-  // Any single flipped bit lands in a region covered by a magic, a CRC, or
-  // a validated bound — the full audit must reject every one of them.
-  for (size_t pos = 0; pos < good.size(); ++pos) {
+  // Any single flipped bit of the index's blocks (entries, directory) lands
+  // under a CRC — the full audit must reject every one of them, and the
+  // segment footer that addresses them stays readable.
+  for (size_t pos = index_begin; pos < index_end; ++pos) {
     FlipByte(path, good, pos, 0x01);
-    auto footer = ReadIndexFooter(path);
-    if (footer.ok()) {
-      const Status audit = VerifyIndex(path, footer.ValueOrDie());
-      ASSERT_FALSE(audit.ok()) << "undetected flip at byte " << pos;
-      EXPECT_EQ(audit.code(), StatusCode::kIOError);
-    } else {
-      EXPECT_EQ(footer.status().code(), StatusCode::kIOError);
-    }
+    ASSERT_TRUE(storage::ReadSegmentFooter(path).ok()) << pos;
+    const Status audit = VerifyIndex(path, footer);
+    ASSERT_FALSE(audit.ok()) << "undetected flip at byte " << pos;
+    EXPECT_EQ(audit.code(), StatusCode::kIOError);
+    EXPECT_EQ(storage::ReadIndexDirectories(path, footer)[0].ok(),
+              pos < footer.indexes[0].directory.offset)
+        << "directory read at byte " << pos;
     FlipByte(path, good, pos, 0);
   }
 
   // Every truncated prefix loses the trailer (or leaves one whose offsets
-  // dangle): the footer read must fail typed, never crash or misread.
+  // dangle): the footer read must fail typed, never crash or misread, and
+  // the index audit through the cached footer fails typed too.
   for (size_t len = good.size(); len-- > 0;) {
     std::filesystem::resize_file(path, len);
-    auto footer = ReadIndexFooter(path);
-    ASSERT_FALSE(footer.ok()) << "accepted truncation to " << len;
-    EXPECT_EQ(footer.status().code(), StatusCode::kIOError);
+    auto read = storage::ReadSegmentFooter(path);
+    ASSERT_FALSE(read.ok()) << "accepted truncation to " << len;
+    EXPECT_EQ(read.status().code(), StatusCode::kIOError);
+    if (len < index_end) {
+      EXPECT_EQ(VerifyIndex(path, footer).code(), StatusCode::kIOError) << len;
+    }
   }
 
   PatchFile(path, 0, good);
-  auto footer = ReadIndexFooter(path);
-  ASSERT_TRUE(footer.ok());
-  EXPECT_TRUE(VerifyIndex(path, footer.ValueOrDie()).ok());
+  EXPECT_TRUE(AuditSegment(path).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -1638,13 +1690,11 @@ Table MakePinnedTable() {
   return t.ValueOrDie();
 }
 
-// The size and CRC of each file WriteSegment and WriteIndex produce for
-// MakePinnedTable. A change here is a file format change: bump the version.
-constexpr uint64_t kPinnedSegmentSize = 44257;
-constexpr uint32_t kPinnedSegmentCrc = 0xD322A8DBu;
-constexpr uint64_t kPinnedIndexSizes[] = {8958, 19625, 11844};  // i, d, s
-constexpr uint32_t kPinnedIndexCrcs[] = {0x45713C93u, 0xBBCDEAC8u,
-                                         0x25BAFCFCu};
+// The size and CRC of the file WriteSegment produces for MakePinnedTable —
+// its column blocks and the indexes of all four columns. A change here is a
+// file format change: bump the version.
+constexpr uint64_t kPinnedSegmentSize = 90532;
+constexpr uint32_t kPinnedSegmentCrc = 0x02F3925Bu;
 
 void ExpectFileIs(const std::string& path, uint64_t size, uint32_t crc) {
   auto bytes = storage::ReadFileBytes(path);
@@ -1655,12 +1705,13 @@ void ExpectFileIs(const std::string& path, uint64_t size, uint32_t crc) {
 
 TEST(FileBytesTest, SegmentAndIndexFilesArePinned) {
   const std::string dir = TestDir("pinned_bytes");
+  const std::string path = dir + "/seg-0.mip";
   const Table t = MakePinnedTable();
-  auto written = storage::WriteSegment(dir + "/seg-0.mip", t);
+  auto written = storage::WriteSegment(path, t);
   ASSERT_TRUE(written.ok()) << written.status().ToString();
-  ExpectFileIs(dir + "/seg-0.mip", kPinnedSegmentSize, kPinnedSegmentCrc);
+  ExpectFileIs(path, kPinnedSegmentSize, kPinnedSegmentCrc);
 
-  auto read = storage::ReadSegmentFooter(dir + "/seg-0.mip");
+  auto read = storage::ReadSegmentFooter(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   const SegmentFooter& w = written.ValueOrDie();
   const SegmentFooter& r = read.ValueOrDie();
@@ -1672,62 +1723,52 @@ TEST(FileBytesTest, SegmentAndIndexFilesArePinned) {
     EXPECT_EQ(r.columns[c].zone.null_count, w.columns[c].zone.null_count);
     EXPECT_EQ(r.columns[c].zone.has_nan, w.columns[c].zone.has_nan);
   }
-  auto data = storage::ReadSegmentData(dir + "/seg-0.mip", r);
+  auto data = storage::ReadSegmentData(path, r);
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   EXPECT_EQ(TableBytes(data.ValueOrDie()), TableBytes(t));
 
-  const char* key_columns[] = {"i", "d", "s"};
-  for (size_t k = 0; k < 3; ++k) {
-    const std::string path = dir + "/idx-" + std::to_string(k) + ".mix";
-    auto col = t.ColumnByName(key_columns[k]);
-    ASSERT_TRUE(col.ok());
-    auto wi = WriteIndex(path, key_columns[k], *col.ValueOrDie());
-    ASSERT_TRUE(wi.ok()) << wi.status().ToString();
-    ExpectFileIs(path, kPinnedIndexSizes[k], kPinnedIndexCrcs[k]);
-    auto ri = ReadIndexFooter(path);
-    ASSERT_TRUE(ri.ok()) << ri.status().ToString();
-    const IndexFooter& a = wi.ValueOrDie();
-    const IndexFooter& b = ri.ValueOrDie();
-    EXPECT_EQ(b.column, a.column);
-    EXPECT_EQ(b.num_rows, a.num_rows);
-    EXPECT_EQ(b.num_entries, a.num_entries);
-    EXPECT_EQ(b.nan_count, a.nan_count);
-    EXPECT_EQ(b.nan_block, a.nan_block);
-    ASSERT_EQ(b.blocks.size(), a.blocks.size());
-    EXPECT_EQ(a.blocks.size(), 3u);
-    for (size_t i = 0; i < a.blocks.size(); ++i) {
-      EXPECT_EQ(b.blocks[i].count, a.blocks[i].count);
-      EXPECT_EQ(b.blocks[i].ref, a.blocks[i].ref);
-    }
-    EXPECT_TRUE(VerifyIndex(path, b).ok());
+  // One index per column, in schema order, each directory matching the
+  // column it covers.
+  ASSERT_EQ(r.indexes.size(), 4u);
+  ASSERT_EQ(w.indexes.size(), 4u);
+  const std::vector<Result<IndexDirectory>> directories =
+      storage::ReadIndexDirectories(path, r);
+  ASSERT_EQ(directories.size(), 4u);
+  for (size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(r.indexes[k].field, k);
+    EXPECT_EQ(r.indexes[k].field, w.indexes[k].field);
+    EXPECT_EQ(r.indexes[k].directory, w.indexes[k].directory);
+    ASSERT_TRUE(directories[k].ok()) << directories[k].status().ToString();
+    const IndexDirectory& d = directories[k].ValueOrDie();
+    EXPECT_EQ(d.column, r.columns[k].name);
+    EXPECT_EQ(d.num_rows, 3000u);
+    EXPECT_EQ(d.num_entries + d.nan_count + r.columns[k].zone.null_count,
+              3000u);
+    EXPECT_EQ(d.blocks.size(), 3u);
   }
+  EXPECT_TRUE(VerifyIndex(path, r).ok());
   // The double column's NaN cells reach the NaN side list.
-  auto d = ReadIndexFooter(dir + "/idx-1.mix");
-  ASSERT_TRUE(d.ok());
-  EXPECT_GT(d.ValueOrDie().nan_count, 0u);
+  EXPECT_GT(directories[1].ValueOrDie().nan_count, 0u);
 }
 
 TEST(FileBytesTest, FootersLargerThanTheTailReadRoundTrip) {
   // A 70 KiB string is both zone-map bounds of the segment column and both
-  // keys of the index's one block: each footer outgrows the 64 KiB tail.
+  // keys of the index's one block: the segment footer and the index
+  // directory each outgrow the 64 KiB tail.
   const std::string dir = TestDir("large_footer");
+  const std::string path = dir + "/seg-0.mip";
   const std::string big(70 * 1024, 'x');
-  auto t = Table::Make(Schema({{"s", DataType::kString}}),
-                       {Column::FromStrings({big})});
-  ASSERT_TRUE(t.ok());
-  auto seg = storage::WriteSegment(dir + "/seg-0.mip", t.ValueOrDie());
-  ASSERT_TRUE(seg.ok());
-  auto read = storage::ReadSegment(dir + "/seg-0.mip");
+  auto directory = WriteIndexedColumn(path, "s", Column::FromStrings({big}));
+  ASSERT_TRUE(directory.ok()) << directory.status().ToString();
+  auto read = storage::ReadSegment(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(TableBytes(read.ValueOrDie()), TableBytes(t.ValueOrDie()));
-
-  const std::string path = dir + "/idx-0.mix";
-  ASSERT_TRUE(WriteIndex(path, "s", Column::FromStrings({big})).ok());
-  auto footer = ReadIndexFooter(path);
-  ASSERT_TRUE(footer.ok()) << footer.status().ToString();
-  ASSERT_EQ(footer.ValueOrDie().blocks.size(), 1u);
-  EXPECT_EQ(footer.ValueOrDie().blocks[0].first_s, big);
-  EXPECT_TRUE(VerifyIndex(path, footer.ValueOrDie()).ok());
+  EXPECT_EQ(TableBytes(read.ValueOrDie()),
+            TableBytes(Table::Make(Schema({{"s", DataType::kString}}),
+                                   {Column::FromStrings({big})})
+                           .ValueOrDie()));
+  ASSERT_EQ(directory.ValueOrDie().blocks.size(), 1u);
+  EXPECT_EQ(directory.ValueOrDie().blocks[0].first_s, big);
+  EXPECT_TRUE(AuditSegment(path).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -1747,15 +1788,68 @@ TEST(StoreIndexTest, FlushBuildsOneIndexPerColumn) {
     EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 15u);  // 5 segs x 3 cols
     EXPECT_TRUE((*store)->VerifyIndexes().ok());
   }
-  // The indexes are committed with their segments: a reopen loads them all.
+  // The indexes live in their segment files: a reopen loads them all.
   auto store = StorageEngine::Open(dir, options);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 15u);
-  EXPECT_EQ(IndexFiles(dir).size(), 15u);
+  EXPECT_TRUE(IndexFiles(dir).empty());
   EXPECT_TRUE((*store)->VerifyIndexes().ok());
 }
 
-/// Shared harness for the index-corruption sweeps: a 3-segment store with
+/// Exactly one seg-<id>.mip per committed segment, MANIFEST and its spare,
+/// and the live WAL: no other file.
+void ExpectOneFilePerSegment(const StorageEngine& store,
+                             const std::string& context) {
+  const std::vector<std::string> names =
+      storage::ListDir(store.dir()).ValueOrDie();  // sorted
+  uint64_t segs = 0, wals = 0, other = 0;
+  for (const std::string& n : names) {
+    if (n.rfind("seg-", 0) == 0 && n.size() > 8 &&
+        n.compare(n.size() - 4, 4, ".mip") == 0) {
+      ++segs;
+    } else if (n.rfind("wal-", 0) == 0) {
+      ++wals;
+    } else if (n != "MANIFEST" && n != "MANIFEST.tmp") {
+      ++other;
+      ADD_FAILURE() << context << ": unexpected file " << n;
+    }
+  }
+  EXPECT_EQ(segs, store.SegmentCount("t").ValueOrDie()) << context;
+  EXPECT_EQ(wals, 1u) << context;
+  EXPECT_TRUE(std::binary_search(names.begin(), names.end(), "MANIFEST"))
+      << context;
+  EXPECT_TRUE(std::binary_search(names.begin(), names.end(), "MANIFEST.tmp"))
+      << context;
+  EXPECT_EQ(other, 0u) << context;
+}
+
+TEST(StoreIndexTest, OneFilePerSegmentThroughFlushCompactAndReopen) {
+  const std::string dir = TestDir("store_one_file");
+  StorageOptions options;
+  options.target_segment_rows = 50;
+  {
+    auto store = StorageEngine::Open(dir, options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeKeyedTable(0, 120)).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->AppendRows("t", MakeKeyedTable(120, 80)).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_EQ((*store)->SegmentCount("t").ValueOrDie(), 5u);
+    EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 15u);
+    ExpectOneFilePerSegment(**store, "after flush");
+    ASSERT_TRUE((*store)->Compact("t").ok());
+    ASSERT_EQ((*store)->SegmentCount("t").ValueOrDie(), 4u);
+    EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 12u);
+    ExpectOneFilePerSegment(**store, "after compaction");
+  }
+  auto store = StorageEngine::Open(dir, options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 12u);
+  EXPECT_TRUE((*store)->VerifyIndexes().ok());
+  ExpectOneFilePerSegment(**store, "after reopen");
+}
+
+/// Shared harness for the index-corruption sweep: a 3-segment store with
 /// every column indexed, plus reference answers computed while healthy.
 struct CorruptionFixture {
   std::string dir;
@@ -1819,44 +1913,28 @@ struct CorruptionFixture {
 
 TEST(StoreIndexTest, EveryFlippedIndexByteFallsBackToScanNeverWrongRows) {
   CorruptionFixture fx = CorruptionFixture::Make("store_idx_flip");
-  for (const std::string& path : IndexFiles(fx.dir)) {
+  auto names = storage::ListDir(fx.dir);
+  ASSERT_TRUE(names.ok());
+  uint64_t swept = 0;
+  for (const std::string& name : names.ValueOrDie()) {
+    if (name.rfind("seg-", 0) != 0) continue;
+    const std::string path = fx.dir + "/" + name;
+    auto footer = storage::ReadSegmentFooter(path);
+    ASSERT_TRUE(footer.ok());
+    ASSERT_EQ(footer.ValueOrDie().indexes.size(), 3u);
     auto bytes = storage::ReadFileBytes(path);
     ASSERT_TRUE(bytes.ok());
     const std::vector<uint8_t> good = bytes.ValueOrDie();
-    for (size_t pos = 0; pos < good.size(); ++pos) {
+    // Entry, NaN and directory blocks of every column's index.
+    const auto [begin, end] = IndexRegion(footer.ValueOrDie());
+    for (size_t pos = begin; pos < end; ++pos) {
       FlipByte(path, good, pos, 0x01);
       fx.CheckFallback(path + " flip@" + std::to_string(pos));
       FlipByte(path, good, pos, 0);
+      ++swept;
     }
   }
-}
-
-TEST(StoreIndexTest, EveryTruncatedIndexPrefixFallsBackToScan) {
-  CorruptionFixture fx = CorruptionFixture::Make("store_idx_trunc");
-  for (const std::string& path : IndexFiles(fx.dir)) {
-    auto bytes = storage::ReadFileBytes(path);
-    ASSERT_TRUE(bytes.ok());
-    const std::vector<uint8_t> good = bytes.ValueOrDie();
-    // Every 7th prefix, longest first, so each cut is a truncate(2).
-    for (size_t len = (good.size() - 1) / 7 * 7;; len -= 7) {
-      std::filesystem::resize_file(path, len);
-      fx.CheckFallback(path + " trunc@" + std::to_string(len));
-      if (len == 0) break;
-    }
-    PatchFile(path, 0, good);
-  }
-}
-
-TEST(StoreIndexTest, MissingIndexFileFallsBackAndFailsVerify) {
-  CorruptionFixture fx = CorruptionFixture::Make("store_idx_missing");
-  const std::vector<std::string> files = IndexFiles(fx.dir);
-  ASSERT_EQ(files.size(), 9u);
-  ASSERT_TRUE(storage::RemoveFile(files[1]).ok());
-  fx.CheckFallback("missing " + files[1]);
-  // The eight intact indexes still load; only the missing one is invalid.
-  auto store = StorageEngine::Open(fx.dir, fx.options);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 8u);
+  EXPECT_GT(swept, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1940,8 +2018,8 @@ TEST(CompactionTest, KillBetweenEveryStepRecoversExactBytes) {
                              .ValueOrDie()),
               bytes0);
   }
-  // begin + 4 x (segment + key/val/grp indexes) + pre/post-commit + done.
-  ASSERT_EQ(steps.size(), 20u);
+  // begin + 4 segments (each holding its indexes) + pre/post-commit + done.
+  ASSERT_EQ(steps.size(), 8u);
 
   // Crash at every step: the process dies with no cleanup whatsoever, and
   // the next Open must land on exactly the old or the new epoch — same
@@ -1968,8 +2046,9 @@ TEST(CompactionTest, KillBetweenEveryStepRecoversExactBytes) {
     EXPECT_EQ(TableBytes(scan.ValueOrDie()), bytes0) << context;
     EXPECT_TRUE((*store)->VerifyIndexes().ok()) << context;
 
-    // Nothing dangles: on-disk segments/indexes are exactly the committed
-    // ones, and no tmp file but the manifest's spare survives recovery.
+    // Nothing dangles: on-disk segments are exactly the committed ones, each
+    // holding its indexes, and no tmp file but the manifest's spare
+    // survives recovery.
     uint64_t seg_files = 0;
     auto names = storage::ListDir(dir);
     ASSERT_TRUE(names.ok());
@@ -1980,8 +2059,8 @@ TEST(CompactionTest, KillBetweenEveryStepRecoversExactBytes) {
       if (n.rfind("seg-", 0) == 0) ++seg_files;
     }
     EXPECT_EQ(seg_files, (*store)->SegmentCount("t").ValueOrDie()) << context;
-    EXPECT_EQ(IndexFiles(dir).size(),
-              (*store)->IndexCount("t").ValueOrDie())
+    EXPECT_TRUE(IndexFiles(dir).empty()) << context;
+    EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 3 * seg_files)
         << context;
 
     // And the recovered store keeps working: a full compaction now lands.
@@ -2321,8 +2400,9 @@ TEST(StorageCountersTest, CountersTrackFlushScanProbeCompactReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Manifest versions: v1 is rejected; a v2 manifest without indexes gains
-// them on boot
+// Earlier formats: a v1 manifest is rejected; v2 and v3 manifests load with
+// their index lists discarded; a directory of v1 segments scans by zone maps
+// until a compaction rewrites it
 // ---------------------------------------------------------------------------
 
 TEST(ManifestCompatTest, V1RejectedAndIndexlessManifestScansByZoneMaps) {
@@ -2375,31 +2455,19 @@ TEST(ManifestCompatTest, V1RejectedAndIndexlessManifestScansByZoneMaps) {
         << v1.status().ToString();
   }
 
-  // Commit a v2 MANIFEST whose segments list no indexes.
-  std::vector<std::string> old_index_files;
-  for (storage::ManifestTable& t : m.tables) {
-    for (storage::ManifestSegment& s : t.segments) {
-      for (const storage::ManifestIndex& idx : s.indexes) {
-        old_index_files.push_back(dir + "/idx-" + std::to_string(idx.id) +
-                                  ".mix");
-      }
-      s.indexes.clear();
-    }
-  }
-  ASSERT_EQ(old_index_files.size(), 9u);
-  for (const std::string& f : old_index_files) {
-    ASSERT_TRUE(storage::FileExists(f)) << f;
-  }
-  ASSERT_TRUE(storage::SaveManifest(dir + "/MANIFEST", m).ok());
-
-  // Open: the now-unreferenced idx files are swept as orphans and nothing
-  // rebuilds them; both scan paths fall back to zone maps, same bytes.
+  // A v2 MANIFEST listing an index file per (segment, column), as that
+  // format did: the lists are parsed and discarded — the v4 manifest lists
+  // no index, and the segments keep their own. An idx-*.mix left beside
+  // them is an orphan. (That format unlinked a flushed WAL; a v2 manifest
+  // replays unseeded, so the recycled one must go.)
+  ASSERT_TRUE(
+      storage::WriteFileAtomic(dir + "/MANIFEST", V2ManifestBytes(m)).ok());
+  ASSERT_TRUE(storage::RemoveFile(WalName(dir, m.wal_id)).ok());
+  ASSERT_TRUE(storage::WriteFileAtomic(dir + "/idx-4.mix", {1, 2, 3}).ok());
   auto store = StorageEngine::Open(dir, options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  for (const std::string& f : old_index_files) {
-    EXPECT_FALSE(storage::FileExists(f)) << f;
-  }
-  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 0u);
+  EXPECT_TRUE(IndexFiles(dir).empty());
+  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 9u);
   EXPECT_TRUE((*store)->VerifyIndexes().ok());
   EXPECT_EQ(TableBytes((*store)->ScanTable("t", nullptr, nullptr)
                            .ValueOrDie()),
@@ -2408,13 +2476,82 @@ TEST(ManifestCompatTest, V1RejectedAndIndexlessManifestScansByZoneMaps) {
   ASSERT_TRUE(index_scan.ok());
   EXPECT_EQ(TableBytes(index_scan.ValueOrDie()), bytes0);
 
-  // A compaction rewrites the segments and indexes them again.
+  // The next commit writes the index-free version 4.
   ASSERT_TRUE((*store)->Compact("t").ok());
-  EXPECT_GT((*store)->IndexCount("t").ValueOrDie(), 0u);
+  EXPECT_EQ(storage::ReadFileBytes(dir + "/MANIFEST").ValueOrDie()[4],
+            storage::kManifestVersion);
   EXPECT_TRUE((*store)->VerifyIndexes().ok());
   EXPECT_EQ(TableBytes((*store)->ScanTable("t", nullptr, nullptr)
                            .ValueOrDie()),
             bytes0);
+}
+
+/// A directory the previous storage format wrote (tests/testdata, see its
+/// README): MANIFEST v3 listing six idx-*.mix index files, two version-1
+/// segments of MakeKeyedTable(0, 80), and a WAL holding
+/// MakeKeyedTable(80, 20) unflushed. Copied, because Open sweeps it.
+std::string CopyPreviousFormatStore(const std::string& name) {
+  const std::string dir = TestDir(name);
+  const std::string src = std::string(MIP_TESTDATA_DIR) + "/segment_v1_store";
+  const std::vector<std::string> names = storage::ListDir(src).ValueOrDie();
+  for (const std::string& n : names) {
+    EXPECT_TRUE(storage::WriteFileAtomic(
+                    dir + "/" + n,
+                    storage::ReadFileBytes(src + "/" + n).ValueOrDie())
+                    .ok());
+  }
+  return dir;
+}
+
+TEST(FormatUpgradeTest, PreviousFormatStoreScansByZoneMapsUntilCompacted) {
+  const std::string dir = CopyPreviousFormatStore("upgrade_v1_segments");
+  ASSERT_EQ(IndexFiles(dir).size(), 6u);
+  const std::vector<uint8_t> want =
+      ConcatBytes({MakeKeyedTable(0, 80), MakeKeyedTable(80, 20)});
+  // Recorded from the previous format's own scan of this directory.
+  ASSERT_EQ(want.size(), 2271u);
+  ASSERT_EQ(Crc32(want), 0xF27105B5u);
+  const auto query = [](StorageEngine* store, bool use_index) {
+    Database db("upgrade");
+    EXPECT_TRUE(db.AttachStorage(store).ok());
+    db.optimizer_options().index_scan = use_index;
+    auto r = db.ExecuteSql(
+        "SELECT key, val, grp FROM t WHERE key >= 300000 AND key < 700000 "
+        "AND grp = 'g3'");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? TableBytes(r.ValueOrDie()) : std::vector<uint8_t>{};
+  };
+
+  std::vector<uint8_t> filtered;
+  {
+    auto store = StorageEngine::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    // Every row exactly once, in order; the segments have no indexes and
+    // the old index files are swept.
+    EXPECT_EQ((*store)->SegmentCount("t").ValueOrDie(), 2u);
+    EXPECT_EQ((*store)->MemtableRows("t").ValueOrDie(), 20u);
+    EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 0u);
+    EXPECT_TRUE(IndexFiles(dir).empty());
+    EXPECT_TRUE((*store)->VerifyIndexes().ok());
+    EXPECT_EQ(ScanAll(**store, "t"), want);
+    auto index_scan = (*store)->IndexScanTable("t", nullptr, nullptr);
+    ASSERT_TRUE(index_scan.ok());
+    EXPECT_EQ(TableBytes(index_scan.ValueOrDie()), want);
+    filtered = query(store.ValueOrDie().get(), false);
+    EXPECT_EQ(query(store.ValueOrDie().get(), true), filtered);
+
+    // A compaction rewrites the two segments as one indexed segment.
+    ASSERT_TRUE((*store)->Compact("t").ok());
+    EXPECT_EQ(ScanAll(**store, "t"), want);
+  }
+  auto store = StorageEngine::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->SegmentCount("t").ValueOrDie(), 1u);
+  EXPECT_EQ((*store)->IndexCount("t").ValueOrDie(), 3u);  // one per column
+  EXPECT_TRUE((*store)->VerifyIndexes().ok());
+  EXPECT_EQ(ScanAll(**store, "t"), want);
+  EXPECT_EQ(query(store.ValueOrDie().get(), false), filtered);
+  EXPECT_EQ(query(store.ValueOrDie().get(), true), filtered);
 }
 
 // ---------------------------------------------------------------------------
