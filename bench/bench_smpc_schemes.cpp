@@ -97,8 +97,8 @@ SitePoint RunSites(int sites, size_t n, mip::ThreadPool* pool) {
   config.scheme = mip::smpc::SmpcScheme::kFullThreshold;
   config.num_nodes = 3;
   config.threshold = 1;
-  config.pool = pool;
   mip::smpc::SmpcCluster cluster(config);
+  cluster.set_pool(pool);
   std::vector<double> values(n);
   for (size_t i = 0; i < n; ++i) {
     values[i] = 0.25 + 0.001 * static_cast<double>(i % 97);

@@ -82,7 +82,7 @@ echo "== determinism: MIP_THREADS=1 vs MIP_THREADS=8 output diff =="
 # deterministic end-to-end examples between a serial and a parallel run;
 # any float divergence in the engine, algorithms, or federation fails CI.
 # (engine_tour is excluded: it prints wall-clock timings.)
-for example in quickstart epilepsy_study; do
+for example in quickstart epilepsy_study alzheimer_study; do
   MIP_THREADS=1 "$ROOT/build/examples/$example" > /tmp/mip_det_t1.txt
   MIP_THREADS=8 "$ROOT/build/examples/$example" > /tmp/mip_det_t8.txt
   diff -u /tmp/mip_det_t1.txt /tmp/mip_det_t8.txt || {
@@ -97,7 +97,7 @@ echo "== determinism: MIP_OPTIMIZER=1 vs MIP_OPTIMIZER=0 output diff =="
 # run merge-aggregate SQL, so their full stdout must be byte-identical with
 # the plan optimizer disabled. Any divergence means a rewrite rule changed
 # row order, grouping order, or float arithmetic order.
-for example in quickstart epilepsy_study; do
+for example in quickstart epilepsy_study alzheimer_study; do
   MIP_OPTIMIZER=1 "$ROOT/build/examples/$example" > /tmp/mip_opt_on.txt
   MIP_OPTIMIZER=0 "$ROOT/build/examples/$example" > /tmp/mip_opt_off.txt
   diff -u /tmp/mip_opt_on.txt /tmp/mip_opt_off.txt || {
@@ -110,7 +110,7 @@ echo "== determinism: MIP_COST_MODEL=1 vs MIP_COST_MODEL=0 output diff =="
 # The cost model only flips the *physical* join strategy (broadcast vs
 # collect); both strategies are byte-identical by construction, so the
 # ablation must not change a single output byte of the examples.
-for example in quickstart epilepsy_study; do
+for example in quickstart epilepsy_study alzheimer_study; do
   MIP_COST_MODEL=1 "$ROOT/build/examples/$example" > /tmp/mip_cm_on.txt
   MIP_COST_MODEL=0 "$ROOT/build/examples/$example" > /tmp/mip_cm_off.txt
   diff -u /tmp/mip_cm_on.txt /tmp/mip_cm_off.txt || {

@@ -21,9 +21,6 @@ class Stopwatch {
   /// Elapsed milliseconds since construction / last Reset.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
-  /// Elapsed microseconds since construction / last Reset.
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

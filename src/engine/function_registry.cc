@@ -36,11 +36,4 @@ const FunctionRegistry::TableFunction* FunctionRegistry::FindTable(
   return it == tables_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string> FunctionRegistry::ScalarNames() const {
-  std::vector<std::string> names;
-  names.reserve(scalars_.size());
-  for (const auto& [k, v] : scalars_) names.push_back(k);
-  return names;
-}
-
 }  // namespace mip::engine

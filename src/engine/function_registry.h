@@ -43,8 +43,6 @@ class FunctionRegistry {
   const ScalarFunction* FindScalar(const std::string& name) const;
   const TableFunction* FindTable(const std::string& name) const;
 
-  std::vector<std::string> ScalarNames() const;
-
  private:
   std::map<std::string, ScalarFunction> scalars_;
   std::map<std::string, TableFunction> tables_;

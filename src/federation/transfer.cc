@@ -183,8 +183,6 @@ Result<TransferData> TransferData::Deserialize(BufferReader* r) {
   return out;
 }
 
-size_t TransferData::SerializedBytes() const { return RawSerializedBytes(); }
-
 size_t TransferData::RawSerializedBytes() const {
   BufferWriter counter = BufferWriter::Counter();
   Serialize(&counter);

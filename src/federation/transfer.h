@@ -55,9 +55,6 @@ class TransferData {
   bool HasVector(const std::string& key) const {
     return vectors_.count(key) > 0;
   }
-  bool HasMatrix(const std::string& key) const {
-    return matrices_.count(key) > 0;
-  }
   bool HasTable(const std::string& key) const { return tables_.count(key) > 0; }
 
   Result<double> GetScalar(const std::string& key) const;
@@ -93,10 +90,9 @@ class TransferData {
   void SerializeForWire(BufferWriter* w) const;
   /// Accepts both the v1 and the v2 layout (sniffed from the first bytes).
   static Result<TransferData> Deserialize(BufferReader* r);
-  size_t SerializedBytes() const;
   /// Exact v1 byte size, measured by the v1 walk into a byte-counting sink
   /// (no bytes are built) — the "raw" side of the bytes_raw/bytes_wire
-  /// compression ledger. Equal to SerializedBytes().
+  /// compression ledger.
   size_t RawSerializedBytes() const;
 
   /// Elementwise sum of the numeric parts of several transfers (all must

@@ -1,6 +1,6 @@
 #include "smpc/cluster.h"
 
-#include <cmath>
+#include <algorithm>
 #include <sstream>
 
 #include "common/stopwatch.h"
@@ -35,11 +35,7 @@ SmpcCluster::SmpcCluster(SmpcConfig config)
 void SmpcCluster::PrecomputeTriples(size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
   Stopwatch sw;
-  if (config_.use_batched_kernels) {
-    dealer_.PrecomputeTriples(count);
-  } else {
-    dealer_.PrecomputeTriplesScalar(count);
-  }
+  dealer_.PrecomputeTriples(count);
   const double ms = sw.ElapsedMillis();
   stats_.offline_seconds += ms / 1e3;
   stats_.triple_ms.Record(ms);
@@ -80,15 +76,11 @@ Status SmpcCluster::ImportShares(const std::string& job_id,
     // Authenticated sharing per the active-security import mechanism:
     // every node receives a value-limb column plus a MAC-limb column,
     // shipped as columnar wire blocks.
-    SpdzMatrix m = config_.use_batched_kernels
-                       ? dealer_.ShareVectorBatch(encoded, Exec())
-                       : ToMatrix(dealer_.ShareVector(encoded));
+    SpdzMatrix m = dealer_.ShareVectorBatch(encoded, Exec());
     AccountTransfer(MeasureFtWire(m), 1);
     ft_jobs_[job_id].contributions.push_back(std::move(m));
   } else {
-    auto shares = config_.use_batched_kernels
-                      ? shamir_.ShareVectorBatch(encoded, &rng_, Exec())
-                      : shamir_.ShareVector(encoded, &rng_);
+    auto shares = shamir_.ShareVectorBatch(encoded, &rng_, Exec());
     AccountTransfer(MeasureShamirWire(shares), 1);
     shamir_jobs_[job_id].contributions.push_back(std::move(shares));
   }
@@ -98,23 +90,50 @@ Status SmpcCluster::ImportShares(const std::string& job_id,
   return Status::OK();
 }
 
-size_t SmpcCluster::NumContributions(const std::string& job_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<size_t> SmpcCluster::ContributionLengths(
+    const std::string& job_id) const {
+  std::vector<size_t> lengths;
   if (config_.scheme == SmpcScheme::kFullThreshold) {
     auto it = ft_jobs_.find(job_id);
-    return it == ft_jobs_.end() ? 0 : it->second.contributions.size();
+    if (it == ft_jobs_.end()) return lengths;
+    for (const SpdzMatrix& c : it->second.contributions) {
+      lengths.push_back(c[0].size());
+    }
+  } else {
+    auto it = shamir_jobs_.find(job_id);
+    if (it == shamir_jobs_.end()) return lengths;
+    for (const auto& c : it->second.contributions) {
+      lengths.push_back(c[0].size());
+    }
   }
-  auto it = shamir_jobs_.find(job_id);
-  return it == shamir_jobs_.end() ? 0 : it->second.contributions.size();
+  return lengths;
+}
+
+size_t SmpcCluster::NumContributions(const std::string& job_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ContributionLengths(job_id).size();
 }
 
 Status SmpcCluster::Compute(const std::string& job_id, SmpcOp op,
                             const NoiseSpec& noise) {
   std::lock_guard<std::mutex> lock(mu_);
   Stopwatch sw;
-  Status st = config_.scheme == SmpcScheme::kFullThreshold
-                  ? ComputeFt(job_id, op, noise)
-                  : ComputeShamir(job_id, op, noise);
+  // Both schemes' kernels read every contribution over the first one's
+  // length, so the shape is checked once here, before either runs.
+  const std::vector<size_t> lengths = ContributionLengths(job_id);
+  Status st;
+  if (lengths.empty()) {
+    st = Status::NotFound("no imported shares for job '" + job_id + "'");
+  } else if (op != SmpcOp::kUnion &&
+             std::any_of(lengths.begin(), lengths.end(),
+                         [&](size_t n) { return n != lengths[0]; })) {
+    st = Status::InvalidArgument(
+        "contribution vector lengths differ for elementwise op");
+  } else if (config_.scheme == SmpcScheme::kFullThreshold) {
+    st = ComputeFt(job_id, op, noise);
+  } else {
+    st = ComputeShamir(job_id, op, noise);
+  }
   const double ms = sw.ElapsedMillis();
   stats_.online_seconds += ms / 1e3;
   stats_.online_ms.Record(ms);
@@ -163,69 +182,6 @@ Status SmpcCluster::TamperWithShare(int node, const std::string& job_id,
   return Status::OK();
 }
 
-namespace {
-
-double DecodeWithScalePower(uint64_t v, double scale, int power) {
-  double mag;
-  double sign = 1.0;
-  if (v > Field::kPrime / 2) {
-    mag = static_cast<double>(Field::kPrime - v);
-    sign = -1.0;
-  } else {
-    mag = static_cast<double>(v);
-  }
-  return sign * mag / std::pow(scale, power);
-}
-
-// Scalar-path accessors into the SoA share storage.
-std::vector<SpdzShare> ElemShares(const SpdzMatrix& m, size_t e) {
-  std::vector<SpdzShare> out(m.size());
-  for (size_t p = 0; p < m.size(); ++p) {
-    out[p] = {m[p].values[e], m[p].macs[e]};
-  }
-  return out;
-}
-
-void SetElem(SpdzMatrix* m, size_t e, const std::vector<SpdzShare>& s) {
-  for (size_t p = 0; p < m->size(); ++p) {
-    (*m)[p].values[e] = s[p].value;
-    (*m)[p].macs[e] = s[p].mac;
-  }
-}
-
-}  // namespace
-
-Result<SpdzMatrix> SmpcCluster::MinMaxFt(const SpdzMatrix& x,
-                                         const SpdzMatrix& y, bool want_min) {
-  const size_t nodes = x.size();
-  const size_t n = x[0].size();
-  SpdzMatrix out(nodes);
-  for (auto& v : out) v.resize(n);
-  for (size_t e = 0; e < n; ++e) {
-    // d = x - y, blinded with a shared positive random r; only sign(d) is
-    // revealed, which IS the protocol output for a min/max query.
-    std::vector<SpdzShare> xe = ElemShares(x, e);
-    std::vector<SpdzShare> ye = ElemShares(y, e);
-    std::vector<SpdzShare> d(nodes);
-    for (size_t p = 0; p < nodes; ++p) d[p] = Spdz::Sub(xe[p], ye[p]);
-    std::vector<SpdzShare> r = dealer_.SharePositiveRandom(18);
-    std::vector<SpdzTriple> triple = dealer_.TakeTriple();
-    ++stats_.triples_consumed;
-    MIP_ASSIGN_OR_RETURN(
-        std::vector<SpdzShare> z,
-        Spdz::Multiply(d, r, triple, dealer_.alpha_shares()));
-    stats_.field_mults += 4 * nodes;
-    MIP_ASSIGN_OR_RETURN(uint64_t opened,
-                         Spdz::Open(z, dealer_.alpha_shares()));
-    AccountTransfer(nodes * 8 * 3, 2);  // eps, delta, z openings
-    const bool x_less = opened > Field::kPrime / 2;  // d < 0
-    const bool pick_x = want_min ? x_less : !x_less;
-    const std::vector<SpdzShare>& chosen = pick_x ? xe : ye;
-    SetElem(&out, e, chosen);
-  }
-  return out;
-}
-
 Result<SpdzMatrix> SmpcCluster::MinMaxFtVec(const SpdzMatrix& x,
                                             const SpdzMatrix& y,
                                             bool want_min) {
@@ -270,20 +226,9 @@ Result<SpdzMatrix> SmpcCluster::MinMaxFtVec(const SpdzMatrix& x,
 
 Status SmpcCluster::ComputeFt(const std::string& job_id, SmpcOp op,
                               const NoiseSpec& noise) {
-  auto it = ft_jobs_.find(job_id);
-  if (it == ft_jobs_.end() || it->second.contributions.empty()) {
-    return Status::NotFound("no imported shares for job '" + job_id + "'");
-  }
-  const auto& contributions = it->second.contributions;
+  const auto& contributions = ft_jobs_.at(job_id).contributions;
   const size_t nodes = static_cast<size_t>(config_.num_nodes);
   const size_t n = contributions[0][0].size();
-  for (const auto& c : contributions) {
-    if (c[0].size() != n && op != SmpcOp::kUnion) {
-      return Status::InvalidArgument(
-          "contribution vector lengths differ for elementwise op");
-    }
-  }
-  const bool batched = config_.use_batched_kernels;
   const VecExec exec = Exec();
 
   SpdzMatrix acc;
@@ -294,55 +239,30 @@ Status SmpcCluster::ComputeFt(const std::string& job_id, SmpcOp op,
       acc.assign(nodes, SpdzVec{});
       for (auto& v : acc) v.resize(n);
       for (const SpdzMatrix& contrib : contributions) {
-        if (batched) {
-          ParallelSpan(n, exec, [&](size_t b, size_t end) {
-            const size_t len = end - b;
-            for (size_t p = 0; p < nodes; ++p) {
-              field_vec::AddVec(acc[p].values.data() + b,
-                                contrib[p].values.data() + b, len,
-                                acc[p].values.data() + b);
-              field_vec::AddVec(acc[p].macs.data() + b,
-                                contrib[p].macs.data() + b, len,
-                                acc[p].macs.data() + b);
-            }
-          });
-        } else {
+        ParallelSpan(n, exec, [&](size_t b, size_t end) {
+          const size_t len = end - b;
           for (size_t p = 0; p < nodes; ++p) {
-            for (size_t e = 0; e < n; ++e) {
-              acc[p].values[e] =
-                  Field::Add(acc[p].values[e], contrib[p].values[e]);
-              acc[p].macs[e] = Field::Add(acc[p].macs[e], contrib[p].macs[e]);
-            }
+            field_vec::AddVec(acc[p].values.data() + b,
+                              contrib[p].values.data() + b, len,
+                              acc[p].values.data() + b);
+            field_vec::AddVec(acc[p].macs.data() + b,
+                              contrib[p].macs.data() + b, len,
+                              acc[p].macs.data() + b);
           }
-        }
+        });
       }
       break;
     }
     case SmpcOp::kProduct: {
       acc = contributions[0];
       for (size_t c = 1; c < contributions.size(); ++c) {
-        if (batched) {
-          SpdzTripleBlock triples = dealer_.TakeTriples(n);
-          stats_.triples_consumed += n;
-          SpdzMatrix z;
-          MIP_RETURN_NOT_OK(Spdz::MultiplyVec(acc, contributions[c], triples,
-                                              dealer_.alpha_shares(), exec,
-                                              &z));
-          stats_.field_mults += 4 * nodes * n;
-          acc = std::move(z);
-        } else {
-          for (size_t e = 0; e < n; ++e) {
-            std::vector<SpdzShare> xe = ElemShares(acc, e);
-            std::vector<SpdzShare> ye = ElemShares(contributions[c], e);
-            std::vector<SpdzTriple> triple = dealer_.TakeTriple();
-            ++stats_.triples_consumed;
-            MIP_ASSIGN_OR_RETURN(
-                std::vector<SpdzShare> z,
-                Spdz::Multiply(xe, ye, triple, dealer_.alpha_shares()));
-            stats_.field_mults += 4 * nodes;
-            SetElem(&acc, e, z);
-          }
-        }
+        SpdzTripleBlock triples = dealer_.TakeTriples(n);
+        stats_.triples_consumed += n;
+        SpdzMatrix z;
+        MIP_RETURN_NOT_OK(Spdz::MultiplyVec(acc, contributions[c], triples,
+                                            dealer_.alpha_shares(), exec, &z));
+        stats_.field_mults += 4 * nodes * n;
+        acc = std::move(z);
         AccountTransfer(nodes * 8 * 2 * n, 1);
         ++scale_power;
       }
@@ -352,13 +272,8 @@ Status SmpcCluster::ComputeFt(const std::string& job_id, SmpcOp op,
     case SmpcOp::kMax: {
       acc = contributions[0];
       for (size_t c = 1; c < contributions.size(); ++c) {
-        if (batched) {
-          MIP_ASSIGN_OR_RETURN(
-              acc, MinMaxFtVec(acc, contributions[c], op == SmpcOp::kMin));
-        } else {
-          MIP_ASSIGN_OR_RETURN(
-              acc, MinMaxFt(acc, contributions[c], op == SmpcOp::kMin));
-        }
+        MIP_ASSIGN_OR_RETURN(
+            acc, MinMaxFtVec(acc, contributions[c], op == SmpcOp::kMin));
       }
       break;
     }
@@ -393,24 +308,12 @@ Status SmpcCluster::ComputeFt(const std::string& job_id, SmpcOp op,
       }
       MIP_ASSIGN_OR_RETURN(std::vector<uint64_t> enc,
                            codec_.EncodeVector(partial));
-      SpdzMatrix noise_shares = batched
-                                    ? dealer_.ShareVectorBatch(enc, exec)
-                                    : ToMatrix(dealer_.ShareVector(enc));
+      SpdzMatrix noise_shares = dealer_.ShareVectorBatch(enc, exec);
       for (size_t p = 0; p < nodes; ++p) {
-        if (batched) {
-          field_vec::AddVec(acc[p].values.data(),
-                            noise_shares[p].values.data(), n_out,
-                            acc[p].values.data());
-          field_vec::AddVec(acc[p].macs.data(), noise_shares[p].macs.data(),
-                            n_out, acc[p].macs.data());
-        } else {
-          for (size_t e = 0; e < n_out; ++e) {
-            acc[p].values[e] =
-                Field::Add(acc[p].values[e], noise_shares[p].values[e]);
-            acc[p].macs[e] =
-                Field::Add(acc[p].macs[e], noise_shares[p].macs[e]);
-          }
-        }
+        field_vec::AddVec(acc[p].values.data(), noise_shares[p].values.data(),
+                          n_out, acc[p].values.data());
+        field_vec::AddVec(acc[p].macs.data(), noise_shares[p].macs.data(),
+                          n_out, acc[p].macs.data());
       }
     }
     AccountTransfer(static_cast<uint64_t>(nodes) * nodes * acc[0].size() * 16,
@@ -421,21 +324,11 @@ Status SmpcCluster::ComputeFt(const std::string& job_id, SmpcOp op,
   // broadcasts its value+MAC columns, measured on the columnar wire.
   Stopwatch rec_sw;
   const size_t n_out = acc[0].size();
+  std::vector<uint64_t> opened;
+  MIP_RETURN_NOT_OK(Spdz::OpenVec(acc, dealer_.alpha_shares(), exec, &opened));
   std::vector<double> result(n_out);
-  if (batched) {
-    std::vector<uint64_t> opened;
-    MIP_RETURN_NOT_OK(
-        Spdz::OpenVec(acc, dealer_.alpha_shares(), exec, &opened));
-    for (size_t e = 0; e < n_out; ++e) {
-      result[e] = DecodeWithScalePower(opened[e], codec_.scale(), scale_power);
-    }
-  } else {
-    for (size_t e = 0; e < n_out; ++e) {
-      MIP_ASSIGN_OR_RETURN(
-          uint64_t opened,
-          Spdz::Open(ElemShares(acc, e), dealer_.alpha_shares()));
-      result[e] = DecodeWithScalePower(opened, codec_.scale(), scale_power);
-    }
+  for (size_t e = 0; e < n_out; ++e) {
+    result[e] = codec_.Decode(opened[e], scale_power);
   }
   // One round to reveal + one commit/open round for the MAC check.
   AccountTransfer(MeasureFtWire(acc), 2);
@@ -448,14 +341,9 @@ Status SmpcCluster::ComputeFt(const std::string& job_id, SmpcOp op,
 
 Status SmpcCluster::ComputeShamir(const std::string& job_id, SmpcOp op,
                                   const NoiseSpec& noise) {
-  auto it = shamir_jobs_.find(job_id);
-  if (it == shamir_jobs_.end() || it->second.contributions.empty()) {
-    return Status::NotFound("no imported shares for job '" + job_id + "'");
-  }
-  const auto& contributions = it->second.contributions;
+  const auto& contributions = shamir_jobs_.at(job_id).contributions;
   const size_t nodes = static_cast<size_t>(config_.num_nodes);
   const size_t n = contributions[0][0].size();
-  const bool batched = config_.use_batched_kernels;
   const VecExec exec = Exec();
 
   std::vector<std::vector<uint64_t>> acc;
@@ -465,34 +353,21 @@ Status SmpcCluster::ComputeShamir(const std::string& job_id, SmpcOp op,
     case SmpcOp::kSum: {
       acc.assign(nodes, std::vector<uint64_t>(n, 0));
       for (const auto& contrib : contributions) {
-        if (batched) {
-          ParallelSpan(n, exec, [&](size_t b, size_t end) {
-            const size_t len = end - b;
-            for (size_t p = 0; p < nodes; ++p) {
-              field_vec::AddVec(acc[p].data() + b, contrib[p].data() + b, len,
-                                acc[p].data() + b);
-            }
-          });
-        } else {
+        ParallelSpan(n, exec, [&](size_t b, size_t end) {
+          const size_t len = end - b;
           for (size_t p = 0; p < nodes; ++p) {
-            for (size_t e = 0; e < n; ++e) {
-              acc[p][e] = Field::Add(acc[p][e], contrib[p][e]);
-            }
+            field_vec::AddVec(acc[p].data() + b, contrib[p].data() + b, len,
+                              acc[p].data() + b);
           }
-        }
+        });
       }
       break;
     }
     case SmpcOp::kProduct: {
       acc = contributions[0];
       for (size_t c = 1; c < contributions.size(); ++c) {
-        if (batched) {
-          MIP_ASSIGN_OR_RETURN(acc, shamir_.MultiplyReshareBatch(
-                                        acc, contributions[c], &rng_, exec));
-        } else {
-          MIP_ASSIGN_OR_RETURN(
-              acc, shamir_.MultiplyReshare(acc, contributions[c], &rng_));
-        }
+        MIP_ASSIGN_OR_RETURN(acc, shamir_.MultiplyReshareBatch(
+                                      acc, contributions[c], &rng_, exec));
         stats_.field_mults += nodes * nodes * n;
         AccountTransfer(static_cast<uint64_t>(nodes) * nodes * n * 8, 1);
         ++scale_power;
@@ -504,60 +379,30 @@ Status SmpcCluster::ComputeShamir(const std::string& job_id, SmpcOp op,
       acc = contributions[0];
       for (size_t c = 1; c < contributions.size(); ++c) {
         const auto& other = contributions[c];
-        if (batched) {
-          // Batched blinded-sign comparison: all elements' differences are
-          // blinded and opened in one exchange (2 rounds per contribution).
-          std::vector<std::vector<uint64_t>> d(nodes,
-                                               std::vector<uint64_t>(n));
-          for (size_t p = 0; p < nodes; ++p) {
-            field_vec::SubVec(acc[p].data(), other[p].data(), n, d[p].data());
-          }
-          std::vector<uint64_t> rs(n);
-          for (uint64_t& r : rs) r = 1 + rng_.NextBounded((1ull << 18) - 1);
-          auto r_shares = shamir_.ShareVectorBatch(rs, &rng_, exec);
-          MIP_ASSIGN_OR_RETURN(auto z, shamir_.MultiplyReshareBatch(
-                                           d, r_shares, &rng_, exec));
-          MIP_ASSIGN_OR_RETURN(std::vector<uint64_t> opened,
-                               shamir_.ReconstructVectorBatch(z, exec));
-          AccountTransfer(nodes * 8 * 2 * n, 2);
-          std::vector<std::vector<uint64_t>> next(nodes,
-                                                  std::vector<uint64_t>(n));
-          for (size_t e = 0; e < n; ++e) {
-            const bool x_less = opened[e] > Field::kPrime / 2;
-            const bool pick_x = (op == SmpcOp::kMin) ? x_less : !x_less;
-            for (size_t p = 0; p < nodes; ++p) {
-              next[p][e] = pick_x ? acc[p][e] : other[p][e];
-            }
-          }
-          acc = std::move(next);
-        } else {
-          std::vector<std::vector<uint64_t>> next(nodes,
-                                                  std::vector<uint64_t>(n));
-          for (size_t e = 0; e < n; ++e) {
-            // Blinded-sign comparison, honest-but-curious variant.
-            std::vector<std::vector<uint64_t>> d(nodes,
-                                                 std::vector<uint64_t>(1));
-            for (size_t p = 0; p < nodes; ++p) {
-              d[p][0] = Field::Sub(acc[p][e], other[p][e]);
-            }
-            const uint64_t r = 1 + rng_.NextBounded((1ull << 18) - 1);
-            std::vector<uint64_t> r_shares = shamir_.Share(r, &rng_);
-            std::vector<std::vector<uint64_t>> rs(nodes,
-                                                  std::vector<uint64_t>(1));
-            for (size_t p = 0; p < nodes; ++p) rs[p][0] = r_shares[p];
-            MIP_ASSIGN_OR_RETURN(auto z,
-                                 shamir_.MultiplyReshare(d, rs, &rng_));
-            MIP_ASSIGN_OR_RETURN(std::vector<uint64_t> opened,
-                                 shamir_.ReconstructVector(z));
-            AccountTransfer(nodes * 8 * 2, 2);
-            const bool x_less = opened[0] > Field::kPrime / 2;
-            const bool pick_x = (op == SmpcOp::kMin) ? x_less : !x_less;
-            for (size_t p = 0; p < nodes; ++p) {
-              next[p][e] = pick_x ? acc[p][e] : other[p][e];
-            }
-          }
-          acc = std::move(next);
+        // Blinded-sign comparison: all elements' differences are blinded
+        // and opened in one exchange (2 rounds per contribution).
+        std::vector<std::vector<uint64_t>> d(nodes, std::vector<uint64_t>(n));
+        for (size_t p = 0; p < nodes; ++p) {
+          field_vec::SubVec(acc[p].data(), other[p].data(), n, d[p].data());
         }
+        std::vector<uint64_t> rs(n);
+        for (uint64_t& r : rs) r = 1 + rng_.NextBounded((1ull << 18) - 1);
+        auto r_shares = shamir_.ShareVectorBatch(rs, &rng_, exec);
+        MIP_ASSIGN_OR_RETURN(
+            auto z, shamir_.MultiplyReshareBatch(d, r_shares, &rng_, exec));
+        MIP_ASSIGN_OR_RETURN(std::vector<uint64_t> opened,
+                             shamir_.ReconstructVectorBatch(z, exec));
+        AccountTransfer(nodes * 8 * 2 * n, 2);
+        std::vector<std::vector<uint64_t>> next(nodes,
+                                                std::vector<uint64_t>(n));
+        for (size_t e = 0; e < n; ++e) {
+          const bool x_less = opened[e] > Field::kPrime / 2;
+          const bool pick_x = (op == SmpcOp::kMin) ? x_less : !x_less;
+          for (size_t p = 0; p < nodes; ++p) {
+            next[p][e] = pick_x ? acc[p][e] : other[p][e];
+          }
+        }
+        acc = std::move(next);
       }
       break;
     }
@@ -584,17 +429,10 @@ Status SmpcCluster::ComputeShamir(const std::string& job_id, SmpcOp op,
       }
       MIP_ASSIGN_OR_RETURN(std::vector<uint64_t> enc,
                            codec_.EncodeVector(partial));
-      auto noise_shares = batched ? shamir_.ShareVectorBatch(enc, &rng_, exec)
-                                  : shamir_.ShareVector(enc, &rng_);
+      auto noise_shares = shamir_.ShareVectorBatch(enc, &rng_, exec);
       for (size_t p = 0; p < nodes; ++p) {
-        if (batched) {
-          field_vec::AddVec(acc[p].data(), noise_shares[p].data(), n_out,
-                            acc[p].data());
-        } else {
-          for (size_t e = 0; e < n_out; ++e) {
-            acc[p][e] = Field::Add(acc[p][e], noise_shares[p][e]);
-          }
-        }
+        field_vec::AddVec(acc[p].data(), noise_shares[p].data(), n_out,
+                          acc[p].data());
       }
     }
     AccountTransfer(static_cast<uint64_t>(nodes) * nodes * acc[0].size() * 8,
@@ -602,19 +440,15 @@ Status SmpcCluster::ComputeShamir(const std::string& job_id, SmpcOp op,
   }
 
   Stopwatch rec_sw;
-  std::vector<uint64_t> opened;
-  if (batched) {
-    MIP_ASSIGN_OR_RETURN(opened, shamir_.ReconstructVectorBatch(acc, exec));
-  } else {
-    MIP_ASSIGN_OR_RETURN(opened, shamir_.ReconstructVector(acc));
-  }
+  MIP_ASSIGN_OR_RETURN(std::vector<uint64_t> opened,
+                       shamir_.ReconstructVectorBatch(acc, exec));
   stats_.field_mults += nodes * acc[0].size();  // Lagrange recombination
   AccountTransfer(MeasureShamirWire(acc), 1);
   stats_.reconstruct_ms.Record(rec_sw.ElapsedMillis());
 
   std::vector<double> result(opened.size());
   for (size_t e = 0; e < opened.size(); ++e) {
-    result[e] = DecodeWithScalePower(opened[e], codec_.scale(), scale_power);
+    result[e] = codec_.Decode(opened[e], scale_power);
   }
   results_[job_id] = std::move(result);
   return Status::OK();
@@ -628,8 +462,6 @@ std::string SmpcCluster::MetricsText() const {
                                                       : "shamir")
      << "\n";
   os << "smpc_nodes " << config_.num_nodes << "\n";
-  os << "smpc_batched_kernels " << (config_.use_batched_kernels ? 1 : 0)
-     << "\n";
   os << "smpc_bytes_transferred " << stats_.bytes_transferred << "\n";
   os << "smpc_rounds " << stats_.rounds << "\n";
   os << "smpc_field_mults " << stats_.field_mults << "\n";

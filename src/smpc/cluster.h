@@ -28,6 +28,8 @@ enum class SmpcScheme { kFullThreshold, kShamir };
 /// min/max operation and disjoint union").
 enum class SmpcOp { kSum, kProduct, kMin, kMax, kUnion };
 
+/// One cluster's protocol settings (its thread pool is installed with
+/// SmpcCluster::set_pool).
 struct SmpcConfig {
   SmpcScheme scheme = SmpcScheme::kFullThreshold;
   int num_nodes = 3;
@@ -39,14 +41,6 @@ struct SmpcConfig {
   /// throughput on each link.
   double round_latency_ms = 2.0;
   double bandwidth_mbps = 100.0;
-  /// Batched kernels (field_vec) vs the scalar reference loops. Both paths
-  /// produce bit-identical shares, MACs and openings for the same seed (the
-  /// property tests pin this); the flag exists for the ablation benchmarks.
-  bool use_batched_kernels = true;
-  /// Optional morsel-parallelism for the batched kernels over large
-  /// vectors. Not owned; null runs single-threaded. Thread count never
-  /// changes results (deterministic chunking).
-  ThreadPool* pool = nullptr;
 };
 
 /// Communication/computation accounting for one cluster (reset-able). The
@@ -85,20 +79,22 @@ struct SmpcCostStats {
 /// The nodes are simulated in-process but the protocol structure is real:
 /// per-node share storage, explicit openings, MAC checks (FT), resharing
 /// rounds (Shamir), and byte/round accounting on every exchange. Share
-/// storage is SoA (SpdzMatrix / per-node limb vectors) so the batched
-/// field_vec kernels operate on contiguous spans; the scalar reference path
-/// reads the same storage through per-element accessors.
+/// storage is SoA (SpdzMatrix / per-node limb vectors) and every operation
+/// runs one whole vector at a time through the field_vec kernels; the scalar
+/// SPDZ/Shamir primitives are the reference the property tests hold those
+/// kernels to, and a plaintext oracle pins the cluster's opened results.
 class SmpcCluster {
  public:
   explicit SmpcCluster(SmpcConfig config);
 
   const SmpcConfig& config() const { return config_; }
 
-  /// Installs (or clears) the thread pool used for morsel-parallel batched
-  /// kernels. Safe to call between operations; never changes results.
+  /// Installs (or clears) the thread pool the kernels split large vectors
+  /// over. Not owned; null runs single-threaded. Safe to call between
+  /// operations; chunking is deterministic, so it never changes results.
   void set_pool(ThreadPool* pool) {
     std::lock_guard<std::mutex> lock(mu_);
-    config_.pool = pool;
+    pool_ = pool;
   }
 
   /// Runs the offline phase: pre-generates Beaver triples (full threshold
@@ -116,7 +112,8 @@ class SmpcCluster {
   /// Runs `op` over all contributions of `job_id` (elementwise across
   /// contributions for sum/product/min/max; concatenation for union),
   /// optionally injecting DP noise inside the protocol, and stores the
-  /// opened result for asynchronous retrieval.
+  /// opened result for asynchronous retrieval. Contributions of unequal
+  /// length are an InvalidArgument for every op but union.
   Status Compute(const std::string& job_id, SmpcOp op,
                  const NoiseSpec& noise = NoiseSpec());
 
@@ -156,7 +153,10 @@ class SmpcCluster {
     std::vector<std::vector<std::vector<uint64_t>>> contributions;
   };
 
-  VecExec Exec() const { return {config_.pool, 16384}; }
+  VecExec Exec() const { return {pool_, 16384}; }
+
+  /// Element count of each contribution imported under `job_id`.
+  std::vector<size_t> ContributionLengths(const std::string& job_id) const;
 
   Status ComputeFt(const std::string& job_id, SmpcOp op,
                    const NoiseSpec& noise);
@@ -164,14 +164,9 @@ class SmpcCluster {
                        const NoiseSpec& noise);
 
   // Secure elementwise min/max over two FT sharings via the blinded-sign
-  // comparison protocol (leaks only the comparison outcome). Scalar
-  // reference: one comparison round per element.
-  Result<SpdzMatrix> MinMaxFt(const SpdzMatrix& x, const SpdzMatrix& y,
-                              bool want_min);
-  // Batched variant: one comparison round per contribution (all elements'
-  // blinded differences open together). Blinding factors are drawn in bulk,
-  // so the Rng transcript differs from the scalar path, but the selection
-  // (sign of d) — and therefore the result — is identical.
+  // comparison protocol (leaks only the comparison outcome): all elements'
+  // blinded differences open together, one comparison round per
+  // contribution.
   Result<SpdzMatrix> MinMaxFtVec(const SpdzMatrix& x, const SpdzMatrix& y,
                                  bool want_min);
 
@@ -189,6 +184,7 @@ class SmpcCluster {
   /// sequential ones.
   mutable std::mutex mu_;
   SmpcConfig config_;
+  ThreadPool* pool_ = nullptr;
   Rng rng_;
   FixedPointCodec codec_;
   SpdzDealer dealer_;

@@ -37,10 +37,4 @@ void Field::RandomVec(uint64_t* out, size_t n, Rng* rng) {
   }
 }
 
-std::vector<uint64_t> Field::RandomVector(size_t n, Rng* rng) {
-  std::vector<uint64_t> out(n);
-  RandomVec(out.data(), n, rng);
-  return out;
-}
-
 }  // namespace mip::smpc

@@ -71,9 +71,6 @@ class Field {
   /// masks each raw word to 61 bits and keeps accepted (< p) values in draw
   /// order. Returns how many were accepted. `out` may alias `raw`.
   static size_t AcceptFieldWords(const uint64_t* raw, size_t n, uint64_t* out);
-
-  /// Uniform vector of field elements.
-  static std::vector<uint64_t> RandomVector(size_t n, Rng* rng);
 };
 
 }  // namespace mip::smpc

@@ -28,11 +28,12 @@ Result<uint64_t> FixedPointCodec::Encode(double x) const {
   return Field::kPrime - static_cast<uint64_t>(-scaled);
 }
 
-double FixedPointCodec::Decode(uint64_t v) const {
+double FixedPointCodec::Decode(uint64_t v, int scale_power) const {
+  const double divisor = std::pow(scale_, scale_power);
   if (v > Field::kPrime / 2) {
-    return -static_cast<double>(Field::kPrime - v) / scale_;
+    return -static_cast<double>(Field::kPrime - v) / divisor;
   }
-  return static_cast<double>(v) / scale_;
+  return static_cast<double>(v) / divisor;
 }
 
 Result<std::vector<uint64_t>> FixedPointCodec::EncodeVector(
@@ -42,20 +43,6 @@ Result<std::vector<uint64_t>> FixedPointCodec::EncodeVector(
     MIP_ASSIGN_OR_RETURN(out[i], Encode(xs[i]));
   }
   return out;
-}
-
-std::vector<double> FixedPointCodec::DecodeVector(
-    const std::vector<uint64_t>& vs) const {
-  std::vector<double> out(vs.size());
-  for (size_t i = 0; i < vs.size(); ++i) out[i] = Decode(vs[i]);
-  return out;
-}
-
-double FixedPointCodec::DecodeProduct(uint64_t v) const {
-  if (v > Field::kPrime / 2) {
-    return -static_cast<double>(Field::kPrime - v) / (scale_ * scale_);
-  }
-  return static_cast<double>(v) / (scale_ * scale_);
 }
 
 }  // namespace mip::smpc

@@ -29,16 +29,12 @@ class FixedPointCodec {
   /// Encodes one real. Values beyond MaxMagnitude() are an error.
   Result<uint64_t> Encode(double x) const;
 
-  /// Decodes one field element.
-  double Decode(uint64_t v) const;
+  /// Decodes one field element carrying scale^scale_power: a product of k
+  /// encoded values carries scale^k.
+  double Decode(uint64_t v, int scale_power = 1) const;
 
   Result<std::vector<uint64_t>> EncodeVector(
       const std::vector<double>& xs) const;
-  std::vector<double> DecodeVector(const std::vector<uint64_t>& vs) const;
-
-  /// Decoding after a product of two encoded values carries scale^2; this
-  /// decodes with the doubled scale.
-  double DecodeProduct(uint64_t v) const;
 
  private:
   int frac_bits_;

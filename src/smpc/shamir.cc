@@ -261,8 +261,4 @@ Result<std::vector<std::vector<uint64_t>>> ShamirScheme::MultiplyReshareBatch(
   return out;
 }
 
-uint64_t ShamirScheme::LagrangeAtZero(int party) const {
-  return lagrange_full_[static_cast<size_t>(party)];
-}
-
 }  // namespace mip::smpc

@@ -73,10 +73,6 @@ class ShamirScheme {
       const std::vector<std::vector<uint64_t>>& y, Rng* rng,
       const VecExec& exec = {}) const;
 
-  /// Lagrange coefficient for party `i` when interpolating at x = 0 using
-  /// the full party set {1..n}.
-  uint64_t LagrangeAtZero(int party) const;
-
  private:
   int threshold_;
   int num_parties_;

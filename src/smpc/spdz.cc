@@ -20,17 +20,6 @@ SpdzMatrix ToMatrix(const SpdzSharedVector& shares) {
   return m;
 }
 
-SpdzSharedVector ToShared(const SpdzMatrix& m) {
-  SpdzSharedVector shares(m.size());
-  for (size_t p = 0; p < m.size(); ++p) {
-    shares[p].resize(m[p].size());
-    for (size_t e = 0; e < m[p].size(); ++e) {
-      shares[p][e] = {m[p].values[e], m[p].macs[e]};
-    }
-  }
-  return shares;
-}
-
 namespace {
 
 /// Fused triple-generation kernel: one pass over the morsel's random words
@@ -406,11 +395,6 @@ SpdzTripleBlock SpdzDealer::TakeTriples(size_t count) {
     }
   }
   return out;
-}
-
-std::vector<SpdzShare> SpdzDealer::SharePositiveRandom(int bits) {
-  const uint64_t r = 1 + rng_.NextBounded((1ull << bits) - 1);
-  return ShareValue(r);
 }
 
 SpdzMatrix SpdzDealer::SharePositiveRandomVec(int bits, size_t n,

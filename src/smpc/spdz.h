@@ -64,10 +64,9 @@ struct SpdzTripleBlock {
   size_t size() const { return a.empty() ? 0 : a[0].size(); }
 };
 
-/// AoS <-> SoA conversions (tests and the scalar reference path use these at
-/// the boundary; the hot path stays SoA throughout).
+/// AoS -> SoA conversion (tests compare the scalar reference dealer against
+/// the batched one through it; the hot path stays SoA throughout).
 SpdzMatrix ToMatrix(const SpdzSharedVector& shares);
-SpdzSharedVector ToShared(const SpdzMatrix& m);
 
 /// \brief Simulated SPDZ offline phase.
 ///
@@ -131,15 +130,9 @@ class SpdzDealer {
   size_t triples_precomputed() const { return triples_precomputed_; }
   size_t triples_generated_online() const { return triples_online_; }
 
-  /// A shared uniformly random value in [1, 2^bits) (used as a positive
-  /// blinding factor by the comparison protocol).
-  std::vector<SpdzShare> SharePositiveRandom(int bits);
-
-  /// Batch of `n` independent positive blinding factors. NOTE: draws all
-  /// bounded randoms before sharing, so the Rng transcript differs from n
-  /// interleaved SharePositiveRandom calls — the comparison protocol only
-  /// needs r > 0, so min/max results are unchanged (result parity, not
-  /// transcript parity; see DESIGN.md).
+  /// `n` independent shared positive blinding factors, each uniform in
+  /// [1, 2^bits), for the comparison protocol. All bounded randoms are
+  /// drawn before any is shared.
   SpdzMatrix SharePositiveRandomVec(int bits, size_t n,
                                     const VecExec& exec = {});
 

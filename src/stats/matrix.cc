@@ -92,12 +92,6 @@ std::vector<double> Matrix::Column(size_t c) const {
   return out;
 }
 
-double Matrix::FrobeniusNorm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
-}
-
 double Matrix::MaxAbsDiff(const Matrix& other) const {
   if (rows_ != other.rows_ || cols_ != other.cols_) {
     return std::numeric_limits<double>::infinity();

@@ -62,9 +62,6 @@ class Matrix {
   /// Column c as a vector.
   std::vector<double> Column(size_t c) const;
 
-  /// Frobenius norm.
-  double FrobeniusNorm() const;
-
   /// Maximum absolute elementwise difference against `other` (inf if shapes
   /// differ).
   double MaxAbsDiff(const Matrix& other) const;

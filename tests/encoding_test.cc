@@ -448,7 +448,6 @@ TEST(TransferWireV2Test, RoundTripsAndNeverExceedsRaw) {
   BufferWriter v1;
   t.Serialize(&v1);
   EXPECT_EQ(v1.size(), t.RawSerializedBytes());
-  EXPECT_EQ(v1.size(), t.SerializedBytes());
 
   BufferWriter v2;
   t.SerializeForWire(&v2);
@@ -636,7 +635,6 @@ TEST(WireBytesTest, TransferLayoutsArePinned) {
   ExpectBytesAre(v1.bytes(), kPinnedTransferV1, "transfer v1");
   ExpectBytesAre(v2.bytes(), kPinnedTransferV2, "transfer v2");
   EXPECT_EQ(t.RawSerializedBytes(), kPinnedTransferV1.size);
-  EXPECT_EQ(t.SerializedBytes(), kPinnedTransferV1.size);
 
   auto v1_again = [](const TransferData& d, BufferWriter* w) {
     d.Serialize(w);

@@ -50,7 +50,7 @@ TEST(TransferDataTest, SerializationRoundTrip) {
 
   BufferWriter w;
   t.Serialize(&w);
-  EXPECT_EQ(t.SerializedBytes(), w.size());
+  EXPECT_EQ(t.RawSerializedBytes(), w.size());
   BufferReader r(w.bytes());
   TransferData back = *TransferData::Deserialize(&r);
   EXPECT_EQ(*back.GetScalar("a"), -2.5);

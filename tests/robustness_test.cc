@@ -545,14 +545,27 @@ TEST(RemoteRequestFuzzTest, TruncatedAndFlippedPayloadsNeverCrashTheWorker) {
 // --- SMPC robustness -------------------------------------------------------
 
 TEST(SmpcRobustnessTest, MismatchedContributionLengthsRejected) {
-  smpc::SmpcCluster cluster(smpc::SmpcConfig{});
-  ASSERT_TRUE(cluster.ImportShares("j", {1.0, 2.0}).ok());
-  ASSERT_TRUE(cluster.ImportShares("j", {1.0}).ok());
-  EXPECT_FALSE(cluster.Compute("j", smpc::SmpcOp::kSum).ok());
-  // Union tolerates different lengths by design.
-  ASSERT_TRUE(cluster.ImportShares("u", {1.0, 2.0}).ok());
-  ASSERT_TRUE(cluster.ImportShares("u", {3.0}).ok());
-  EXPECT_TRUE(cluster.Compute("u", smpc::SmpcOp::kUnion).ok());
+  for (smpc::SmpcScheme scheme :
+       {smpc::SmpcScheme::kFullThreshold, smpc::SmpcScheme::kShamir}) {
+    smpc::SmpcConfig config;
+    config.scheme = scheme;
+    smpc::SmpcCluster cluster(config);
+    // The longer contribution first: every elementwise kernel reads the
+    // others over the first one's length.
+    ASSERT_TRUE(cluster.ImportShares("j", {1.0, 2.0, 3.0, 4.0}).ok());
+    ASSERT_TRUE(cluster.ImportShares("j", {1.0}).ok());
+    for (smpc::SmpcOp op : {smpc::SmpcOp::kSum, smpc::SmpcOp::kProduct,
+                            smpc::SmpcOp::kMin, smpc::SmpcOp::kMax}) {
+      const Status st = cluster.Compute("j", op);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+          << "scheme " << static_cast<int>(scheme) << " op "
+          << static_cast<int>(op);
+    }
+    EXPECT_FALSE(cluster.GetResult("j").ok());
+    // Union tolerates different lengths by design.
+    ASSERT_TRUE(cluster.Compute("j", smpc::SmpcOp::kUnion).ok());
+    EXPECT_EQ(cluster.GetResult("j")->size(), 5u);
+  }
 }
 
 TEST(SmpcRobustnessTest, NonFiniteInputsRejectedAtImport) {

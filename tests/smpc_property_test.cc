@@ -467,32 +467,84 @@ TEST(ShamirBatchParity, MultiplyReshareBatchAndReconstructMatchScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster-level parity: batched vs scalar mode must produce bit-identical
-// opened results for the same seed, at 1 and 8 threads. The vectors are
+// Cluster-level parity: the cluster's batched kernels against a scalar,
+// element-at-a-time evaluation of the same op over the codec's field
+// encodings (Field::Add / Field::Mul, a signed compare for min/max,
+// concatenation for union), decoded with the same scale power. The opened
+// result must equal it bit for bit, at 1 and 8 threads. The vectors are
 // larger than one morsel grain so the 8-thread run genuinely chunks.
 // ---------------------------------------------------------------------------
 
-std::vector<double> RunCluster(SmpcScheme scheme, SmpcOp op, bool batched,
-                               ThreadPool* pool, size_t n,
-                               int contributions) {
+std::vector<std::vector<double>> ParityInputs(size_t n, int contributions) {
+  Rng rng(4242);
+  std::vector<std::vector<double>> inputs(static_cast<size_t>(contributions),
+                                          std::vector<double>(n));
+  for (auto& v : inputs) {
+    for (auto& x : v) x = rng.NextUniform(-100.0, 100.0);
+  }
+  return inputs;
+}
+
+std::vector<double> RunCluster(SmpcScheme scheme, SmpcOp op, ThreadPool* pool,
+                               const std::vector<std::vector<double>>& inputs) {
   SmpcConfig config;
   config.scheme = scheme;
   config.num_nodes = 3;
   config.threshold = 1;
-  config.use_batched_kernels = batched;
-  config.pool = pool;
   SmpcCluster cluster(config);
+  cluster.set_pool(pool);
   if (scheme == SmpcScheme::kFullThreshold && op == SmpcOp::kProduct) {
-    cluster.PrecomputeTriples(n * static_cast<size_t>(contributions));
+    cluster.PrecomputeTriples(inputs[0].size() * inputs.size());
   }
-  Rng rng(4242);
-  for (int c = 0; c < contributions; ++c) {
-    std::vector<double> v(n);
-    for (auto& x : v) x = rng.NextUniform(-100.0, 100.0);
+  for (const auto& v : inputs) {
     EXPECT_TRUE(cluster.ImportShares("job", v).ok());
   }
   EXPECT_TRUE(cluster.Compute("job", op).ok());
   return *cluster.GetResult("job");
+}
+
+// Signed value of a field encoding (upper half of the field is negative).
+int64_t Signed(uint64_t v) {
+  return v > Field::kPrime / 2 ? -static_cast<int64_t>(Field::kPrime - v)
+                               : static_cast<int64_t>(v);
+}
+
+std::vector<double> ScalarOracle(
+    SmpcOp op, const std::vector<std::vector<double>>& inputs) {
+  const FixedPointCodec codec(SmpcConfig{}.frac_bits);
+  std::vector<uint64_t> acc = *codec.EncodeVector(inputs[0]);
+  int scale_power = 1;
+  for (size_t c = 1; c < inputs.size(); ++c) {
+    const std::vector<uint64_t> next = *codec.EncodeVector(inputs[c]);
+    if (op == SmpcOp::kUnion) {
+      acc.insert(acc.end(), next.begin(), next.end());
+      continue;
+    }
+    for (size_t e = 0; e < acc.size(); ++e) {
+      switch (op) {
+        case SmpcOp::kSum:
+          acc[e] = Field::Add(acc[e], next[e]);
+          break;
+        case SmpcOp::kProduct:
+          acc[e] = Field::Mul(acc[e], next[e]);
+          break;
+        case SmpcOp::kMin:
+          if (Signed(next[e]) < Signed(acc[e])) acc[e] = next[e];
+          break;
+        case SmpcOp::kMax:
+          if (Signed(next[e]) > Signed(acc[e])) acc[e] = next[e];
+          break;
+        case SmpcOp::kUnion:
+          break;
+      }
+    }
+    if (op == SmpcOp::kProduct) ++scale_power;
+  }
+  std::vector<double> out(acc.size());
+  for (size_t e = 0; e < acc.size(); ++e) {
+    out[e] = codec.Decode(acc[e], scale_power);
+  }
+  return out;
 }
 
 using ParityParam = std::tuple<SmpcScheme, SmpcOp>;
@@ -500,19 +552,12 @@ class ClusterModeParity : public ::testing::TestWithParam<ParityParam> {};
 
 TEST_P(ClusterModeParity, BatchedEqualsScalarAt1And8Threads) {
   const auto [scheme, op] = GetParam();
-  // kSum exercises the >grain morsel split; the multiplication-heavy ops
-  // use a smaller n to keep the scalar reference fast.
-  const size_t n = op == SmpcOp::kSum ? 40000 : 96;
-  const int contributions = 3;
-  const std::vector<double> scalar =
-      RunCluster(scheme, op, /*batched=*/false, nullptr, n, contributions);
-  const std::vector<double> batched1 =
-      RunCluster(scheme, op, /*batched=*/true, nullptr, n, contributions);
+  const std::vector<std::vector<double>> inputs =
+      ParityInputs(/*n=*/40000, /*contributions=*/3);
+  const std::vector<double> scalar = ScalarOracle(op, inputs);
+  const std::vector<double> batched1 = RunCluster(scheme, op, nullptr, inputs);
   ThreadPool pool(8);
-  const std::vector<double> batched8 =
-      RunCluster(scheme, op, /*batched=*/true, &pool, n, contributions);
-  // Bit-identical, not approximately equal: the batched kernels reproduce
-  // the scalar limbs exactly, so the decoded doubles match bit for bit.
+  const std::vector<double> batched8 = RunCluster(scheme, op, &pool, inputs);
   ASSERT_EQ(batched1.size(), scalar.size());
   ASSERT_EQ(batched8.size(), scalar.size());
   for (size_t i = 0; i < scalar.size(); ++i) {
@@ -523,20 +568,15 @@ TEST_P(ClusterModeParity, BatchedEqualsScalarAt1And8Threads) {
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndOps, ClusterModeParity,
-    ::testing::Values(ParityParam{SmpcScheme::kFullThreshold, SmpcOp::kSum},
-                      ParityParam{SmpcScheme::kFullThreshold,
-                                  SmpcOp::kProduct},
-                      ParityParam{SmpcScheme::kFullThreshold, SmpcOp::kMin},
-                      ParityParam{SmpcScheme::kFullThreshold, SmpcOp::kMax},
-                      ParityParam{SmpcScheme::kShamir, SmpcOp::kSum},
-                      ParityParam{SmpcScheme::kShamir, SmpcOp::kProduct},
-                      ParityParam{SmpcScheme::kShamir, SmpcOp::kMin},
-                      ParityParam{SmpcScheme::kShamir, SmpcOp::kUnion}));
+    ::testing::Combine(::testing::Values(SmpcScheme::kFullThreshold,
+                                         SmpcScheme::kShamir),
+                       ::testing::Values(SmpcOp::kSum, SmpcOp::kProduct,
+                                         SmpcOp::kMin, SmpcOp::kMax,
+                                         SmpcOp::kUnion)));
 
-TEST(ClusterBatchedTamper, BatchedMacCheckStillAborts) {
+TEST(ClusterTamper, MacCheckAborts) {
   SmpcConfig config;
   config.scheme = SmpcScheme::kFullThreshold;
-  config.use_batched_kernels = true;
   SmpcCluster cluster(config);
   std::vector<double> v = {1.5, -2.25, 3.0, 4.75};
   ASSERT_TRUE(cluster.ImportShares("t", v).ok());

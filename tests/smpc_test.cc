@@ -94,7 +94,7 @@ TEST(FixedPointTest, ProductScale) {
   FixedPointCodec codec(16);
   const double x = 12.5, y = -3.25;
   const uint64_t prod = Field::Mul(*codec.Encode(x), *codec.Encode(y));
-  EXPECT_NEAR(codec.DecodeProduct(prod), x * y, 1e-3);
+  EXPECT_NEAR(codec.Decode(prod, 2), x * y, 1e-3);
 }
 
 // --- SPDZ --------------------------------------------------------------------
